@@ -48,7 +48,6 @@ from .multiplier import (
 )
 from .rademacher import (
     Log2Negatives,
-    NegatedSeqEntries,
     RadSum,
     RBoundReport,
     associated_operator,

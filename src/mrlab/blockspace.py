@@ -22,6 +22,8 @@ __all__ = [
     "SpreadMap",
     "triangular_block_index",
     "triangular_bounds",
+    "triangular_covering_blocks",
+    "triangular_indices_1mod4",
     "block_norms",
     "mixed_norm",
     "block_qsup_norm",
@@ -48,6 +50,20 @@ def triangular_bounds(k):
     if k < 1:
         raise ParameterError("block numbers are 1-based")
     return (k - 1) * k // 2 + 1, k * (k + 1) // 2
+
+
+def triangular_covering_blocks(dim: int) -> int:
+    """Fewest triangular blocks (sizes 1, 2, 3, ...) holding at least dim indices."""
+    n = int(math.ceil((math.sqrt(8.0 * max(dim, 1) + 1.0) - 1.0) / 2.0))
+    while n * (n + 1) // 2 < dim:
+        n += 1
+    return n
+
+
+def triangular_indices_1mod4(k) -> np.ndarray:
+    """The 1-based indices congruent to 1 mod 4 inside triangular block k."""
+    lo, hi = triangular_bounds(k)
+    return np.arange(lo + ((1 - lo) % 4), hi + 1, 4, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -87,10 +103,7 @@ class BlockLayout:
     @classmethod
     def triangular_covering(cls, min_dim: int) -> "BlockLayout":
         """Smallest triangular layout with dim >= min_dim."""
-        n = int(math.ceil((math.sqrt(8.0 * max(min_dim, 1) + 1.0) - 1.0) / 2.0))
-        while n * (n + 1) // 2 < min_dim:
-            n += 1
-        return cls.triangular(n)
+        return cls.triangular(triangular_covering_blocks(min_dim))
 
     @property
     def is_triangular(self) -> bool:

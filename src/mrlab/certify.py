@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockspace import BlockLayout, MixedVector, triangular_bounds
+from .blockspace import BlockLayout, MixedVector, triangular_bounds, triangular_indices_1mod4
 from .errors import InvariantViolation, ParameterError
 from .sequences import (
     GEOMETRIC,
@@ -37,6 +37,7 @@ from .sequences import (
     CONSTANT,
     RatioSeq,
     alpha_for_right_endpoint,
+    block_q_norms,
     block_qsup_partials,
     constant_ratios,
     geometric_ratios,
@@ -95,13 +96,7 @@ def diagonal_norm(ratios: RatioSeq, p: float, n_blocks: int) -> DiagonalNorm:
     q = holder_conjugate(p)
     if ratios.max_index < n_blocks * (n_blocks + 1) // 2:
         raise ParameterError("ratio sequence does not cover the requested blocks")
-    if ratios.is_block_constant:
-        ks = np.arange(1, n_blocks + 1, dtype=np.float64)
-        per_block = np.power(ks, 1.0 / q) * ratios.block_values[:n_blocks]
-    else:
-        per_block = np.array([
-            np.power(np.power(np.abs(ratios.value_at(np.arange(*_span(k)))), q).sum(), 1.0 / q)
-            for k in range(1, n_blocks + 1)])
+    per_block = block_q_norms(ratios, q, n_blocks)
     best = int(np.argmax(per_block)) + 1
     layout = BlockLayout.triangular(n_blocks)
     lo, hi = layout.bounds(best)
@@ -112,11 +107,6 @@ def diagonal_norm(ratios: RatioSeq, p: float, n_blocks: int) -> DiagonalNorm:
     arr[lo - 1: hi] = profile
     return DiagonalNorm(value=float(per_block[best - 1]), block=best,
                         extremizer=MixedVector(arr, layout), p=p, q=q)
-
-
-def _span(k):
-    lo, hi = triangular_bounds(k)
-    return lo, hi + 1
 
 
 # -- regularity predicate ----------------------------------------------------
@@ -239,7 +229,6 @@ class MRPlan:
     external_reference: bool
     notes: tuple
     grid: np.ndarray = field(repr=False)
-    grid_ok: bool = True
 
     def right_factor(self, p: float) -> bool:
         p = float(p)
@@ -341,8 +330,8 @@ def dissipativity_witness(ratios: RatioSeq, k: int) -> DissipativityWitness:
     for smaller blocks the overlap terms are evaluated honestly.
     """
     lo, hi = triangular_bounds(k)
-    elig = [m for m in range(lo, hi + 1) if m % 4 == 1]
-    if not elig:
+    elig = triangular_indices_1mod4(k)
+    if not elig.size:
         raise ParameterError(f"block {k} has no coordinates congruent 1 mod 4")
     if ratios.max_index < hi + 1:
         raise ParameterError("ratio sequence does not cover the block")
@@ -379,7 +368,7 @@ def dissipativity_norm_sq(ratios: RatioSeq, k: int) -> float:
     lo, hi = triangular_bounds(k)
     if ratios.max_index < hi + 1:
         raise ParameterError("ratio sequence does not cover the block")
-    ms = np.arange(lo + ((1 - lo) % 4), hi + 1, 4, dtype=np.int64)
+    ms = triangular_indices_1mod4(k)
     if ms.size == 0:
         return 0.0
     c_next = np.asarray(ratios.value_at(ms + 1), dtype=np.float64)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .blockspace import BlockLayout, bv_norm
+from .blockspace import BlockLayout, triangular_covering_blocks
 from .certify import (
     IntervalSpec,
     diagonal_norm,
@@ -29,7 +29,7 @@ from .certify import (
     mr_predicate,
     plan_interval,
 )
-from .errors import InvariantViolation, LabError
+from .errors import InvariantViolation, LabError, ParameterError
 from .multiplier import (
     TwistedMultiplier,
     bip_pair_ratio_max,
@@ -61,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
             options = set()
             for action in self._actions:
                 options.update(action.option_strings)
-            for sub in getattr(self, "_mrlab_subparsers", []):
+            for sub in getattr(self, "_mrlab_subparsers", {}).values():
                 for action in sub._actions:
                     options.update(action.option_strings)
             hints = []
@@ -108,9 +108,21 @@ class _Out:
             self.fh.close()
 
 
+def _config(args):
+    return {k: v for k, v in sorted(vars(args).items())
+            if k not in ("func", "out", "config") and v is not None}
+
+
+def _meta(args, command, schema_version=1):
+    """The ``meta`` object of a JSON report."""
+    return {"tool": f"mrlab {__version__}",
+            "schema": f"mrlab/{command}/v{schema_version}",
+            "seed": getattr(args, "seed", 0),
+            "config": {k: str(v) for k, v in _config(args).items()}}
+
+
 def _header(fh, command, args, schema_version=1, extra=()):
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func", "out", "config") and v is not None}
+    cfg = _config(args)
     fh.write(f"# mrlab {__version__}\n")
     fh.write(f"# schema mrlab/{command}/v{schema_version}\n")
     fh.write(f"# seed {getattr(args, 'seed', 0)}\n")
@@ -130,13 +142,8 @@ def _emit(args, command, columns, rows, extra=(), schema_version=1):
     fmt = getattr(args, "format", "csv")
     with _Out(args.out) as fh:
         if fmt == "json":
-            cfg = {k: str(v) for k, v in sorted(vars(args).items())
-                   if k not in ("func", "out", "config") and v is not None}
             payload = {
-                "meta": {"tool": f"mrlab {__version__}",
-                         "schema": f"mrlab/{command}/v{schema_version}",
-                         "seed": getattr(args, "seed", 0), "config": cfg,
-                         "notes": list(extra)},
+                "meta": {**_meta(args, command, schema_version), "notes": list(extra)},
                 "columns": list(columns),
                 "rows": [[(None if isinstance(x, float) and math.isnan(x) else
                            (x if not isinstance(x, (np.integer, np.floating, np.bool_))
@@ -151,30 +158,32 @@ def _emit(args, command, columns, rows, extra=(), schema_version=1):
 
 def _parse_grid(text):
     """Comma list of floats, or pow2:a:b for 2^a .. 2^b, or geom:a:b:n."""
-    if text.startswith("pow2:"):
-        _, a, b = text.split(":")
-        return 2.0 ** np.arange(int(a), int(b) + 1)
-    if text.startswith("geom:"):
-        _, a, b, n = text.split(":")
-        return np.geomspace(float(a), float(b), int(n))
-    return np.array([float(x) for x in text.split(",")])
+    try:
+        if text.startswith("pow2:"):
+            _, a, b = text.split(":")
+            return 2.0 ** np.arange(int(a), int(b) + 1)
+        if text.startswith("geom:"):
+            _, a, b, n = text.split(":")
+            return np.geomspace(float(a), float(b), int(n))
+        return np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise ParameterError(f"cannot read grid {text!r}; expected a comma list, "
+                             f"pow2:a:b or geom:a:b:n") from None
 
 
 def _parse_ints(text):
-    return [int(x) for x in text.split(",")]
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ParameterError(f"cannot read {text!r} as a comma list of integers") from None
 
 
 def _ratios_from_args(args, n_blocks):
-    fam = args.family
-    if fam == "power":
-        return ratio_family("power", args.alpha, n_blocks)
-    if fam == "powerlog":
-        return ratio_family("powerlog", args.alpha, n_blocks)
-    if fam == "constant":
+    if args.family == "constant":
         return constant_ratios(args.value, n_blocks)
-    if fam == "geometric":
+    if args.family == "geometric":
         return geometric_ratios(n_blocks)
-    raise SystemExit(f"unknown family {fam!r}")
+    return ratio_family(args.family, args.alpha, n_blocks)
 
 
 def _seq_from_source(source, length) -> MultiplierSeq:
@@ -182,17 +191,17 @@ def _seq_from_source(source, length) -> MultiplierSeq:
     if source == "lacunary":
         return twisted_lacunary(length)
     kind, _, value = source.partition(":")
-    if not value:
-        raise SystemExit(1)
-    if kind in ("power", "powerlog"):
-        n_blocks = 1
-        while n_blocks * (n_blocks + 1) // 2 < length:
-            n_blocks += 1
-        return seq_from_ratios(ratio_family(kind, float(value), n_blocks + 1),
-                               length=length)
+    try:
+        value = float(value)
+    except ValueError:
+        value = None
+    if value is None or kind not in ("power", "powerlog", "constant"):
+        raise ParameterError(f"cannot read gamma source {source!r}; expected "
+                             f"lacunary, power:A, powerlog:A or constant:C")
     if kind == "constant":
-        return seq_from_ratios(np.full(length, float(value)), length=length)
-    raise SystemExit(1)
+        return seq_from_ratios(np.full(length, value), length=length)
+    n_blocks = triangular_covering_blocks(length) + 1
+    return seq_from_ratios(ratio_family(kind, value, n_blocks), length=length)
 
 
 def _make_operator(source, dim):
@@ -207,12 +216,14 @@ def _make_operator(source, dim):
 
 
 def cmd_gen_gamma(args):
+    if args.n < 1:
+        raise ParameterError("--n must be at least 1")
     if args.family == "lacunary":
         seq = twisted_lacunary(args.n)
         cvals = np.full(args.n, float("nan"))
         cvals[1:] = seq.recovered_ratios()
     else:
-        ratios = _ratios_from_args(args, _blocks_for(args.n))
+        ratios = _ratios_from_args(args, triangular_covering_blocks(args.n) + 1)
         seq = seq_from_ratios(ratios, length=args.n)
         cvals = np.full(args.n, float("nan"))
         cvals[1:] = np.asarray(ratios.value_at(np.arange(2, args.n + 1)))
@@ -225,19 +236,11 @@ def cmd_gen_gamma(args):
 
 def cmd_pi_table(args):
     perm = build_permutation(args.n)
-    inv = {}
-    for m in range(2, args.n + 1, 2):
-        j = int(perm.table[m])
-        if j <= args.n:
-            inv[j] = m
-    n_b = (args.n - 2) // 4 + 1 if args.n >= 2 else 0
-    b_line = " ".join(str(int(b)) for b in perm.b_list[:n_b])
-    rows = []
-    for m in range(1, args.n + 1):
-        if m % 2 == 1:
-            rows.append((m, m, m))
-        else:
-            rows.append((m, int(perm.table[m]), inv.get(m, 0)))
+    b_line = " ".join(str(int(b)) for b in perm.b_list[:(args.n - 2) // 4 + 1])
+    m = np.arange(1, args.n + 1)
+    # pi fixes the odds; the inverse table reads 0 where no preimage is <= n
+    inverse = np.where(m % 2 == 1, m, perm.inv_even[m // 2])
+    rows = zip(m, perm.table[1:], inverse)
     _emit(args, "pi-table", ["m", "pi", "inverse"], rows, extra=[f"b_list {b_line}"])
     return 0
 
@@ -275,7 +278,7 @@ def cmd_bv_bound(args):
 
 
 def cmd_bip_check(args):
-    ratios = _ratios_from_args(args, _blocks_for(2 * args.pairs + 2))
+    ratios = _ratios_from_args(args, triangular_covering_blocks(2 * args.pairs + 2) + 1)
     seq = seq_from_ratios(ratios, length=2 * args.pairs + 2)
     rows = []
     worst = 0.0
@@ -340,14 +343,18 @@ def cmd_diag_norm(args):
 
 
 def cmd_interval_certify(args):
-    right = math.inf if args.right == "inf" else float(args.right)
-    spec = IntervalSpec(float(args.left), right, args.left_closed, args.right_closed)
+    try:
+        left, right = float(args.left), float(args.right)
+    except ValueError:
+        raise ParameterError("--left and --right take numbers ('inf' on the right)") from None
+    if not 0.0 < args.grid <= 1.0:
+        raise ParameterError("--grid must lie in (0, 1]")
+    spec = IntervalSpec(left, right, args.left_closed, args.right_closed)
     # integer numerators keep grid points at the exact rationals k/inv
     inv = round(1.0 / args.grid)
     grid = np.arange(inv + 1, 8 * inv + 1) / inv
     try:
         plan = plan_interval(spec, grid=grid)
-        grid_ok = plan.grid_ok
     except InvariantViolation as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -359,13 +366,10 @@ def cmd_interval_certify(args):
               extra=[f"interval {spec.describe()}",
                      f"right {plan.right_kind} {plan.right_alpha}",
                      f"left {plan.left_kind} {plan.left_alpha}",
-                     f"set_equal {_fmt(grid_ok)}"])
-        return 0 if grid_ok else 2
+                     "set_equal true"])
+        return 0
     report = {
-        "meta": {"tool": f"mrlab {__version__}", "schema": "mrlab/interval-certify/v1",
-                 "seed": args.seed,
-                 "config": {k: str(v) for k, v in sorted(vars(args).items())
-                            if k not in ("func", "out", "config")}},
+        "meta": _meta(args, "interval-certify"),
         "interval": spec.describe(),
         "plan": {
             "right_kind": plan.right_kind, "right_alpha": plan.right_alpha,
@@ -375,12 +379,12 @@ def cmd_interval_certify(args):
             "notes": list(plan.notes),
         },
         "per_p": per_p,
-        "set_equal": bool(grid_ok),
+        "set_equal": True,
     }
     with _Out(args.out) as fh:
         json.dump(report, fh, indent=2, sort_keys=False)
         fh.write("\n")
-    return 0 if grid_ok else 2
+    return 0
 
 
 def cmd_dissipativity(args):
@@ -413,13 +417,6 @@ def cmd_selftest(args):
     return 0 if all(r.passed for r in results) else 2
 
 
-def _blocks_for(length):
-    n = 1
-    while n * (n + 1) // 2 < length:
-        n += 1
-    return n + 1
-
-
 # -- wiring --------------------------------------------------------------------
 
 
@@ -427,7 +424,7 @@ def _build_parser():
     parser = _Parser(prog="mrlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mrlab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    parser._mrlab_subparsers = []
+    parser._mrlab_subparsers = {}
 
     def sub(name, fn, **kwargs):
         sp = subs.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
@@ -443,7 +440,7 @@ def _build_parser():
                         help="output format (default: csv tables, json reports)")
         sp.add_argument("--jobs", type=int, default=1,
                         help="worker hint; output does not depend on it")
-        parser._mrlab_subparsers.append(sp)
+        parser._mrlab_subparsers[name] = sp
         return sp
 
     sp = sub("gen-gamma", cmd_gen_gamma, help="dump a multiplier sequence as CSV")
@@ -532,6 +529,18 @@ def _build_parser():
     return parser
 
 
+def _config_value(action, value):
+    """A config entry read the way the flag's parser action reads it."""
+    if action.nargs == 0:  # store_true switches take JSON booleans
+        if not isinstance(value, bool):
+            raise TypeError("switches take true or false")
+        return value
+    value = (action.type or str)(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError("not one of the choices")
+    return value
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -542,12 +551,17 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
             return 1
+        actions = {a.dest: a for a in parser._mrlab_subparsers[args.command]._actions}
         for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr):
-                setattr(args, attr, value)
-            else:
+            action = actions.get(key.replace("-", "_"))
+            if action is None or not hasattr(args, action.dest):
                 print(f"config key {key!r} is not a flag of this subcommand",
+                      file=sys.stderr)
+                return 1
+            try:
+                setattr(args, action.dest, _config_value(action, value))
+            except (TypeError, ValueError):
+                print(f"config key {key!r} cannot take the value {value!r}",
                       file=sys.stderr)
                 return 1
     if getattr(args, "out", None) in ("csv", "json"):

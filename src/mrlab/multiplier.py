@@ -79,8 +79,6 @@ class TwistedMultiplier:
     layout: BlockLayout
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ParameterError(f"unknown basis variant {self.variant!r}")
         needed = self.structure.needed
         if self.seq.length < needed:
             raise ParameterError(
@@ -90,90 +88,73 @@ class TwistedMultiplier:
 
     @cached_property
     def structure(self) -> _Structure:
-        dim = self.layout.dim
-        positions = np.arange(1, dim + 1)
-        if self.variant == PLAIN:
-            empty = np.zeros(0, dtype=np.int64)
-            return _Structure(positions, empty, empty, empty, empty, dim)
-        evens = positions[positions % 2 == 0]
-        if self.variant == EVEN_TWIST:
-            pre = self.perm.pi_inv(evens) if evens.size else evens
-            diag_src = positions.copy()
-            diag_src[evens - 1] = pre
-            rows = pre - 1                      # odd coordinate m-1
-            keep = rows <= dim
-            off_rows = rows[keep] - 1
-            off_cols = evens[keep] - 1
-            off_hi = pre[keep]
-            off_lo = pre[keep] - 1
-        else:
-            pre = self.perm.pi_inv(evens) if evens.size else evens
-            diag_src = positions.copy()
-            diag_src[evens - 1] = pre
-            odd = positions[positions % 2 == 1]
-            partners = np.array([self.perm.pi(int(r) + 1) for r in odd], dtype=np.int64)
-            keep = partners <= dim
-            off_rows = partners[keep] - 1       # even coordinate pi(r+1)
-            off_cols = odd[keep] - 1
-            off_hi = odd[keep]
-            off_lo = odd[keep] + 1
-        needed = int(max(diag_src.max(initial=1),
-                         off_hi.max(initial=1), off_lo.max(initial=1)))
-        return _Structure(diag_src, off_rows, off_cols, off_hi, off_lo, needed)
+        return _structure(self.layout, self.perm, self.variant)
 
     # -- symbol evaluation ------------------------------------------------
 
-    def _symbol_arrays(self, g_of_index):
-        st = self.structure
-        diag = g_of_index(st.diag_src)
-        off = g_of_index(st.off_hi) - g_of_index(st.off_lo)
-        return diag, off
+    def symbols(self, g):
+        """Diagonal and coupling entries of the multiplier with symbol values g.
 
-    def _apply_structured(self, arr, diag, off):
+        ``g[i - 1]`` is the symbol at sequence index i, for i = 1 ..
+        ``structure.needed``; returns ``(diag, off)``.
+        """
+        st = self.structure
+        if len(g) < st.needed:
+            raise ParameterError(f"symbol values must cover index {st.needed}")
+        return g[st.diag_src - 1], g[st.off_hi - 1] - g[st.off_lo - 1]
+
+    def apply_symbols(self, diag, off, arr):
+        """Multiply by the entries ``symbols`` returned; batches run along the last axis."""
         st = self.structure
         out = arr * diag
         if st.off_rows.size:
-            if arr.ndim == 1:
-                out[st.off_rows] += off * arr[st.off_cols]
-            else:
-                out[:, st.off_rows] += off[None, :] * arr[:, st.off_cols]
+            out[..., st.off_rows] += off * arr[..., st.off_cols]
         return out
 
-    def _wrap(self, v):
+    def adjoint_apply_symbols(self, diag, off, arr):
+        """The adjoint of ``apply_symbols`` with the same entries."""
+        st = self.structure
+        out = arr * np.conj(diag)
+        if st.off_rows.size:
+            out[..., st.off_cols] += np.conj(off) * arr[..., st.off_rows]
+        return out
+
+    def _multiply(self, g, v):
+        diag, off = self.symbols(g)
         if isinstance(v, MixedVector):
             if v.layout.dim != self.layout.dim:
                 raise ParameterError("vector layout does not match the operator")
-            return v.coeffs, True
+            return MixedVector(self.apply_symbols(diag, off, v.coeffs), self.layout)
         arr = np.asarray(v, dtype=np.complex128)
         if arr.shape[-1] != self.layout.dim:
             raise ParameterError("vector length does not match the operator layout")
-        return arr, False
+        return self.apply_symbols(diag, off, arr)
 
-    def _ret(self, out, was_vec):
-        return MixedVector(out, self.layout) if was_vec else out
+    def _values(self):
+        return self.seq.values_upto(self.structure.needed)
+
+    def _log2(self):
+        return self.seq.log2[: self.structure.needed]
+
+    @cached_property
+    def _gamma(self):
+        """gamma_i for i = 1 .. structure.needed, inf where float64 overflows."""
+        return self.seq.values_upto(self.structure.needed, allow_inf=True)
 
     # -- the operator family ----------------------------------------------
 
-    def gamma_values(self, idx):
-        return self.seq.values_upto(self.structure.needed)[np.asarray(idx) - 1]
-
     def apply(self, v):
         """A v, the multiplier with symbol g(x) = x."""
-        arr, was_vec = self._wrap(v)
-        vals = self.seq.values_upto(self.structure.needed)
-        diag, off = self._symbol_arrays(lambda i: vals[i - 1])
-        return self._ret(self._apply_structured(arr, diag, off), was_vec)
+        return self._multiply(self._values(), v)
 
     def resolvent(self, lam, v):
         """(lam - A)^{-1} v for lam off the truncated spectrum."""
-        arr, was_vec = self._wrap(v)
-        st = self.structure
-        log2 = self.seq.log2[: st.needed]
-        lam = complex(lam)
+        return self._multiply(self._resolvent_values(complex(lam)), v)
+
+    def _resolvent_values(self, lam):
+        log2, vals = self._log2(), self._gamma
         if abs(lam) >= 2.0 ** 500:
             raise ParameterError("resolvent parameters beyond 2^500 are not supported")
-        with np.errstate(over="ignore"):
-            vals = np.exp2(log2)
         finite = log2 < _LOG2_HUGE
         close = finite & (np.abs(lam - vals) <= 1e-14 * np.maximum(np.abs(lam), vals))
         if np.any(close):
@@ -181,104 +162,93 @@ class TwistedMultiplier:
                 f"lambda is within 1e-14 relative of the multiplier value at "
                 f"index {int(np.flatnonzero(close)[0]) + 1}"
             )
-
-        g = np.empty(st.needed, dtype=np.complex128)
+        g = np.empty(log2.size, dtype=np.complex128)
         g[finite] = 1.0 / (lam - vals[finite])
         g[~finite] = -np.exp2(-log2[~finite])  # (lam - x)^{-1} ~ -1/x
-        diag, off = self._symbol_arrays(lambda i: g[i - 1])
-        return self._ret(self._apply_structured(arr, diag, off), was_vec)
+        return g
 
     def semigroup(self, t, v):
         """e^{-t A} v for t >= 0."""
         if not (np.isfinite(t) and t >= 0.0):
             raise ParameterError("semigroup times must be finite and nonnegative")
-        arr, was_vec = self._wrap(v)
-        diag, off = self._semigroup_symbols(float(t))
-        return self._ret(self._apply_structured(arr, diag, off), was_vec)
+        return self._multiply(self._semigroup_values(float(t)), v)
 
-    def _semigroup_symbols(self, t):
-        st = self.structure
-        with np.errstate(over="ignore"):
-            vals = np.exp2(self.seq.log2[: st.needed])
+    def _semigroup_values(self, t):
         with np.errstate(over="ignore", invalid="ignore"):
-            g = np.exp(-t * vals)
+            g = np.exp(-t * self._gamma)
         g = np.where(np.isnan(g), 0.0, g)  # t = 0 with inf values
         if t == 0.0:
             g = np.ones_like(g)
-        return self._symbol_arrays(lambda i: g[i - 1])
+        return g
 
     def imaginary_power(self, t, v):
         """A^{it} v; the diagonal part is unimodular."""
         if not np.isfinite(t):
             raise ParameterError("imaginary-power parameters must be finite")
-        arr, was_vec = self._wrap(v)
-        st = self.structure
-        phase = np.exp(1j * float(t) * _LN2 * self.seq.log2[: st.needed])
-        diag, off = self._symbol_arrays(lambda i: phase[i - 1])
-        return self._ret(self._apply_structured(arr, diag, off), was_vec)
+        return self._multiply(np.exp(1j * float(t) * _LN2 * self._log2()), v)
 
     def fractional_power_apply(self, alpha, v):
         """A^alpha v through the symbol x^alpha (real alpha > 0)."""
         if not (np.isfinite(alpha) and alpha > 0.0):
             raise ParameterError("fractional powers need alpha > 0")
-        arr, was_vec = self._wrap(v)
-        st = self.structure
         with np.errstate(over="ignore"):
-            g = np.exp2(alpha * self.seq.log2[: st.needed])
+            g = np.exp2(alpha * self._log2())
         if not np.all(np.isfinite(g)):
             raise ParameterError("fractional power overflows on this truncation")
-        diag, off = self._symbol_arrays(lambda i: g[i - 1])
-        return self._ret(self._apply_structured(arr, diag, off), was_vec)
+        return self._multiply(g, v)
 
     def sequence_apply(self, beta, v):
         """Multiplier with arbitrary coefficients beta (1-based, covers the coupling)."""
-        beta = np.asarray(beta)
-        if beta.size < self.structure.needed:
-            raise ParameterError(
-                f"coefficient sequence must cover index {self.structure.needed}"
-            )
-        arr, was_vec = self._wrap(v)
-        diag, off = self._symbol_arrays(lambda i: beta[i - 1])
-        return self._ret(self._apply_structured(arr, diag, off), was_vec)
-
-    def adjoint_apply_symbols(self, diag, off, arr):
-        st = self.structure
-        out = arr * np.conj(diag)
-        if st.off_rows.size:
-            if arr.ndim == 1:
-                out[st.off_cols] += np.conj(off) * arr[st.off_rows]
-            else:
-                out[:, st.off_cols] += np.conj(off)[None, :] * arr[:, st.off_rows]
-        return out
+        return self._multiply(np.asarray(beta), v)
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of the truncated operator (the diagonal symbol values)."""
-        vals = self.seq.values_upto(self.structure.needed)
-        return vals[self.structure.diag_src - 1]
+        return self.symbols(self._values())[0]
 
     def dense_matrix(self, symbols=None) -> np.ndarray:
         """Materialize the coordinate matrix; small truncations only."""
         st = self.structure
-        if symbols is None:
-            vals = self.seq.values_upto(st.needed)
-            diag, off = self._symbol_arrays(lambda i: vals[i - 1])
-        else:
-            diag, off = symbols
+        diag, off = self.symbols(self._values()) if symbols is None else symbols
         mat = np.diag(diag.astype(np.complex128))
         mat[st.off_rows, st.off_cols] = off
         return mat
 
 
+def _structure(layout: BlockLayout, perm: TwistPermutation, variant: str) -> _Structure:
+    if variant not in VARIANTS:
+        raise ParameterError(f"unknown basis variant {variant!r}")
+    dim = layout.dim
+    positions = np.arange(1, dim + 1)
+    if variant == PLAIN:
+        empty = np.zeros(0, dtype=np.int64)
+        return _Structure(positions, empty, empty, empty, empty, dim)
+    evens = positions[1::2]
+    pre = perm.pi_inv(evens)
+    diag_src = positions.copy()
+    diag_src[evens - 1] = pre
+    if variant == EVEN_TWIST:
+        rows = pre - 1                          # odd coordinate m-1
+        keep = rows <= dim
+        off_rows = rows[keep] - 1
+        off_cols = evens[keep] - 1
+        off_hi = pre[keep]
+        off_lo = off_hi - 1
+    else:
+        odd = positions[::2]
+        partners = perm.pi(odd + 1)
+        keep = partners <= dim
+        off_rows = partners[keep] - 1           # even coordinate pi(r+1)
+        off_cols = odd[keep] - 1
+        off_hi = odd[keep]
+        off_lo = off_hi + 1
+    needed = int(max(diag_src.max(initial=1),
+                     off_hi.max(initial=1), off_lo.max(initial=1)))
+    return _Structure(diag_src, off_rows, off_cols, off_hi, off_lo, needed)
+
+
 def required_cover(layout: BlockLayout, perm: TwistPermutation, variant: str) -> int:
     """Largest sequence index a truncation of this shape can touch."""
-    dim = layout.dim
-    if variant == PLAIN:
-        return dim
-    evens = np.arange(2, dim + 1, 2)
-    pre = perm.pi_inv(evens) if evens.size else np.array([1])
-    if variant == EVEN_TWIST:
-        return int(max(dim, pre.max()))
-    return int(max(dim, pre.max(), dim + 1))
+    return _structure(layout, perm, variant).needed
 
 
 # -- positivity ------------------------------------------------------------
@@ -320,7 +290,7 @@ def positivity_check(op: TwistedMultiplier, t_grid, tol: float = 1e-12) -> Posit
     arg_t, arg_col = float("nan"), -1
     per_t = np.empty(ts.size)
     for i, t in enumerate(ts):
-        diag, off = op._semigroup_symbols(float(t))
+        diag, off = op.symbols(op._semigroup_values(float(t)))
         entries = np.concatenate([diag.real, off.real]) if off.size else diag.real
         per_t[i] = entries.min()
         if per_t[i] < best:
@@ -328,10 +298,7 @@ def positivity_check(op: TwistedMultiplier, t_grid, tol: float = 1e-12) -> Posit
             arg_t = float(t)
             cols = np.concatenate([np.arange(op.layout.dim), st.off_cols])
             arg_col = int(cols[np.argmin(entries)]) + 1
-    if op.variant == PLAIN or st.off_hi.size == 0:
-        monotone = True
-    else:
-        monotone = bool(np.all(log2[st.off_hi - 1] <= log2[st.off_lo - 1]))
+    monotone = bool(np.all(log2[st.off_hi - 1] <= log2[st.off_lo - 1]))  # True with no pairs
     return PositivityReport(min_entry=best, argmin_t=arg_t, argmin_col=arg_col,
                             verdict=bool(best >= -tol), monotone_pairs=monotone,
                             per_t_min=per_t, t_grid=ts)
@@ -445,10 +412,10 @@ def opnorm_lower(apply_fn, adjoint_fn, layout: BlockLayout, p,
     """
     rng = np.random.default_rng(seed)
     best, best_v = 0.0, None
-    q = math.inf if p == 1.0 else (p / (p - 1.0) if p != math.inf else 1.0)
     for _ in range(max(1, trials)):
         v = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
-        v /= mixed_norm(v, p, layout)
+        v /= mixed_norm(v, p, layout)       # rejects p <= 1 before q is formed
+        q = 1.0 if p == math.inf else p / (p - 1.0)
         for _ in range(max(1, iters)):
             z = apply_fn(v)
             nz = mixed_norm(z, p, layout)
@@ -482,8 +449,7 @@ def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
         raise ParameterError("angles must lie strictly between 0 and pi")
     if np.any(radii <= 0.0):
         raise ParameterError("radii must be positive")
-    st = op.structure
-    vals = op.seq.values_upto(st.needed, allow_inf=True)
+    vals = op._gamma
     lower = np.zeros((angles.size, radii.size))
     bv_upper = np.zeros_like(lower)
     skipped = []
@@ -491,13 +457,15 @@ def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
         for j, r in enumerate(radii):
             lam = r * cmath.exp(1j * (math.pi - theta))
             try:
-                val, _ = opnorm_lower(
-                    lambda v, lam=lam: lam * op.resolvent(lam, v),
-                    lambda u, lam=lam: _resolvent_adjoint(op, lam, u),
-                    op.layout, p, trials=trials, seed=seed + 7 * i + j)
+                diag, off = op.symbols(op._resolvent_values(lam))
             except SingularityError:
                 skipped.append((float(theta), float(r)))
                 continue
+            lam_diag, lam_off = lam * diag, lam * off
+            val, _ = opnorm_lower(
+                lambda v: lam * op.apply_symbols(diag, off, v),
+                lambda u: op.adjoint_apply_symbols(lam_diag, lam_off, u),
+                op.layout, p, trials=trials, seed=seed + 7 * i + j)
             lower[i, j] = val
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 symbol = lam / (lam - vals)
@@ -510,21 +478,3 @@ def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
                               bv_upper=bv_upper, measured_K=measured_k,
                               skipped=tuple(skipped))
 
-
-def _resolvent_symbols(op, lam):
-    st = op.structure
-    log2 = op.seq.log2[: st.needed]
-    with np.errstate(over="ignore"):
-        vals = np.exp2(log2)
-    finite = log2 < _LOG2_HUGE
-    g = np.empty(st.needed, dtype=np.complex128)
-    g[finite] = 1.0 / (lam - vals[finite])
-    g[~finite] = -np.exp2(-log2[~finite])
-    diag = g[st.diag_src - 1]
-    off = g[st.off_hi - 1] - g[st.off_lo - 1]
-    return diag, off
-
-
-def _resolvent_adjoint(op, lam, u):
-    diag, off = _resolvent_symbols(op, lam)
-    return op.adjoint_apply_symbols(lam * diag, lam * off, u)

@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockspace import BlockLayout, mixed_norm
+from .blockspace import (
+    BlockLayout,
+    mixed_norm,
+    triangular_covering_blocks,
+    triangular_indices_1mod4,
+)
 from .errors import ParameterError, StructuralError
 from .multiplier import TwistedMultiplier
 from .sequences import (
@@ -43,7 +48,6 @@ __all__ = [
     "SampledNorm",
     "rad_norm",
     "Log2Negatives",
-    "NegatedSeqEntries",
     "associated_operator",
     "pair_resolvent_coeffs",
     "RBoundReport",
@@ -153,28 +157,8 @@ class Log2Negatives:
         return float(self.log2_magnitudes[k])
 
 
-@dataclass(frozen=True)
-class NegatedSeqEntries:
-    """q_k = -gamma_{indices[k]}, taken from the sequence itself."""
-
-    seq: MultiplierSeq
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if np.any(idx < 1) or np.any(idx > self.seq.length):
-            raise ParameterError("negated entries outside the sequence range")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self):
-        return int(self.indices.size)
-
-    def log2_abs(self, k):
-        return float(self.seq.log2[self.indices[k] - 1])
-
-
 def _as_log2_negatives(qs, n_terms):
-    if isinstance(qs, (Log2Negatives, NegatedSeqEntries)):
+    if isinstance(qs, Log2Negatives):
         if len(qs) != n_terms:
             raise ParameterError("need one q per term")
         return qs
@@ -192,13 +176,9 @@ def scaled_resolvent_symbols(op: TwistedMultiplier, log2_q: float):
     Written in ratio form 1 / (1 + gamma/|q|), so arbitrarily large
     exponents on either side stay finite.
     """
-    st = op.structure
     with np.errstate(over="ignore"):
-        r = np.exp2(op.seq.log2[: st.needed] - log2_q)
-    g = 1.0 / (1.0 + r)
-    diag = g[st.diag_src - 1]
-    off = g[st.off_hi - 1] - g[st.off_lo - 1]
-    return diag, off
+        r = np.exp2(op.seq.log2[: op.structure.needed] - log2_q)
+    return op.symbols(1.0 / (1.0 + r))
 
 
 def associated_operator(op: TwistedMultiplier, qs, s: RadSum) -> RadSum:
@@ -209,7 +189,7 @@ def associated_operator(op: TwistedMultiplier, qs, s: RadSum) -> RadSum:
     out = np.empty_like(s.terms)
     for k in range(s.n_terms):
         diag, off = scaled_resolvent_symbols(op, qlog.log2_abs(k))
-        out[k] = op._apply_structured(s.terms[k], diag, off)
+        out[k] = op.apply_symbols(diag, off, s.terms[k])
     return RadSum(out, s.layout, s.p)
 
 
@@ -244,7 +224,6 @@ class RBoundReport:
     method: str
     p: float
     seed: int = 0
-    angle_context: float | None = None
 
 
 def _family_ratio(ops, idx, s: RadSum, seed):
@@ -321,21 +300,9 @@ def evaluate_rbound_witness(ops, report: RBoundReport) -> float:
 CONSTRUCTIONS = ("lacunary", "power", "powerlog")
 
 
-def _eligible_targets(k):
-    """Odd coordinates 4m+1 (m >= 1) inside triangular block k."""
-    lo = (k - 1) * k // 2 + 1
-    hi = k * (k + 1) // 2
-    first = lo + ((1 - lo) % 4)
-    if first < 5:
-        first += ((5 - first + 3) // 4) * 4
-    if first > hi:
-        return np.zeros(0, dtype=np.int64)
-    return np.arange(first, hi + 1, 4, dtype=np.int64)
-
-
 def _block_leak_qnorm(construction, ratios, k, q):
     """ell_q norm of the leaked coefficients on the targets of block k."""
-    targets = _eligible_targets(k)
+    targets = triangular_indices_1mod4(k)
     if targets.size == 0:
         return 0.0, 0
     if construction == "lacunary":
@@ -353,7 +320,6 @@ class BlowupSeries:
     ks: np.ndarray
     lower: np.ndarray          # running max of the leaked block values
     slope: float               # log-log fit over the reported points
-    first_block: int = 7
 
 
 def blowup_series(construction: str, p, alpha=None, block_counts=(100, 1000, 10000),
@@ -407,7 +373,7 @@ def blowup_witness(construction: str, k: int, p, alpha=None, bound: float = 0.12
     if k < 7:
         raise ParameterError("target blocks start at 7")
     q = holder_conjugate(p)
-    targets = _eligible_targets(k)
+    targets = triangular_indices_1mod4(k)
     if targets.size == 0:
         raise ParameterError(f"block {k} has no eligible coordinates")
     ms = (targets - 1) // 4
@@ -423,8 +389,8 @@ def blowup_witness(construction: str, k: int, p, alpha=None, bound: float = 0.12
     else:
         ratios = ratio_family(construction, alpha, k + 2, bound=bound)
         cvals = np.asarray(ratios.value_at(targets + 1), dtype=np.float64)
-        seq_ratios = ratio_family(construction, alpha,
-                                  max(k + 2, _blocks_covering(2 * layout.dim + 8)))
+        seq_blocks = max(k + 2, triangular_covering_blocks(2 * layout.dim + 8))
+        seq_ratios = ratio_family(construction, alpha, seq_blocks)
         seq = seq_from_ratios(seq_ratios, length=max(int(4 * ms.max() + 2),
                                                      2 * layout.dim + 8))
         leak = cvals
@@ -434,14 +400,8 @@ def blowup_witness(construction: str, k: int, p, alpha=None, bound: float = 0.12
     terms = np.zeros((targets.size, layout.dim), dtype=np.complex128)
     terms[np.arange(targets.size), reserved - 1] = profile
     rsum = RadSum(terms, layout, p)
-    qs = NegatedSeqEntries(seq, 4 * ms + 2)
+    qs = Log2Negatives(seq.log2_at(4 * ms + 2))
     leak_norm = float(np.power(np.power(np.abs(profile * leak), 2).sum(), 0.5))
     expected = (leak_norm ** p + (0.5 ** p) * np.power(np.abs(profile), p).sum()) ** (1.0 / p)
     return rsum, qs, op, expected
 
-
-def _blocks_covering(dim):
-    n = int(math.ceil((math.sqrt(8.0 * dim + 1.0) - 1.0) / 2.0))
-    while n * (n + 1) // 2 < dim:
-        n += 1
-    return n

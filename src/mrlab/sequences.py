@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blockspace import triangular_block_index
 from .errors import ParameterError, SequenceOverflowError
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "twisted_lacunary",
     "custom_seq",
     "resolvent_gap_max",
+    "block_q_norms",
     "block_qsup_partials",
     "alpha_for_right_endpoint",
     "holder_conjugate",
@@ -47,14 +49,6 @@ CONSTANT = "constant"
 GEOMETRIC = "geometric"
 CUSTOM = "custom"
 _FAMILIES = (POWER, POWERLOG, CONSTANT, GEOMETRIC, CUSTOM)
-
-
-def _triangular_block_of(m):
-    m = np.asarray(m, dtype=np.int64)
-    k = ((np.sqrt(8.0 * m + 1.0) - 1.0) / 2.0).astype(np.int64)
-    k = np.where(k * (k + 1) // 2 >= m, k, k + 1)
-    k = np.where((k - 1) * k // 2 >= m, k - 1, k)
-    return k
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,7 @@ class RatioSeq:
         if np.any(m < 1) or np.any(m > self.max_index):
             raise ParameterError(f"index out of range 1..{self.max_index}")
         if self.is_block_constant:
-            out = self.block_values[_triangular_block_of(m) - 1]
+            out = self.block_values[triangular_block_index(m) - 1]
         else:
             out = self.dense_values[m - 1]
         return out if out.ndim else float(out)
@@ -144,8 +138,21 @@ def _raw_block_values(kind, alpha, ks):
 def _global_raw_max(kind, alpha):
     if kind == POWER:
         return 1.0
-    horizon = max(16, int(4.0 * math.exp(1.0 / alpha)))
-    ks = np.arange(1, horizon + 1, dtype=np.float64)
+    # k^-alpha log(k+1) rises then falls; its real maximizer x = e^s solves
+    # h(s) = x / ((x+1) log(x+1)) = alpha with h decreasing from h(0) > 1/2,
+    # and the integer maximizer sits next to x
+    def h(s):
+        return 1.0 / ((1.0 + math.exp(-s)) * math.log1p(math.exp(s)))
+
+    lo, hi = 0.0, 700.0
+    if h(hi) > alpha:
+        raise ParameterError(f"alpha {alpha} is too small: the {kind} family "
+                             f"peaks beyond float range")
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if h(mid) > alpha else (lo, mid)
+    k = math.floor(math.exp(lo))
+    ks = np.arange(max(1, k - 2), k + 4, dtype=np.float64)
     return float(_raw_block_values(kind, alpha, ks).max())
 
 
@@ -184,7 +191,7 @@ def geometric_ratios(n_blocks: int, bound: float = 0.125) -> RatioSeq:
 
 def custom_ratios(values, bound: float = 0.5) -> RatioSeq:
     values = np.asarray(values, dtype=np.float64)
-    n_blocks = int(_triangular_block_of(values.size))
+    n_blocks = triangular_block_index(values.size)
     return RatioSeq(family=CUSTOM, bound=bound, n_blocks=n_blocks,
                     dense_values=values)
 
@@ -196,7 +203,6 @@ class MultiplierSeq:
     origin: str
     log2: np.ndarray = field(repr=False)
     step_offsets: np.ndarray | None = field(default=None, repr=False)  # t_m at [m-2]
-    ratios_src: RatioSeq | None = None
 
     @property
     def length(self) -> int:
@@ -229,13 +235,6 @@ class MultiplierSeq:
         out = self.log2[m - 1]
         return out if out.ndim else float(out)
 
-    def ln_at(self, m):
-        return self.log2_at(m) * _LN2
-
-    def ratio(self, i, j):
-        """gamma_i / gamma_j through exponent differences (overflow-safe)."""
-        return np.exp2(self.log2_at(i) - self.log2_at(j))
-
     def ln_pair_gap(self, even_m):
         """ln(gamma_{m} / gamma_{m-1}) for even m, stable for tiny steps."""
         even_m = np.asarray(even_m, dtype=np.int64)
@@ -263,20 +262,18 @@ class MultiplierSeq:
 def seq_from_ratios(ratios, length: int | None = None) -> MultiplierSeq:
     """Solve the ratio recurrence; gamma_1 = 1 and gamma is strictly increasing."""
     if isinstance(ratios, RatioSeq):
-        src = ratios
-        n = src.max_index if length is None else length
-        c = src.values_upto(n)[1:]
+        n = ratios.max_index if length is None else length
+        c = ratios.values_upto(n)[1:]
     else:
         arr = np.asarray(ratios, dtype=np.float64)
         n = arr.size + 1 if length is None else length
         c = arr[: n - 1]
-        src = None
     if np.any(~np.isfinite(c)) or np.any(c <= 0.0) or np.any(c >= 0.5):
         bad = int(np.flatnonzero(~np.isfinite(c) | (c <= 0.0) | (c >= 0.5))[0]) + 2
         raise ParameterError(f"ratio at index {bad} is outside (0, 1/2)")
     t = 4.0 * c / (1.0 - 2.0 * c)
     log2 = np.concatenate(([0.0], np.cumsum(np.log1p(t)) / _LN2))
-    return MultiplierSeq(origin="recurrence", log2=log2, step_offsets=t, ratios_src=src)
+    return MultiplierSeq(origin="recurrence", log2=log2, step_offsets=t)
 
 
 def twisted_lacunary(n: int) -> MultiplierSeq:
@@ -310,6 +307,11 @@ def resolvent_gap_max(g_prev: float, g_cur: float):
 
 def block_qsup_partials(ratios: RatioSeq, q: float, n_blocks: int | None = None) -> np.ndarray:
     """Running sup over k of the block ell_q norms of the ratio sequence."""
+    return np.maximum.accumulate(block_q_norms(ratios, q, n_blocks))
+
+
+def block_q_norms(ratios: RatioSeq, q: float, n_blocks: int | None = None) -> np.ndarray:
+    """The ell_q norm of the ratio sequence on each triangular block 1..n_blocks."""
     q = float(q)
     if not (2.0 < q < math.inf):
         raise ParameterError("q must be finite and > 2")
@@ -318,13 +320,11 @@ def block_qsup_partials(ratios: RatioSeq, q: float, n_blocks: int | None = None)
         if n_blocks > ratios.n_blocks:
             raise ParameterError("ratio sequence is shorter than requested")
         ks = np.arange(1, n_blocks + 1, dtype=np.float64)
-        per_block = np.power(ks, 1.0 / q) * ratios.block_values[:n_blocks]
-    else:
-        dim = n_blocks * (n_blocks + 1) // 2
-        vals = np.abs(ratios.values_upto(dim))
-        starts = np.concatenate(([0], np.cumsum(np.arange(1, n_blocks))))
-        per_block = np.power(np.add.reduceat(np.power(vals, q), starts), 1.0 / q)
-    return np.maximum.accumulate(per_block)
+        return np.power(ks, 1.0 / q) * ratios.block_values[:n_blocks]
+    dim = n_blocks * (n_blocks + 1) // 2
+    vals = np.abs(ratios.values_upto(dim))
+    starts = np.concatenate(([0], np.cumsum(np.arange(1, n_blocks))))
+    return np.power(np.add.reduceat(np.power(vals, q), starts), 1.0 / q)
 
 
 def alpha_for_right_endpoint(p0: float) -> float:

@@ -65,7 +65,7 @@ class TwistPermutation:
     table: np.ndarray = field(repr=False)
     b_list: np.ndarray
     even_cover: int
-    _inv_even: np.ndarray = field(repr=False)  # slot j//2 holds pi^{-1}(j), 0 if unknown
+    inv_even: np.ndarray = field(repr=False)  # slot j//2 holds pi^{-1}(j), 0 if unknown
 
     def pi(self, m):
         m = np.asarray(m, dtype=np.int64)
@@ -78,7 +78,7 @@ class TwistPermutation:
         j = np.asarray(j, dtype=np.int64)
         if np.any(j < 2) or np.any(j % 2) or np.any(j > self.even_cover):
             raise ParameterError(f"inverse known only for even numbers 2..{self.even_cover}")
-        out = self._inv_even[j // 2]
+        out = self.inv_even[j // 2]
         if np.any(out == 0):
             raise ParameterError("inverse table has a gap; rebuild with a larger cover")
         return out if out.ndim else int(out)
@@ -141,7 +141,7 @@ def _build(size: int, even_cover: int) -> TwistPermutation:
     mask = images <= cover
     inv[images[mask] // 2] = evens[mask]
     return TwistPermutation(size=size, table=table, b_list=b_list,
-                            even_cover=cover, _inv_even=inv)
+                            even_cover=cover, inv_even=inv)
 
 
 def build_permutation(n: int) -> TwistPermutation:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mrlab.blockspace import mixed_norm
+from mrlab.blockspace import mixed_norm, triangular_bounds
 from mrlab.certify import (
     dissipativity_norm_sq,
     IntervalSpec,
@@ -19,6 +19,7 @@ from mrlab.sequences import (
     constant_ratios,
     custom_ratios,
     geometric_ratios,
+    holder_conjugate,
     ratio_family,
 )
 
@@ -166,7 +167,6 @@ CASES = [
 @pytest.mark.parametrize("interval", CASES, ids=lambda s: s.describe())
 def test_plan_interval_reproduces_membership(interval):
     plan = plan_interval(interval, grid=GRID)
-    assert plan.grid_ok
     predicted = np.array([plan.predicted(float(p)) for p in GRID])
     member = np.array([interval.contains(float(p)) for p in GRID])
     np.testing.assert_array_equal(predicted, member)
@@ -287,3 +287,23 @@ def test_dissipativity_block_without_eligible_indices():
     fam = constant_ratios(0.1, 5)
     with pytest.raises(ParameterError):
         dissipativity_witness(fam, 2)  # B_2 = {2, 3} has no m = 1 mod 4
+
+
+def test_diagonal_norm_dense_ratios_match_per_block_sums():
+    # dense sequences have no block-constant closed form: compare with the
+    # block-by-block sums
+    rng = np.random.default_rng(3)
+    n_blocks = 30
+    fam = custom_ratios(rng.uniform(0.001, 0.1, n_blocks * (n_blocks + 1) // 2), bound=0.125)
+    p = 3.0
+    q = holder_conjugate(p)
+    per_block = []
+    for k in range(1, n_blocks + 1):
+        lo, hi = triangular_bounds(k)
+        per_block.append(np.power(np.power(fam.value_at(np.arange(lo, hi + 1)), q).sum(), 1 / q))
+    dn = diagonal_norm(fam, p, n_blocks)
+    assert dn.value == pytest.approx(max(per_block), rel=1e-12)
+    assert dn.block == int(np.argmax(per_block)) + 1
+    lay = dn.extremizer.layout
+    got = mixed_norm(dn.extremizer.coeffs * fam.values_upto(lay.dim), p, lay)
+    assert got == pytest.approx(dn.value, rel=1e-9)

@@ -200,3 +200,93 @@ def test_unwritable_output_is_io_error():
     with pytest.raises(SystemExit) as exc:
         main(["gen-gamma", "--n", "4", "--out", "/nonexistent-dir/x.csv"])
     assert exc.value.code == 1
+
+
+def run_err(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_one_line_usage_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["bogus", "power", "constant:", "power:x"])
+def test_unreadable_gamma_source_is_one_line_error(source, capsys):
+    code, out, err = run_err(["semigroup-check", "--gamma", source, "--n", "10"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert source in err
+
+
+@pytest.mark.parametrize("grid", ["pow2:x:3", "pow2:1", "geom:1:2", "1,two"])
+def test_unreadable_grid_is_one_line_error(grid, capsys):
+    code, out, err = run_err(["semigroup-check", "--tgrid", grid, "--n", "10"], capsys)
+    assert_one_line_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize("flags", [["--left", "x", "--right", "3"],
+                                   ["--left", "1.5", "--right", "3", "--grid", "0"]])
+def test_unreadable_interval_is_one_line_error(flags, capsys):
+    code, out, err = run_err(["interval-certify"] + flags, capsys)
+    assert_one_line_usage_error(code, out, err)
+
+
+def test_config_values_are_read_with_the_flag_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "8", "value": "0.1"}))
+    code, out = run(["gen-gamma", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert len([l for l in out.splitlines() if l and l[0].isdigit()]) == 8
+    # the header echoes what the equivalent flags would give
+    assert out == run(["gen-gamma", "--n", "8", "--value", "0.1"], capsys)[1]
+
+
+@pytest.mark.parametrize("entry", [{"n": "x"}, {"family": "bogus"},
+                                   {"right_closed": "yes"}, {"help": True}])
+def test_unusable_config_entry_exits_one(entry, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    argv = (["interval-certify", "--left", "1.5", "--right", "3"]
+            if "right_closed" in entry else ["gen-gamma"])
+    code, out, err = run_err(argv + ["--config", str(cfg)], capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gen_gamma_needs_a_positive_length(n, capsys):
+    code, out, err = run_err(["gen-gamma", "--n", n], capsys)
+    assert_one_line_usage_error(code, out, err)
+
+
+def _counting_checks(monkeypatch):
+    from mrlab import acceptance
+
+    calls = []
+
+    def fake(number):
+        def check():
+            calls.append(number)
+            return acceptance.CheckResult(number, f"fake-{number}", True, 0.0, 1.0, "")
+        return check
+
+    monkeypatch.setattr(acceptance, "CHECKS", [fake(i) for i in range(1, 13)])
+    return calls
+
+
+def test_selftest_only_runs_the_selected_checks(monkeypatch, capsys):
+    calls = _counting_checks(monkeypatch)
+    code, out = run(["selftest", "--only", "12,3"], capsys)
+    assert code == 0
+    assert calls == [3, 12]
+    assert out.count("[PASS]") == 2
+
+
+def test_selftest_unknown_check_number_exits_one(monkeypatch, capsys):
+    calls = _counting_checks(monkeypatch)
+    code, out, err = run_err(["selftest", "--only", "3,99"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "99" in err
+    assert calls == []

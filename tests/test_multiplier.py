@@ -273,9 +273,8 @@ def test_imaginary_power_norm_growth_at_p2():
     for t in (0.5, 2.0, 10.0):
         val, _ = opnorm_lower(lambda v: op.imaginary_power(t, v),
                               lambda u: op.adjoint_apply_symbols(
-                                  *op._symbol_arrays(
-                                      lambda i: np.exp(1j * t * math.log(2.0)
-                                                       * op.seq.log2[i - 1])), u),
+                                  *op.symbols(np.exp(1j * t * math.log(2.0)
+                                                     * op.seq.log2[:cover])), u),
                               layout, 2.0, trials=3, seed=0)
         assert val <= 1.0 + 8.0 * cmax * t + 1e-9
 
@@ -338,7 +337,7 @@ def test_sequence_multiplier_bv_ratio_stable_across_sizes():
             head = beta[: op.structure.needed]
             val, _ = opnorm_lower(lambda v, b=head: op.sequence_apply(b, v),
                                   lambda u, b=head: op.adjoint_apply_symbols(
-                                      *op._symbol_arrays(lambda i, b=b: b[i - 1] + 0j), u),
+                                      *op.symbols(b + 0j), u),
                                   op.layout, 2.5, trials=2, seed=11)
             ratios.append(val / bv_norm(beta))
         measured.append(max(ratios))

@@ -8,7 +8,6 @@ from mrlab.errors import ParameterError, StructuralError
 from mrlab.multiplier import TwistedMultiplier, required_cover
 from mrlab.rademacher import (
     Log2Negatives,
-    NegatedSeqEntries,
     RadSum,
     associated_operator,
     blowup_series,
@@ -17,6 +16,7 @@ from mrlab.rademacher import (
     pair_resolvent_coeffs,
     rad_norm,
     rbound_lower,
+    scaled_resolvent_symbols,
 )
 from mrlab.sequences import seq_from_ratios, twisted_lacunary
 from mrlab.twistbasis import EVEN_TWIST, PLAIN, TwistPermutation
@@ -156,7 +156,7 @@ def test_associated_operator_recurrence_leaks_minus_c():
     m = 3  # term at e_{pi(4m+2)} with q = -gamma_{4m+2}
     j = perm.pi(4 * m + 2)
     s = RadSum.from_vectors([MixedVector.unit(layout, j)], 4.0)
-    out = associated_operator(op, NegatedSeqEntries(seq, [4 * m + 2]), s)
+    out = associated_operator(op, Log2Negatives(seq.log2_at([4 * m + 2])), s)
     vec = out.terms[0]
     assert vec[j - 1] == pytest.approx(0.5, abs=1e-14)
     assert vec[4 * m] == pytest.approx(-c, rel=1e-9)
@@ -271,9 +271,8 @@ def test_blowup_seeds_rbound_family():
     k = 20
     rsum, qs, op, expected = blowup_witness("powerlog", k, 4.0, alpha=0.25)
     idx = list(range(rsum.n_terms))
-    ops = [lambda v, i=i: op._apply_structured(
-        v, *__import__("mrlab.rademacher", fromlist=["scaled_resolvent_symbols"])
-        .scaled_resolvent_symbols(op, qs.log2_abs(i))) for i in idx]
+    ops = [lambda v, i=i: op.apply_symbols(
+        *scaled_resolvent_symbols(op, qs.log2_abs(i)), v) for i in idx]
     rep = rbound_lower(ops, rsum.layout, 4.0, trials=2, seed=0,
                        candidates=[(idx, rsum)])
     series = blowup_series("powerlog", 4.0, alpha=0.25, block_counts=[k])

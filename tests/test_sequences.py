@@ -5,6 +5,8 @@ import pytest
 
 from mrlab.errors import ParameterError, SequenceOverflowError
 from mrlab.sequences import (
+    _global_raw_max,
+    _raw_block_values,
     alpha_for_right_endpoint,
     block_qsup_partials,
     constant_ratios,
@@ -243,3 +245,23 @@ def test_ln_pair_gap_matches_log_ratio():
     gaps = seq.ln_pair_gap(even_m)
     direct = np.log((1.0 + 0.4) / (1.0 - 0.4))
     np.testing.assert_allclose(gaps, direct, rtol=1e-13)
+
+
+def _scanned_raw_max(alpha):
+    horizon = max(16, int(4.0 * math.exp(1.0 / alpha)))
+    ks = np.arange(1, horizon + 1, dtype=np.float64)
+    return float(_raw_block_values("powerlog", alpha, ks).max())
+
+
+@pytest.mark.parametrize("alpha", np.linspace(0.1, 0.45, 36))
+def test_powerlog_global_max_equals_the_full_scan(alpha):
+    assert _global_raw_max("powerlog", float(alpha)) == _scanned_raw_max(float(alpha))
+
+
+def test_powerlog_small_alpha_scales_without_a_scan():
+    # the peak of k^-alpha log(k+1) sits near k = e^(1/alpha), where it is
+    # close to 1/(e alpha); a scan up to that k cannot be allocated
+    peak = _global_raw_max("powerlog", 0.01)
+    assert peak == pytest.approx(1.0 / (math.e * 0.01), rel=1e-6)
+    fam = ratio_family("powerlog", 0.01, 50)
+    assert fam.block_values.max() < fam.bound
