@@ -341,18 +341,22 @@ def dissipativity_witness(ratios: RatioSeq, k: int) -> DissipativityWitness:
     pairing = 0.0
     closed = 0.0
     x_norm_sq = 0.0
-    for m in elig:
-        g_m, g_next = vals[m - 1], vals[m]
-        x_m = (g_next - g_m) / (2.0 * g_m)
-        pairing += -g_m * x_m * x_m + (g_next - g_m) * x_m
-        closed += 0.25 * (g_next - g_m) ** 2 / g_m
-        x_norm_sq += x_m * x_m
-        partner = first_even_in_shifted_block((m - 1) // 4)
-        if lo <= partner <= hi:
-            # small blocks only: the coupled coordinate stays inside and
-            # contributes to both the pairing and the block norm
-            pairing -= g_next
-            x_norm_sq += 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in elig:
+            g_m, g_next = vals[m - 1], vals[m]
+            x_m = (g_next - g_m) / (2.0 * g_m)
+            pairing += -g_m * x_m * x_m + (g_next - g_m) * x_m
+            closed += 0.25 * (g_next - g_m) ** 2 / g_m
+            x_norm_sq += x_m * x_m
+            partner = first_even_in_shifted_block((m - 1) // 4)
+            if lo <= partner <= hi:
+                # small blocks only: the coupled coordinate stays inside and
+                # contributes to both the pairing and the block norm
+                pairing -= g_next
+                x_norm_sq += 1.0
+    if not (math.isfinite(pairing) and math.isfinite(closed)):
+        raise ParameterError(f"the block-{k} pairing overflows float64; "
+                             f"choose a smaller block")
     return DissipativityWitness(pairing=float(pairing), closed_form=float(closed),
                                 x_norm_sq=float(x_norm_sq), block=k,
                                 n_terms=len(elig))

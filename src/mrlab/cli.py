@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import itertools
 import json
 import math
 import os
@@ -50,6 +51,7 @@ from .sequences import (
 from .twistbasis import EVEN_TWIST, TwistPermutation, build_permutation, unconditional_constant
 
 _LN2 = math.log(2.0)
+_ROW_BLOCK = 1024   # table rows converted and written at a time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,14 +78,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _fmt_bool(x):
+    return "true" if x else "false"
+
+
+def _fmt_int(x):
+    return str(int(x))
+
+
+def _fmt_float(x):
+    return format(float(x), ".17g")
+
+
 def _fmt(x):
     if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
+        return _fmt_bool(x)
     if isinstance(x, (int, np.integer)):
-        return str(int(x))
+        return _fmt_int(x)
     if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
+        return _fmt_float(x)
     return str(x)
+
+
+# _fmt by exact cell type, for the types tables hold; anything else takes _fmt
+_CELL_FMT = {float: _fmt_float, np.float64: _fmt_float, int: str, np.int64: _fmt_int,
+             bool: _fmt_bool, np.bool_: _fmt_bool, str: str}
 
 
 class _Out:
@@ -133,8 +152,11 @@ def _header(fh, command, args, schema_version=1, extra=()):
 
 def _write_csv(fh, columns, rows):
     fh.write(",".join(columns) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(x) for x in row) + "\n")
+    fmt = _CELL_FMT.get
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _ROW_BLOCK)):
+        fh.write("".join([",".join([fmt(type(x), _fmt)(x) for x in row]) + "\n"
+                          for row in block]))
 
 
 def _emit(args, command, columns, rows, extra=(), schema_version=1):
@@ -236,13 +258,19 @@ def cmd_gen_gamma(args):
 
 def cmd_pi_table(args):
     perm = build_permutation(args.n)
-    b_line = " ".join(str(int(b)) for b in perm.b_list[:(args.n - 2) // 4 + 1])
+    b_line = " ".join(map(str, perm.b_list[:(args.n - 2) // 4 + 1].tolist()))
     m = np.arange(1, args.n + 1)
     # pi fixes the odds; the inverse table reads 0 where no preimage is <= n
     inverse = np.where(m % 2 == 1, m, perm.inv_even[m // 2])
-    rows = zip(m, perm.table[1:], inverse)
+    rows = _int_rows(m, perm.table[1:], inverse)
     _emit(args, "pi-table", ["m", "pi", "inverse"], rows, extra=[f"b_list {b_line}"])
     return 0
+
+
+def _int_rows(*columns):
+    """Rows of integer columns as Python ints, converted a block at a time."""
+    for i in range(0, len(columns[0]), _ROW_BLOCK):
+        yield from zip(*(c[i:i + _ROW_BLOCK].tolist() for c in columns))
 
 
 def cmd_semigroup_check(args):

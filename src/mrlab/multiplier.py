@@ -44,6 +44,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LOG2_HUGE = 600.0  # beyond this, treat gamma as infinite relative to any sane lambda
+_EXP_DEAD = 746.0   # np.exp(-x) is exactly 0.0 for every x > 745.14
+_SCAN_CELLS = 1 << 15   # float64 cells per block of the positivity table
+_PROBE_CELLS = 1 << 14  # complex cells per batch of the sector probe's ascents
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,11 @@ class TwistedMultiplier:
     def adjoint_apply_symbols(self, diag, off, arr):
         """The adjoint of ``apply_symbols`` with the same entries."""
         st = self.structure
-        out = arr * np.conj(diag)
+        # named: past 256 KiB numpy reuses a temporary right operand of the
+        # output's shape and multiplies in swapped order, which rounds the
+        # complex products differently
+        conj_diag = np.conj(diag)
+        out = arr * conj_diag
         if st.off_rows.size:
             out[..., st.off_cols] += np.conj(off) * arr[..., st.off_rows]
         return out
@@ -278,30 +285,76 @@ def positivity_check(op: TwistedMultiplier, t_grid, tol: float = 1e-12) -> Posit
     if ts.size == 0 or np.any(ts < 0.0):
         raise ParameterError("the time grid must be nonempty and nonnegative")
     log2 = op.seq.log2[: st.needed]
-    finite = log2 < _LOG2_HUGE
-    extra = []
-    for hi, lo in zip(st.off_hi, st.off_lo):
-        if finite[hi - 1] and finite[lo - 1] and log2[hi - 1] != log2[lo - 1]:
-            a, b = np.exp2(log2[hi - 1]), np.exp2(log2[lo - 1])
-            extra.append(abs(math.log(b / a)) / abs(b - a))
-    ts = np.unique(np.concatenate([ts, np.asarray(extra)])) if extra else np.unique(ts)
+    ts = np.unique(np.concatenate([ts, _extremal_times(log2, st)]))
 
-    best = np.inf
-    arg_t, arg_col = float("nan"), -1
     per_t = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        diag, off = op.symbols(op._semigroup_values(float(t)))
-        entries = np.concatenate([diag.real, off.real]) if off.size else diag.real
-        per_t[i] = entries.min()
-        if per_t[i] < best:
-            best = float(per_t[i])
-            arg_t = float(t)
-            cols = np.concatenate([np.arange(op.layout.dim), st.off_cols])
-            arg_col = int(cols[np.argmin(entries)]) + 1
+    batched = (ts > 0.0) & (ts < np.inf)    # t = 0, inf and NaN go one at a time
+    per_t[batched] = _entry_minima(op, ts[batched])
+    for i in np.flatnonzero(~batched):
+        per_t[i] = _entries_at(op, float(ts[i])).min()
+    i = int(np.argmin(per_t))               # the earliest time attaining the minimum
+    cols = np.concatenate([np.arange(op.layout.dim), st.off_cols])
+    arg_col = int(cols[np.argmin(_entries_at(op, float(ts[i])))]) + 1
+    best = float(per_t[i])
     monotone = bool(np.all(log2[st.off_hi - 1] <= log2[st.off_lo - 1]))  # True with no pairs
-    return PositivityReport(min_entry=best, argmin_t=arg_t, argmin_col=arg_col,
+    return PositivityReport(min_entry=best, argmin_t=float(ts[i]), argmin_col=arg_col,
                             verdict=bool(best >= -tol), monotone_pairs=monotone,
                             per_t_min=per_t, t_grid=ts)
+
+
+def _extremal_times(log2, st):
+    """Per coupled pair with finite, distinct values a, b: |ln(b/a)| / |b - a|."""
+    hi, lo = log2[st.off_hi - 1], log2[st.off_lo - 1]
+    keep = (hi < _LOG2_HUGE) & (lo < _LOG2_HUGE) & (hi != lo)
+    a, b = np.exp2(hi[keep]), np.exp2(lo[keep])
+    # math.log per pair: np.log differs from it in the last bit on some ratios
+    logs = np.array([math.log(r) for r in (b / a).tolist()], dtype=np.float64)
+    return np.abs(logs) / np.abs(b - a)
+
+
+def _entries_at(op, t):
+    """Diagonal then coupling entries of e^{-tA}."""
+    diag, off = op.symbols(op._semigroup_values(t))
+    return np.concatenate([diag, off])
+
+
+def _entry_minima(op, ts):
+    """Smallest entry of e^{-tA} at each time of ``ts`` (sorted, positive).
+
+    Equal bit for bit to ``_entries_at(op, t).min()``.  An entry reads
+    e^{-t gamma} at one or two indices, and np.exp is exactly 0.0 below
+    -745.14, so an entry whose every gamma has t gamma > _EXP_DEAD is 0.0.
+    Sorted by their smallest gamma, the entries still alive at t form a
+    prefix; only that prefix is evaluated, and the diagonal (never
+    negative) only while every entry is alive.  Times go in blocks of
+    about _SCAN_CELLS cells, each sized at its smallest time.
+    """
+    st, gamma = op.structure, op._gamma
+    d_key = np.sort(gamma[st.diag_src - 1])
+    hi, lo = gamma[st.off_hi - 1], gamma[st.off_lo - 1]
+    order = np.argsort(np.minimum(hi, lo), kind="stable")
+    hi, lo = hi[order], lo[order]
+    o_key = np.minimum(hi, lo)
+
+    out = np.empty(ts.size)
+    i = 0
+    while i < ts.size:
+        with np.errstate(over="ignore"):    # as in _semigroup_values
+            cut = _EXP_DEAD / ts[i]
+            nd = int(np.searchsorted(d_key, cut, side="right"))
+            no = int(np.searchsorted(o_key, cut, side="right"))
+            everything = nd + no == d_key.size + o_key.size
+            rows = max(1, _SCAN_CELLS // max(1, 2 * no + (nd if everything else 0)))
+            t = -ts[i:i + rows, None]
+            low = np.zeros(t.shape[0])
+            if everything:
+                low = np.exp(t * d_key).min(axis=1)
+            if no:
+                off = np.exp(t * hi[:no]) - np.exp(t * lo[:no])
+                np.minimum(low, off.min(axis=1), out=low)
+        out[i:i + low.size] = low
+        i += low.size
+    return out
 
 
 # -- imaginary powers -------------------------------------------------------
@@ -388,51 +441,91 @@ class SectorialityReport:
 
 
 def _j_map(z, exponent, layout):
-    """Norming direction: block weights bn^(e-2); e = inf concentrates on the top block."""
+    """Norming directions of the rows of z: block weights bn^(e-2); e = inf
+    concentrates on the top block.  Zero rows map to zero."""
     from .blockspace import block_norms
 
     bn = block_norms(z, layout)
-    if not bn.any():
-        return z
     safe = np.where(bn > 0.0, bn, 1.0)
     if exponent == math.inf:
-        weights = np.where(bn == bn.max(), 1.0, 0.0)
+        weights = np.where(bn == bn.max(axis=-1, keepdims=True), 1.0, 0.0)
         scale = np.where(bn > 0.0, weights / safe, 0.0)
     else:
         scale = np.where(bn > 0.0, safe ** (exponent - 2.0), 0.0)
-    return z * np.repeat(scale, layout.sizes)
+    return z * np.repeat(scale, layout.sizes, axis=-1)
+
+
+def _start(rng, dim):
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+def _ascend(apply_rows, adjoint_rows, v, layout, p, iters):
+    """Duality-map power ascents from the rows of v, run together.
+
+    ``apply_rows(x, rows)`` and ``adjoint_rows(u, rows)`` apply, to each
+    row of x (u), the operator of the ascent ``rows`` names.  An ascent
+    stops once its image or its next iterate has norm zero; the others
+    take ``iters`` steps and a last evaluation.  Returns each ascent's
+    largest image norm (0.0 if none is positive) and the earliest
+    iterate attaining it.
+    """
+    v = v / mixed_norm(v, p, layout)[:, None]   # rejects p <= 1 before q is formed
+    q = 1.0 if p == math.inf else p / (p - 1.0)
+    iters = max(1, iters)
+    best = np.zeros(v.shape[0])
+    best_v = v.copy()
+    active = np.arange(v.shape[0])
+    for step in range(iters + 1):
+        rows = slice(None) if active.size == v.shape[0] else active   # a view while all run
+        z = apply_rows(v[rows], rows)
+        nz = mixed_norm(z, p, layout)
+        up = nz > best[active]
+        best[active[up]] = nz[up]
+        best_v[active[up]] = v[active[up]]
+        if step == iters:
+            break
+        live = nz != 0.0
+        active, z = active[live], z[live]
+        w = adjoint_rows(_j_map(z, p, layout), active)
+        v_new = _j_map(w, q, layout)
+        nv = mixed_norm(v_new, p, layout)
+        live = nv != 0.0
+        active = active[live]
+        v[active] = v_new[live] / nv[live][:, None]
+        if not active.size:
+            break
+    return best, best_v
+
+
+def _first_max(values):
+    """(max, index of its first occurrence) over values > 0.0; (0.0, None) if none."""
+    best, at = 0.0, None
+    for k, x in enumerate(values):
+        if x > best:
+            best, at = float(x), k
+    return best, at
 
 
 def opnorm_lower(apply_fn, adjoint_fn, layout: BlockLayout, p,
                  trials: int = 4, iters: int = 12, seed: int = 0):
     """Certified lower bound of an operator norm on the mixed-norm space.
 
-    Duality-map power ascents from random starts; the returned witness
-    attains the bound, so re-evaluation reproduces it.
+    Duality-map power ascents from random starts, all trials as rows of
+    one batch: ``apply_fn`` and ``adjoint_fn`` act along the last axis.
+    The returned witness attains the bound, so re-evaluation reproduces
+    it; it is the earliest trial and step that reaches the maximum.
     """
     rng = np.random.default_rng(seed)
+    n = max(1, trials)
+    block = max(1, _PROBE_CELLS // layout.dim)
     best, best_v = 0.0, None
-    for _ in range(max(1, trials)):
-        v = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
-        v /= mixed_norm(v, p, layout)       # rejects p <= 1 before q is formed
-        q = 1.0 if p == math.inf else p / (p - 1.0)
-        for _ in range(max(1, iters)):
-            z = apply_fn(v)
-            nz = mixed_norm(z, p, layout)
-            if nz == 0.0:
-                break
-            if nz > best:
-                best, best_v = float(nz), v.copy()
-            w = adjoint_fn(_j_map(z, p, layout))
-            v_new = _j_map(w, q, layout)
-            nv = mixed_norm(v_new, p, layout)
-            if nv == 0.0:
-                break
-            v = v_new / nv
-        z = apply_fn(v)
-        nz = mixed_norm(z, p, layout)
-        if nz > best:
-            best, best_v = float(nz), v.copy()
+    for first in range(0, n, block):
+        starts = np.stack([_start(rng, layout.dim) for _ in range(min(block, n - first))])
+        vals, vecs = _ascend(lambda x, rows: apply_fn(x), lambda u, rows: adjoint_fn(u),
+                             starts, layout, p, iters)
+        val, at = _first_max(vals)
+        if val > best:
+            best, best_v = val, vecs[at].copy()
     return best, best_v
 
 
@@ -449,10 +542,14 @@ def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
         raise ParameterError("angles must lie strictly between 0 and pi")
     if np.any(radii <= 0.0):
         raise ParameterError("radii must be positive")
-    vals = op._gamma
+    vals, dim, n_trials = op._gamma, op.layout.dim, max(1, trials)
     lower = np.zeros((angles.size, radii.size))
     bv_upper = np.zeros_like(lower)
     skipped = []
+    rays = []              # (i, j) of each nonsingular ray, in order
+    pending = []           # rows waiting for the next batch
+    best = []              # each finished row's best, rows in order
+    block = max(1, _PROBE_CELLS // dim)
     for i, theta in enumerate(angles):
         for j, r in enumerate(radii):
             lam = r * cmath.exp(1j * (math.pi - theta))
@@ -461,16 +558,21 @@ def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
             except SingularityError:
                 skipped.append((float(theta), float(r)))
                 continue
-            lam_diag, lam_off = lam * diag, lam * off
-            val, _ = opnorm_lower(
-                lambda v: lam * op.apply_symbols(diag, off, v),
-                lambda u: op.adjoint_apply_symbols(lam_diag, lam_off, u),
-                op.layout, p, trials=trials, seed=seed + 7 * i + j)
-            lower[i, j] = val
+            rays.append((i, j))
+            ray = (lam, diag, off, lam * diag, lam * off)
+            rng = np.random.default_rng(seed + 7 * i + j)
+            pending += [(ray, _start(rng, dim)) for _ in range(n_trials)]
+            while len(pending) >= block:
+                best.extend(_probe_rows(op, pending[:block], p))
+                del pending[:block]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 symbol = lam / (lam - vals)
             symbol = np.where(np.isfinite(symbol), symbol, 0.0)
             bv_upper[i, j] = bv_norm(symbol)
+    if pending:
+        best.extend(_probe_rows(op, pending, p))
+    for k, (i, j) in enumerate(rays):
+        lower[i, j] = _first_max(best[k * n_trials:(k + 1) * n_trials])[0]
     ratios = lower[bv_upper > 0.0] / bv_upper[bv_upper > 0.0]
     measured_k = float(ratios.max()) if ratios.size else 0.0
     return SectorialityReport(angles=angles, radii=radii, lower=lower,
@@ -478,3 +580,17 @@ def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
                               bv_upper=bv_upper, measured_K=measured_k,
                               skipped=tuple(skipped))
 
+
+def _probe_rows(op, rows, p):
+    """Best |lam R(lam, A) v| of the ascent from each (ray, start) row."""
+    lam, diag, off, lam_diag, lam_off = (np.stack(x) for x in zip(*(ray for ray, _ in rows)))
+    lam = lam[:, None]
+
+    def apply_rows(x, idx):
+        return lam[idx] * op.apply_symbols(diag[idx], off[idx], x)
+
+    def adjoint_rows(u, idx):
+        return op.adjoint_apply_symbols(lam_diag[idx], lam_off[idx], u)
+
+    starts = np.stack([v for _, v in rows])
+    return _ascend(apply_rows, adjoint_rows, starts, op.layout, p, iters=12)[0].tolist()

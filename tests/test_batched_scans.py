@@ -1,0 +1,250 @@
+"""The batched positivity scan and sector probe against per-time and
+per-trial loops kept here as oracles.
+
+The oracles are the straightforward forms: one semigroup matrix per
+time, one duality-map ascent per random start.  The batched forms must
+reproduce them bit for bit, not merely to a tolerance.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from mrlab import multiplier
+from mrlab.blockspace import BlockLayout, block_norms, bv_norm, mixed_norm
+from mrlab.cli import _make_operator
+from mrlab.errors import SingularityError
+from mrlab.multiplier import (
+    TwistedMultiplier,
+    opnorm_lower,
+    positivity_check,
+    required_cover,
+    sectoriality_probe,
+)
+from mrlab.sequences import custom_seq, seq_from_ratios, twisted_lacunary
+from mrlab.twistbasis import EVEN_TWIST, ODD_TWIST, PLAIN, TwistPermutation
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def make_op(variant, seq_of_length, n_blocks=10):
+    layout = BlockLayout.triangular(n_blocks)
+    perm = TwistPermutation.covering(2 * layout.dim + 8)
+    seq = seq_of_length(required_cover(layout, perm, variant) + 4)
+    return TwistedMultiplier(seq=seq, perm=perm, variant=variant, layout=layout)
+
+
+# -- oracles ---------------------------------------------------------------
+
+
+def positivity_oracle(op, t_grid, tol=1e-12):
+    """One semigroup matrix per augmented time."""
+    st = op.structure
+    ts = np.asarray(t_grid, dtype=np.float64).ravel()
+    log2 = op.seq.log2[: st.needed]
+    finite = log2 < 600.0
+    extra = []
+    for hi, lo in zip(st.off_hi, st.off_lo):
+        if finite[hi - 1] and finite[lo - 1] and log2[hi - 1] != log2[lo - 1]:
+            a, b = np.exp2(log2[hi - 1]), np.exp2(log2[lo - 1])
+            extra.append(abs(math.log(b / a)) / abs(b - a))
+    ts = np.unique(np.concatenate([ts, np.asarray(extra)])) if extra else np.unique(ts)
+    best, arg_t, arg_col = np.inf, float("nan"), -1
+    per_t = np.empty(ts.size)
+    for i, t in enumerate(ts):
+        diag, off = op.symbols(op._semigroup_values(float(t)))
+        entries = np.concatenate([diag.real, off.real]) if off.size else diag.real
+        per_t[i] = entries.min()
+        if per_t[i] < best:
+            best, arg_t = float(per_t[i]), float(t)
+            cols = np.concatenate([np.arange(op.layout.dim), st.off_cols])
+            arg_col = int(cols[np.argmin(entries)]) + 1
+    monotone = bool(np.all(log2[st.off_hi - 1] <= log2[st.off_lo - 1]))
+    return best, arg_t, arg_col, bool(best >= -tol), monotone, per_t, ts
+
+
+def j_map_oracle(z, exponent, layout):
+    bn = block_norms(z, layout)
+    if not bn.any():
+        return z
+    safe = np.where(bn > 0.0, bn, 1.0)
+    if exponent == math.inf:
+        weights = np.where(bn == bn.max(), 1.0, 0.0)
+        scale = np.where(bn > 0.0, weights / safe, 0.0)
+    else:
+        scale = np.where(bn > 0.0, safe ** (exponent - 2.0), 0.0)
+    return z * np.repeat(scale, layout.sizes)
+
+
+def opnorm_oracle(apply_fn, adjoint_fn, layout, p, trials=4, iters=12, seed=0):
+    """One ascent per trial on single vectors."""
+    rng = np.random.default_rng(seed)
+    best, best_v = 0.0, None
+    for _ in range(max(1, trials)):
+        v = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
+        v /= mixed_norm(v, p, layout)
+        q = 1.0 if p == math.inf else p / (p - 1.0)
+        for _ in range(max(1, iters)):
+            z = apply_fn(v)
+            nz = mixed_norm(z, p, layout)
+            if nz == 0.0:
+                break
+            if nz > best:
+                best, best_v = float(nz), v.copy()
+            w = adjoint_fn(j_map_oracle(z, p, layout))
+            v_new = j_map_oracle(w, q, layout)
+            nv = mixed_norm(v_new, p, layout)
+            if nv == 0.0:
+                break
+            v = v_new / nv
+        z = apply_fn(v)
+        nz = mixed_norm(z, p, layout)
+        if nz > best:
+            best, best_v = float(nz), v.copy()
+    return best, best_v
+
+
+def probe_oracle(op, angles, radii, p, trials, seed):
+    """(lower, bv_upper, skipped) with one ascent per ray and trial."""
+    angles = np.asarray(angles, dtype=np.float64)
+    radii = np.asarray(radii, dtype=np.float64)
+    lower = np.zeros((angles.size, radii.size))
+    bv_upper = np.zeros_like(lower)
+    skipped = []
+    for i, theta in enumerate(angles):
+        for j, r in enumerate(radii):
+            lam = r * cmath.exp(1j * (math.pi - theta))
+            try:
+                diag, off = op.symbols(op._resolvent_values(lam))
+            except SingularityError:
+                skipped.append((float(theta), float(r)))
+                continue
+            lam_diag, lam_off = lam * diag, lam * off
+            lower[i, j], _ = opnorm_oracle(
+                lambda v: lam * op.apply_symbols(diag, off, v),
+                lambda u: op.adjoint_apply_symbols(lam_diag, lam_off, u),
+                op.layout, p, trials=trials, seed=seed + 7 * i + j)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                symbol = lam / (lam - op._gamma)
+            bv_upper[i, j] = bv_norm(np.where(np.isfinite(symbol), symbol, 0.0))
+    return lower, bv_upper, tuple(skipped)
+
+
+# -- positivity ------------------------------------------------------------
+
+OPERATORS = {
+    "plain-constant": lambda: make_op(PLAIN, lambda n: seq_from_ratios(np.full(n - 1, 0.1))),
+    "even-constant": lambda: make_op(EVEN_TWIST, lambda n: seq_from_ratios(np.full(n - 1, 0.3))),
+    "odd-constant": lambda: make_op(ODD_TWIST, lambda n: seq_from_ratios(np.full(n - 1, 0.3))),
+    "odd-lacunary": lambda: make_op(ODD_TWIST, twisted_lacunary),
+    "even-decreasing": lambda: make_op(EVEN_TWIST, lambda n: custom_seq(np.linspace(5.0, 1.0, n))),
+    "cli-constant": lambda: _make_operator("constant:0.001", 700),
+    "cli-power": lambda: _make_operator("power:0.45", 700),
+    "cli-powerlog": lambda: _make_operator("powerlog:0.2", 400),
+    "cli-lacunary-inf": lambda: _make_operator("lacunary", 1200),   # gamma overflows to inf
+}
+
+GRIDS = {
+    "pow2": 2.0 ** np.arange(-10, 11),
+    "with-zero": np.array([0.0, 1e-3, 1.0]),
+    "extremes": np.array([0.0, 5e-324, 1e-300, 1e300, np.inf, np.nan]),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_positivity_scan_matches_per_time_loop(name, grid):
+    op = OPERATORS[name]()
+    best, arg_t, arg_col, verdict, monotone, per_t, ts = positivity_oracle(op, GRIDS[grid])
+    rep = positivity_check(op, GRIDS[grid])
+    assert bits(rep.t_grid) == bits(ts)
+    assert bits(rep.per_t_min) == bits(per_t)
+    assert bits([rep.min_entry, rep.argmin_t]) == bits([best, arg_t])
+    assert (rep.argmin_col, rep.verdict, rep.monotone_pairs) == (arg_col, verdict, monotone)
+
+
+def test_lacunary_case_has_infinite_gamma():
+    assert np.isinf(OPERATORS["cli-lacunary-inf"]()._gamma).any()
+
+
+def test_positivity_scan_small_blocks(monkeypatch):
+    # blocks of a few cells split the times every few rows
+    op = OPERATORS["cli-power"]()
+    expect = positivity_oracle(op, GRIDS["pow2"])[5]
+    monkeypatch.setattr(multiplier, "_SCAN_CELLS", 7)
+    assert bits(positivity_check(op, GRIDS["pow2"]).per_t_min) == bits(expect)
+
+
+# -- sector probe ------------------------------------------------------------
+
+DEFAULT_ANGLES = [0.5, 1.0, math.pi / 2]
+DEFAULT_RADII = np.geomspace(1.0, 1e6, 7)
+
+
+@pytest.mark.parametrize("source, n, p, trials, seed", [
+    ("power:0.25", 64, 2.5, 3, 0),
+    ("lacunary", 64, 1.5, 2, 5),
+    ("constant:0.01", 120, 6.0, 4, 2),
+    ("lacunary", 300, math.inf, 3, 0),
+])
+def test_sector_probe_matches_per_trial_loop(source, n, p, trials, seed):
+    op = _make_operator(source, n)
+    lower, bv_upper, skipped = probe_oracle(op, DEFAULT_ANGLES, DEFAULT_RADII, p, trials, seed)
+    rep = sectoriality_probe(op, DEFAULT_ANGLES, DEFAULT_RADII, p=p, trials=trials, seed=seed)
+    assert bits(rep.lower) == bits(lower)
+    assert bits(rep.bv_upper) == bits(bv_upper)
+    assert rep.skipped == skipped
+
+
+def test_sector_probe_batches_across_rays_and_skips(monkeypatch):
+    # radii on the spectrum with lam almost on the positive axis are
+    # singular and skipped; batches of 2 rows split rays of 3 trials
+    op = OPERATORS["odd-constant"]()
+    gam = op.spectrum().real
+    radii = np.array([0.5, gam[0], gam[3], 7.0])
+    angles = [math.nextafter(math.pi, 0.0), 2.0]
+    expect = probe_oracle(op, angles, radii, 3.0, 3, 1)
+    monkeypatch.setattr(multiplier, "_PROBE_CELLS", 2 * op.layout.dim + 1)
+    rep = sectoriality_probe(op, angles, radii, p=3.0, trials=3, seed=1)
+    assert rep.skipped and rep.skipped == expect[2]
+    assert bits(rep.lower) == bits(expect[0])
+    assert bits(rep.bv_upper) == bits(expect[1])
+
+
+def test_sector_probe_large_batch(monkeypatch):
+    # one batch of 63 rows at dim 1035: the adjoint's conjugated symbols
+    # pass the 256 KiB at which numpy reuses a temporary operand and would
+    # swap the operands of the complex products
+    op = _make_operator("lacunary", 1000)
+    monkeypatch.setattr(multiplier, "_PROBE_CELLS", 1 << 17)
+    assert 63 * op.layout.dim > 1 << 14
+    angles, radii = [1.0], [1.0, 1e3, 1e6]
+    lower = probe_oracle(op, angles, radii, 4.0, 21, 3)[0]
+    rep = sectoriality_probe(op, angles, radii, p=4.0, trials=21, seed=3)
+    assert bits(rep.lower) == bits(lower)
+
+
+@pytest.mark.parametrize("trials, cells", [(3, None), (5, 2), (1, None)])
+def test_opnorm_lower_matches_per_trial_loop(trials, cells, monkeypatch):
+    op = OPERATORS["even-constant"]()
+    if cells is not None:
+        monkeypatch.setattr(multiplier, "_PROBE_CELLS", cells * op.layout.dim)
+    sym = op.symbols(np.exp(1j * 2.0 * math.log(2.0) * op.seq.log2[: op.structure.needed]))
+    args = (lambda v: op.imaginary_power(2.0, v),
+            lambda u: op.adjoint_apply_symbols(*sym, u), op.layout, 2.5)
+    val, vec = opnorm_lower(*args, trials=trials, seed=4)
+    want, want_v = opnorm_oracle(*args, trials=trials, seed=4)
+    assert bits(val) == bits(want)
+    assert vec.tobytes() == want_v.tobytes()
+
+
+def test_opnorm_lower_zero_operator_has_no_witness():
+    op = OPERATORS["even-constant"]()
+    zero = np.zeros(op.structure.needed)
+    args = (lambda v: op.sequence_apply(zero, v),
+            lambda u: op.adjoint_apply_symbols(*op.symbols(zero + 0j), u), op.layout, 2.0)
+    assert opnorm_lower(*args, trials=2) == (0.0, None) == opnorm_oracle(*args, trials=2)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -290,3 +291,14 @@ def test_selftest_unknown_check_number_exits_one(monkeypatch, capsys):
     assert_one_line_usage_error(code, out, err)
     assert "99" in err
     assert calls == []
+
+
+def test_dissipativity_overflow_is_one_line_error(capsys):
+    # the closed form overflows to inf at block 45; inf > 1e-9 * inf is
+    # false, so the comparison used to pass and exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_err(["dissipativity", "--family", "constant",
+                                  "--block", "45", "--onset-max", "200"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "45" in err
