@@ -11,7 +11,7 @@ out dissipativity once the witness mass exceeds one.
 """
 
 from mrlab import (
-    bip_pair_ratio_max,
+    bip_pair_ratios,
     bv_semigroup_bound,
     constant_ratios,
     dissipativity_norm_onset,
@@ -23,7 +23,7 @@ from mrlab import (
 
 fam = ratio_family("power", 0.25, 250)
 seq = seq_from_ratios(fam, length=20_002)
-worst = bip_pair_ratio_max(seq, fam, [0.01, 0.1, 1.0, 10.0, 100.0], 10_000)
+worst = bip_pair_ratios(seq, fam, [0.01, 0.1, 1.0, 10.0, 100.0], 10_000).max()
 print(f"imaginary-power pair ratio, power family, 10^4 pairs: {worst:.6f} <= 1\n")
 
 print("variation of the lacunary semigroup sequence vs the closed form:")

@@ -39,7 +39,7 @@ from .multiplier import (
     PositivityReport,
     SectorialityReport,
     TwistedMultiplier,
-    bip_pair_ratio_max,
+    bip_pair_ratios,
     bv_semigroup_bound,
     opnorm_lower,
     positivity_check,

@@ -27,7 +27,7 @@ from .certify import (
 from .errors import ParameterError
 from .multiplier import (
     TwistedMultiplier,
-    bip_pair_ratio_max,
+    bip_pair_ratios,
     bv_semigroup_bound,
     positivity_check,
     required_cover,
@@ -101,14 +101,13 @@ def check_lacunary_half_sixth() -> CheckResult:
     # end-to-end through the Rademacher-sum operator on the first 100 terms;
     # odd m maps 2m to a reserved value, even m to a filler below 2m
     head = 100
-    reserved_hi = max(first_even_in_shifted_block((m - 1) // 2)
-                      for m in range(1, head + 1, 2))
+    reserved_hi = int(first_even_in_shifted_block(np.arange(head // 2)).max())
     layout = BlockLayout.triangular_covering(max(reserved_hi, 2 * head))
     perm = TwistPermutation.covering(2 * layout.dim + 8)
     op_seq = twisted_lacunary(required_cover(layout, perm, EVEN_TWIST) + 2)
     op = TwistedMultiplier(seq=op_seq, perm=perm, variant=EVEN_TWIST, layout=layout)
     terms = np.zeros((head, layout.dim), dtype=np.complex128)
-    cols = np.array([op.perm.pi(2 * m) for m in range(1, head + 1)])
+    cols = op.perm.pi(2 * np.arange(1, head + 1))
     terms[np.arange(head), cols - 1] = 1.0
     out = associated_operator(op, Log2Negatives(2.0 * np.arange(1, head + 1) - 1.0),
                               RadSum(terms, layout, 4.0))
@@ -223,8 +222,8 @@ def check_bip_inequality() -> CheckResult:
     for kind in ("power", "powerlog"):
         fam = ratio_family(kind, 0.25, 250)
         seq = seq_from_ratios(fam, length=20_002)
-        worst = max(worst, bip_pair_ratio_max(seq, fam,
-                                              [0.01, 0.1, 1.0, 10.0, 100.0], 10_000))
+        worst = max(worst, *bip_pair_ratios(seq, fam, [0.01, 0.1, 1.0, 10.0, 100.0],
+                                            10_000).tolist())
     return _result(8, "bip-pair-inequality", 5.0, start, worst <= 1.0,
                    f"worst ratio {worst:.6f}")
 

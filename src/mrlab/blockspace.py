@@ -24,6 +24,7 @@ __all__ = [
     "triangular_bounds",
     "triangular_covering_blocks",
     "triangular_indices_1mod4",
+    "sign_patterns",
     "block_norms",
     "mixed_norm",
     "block_qsup_norm",
@@ -64,6 +65,12 @@ def triangular_indices_1mod4(k) -> np.ndarray:
     """The 1-based indices congruent to 1 mod 4 inside triangular block k."""
     lo, hi = triangular_bounds(k)
     return np.arange(lo + ((1 - lo) % 4), hi + 1, 4, dtype=np.int64)
+
+
+def sign_patterns(k: int) -> np.ndarray:
+    """All 2^k sign vectors as rows of +-1.0; bit i of the row number sets sign i."""
+    rows = np.arange(2 ** k, dtype=np.uint64)
+    return ((rows[:, None] >> np.arange(k, dtype=np.uint64)) & 1) * 2.0 - 1.0
 
 
 @dataclass(frozen=True)

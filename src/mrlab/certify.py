@@ -338,18 +338,19 @@ def dissipativity_witness(ratios: RatioSeq, k: int) -> DissipativityWitness:
     seq = seq_from_ratios(ratios, length=hi + 2)
     vals = seq.values_upto(hi + 2)
 
+    partner = first_even_in_shifted_block((elig - 1) // 4)
+    inside = ((lo <= partner) & (partner <= hi)).tolist()
     pairing = 0.0
     closed = 0.0
     x_norm_sq = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in elig:
+        for m, overlap in zip(elig, inside):
             g_m, g_next = vals[m - 1], vals[m]
             x_m = (g_next - g_m) / (2.0 * g_m)
             pairing += -g_m * x_m * x_m + (g_next - g_m) * x_m
             closed += 0.25 * (g_next - g_m) ** 2 / g_m
             x_norm_sq += x_m * x_m
-            partner = first_even_in_shifted_block((m - 1) // 4)
-            if lo <= partner <= hi:
+            if overlap:
                 # small blocks only: the coupled coordinate stays inside and
                 # contributes to both the pairing and the block norm
                 pairing -= g_next
@@ -377,8 +378,8 @@ def dissipativity_norm_sq(ratios: RatioSeq, k: int) -> float:
         return 0.0
     c_next = np.asarray(ratios.value_at(ms + 1), dtype=np.float64)
     x = 2.0 * c_next / (1.0 - 2.0 * c_next)
-    overlaps = sum(1 for m in ms
-                   if lo <= first_even_in_shifted_block((int(m) - 1) // 4) <= hi)
+    partner = first_even_in_shifted_block((ms - 1) // 4)
+    overlaps = np.count_nonzero((lo <= partner) & (partner <= hi))
     return float((x * x).sum()) + float(overlaps)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import itertools
 import json
 import math
@@ -33,7 +34,7 @@ from .certify import (
 from .errors import InvariantViolation, LabError, ParameterError
 from .multiplier import (
     TwistedMultiplier,
-    bip_pair_ratio_max,
+    bip_pair_ratios,
     bv_semigroup_bound,
     positivity_check,
     required_cover,
@@ -308,12 +309,10 @@ def cmd_bv_bound(args):
 def cmd_bip_check(args):
     ratios = _ratios_from_args(args, triangular_covering_blocks(2 * args.pairs + 2) + 1)
     seq = seq_from_ratios(ratios, length=2 * args.pairs + 2)
-    rows = []
-    worst = 0.0
-    for t in _parse_grid(args.tgrid):
-        r = bip_pair_ratio_max(seq, ratios, [float(t)], args.pairs)
-        worst = max(worst, r)
-        rows.append((t, r))
+    ts = _parse_grid(args.tgrid)
+    per_t = bip_pair_ratios(seq, ratios, ts, args.pairs)
+    worst = max(0.0, *per_t.tolist())
+    rows = list(zip(ts, per_t.tolist()))
     _emit(args, "bip-check", ["t", "worst_ratio"], rows,
           extra=[f"worst_ratio {_fmt(worst)}"])
     return 2 if worst > 1.0 else 0
@@ -448,7 +447,9 @@ def cmd_selftest(args):
 # -- wiring --------------------------------------------------------------------
 
 
-def _build_parser():
+@functools.lru_cache(maxsize=8)
+def _build_parser(env_seed):
+    """The argument parser for one value of MRLAB_SEED, the --seed default."""
     parser = _Parser(prog="mrlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mrlab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -459,7 +460,7 @@ def _build_parser():
                              **kwargs)
         sp.set_defaults(func=fn)
         sp.add_argument("--seed", type=int,
-                        default=int(os.environ.get("MRLAB_SEED", "0")),
+                        default=int(env_seed),
                         help="RNG seed (default: MRLAB_SEED or 0)")
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
         sp.add_argument("--config", default=None,
@@ -570,7 +571,7 @@ def _config_value(action, value):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(os.environ.get("MRLAB_SEED", "0"))
     args = parser.parse_args(argv)
     if args.config:
         try:

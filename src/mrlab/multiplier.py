@@ -1,13 +1,10 @@
 """Schauder multipliers for the twisted basis, realized on truncations.
 
-In coordinates the multiplier with symbol g acting through the twisted
-basis is a diagonal plus one off-diagonal entry per coupled column:
-
-    even-twist:  column j even:  g(y_m) at j and g(y_m) - g(y_{m-1}) at
-                 row m-1, where m is the preimage of j; odd columns are
-                 diagonal.
-    odd-twist:   column r odd:   g(y_r) at r and g(y_r) - g(y_{r+1}) at
-                 the even row coupled to r+1; even columns are diagonal.
+The multiplier with symbol g scales each basis vector f_j by g(y_j).  By
+the coupling rule of ``twistbasis``, f_a = e_{H(a)} + e_{H(b)} for each
+coupled pair (a, b) and f_j = e_{H(j)} otherwise, so in coordinates it is
+the diagonal g(y_j) at column H(j) plus g(y_a) - g(y_b) at row H(b),
+column H(a), for each coupled pair.
 
 Rows that fall outside the truncation are dropped.  Because the coupled
 rows are never themselves coupled columns, that projection commutes with
@@ -29,14 +26,14 @@ import numpy as np
 from .blockspace import BlockLayout, MixedVector, bv_norm, mixed_norm, sequence_variation
 from .errors import InvariantViolation, ParameterError, SingularityError
 from .sequences import MultiplierSeq, RatioSeq, twisted_lacunary
-from .twistbasis import EVEN_TWIST, PLAIN, TwistPermutation, VARIANTS
+from .twistbasis import TwistPermutation, layout_coupling
 
 __all__ = [
     "TwistedMultiplier",
     "PositivityReport",
     "SectorialityReport",
     "positivity_check",
-    "bip_pair_ratio_max",
+    "bip_pair_ratios",
     "bv_semigroup_bound",
     "sectoriality_probe",
     "opnorm_lower",
@@ -222,35 +219,12 @@ class TwistedMultiplier:
 
 
 def _structure(layout: BlockLayout, perm: TwistPermutation, variant: str) -> _Structure:
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown basis variant {variant!r}")
-    dim = layout.dim
-    positions = np.arange(1, dim + 1)
-    if variant == PLAIN:
-        empty = np.zeros(0, dtype=np.int64)
-        return _Structure(positions, empty, empty, empty, empty, dim)
-    evens = positions[1::2]
-    pre = perm.pi_inv(evens)
-    diag_src = positions.copy()
-    diag_src[evens - 1] = pre
-    if variant == EVEN_TWIST:
-        rows = pre - 1                          # odd coordinate m-1
-        keep = rows <= dim
-        off_rows = rows[keep] - 1
-        off_cols = evens[keep] - 1
-        off_hi = pre[keep]
-        off_lo = off_hi - 1
-    else:
-        odd = positions[::2]
-        partners = perm.pi(odd + 1)
-        keep = partners <= dim
-        off_rows = partners[keep] - 1           # even coordinate pi(r+1)
-        off_cols = odd[keep] - 1
-        off_hi = odd[keep]
-        off_lo = off_hi + 1
-    needed = int(max(diag_src.max(initial=1),
-                     off_hi.max(initial=1), off_lo.max(initial=1)))
-    return _Structure(diag_src, off_rows, off_cols, off_hi, off_lo, needed)
+    """Column H(a), row H(b) for each coupled pair with both inside the layout."""
+    t = layout_coupling(perm, variant, layout.dim)
+    keep = t.head_b <= layout.dim
+    off_hi, off_lo = t.a[keep], t.b[keep]
+    needed = int(max(t.index.max(initial=1), off_hi.max(initial=1), off_lo.max(initial=1)))
+    return _Structure(t.index, t.head_b[keep] - 1, t.head_a[keep] - 1, off_hi, off_lo, needed)
 
 
 def required_cover(layout: BlockLayout, perm: TwistPermutation, variant: str) -> int:
@@ -360,11 +334,12 @@ def _entry_minima(op, ts):
 # -- imaginary powers -------------------------------------------------------
 
 
-def bip_pair_ratio_max(seq: MultiplierSeq, ratios: RatioSeq, t_grid, n_pairs: int):
-    """max over pairs and times of |y_{2m}^{it} - y_{2m-1}^{it}| / (8 |t| c_{2m}).
+def bip_pair_ratios(seq: MultiplierSeq, ratios: RatioSeq, t_grid, n_pairs: int):
+    """Per t of the grid, max over pairs of |y_{2m}^{it} - y_{2m-1}^{it}| / (8 |t| c_{2m}).
 
     The linear-growth bound for the imaginary powers asserts this never
-    exceeds 1 when the ratio sequence stays inside (0, 1/8).
+    exceeds 1 when the ratio sequence stays inside (0, 1/8).  t = 0 reads
+    0.0, as does a t whose ratios are not numbers.
     """
     if seq.origin != "recurrence":
         raise ParameterError("the pair bound applies to recurrence-built sequences")
@@ -373,15 +348,13 @@ def bip_pair_ratio_max(seq: MultiplierSeq, ratios: RatioSeq, t_grid, n_pairs: in
     cvals = ratios.value_at(2 * np.arange(1, n_pairs + 1))
     if np.any(cvals >= 0.125) or np.any(cvals <= 0.0):
         raise ParameterError("the pair bound requires ratio values inside (0, 1/8)")
-    even_m = 2 * np.arange(1, n_pairs + 1)
-    gaps = seq.ln_pair_gap(even_m)          # ln(gamma_{2m} / gamma_{2m-1}) > 0
-    worst = 0.0
-    for t in np.asarray(t_grid, dtype=np.float64).ravel():
-        if t == 0.0:
-            continue
-        num = 2.0 * np.abs(np.sin(0.5 * t * gaps))
-        ratio = num / (8.0 * abs(t) * cvals)
-        worst = max(worst, float(ratio.max()))
+    gaps = seq.ln_pair_gap(2 * np.arange(1, n_pairs + 1))   # ln(gamma_{2m} / gamma_{2m-1}) > 0
+    ts = np.asarray(t_grid, dtype=np.float64).ravel()
+    worst = np.zeros(ts.size)
+    for i, t in enumerate(ts):
+        if t != 0.0:
+            num = 2.0 * np.abs(np.sin(0.5 * t * gaps))
+            worst[i] = max(0.0, float((num / (8.0 * abs(t) * cvals)).max()))
     return worst
 
 

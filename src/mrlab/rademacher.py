@@ -29,6 +29,7 @@ import numpy as np
 from .blockspace import (
     BlockLayout,
     mixed_norm,
+    sign_patterns,
     triangular_covering_blocks,
     triangular_indices_1mod4,
 )
@@ -98,11 +99,6 @@ class SampledNorm:
     samples: int
 
 
-def _sign_matrix(k):
-    rows = np.arange(2 ** k, dtype=np.uint64)
-    return (((rows[:, None] >> np.arange(k, dtype=np.uint64)) & 1) * 2.0 - 1.0)
-
-
 def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_000):
     """L_2([0,1]; X) norm of the Rademacher sum.
 
@@ -116,7 +112,7 @@ def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_0
                 f"exact mode enumerates 2^k patterns; {s.n_terms} terms exceed "
                 f"the limit {EXACT_TERM_LIMIT}"
             )
-        signs = _sign_matrix(s.n_terms)
+        signs = sign_patterns(s.n_terms)
         norms = mixed_norm(signs.astype(np.complex128) @ s.terms, s.p, s.layout)
         return float(np.sqrt(np.mean(norms ** 2)))
     if mode == "disjoint":
@@ -158,16 +154,14 @@ class Log2Negatives:
 
 
 def _as_log2_negatives(qs, n_terms):
-    if isinstance(qs, Log2Negatives):
-        if len(qs) != n_terms:
-            raise ParameterError("need one q per term")
-        return qs
-    arr = np.asarray(qs, dtype=np.float64)
-    if arr.size != n_terms:
+    if not isinstance(qs, Log2Negatives):
+        arr = np.asarray(qs, dtype=np.float64).ravel()
+        if np.any(arr >= 0.0):
+            raise ParameterError("the resolvent family takes negative parameters")
+        qs = Log2Negatives(np.log2(-arr))
+    if len(qs) != n_terms:
         raise ParameterError("need one q per term")
-    if np.any(arr >= 0.0):
-        raise ParameterError("the resolvent family takes negative parameters")
-    return Log2Negatives(np.log2(-arr))
+    return qs
 
 
 def scaled_resolvent_symbols(op: TwistedMultiplier, log2_q: float):
@@ -322,6 +316,19 @@ class BlowupSeries:
     slope: float               # log-log fit over the reported points
 
 
+def _blowup_args(construction, p, blocks):
+    """Checks shared by both blow-up entry points; returns p, q and the blocks."""
+    if construction not in CONSTRUCTIONS:
+        raise ParameterError(f"construction must be one of {CONSTRUCTIONS}")
+    p = float(p)
+    if p <= 2.0:
+        raise ParameterError("the blow-up experiments live at p > 2")
+    ks = np.asarray(sorted(set(int(k) for k in blocks)), dtype=np.int64)
+    if np.any(ks < 7):
+        raise ParameterError("target blocks start at 7")
+    return p, holder_conjugate(p), ks
+
+
 def blowup_series(construction: str, p, alpha=None, block_counts=(100, 1000, 10000),
                   bound: float = 0.125) -> BlowupSeries:
     """Leaked-mass lower bounds L_k over nested block truncations.
@@ -331,15 +338,7 @@ def blowup_series(construction: str, p, alpha=None, block_counts=(100, 1000, 100
     reading of the positive case.  Blocks below 7 are skipped: there the
     reserved even coordinate of a pair can land inside the target block.
     """
-    if construction not in CONSTRUCTIONS:
-        raise ParameterError(f"construction must be one of {CONSTRUCTIONS}")
-    p = float(p)
-    if p <= 2.0:
-        raise ParameterError("the blow-up experiments live at p > 2")
-    ks = np.asarray(sorted(set(int(k) for k in block_counts)), dtype=np.int64)
-    if np.any(ks < 7):
-        raise ParameterError("block counts start at 7")
-    q = holder_conjugate(p)
+    p, q, ks = _blowup_args(construction, p, block_counts)
     kmax = int(ks.max())
     ratios = None
     if construction in ("power", "powerlog"):
@@ -365,19 +364,12 @@ def blowup_witness(construction: str, k: int, p, alpha=None, bound: float = 0.12
     norm of the mapped sum (the leaked block value combined with the kept
     halves).  Small k only; the layout must hold the reserved coordinates.
     """
-    if construction not in CONSTRUCTIONS:
-        raise ParameterError(f"construction must be one of {CONSTRUCTIONS}")
-    p = float(p)
-    if p <= 2.0:
-        raise ParameterError("the blow-up experiments live at p > 2")
-    if k < 7:
-        raise ParameterError("target blocks start at 7")
-    q = holder_conjugate(p)
+    p, q, _ = _blowup_args(construction, p, [k])
     targets = triangular_indices_1mod4(k)
     if targets.size == 0:
         raise ParameterError(f"block {k} has no eligible coordinates")
     ms = (targets - 1) // 4
-    reserved = np.array([first_even_in_shifted_block(int(m)) for m in ms])
+    reserved = first_even_in_shifted_block(ms)
     dim_needed = max(int(reserved.max()), k * (k + 1) // 2)
     layout = BlockLayout.triangular_covering(dim_needed)
     perm = TwistPermutation.covering(2 * layout.dim + 8)

@@ -5,24 +5,32 @@ reserved values b_k, where b_k is the first even number in triangular
 block k+2 (block 1 is the singleton {1} and contains no even number, so
 the b-list starts with block 2: b_0 = 2, b_1 = 4, b_2 = 8, ...).  Indices
 4k take the smallest even number that is neither reserved nor already
-used.  On top of pi sit three basis variants over the unit vectors e_m:
+used.  On top of pi sit three basis variants over the unit vectors e_m,
+all read off one coupling rule.  The head map H is pi for the twisted
+variants and the identity for plain; the partner map couples each even
+j to j - 1 (even-twist), each odd j to j + 1 (odd-twist), or nothing
+(plain); and f_j = e_{H(j)} + [j coupled] e_{H(partner of j)}:
 
     plain       f_m = e_m
     even-twist  f_m = e_m (m odd),            e_{m-1} + e_{pi(m)} (m even)
     odd-twist   f_m = e_m + e_{pi(m+1)} (m odd),   e_{pi(m)}      (m even)
 
-Coefficient analysis (vector -> twisted coefficients) is total; synthesis
-back into a fixed layout fails with a structural error when a coupled
-partner index falls outside the layout.
+``Coupling`` holds the rule as arrays; analysis, synthesis, the covers,
+the basis matrix and the multiplier structure all read it.  Coefficient
+analysis (vector -> twisted coefficients) is total; synthesis back into
+a fixed layout fails with a structural error when a coordinate outside
+the layout receives a nonzero total.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .blockspace import BlockLayout, MixedVector, mixed_norm
+from .blockspace import BlockLayout, MixedVector, mixed_norm, sign_patterns
 from .errors import ParameterError, StructuralError
 
 __all__ = [
@@ -31,7 +39,9 @@ __all__ = [
     "ODD_TWIST",
     "VARIANTS",
     "TwistPermutation",
+    "Coupling",
     "build_permutation",
+    "layout_coupling",
     "first_even_in_shifted_block",
     "twisted_analysis",
     "twisted_synthesis",
@@ -47,10 +57,16 @@ ODD_TWIST = "odd-twist"
 VARIANTS = (PLAIN, EVEN_TWIST, ODD_TWIST)
 
 
-def first_even_in_shifted_block(k: int) -> int:
-    """b_k: the first even number of triangular block k + 2 (k >= 0)."""
+def first_even_in_shifted_block(k):
+    """b_k: the first even number of triangular block k + 2 (k >= 0); k may be an array."""
     start = (k + 1) * (k + 2) // 2 + 1
-    return start if start % 2 == 0 else start + 1
+    return start + start % 2
+
+
+def _reserved_upto(bound: int) -> np.ndarray:
+    """Every b_k <= bound, in order (b_k > k^2 / 2)."""
+    b = first_even_in_shifted_block(np.arange(math.isqrt(2 * bound) + 2))
+    return b[b <= bound]
 
 
 @dataclass(frozen=True)
@@ -99,42 +115,19 @@ def _build(size: int, even_cover: int) -> TwistPermutation:
     if even_cover:
         # reserved values <= cover have preimage 4k+2; each filler j is the
         # i-th non-reserved even and is hit at index 4i
-        bound = even_cover
-        b_vals = []
-        k = 0
-        while True:
-            b = first_even_in_shifted_block(k)
-            if b > bound:
-                break
-            b_vals.append(b)
-            k += 1
-        n_fillers = bound // 2 - len(b_vals)
-        size = max(size, 4 * n_fillers, 4 * (len(b_vals) - 1) + 2, bound, 2)
+        n_b = _reserved_upto(even_cover).size
+        size = max(size, 4 * (even_cover // 2 - n_b), 4 * (n_b - 1) + 2, even_cover, 2)
 
-    n_b = size // 4 + 2
-    b_list = np.array([first_even_in_shifted_block(k) for k in range(n_b)], dtype=np.int64)
-    # the filler scan below may pass the largest reserved value; reserve further out
-    extra = list(b_list)
-    k = n_b
-    while extra[-1] <= 2 * size + 4:
-        extra.append(first_even_in_shifted_block(k))
-        k += 1
-    reserved = set(int(b) for b in extra)
+    b_list = first_even_in_shifted_block(np.arange(size // 4 + 2))
+    # the size // 4 fillers are the first non-reserved evens, all below 2 size + 4
+    evens = np.arange(2, 2 * size + 5, 2)
+    free = np.ones(evens.size, dtype=bool)
+    free[_reserved_upto(2 * size + 4) // 2 - 1] = False
+    table = np.arange(size + 1, dtype=np.int64)   # the odds are fixed
+    table[2::4] = b_list[: table[2::4].size]
+    table[4::4] = evens[free][: table[4::4].size]
 
-    table = np.zeros(size + 1, dtype=np.int64)
-    odd = np.arange(1, size + 1, 2)
-    table[odd] = odd
-    candidate = 2
-    for m in range(2, size + 1, 2):
-        if m % 4 == 2:
-            table[m] = b_list[(m - 2) // 4]
-        else:
-            while candidate in reserved:
-                candidate += 2
-            table[m] = candidate
-            candidate += 2
-
-    evens = np.arange(2, size + 1, 2)
+    evens = evens[: size // 2]
     images = table[evens]
     cover = int(even_cover) if even_cover else size
     inv = np.zeros(cover // 2 + 1, dtype=np.int64)
@@ -151,163 +144,136 @@ def build_permutation(n: int) -> TwistPermutation:
     return TwistPermutation.build(n)
 
 
-def _check_variant(variant):
+# -- the coupling rule -------------------------------------------------------
+
+# the partner map: variant -> (parity of the coupled indices, step to the
+# partner); no index has parity -1, so plain couples none
+_PARTNER = {PLAIN: (-1, 0), EVEN_TWIST: (0, -1), ODD_TWIST: (1, 1)}
+
+
+@dataclass(frozen=True)
+class Coupling:
+    """Row i of ``index``/``head`` holds a coefficient index j and H(j); ``a``
+    and ``head_a`` are the coupled rows in order, ``b`` their partners."""
+
+    perm: TwistPermutation = field(repr=False)
+    variant: str
+    index: np.ndarray
+    head: np.ndarray
+    a: np.ndarray
+    head_a: np.ndarray
+    b: np.ndarray
+
+    @cached_property
+    def head_b(self) -> np.ndarray:
+        """H(b); looked up on first use, as the lengths need only b."""
+        return _heads(self.perm, self.variant, self.b)
+
+
+def _heads(perm: TwistPermutation, variant: str, j: np.ndarray, inverse=False):
+    """H(j), or H^{-1}(j) with inverse; pi fixes the odds."""
+    out = j.copy()
+    if variant != PLAIN:
+        even = j % 2 == 0
+        out[even] = (perm.pi_inv if inverse else perm.pi)(j[even])
+    return out
+
+
+def _coupling(perm, variant, j, inverse=False) -> Coupling:
+    """Rows for the coefficient indices j or, with inverse, for the
+    coefficients whose heads are the coordinates j."""
     if variant not in VARIANTS:
         raise ParameterError(f"unknown basis variant {variant!r}; expected one of {VARIANTS}")
+    mapped = _heads(perm, variant, j, inverse)
+    index, head = (mapped, j) if inverse else (j, mapped)
+    parity, step = _PARTNER[variant]
+    coupled = index % 2 == parity
+    return Coupling(perm, variant, index, head, index[coupled], head[coupled],
+                    index[coupled] + step)
+
+
+def layout_coupling(perm: TwistPermutation, variant: str, dim: int) -> Coupling:
+    """The coupling read from the coordinates: row x - 1 holds H^{-1}(x), x = 1..dim."""
+    return _coupling(perm, variant, np.arange(1, dim + 1), inverse=True)
+
+
+def _longest(t: Coupling, dim: int) -> int:
+    """The largest coefficient index an expansion on coordinates 1..dim reaches."""
+    return int(max(dim, t.index.max(initial=0), t.b.max(initial=0)))
 
 
 def analysis_length(layout: BlockLayout, perm: TwistPermutation, variant: str) -> int:
     """Number of twisted coefficients needed to expand any vector of the layout."""
-    _check_variant(variant)
-    dim = layout.dim
-    if variant == PLAIN:
-        return dim
-    evens = np.arange(2, dim + 1, 2)
-    longest = dim if evens.size == 0 else int(max(dim, perm.pi_inv(evens).max()))
-    if variant == ODD_TWIST and dim % 2 == 1:
-        # the last odd coordinate forces an even coefficient one past it
-        longest = max(longest, dim + 1)
-    return longest
+    return _longest(layout_coupling(perm, variant, layout.dim), layout.dim)
 
 
 def synthesis_cover(n_coeffs: int, perm: TwistPermutation, variant: str) -> int:
-    """Smallest dimension that can hold a synthesis of n_coeffs coefficients."""
-    _check_variant(variant)
-    if variant == PLAIN:
-        return n_coeffs
-    if variant == EVEN_TWIST:
-        partners = [perm.pi(m) for m in range(2, n_coeffs + 1, 2)]
-    else:
-        partners = [perm.pi(m + 1) for m in range(1, n_coeffs + 1, 2) if m + 1 <= perm.size]
-        partners += [perm.pi(m) for m in range(2, n_coeffs + 1, 2)]
-    return max([n_coeffs] + partners)
+    """Smallest dimension that can hold a synthesis of n_coeffs coefficients.
+
+    A partner beyond the permutation table is left out.
+    """
+    t = _coupling(perm, variant, np.arange(1, n_coeffs + 1))
+    partners = _heads(perm, variant, t.b[t.b <= perm.size])
+    return int(max(n_coeffs, t.head.max(initial=0), partners.max(initial=0)))
 
 
 def twisted_analysis(v: MixedVector, perm: TwistPermutation, variant: str) -> np.ndarray:
-    """Coefficients of v in the twisted basis (1-based order, entry m at [m-1])."""
-    _check_variant(variant)
-    arr, dim = v.coeffs, v.layout.dim
-    if variant == PLAIN:
-        return arr.copy()
-    length = analysis_length(v.layout, perm, variant)
-    coeffs = np.zeros(length, dtype=np.complex128)
-    evens_e = np.arange(2, dim + 1, 2)   # even coordinate indices of the layout
-    pre = perm.pi_inv(evens_e) if evens_e.size else np.zeros(0, dtype=np.int64)
-    if variant == EVEN_TWIST:
-        # coefficient functionals: c[2m] reads coordinate pi(2m), c[odd r] = v_r - c[r+1]
-        coeffs[pre - 1] = arr[evens_e - 1]
-        odd = np.arange(1, length + 1, 2)
-        partner = np.where(odd + 1 <= length, coeffs[np.minimum(odd + 1, length) - 1], 0.0)
-        base = np.where(odd <= dim, arr[np.minimum(odd, dim) - 1], 0.0)
-        coeffs[odd - 1] = base - partner
-    else:
-        # c[odd r] = v_r; c[even m] = v_{pi(m)} - v_{m-1}, coordinates
-        # outside the layout reading as zero
-        odd = np.arange(1, length + 1, 2)
-        base = np.where(odd <= dim, arr[np.minimum(odd, dim) - 1], 0.0)
-        coeffs[odd - 1] = base
-        ev = np.arange(2, length + 1, 2)
-        tgt = perm.pi(ev)
-        heads = np.where(tgt <= dim,
-                         arr[np.minimum(tgt, dim) - 1], 0.0)
-        tails = np.where(ev - 1 <= dim, arr[np.minimum(ev - 1, dim) - 1], 0.0)
-        coeffs[ev - 1] = heads - tails
+    """Coefficients of v in the twisted basis (1-based order, entry m at [m-1]).
+
+    c_j = v_{H(j)}, coordinates outside the layout reading as zero, then
+    c_b = v_{H(b)} - c_a for each coupled pair.
+    """
+    t = layout_coupling(perm, variant, v.layout.dim)
+    coeffs = np.zeros(_longest(t, v.layout.dim), dtype=np.complex128)
+    coeffs[t.index - 1] = v.coeffs
+    coeffs[t.b - 1] -= coeffs[t.a - 1]
     return coeffs
+
+
+def _synthesize(c: np.ndarray, t: Coupling, dim: int) -> np.ndarray:
+    """sum_j c_j f_j on the coordinates 1..dim for each row of c (a trailing
+    coefficient coupled forward adds the partner n + 1); raises when a
+    coordinate beyond dim receives a nonzero total."""
+    n = c.shape[1]
+    coords = np.concatenate([t.head, t.head_b[t.b > n]])
+    totals = np.zeros((c.shape[0], coords.size), dtype=np.complex128)
+    totals[:, :n] = c
+    totals[:, t.b - 1] += c[:, t.a - 1]
+    bad = np.flatnonzero((coords > dim) & np.any(totals != 0.0, axis=0))
+    if bad.size:
+        # name the first coefficient's own coordinate before a shared one
+        own = np.ones(coords.size, dtype=bool)
+        own[t.b - 1] = False
+        j = int(bad[np.argmax(own[bad])])
+        raise StructuralError(f"coefficient {j + 1} needs coordinate {int(coords[j])} "
+                              f"outside layout dim {dim}")
+    out = np.zeros((c.shape[0], dim), dtype=np.complex128)
+    keep = coords <= dim
+    out[:, coords[keep] - 1] = totals[:, keep]
+    return out
 
 
 def twisted_synthesis(coeffs, perm: TwistPermutation, variant: str,
                       layout: BlockLayout) -> MixedVector:
     """Rebuild the coordinate vector sum_m c_m f_m inside the given layout."""
-    _check_variant(variant)
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    n = c.size
-    dim = layout.dim
-    out = np.zeros(dim, dtype=np.complex128)
-    if variant == PLAIN:
-        if n > dim and np.any(c[dim:]):
-            bad = dim + 1 + int(np.flatnonzero(c[dim:])[0])
-            raise StructuralError(f"coefficient {bad} exceeds layout dim {dim}")
-        out[: min(n, dim)] = c[: min(n, dim)]
-        return MixedVector(out, layout)
-
-    odd = np.arange(1, n + 1, 2)
-    evens = np.arange(2, n + 1, 2)
-    if variant == EVEN_TWIST:
-        targets = perm.pi(evens) if evens.size else evens
-        live = c[evens - 1] != 0.0
-        if np.any(live & (targets > dim)):
-            m = int(evens[live & (targets > dim)][0])
-            raise StructuralError(
-                f"coefficient {m} couples to coordinate {int(perm.pi(m))} "
-                f"outside layout dim {dim}"
-            )
-        out[targets[targets <= dim] - 1] = c[evens[targets <= dim] - 1]
-        partner = np.where(odd + 1 <= n, c[np.minimum(odd + 1, n) - 1], 0.0)
-        vals = c[odd - 1] + partner
-        bad = (odd > dim) & (vals != 0.0)
-        if np.any(bad):
-            raise StructuralError(
-                f"coefficients around index {int(odd[bad][0])} need coordinate "
-                f"{int(odd[bad][0])} outside layout dim {dim}"
-            )
-        keep = odd <= dim
-        out[odd[keep] - 1] = vals[keep]
-    else:
-        bad = (odd > dim) & (c[odd - 1] != 0.0)
-        if np.any(bad):
-            raise StructuralError(
-                f"coefficient {int(odd[bad][0])} exceeds layout dim {dim}"
-            )
-        keep = odd <= dim
-        out[odd[keep] - 1] = c[odd[keep] - 1]
-        # even coordinate pi(m) collects c[m] + c[m-1]; a trailing odd
-        # coefficient still couples forward, so include the pair (n, n+1)
-        m_hi = n if n % 2 == 0 else n + 1
-        ev = np.arange(2, m_hi + 1, 2)
-        if ev.size:
-            totals = np.where(ev <= n, c[np.minimum(ev, n) - 1], 0.0).astype(np.complex128)
-            totals += c[ev - 2]
-            targets = perm.pi(ev)
-            live = totals != 0.0
-            if np.any(live & (targets > dim)):
-                m = int(ev[live & (targets > dim)][0])
-                raise StructuralError(
-                    f"coefficient {m} couples to coordinate {int(perm.pi(m))} "
-                    f"outside layout dim {dim}"
-                )
-            sel = targets <= dim
-            out[targets[sel] - 1] = totals[sel]
-    return MixedVector(out, layout)
+    c = np.asarray(coeffs, dtype=np.complex128).reshape(1, -1)
+    t = _coupling(perm, variant, np.arange(1, c.shape[1] + 1))
+    return MixedVector(_synthesize(c, t, layout.dim)[0], layout)
 
 
 def twisted_basis_matrix(n: int, perm: TwistPermutation, variant: str,
                          layout: BlockLayout) -> np.ndarray:
     """(n, dim) matrix whose row m-1 is f_m in coordinates; small n only."""
-    rows = np.zeros((n, layout.dim), dtype=np.complex128)
-    for m in range(1, n + 1):
-        unit = np.zeros(n)
-        unit[m - 1] = 1.0
-        rows[m - 1] = twisted_synthesis(unit, perm, variant, layout).coeffs
-    return rows
+    t = _coupling(perm, variant, np.arange(1, n + 1))
+    return _synthesize(np.eye(n, dtype=np.complex128), t, layout.dim)
 
 
 def _witness_family(n, rng, n_random=6):
     """Deterministic coefficient vectors, nested across n by truncation."""
-    fam = [np.ones(n)]
-    scale = 1.0 / np.sqrt(np.arange(1, n + 1))
-    fam.append(scale)
-    pair = np.zeros(n)
-    for m in range(n):  # alternating signs on (4k+1, 4k+2) pairs
-        idx = m + 1
-        if idx % 4 == 1:
-            pair[m] = -1.0
-        elif idx % 4 == 2:
-            pair[m] = 1.0
-    if np.any(pair):
-        fam.append(pair)
-    master = rng.standard_normal((n_random, n))
-    fam.extend(master)
-    return fam
+    idx = np.arange(1, n + 1) % 4   # alternating signs on (4k+1, 4k+2) pairs
+    pair = np.select([idx == 1, idx == 2], [-1.0, 1.0])
+    fam = [np.ones(n), 1.0 / np.sqrt(np.arange(1, n + 1))] + ([pair] if np.any(pair) else [])
+    return fam + list(rng.standard_normal((n_random, n)))
 
 
 def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
@@ -320,7 +286,6 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
     witness family; sampled mode draws seeded random signs and improves the
     witness by coordinate ascent.  The plain variant returns 1 exactly.
     """
-    _check_variant(variant)
     if n < 2:
         raise ParameterError("need n >= 2")
     if mode not in ("exact", "sampled"):
@@ -334,8 +299,7 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
 
     rng = np.random.default_rng(seed)
     if mode == "exact":
-        k = np.arange(2 ** n, dtype=np.uint64)
-        signs = (((k[:, None] >> np.arange(n, dtype=np.uint64)) & 1) * 2.0 - 1.0)
+        signs = sign_patterns(n)
     else:
         signs = rng.choice([-1.0, 1.0], size=(n_signs, n))
         signs[0] = 1.0

@@ -197,6 +197,15 @@ def test_env_seed_default(capsys, monkeypatch):
     assert "# seed 1234" in out
 
 
+def test_env_seed_is_read_on_every_call(capsys, monkeypatch):
+    argv = ["rad-norm", "--k", "4", "--blocks", "3", "--samples", "100"]
+    for seed in ("1234", "77", "1234"):
+        monkeypatch.setenv("MRLAB_SEED", seed)
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert f"# seed {seed}\n" in out
+
+
 def test_unwritable_output_is_io_error():
     with pytest.raises(SystemExit) as exc:
         main(["gen-gamma", "--n", "4", "--out", "/nonexistent-dir/x.csv"])

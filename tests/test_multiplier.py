@@ -8,7 +8,7 @@ from mrlab.blockspace import BlockLayout, MixedVector, bv_norm
 from mrlab.errors import ParameterError, SingularityError
 from mrlab.multiplier import (
     TwistedMultiplier,
-    bip_pair_ratio_max,
+    bip_pair_ratios,
     bv_closed_form,
     bv_semigroup_bound,
     imaginary_pair_magnitude,
@@ -282,20 +282,31 @@ def test_imaginary_power_norm_growth_at_p2():
 def test_bip_pair_ratio_bounded_by_one():
     fam = constant_ratios(0.1, 70)
     seq = seq_from_ratios(fam, length=2000)
-    worst = bip_pair_ratio_max(seq, fam, [1.0], 1000)
+    worst = bip_pair_ratios(seq, fam, [1.0], 1000).max()
     assert worst <= 1.0
     # t -> 0 limit: ratio approaches log-gap / (8 c), still below 1
-    tiny = bip_pair_ratio_max(seq, fam, [1e-8], 1000)
+    tiny = bip_pair_ratios(seq, fam, [1e-8], 1000).max()
     gap = math.log(1.2 / 0.8)  # ln((1 + 2c)/(1 - 2c)) at c = 0.1
     assert tiny == pytest.approx(gap / (8 * 0.1), rel=1e-6)
     assert tiny <= 1.0
+
+
+def test_bip_pair_ratios_per_time():
+    fam = constant_ratios(0.1, 70)
+    seq = seq_from_ratios(fam, length=2000)
+    grid = [1.0, 0.0, 1e-8, -3.0]
+    per_t = bip_pair_ratios(seq, fam, grid, 1000)
+    assert per_t.shape == (4,) and per_t[1] == 0.0
+    for t, value in zip(grid, per_t):
+        assert bip_pair_ratios(seq, fam, [t], 1000)[0] == value
+    assert per_t[3] == bip_pair_ratios(seq, fam, [3.0], 1000)[0] > 0.0
 
 
 def test_bip_pair_ratio_validates_hypothesis():
     fam = constant_ratios(0.2, 50, bound=0.5)
     seq = seq_from_ratios(fam, length=100)
     with pytest.raises(ParameterError):
-        bip_pair_ratio_max(seq, fam, [1.0], 40)
+        bip_pair_ratios(seq, fam, [1.0], 40)
 
 
 def test_bip_equal_pair_gives_zero():
