@@ -112,10 +112,6 @@ class BlockLayout:
         """Smallest triangular layout with dim >= min_dim."""
         return cls.triangular(triangular_covering_blocks(min_dim))
 
-    @property
-    def is_triangular(self) -> bool:
-        return bool(np.array_equal(self.sizes, np.arange(1, self.n_blocks + 1)))
-
     def block_of(self, idx):
         """Block number (1-based) containing the 1-based coordinate index."""
         idx = np.asarray(idx, dtype=np.int64)

@@ -39,6 +39,7 @@ from .sequences import (
     alpha_for_right_endpoint,
     block_q_norms,
     block_qsup_partials,
+    block_target_sums,
     constant_ratios,
     geometric_ratios,
     holder_conjugate,
@@ -363,6 +364,16 @@ def dissipativity_witness(ratios: RatioSeq, k: int) -> DissipativityWitness:
                                 n_terms=len(elig))
 
 
+def _dissipativity_masses(ratios: RatioSeq, k_max: int) -> np.ndarray:
+    """Witness masses of blocks 1..k_max.  Target 4k - 7 is coupled to b_{k-2},
+    the first even of block k; it lies in block k only for k = 3..6, which
+    adds the one overlap entry there."""
+    if k_max < 1:
+        raise ParameterError("block numbers are 1-based")
+    x_sq = block_target_sums(ratios, lambda c: (2.0 * c / (1.0 - 2.0 * c)) ** 2, k_max)
+    return x_sq + np.isin(np.arange(1, k_max + 1), range(3, 7))
+
+
 def dissipativity_norm_sq(ratios: RatioSeq, k: int) -> float:
     """Block-k witness mass sum |x_m|^2 from ratio data alone.
 
@@ -370,17 +381,7 @@ def dissipativity_norm_sq(ratios: RatioSeq, k: int) -> float:
     so this runs far beyond the overflow horizon of the values themselves.
     Small-block overlap contributions (the -1 entries) are included.
     """
-    lo, hi = triangular_bounds(k)
-    if ratios.max_index < hi + 1:
-        raise ParameterError("ratio sequence does not cover the block")
-    ms = triangular_indices_1mod4(k)
-    if ms.size == 0:
-        return 0.0
-    c_next = np.asarray(ratios.value_at(ms + 1), dtype=np.float64)
-    x = 2.0 * c_next / (1.0 - 2.0 * c_next)
-    partner = first_even_in_shifted_block((ms - 1) // 4)
-    overlaps = np.count_nonzero((lo <= partner) & (partner <= hi))
-    return float((x * x).sum()) + float(overlaps)
+    return float(_dissipativity_masses(ratios, k)[-1])
 
 
 def dissipativity_norm_onset(ratios: RatioSeq, k_max: int = 500):
@@ -390,11 +391,6 @@ def dissipativity_norm_onset(ratios: RatioSeq, k_max: int = 500):
     3 to 6 can spike above 1 through the overlap entries; the suffix scan
     ignores those blips.)
     """
-    if dissipativity_norm_sq(ratios, k_max) <= 1.0:
-        return None
-    onset = k_max
-    for k in range(k_max - 1, 0, -1):
-        if dissipativity_norm_sq(ratios, k) <= 1.0:
-            return onset
-        onset = k
-    return onset
+    # entry k flags block k at or below 1; block 0 stands in when none is
+    low = np.flatnonzero(np.append(True, _dissipativity_masses(ratios, k_max) <= 1.0))
+    return None if low[-1] == k_max else int(low[-1]) + 1

@@ -14,9 +14,10 @@ The blow-up experiments drive the family {q R(q, A) : q < 0} with input
 sums supported on the reserved even coordinates (one per block, so the
 input norm is an exact ell_p norm), concentrate the profile on one target
 block with the Holder-extremal weights, and track the coupled-coordinate
-output mass block by block.  Those block values have closed forms, which
-is what makes truncations of 10^4 blocks affordable; materialized small
-truncations cross-check them in the tests.
+output mass block by block.  Those block values have closed forms
+(``sequences.block_target_sums``), which is what makes truncations of
+10^6 blocks affordable; materialized small truncations cross-check them
+in the tests.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .errors import ParameterError, StructuralError
 from .multiplier import TwistedMultiplier
 from .sequences import (
     MultiplierSeq,
+    block_target_counts,
+    block_target_sums,
     holder_conjugate,
     ratio_family,
     seq_from_ratios,
@@ -294,18 +297,6 @@ def evaluate_rbound_witness(ops, report: RBoundReport) -> float:
 CONSTRUCTIONS = ("lacunary", "power", "powerlog")
 
 
-def _block_leak_qnorm(construction, ratios, k, q):
-    """ell_q norm of the leaked coefficients on the targets of block k."""
-    targets = triangular_indices_1mod4(k)
-    if targets.size == 0:
-        return 0.0, 0
-    if construction == "lacunary":
-        # q_m = -gamma_{4m+2} leaks exactly 1/6 on every pair
-        return (targets.size ** (1.0 / q)) / 6.0, int(targets.size)
-    cvals = ratios.value_at(targets + 1)
-    return float(np.power(np.power(np.abs(cvals), q).sum(), 1.0 / q)), int(targets.size)
-
-
 @dataclass(frozen=True)
 class BlowupSeries:
     construction: str
@@ -340,16 +331,16 @@ def blowup_series(construction: str, p, alpha=None, block_counts=(100, 1000, 100
     """
     p, q, ks = _blowup_args(construction, p, block_counts)
     kmax = int(ks.max())
-    ratios = None
-    if construction in ("power", "powerlog"):
+    if construction == "lacunary":
+        # q_m = -gamma_{4m+2} leaks exactly 1/6 on every pair
+        leak = np.power(block_target_counts(kmax)[0], 1.0 / q) / 6.0
+    else:
         if alpha is None:
             raise ParameterError("power families need alpha")
         ratios = ratio_family(construction, alpha, kmax + 1, bound=bound)
-    per_block = np.zeros(kmax + 1)
-    for k in range(7, kmax + 1):
-        per_block[k], _ = _block_leak_qnorm(construction, ratios, k, q)
-    running = np.maximum.accumulate(per_block)
-    lower = running[ks]
+        leak = np.power(block_target_sums(ratios, lambda c: np.abs(c) ** q, kmax), 1.0 / q)
+    leak[:6] = 0.0
+    lower = np.maximum.accumulate(leak)[ks - 1]
     logs = np.log(lower[lower > 0.0])
     logk = np.log(ks[lower > 0.0].astype(float))
     slope = float(np.polyfit(logk, logs, 1)[0]) if logs.size >= 2 else float("nan")
@@ -366,8 +357,6 @@ def blowup_witness(construction: str, k: int, p, alpha=None, bound: float = 0.12
     """
     p, q, _ = _blowup_args(construction, p, [k])
     targets = triangular_indices_1mod4(k)
-    if targets.size == 0:
-        raise ParameterError(f"block {k} has no eligible coordinates")
     ms = (targets - 1) // 4
     reserved = first_even_in_shifted_block(ms)
     dim_needed = max(int(reserved.max()), k * (k + 1) // 2)

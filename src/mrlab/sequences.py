@@ -35,6 +35,8 @@ __all__ = [
     "custom_seq",
     "resolvent_gap_max",
     "block_q_norms",
+    "block_target_counts",
+    "block_target_sums",
     "block_qsup_partials",
     "alpha_for_right_endpoint",
     "holder_conjugate",
@@ -91,16 +93,6 @@ class RatioSeq:
             return self.n_blocks * (self.n_blocks + 1) // 2
         return int(self.dense_values.size)
 
-    def block_value(self, k):
-        """Value on triangular block k (block-constant families only)."""
-        if not self.is_block_constant:
-            raise ParameterError("dense ratio sequences are not block-constant")
-        k = np.asarray(k, dtype=np.int64)
-        if np.any(k < 1) or np.any(k > self.n_blocks):
-            raise ParameterError(f"block out of range 1..{self.n_blocks}")
-        out = self.block_values[k - 1]
-        return out if out.ndim else float(out)
-
     def value_at(self, m):
         """c_m for 1-based indices m (scalar or array)."""
         m = np.asarray(m, dtype=np.int64)
@@ -114,15 +106,6 @@ class RatioSeq:
 
     def values_upto(self, n: int) -> np.ndarray:
         return np.asarray(self.value_at(np.arange(1, n + 1)))
-
-    @property
-    def decreasing_from(self) -> int:
-        """First block index from which the block values never increase."""
-        if not self.is_block_constant:
-            raise ParameterError("onset is tracked for block-constant families only")
-        v = self.block_values
-        rising = np.flatnonzero(np.diff(v) > 0.0)
-        return 1 if rising.size == 0 else int(rising[-1]) + 2
 
 
 def _raw_block_values(kind, alpha, ks):
@@ -207,12 +190,6 @@ class MultiplierSeq:
     @property
     def length(self) -> int:
         return int(self.log2.size)
-
-    @property
-    def first_overflow_index(self):
-        """1-based index of the first value beyond float64, or None."""
-        over = np.flatnonzero(self.log2 >= _LOG2_MAX)
-        return int(over[0]) + 1 if over.size else None
 
     def values_upto(self, n: int, allow_inf: bool = False) -> np.ndarray:
         if n > self.length:
@@ -325,6 +302,30 @@ def block_q_norms(ratios: RatioSeq, q: float, n_blocks: int | None = None) -> np
     vals = np.abs(ratios.values_upto(dim))
     starts = np.concatenate(([0], np.cumsum(np.arange(1, n_blocks))))
     return np.power(np.add.reduceat(np.power(vals, q), starts), 1.0 / q)
+
+
+def block_target_counts(n_blocks: int):
+    """(n_k, e_k), k = 1..n_blocks: n_k targets m = 1 mod 4 in block k; e_k = 1
+    when the last one closes the block (hi_k = 1 mod 4), its m + 1 in block k + 1."""
+    k = np.arange(1, n_blocks + 1, dtype=np.int64)
+    hi = k * (k + 1) // 2
+    return (hi + 3) // 4 - (hi - k + 3) // 4, (hi % 4 == 1).astype(np.int64)
+
+
+def block_target_sums(ratios: RatioSeq, f, n_blocks: int) -> np.ndarray:
+    """Sum of f(c_{m+1}) over the targets m = 1 mod 4 of each block 1..n_blocks
+    (f elementwise): (n_k - e_k) f(c_k) + e_k f(c_{k+1}) on block-constant
+    ratios; dense ratios reduce the per-target values by block."""
+    if ratios.max_index < n_blocks * (n_blocks + 1) // 2 + 1:
+        raise ParameterError("ratio sequence does not cover the block")
+    n, e = block_target_counts(n_blocks)
+    if ratios.is_block_constant:
+        fc = f(ratios.block_values[: n_blocks + 1])
+        return (n - e) * fc[:-1] + e * fc[1:]
+    vals = f(ratios.dense_values[4 * np.arange(n.sum()) + 1])
+    # block 2 holds no target; its start is clipped into range and zeroed
+    starts = np.minimum(np.cumsum(n) - n, vals.size - 1)
+    return np.where(n > 0, np.add.reduceat(vals, starts), 0.0)
 
 
 def alpha_for_right_endpoint(p0: float) -> float:

@@ -208,13 +208,10 @@ def analysis_length(layout: BlockLayout, perm: TwistPermutation, variant: str) -
 
 
 def synthesis_cover(n_coeffs: int, perm: TwistPermutation, variant: str) -> int:
-    """Smallest dimension that can hold a synthesis of n_coeffs coefficients.
-
-    A partner beyond the permutation table is left out.
-    """
+    """Smallest dimension that can hold a synthesis of n_coeffs coefficients;
+    a partner beyond the permutation table raises, as in synthesis."""
     t = _coupling(perm, variant, np.arange(1, n_coeffs + 1))
-    partners = _heads(perm, variant, t.b[t.b <= perm.size])
-    return int(max(n_coeffs, t.head.max(initial=0), partners.max(initial=0)))
+    return int(max(n_coeffs, t.head.max(initial=0), t.head_b.max(initial=0)))
 
 
 def twisted_analysis(v: MixedVector, perm: TwistPermutation, variant: str) -> np.ndarray:

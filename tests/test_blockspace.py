@@ -55,10 +55,10 @@ def test_layout_block_of_and_bounds():
 
 def test_layout_covering_and_singletons():
     lay = BlockLayout.triangular_covering(500)
-    assert lay.dim >= 500 and lay.is_triangular
+    assert lay.dim >= 500 and np.array_equal(lay.sizes, np.arange(1, lay.n_blocks + 1))
     assert BlockLayout.triangular_covering(lay.dim).dim == lay.dim
     single = BlockLayout.singletons(7)
-    assert single.dim == 7 and single.n_blocks == 7 and not single.is_triangular
+    assert single.dim == 7 and single.n_blocks == 7 and np.all(single.sizes == 1)
 
 
 def test_mixed_norm_frozen_examples():

@@ -366,8 +366,12 @@ def test_synthesis_cover_matches_oracle_up_to_and_past_the_table(variant):
     for size in (2, 3, 20, 21, 64):
         perm = TwistPermutation.build(size)
         for n in range(0, size + 4):   # n = size, size + 1 meet the m + 1 <= size guard
-            assert_same_outcome(outcome(tb.synthesis_cover, n, perm, variant),
-                                outcome(synthesis_cover, n, perm, variant))
+            want = outcome(synthesis_cover, n, perm, variant)
+            if variant == ODD_TWIST and n in (size, size + 1) and n - 1 + n % 2 >= size:
+                # the oracle leaves out the partner of its last odd coefficient,
+                # which lies past the table; synthesis raises there, so does the cover
+                want = ParameterError
+            assert_same_outcome(outcome(tb.synthesis_cover, n, perm, variant), want)
     perm = TwistPermutation.covering(16_010)
     for n in (1001, 16_009):
         assert_same_outcome(tb.synthesis_cover(n, perm, variant),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,23 @@ def test_synthesis_cover_and_analysis_length():
     assert n >= layout.dim
     cover = synthesis_cover(12, perm, EVEN_TWIST)
     assert cover >= max(perm.pi(m) for m in range(2, 13, 2))
+
+
+@pytest.mark.parametrize("variant", [PLAIN, EVEN_TWIST, ODD_TWIST])
+def test_synthesis_cover_agrees_with_synthesis_at_the_table_end(variant):
+    """The cover raises exactly when synthesis of n coefficients does, with
+    the same error; otherwise synthesis fits inside the cover."""
+    for size in (2, 3, 20, 21, 64):
+        perm = TwistPermutation.build(size)
+        wide = BlockLayout.singletons(4 * size + 16)
+        for n in range(1, size + 4):
+            try:
+                cover = synthesis_cover(n, perm, variant)
+            except ParameterError as exc:
+                with pytest.raises(ParameterError, match=re.escape(str(exc))):
+                    twisted_synthesis(np.ones(n), perm, variant, wide)
+                continue
+            twisted_synthesis(np.ones(n), perm, variant, BlockLayout.singletons(cover))
 
 
 def test_unconditional_constant_plain_basis_is_one():
