@@ -27,6 +27,7 @@ __all__ = [
     "sign_patterns",
     "block_norms",
     "mixed_norm",
+    "combination_norms",
     "block_qsup_norm",
     "bv_norm",
     "sequence_variation",
@@ -67,8 +68,14 @@ def triangular_indices_1mod4(k) -> np.ndarray:
     return np.arange(lo + ((1 - lo) % 4), hi + 1, 4, dtype=np.int64)
 
 
+EXACT_TERM_LIMIT = 14      # largest k whose 2^k sign patterns are enumerated
+_PATTERN_CELLS = 1 << 16   # complex cells of one row block in combination_norms
+
+
 def sign_patterns(k: int) -> np.ndarray:
     """All 2^k sign vectors as rows of +-1.0; bit i of the row number sets sign i."""
+    if k > EXACT_TERM_LIMIT:
+        raise ParameterError(f"sign enumeration takes at most {EXACT_TERM_LIMIT} terms, not {k}")
     rows = np.arange(2 ** k, dtype=np.uint64)
     return ((rows[:, None] >> np.arange(k, dtype=np.uint64)) & 1) * 2.0 - 1.0
 
@@ -158,17 +165,32 @@ def _lp_of_blocks(bn, p):
     return peak * np.power(np.power(scaled, p).sum(axis=-1), 1.0 / p)
 
 
+def _coeffs_and_layout(v, layout):
+    """A MixedVector's coefficients and layout, or a raw array and the given layout."""
+    if isinstance(v, MixedVector):
+        return v.coeffs, v.layout
+    if layout is None:
+        raise StructuralError("raw arrays need an explicit layout")
+    return np.asarray(v), layout
+
+
 def mixed_norm(v, p, layout: BlockLayout | None = None):
     """ell_p norm of the block Euclidean norms; p = inf takes the block sup."""
     p = _check_p(p)
-    if isinstance(v, MixedVector):
-        arr, layout = v.coeffs, v.layout
-    else:
-        if layout is None:
-            raise StructuralError("raw arrays need an explicit layout")
-        arr = np.asarray(v)
+    arr, layout = _coeffs_and_layout(v, layout)
     out = _lp_of_blocks(block_norms(arr, layout), p)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def combination_norms(weights, vectors, p, layout: BlockLayout) -> np.ndarray:
+    """Mixed norm of each row of ``weights @ vectors``, formed a row block at a
+    time so that memory stays bounded however many rows there are."""
+    rows = max(1, _PATTERN_CELLS // layout.dim)
+    out = np.empty(weights.shape[0])
+    for i in range(0, weights.shape[0], rows):
+        out[i:i + rows] = mixed_norm(weights[i:i + rows].astype(np.complex128) @ vectors,
+                                     p, layout)
+    return out
 
 
 def block_qsup_norm(c, q, layout: BlockLayout | None = None):
@@ -176,12 +198,7 @@ def block_qsup_norm(c, q, layout: BlockLayout | None = None):
     q = float(q)
     if not (1.0 < q < math.inf):
         raise ParameterError("q must be finite and > 1")
-    if isinstance(c, MixedVector):
-        arr, layout = c.coeffs, c.layout
-    else:
-        if layout is None:
-            raise StructuralError("raw arrays need an explicit layout")
-        arr = np.asarray(c)
+    arr, layout = _coeffs_and_layout(c, layout)
     if arr.shape[-1] == 0:
         raise ParameterError("empty vector")
     if arr.shape[-1] != layout.dim:
@@ -229,10 +246,6 @@ class MixedVector:
         if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
             raise StructuralError("coefficients must be finite")
         object.__setattr__(self, "coeffs", arr)
-
-    @classmethod
-    def zero(cls, layout: BlockLayout) -> "MixedVector":
-        return cls(np.zeros(layout.dim, dtype=np.complex128), layout)
 
     @classmethod
     def unit(cls, layout: BlockLayout, idx: int) -> "MixedVector":

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .blockspace import BlockLayout, triangular_covering_blocks
+from .blockspace import EXACT_TERM_LIMIT, BlockLayout, triangular_covering_blocks
 from .certify import (
     IntervalSpec,
     diagonal_norm,
@@ -241,18 +241,17 @@ def _make_operator(source, dim):
 def cmd_gen_gamma(args):
     if args.n < 1:
         raise ParameterError("--n must be at least 1")
+    cvals = np.full(args.n, float("nan"))
     if args.family == "lacunary":
         seq = twisted_lacunary(args.n)
-        cvals = np.full(args.n, float("nan"))
         cvals[1:] = seq.recovered_ratios()
     else:
         ratios = _ratios_from_args(args, triangular_covering_blocks(args.n) + 1)
         seq = seq_from_ratios(ratios, length=args.n)
-        cvals = np.full(args.n, float("nan"))
         cvals[1:] = np.asarray(ratios.value_at(np.arange(2, args.n + 1)))
     with np.errstate(over="ignore"):
         vals = np.exp2(seq.log2)
-    rows = [(m + 1, cvals[m], vals[m], seq.log2[m] * _LN2) for m in range(args.n)]
+    rows = _column_rows(np.arange(1, args.n + 1), cvals, vals, seq.log2 * _LN2)
     _emit(args, "gen-gamma", ["m", "c_m", "gamma_m", "log_gamma_m"], rows)
     return 0
 
@@ -263,13 +262,13 @@ def cmd_pi_table(args):
     m = np.arange(1, args.n + 1)
     # pi fixes the odds; the inverse table reads 0 where no preimage is <= n
     inverse = np.where(m % 2 == 1, m, perm.inv_even[m // 2])
-    rows = _int_rows(m, perm.table[1:], inverse)
+    rows = _column_rows(m, perm.table[1:], inverse)
     _emit(args, "pi-table", ["m", "pi", "inverse"], rows, extra=[f"b_list {b_line}"])
     return 0
 
 
-def _int_rows(*columns):
-    """Rows of integer columns as Python ints, converted a block at a time."""
+def _column_rows(*columns):
+    """Rows of numeric array columns as Python scalars, converted a block at a time."""
     for i in range(0, len(columns[0]), _ROW_BLOCK):
         yield from zip(*(c[i:i + _ROW_BLOCK].tolist() for c in columns))
 
@@ -322,10 +321,8 @@ def cmd_sector_probe(args):
     op = _make_operator(args.gamma, args.n)
     rep = sectoriality_probe(op, _parse_grid(args.angles), _parse_grid(args.radii),
                              p=args.p, trials=args.trials, seed=args.seed)
-    rows = []
-    for i, theta in enumerate(rep.angles):
-        for j, r in enumerate(rep.radii):
-            rows.append((theta, r, rep.lower[i, j], rep.bv_upper[i, j]))
+    angle, radius = np.meshgrid(rep.angles, rep.radii, indexing="ij")
+    rows = _column_rows(angle.ravel(), radius.ravel(), rep.lower.ravel(), rep.bv_upper.ravel())
     extra = [f"measured_K {_fmt(rep.measured_K)}"]
     for i, theta in enumerate(rep.angles):
         extra.append(f"angle {_fmt(theta)} sup {_fmt(rep.per_angle_sup[i])}")
@@ -337,15 +334,15 @@ def cmd_sector_probe(args):
 
 
 def cmd_rad_norm(args):
-    rng = np.random.default_rng(args.seed)
     layout = BlockLayout.triangular(args.blocks)
-    terms = rng.standard_normal((args.k, layout.dim))
+    terms = np.random.default_rng(args.seed).standard_normal((max(args.k, 0), layout.dim))
     s = RadSum(terms, layout, args.p)
-    exact = rad_norm(s, "exact") if args.k <= 14 else float("nan")
+    enumerable = args.k <= EXACT_TERM_LIMIT
+    exact = rad_norm(s, "exact") if enumerable else float("nan")
     sampled = rad_norm(s, "sampled", seed=args.seed, samples=args.samples)
     _emit(args, "rad-norm", ["k", "p", "exact", "sampled", "stderr"],
           [(args.k, args.p, exact, sampled.value, sampled.stderr)])
-    if args.k <= 14 and abs(sampled.value - exact) > 4.0 * max(sampled.stderr, 1e-15):
+    if enumerable and abs(sampled.value - exact) > 4.0 * max(sampled.stderr, 1e-15):
         return 2
     return 0
 

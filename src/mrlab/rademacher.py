@@ -3,12 +3,12 @@ R-bound blow-up experiments.
 
 A finite Rademacher sum sum_k r_k x_k is stored as a stack of term
 vectors.  Its L_2 norm is the root mean square of |sum_k eps_k x_k| over
-sign patterns: enumerated exactly for up to 14 terms, estimated by Monte
-Carlo beyond that, and read off a single plain sum when the term supports
-are pairwise disjoint (flipping signs of disjointly supported vectors
-never changes the norm of the sum).  Mirrored sign patterns give the same
-norm, so the sampler pins the first sign and each draw accounts for its
-mirror image.
+sign patterns: enumerated for up to EXACT_TERM_LIMIT terms, sampled
+beyond, both streamed in fixed row blocks; or read off one plain sum when
+the supports are pairwise disjoint (flipping signs of disjointly supported
+vectors never changes the norm of the sum).  Mirrored sign patterns give
+the same norm, so the sampler pins the first sign and each draw accounts
+for its mirror image.
 
 The blow-up experiments drive the family {q R(q, A) : q < 0} with input
 sums supported on the reserved even coordinates (one per block, so the
@@ -29,6 +29,7 @@ import numpy as np
 
 from .blockspace import (
     BlockLayout,
+    combination_norms,
     mixed_norm,
     sign_patterns,
     triangular_covering_blocks,
@@ -62,8 +63,6 @@ __all__ = [
     "blowup_witness",
 ]
 
-EXACT_TERM_LIMIT = 14
-
 
 @dataclass(frozen=True)
 class RadSum:
@@ -75,6 +74,8 @@ class RadSum:
 
     def __post_init__(self):
         t = np.atleast_2d(np.asarray(self.terms, dtype=np.complex128))
+        if t.shape[0] == 0:
+            raise ParameterError("a Rademacher sum needs at least one term")
         if t.shape[1] != self.layout.dim:
             raise StructuralError("term length does not match the layout")
         object.__setattr__(self, "terms", t)
@@ -84,8 +85,7 @@ class RadSum:
         vecs = list(vectors)
         if not vecs:
             raise ParameterError("a Rademacher sum needs at least one term")
-        layout = vecs[0].layout
-        return cls(np.stack([v.coeffs for v in vecs]), layout, p)
+        return cls(np.stack([v.coeffs for v in vecs]), vecs[0].layout, p)
 
     @property
     def n_terms(self) -> int:
@@ -109,31 +109,26 @@ def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_0
     disjoint  |sum x_k| for pairwise disjoint supports
     sampled   Monte Carlo estimate, returned as SampledNorm(value, stderr)
     """
-    if mode == "exact":
-        if s.n_terms > EXACT_TERM_LIMIT:
-            raise ParameterError(
-                f"exact mode enumerates 2^k patterns; {s.n_terms} terms exceed "
-                f"the limit {EXACT_TERM_LIMIT}"
-            )
-        signs = sign_patterns(s.n_terms)
-        norms = mixed_norm(signs.astype(np.complex128) @ s.terms, s.p, s.layout)
-        return float(np.sqrt(np.mean(norms ** 2)))
     if mode == "disjoint":
         if not s.supports_disjoint():
             raise StructuralError("terms overlap; disjoint mode needs disjoint supports")
         return float(mixed_norm(s.terms.sum(axis=0), s.p, s.layout))
-    if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        signs = rng.choice([-1.0, 1.0], size=(samples, s.n_terms))
+    if mode == "exact":
+        signs = sign_patterns(s.n_terms)
+    elif mode == "sampled":
+        if samples < 2:
+            raise ParameterError("sampled mode needs at least 2 samples for a standard error")
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(samples, s.n_terms))
         signs[:, 0] = 1.0
-        norms = mixed_norm(signs.astype(np.complex128) @ s.terms, s.p, s.layout)
-        sq = norms ** 2
-        mean = float(np.mean(sq))
-        se_mean = float(np.std(sq, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-        value = math.sqrt(mean)
-        stderr = se_mean / (2.0 * value) if value > 0.0 else se_mean
-        return SampledNorm(value=value, stderr=stderr, samples=samples)
-    raise ParameterError("mode must be 'exact', 'disjoint' or 'sampled'")
+    else:
+        raise ParameterError("mode must be 'exact', 'disjoint' or 'sampled'")
+    sq = combination_norms(signs, s.terms, s.p, s.layout) ** 2
+    value = math.sqrt(float(np.mean(sq)))
+    if mode == "exact":
+        return value
+    se_mean = float(np.std(sq, ddof=1) / math.sqrt(samples))
+    stderr = se_mean / (2.0 * value) if value > 0.0 else se_mean
+    return SampledNorm(value=value, stderr=stderr, samples=samples)
 
 
 # -- the q R(q, A) family ----------------------------------------------------

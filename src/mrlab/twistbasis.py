@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockspace import BlockLayout, MixedVector, mixed_norm, sign_patterns
+from .blockspace import BlockLayout, MixedVector, combination_norms, sign_patterns
 from .errors import ParameterError, StructuralError
 
 __all__ = [
@@ -119,15 +119,15 @@ def _build(size: int, even_cover: int) -> TwistPermutation:
         size = max(size, 4 * (even_cover // 2 - n_b), 4 * (n_b - 1) + 2, even_cover, 2)
 
     b_list = first_even_in_shifted_block(np.arange(size // 4 + 2))
-    # the size // 4 fillers are the first non-reserved evens, all below 2 size + 4
-    evens = np.arange(2, 2 * size + 5, 2)
-    free = np.ones(evens.size, dtype=bool)
-    free[_reserved_upto(2 * size + 4) // 2 - 1] = False
+    # filler i is 2 (i + reserved evens below it); all lie below 2 size + 4,
+    # where at most isqrt(4 size + 8) + 2 evens are reserved (b_k > k^2 / 2)
+    top = 2 * (size // 4 + math.isqrt(4 * size + 8) + 2)
+    fillers = np.delete(np.arange(2, top + 1, 2), _reserved_upto(top) // 2 - 1)
     table = np.arange(size + 1, dtype=np.int64)   # the odds are fixed
     table[2::4] = b_list[: table[2::4].size]
-    table[4::4] = evens[free][: table[4::4].size]
+    table[4::4] = fillers[: table[4::4].size]
 
-    evens = evens[: size // 2]
+    evens = np.arange(2, size + 1, 2)
     images = table[evens]
     cover = int(even_cover) if even_cover else size
     inv = np.zeros(cover // 2 + 1, dtype=np.int64)
@@ -279,38 +279,32 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
                            n_signs: int = 2000, ascent_sweeps: int = 2) -> float:
     """Lower estimate of the unconditional constant of the twisted basis.
 
-    Exact mode enumerates all 2^n sign patterns (n <= 14) against a fixed
-    witness family; sampled mode draws seeded random signs and improves the
-    witness by coordinate ascent.  The plain variant returns 1 exactly.
+    Exact mode enumerates all 2^n sign patterns against a fixed witness
+    family; sampled mode draws seeded random signs and improves the witness
+    by coordinate ascent.  The plain variant returns 1 exactly.
     """
     if n < 2:
         raise ParameterError("need n >= 2")
-    if mode not in ("exact", "sampled"):
+    if mode == "exact":
+        signs = sign_patterns(n)
+    elif mode == "sampled":
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n_signs, n))
+        # row 1 flips one member per coupled pair: turns the small
+        # difference vectors of the pair witness into the large sums
+        signs[:2] = 1.0
+        signs[1, np.arange(n) % 4 == 0] = -1.0
+    else:
         raise ParameterError("mode must be 'exact' or 'sampled'")
-    if mode == "exact" and n > 14:
-        raise ParameterError("exact sign enumeration is limited to n <= 14")
     if perm is None:
         perm = TwistPermutation.covering(max(2 * n + 4, 8))
     layout = BlockLayout.triangular_covering(synthesis_cover(n, perm, variant))
     basis = twisted_basis_matrix(n, perm, variant, layout)
 
-    rng = np.random.default_rng(seed)
-    if mode == "exact":
-        signs = sign_patterns(n)
-    else:
-        signs = rng.choice([-1.0, 1.0], size=(n_signs, n))
-        signs[0] = 1.0
-        # flip of one member per coupled pair: turns the small difference
-        # vectors of the pair witness into the large sums
-        signs[1] = 1.0
-        signs[1, np.arange(n) % 4 == 0] = -1.0
-
     def best_ratio(a):
-        base = mixed_norm((a[None, :] @ basis)[0], p, layout)
+        base = combination_norms(a[None, :], basis, p, layout)[0]
         if base == 0.0:
             return 0.0
-        flipped = (signs * a[None, :]) @ basis
-        return float(np.max(mixed_norm(flipped, p, layout)) / base)
+        return float(np.max(combination_norms(signs * a, basis, p, layout)) / base)
 
     witnesses = _witness_family(n, np.random.default_rng(seed + 1))
     best = max(best_ratio(a) for a in witnesses)

@@ -271,6 +271,16 @@ def test_gen_gamma_needs_a_positive_length(n, capsys):
     assert_one_line_usage_error(code, out, err)
 
 
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-5"], ["--samples", "1"],
+                                   ["--k", "0"], ["--k", "-1"]])
+def test_rad_norm_edge_inputs_are_one_line_errors(flags, capsys):
+    # a standard error needs two draws and a Rademacher sum one term
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(["rad-norm", "--blocks", "3"] + flags, capsys)
+    assert_one_line_usage_error(code, out, err)
+
+
 def _counting_checks(monkeypatch):
     from mrlab import acceptance
 

@@ -104,6 +104,10 @@ def test_rad_norm_errors():
         rad_norm(overlapping, "disjoint")
     with pytest.raises(ParameterError):
         rad_norm(overlapping, "bogus")
+    with pytest.raises(ParameterError, match="at least 2 samples"):
+        rad_norm(overlapping, "sampled", samples=1)
+    with pytest.raises(ParameterError, match="at least one term"):
+        RadSum(np.zeros((0, lay.dim)), lay, 2.0)
 
 
 def make_lacunary_op(n_blocks=8):
