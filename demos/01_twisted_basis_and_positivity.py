@@ -12,16 +12,11 @@ coupled pair.
 import numpy as np
 
 from mrlab import (
-    BlockLayout,
     MixedVector,
     TwistedMultiplier,
-    TwistPermutation,
     build_permutation,
     positivity_check,
-    required_cover,
-    seq_from_ratios,
     twisted_analysis,
-    twisted_lacunary,
 )
 from mrlab.twistbasis import EVEN_TWIST
 
@@ -30,8 +25,10 @@ print("permutation head (m -> pi(m)):")
 print("  ", {m: int(perm.table[m]) for m in range(1, 15)})
 print("reserved values b_k:", perm.b_list[:6], "\n")
 
-layout = BlockLayout.triangular(8)
-perm = TwistPermutation.covering(2 * layout.dim + 8)
+# the operators live on the 8-block triangular layout (dim 36)
+lac = TwistedMultiplier.covering(36, "lacunary")
+inc = TwistedMultiplier.covering(36, "constant", 0.1)
+layout, perm = lac.layout, lac.perm
 
 # the coupled pair: the twisted coordinate expands as a difference
 v = MixedVector.unit(layout, perm.pi(2))
@@ -40,17 +37,11 @@ print("unit vector at the twisted slot of 2 expands as", coeffs[:2].real,
       "(difference of two basis elements)\n")
 
 grid = 2.0 ** np.arange(-10, 11)
-cover = required_cover(layout, perm, EVEN_TWIST) + 2
-
-lac = TwistedMultiplier(seq=twisted_lacunary(cover), perm=perm,
-                        variant=EVEN_TWIST, layout=layout)
 rep = positivity_check(lac, grid)
 print("twisted lacunary sequence (pairs decrease):")
 print(f"  min semigroup entry over the grid: {rep.min_entry:.3e}")
 print(f"  positive = {rep.verdict}, pairs monotone = {rep.monotone_pairs}\n")
 
-inc = TwistedMultiplier(seq=seq_from_ratios(np.full(cover, 0.1)), perm=perm,
-                        variant=EVEN_TWIST, layout=layout)
 rep = positivity_check(inc, grid)
 print("strictly increasing sequence from the ratio recurrence:")
 print(f"  min semigroup entry over the grid: {rep.min_entry:.3e} "

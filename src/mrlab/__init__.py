@@ -43,7 +43,6 @@ from .multiplier import (
     bv_semigroup_bound,
     opnorm_lower,
     positivity_check,
-    required_cover,
     sectoriality_probe,
 )
 from .rademacher import (
@@ -62,6 +61,8 @@ from .sequences import (
     constant_ratios,
     custom_ratios,
     custom_seq,
+    family_ratios,
+    family_seq,
     geometric_ratios,
     holder_conjugate,
     alpha_for_right_endpoint,

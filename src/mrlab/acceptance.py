@@ -30,7 +30,6 @@ from .multiplier import (
     bip_pair_ratios,
     bv_semigroup_bound,
     positivity_check,
-    required_cover,
 )
 from .rademacher import (
     Log2Negatives,
@@ -42,16 +41,12 @@ from .rademacher import (
 )
 from .sequences import (
     constant_ratios,
+    family_seq,
     ratio_family,
     seq_from_ratios,
     twisted_lacunary,
 )
-from .twistbasis import (
-    EVEN_TWIST,
-    TwistPermutation,
-    build_permutation,
-    first_even_in_shifted_block,
-)
+from .twistbasis import build_permutation, first_even_in_shifted_block
 
 __all__ = ["CheckResult", "CHECKS", "run_all"]
 
@@ -102,10 +97,8 @@ def check_lacunary_half_sixth() -> CheckResult:
     # odd m maps 2m to a reserved value, even m to a filler below 2m
     head = 100
     reserved_hi = int(first_even_in_shifted_block(np.arange(head // 2)).max())
-    layout = BlockLayout.triangular_covering(max(reserved_hi, 2 * head))
-    perm = TwistPermutation.covering(2 * layout.dim + 8)
-    op_seq = twisted_lacunary(required_cover(layout, perm, EVEN_TWIST) + 2)
-    op = TwistedMultiplier(seq=op_seq, perm=perm, variant=EVEN_TWIST, layout=layout)
+    op = TwistedMultiplier.covering(max(reserved_hi, 2 * head), "lacunary")
+    layout = op.layout
     terms = np.zeros((head, layout.dim), dtype=np.complex128)
     cols = op.perm.pi(2 * np.arange(1, head + 1))
     terms[np.arange(head), cols - 1] = 1.0
@@ -122,17 +115,9 @@ def check_lacunary_half_sixth() -> CheckResult:
 def check_positivity_iff_monotone() -> CheckResult:
     """Positive entries iff the pairs decrease, truncation of 500 coordinates."""
     start = time.perf_counter()
-    layout = BlockLayout.triangular_covering(500)
-    perm = TwistPermutation.covering(2 * layout.dim + 8)
-    cover = required_cover(layout, perm, EVEN_TWIST) + 2
     grid = 2.0 ** np.arange(-10, 11)
-
-    lac = TwistedMultiplier(seq=twisted_lacunary(cover), perm=perm,
-                            variant=EVEN_TWIST, layout=layout)
-    rep_pos = positivity_check(lac, grid)
-    inc = TwistedMultiplier(seq=seq_from_ratios(np.full(cover, 0.1)), perm=perm,
-                            variant=EVEN_TWIST, layout=layout)
-    rep_neg = positivity_check(inc, grid)
+    rep_pos = positivity_check(TwistedMultiplier.covering(500, "lacunary"), grid)
+    rep_neg = positivity_check(TwistedMultiplier.covering(500, "constant", 0.1), grid)
     ok = (rep_pos.verdict and rep_pos.monotone_pairs and rep_pos.min_entry >= -1e-12
           and not rep_neg.verdict and not rep_neg.monotone_pairs
           and rep_neg.min_entry < -1e-12)
@@ -220,8 +205,7 @@ def check_bip_inequality() -> CheckResult:
     start = time.perf_counter()
     worst = 0.0
     for kind in ("power", "powerlog"):
-        fam = ratio_family(kind, 0.25, 250)
-        seq = seq_from_ratios(fam, length=20_002)
+        seq, fam = family_seq(kind, 0.25, 20_002)
         worst = max(worst, *bip_pair_ratios(seq, fam, [0.01, 0.1, 1.0, 10.0, 100.0],
                                             10_000).tolist())
     return _result(8, "bip-pair-inequality", 5.0, start, worst <= 1.0,

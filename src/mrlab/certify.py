@@ -40,10 +40,8 @@ from .sequences import (
     block_q_norms,
     block_qsup_partials,
     block_target_sums,
-    constant_ratios,
-    geometric_ratios,
+    family_ratios,
     holder_conjugate,
-    ratio_family,
     seq_from_ratios,
 )
 from .twistbasis import first_even_in_shifted_block
@@ -64,6 +62,8 @@ __all__ = [
 ]
 
 TREND_TOL = 1e-6
+_STAND_IN = 1.0 / 16.0   # the constant family's value where it stands in at 2;
+                         # the plan leaves alpha None on constant and geometric sides
 
 
 def holder_gap(p: float, alpha: float) -> float:
@@ -245,18 +245,10 @@ class MRPlan:
         return self.right_factor(p) and self.left_factor(p)
 
     def right_ratios(self, n_blocks: int) -> RatioSeq:
-        return _materialize(self.right_kind, self.right_alpha, n_blocks)
+        return family_ratios(self.right_kind, self.right_alpha or _STAND_IN, n_blocks)
 
     def left_ratios(self, n_blocks: int) -> RatioSeq:
-        return _materialize(self.left_kind, self.left_alpha, n_blocks)
-
-
-def _materialize(kind, alpha, n_blocks):
-    if kind in (POWER, POWERLOG):
-        return ratio_family(kind, alpha, n_blocks)
-    if kind == CONSTANT:
-        return constant_ratios(1.0 / 16.0, n_blocks)
-    return geometric_ratios(n_blocks)
+        return family_ratios(self.left_kind, self.left_alpha or _STAND_IN, n_blocks)
 
 
 def plan_interval(interval: IntervalSpec, grid=None) -> MRPlan:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .blockspace import EXACT_TERM_LIMIT, BlockLayout, triangular_covering_blocks
+from .blockspace import EXACT_TERM_LIMIT, BlockLayout
 from .certify import (
     IntervalSpec,
     diagonal_norm,
@@ -37,19 +37,11 @@ from .multiplier import (
     bip_pair_ratios,
     bv_semigroup_bound,
     positivity_check,
-    required_cover,
     sectoriality_probe,
 )
 from .rademacher import RadSum, blowup_series, rad_norm
-from .sequences import (
-    MultiplierSeq,
-    constant_ratios,
-    geometric_ratios,
-    ratio_family,
-    seq_from_ratios,
-    twisted_lacunary,
-)
-from .twistbasis import EVEN_TWIST, TwistPermutation, build_permutation, unconditional_constant
+from .sequences import CONSTANT, LACUNARY, POWER, POWERLOG, family_ratios, family_seq
+from .twistbasis import build_permutation, unconditional_constant
 
 _LN2 = math.log(2.0)
 _ROW_BLOCK = 1024   # table rows converted and written at a time
@@ -201,38 +193,26 @@ def _parse_ints(text):
         raise ParameterError(f"cannot read {text!r} as a comma list of integers") from None
 
 
-def _ratios_from_args(args, n_blocks):
-    if args.family == "constant":
-        return constant_ratios(args.value, n_blocks)
-    if args.family == "geometric":
-        return geometric_ratios(n_blocks)
-    return ratio_family(args.family, args.alpha, n_blocks)
+def _family(args):
+    """The --family flag with its parameter: --value for constant, else --alpha."""
+    return args.family, args.value if args.family == CONSTANT else args.alpha
 
 
-def _seq_from_source(source, length) -> MultiplierSeq:
-    """lacunary | power:A | powerlog:A | constant:C"""
-    if source == "lacunary":
-        return twisted_lacunary(length)
-    kind, _, value = source.partition(":")
+def _gamma_operator(args):
+    """The operator of --gamma (lacunary | power:A | powerlog:A | constant:C) at --n;
+    a constant C may take any value in (0, 1/2)."""
+    if args.gamma == LACUNARY:
+        return TwistedMultiplier.covering(args.n, LACUNARY)
+    kind, _, value = args.gamma.partition(":")
     try:
         value = float(value)
     except ValueError:
         value = None
-    if value is None or kind not in ("power", "powerlog", "constant"):
-        raise ParameterError(f"cannot read gamma source {source!r}; expected "
+    if value is None or kind not in (POWER, POWERLOG, CONSTANT):
+        raise ParameterError(f"cannot read gamma source {args.gamma!r}; expected "
                              f"lacunary, power:A, powerlog:A or constant:C")
-    if kind == "constant":
-        return seq_from_ratios(np.full(length, value), length=length)
-    n_blocks = triangular_covering_blocks(length) + 1
-    return seq_from_ratios(ratio_family(kind, value, n_blocks), length=length)
-
-
-def _make_operator(source, dim):
-    layout = BlockLayout.triangular_covering(dim)
-    perm = TwistPermutation.covering(2 * layout.dim + 8)
-    cover = required_cover(layout, perm, EVEN_TWIST) + 2
-    seq = _seq_from_source(source, cover)
-    return TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=layout)
+    return TwistedMultiplier.covering(args.n, kind, value,
+                                      bound=0.5 if kind == CONSTANT else 0.125)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -241,14 +221,10 @@ def _make_operator(source, dim):
 def cmd_gen_gamma(args):
     if args.n < 1:
         raise ParameterError("--n must be at least 1")
+    seq, ratios = family_seq(*_family(args), args.n)
     cvals = np.full(args.n, float("nan"))
-    if args.family == "lacunary":
-        seq = twisted_lacunary(args.n)
-        cvals[1:] = seq.recovered_ratios()
-    else:
-        ratios = _ratios_from_args(args, triangular_covering_blocks(args.n) + 1)
-        seq = seq_from_ratios(ratios, length=args.n)
-        cvals[1:] = np.asarray(ratios.value_at(np.arange(2, args.n + 1)))
+    cvals[1:] = (seq.recovered_ratios() if ratios is None
+                 else ratios.value_at(np.arange(2, args.n + 1)))
     with np.errstate(over="ignore"):
         vals = np.exp2(seq.log2)
     rows = _column_rows(np.arange(1, args.n + 1), cvals, vals, seq.log2 * _LN2)
@@ -274,7 +250,7 @@ def _column_rows(*columns):
 
 
 def cmd_semigroup_check(args):
-    op = _make_operator(args.gamma, args.n)
+    op = _gamma_operator(args)
     grid = _parse_grid(args.tgrid)
     rep = positivity_check(op, grid, tol=args.tol)
     rows = [(t, m, m >= -args.tol) for t, m in zip(rep.t_grid, rep.per_t_min)]
@@ -306,8 +282,7 @@ def cmd_bv_bound(args):
 
 
 def cmd_bip_check(args):
-    ratios = _ratios_from_args(args, triangular_covering_blocks(2 * args.pairs + 2) + 1)
-    seq = seq_from_ratios(ratios, length=2 * args.pairs + 2)
+    seq, ratios = family_seq(*_family(args), 2 * args.pairs + 2)
     ts = _parse_grid(args.tgrid)
     per_t = bip_pair_ratios(seq, ratios, ts, args.pairs)
     worst = max(0.0, *per_t.tolist())
@@ -318,7 +293,7 @@ def cmd_bip_check(args):
 
 
 def cmd_sector_probe(args):
-    op = _make_operator(args.gamma, args.n)
+    op = _gamma_operator(args)
     rep = sectoriality_probe(op, _parse_grid(args.angles), _parse_grid(args.radii),
                              p=args.p, trials=args.trials, seed=args.seed)
     angle, radius = np.meshgrid(rep.angles, rep.radii, indexing="ij")
@@ -357,7 +332,7 @@ def cmd_rbound_blowup(args):
 
 
 def cmd_diag_norm(args):
-    ratios = _ratios_from_args(args, args.blocks)
+    ratios = family_ratios(*_family(args), args.blocks)
     dn = diagonal_norm(ratios, args.p, args.blocks)
     verdict = mr_predicate(ratios, args.p)
     _emit(args, "diag-norm", ["p", "q", "value", "argmax_block"],
@@ -412,7 +387,7 @@ def cmd_interval_certify(args):
 
 
 def cmd_dissipativity(args):
-    ratios = _ratios_from_args(args, max(args.block + 2, args.onset_max + 1))
+    ratios = family_ratios(*_family(args), max(args.block + 2, args.onset_max + 1))
     w = dissipativity_witness(ratios, args.block)
     onset = dissipativity_norm_onset(ratios, k_max=args.onset_max)
     _emit(args, "dissipativity",
@@ -469,11 +444,15 @@ def _build_parser(env_seed):
         parser._mrlab_subparsers[name] = sp
         return sp
 
+    def family_flags(sp, default, *choices):
+        """--family, --alpha and, where constant is a choice, --value."""
+        sp.add_argument("--family", default=default, choices=list(choices))
+        sp.add_argument("--alpha", type=float, default=0.25)
+        if CONSTANT in choices:
+            sp.add_argument("--value", type=float, default=0.1, help="constant family value")
+
     sp = sub("gen-gamma", cmd_gen_gamma, help="dump a multiplier sequence as CSV")
-    sp.add_argument("--family", default="constant",
-                    choices=["lacunary", "power", "powerlog", "constant", "geometric"])
-    sp.add_argument("--alpha", type=float, default=0.25)
-    sp.add_argument("--value", type=float, default=0.1, help="constant family value")
+    family_flags(sp, "constant", "lacunary", "power", "powerlog", "constant", "geometric")
     sp.add_argument("--n", type=int, default=64, help="sequence length")
 
     sp = sub("pi-table", cmd_pi_table, help="dump the even permutation table")
@@ -493,9 +472,7 @@ def _build_parser(env_seed):
     sp.add_argument("--n", type=int, default=2000)
 
     sp = sub("bip-check", cmd_bip_check, help="imaginary-power pair inequality")
-    sp.add_argument("--family", default="power", choices=["power", "powerlog", "constant"])
-    sp.add_argument("--alpha", type=float, default=0.25)
-    sp.add_argument("--value", type=float, default=0.1)
+    family_flags(sp, "power", "power", "powerlog", "constant")
     sp.add_argument("--tgrid", default="0.01,0.1,1,10,100")
     sp.add_argument("--pairs", type=int, default=10000)
 
@@ -514,17 +491,12 @@ def _build_parser(env_seed):
     sp.add_argument("--samples", type=int, default=100000)
 
     sp = sub("rbound-blowup", cmd_rbound_blowup, help="leaked-mass blow-up series")
-    sp.add_argument("--family", default="powerlog",
-                    choices=["lacunary", "power", "powerlog"])
-    sp.add_argument("--alpha", type=float, default=0.25)
+    family_flags(sp, "powerlog", "lacunary", "power", "powerlog")
     sp.add_argument("--p", type=float, default=4.0)
     sp.add_argument("--blocks", default="100,1000,10000", help="comma list of k")
 
     sp = sub("diag-norm", cmd_diag_norm, help="diagonal-map norm and extremizer")
-    sp.add_argument("--family", default="power", choices=["power", "powerlog",
-                                                          "constant", "geometric"])
-    sp.add_argument("--alpha", type=float, default=0.25)
-    sp.add_argument("--value", type=float, default=0.1)
+    family_flags(sp, "power", "power", "powerlog", "constant", "geometric")
     sp.add_argument("--p", type=float, default=4.0)
     sp.add_argument("--blocks", type=int, default=20)
 
@@ -537,10 +509,7 @@ def _build_parser(env_seed):
     sp.add_argument("--grid", type=float, default=0.05)
 
     sp = sub("dissipativity", cmd_dissipativity, help="sup-block dissipativity witness")
-    sp.add_argument("--family", default="power", choices=["power", "powerlog",
-                                                          "constant", "geometric"])
-    sp.add_argument("--alpha", type=float, default=0.25)
-    sp.add_argument("--value", type=float, default=0.1)
+    family_flags(sp, "power", "power", "powerlog", "constant", "geometric")
     sp.add_argument("--block", type=int, default=30)
     sp.add_argument("--onset-max", type=int, default=120)
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .blockspace import BlockLayout, MixedVector, bv_norm, mixed_norm, sequence_variation
 from .errors import InvariantViolation, ParameterError, SingularityError
-from .sequences import MultiplierSeq, RatioSeq, twisted_lacunary
-from .twistbasis import TwistPermutation, layout_coupling
+from .sequences import MultiplierSeq, RatioSeq, family_seq, twisted_lacunary
+from .twistbasis import EVEN_TWIST, TwistPermutation, layout_coupling
 
 __all__ = [
     "TwistedMultiplier",
@@ -85,6 +85,23 @@ class TwistedMultiplier:
                 f"sequence of length {self.seq.length} is too short; the "
                 f"truncation couples indices up to {needed}"
             )
+
+    @classmethod
+    def covering(cls, dim: int, family: str, param=None,
+                 bound: float = 0.125) -> "TwistedMultiplier":
+        """The even-twist operator of a named family (``sequences.family_seq``)
+        on the smallest triangular layout holding ``dim`` coordinates.
+
+        The permutation covers 2 dim + 8 and the sequence runs two past the
+        largest index the truncation couples; the structure is built once.
+        """
+        layout = BlockLayout.triangular_covering(dim)
+        perm = TwistPermutation.covering(2 * layout.dim + 8)
+        op = cls.__new__(cls)
+        # seeds the cached property, so __post_init__ reads it rather than rebuild it
+        op.__dict__["structure"] = st = _structure(layout, perm, EVEN_TWIST)
+        op.__init__(family_seq(family, param, st.needed + 2, bound)[0], perm, EVEN_TWIST, layout)
+        return op
 
     @cached_property
     def structure(self) -> _Structure:
@@ -227,11 +244,6 @@ def _structure(layout: BlockLayout, perm: TwistPermutation, variant: str) -> _St
     return _Structure(t.index, t.head_b[keep] - 1, t.head_a[keep] - 1, off_hi, off_lo, needed)
 
 
-def required_cover(layout: BlockLayout, perm: TwistPermutation, variant: str) -> int:
-    """Largest sequence index a truncation of this shape can touch."""
-    return _structure(layout, perm, variant).needed
-
-
 # -- positivity ------------------------------------------------------------
 
 
@@ -343,6 +355,8 @@ def bip_pair_ratios(seq: MultiplierSeq, ratios: RatioSeq, t_grid, n_pairs: int):
     """
     if seq.origin != "recurrence":
         raise ParameterError("the pair bound applies to recurrence-built sequences")
+    if n_pairs < 1:
+        raise ParameterError("the pair bound needs at least one pair")
     if 2 * n_pairs > seq.length:
         raise ParameterError("sequence too short for the requested number of pairs")
     cvals = ratios.value_at(2 * np.arange(1, n_pairs + 1))
@@ -511,9 +525,10 @@ def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
     """
     angles = np.asarray(angles, dtype=np.float64).ravel()
     radii = np.asarray(radii, dtype=np.float64).ravel()
-    if np.any(angles <= 0.0) or np.any(angles >= math.pi):
+    # written so that NaN fails them
+    if not np.all((angles > 0.0) & (angles < math.pi)):
         raise ParameterError("angles must lie strictly between 0 and pi")
-    if np.any(radii <= 0.0):
+    if not np.all(radii > 0.0):
         raise ParameterError("radii must be positive")
     vals, dim, n_trials = op._gamma, op.layout.dim, max(1, trials)
     lower = np.zeros((angles.size, radii.size))

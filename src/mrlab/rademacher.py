@@ -32,7 +32,6 @@ from .blockspace import (
     combination_norms,
     mixed_norm,
     sign_patterns,
-    triangular_covering_blocks,
     triangular_indices_1mod4,
 )
 from .errors import ParameterError, StructuralError
@@ -43,10 +42,8 @@ from .sequences import (
     block_target_sums,
     holder_conjugate,
     ratio_family,
-    seq_from_ratios,
-    twisted_lacunary,
 )
-from .twistbasis import EVEN_TWIST, TwistPermutation, first_even_in_shifted_block
+from .twistbasis import first_even_in_shifted_block
 
 __all__ = [
     "RadSum",
@@ -354,25 +351,17 @@ def blowup_witness(construction: str, k: int, p, alpha=None, bound: float = 0.12
     targets = triangular_indices_1mod4(k)
     ms = (targets - 1) // 4
     reserved = first_even_in_shifted_block(ms)
-    dim_needed = max(int(reserved.max()), k * (k + 1) // 2)
-    layout = BlockLayout.triangular_covering(dim_needed)
-    perm = TwistPermutation.covering(2 * layout.dim + 8)
-
+    op = TwistedMultiplier.covering(max(int(reserved.max()), k * (k + 1) // 2),
+                                    construction, alpha, bound)
+    layout, seq = op.layout, op.seq
     if construction == "lacunary":
-        seq = twisted_lacunary(max(int(4 * ms.max() + 2), 2 * layout.dim + 8))
         leak = np.full(targets.size, 1.0 / 6.0)
         profile = np.full(targets.size, targets.size ** (-1.0 / p))
     else:
         ratios = ratio_family(construction, alpha, k + 2, bound=bound)
-        cvals = np.asarray(ratios.value_at(targets + 1), dtype=np.float64)
-        seq_blocks = max(k + 2, triangular_covering_blocks(2 * layout.dim + 8))
-        seq_ratios = ratio_family(construction, alpha, seq_blocks)
-        seq = seq_from_ratios(seq_ratios, length=max(int(4 * ms.max() + 2),
-                                                     2 * layout.dim + 8))
-        leak = cvals
-        profile = np.power(cvals, q / p)
+        leak = np.asarray(ratios.value_at(targets + 1), dtype=np.float64)
+        profile = np.power(leak, q / p)
         profile /= np.power(np.power(profile, p).sum(), 1.0 / p)
-    op = TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=layout)
     terms = np.zeros((targets.size, layout.dim), dtype=np.complex128)
     terms[np.arange(targets.size), reserved - 1] = profile
     rsum = RadSum(terms, layout, p)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockspace import triangular_block_index
+from .blockspace import triangular_block_index, triangular_covering_blocks
 from .errors import ParameterError, SequenceOverflowError
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "MultiplierSeq",
     "ratio_family",
     "constant_ratios",
+    "family_ratios",
+    "family_seq",
     "custom_ratios",
     "seq_from_ratios",
     "twisted_lacunary",
@@ -45,6 +47,7 @@ __all__ = [
 _LOG2_MAX = math.log2(np.finfo(np.float64).max)  # ~1024
 _LN2 = math.log(2.0)
 
+LACUNARY = "lacunary"
 POWER = "power"
 POWERLOG = "powerlog"
 CONSTANT = "constant"
@@ -172,6 +175,16 @@ def geometric_ratios(n_blocks: int, bound: float = 0.125) -> RatioSeq:
                     block_values=vals, scale=scale)
 
 
+def family_ratios(family: str, param, n_blocks: int, bound: float = 0.125) -> RatioSeq:
+    """The named ratio family on n_blocks blocks; ``param`` is alpha for the
+    power families and the value for the constant one (geometric reads none)."""
+    if family == CONSTANT:
+        return constant_ratios(param, n_blocks, bound)
+    if family == GEOMETRIC:
+        return geometric_ratios(n_blocks, bound)
+    return ratio_family(family, param, n_blocks, bound)
+
+
 def custom_ratios(values, bound: float = 0.5) -> RatioSeq:
     values = np.asarray(values, dtype=np.float64)
     n_blocks = triangular_block_index(values.size)
@@ -262,6 +275,19 @@ def twisted_lacunary(n: int) -> MultiplierSeq:
     return MultiplierSeq(origin="twisted-lacunary", log2=log2)
 
 
+def family_seq(family: str, param, length: int, bound: float = 0.125):
+    """The family's multiplier sequence of the given length and the ratio
+    sequence it solves (None for lacunary, which is not ratio-built).
+
+    A ratio family takes one block past the fewest blocks holding the
+    length, so c_{length + 1} is stored as well.
+    """
+    if family == LACUNARY:
+        return twisted_lacunary(length), None
+    ratios = family_ratios(family, param, triangular_covering_blocks(length) + 1, bound)
+    return seq_from_ratios(ratios, length=length), ratios
+
+
 def custom_seq(values) -> MultiplierSeq:
     values = np.asarray(values, dtype=np.float64)
     if np.any(values <= 0.0) or np.any(~np.isfinite(values)):
@@ -337,8 +363,8 @@ def alpha_for_right_endpoint(p0: float) -> float:
 
 
 def holder_conjugate(p: float) -> float:
-    """q with 1/2 = 1/p + 1/q for p > 2."""
+    """q with 1/2 = 1/p + 1/q for finite p > 2."""
     p = float(p)
-    if not p > 2.0:
-        raise ParameterError("the splitting 1/2 = 1/p + 1/q needs p > 2")
+    if not 2.0 < p < math.inf:
+        raise ParameterError("the splitting 1/2 = 1/p + 1/q needs a finite p > 2")
     return 2.0 * p / (p - 2.0)

@@ -307,9 +307,10 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
         return float(np.max(combination_norms(signs * a, basis, p, layout)) / base)
 
     witnesses = _witness_family(n, np.random.default_rng(seed + 1))
-    best = max(best_ratio(a) for a in witnesses)
+    ratios = [best_ratio(a) for a in witnesses]
+    best = max(ratios)
     if mode == "sampled":
-        a = max(witnesses, key=best_ratio).astype(float).copy()
+        a = witnesses[ratios.index(best)].astype(float).copy()   # the first best
         for _ in range(ascent_sweeps):
             for i in range(n):
                 keep, val = best, a[i]

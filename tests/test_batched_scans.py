@@ -8,19 +8,18 @@ reproduce them bit for bit, not merely to a tolerance.
 
 import cmath
 import math
+import types
 
 import numpy as np
 import pytest
 
-from mrlab import multiplier
+from mrlab import cli, multiplier
 from mrlab.blockspace import BlockLayout, block_norms, bv_norm, mixed_norm
-from mrlab.cli import _make_operator
 from mrlab.errors import SingularityError
 from mrlab.multiplier import (
     TwistedMultiplier,
     opnorm_lower,
     positivity_check,
-    required_cover,
     sectoriality_probe,
 )
 from mrlab.sequences import custom_seq, seq_from_ratios, twisted_lacunary
@@ -34,8 +33,13 @@ def bits(x):
 def make_op(variant, seq_of_length, n_blocks=10):
     layout = BlockLayout.triangular(n_blocks)
     perm = TwistPermutation.covering(2 * layout.dim + 8)
-    seq = seq_of_length(required_cover(layout, perm, variant) + 4)
+    seq = seq_of_length(multiplier._structure(layout, perm, variant).needed + 4)
     return TwistedMultiplier(seq=seq, perm=perm, variant=variant, layout=layout)
+
+
+def gamma_op(source, n):
+    """The operator the CLI builds for ``--gamma source --n n``."""
+    return cli._gamma_operator(types.SimpleNamespace(gamma=source, n=n))
 
 
 # -- oracles ---------------------------------------------------------------
@@ -142,10 +146,10 @@ OPERATORS = {
     "odd-constant": lambda: make_op(ODD_TWIST, lambda n: seq_from_ratios(np.full(n - 1, 0.3))),
     "odd-lacunary": lambda: make_op(ODD_TWIST, twisted_lacunary),
     "even-decreasing": lambda: make_op(EVEN_TWIST, lambda n: custom_seq(np.linspace(5.0, 1.0, n))),
-    "cli-constant": lambda: _make_operator("constant:0.001", 700),
-    "cli-power": lambda: _make_operator("power:0.45", 700),
-    "cli-powerlog": lambda: _make_operator("powerlog:0.2", 400),
-    "cli-lacunary-inf": lambda: _make_operator("lacunary", 1200),   # gamma overflows to inf
+    "cli-constant": lambda: gamma_op("constant:0.001", 700),
+    "cli-power": lambda: gamma_op("power:0.45", 700),
+    "cli-powerlog": lambda: gamma_op("powerlog:0.2", 400),
+    "cli-lacunary-inf": lambda: gamma_op("lacunary", 1200),   # gamma overflows to inf
 }
 
 GRIDS = {
@@ -192,7 +196,7 @@ DEFAULT_RADII = np.geomspace(1.0, 1e6, 7)
     ("lacunary", 300, math.inf, 3, 0),
 ])
 def test_sector_probe_matches_per_trial_loop(source, n, p, trials, seed):
-    op = _make_operator(source, n)
+    op = gamma_op(source, n)
     lower, bv_upper, skipped = probe_oracle(op, DEFAULT_ANGLES, DEFAULT_RADII, p, trials, seed)
     rep = sectoriality_probe(op, DEFAULT_ANGLES, DEFAULT_RADII, p=p, trials=trials, seed=seed)
     assert bits(rep.lower) == bits(lower)
@@ -219,7 +223,7 @@ def test_sector_probe_large_batch(monkeypatch):
     # one batch of 63 rows at dim 1035: the adjoint's conjugated symbols
     # pass the 256 KiB at which numpy reuses a temporary operand and would
     # swap the operands of the complex products
-    op = _make_operator("lacunary", 1000)
+    op = TwistedMultiplier.covering(1000, "lacunary")
     monkeypatch.setattr(multiplier, "_PROBE_CELLS", 1 << 17)
     assert 63 * op.layout.dim > 1 << 14
     angles, radii = [1.0], [1.0, 1e3, 1e6]

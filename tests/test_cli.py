@@ -281,6 +281,30 @@ def test_rad_norm_edge_inputs_are_one_line_errors(flags, capsys):
     assert_one_line_usage_error(code, out, err)
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_bip_check_needs_a_pair(pairs, capsys):
+    code, out, err = run_err(["bip-check", "--pairs", pairs], capsys)
+    assert_one_line_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize("flags", [["--angles", "nan"], ["--radii", "nan"],
+                                   ["--angles", "1.0,nan"], ["--radii", "1,nan"]])
+def test_sector_probe_rejects_nan_parameters(flags, capsys):
+    code, out, err = run_err(["sector-probe", "--n", "10"] + flags, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert ("angles must lie" if flags[0] == "--angles" else "radii must be") in err
+
+
+@pytest.mark.parametrize("argv", [["rbound-blowup", "--p", "inf", "--blocks", "10,20"],
+                                  ["diag-norm", "--p", "inf"]])
+def test_infinite_exponent_has_no_holder_splitting(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(argv, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "1/2 = 1/p + 1/q" in err
+
+
 def _counting_checks(monkeypatch):
     from mrlab import acceptance
 

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import scipy.linalg
 import pytest
 
+from mrlab import multiplier
 from mrlab.blockspace import BlockLayout, MixedVector, bv_norm
 from mrlab.errors import ParameterError, SingularityError
 from mrlab.multiplier import (
@@ -14,12 +16,12 @@ from mrlab.multiplier import (
     imaginary_pair_magnitude,
     opnorm_lower,
     positivity_check,
-    required_cover,
     sectoriality_probe,
 )
 from mrlab.sequences import (
     constant_ratios,
     custom_seq,
+    family_seq,
     ratio_family,
     seq_from_ratios,
     twisted_lacunary,
@@ -36,12 +38,19 @@ from mrlab.twistbasis import (
 INF = float("inf")
 
 
-def make_op(n_blocks=6, variant=EVEN_TWIST, c=0.1, length_pad=8):
+def make_op(n_blocks=6, variant=EVEN_TWIST, c=0.1):
+    """The constant-c operator (ratio bound 1/2) of any variant, built to the
+    constructor's shape: its permutation, and a sequence two past ``needed``."""
     layout = BlockLayout.triangular(n_blocks)
     perm = TwistPermutation.covering(2 * layout.dim + 8)
-    cover = required_cover(layout, perm, variant) + length_pad
-    seq = seq_from_ratios(np.full(cover - 1, c))
+    needed = multiplier._structure(layout, perm, variant).needed
+    seq = family_seq("constant", c, needed + 2, bound=0.5)[0]
     return TwistedMultiplier(seq=seq, perm=perm, variant=variant, layout=layout)
+
+
+def with_seq(op, seq_of_length, pad):
+    """The operator's shape with the sequence seq_of_length(needed + pad)."""
+    return dataclasses.replace(op, seq=seq_of_length(op.structure.needed + pad))
 
 
 def test_apply_on_unit_vectors_even_twist():
@@ -82,10 +91,9 @@ def test_apply_matches_transform_composition(variant):
     else:
         layout = BlockLayout.from_sizes([1, 2, 3, 4, 10])
     perm = TwistPermutation.covering(2 * layout.dim + 10)
-    cover = required_cover(layout, perm, variant)
-    seq = seq_from_ratios(np.full(cover + 10, 0.12))
+    seq = seq_from_ratios(np.full(4 * layout.dim, 0.12))
     op = TwistedMultiplier(seq=seq, perm=perm, variant=variant, layout=layout)
-    vals = seq.values_upto(cover + 8)
+    vals = seq.values_upto(op.structure.needed + 8)
     rng = np.random.default_rng(1)
     for _ in range(20):
         v = MixedVector(rng.standard_normal(layout.dim), layout)
@@ -139,7 +147,7 @@ def test_resolvent_identity(variant):
 
 
 def test_resolvent_limit_at_large_negative_lambda():
-    op = make_op(n_blocks=4, length_pad=6)
+    op = make_op(n_blocks=4)
     gmax = op.seq.values_upto(op.structure.needed).max()
     lam = -1e9 * gmax
     v = np.ones(op.layout.dim)
@@ -199,10 +207,7 @@ def test_semigroup_column_formula():
 
 
 def test_positivity_twisted_lacunary():
-    layout = BlockLayout.triangular_covering(200)
-    perm = TwistPermutation.covering(2 * layout.dim + 10)
-    seq = twisted_lacunary(required_cover(layout, perm, EVEN_TWIST) + 2)
-    op = TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=layout)
+    op = TwistedMultiplier.covering(200, "lacunary")
     rep = positivity_check(op, 2.0 ** np.arange(-10, 11))
     assert rep.verdict and rep.monotone_pairs
     assert rep.min_entry >= -1e-12
@@ -221,10 +226,7 @@ def test_positivity_verdict_equals_monotonicity_on_families():
     for builder in (lambda n: twisted_lacunary(n),
                     lambda n: seq_from_ratios(np.full(n - 1, 0.3)),
                     lambda n: custom_seq(np.linspace(5.0, 1.0, n))):
-        layout = BlockLayout.triangular(6)
-        perm = TwistPermutation.covering(2 * layout.dim + 10)
-        seq = builder(required_cover(layout, perm, EVEN_TWIST) + 4)
-        op = TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=layout)
+        op = with_seq(make_op(), builder, 4)
         rep = positivity_check(op, 2.0 ** np.arange(-8, 9))
         assert rep.verdict == rep.monotone_pairs
 
@@ -264,11 +266,8 @@ def test_imaginary_pair_magnitude_formula():
 def test_imaginary_power_norm_growth_at_p2():
     # |A^{it}| <= 1 + 8 C |t| with C the sup of the ratio values
     fam = ratio_family("power", 0.25, 12)
-    layout = BlockLayout.triangular(8)
-    perm = TwistPermutation.covering(2 * layout.dim + 10)
-    cover = required_cover(layout, perm, EVEN_TWIST)
-    seq = seq_from_ratios(fam, length=cover + 4)
-    op = TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=layout)
+    op = TwistedMultiplier.covering(36, "power", 0.25)   # 8 triangular blocks
+    layout, cover = op.layout, op.structure.needed
     cmax = float(fam.block_values.max())
     for t in (0.5, 2.0, 10.0):
         val, _ = opnorm_lower(lambda v: op.imaginary_power(t, v),
@@ -373,10 +372,7 @@ def test_sectoriality_probe_diagonal_contraction():
 
 
 def test_sectoriality_probe_twisted_lacunary_flat_in_radius():
-    layout = BlockLayout.triangular(6)
-    perm = TwistPermutation.covering(2 * layout.dim + 10)
-    seq = twisted_lacunary(required_cover(layout, perm, EVEN_TWIST) + 2)
-    op = TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=layout)
+    op = TwistedMultiplier.covering(21, "lacunary")   # 6 triangular blocks
     # below the bottom of the spectrum |lam R(lam)| decays linearly in r,
     # so the flatness check sweeps radii from the spectrum upward
     radii = np.geomspace(1.0, 1e6, 7)
@@ -420,11 +416,11 @@ def test_fractional_power_symbols():
         op.fractional_power_apply(-1.0, v)
 
 
-def test_required_cover_and_short_sequence_error():
-    layout = BlockLayout.triangular(5)
-    perm = TwistPermutation.covering(2 * layout.dim + 8)
-    cover = required_cover(layout, perm, EVEN_TWIST)
-    assert cover >= layout.dim
+def test_covering_operator_and_short_sequence_error():
+    op = TwistedMultiplier.covering(13, "constant", 0.1)
+    cover = op.structure.needed
+    assert op.layout.dim == 15 and cover >= op.layout.dim   # 5 triangular blocks
+    assert op.perm.size >= 2 * op.layout.dim + 8 and op.seq.length == cover + 2
     seq = seq_from_ratios(np.full(cover - 3, 0.1))
-    with pytest.raises(ParameterError):
-        TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=layout)
+    with pytest.raises(ParameterError, match="too short"):
+        TwistedMultiplier(seq=seq, perm=op.perm, variant=EVEN_TWIST, layout=op.layout)

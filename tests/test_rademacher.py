@@ -5,7 +5,7 @@ import pytest
 
 from mrlab.blockspace import BlockLayout, MixedVector, mixed_norm
 from mrlab.errors import ParameterError, StructuralError
-from mrlab.multiplier import TwistedMultiplier, required_cover
+from mrlab.multiplier import TwistedMultiplier
 from mrlab.rademacher import (
     Log2Negatives,
     RadSum,
@@ -111,10 +111,7 @@ def test_rad_norm_errors():
 
 
 def make_lacunary_op(n_blocks=8):
-    layout = BlockLayout.triangular(n_blocks)
-    perm = TwistPermutation.covering(2 * layout.dim + 8)
-    seq = twisted_lacunary(required_cover(layout, perm, EVEN_TWIST) + 2)
-    return TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=layout)
+    return TwistedMultiplier.covering(n_blocks * (n_blocks + 1) // 2, "lacunary")
 
 
 def test_associated_operator_lacunary_half_and_sixth():
@@ -152,11 +149,8 @@ def test_pair_resolvent_coeffs_vectorized_lacunary():
 
 def test_associated_operator_recurrence_leaks_minus_c():
     c = 0.08
-    layout = BlockLayout.triangular(10)
-    perm = TwistPermutation.covering(2 * layout.dim + 8)
-    cover = required_cover(layout, perm, EVEN_TWIST)
-    seq = seq_from_ratios(np.full(cover + 10, c))
-    op = TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=layout)
+    op = TwistedMultiplier.covering(55, "constant", c)   # 10 triangular blocks
+    layout, perm, seq = op.layout, op.perm, op.seq
     m = 3  # term at e_{pi(4m+2)} with q = -gamma_{4m+2}
     j = perm.pi(4 * m + 2)
     s = RadSum.from_vectors([MixedVector.unit(layout, j)], 4.0)
@@ -196,11 +190,9 @@ def test_associated_operator_commutes_with_truncation_restriction():
     # a term supported deep inside a small layout maps the same way whether
     # the operator is built on the small layout or on a larger one
     small = BlockLayout.triangular(6)
-    big = BlockLayout.triangular(10)
-    perm = TwistPermutation.covering(2 * big.dim + 8)
-    seq = twisted_lacunary(required_cover_pair(big, perm))
+    op_big = TwistedMultiplier.covering(55, "lacunary")   # 10 triangular blocks
+    big, perm, seq = op_big.layout, op_big.perm, op_big.seq
     op_small = TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=small)
-    op_big = TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=big)
     j = perm.pi(6)
     qs = np.array([-3.7])
     s_small = RadSum.from_vectors([MixedVector.unit(small, j)], 3.0)
@@ -208,12 +200,6 @@ def test_associated_operator_commutes_with_truncation_restriction():
     out_small = associated_operator(op_small, qs, s_small).terms[0]
     out_big = associated_operator(op_big, qs, s_big).terms[0]
     np.testing.assert_allclose(out_big[: small.dim], out_small, rtol=1e-14)
-
-
-def required_cover_pair(layout, perm):
-    from mrlab.multiplier import required_cover
-
-    return required_cover(layout, perm, EVEN_TWIST) + 2
 
 
 def test_rbound_identity_family_is_one():
@@ -245,6 +231,15 @@ def test_blowup_series_monotone_and_crosschecked():
         got = rad_norm(out, "disjoint")
         assert got == pytest.approx(expected, rel=1e-9)
         assert rad_norm(rsum, "disjoint") == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("construction", ["power", "powerlog"])
+def test_blowup_witness_builds_its_sequence_at_its_bound(construction):
+    # the closed form reads the ratios at ``bound``; the operator's sequence
+    # must be solved from the same ratios (at bound 1/2 it was solved at 1/8)
+    rsum, qs, op, expected = blowup_witness(construction, 9, 4.0, alpha=0.25, bound=0.5)
+    out = associated_operator(op, qs, rsum)
+    assert rad_norm(out, "disjoint") == pytest.approx(expected, rel=1e-9)
 
 
 def test_blowup_witness_exact_mode_agreement():

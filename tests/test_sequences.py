@@ -12,6 +12,8 @@ from mrlab.sequences import (
     constant_ratios,
     custom_ratios,
     custom_seq,
+    family_ratios,
+    family_seq,
     geometric_ratios,
     holder_conjugate,
     ratio_family,
@@ -232,11 +234,44 @@ def test_seq_from_ratio_seq_length_coverage():
         seq_from_ratios(fam, length=11)
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 10, 11, 500])
+@pytest.mark.parametrize("family, param", [("power", 0.25), ("powerlog", 0.1),
+                                           ("constant", 0.05), ("geometric", None)])
+def test_family_seq_solves_the_covering_blocks(family, param, length):
+    seq, ratios = family_seq(family, param, length)
+    k = ratios.n_blocks - 1   # the fewest blocks holding the length, and one more
+    assert k * (k + 1) // 2 >= length > (k - 1) * k // 2
+    assert seq.length == length
+    expect = seq_from_ratios(family_ratios(family, param, ratios.n_blocks), length=length)
+    assert seq.log2.tobytes() == expect.log2.tobytes()
+
+
+def test_family_seq_lacunary_has_no_ratios():
+    seq, ratios = family_seq("lacunary", None, 9)
+    assert ratios is None and seq.log2.tobytes() == twisted_lacunary(9).log2.tobytes()
+
+
+@pytest.mark.parametrize("c", [0.001, 0.1, 0.3, 0.49])
+def test_constant_family_at_bound_half_matches_a_full_ratio_vector(c):
+    # the --gamma constant:C operator reads the family at bound 1/2; its
+    # sequence is the one solved from a plain vector of C, bit for bit
+    seq, _ = family_seq("constant", c, 777, bound=0.5)
+    plain = seq_from_ratios(np.full(777, c), length=777)
+    assert seq.log2.tobytes() == plain.log2.tobytes()
+    assert seq.step_offsets.tobytes() == plain.step_offsets.tobytes()
+
+
 def test_holder_conjugate():
     assert holder_conjugate(4.0) == pytest.approx(4.0)
     assert holder_conjugate(3.0) == pytest.approx(6.0)
     with pytest.raises(ParameterError):
         holder_conjugate(2.0)
+
+
+@pytest.mark.parametrize("p", [float("inf"), float("nan")])
+def test_holder_conjugate_rejects_non_finite_p(p):
+    with pytest.raises(ParameterError, match="finite"):
+        holder_conjugate(p)
 
 
 def test_ln_pair_gap_matches_log_ratio():

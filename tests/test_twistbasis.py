@@ -221,6 +221,24 @@ def test_unconditional_constant_sampled_close_to_exact():
     assert sampled >= 0.75 * exact
 
 
+def test_sampled_unconditional_constant_rates_each_witness_once(monkeypatch):
+    # a full product multiplies every sign row; the witnesses are rated once
+    # each (9 at n 12), then the ascent rates 2 sweeps x 12 coordinates x 3 steps
+    from mrlab import twistbasis
+
+    full = []
+    inner = twistbasis.combination_norms
+
+    def counting(weights, *args):
+        if weights.shape[0] > 1:
+            full.append(weights.shape[0])
+        return inner(weights, *args)
+
+    monkeypatch.setattr(twistbasis, "combination_norms", counting)
+    unconditional_constant(12, 3.0, mode="sampled", seed=0)
+    assert len(full) == 9 + 2 * 12 * 3
+
+
 def test_unconditional_constant_errors():
     with pytest.raises(ParameterError):
         unconditional_constant(16, 2.0, mode="exact")
