@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockspace import BlockLayout, mixed_norm
+from .blockspace import BlockLayout, mixed_norm, triangular_block_index
 from .certify import (
     IntervalSpec,
     diagonal_norm,
@@ -294,17 +294,11 @@ def check_permutation_integrity() -> CheckResult:
     ok = ok and bool(np.all(image % 2 == 0)) and np.unique(image).size == evens.size
     # reserved values fill 4k+2; every other even is a filler, in order
     n_b = (n - 2) // 4 + 1
-    expect_b = np.array([first_even_in_shifted_block(k) for k in range(n_b)])
+    expect_b = first_even_in_shifted_block(np.arange(n_b))
     ok = ok and bool(np.all(perm.table[4 * np.arange(n_b) + 2] == expect_b))
-    b_all = set()
-    k = 0
-    while True:
-        b = first_even_in_shifted_block(k)
-        if b > int(image.max()) + 2:
-            break
-        b_all.add(b)
-        k += 1
-    fillers = [j for j in range(2, n + 1, 2) if j not in b_all]
+    # b_k lies in block k + 2, so every b_k <= n has k < the block of n
+    fillers = np.setdiff1d(evens, first_even_in_shifted_block(
+        np.arange(triangular_block_index(n))))
     n_f = n // 4
     ok = ok and bool(np.all(perm.table[4 * np.arange(1, n_f + 1)] == fillers[:n_f]))
     return _result(12, "permutation-integrity", 1.0, start, ok,

@@ -20,14 +20,15 @@ __all__ = [
     "BlockLayout",
     "MixedVector",
     "SpreadMap",
+    "triangular_end",
     "triangular_block_index",
     "triangular_bounds",
-    "triangular_covering_blocks",
     "triangular_indices_1mod4",
     "sign_patterns",
     "block_norms",
     "mixed_norm",
     "combination_norms",
+    "block_lq_norms",
     "block_qsup_norm",
     "bv_norm",
     "sequence_variation",
@@ -36,13 +37,19 @@ __all__ = [
 ]
 
 
+def triangular_end(k):
+    """Last 1-based index of triangular block k, k(k+1)/2; k may be an array."""
+    return k * (k + 1) // 2
+
+
 def triangular_block_index(m):
-    """Block number of 1-based index m under block sizes 1, 2, 3, ..."""
-    m = np.asarray(m, dtype=np.int64)
+    """Block number of 1-based index m under block sizes 1, 2, 3, ...: also the
+    fewest blocks holding m indices, which is one block for m < 1."""
+    m = np.maximum(np.asarray(m, dtype=np.int64), 1)
     k = ((np.sqrt(8.0 * m + 1.0) - 1.0) / 2.0).astype(np.int64)
     # float sqrt may be off by one near block boundaries
-    k = np.where(k * (k + 1) // 2 >= m, k, k + 1)
-    k = np.where((k - 1) * k // 2 >= m, k - 1, k)
+    k = np.where(triangular_end(k) >= m, k, k + 1)
+    k = np.where(triangular_end(k - 1) >= m, k - 1, k)
     return k if k.ndim else int(k)
 
 
@@ -51,15 +58,7 @@ def triangular_bounds(k):
     k = int(k)
     if k < 1:
         raise ParameterError("block numbers are 1-based")
-    return (k - 1) * k // 2 + 1, k * (k + 1) // 2
-
-
-def triangular_covering_blocks(dim: int) -> int:
-    """Fewest triangular blocks (sizes 1, 2, 3, ...) holding at least dim indices."""
-    n = int(math.ceil((math.sqrt(8.0 * max(dim, 1) + 1.0) - 1.0) / 2.0))
-    while n * (n + 1) // 2 < dim:
-        n += 1
-    return n
+    return triangular_end(k - 1) + 1, triangular_end(k)
 
 
 def triangular_indices_1mod4(k) -> np.ndarray:
@@ -117,7 +116,7 @@ class BlockLayout:
     @classmethod
     def triangular_covering(cls, min_dim: int) -> "BlockLayout":
         """Smallest triangular layout with dim >= min_dim."""
-        return cls.triangular(triangular_covering_blocks(min_dim))
+        return cls.triangular(triangular_block_index(min_dim))
 
     def block_of(self, idx):
         """Block number (1-based) containing the 1-based coordinate index."""
@@ -159,10 +158,9 @@ def block_norms(arr, layout: BlockLayout):
 def _lp_of_blocks(bn, p):
     if p == math.inf:
         return bn.max(axis=-1)
-    peak = bn.max(axis=-1)
-    peak_safe = np.where(peak == 0.0, 1.0, peak)
-    scaled = bn / (peak_safe[..., None] if bn.ndim > 1 else peak_safe)
-    return peak * np.power(np.power(scaled, p).sum(axis=-1), 1.0 / p)
+    peak = bn.max(axis=-1, keepdims=True)
+    scaled = bn / np.where(peak == 0.0, 1.0, peak)
+    return peak[..., 0] * np.power(np.power(scaled, p).sum(axis=-1), 1.0 / p)
 
 
 def _coeffs_and_layout(v, layout):
@@ -193,8 +191,9 @@ def combination_norms(weights, vectors, p, layout: BlockLayout) -> np.ndarray:
     return out
 
 
-def block_qsup_norm(c, q, layout: BlockLayout | None = None):
-    """sup over blocks of the inner ell_q norm: max_k (sum_{m in B_k} |c_m|^q)^(1/q)."""
+def block_lq_norms(c, q, layout: BlockLayout | None = None):
+    """The inner ell_q norm of each block, (sum_{m in B_k} |c_m|^q)^(1/q), on
+    the last axis; scaled by the peak |c_m| so that tiny values do not underflow."""
     q = float(q)
     if not (1.0 < q < math.inf):
         raise ParameterError("q must be finite and > 1")
@@ -204,13 +203,15 @@ def block_qsup_norm(c, q, layout: BlockLayout | None = None):
     if arr.shape[-1] != layout.dim:
         raise StructuralError(f"vector length {arr.shape[-1]} != layout dim {layout.dim}")
     mags = np.abs(arr)
-    peak = mags.max(axis=-1)
-    if np.all(peak == 0.0):
-        return 0.0 if np.ndim(peak) == 0 else np.zeros_like(peak)
-    peak_safe = np.where(peak == 0.0, 1.0, peak)
-    scaled = mags / (peak_safe[..., None] if mags.ndim > 1 else peak_safe)
-    block_q = np.add.reduceat(np.power(scaled, q), layout.starts, axis=-1)
-    out = peak * np.power(block_q.max(axis=-1), 1.0 / q)
+    peak = mags.max(axis=-1, keepdims=True)
+    scaled = mags / np.where(peak == 0.0, 1.0, peak)
+    return peak * np.power(np.add.reduceat(np.power(scaled, q), layout.starts, axis=-1),
+                           1.0 / q)
+
+
+def block_qsup_norm(c, q, layout: BlockLayout | None = None):
+    """sup over blocks of the inner ell_q norm: max_k (sum_{m in B_k} |c_m|^q)^(1/q)."""
+    out = block_lq_norms(c, q, layout).max(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -95,14 +95,12 @@ def diagonal_norm(ratios: RatioSeq, p: float, n_blocks: int) -> DiagonalNorm:
     if p <= 2.0:
         raise ParameterError("the diagonal characterization needs p > 2")
     q = holder_conjugate(p)
-    if ratios.max_index < n_blocks * (n_blocks + 1) // 2:
-        raise ParameterError("ratio sequence does not cover the requested blocks")
     per_block = block_q_norms(ratios, q, n_blocks)
     best = int(np.argmax(per_block)) + 1
     layout = BlockLayout.triangular(n_blocks)
     lo, hi = layout.bounds(best)
     cvals = np.abs(np.asarray(ratios.value_at(np.arange(lo, hi + 1)), dtype=np.float64))
-    profile = np.power(cvals, q / p)
+    profile = np.power(cvals / cvals.max(), q / p)
     profile /= np.power(np.power(profile, p).sum(), 1.0 / p)
     arr = np.zeros(layout.dim, dtype=np.complex128)
     arr[lo - 1: hi] = profile
@@ -326,8 +324,6 @@ def dissipativity_witness(ratios: RatioSeq, k: int) -> DissipativityWitness:
     elig = triangular_indices_1mod4(k)
     if not elig.size:
         raise ParameterError(f"block {k} has no coordinates congruent 1 mod 4")
-    if ratios.max_index < hi + 1:
-        raise ParameterError("ratio sequence does not cover the block")
     seq = seq_from_ratios(ratios, length=hi + 2)
     vals = seq.values_upto(hi + 2)
 

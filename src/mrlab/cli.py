@@ -45,6 +45,7 @@ from .twistbasis import build_permutation, unconditional_constant
 
 _LN2 = math.log(2.0)
 _ROW_BLOCK = 1024   # table rows converted and written at a time
+_GRID_POINTS = 10 ** 6   # most points a generated grid may hold
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,16 +172,24 @@ def _emit(args, command, columns, rows, extra=(), schema_version=1):
             _write_csv(fh, columns, rows)
 
 
+def _grid_points(n):
+    if not 1 <= n <= _GRID_POINTS:
+        raise ParameterError(f"a grid takes 1 to {_GRID_POINTS} points, not {n:.7g}")
+    return n
+
+
 def _parse_grid(text):
     """Comma list of floats, or pow2:a:b for 2^a .. 2^b, or geom:a:b:n."""
     try:
         if text.startswith("pow2:"):
             _, a, b = text.split(":")
-            return 2.0 ** np.arange(int(a), int(b) + 1)
+            return 2.0 ** np.arange(int(a), int(a) + _grid_points(int(b) - int(a) + 1))
         if text.startswith("geom:"):
             _, a, b, n = text.split(":")
-            return np.geomspace(float(a), float(b), int(n))
+            return np.geomspace(float(a), float(b), _grid_points(int(n)))
         return np.array([float(x) for x in text.split(",")])
+    except LabError:
+        raise
     except ValueError:
         raise ParameterError(f"cannot read grid {text!r}; expected a comma list, "
                              f"pow2:a:b or geom:a:b:n") from None
@@ -349,6 +358,7 @@ def cmd_interval_certify(args):
     if not 0.0 < args.grid <= 1.0:
         raise ParameterError("--grid must lie in (0, 1]")
     spec = IntervalSpec(left, right, args.left_closed, args.right_closed)
+    _grid_points(7.0 / args.grid)
     # integer numerators keep grid points at the exact rationals k/inv
     inv = round(1.0 / args.grid)
     grid = np.arange(inv + 1, 8 * inv + 1) / inv

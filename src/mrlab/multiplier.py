@@ -525,6 +525,8 @@ def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
     """
     angles = np.asarray(angles, dtype=np.float64).ravel()
     radii = np.asarray(radii, dtype=np.float64).ravel()
+    if not (angles.size and radii.size):
+        raise ParameterError("the probe needs at least one angle and one radius")
     # written so that NaN fails them
     if not np.all((angles > 0.0) & (angles < math.pi)):
         raise ParameterError("angles must lie strictly between 0 and pi")

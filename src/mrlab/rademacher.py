@@ -32,6 +32,7 @@ from .blockspace import (
     combination_norms,
     mixed_norm,
     sign_patterns,
+    triangular_end,
     triangular_indices_1mod4,
 )
 from .errors import ParameterError, StructuralError
@@ -299,10 +300,12 @@ class BlowupSeries:
     slope: float               # log-log fit over the reported points
 
 
-def _blowup_args(construction, p, blocks):
+def _blowup_args(construction, p, blocks, alpha):
     """Checks shared by both blow-up entry points; returns p, q and the blocks."""
     if construction not in CONSTRUCTIONS:
         raise ParameterError(f"construction must be one of {CONSTRUCTIONS}")
+    if construction != "lacunary" and alpha is None:
+        raise ParameterError("power families need alpha")
     p = float(p)
     if p <= 2.0:
         raise ParameterError("the blow-up experiments live at p > 2")
@@ -321,14 +324,12 @@ def blowup_series(construction: str, p, alpha=None, block_counts=(100, 1000, 100
     reading of the positive case.  Blocks below 7 are skipped: there the
     reserved even coordinate of a pair can land inside the target block.
     """
-    p, q, ks = _blowup_args(construction, p, block_counts)
+    p, q, ks = _blowup_args(construction, p, block_counts, alpha)
     kmax = int(ks.max())
     if construction == "lacunary":
         # q_m = -gamma_{4m+2} leaks exactly 1/6 on every pair
         leak = np.power(block_target_counts(kmax)[0], 1.0 / q) / 6.0
     else:
-        if alpha is None:
-            raise ParameterError("power families need alpha")
         ratios = ratio_family(construction, alpha, kmax + 1, bound=bound)
         leak = np.power(block_target_sums(ratios, lambda c: np.abs(c) ** q, kmax), 1.0 / q)
     leak[:6] = 0.0
@@ -347,11 +348,11 @@ def blowup_witness(construction: str, k: int, p, alpha=None, bound: float = 0.12
     norm of the mapped sum (the leaked block value combined with the kept
     halves).  Small k only; the layout must hold the reserved coordinates.
     """
-    p, q, _ = _blowup_args(construction, p, [k])
+    p, q, _ = _blowup_args(construction, p, [k], alpha)
     targets = triangular_indices_1mod4(k)
     ms = (targets - 1) // 4
     reserved = first_even_in_shifted_block(ms)
-    op = TwistedMultiplier.covering(max(int(reserved.max()), k * (k + 1) // 2),
+    op = TwistedMultiplier.covering(max(int(reserved.max()), triangular_end(k)),
                                     construction, alpha, bound)
     layout, seq = op.layout, op.seq
     if construction == "lacunary":

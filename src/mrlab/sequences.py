@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockspace import triangular_block_index, triangular_covering_blocks
+from .blockspace import BlockLayout, block_lq_norms, triangular_block_index, triangular_end
 from .errors import ParameterError, SequenceOverflowError
 
 __all__ = [
@@ -80,11 +80,10 @@ class RatioSeq:
         if vals is None or len(vals) == 0:
             raise ParameterError("ratio sequence has no values")
         vals = np.asarray(vals, dtype=np.float64)
-        if np.any(vals <= 0.0) or np.any(vals >= self.bound):
-            bad = int(np.flatnonzero((vals <= 0.0) | (vals >= self.bound))[0]) + 1
-            raise ParameterError(
-                f"ratio value at position {bad} is outside (0, {self.bound})"
-            )
+        outside = ~((vals > 0.0) & (vals < self.bound))   # NaN fails it too
+        if np.any(outside):
+            bad = int(np.flatnonzero(outside)[0]) + 1
+            raise ParameterError(f"ratio value at position {bad} is outside (0, {self.bound})")
 
     @property
     def is_block_constant(self) -> bool:
@@ -93,7 +92,7 @@ class RatioSeq:
     @property
     def max_index(self) -> int:
         if self.is_block_constant:
-            return self.n_blocks * (self.n_blocks + 1) // 2
+            return triangular_end(self.n_blocks)
         return int(self.dense_values.size)
 
     def value_at(self, m):
@@ -187,8 +186,7 @@ def family_ratios(family: str, param, n_blocks: int, bound: float = 0.125) -> Ra
 
 def custom_ratios(values, bound: float = 0.5) -> RatioSeq:
     values = np.asarray(values, dtype=np.float64)
-    n_blocks = triangular_block_index(values.size)
-    return RatioSeq(family=CUSTOM, bound=bound, n_blocks=n_blocks,
+    return RatioSeq(family=CUSTOM, bound=bound, n_blocks=triangular_block_index(values.size),
                     dense_values=values)
 
 
@@ -284,7 +282,7 @@ def family_seq(family: str, param, length: int, bound: float = 0.125):
     """
     if family == LACUNARY:
         return twisted_lacunary(length), None
-    ratios = family_ratios(family, param, triangular_covering_blocks(length) + 1, bound)
+    ratios = family_ratios(family, param, triangular_block_index(length) + 1, bound)
     return seq_from_ratios(ratios, length=length), ratios
 
 
@@ -324,25 +322,23 @@ def block_q_norms(ratios: RatioSeq, q: float, n_blocks: int | None = None) -> np
             raise ParameterError("ratio sequence is shorter than requested")
         ks = np.arange(1, n_blocks + 1, dtype=np.float64)
         return np.power(ks, 1.0 / q) * ratios.block_values[:n_blocks]
-    dim = n_blocks * (n_blocks + 1) // 2
-    vals = np.abs(ratios.values_upto(dim))
-    starts = np.concatenate(([0], np.cumsum(np.arange(1, n_blocks))))
-    return np.power(np.add.reduceat(np.power(vals, q), starts), 1.0 / q)
+    layout = BlockLayout.triangular(n_blocks)
+    return block_lq_norms(ratios.values_upto(layout.dim), q, layout)
 
 
 def block_target_counts(n_blocks: int):
     """(n_k, e_k), k = 1..n_blocks: n_k targets m = 1 mod 4 in block k; e_k = 1
     when the last one closes the block (hi_k = 1 mod 4), its m + 1 in block k + 1."""
     k = np.arange(1, n_blocks + 1, dtype=np.int64)
-    hi = k * (k + 1) // 2
-    return (hi + 3) // 4 - (hi - k + 3) // 4, (hi % 4 == 1).astype(np.int64)
+    hi = triangular_end(k)
+    return (hi + 3) // 4 - (triangular_end(k - 1) + 3) // 4, (hi % 4 == 1).astype(np.int64)
 
 
 def block_target_sums(ratios: RatioSeq, f, n_blocks: int) -> np.ndarray:
     """Sum of f(c_{m+1}) over the targets m = 1 mod 4 of each block 1..n_blocks
     (f elementwise): (n_k - e_k) f(c_k) + e_k f(c_{k+1}) on block-constant
     ratios; dense ratios reduce the per-target values by block."""
-    if ratios.max_index < n_blocks * (n_blocks + 1) // 2 + 1:
+    if ratios.max_index < triangular_end(n_blocks) + 1:
         raise ParameterError("ratio sequence does not cover the block")
     n, e = block_target_counts(n_blocks)
     if ratios.is_block_constant:

@@ -24,13 +24,13 @@ the layout receives a nonzero total.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .blockspace import BlockLayout, MixedVector, combination_norms, sign_patterns
+from .blockspace import (BlockLayout, MixedVector, combination_norms, sign_patterns,
+                         triangular_block_index, triangular_end)
 from .errors import ParameterError, StructuralError
 
 __all__ = [
@@ -59,13 +59,12 @@ VARIANTS = (PLAIN, EVEN_TWIST, ODD_TWIST)
 
 def first_even_in_shifted_block(k):
     """b_k: the first even number of triangular block k + 2 (k >= 0); k may be an array."""
-    start = (k + 1) * (k + 2) // 2 + 1
-    return start + start % 2
+    return 2 * (triangular_end(k + 1) // 2 + 1)   # the first even past block k + 1
 
 
 def _reserved_upto(bound: int) -> np.ndarray:
-    """Every b_k <= bound, in order (b_k > k^2 / 2)."""
-    b = first_even_in_shifted_block(np.arange(math.isqrt(2 * bound) + 2))
+    """Every b_k <= bound, in order (b_k lies in block k + 2)."""
+    b = first_even_in_shifted_block(np.arange(triangular_block_index(bound) - 1))
     return b[b <= bound]
 
 
@@ -120,8 +119,8 @@ def _build(size: int, even_cover: int) -> TwistPermutation:
 
     b_list = first_even_in_shifted_block(np.arange(size // 4 + 2))
     # filler i is 2 (i + reserved evens below it); all lie below 2 size + 4,
-    # where at most isqrt(4 size + 8) + 2 evens are reserved (b_k > k^2 / 2)
-    top = 2 * (size // 4 + math.isqrt(4 * size + 8) + 2)
+    # where fewer evens are reserved than its block number (b_k in block k + 2)
+    top = 2 * (size // 4 + triangular_block_index(2 * size + 4))
     fillers = np.delete(np.arange(2, top + 1, 2), _reserved_upto(top) // 2 - 1)
     table = np.arange(size + 1, dtype=np.int64)   # the odds are fixed
     table[2::4] = b_list[: table[2::4].size]

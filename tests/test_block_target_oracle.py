@@ -44,7 +44,7 @@ def _block_leak_qnorm(construction, ratios, k, q):
 
 def old_blowup_per_block(construction, p, alpha=None, block_counts=(100, 1000, 10000),
                          bound=0.125):
-    p, q, ks = _blowup_args(construction, p, block_counts)
+    p, q, ks = _blowup_args(construction, p, block_counts, alpha)
     kmax = int(ks.max())
     ratios = None
     if construction in ("power", "powerlog"):

@@ -5,6 +5,7 @@ from mrlab.blockspace import (
     BlockLayout,
     MixedVector,
     SpreadMap,
+    block_lq_norms,
     block_qsup_norm,
     bv_norm,
     compress,
@@ -12,6 +13,7 @@ from mrlab.blockspace import (
     spread,
     triangular_block_index,
     triangular_bounds,
+    triangular_end,
 )
 from mrlab.errors import ParameterError, StructuralError
 
@@ -214,3 +216,24 @@ def test_mixed_vector_validation():
         MixedVector(np.array([np.nan] * 6), lay)
     v = MixedVector.from_entries(lay, {1: 2.0, 6: 1j})
     assert v.coeffs[0] == 2.0 and v.coeffs[5] == 1j
+
+
+def test_triangular_end_and_the_fewest_covering_blocks():
+    np.testing.assert_array_equal(triangular_end(np.arange(6)), [0, 1, 3, 6, 10, 15])
+    # the block of index m is the fewest blocks holding m indices; below 1 it is one
+    assert [triangular_block_index(m) for m in (-4, 0, 1, 2, 3, 4, 6, 7)] == [1, 1, 1, 2, 2, 3, 3, 4]
+    assert BlockLayout.triangular_covering(0).dim == 1
+    assert BlockLayout.triangular_covering(11).n_blocks == 5
+
+
+def test_block_qsup_norm_is_the_max_of_the_per_block_norms():
+    lay = BlockLayout.triangular(6)
+    c = np.random.default_rng(4).standard_normal((3, lay.dim))
+    per_block = block_lq_norms(c, 3.5, lay)
+    assert per_block.shape == (3, 6)
+    lo, hi = lay.bounds(4)
+    np.testing.assert_allclose(per_block[:, 3],
+                               np.power(np.power(np.abs(c[:, lo - 1:hi]), 3.5).sum(axis=1),
+                                        1 / 3.5), rtol=1e-14)
+    np.testing.assert_array_equal(block_qsup_norm(c, 3.5, lay), per_block.max(axis=1))
+    np.testing.assert_array_equal(block_lq_norms(np.zeros(lay.dim), 3.0, lay), np.zeros(6))

@@ -307,3 +307,26 @@ def test_diagonal_norm_dense_ratios_match_per_block_sums():
     lay = dn.extremizer.layout
     got = mixed_norm(dn.extremizer.coeffs * fam.values_upto(lay.dim), p, lay)
     assert got == pytest.approx(dn.value, rel=1e-9)
+
+
+def test_diagonal_norm_of_tiny_dense_ratios():
+    # the block norms and the Holder profile are scaled by the peak value, so
+    # neither underflows to a zero norm
+    fam = custom_ratios(np.geomspace(1e-200, 1e-190, 21), bound=0.125)
+    dn = diagonal_norm(fam, 4.0, 6)
+    assert dn.value == 1.0025157431475624e-190
+    assert dn.block == 6
+    lay = dn.extremizer.layout
+    got = mixed_norm(dn.extremizer.coeffs * fam.values_upto(lay.dim), 4.0, lay)
+    assert got == pytest.approx(dn.value, rel=1e-9)
+
+
+def test_short_ratio_sequences_are_refused_where_they_are_read():
+    with pytest.raises(ParameterError, match="shorter than requested"):
+        diagonal_norm(constant_ratios(0.05, 5), 4.0, 6)
+    with pytest.raises(ParameterError, match="index out of range"):
+        diagonal_norm(custom_ratios(np.full(20, 0.05), bound=0.125), 4.0, 6)
+    # the block-12 witness reads c up to index 80 = hi + 2
+    fam = custom_ratios(np.full(79, 0.05), bound=0.125)
+    with pytest.raises(ParameterError, match=r"index out of range 1\.\.79"):
+        dissipativity_witness(fam, 12)

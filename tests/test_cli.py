@@ -295,6 +295,41 @@ def test_sector_probe_rejects_nan_parameters(flags, capsys):
     assert ("angles must lie" if flags[0] == "--angles" else "radii must be") in err
 
 
+def test_nan_family_value_is_refused_at_the_ratio_check(capsys):
+    code, out, err = run_err(["diag-norm", "--family", "constant", "--value", "nan"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "ratio value at position 1 is outside (0, 0.125)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["interval-certify", "--left", "1.5", "--right", "3", "--grid", "1e-9"],
+    ["interval-certify", "--left", "1.5", "--right", "3", "--grid", "1e-7"],
+    ["interval-certify", "--left", "1.5", "--right", "3", "--grid", "5e-324"],
+    ["semigroup-check", "--n", "10", "--tgrid", "pow2:-1000000:1000000"],
+    ["sector-probe", "--n", "10", "--radii", "geom:1:10:100000000000"],
+])
+def test_oversized_grid_is_refused_before_it_is_built(argv, capsys):
+    code, out, err = run_err(argv, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "a grid takes 1 to 1000000 points, not " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sector-probe", "--n", "10", "--radii", "geom:1:10:0"],
+    ["sector-probe", "--n", "10", "--angles", "geom:1:2:0"],
+    ["sector-probe", "--n", "10", "--angles", "pow2:1:0"],
+    ["bip-check", "--pairs", "3", "--tgrid", "pow2:1:0"],
+    ["bv-bound", "--n", "10", "--alpha", "pow2:1:0"],
+    ["semigroup-check", "--n", "10", "--tgrid", "geom:1:2:0"],
+])
+def test_empty_grid_is_refused(argv, capsys):
+    # empty angles or alphas used to give an empty table and exit 0, an
+    # empty bip-check grid a TypeError, empty radii a ValueError
+    code, out, err = run_err(argv, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "a grid takes 1 to 1000000 points, not 0" in err
+
+
 @pytest.mark.parametrize("argv", [["rbound-blowup", "--p", "inf", "--blocks", "10,20"],
                                   ["diag-norm", "--p", "inf"]])
 def test_infinite_exponent_has_no_holder_splitting(argv, capsys):

@@ -383,6 +383,15 @@ def test_sectoriality_probe_twisted_lacunary_flat_in_radius():
     assert abs(slope) <= 0.05
 
 
+@pytest.mark.parametrize("angles, radii", [([], [1.0]), ([1.0], []), ([], [])])
+def test_sectoriality_probe_needs_an_angle_and_a_radius(angles, radii):
+    # as positivity_check needs a time: an empty list used to give an empty
+    # report (no angle) or a ValueError from numpy (no radius)
+    op = TwistedMultiplier.covering(10, "lacunary")
+    with pytest.raises(ParameterError, match="at least one angle and one radius"):
+        sectoriality_probe(op, angles, radii, p=4.0)
+
+
 @pytest.mark.parametrize("variant", [PLAIN, EVEN_TWIST, ODD_TWIST])
 def test_structured_apply_matches_dense_matrix(variant):
     # fuzz the structured path against plain matrix multiplication

@@ -285,3 +285,11 @@ def test_blowup_validation():
         blowup_series("power", 4.0, alpha=0.25, block_counts=[3])
     with pytest.raises(ParameterError):
         blowup_series("cubic", 4.0)
+
+
+@pytest.mark.parametrize("construction", ["power", "powerlog"])
+def test_power_families_need_alpha_at_both_entry_points(construction):
+    with pytest.raises(ParameterError, match="power families need alpha"):
+        blowup_witness(construction, 9, 4.0)
+    with pytest.raises(ParameterError, match="power families need alpha"):
+        blowup_series(construction, 4.0, block_counts=[10])

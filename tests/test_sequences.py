@@ -8,6 +8,7 @@ from mrlab.sequences import (
     _global_raw_max,
     _raw_block_values,
     alpha_for_right_endpoint,
+    block_q_norms,
     block_qsup_partials,
     constant_ratios,
     custom_ratios,
@@ -301,3 +302,19 @@ def test_powerlog_small_alpha_scales_without_a_scan():
     assert peak == pytest.approx(1.0 / (math.e * 0.01), rel=1e-6)
     fam = ratio_family("powerlog", 0.01, 50)
     assert fam.block_values.max() < fam.bound
+
+
+def test_constant_ratios_reject_nan():
+    # NaN fails both ``<= 0`` and ``>= bound``; the check must still catch it
+    with pytest.raises(ParameterError, match=r"position 1 is outside \(0, 0.125\)"):
+        constant_ratios(float("nan"), 3)
+    with pytest.raises(ParameterError, match="position 4 is outside"):
+        custom_ratios([0.1, 0.1, 0.1, float("nan")], bound=0.125)
+
+
+def test_dense_block_q_norms_of_tiny_values_do_not_underflow():
+    # the q-th powers of 1e-190 underflow to zero unless scaled first
+    fam = custom_ratios(np.geomspace(1e-200, 1e-190, 21), bound=0.125)
+    per_block = block_q_norms(fam, 4.0, 6)
+    assert np.all(per_block > 0.0)
+    assert per_block[-1] == 1.0025157431475624e-190
