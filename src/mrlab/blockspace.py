@@ -224,11 +224,13 @@ def bv_norm(s):
 
 
 def sequence_variation(s):
-    """Total variation sum |s_{m+1} - s_m| without the leading term."""
+    """Total variation sum |s_{m+1} - s_m| without the leading term; supports
+    batches along the last axis."""
     s = np.asarray(s)
     if s.size == 0:
         raise ParameterError("variation of an empty sequence")
-    return float(np.abs(np.diff(s)).sum())
+    out = np.abs(np.diff(s, axis=-1)).sum(axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

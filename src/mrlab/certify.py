@@ -228,6 +228,14 @@ class MRPlan:
     external_reference: bool
     notes: tuple
     grid: np.ndarray = field(repr=False)
+    grid_predicted: np.ndarray = field(init=False, repr=False)   # predicted(p) on the grid
+    grid_member: np.ndarray = field(init=False, repr=False)      # p in the interval
+
+    def __post_init__(self):
+        for name, rule in (("grid_predicted", self.predicted),
+                           ("grid_member", self.interval.contains)):
+            object.__setattr__(self, name, np.array([rule(p) for p in self.grid.tolist()],
+                                                    dtype=bool))
 
     def right_factor(self, p: float) -> bool:
         p = float(p)
@@ -288,10 +296,8 @@ def plan_interval(interval: IntervalSpec, grid=None) -> MRPlan:
                   left_kind=left_kind, left_alpha=left_alpha,
                   left_dual_endpoint=dual, external_reference=external,
                   notes=tuple(notes), grid=grid)
-    predicted = np.array([plan.predicted(float(p)) for p in grid])
-    member = np.array([interval.contains(float(p)) for p in grid])
-    if not np.array_equal(predicted, member):
-        bad = grid[predicted != member]
+    if not np.array_equal(plan.grid_predicted, plan.grid_member):
+        bad = grid[plan.grid_predicted != plan.grid_member]
         raise InvariantViolation(
             f"planned set disagrees with {interval.describe()} at p = {bad[:5]}"
         )

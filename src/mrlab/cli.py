@@ -277,17 +277,15 @@ def cmd_semigroup_check(args):
 
 
 def cmd_bv_bound(args):
-    rows = []
-    violated = False
-    for alpha in _parse_grid(args.alpha):
-        for t in _parse_grid(args.tgrid):
-            computed, closed = bv_semigroup_bound(float(alpha), float(t),
-                                                  args.n, check=False)
-            ok = computed <= closed
-            violated = violated or not ok
-            rows.append((alpha, t, computed, closed, ok))
-    _emit(args, "bv-bound", ["alpha", "t", "computed", "bound", "ok"], rows)
-    return 2 if violated else 0
+    alphas, ts = _parse_grid(args.alpha), _parse_grid(args.tgrid)
+    _grid_points(alphas.size * ts.size)
+    per_alpha = [bv_semigroup_bound(alpha, ts, args.n, check=False) for alpha in alphas.tolist()]
+    computed, closed = (np.concatenate(part) for part in zip(*per_alpha))
+    ok = computed <= closed
+    _emit(args, "bv-bound", ["alpha", "t", "computed", "bound", "ok"],
+          _column_rows(np.repeat(alphas, ts.size), np.tile(ts, alphas.size),
+                       computed, closed, ok))
+    return 0 if ok.all() else 2
 
 
 def cmd_bip_check(args):
@@ -367,11 +365,9 @@ def cmd_interval_certify(args):
     except InvariantViolation as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    per_p = [{"p": float(p), "predicted": bool(plan.predicted(float(p))),
-              "member": bool(spec.contains(float(p)))} for p in grid]
+    columns = (plan.grid, plan.grid_predicted, plan.grid_member)
     if args.format == "csv":
-        rows = [(e["p"], e["predicted"], e["member"]) for e in per_p]
-        _emit(args, "interval-certify", ["p", "predicted", "member"], rows,
+        _emit(args, "interval-certify", ["p", "predicted", "member"], _column_rows(*columns),
               extra=[f"interval {spec.describe()}",
                      f"right {plan.right_kind} {plan.right_alpha}",
                      f"left {plan.left_kind} {plan.left_alpha}",
@@ -387,7 +383,7 @@ def cmd_interval_certify(args):
             "external_reference": plan.external_reference,
             "notes": list(plan.notes),
         },
-        "per_p": per_p,
+        "per_p": [{"p": p, "predicted": pr, "member": m} for p, pr, m in _column_rows(*columns)],
         "set_equal": True,
     }
     with _Out(args.out) as fh:

@@ -29,8 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockspace import (BlockLayout, MixedVector, combination_norms, sign_patterns,
-                         triangular_block_index, triangular_end)
+from .blockspace import (BlockLayout, MixedVector, _lp_of_blocks, block_norms,
+                         combination_norms, sign_patterns, triangular_block_index,
+                         triangular_end)
 from .errors import ParameterError, StructuralError
 
 __all__ = [
@@ -310,14 +311,47 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
     best = max(ratios)
     if mode == "sampled":
         a = witnesses[ratios.index(best)].astype(float).copy()   # the first best
-        for _ in range(ascent_sweeps):
-            for i in range(n):
-                keep, val = best, a[i]
-                for step in (0.5, 2.0, -1.0):
-                    a[i] = val * step if val != 0 else step
-                    r = best_ratio(a)
-                    if r > keep:
-                        keep, val = r, a[i]
-                a[i] = val
-                best = max(best, keep)
+        best = _ascend(a, best, signs, basis, p, layout, ascent_sweeps)
+    return best
+
+
+def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float:
+    """Coordinate ascent on the witness a, whose ratio is best: each step
+    rescales one coefficient and keeps the change when the ratio rises.
+
+    The sign products (signs * a) @ basis and their block norms are kept
+    across steps.  Rescaling a_i moves only the coordinates of f_i (at most
+    two), each fed by at most two coefficients, so a step recomputes those
+    columns and the blocks holding them.  Each is a sum of at most two exact
+    products, so the values equal the full product's bit for bit.
+    """
+    p = float(p)
+    ones = basis.real
+    prod = (signs * a) @ ones
+    bn = block_norms(prod, layout)
+    for _ in range(sweeps):
+        for i in range(a.size):
+            cols = np.flatnonzero(ones[i])                     # the coordinates of f_i
+            feed = np.flatnonzero(ones[:, cols].any(axis=1))   # the coefficients feeding them
+            ks = np.unique(layout.block_of(cols + 1)) - 1      # the blocks holding them
+            span = np.concatenate([np.arange(s, s + z) for s, z in
+                                   zip(layout.starts[ks], layout.sizes[ks])])
+            at, touched = np.searchsorted(span, cols), BlockLayout.from_sizes(layout.sizes[ks])
+            keep, val, kept = best, a[i], None
+            for step in (0.5, 2.0, -1.0):
+                a[i] = val * step if val != 0 else step
+                base = combination_norms(a[None, :], basis, p, layout)[0]
+                if base == 0.0:
+                    continue    # a ratio of 0 is never kept
+                seg = prod[:, span]
+                seg[:, at] = (signs[:, feed] * a[feed]) @ ones[np.ix_(feed, cols)]
+                trial = bn.copy()
+                trial[:, ks] = block_norms(seg, touched)
+                r = float(np.max(_lp_of_blocks(trial, p)) / base)
+                if r > keep:
+                    keep, val, kept = r, a[i], (seg, trial)
+            a[i] = val
+            if kept is not None:
+                prod[:, span], bn = kept
+            best = max(best, keep)
     return best

@@ -307,6 +307,7 @@ def test_nan_family_value_is_refused_at_the_ratio_check(capsys):
     ["interval-certify", "--left", "1.5", "--right", "3", "--grid", "5e-324"],
     ["semigroup-check", "--n", "10", "--tgrid", "pow2:-1000000:1000000"],
     ["sector-probe", "--n", "10", "--radii", "geom:1:10:100000000000"],
+    ["bv-bound", "--n", "10", "--alpha", "geom:0.1:1:1001", "--tgrid", "geom:0.01:10:1000"],
 ])
 def test_oversized_grid_is_refused_before_it_is_built(argv, capsys):
     code, out, err = run_err(argv, capsys)

@@ -320,9 +320,8 @@ def test_bv_semigroup_bound_values():
     assert closed == pytest.approx(5.886071058743077, rel=1e-12)
     assert computed <= closed
     for alpha in (0.25, 0.5):
-        for t in np.geomspace(0.01, 10.0, 12):
-            computed, closed = bv_semigroup_bound(alpha, float(t), 2000)
-            assert computed <= closed
+        computed, closed = bv_semigroup_bound(alpha, np.geomspace(0.01, 10.0, 12), 2000)
+        assert np.all(computed <= closed)
     a = 2.0 ** 0.5
     assert bv_closed_form(0.5, 2.0) == pytest.approx(
         a / (a - 1.0) * (2.0 ** 1.5 + a - 2.0) * math.exp(-2.0), rel=1e-14)
@@ -331,6 +330,32 @@ def test_bv_semigroup_bound_values():
 def test_bv_bound_invariant_violation_raises():
     with pytest.raises(ParameterError):
         bv_semigroup_bound(-1.0, 1.0, 100)
+    with pytest.raises(ParameterError):
+        bv_semigroup_bound(1.0, np.array([1.0, 0.0]), 100)
+
+
+def bv_bound_oracle(alpha, t, n):
+    """One time at a time, as the bound was first computed."""
+    with np.errstate(over="ignore"):
+        powered = np.exp2(alpha * twisted_lacunary(n).log2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.exp(-t * powered)
+    s = np.where(np.isnan(s), 0.0, s)
+    return float(np.abs(np.diff(s)).sum()), bv_closed_form(alpha, t)
+
+
+@pytest.mark.parametrize("n", [2, 10, 2000, 40_000])
+def test_bv_bound_over_a_time_grid_matches_the_oracle(n, monkeypatch):
+    # the times go in row blocks; a small block budget splits them unevenly
+    monkeypatch.setattr(multiplier, "_SCAN_CELLS", 3 * n + 1)
+    ts = np.geomspace(1e-3, 40.0, 23).reshape(1, 23)
+    for alpha in (0.05, 0.5, 1.0):
+        computed, closed = bv_semigroup_bound(alpha, ts, n, check=False)
+        assert computed.shape == closed.shape == ts.shape
+        want = [bv_bound_oracle(alpha, t, n) for t in ts[0].tolist()]
+        assert computed[0].tolist() == [c for c, _ in want]
+        assert closed[0].tolist() == [b for _, b in want]
+        assert bv_semigroup_bound(alpha, ts[0, 7], n) == want[7]
 
 
 def test_sequence_multiplier_bv_ratio_stable_across_sizes():

@@ -1,5 +1,5 @@
-"""Properties of the triangular layout, the per-block norms and the
-permutation, checked on random inputs.
+"""Properties of the triangular layout, the per-block norms, the
+permutation and the coupling rule, checked on random inputs.
 
 Each property draws a fixed number of examples and keeps no example
 database, so a run reads and writes nothing outside the test itself.
@@ -17,7 +17,13 @@ from mrlab.blockspace import (
     triangular_indices_1mod4,
 )
 from mrlab.sequences import block_q_norms, block_target_counts, custom_ratios
-from mrlab.twistbasis import TwistPermutation
+from mrlab.twistbasis import (
+    VARIANTS,
+    TwistPermutation,
+    _coupling,
+    synthesis_cover,
+    twisted_basis_matrix,
+)
 
 
 def examples(n):
@@ -98,3 +104,23 @@ def test_covering_inverse_is_defined_on_every_even_up_to_the_cover(cover):
     pre = perm.pi_inv(evens)
     assert np.all(pre % 2 == 0)
     assert np.array_equal(perm.pi(pre), evens)
+
+
+@examples(40)
+@given(st.integers(2, 200))
+def test_basis_matrix_rows_are_the_coupling_heads(n):
+    # f_j = e_{H(j)} + [j coupled] e_{H(partner of j)}: one or two unit entries
+    # per row, and no coordinate fed by more than two coefficients
+    perm = TwistPermutation.covering(max(2 * n + 4, 8))
+    for variant in VARIANTS:
+        layout = BlockLayout.triangular_covering(synthesis_cover(n, perm, variant))
+        basis = twisted_basis_matrix(n, perm, variant, layout)
+        assert np.all((basis == 0.0) | (basis == 1.0))
+        nonzero = basis != 0.0
+        assert set(nonzero.sum(axis=1).tolist()) <= {1, 2}
+        assert nonzero.sum(axis=0).max() <= 2
+        t = _coupling(perm, variant, np.arange(1, n + 1))
+        heads = [{int(h)} for h in t.head]
+        for j, hb in zip(t.a.tolist(), t.head_b.tolist()):
+            heads[j - 1].add(int(hb))
+        assert [set((np.flatnonzero(row) + 1).tolist()) for row in nonzero] == heads

@@ -177,7 +177,10 @@ def test_exact_unconditional_constant_matches_the_oracle(n, variant, p):
 
 @pytest.mark.parametrize("n, p, seed, variant", [(12, 2.0, 0, EVEN_TWIST),
                                                  (20, 3.0, 1, ODD_TWIST),
-                                                 (28, 4.0, 2, EVEN_TWIST)])
+                                                 (28, 4.0, 2, EVEN_TWIST),
+                                                 (40, 3.0, 1, EVEN_TWIST),
+                                                 (18, math.inf, 2, PLAIN),
+                                                 (33, 1.5, 0, ODD_TWIST)])
 def test_sampled_unconditional_constant_matches_the_oracle(n, p, seed, variant):
     got = unconditional_constant(n, p, mode="sampled", seed=seed, variant=variant)
     want = unconditional_constant_oracle(n, p, mode="sampled", seed=seed, variant=variant)

@@ -223,7 +223,8 @@ def test_unconditional_constant_sampled_close_to_exact():
 
 def test_sampled_unconditional_constant_rates_each_witness_once(monkeypatch):
     # a full product multiplies every sign row; the witnesses are rated once
-    # each (9 at n 12), then the ascent rates 2 sweeps x 12 coordinates x 3 steps
+    # each (9 at n 12); the ascent forms its sign products once, outside
+    # combination_norms, then recomputes only the columns a step moves
     from mrlab import twistbasis
 
     full = []
@@ -236,7 +237,7 @@ def test_sampled_unconditional_constant_rates_each_witness_once(monkeypatch):
 
     monkeypatch.setattr(twistbasis, "combination_norms", counting)
     unconditional_constant(12, 3.0, mode="sampled", seed=0)
-    assert len(full) == 9 + 2 * 12 * 3
+    assert len(full) == 9
 
 
 def test_unconditional_constant_errors():
