@@ -24,9 +24,8 @@ cases = [
 grid = np.arange(21, 161) / 20.0
 for spec in cases:
     plan = plan_interval(spec, grid=grid)
-    predicted = np.array([plan.predicted(float(p)) for p in grid])
-    member = np.array([spec.contains(float(p)) for p in grid])
-    status = "exact match" if np.array_equal(predicted, member) else "MISMATCH"
+    match = np.array_equal(plan.predicted(grid), spec.contains(grid))
+    status = "exact match" if match else "MISMATCH"
     ra = "-" if plan.right_alpha is None else f"{plan.right_alpha:.4f}"
     la = "-" if plan.left_alpha is None else f"{plan.left_alpha:.4f}"
     print(f"{spec.describe():12s} right {plan.right_kind:9s} alpha {ra:7s} "
@@ -37,6 +36,6 @@ for spec in cases:
 
 plan = plan_interval(cases[0], grid=grid)
 print("\npredicted set of [1.5, 3] sampled on the grid:")
-on = grid[[plan.predicted(float(p)) for p in grid]]
+on = grid[plan.predicted(grid)]
 print(f"  from {on.min():.2f} to {on.max():.2f}, "
       f"{on.size} of {grid.size} grid points")

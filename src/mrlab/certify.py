@@ -66,9 +66,8 @@ _STAND_IN = 1.0 / 16.0   # the constant family's value where it stands in at 2;
                          # the plan leaves alpha None on constant and geometric sides
 
 
-def holder_gap(p: float, alpha: float) -> float:
-    """(p - 2)/(2 p) - alpha; the sign decides block-norm boundedness."""
-    p = float(p)
+def holder_gap(p, alpha: float):
+    """(p - 2)/(2 p) - alpha, elementwise; the sign decides block-norm boundedness."""
     return (p - 2.0) / (2.0 * p) - alpha
 
 
@@ -133,15 +132,14 @@ def _validate_hypotheses(ratios: RatioSeq):
                              "eventually decreasing over the stored range")
 
 
-def _family_regular(kind: str, alpha, p: float) -> bool:
+def _family_regular(kind: str, alpha, p):
+    """The family's verdict above 2, elementwise in p."""
     if kind == POWER:
         return holder_gap(p, alpha) <= 0.0
     if kind == POWERLOG:
         return holder_gap(p, alpha) < 0.0
-    if kind == CONSTANT:
-        return False
-    if kind == GEOMETRIC:
-        return True
+    if kind in (CONSTANT, GEOMETRIC):
+        return np.full(np.shape(p), kind == GEOMETRIC)
     raise ParameterError(f"no analytic threshold for family {kind!r}")
 
 
@@ -161,7 +159,7 @@ def mr_predicate(ratios: RatioSeq, p: float) -> MRVerdict:
         return MRVerdict(regular=True, p=p, kind="small-p")
     if ratios.family in (POWER, POWERLOG, CONSTANT, GEOMETRIC):
         gap = holder_gap(p, ratios.alpha) if ratios.alpha is not None else None
-        return MRVerdict(regular=_family_regular(ratios.family, ratios.alpha, p),
+        return MRVerdict(regular=bool(_family_regular(ratios.family, ratios.alpha, p)),
                          p=p, kind="threshold", gap=gap)
     sups = block_qsup_partials(ratios, holder_conjugate(p))
     decade = max(1, sups.size // 10)
@@ -199,11 +197,11 @@ class IntervalSpec:
         if not self.contains(2.0):
             raise ParameterError("the interval must contain 2")
 
-    def contains(self, p: float) -> bool:
-        p = float(p)
-        left_ok = p > self.left or (self.left_closed and p == self.left)
-        right_ok = p < self.right or (self.right_closed and p == self.right)
-        return left_ok and right_ok
+    def contains(self, p):
+        """Membership of p, elementwise."""
+        left_ok = (p > self.left) | (self.left_closed & (p == self.left))
+        right_ok = (p < self.right) | (self.right_closed & (p == self.right))
+        return left_ok & right_ok
 
     def describe(self) -> str:
         lb = "[" if self.left_closed else "("
@@ -232,23 +230,18 @@ class MRPlan:
     grid_member: np.ndarray = field(init=False, repr=False)      # p in the interval
 
     def __post_init__(self):
-        for name, rule in (("grid_predicted", self.predicted),
-                           ("grid_member", self.interval.contains)):
-            object.__setattr__(self, name, np.array([rule(p) for p in self.grid.tolist()],
-                                                    dtype=bool))
+        object.__setattr__(self, "grid_predicted", self.predicted(self.grid))
+        object.__setattr__(self, "grid_member", self.interval.contains(self.grid))
 
-    def right_factor(self, p: float) -> bool:
-        p = float(p)
-        return p <= 2.0 or _family_regular(self.right_kind, self.right_alpha, p)
+    # the factors and their intersection hold elementwise in p
+    def right_factor(self, p):
+        return (p <= 2.0) | _family_regular(self.right_kind, self.right_alpha, p)
 
-    def left_factor(self, p: float) -> bool:
-        p = float(p)
-        if p >= 2.0:
-            return True
-        return _family_regular(self.left_kind, self.left_alpha, p / (p - 1.0))
+    def left_factor(self, p):
+        return (p >= 2.0) | _family_regular(self.left_kind, self.left_alpha, p / (p - 1.0))
 
-    def predicted(self, p: float) -> bool:
-        return self.right_factor(p) and self.left_factor(p)
+    def predicted(self, p):
+        return self.right_factor(p) & self.left_factor(p)
 
     def right_ratios(self, n_blocks: int) -> RatioSeq:
         return family_ratios(self.right_kind, self.right_alpha or _STAND_IN, n_blocks)

@@ -72,31 +72,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt_bool(x):
-    return "true" if x else "false"
+_ROWS = "\x00rows"   # stands where the rows go in a JSON report's fixed part
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)   # object: no new str per cell
 
 
-def _fmt_int(x):
-    return str(int(x))
+def _cell_values(column, fmt):
+    """A block of one column as the values its % conversion reads: bools as
+    true/false and, in JSON, strings quoted and NaN, +inf and -inf as null,
+    Infinity and -Infinity."""
+    kind = column.dtype.kind
+    if kind == "b":
+        return _BOOL_TEXT[column.astype(np.intp)].tolist()
+    values = column.tolist()
+    if fmt == "json" and kind == "U":
+        return [json.dumps(v) for v in values]
+    if fmt == "json" and kind == "f":
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            values[i] = ("null" if math.isnan(values[i])
+                         else "Infinity" if values[i] > 0 else "-Infinity")
+    return values
 
 
-def _fmt_float(x):
-    return format(float(x), ".17g")
+def _conversion(column, fmt):
+    """The % conversion of a column's cells: %.17g for CSV floats, else %s of
+    what _cell_values gives (an int's digits, a JSON float's repr)."""
+    return "%.17g" if fmt == "csv" and column.dtype.kind == "f" else "%s"
 
 
 def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return _fmt_bool(x)
-    if isinstance(x, (int, np.integer)):
-        return _fmt_int(x)
-    if isinstance(x, (float, np.floating)):
-        return _fmt_float(x)
-    return str(x)
-
-
-# _fmt by exact cell type, for the types tables hold; anything else takes _fmt
-_CELL_FMT = {float: _fmt_float, np.float64: _fmt_float, int: str, np.int64: _fmt_int,
-             bool: _fmt_bool, np.bool_: _fmt_bool, str: str}
+    """A header value, written as the one cell of a CSV column."""
+    column = np.atleast_1d(x)
+    return _conversion(column, "csv") % tuple(_cell_values(column, "csv"))
 
 
 class _Out:
@@ -126,50 +132,57 @@ def _config(args):
             if k not in ("func", "out", "config") and v is not None}
 
 
-def _meta(args, command, schema_version=1):
+def _meta(args, command):
     """The ``meta`` object of a JSON report."""
     return {"tool": f"mrlab {__version__}",
-            "schema": f"mrlab/{command}/v{schema_version}",
-            "seed": getattr(args, "seed", 0),
+            "schema": f"mrlab/{command}/v1",
+            "seed": args.seed,
             "config": {k: str(v) for k, v in _config(args).items()}}
 
 
-def _header(fh, command, args, schema_version=1, extra=()):
-    cfg = _config(args)
-    fh.write(f"# mrlab {__version__}\n")
-    fh.write(f"# schema mrlab/{command}/v{schema_version}\n")
-    fh.write(f"# seed {getattr(args, 'seed', 0)}\n")
-    fh.write("# config " + json.dumps(cfg, sort_keys=True, default=str) + "\n")
-    for line in extra:
-        fh.write(f"# {line}\n")
+def _emit(args, command, columns, arrays, extra=(), report=None):
+    """Write column arrays as a CSV table or a JSON report, per --format.
 
-
-def _write_csv(fh, columns, rows):
-    fh.write(",".join(columns) + "\n")
-    fmt = _CELL_FMT.get
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, _ROW_BLOCK)):
-        fh.write("".join([",".join([fmt(type(x), _fmt)(x) for x in row]) + "\n"
-                          for row in block]))
-
-
-def _emit(args, command, columns, rows, extra=(), schema_version=1):
-    """Write a row table as CSV (default) or JSON, per --format."""
-    fmt = getattr(args, "format", "csv")
-    with _Out(args.out) as fh:
-        if fmt == "json":
-            payload = {
-                "meta": {**_meta(args, command, schema_version), "notes": list(extra)},
-                "columns": list(columns),
-                "rows": [[(None if isinstance(x, float) and math.isnan(x) else
-                           (x if not isinstance(x, (np.integer, np.floating, np.bool_))
-                            else x.item())) for x in row] for row in rows],
-            }
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    Each cell is written by its column's dtype through one % template per
+    row, _ROW_BLOCK rows at a time; a scalar stands for a one-row column.
+    CSV carries a # header with ``extra`` as its last lines.  A JSON report
+    is ``report`` dumped with _ROWS where the rows go, the rows as objects
+    keyed by column; by default it is meta (with ``extra`` as notes),
+    columns and rows, the rows as lists.
+    """
+    arrays = [np.atleast_1d(a) for a in arrays]
+    fmt = args.format
+    cells = [_conversion(a, fmt) for a in arrays]
+    n = len(arrays[0])
+    if fmt == "csv":
+        head = "".join([f"# mrlab {__version__}\n", f"# schema mrlab/{command}/v1\n",
+                        f"# seed {args.seed}\n",
+                        f"# config {json.dumps(_config(args), sort_keys=True, default=str)}\n",
+                        *[f"# {line}\n" for line in extra], ",".join(columns) + "\n"])
+        row, sep, tail = ",".join(cells) + "\n", "", ""
+    else:
+        if report is None:
+            report = {"meta": {**_meta(args, command), "notes": list(extra)},
+                      "columns": list(columns), "rows": _ROWS}
+            ends = "[]"
         else:
-            _header(fh, command, args, schema_version=schema_version, extra=extra)
-            _write_csv(fh, columns, rows)
+            cells = [json.dumps(c).replace("%", "%%") + ": " + cell
+                     for c, cell in zip(columns, cells)]
+            ends = "{}"
+        # the rows sit two levels deep, under a top-level key
+        row = f"    {ends[0]}\n      " + ",\n      ".join(cells) + f"\n    {ends[1]}"
+        head, _, tail = json.dumps(report, indent=2).rpartition(json.dumps(_ROWS))
+        opening, closing = ("[\n", "\n  ]") if n else ("[", "]")   # as json.dump writes []
+        head, sep, tail = head + opening, ",\n", closing + tail + "\n"
+    block = sep.join([row] * _ROW_BLOCK)
+    with _Out(args.out) as fh:
+        fh.write(head)
+        for i in range(0, n, _ROW_BLOCK):
+            part = [_cell_values(a[i:i + _ROW_BLOCK], fmt) for a in arrays]
+            template = block if len(part[0]) == _ROW_BLOCK else sep.join([row] * len(part[0]))
+            values = tuple(itertools.chain.from_iterable(zip(*part)))   # row-major
+            fh.write((sep if i else "") + template % values)
+        fh.write(tail)
 
 
 def _grid_points(n):
@@ -236,8 +249,8 @@ def cmd_gen_gamma(args):
                  else ratios.value_at(np.arange(2, args.n + 1)))
     with np.errstate(over="ignore"):
         vals = np.exp2(seq.log2)
-    rows = _column_rows(np.arange(1, args.n + 1), cvals, vals, seq.log2 * _LN2)
-    _emit(args, "gen-gamma", ["m", "c_m", "gamma_m", "log_gamma_m"], rows)
+    _emit(args, "gen-gamma", ["m", "c_m", "gamma_m", "log_gamma_m"],
+          [np.arange(1, args.n + 1), cvals, vals, seq.log2 * _LN2])
     return 0
 
 
@@ -247,23 +260,17 @@ def cmd_pi_table(args):
     m = np.arange(1, args.n + 1)
     # pi fixes the odds; the inverse table reads 0 where no preimage is <= n
     inverse = np.where(m % 2 == 1, m, perm.inv_even[m // 2])
-    rows = _column_rows(m, perm.table[1:], inverse)
-    _emit(args, "pi-table", ["m", "pi", "inverse"], rows, extra=[f"b_list {b_line}"])
+    _emit(args, "pi-table", ["m", "pi", "inverse"], [m, perm.table[1:], inverse],
+          extra=[f"b_list {b_line}"])
     return 0
-
-
-def _column_rows(*columns):
-    """Rows of numeric array columns as Python scalars, converted a block at a time."""
-    for i in range(0, len(columns[0]), _ROW_BLOCK):
-        yield from zip(*(c[i:i + _ROW_BLOCK].tolist() for c in columns))
 
 
 def cmd_semigroup_check(args):
     op = _gamma_operator(args)
     grid = _parse_grid(args.tgrid)
     rep = positivity_check(op, grid, tol=args.tol)
-    rows = [(t, m, m >= -args.tol) for t, m in zip(rep.t_grid, rep.per_t_min)]
-    _emit(args, "semigroup-check", ["t", "min_entry", "verdict"], rows, extra=[
+    _emit(args, "semigroup-check", ["t", "min_entry", "verdict"],
+          [rep.t_grid, rep.per_t_min, rep.per_t_min >= -args.tol], extra=[
         f"verdict {_fmt(rep.verdict)}",
         f"monotone_pairs {_fmt(rep.monotone_pairs)}",
         f"min_entry {_fmt(rep.min_entry)} at t {_fmt(rep.argmin_t)} "
@@ -283,8 +290,7 @@ def cmd_bv_bound(args):
     computed, closed = (np.concatenate(part) for part in zip(*per_alpha))
     ok = computed <= closed
     _emit(args, "bv-bound", ["alpha", "t", "computed", "bound", "ok"],
-          _column_rows(np.repeat(alphas, ts.size), np.tile(ts, alphas.size),
-                       computed, closed, ok))
+          [np.repeat(alphas, ts.size), np.tile(ts, alphas.size), computed, closed, ok])
     return 0 if ok.all() else 2
 
 
@@ -293,8 +299,7 @@ def cmd_bip_check(args):
     ts = _parse_grid(args.tgrid)
     per_t = bip_pair_ratios(seq, ratios, ts, args.pairs)
     worst = max(0.0, *per_t.tolist())
-    rows = list(zip(ts, per_t.tolist()))
-    _emit(args, "bip-check", ["t", "worst_ratio"], rows,
+    _emit(args, "bip-check", ["t", "worst_ratio"], [ts, per_t],
           extra=[f"worst_ratio {_fmt(worst)}"])
     return 2 if worst > 1.0 else 0
 
@@ -304,14 +309,14 @@ def cmd_sector_probe(args):
     rep = sectoriality_probe(op, _parse_grid(args.angles), _parse_grid(args.radii),
                              p=args.p, trials=args.trials, seed=args.seed)
     angle, radius = np.meshgrid(rep.angles, rep.radii, indexing="ij")
-    rows = _column_rows(angle.ravel(), radius.ravel(), rep.lower.ravel(), rep.bv_upper.ravel())
     extra = [f"measured_K {_fmt(rep.measured_K)}"]
     for i, theta in enumerate(rep.angles):
         extra.append(f"angle {_fmt(theta)} sup {_fmt(rep.per_angle_sup[i])}")
     if rep.skipped:
         extra.append(f"skipped {len(rep.skipped)} singular parameters")
     _emit(args, "sector-probe", ["angle", "radius", "lower_bound", "bv_norm"],
-          rows, extra=extra)
+          [angle.ravel(), radius.ravel(), rep.lower.ravel(), rep.bv_upper.ravel()],
+          extra=extra)
     return 0
 
 
@@ -323,7 +328,7 @@ def cmd_rad_norm(args):
     exact = rad_norm(s, "exact") if enumerable else float("nan")
     sampled = rad_norm(s, "sampled", seed=args.seed, samples=args.samples)
     _emit(args, "rad-norm", ["k", "p", "exact", "sampled", "stderr"],
-          [(args.k, args.p, exact, sampled.value, sampled.stderr)])
+          [args.k, args.p, exact, sampled.value, sampled.stderr])
     if enumerable and abs(sampled.value - exact) > 4.0 * max(sampled.stderr, 1e-15):
         return 2
     return 0
@@ -332,8 +337,8 @@ def cmd_rad_norm(args):
 def cmd_rbound_blowup(args):
     series = blowup_series(args.family, args.p, alpha=args.alpha,
                            block_counts=_parse_ints(args.blocks))
-    rows = [(int(k), v, series.slope) for k, v in zip(series.ks, series.lower)]
-    _emit(args, "rbound-blowup", ["k", "L_k", "fitted_slope"], rows,
+    _emit(args, "rbound-blowup", ["k", "L_k", "fitted_slope"],
+          [series.ks, series.lower, np.full(series.ks.size, series.slope)],
           extra=[f"slope {_fmt(series.slope)}"])
     return 0
 
@@ -343,7 +348,7 @@ def cmd_diag_norm(args):
     dn = diagonal_norm(ratios, args.p, args.blocks)
     verdict = mr_predicate(ratios, args.p)
     _emit(args, "diag-norm", ["p", "q", "value", "argmax_block"],
-          [(dn.p, dn.q, dn.value, dn.block)],
+          [dn.p, dn.q, dn.value, dn.block],
           extra=[f"regular {_fmt(verdict.regular)}"])
     return 0
 
@@ -365,14 +370,6 @@ def cmd_interval_certify(args):
     except InvariantViolation as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    columns = (plan.grid, plan.grid_predicted, plan.grid_member)
-    if args.format == "csv":
-        _emit(args, "interval-certify", ["p", "predicted", "member"], _column_rows(*columns),
-              extra=[f"interval {spec.describe()}",
-                     f"right {plan.right_kind} {plan.right_alpha}",
-                     f"left {plan.left_kind} {plan.left_alpha}",
-                     "set_equal true"])
-        return 0
     report = {
         "meta": _meta(args, "interval-certify"),
         "interval": spec.describe(),
@@ -383,12 +380,15 @@ def cmd_interval_certify(args):
             "external_reference": plan.external_reference,
             "notes": list(plan.notes),
         },
-        "per_p": [{"p": p, "predicted": pr, "member": m} for p, pr, m in _column_rows(*columns)],
+        "per_p": _ROWS,
         "set_equal": True,
     }
-    with _Out(args.out) as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    _emit(args, "interval-certify", ["p", "predicted", "member"],
+          [plan.grid, plan.grid_predicted, plan.grid_member],
+          extra=[f"interval {spec.describe()}",
+                 f"right {plan.right_kind} {plan.right_alpha}",
+                 f"left {plan.left_kind} {plan.left_alpha}",
+                 "set_equal true"], report=report)
     return 0
 
 
@@ -398,7 +398,7 @@ def cmd_dissipativity(args):
     onset = dissipativity_norm_onset(ratios, k_max=args.onset_max)
     _emit(args, "dissipativity",
           ["block", "pairing", "closed_form", "x_norm_sq", "n_terms"],
-          [(w.block, w.pairing, w.closed_form, w.x_norm_sq, w.n_terms)],
+          [w.block, w.pairing, w.closed_form, w.x_norm_sq, w.n_terms],
           extra=[f"norm_onset_block {onset if onset is not None else 'none'}"])
     if w.pairing <= 0.0 or abs(w.pairing - w.closed_form) > 1e-9 * abs(w.closed_form):
         print("dissipativity pairing disagrees with its closed form", file=sys.stderr)
@@ -409,7 +409,7 @@ def cmd_dissipativity(args):
 def cmd_uncond_constant(args):
     val = unconditional_constant(args.n, args.p, mode=args.mode, seed=args.seed)
     _emit(args, "uncond-constant", ["n", "p", "mode", "estimate"],
-          [(args.n, args.p, args.mode, val)])
+          [args.n, args.p, args.mode, val])
     return 0
 
 

@@ -1,0 +1,319 @@
+"""The columnar emitter and the array predicate against the code they replaced.
+
+``cli._emit`` writes every table from column arrays through one % row
+template per format.  It replaced three writers, kept here verbatim as
+oracles: ``_write_csv`` (cells through the ``_CELL_FMT`` type dict), the
+JSON branch of ``_emit`` (a per-cell lambda, then ``json.dump``) and the
+per-point dict plus ``json.dump`` of ``interval-certify``; the rows came
+from ``_column_rows``.  The emitter must reproduce their bytes for every
+golden argv in both formats and for synthetic tables that hold NaN, +-inf,
+-0.0, denormals, 2^62, bool and str columns, one row or none.
+
+``MRPlan`` and ``IntervalSpec`` now evaluate the plan on the whole grid at
+once; the per-point scalar rules are kept here as the oracle of
+``grid_predicted`` and ``grid_member``.
+"""
+
+import argparse
+import contextlib
+import copy
+import io
+import itertools
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mrlab import __version__, cli
+from mrlab.certify import IntervalSpec, plan_interval
+from mrlab.errors import ParameterError
+from mrlab.sequences import CONSTANT, GEOMETRIC, POWER, POWERLOG
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+# -- the old writers, verbatim -------------------------------------------------
+
+def _fmt_bool(x):
+    return "true" if x else "false"
+
+
+def _fmt_int(x):
+    return str(int(x))
+
+
+def _fmt_float(x):
+    return format(float(x), ".17g")
+
+
+def _fmt(x):
+    if isinstance(x, (bool, np.bool_)):
+        return _fmt_bool(x)
+    if isinstance(x, (int, np.integer)):
+        return _fmt_int(x)
+    if isinstance(x, (float, np.floating)):
+        return _fmt_float(x)
+    return str(x)
+
+
+# _fmt by exact cell type, for the types tables hold; anything else takes _fmt
+_CELL_FMT = {float: _fmt_float, np.float64: _fmt_float, int: str, np.int64: _fmt_int,
+             bool: _fmt_bool, np.bool_: _fmt_bool, str: str}
+
+_ROW_BLOCK = 1024
+
+
+def _meta(args, command, schema_version=1):
+    """The ``meta`` object of a JSON report."""
+    return {"tool": f"mrlab {__version__}",
+            "schema": f"mrlab/{command}/v{schema_version}",
+            "seed": getattr(args, "seed", 0),
+            "config": {k: str(v) for k, v in cli._config(args).items()}}
+
+
+def _header(fh, command, args, schema_version=1, extra=()):
+    cfg = cli._config(args)
+    fh.write(f"# mrlab {__version__}\n")
+    fh.write(f"# schema mrlab/{command}/v{schema_version}\n")
+    fh.write(f"# seed {getattr(args, 'seed', 0)}\n")
+    fh.write("# config " + json.dumps(cfg, sort_keys=True, default=str) + "\n")
+    for line in extra:
+        fh.write(f"# {line}\n")
+
+
+def _write_csv(fh, columns, rows):
+    fh.write(",".join(columns) + "\n")
+    fmt = _CELL_FMT.get
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _ROW_BLOCK)):
+        fh.write("".join([",".join([fmt(type(x), _fmt)(x) for x in row]) + "\n"
+                          for row in block]))
+
+
+def _emit(args, command, columns, rows, extra=(), schema_version=1):
+    """Write a row table as CSV (default) or JSON, per --format."""
+    fmt = getattr(args, "format", "csv")
+    with cli._Out(args.out) as fh:
+        if fmt == "json":
+            payload = {
+                "meta": {**_meta(args, command, schema_version), "notes": list(extra)},
+                "columns": list(columns),
+                "rows": [[(None if isinstance(x, float) and math.isnan(x) else
+                           (x if not isinstance(x, (np.integer, np.floating, np.bool_))
+                            else x.item())) for x in row] for row in rows],
+            }
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        else:
+            _header(fh, command, args, schema_version=schema_version, extra=extra)
+            _write_csv(fh, columns, rows)
+
+
+def _column_rows(*columns):
+    """Rows of numeric array columns as Python scalars, converted a block at a time."""
+    for i in range(0, len(columns[0]), _ROW_BLOCK):
+        yield from zip(*(c[i:i + _ROW_BLOCK].tolist() for c in columns))
+
+
+def oracle_emit(args, command, columns, arrays, extra=(), report=None):
+    """The old writers fed the way the subcommands fed them."""
+    arrays = [np.atleast_1d(a) for a in arrays]
+    if report is None or args.format == "csv":
+        _emit(args, command, columns, _column_rows(*arrays), extra=extra)
+        return
+    # interval-certify's per_p: one dict per grid point, then json.dump
+    key = next(k for k, v in report.items() if v == cli._ROWS)
+    report = dict(report, **{key: [dict(zip(columns, row)) for row in _column_rows(*arrays)]})
+    with cli._Out(args.out) as fh:
+        json.dump(report, fh, indent=2, sort_keys=False)
+        fh.write("\n")
+
+
+# -- helpers -----------------------------------------------------------------------
+
+def written(emit, args, *call, **kwargs):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        emit(args, *call, **kwargs)
+    return buf.getvalue().encode("utf-8")
+
+
+def emit_calls(argv, monkeypatch):
+    """The _emit calls one CLI run makes, each as (args, positional, keyword)."""
+    calls = []
+    monkeypatch.setattr(cli, "_emit", lambda args, *a, **k: calls.append((args, a, k)))
+    cli.main(list(argv))
+    monkeypatch.undo()
+    return calls
+
+
+def synthetic_args(fmt):
+    return argparse.Namespace(command="synthetic", format=fmt, out="-", seed=7, n=3)
+
+
+FLOATS = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, 0.1, 1.0 / 3.0, -1e-5, 1e16, 1e17, 123456789.0,
+                   2.0 ** 62, -2.5])
+INTS = np.array([0, -1, 1, 2 ** 62, -(2 ** 62), 2 ** 63 - 1, -(2 ** 63), 1024, 1025, 7,
+                 -7, 10 ** 17, 3, 4, 5, 6], dtype=np.int64)
+BOOLS = np.array([True, False] * 8)
+STRS = np.array(["exact", "sampled", 'say "x"', "back\\slash", "100%", "%s %d", "é", "",
+                 "a,b", "tab\t", "nl\n", "x", "y", "z", "u", "v"])
+
+
+# -- the emitter ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_golden_table_is_written_as_the_old_writers_did(name, monkeypatch):
+    monkeypatch.delenv("MRLAB_SEED", raising=False)
+    calls = emit_calls(CASES[name]["argv"], monkeypatch)
+    assert len(calls) == 1
+    args, call, kwargs = calls[0]
+    for fmt in ("csv", "json"):
+        ns = copy.copy(args)
+        ns.format = fmt
+        assert written(cli._emit, ns, *call, **kwargs) == written(oracle_emit, ns, *call,
+                                                                 **kwargs), fmt
+
+
+TABLES = {
+    "mixed": (["f", "i", "b", "s"], [FLOATS, INTS, BOOLS, STRS]),
+    "one-row": (["k", "p", "exact", "mode", "ok"], [14, 3.0, math.nan, "exact", True]),
+    "one-column": (["x"], [FLOATS]),
+    "empty": (["a", "b"], [np.zeros(0), np.zeros(0, dtype=np.int64)]),
+    "bool-only": (["t", "u"], [BOOLS, ~BOOLS]),
+    "long": (["m", "x"], [np.arange(2500), np.linspace(-1.0, 1.0, 2500) ** 3]),
+}
+
+
+@pytest.mark.parametrize("block", [1024, 3, 1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_synthetic_tables_are_written_as_the_old_writers_did(table, fmt, block, monkeypatch):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    columns, arrays = TABLES[table]
+    extra = ["note one", "slope 0.25"]
+    args = synthetic_args(fmt)
+    assert (written(cli._emit, args, "synthetic", columns, arrays, extra=extra)
+            == written(oracle_emit, args, "synthetic", columns, arrays, extra=extra))
+
+
+@pytest.mark.parametrize("block", [1024, 2])
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_reports_write_rows_as_objects_as_json_dump_did(rows, block, monkeypatch):
+    """A report's rows as interval-certify wrote them; the old dict path wrote
+    NaN as the invalid token NaN, so only finite or infinite floats are compared."""
+    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    args = synthetic_args("json")
+    report = {"meta": cli._meta(args, "synthetic"), "interval": "[1.5, 3]",
+              "plan": {"right_alpha": None, "notes": ["a % sign", cli._ROWS]},
+              "per_p": cli._ROWS, "set_equal": True}
+    columns = ["p", "predicted", "100% member"]
+    arrays = [FLOATS[1:rows + 1], BOOLS[:rows], INTS[:rows]]
+    assert (written(cli._emit, args, "synthetic", columns, arrays, report=report)
+            == written(oracle_emit, args, "synthetic", columns, arrays, report=report))
+
+
+def test_header_values_are_the_one_cell_case_of_the_csv_formatter():
+    values = [True, False, np.True_, np.bool_(False), 0, -3, 2 ** 62, np.int64(-(2 ** 62)),
+              *FLOATS.tolist(), *FLOATS, np.float32(0.1)]
+    assert [cli._fmt(x) for x in values] == [_fmt(x) for x in values]
+
+
+def test_json_cells_read_back_as_the_values_written():
+    args = synthetic_args("json")
+    out = written(cli._emit, args, "synthetic", ["f", "i", "b", "s"],
+                  [FLOATS, INTS, BOOLS, STRS])
+    rows = json.loads(out)["rows"]
+    assert [r[1] for r in rows] == INTS.tolist()
+    assert [r[2] for r in rows] == BOOLS.tolist()
+    assert [r[3] for r in rows] == STRS.tolist()
+    back = np.array([math.nan if r[0] is None else r[0] for r in rows])
+    np.testing.assert_array_equal(back, FLOATS)
+    assert math.copysign(1.0, back[3]) == -1.0
+
+
+# -- the predicate -------------------------------------------------------------------
+
+def holder_gap(p: float, alpha: float) -> float:
+    """(p - 2)/(2 p) - alpha; the sign decides block-norm boundedness."""
+    p = float(p)
+    return (p - 2.0) / (2.0 * p) - alpha
+
+
+def _family_regular(kind: str, alpha, p: float) -> bool:
+    if kind == POWER:
+        return holder_gap(p, alpha) <= 0.0
+    if kind == POWERLOG:
+        return holder_gap(p, alpha) < 0.0
+    if kind == CONSTANT:
+        return False
+    if kind == GEOMETRIC:
+        return True
+    raise AssertionError(kind)
+
+
+def contains(spec, p: float) -> bool:
+    p = float(p)
+    left_ok = p > spec.left or (spec.left_closed and p == spec.left)
+    right_ok = p < spec.right or (spec.right_closed and p == spec.right)
+    return left_ok and right_ok
+
+
+def right_factor(plan, p: float) -> bool:
+    p = float(p)
+    return p <= 2.0 or _family_regular(plan.right_kind, plan.right_alpha, p)
+
+
+def left_factor(plan, p: float) -> bool:
+    p = float(p)
+    if p >= 2.0:
+        return True
+    return _family_regular(plan.left_kind, plan.left_alpha, p / (p - 1.0))
+
+
+def predicted(plan, p: float) -> bool:
+    return right_factor(plan, p) and left_factor(plan, p)
+
+
+def specs():
+    """Intervals whose ends sit on grid points, off them, at 1, 2 and inf."""
+    yield IntervalSpec(1.0, math.inf, False, False)
+    yield IntervalSpec(2.0, 2.0, True, True)
+    for left, right in [(1.5, 3.0), (4.0 / 3.0, 4.0), (2.0, 5.0), (1.25, 2.0), (1.0, 6.5),
+                        (1.875, math.inf), (1.2, 7.0)]:
+        for lc, rc in itertools.product([False, True], repeat=2):
+            with contextlib.suppress(ParameterError):   # closed at 1 or inf, open at 2
+                yield IntervalSpec(left, right, lc, rc)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        yield IntervalSpec(float(rng.uniform(1.01, 2.0)), float(rng.uniform(2.0, 7.9)),
+                           bool(rng.integers(2)), bool(rng.integers(2)))
+
+
+@pytest.mark.parametrize("inv", [20, 8, 1000])
+def test_plan_grid_verdicts_match_the_per_point_rules(inv):
+    grid = np.arange(inv + 1, 8 * inv + 1) / inv
+    points = grid.tolist()
+    for spec in specs():
+        plan = plan_interval(spec, grid=grid)
+        want_predicted = np.array([predicted(plan, p) for p in points], dtype=bool)
+        want_member = np.array([contains(spec, p) for p in points], dtype=bool)
+        np.testing.assert_array_equal(plan.grid_predicted, want_predicted)
+        np.testing.assert_array_equal(plan.grid_member, want_member)
+        np.testing.assert_array_equal(plan.predicted(grid), want_predicted)
+        np.testing.assert_array_equal(spec.contains(grid), want_member)
+
+
+def test_scalar_predicates_read_one_truth_value():
+    for spec in specs():
+        plan = plan_interval(spec)
+        for p in (1.05, 1.5, 2.0, 3.0, 3.05, 8.0, spec.left if spec.left > 1.0 else 1.5):
+            for got, want in ((plan.predicted(p), predicted(plan, p)),
+                              (plan.right_factor(p), right_factor(plan, p)),
+                              (plan.left_factor(p), left_factor(plan, p)),
+                              (spec.contains(p), contains(spec, p))):
+                assert np.ndim(got) == 0 and bool(got) == want
