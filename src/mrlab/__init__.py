@@ -7,12 +7,8 @@ __version__ = "0.1.0"
 from .blockspace import (
     BlockLayout,
     MixedVector,
-    SpreadMap,
-    block_qsup_norm,
     bv_norm,
-    compress,
     mixed_norm,
-    spread,
 )
 from .certify import (
     DiagonalNorm,
@@ -48,19 +44,15 @@ from .multiplier import (
 from .rademacher import (
     Log2Negatives,
     RadSum,
-    RBoundReport,
     associated_operator,
     blowup_series,
     blowup_witness,
     rad_norm,
-    rbound_lower,
 )
 from .sequences import (
     MultiplierSeq,
     RatioSeq,
     constant_ratios,
-    custom_ratios,
-    custom_seq,
     family_ratios,
     family_seq,
     geometric_ratios,
@@ -68,7 +60,6 @@ from .sequences import (
     alpha_for_right_endpoint,
     block_qsup_partials,
     ratio_family,
-    resolvent_gap_max,
     seq_from_ratios,
     twisted_lacunary,
 )

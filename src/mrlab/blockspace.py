@@ -2,9 +2,8 @@
 
 The working space is an ell_p sum of Euclidean blocks.  The canonical
 ("triangular") layout uses consecutive blocks of sizes 1, 2, 3, ..., so a
-truncation to n blocks has dimension n(n+1)/2.  Singleton-block layouts
-recover plain ell_p and are used wherever a diagonal comparison model is
-needed.  Scalars are complex throughout; every norm reads the modulus.
+truncation to n blocks has dimension n(n+1)/2.  Scalars are complex
+throughout; every norm reads the modulus.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .errors import ParameterError, StructuralError
 __all__ = [
     "BlockLayout",
     "MixedVector",
-    "SpreadMap",
     "triangular_end",
     "triangular_block_index",
     "triangular_bounds",
@@ -28,12 +26,8 @@ __all__ = [
     "block_norms",
     "mixed_norm",
     "combination_norms",
-    "block_lq_norms",
-    "block_qsup_norm",
     "bv_norm",
     "sequence_variation",
-    "spread",
-    "compress",
 ]
 
 
@@ -87,7 +81,7 @@ class BlockLayout:
     ----------
     sizes : ndarray
         Block lengths in order.  ``triangular(n)`` builds the canonical
-        1, 2, ..., n layout; ``singletons(n)`` the plain ell_p model.
+        1, 2, ..., n layout.
     """
 
     sizes: np.ndarray
@@ -108,10 +102,6 @@ class BlockLayout:
         if n_blocks < 1:
             raise ParameterError("need at least one block")
         return cls.from_sizes(np.arange(1, n_blocks + 1))
-
-    @classmethod
-    def singletons(cls, n: int) -> "BlockLayout":
-        return cls.from_sizes(np.ones(n, dtype=np.int64))
 
     @classmethod
     def triangular_covering(cls, min_dim: int) -> "BlockLayout":
@@ -163,20 +153,14 @@ def _lp_of_blocks(bn, p):
     return peak[..., 0] * np.power(np.power(scaled, p).sum(axis=-1), 1.0 / p)
 
 
-def _coeffs_and_layout(v, layout):
-    """A MixedVector's coefficients and layout, or a raw array and the given layout."""
-    if isinstance(v, MixedVector):
-        return v.coeffs, v.layout
-    if layout is None:
-        raise StructuralError("raw arrays need an explicit layout")
-    return np.asarray(v), layout
-
-
 def mixed_norm(v, p, layout: BlockLayout | None = None):
     """ell_p norm of the block Euclidean norms; p = inf takes the block sup."""
     p = _check_p(p)
-    arr, layout = _coeffs_and_layout(v, layout)
-    out = _lp_of_blocks(block_norms(arr, layout), p)
+    if isinstance(v, MixedVector):
+        v, layout = v.coeffs, v.layout
+    elif layout is None:
+        raise StructuralError("raw arrays need an explicit layout")
+    out = _lp_of_blocks(block_norms(v, layout), p)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -189,30 +173,6 @@ def combination_norms(weights, vectors, p, layout: BlockLayout) -> np.ndarray:
         out[i:i + rows] = mixed_norm(weights[i:i + rows].astype(np.complex128) @ vectors,
                                      p, layout)
     return out
-
-
-def block_lq_norms(c, q, layout: BlockLayout | None = None):
-    """The inner ell_q norm of each block, (sum_{m in B_k} |c_m|^q)^(1/q), on
-    the last axis; scaled by the peak |c_m| so that tiny values do not underflow."""
-    q = float(q)
-    if not (1.0 < q < math.inf):
-        raise ParameterError("q must be finite and > 1")
-    arr, layout = _coeffs_and_layout(c, layout)
-    if arr.shape[-1] == 0:
-        raise ParameterError("empty vector")
-    if arr.shape[-1] != layout.dim:
-        raise StructuralError(f"vector length {arr.shape[-1]} != layout dim {layout.dim}")
-    mags = np.abs(arr)
-    peak = mags.max(axis=-1, keepdims=True)
-    scaled = mags / np.where(peak == 0.0, 1.0, peak)
-    return peak * np.power(np.add.reduceat(np.power(scaled, q), layout.starts, axis=-1),
-                           1.0 / q)
-
-
-def block_qsup_norm(c, q, layout: BlockLayout | None = None):
-    """sup over blocks of the inner ell_q norm: max_k (sum_{m in B_k} |c_m|^q)^(1/q)."""
-    out = block_lq_norms(c, q, layout).max(axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def bv_norm(s):
@@ -255,68 +215,3 @@ class MixedVector:
         arr = np.zeros(layout.dim, dtype=np.complex128)
         arr[idx - 1] = 1.0
         return cls(arr, layout)
-
-    @classmethod
-    def from_entries(cls, layout: BlockLayout, entries: dict) -> "MixedVector":
-        arr = np.zeros(layout.dim, dtype=np.complex128)
-        for idx, val in entries.items():
-            arr[idx - 1] = val
-        return cls(arr, layout)
-
-    def norm(self, p) -> float:
-        return mixed_norm(self, p)
-
-    def __add__(self, other: "MixedVector") -> "MixedVector":
-        if self.layout is not other.layout and self.layout != other.layout:
-            raise StructuralError("layout mismatch")
-        return MixedVector(self.coeffs + other.coeffs, self.layout)
-
-    def __sub__(self, other: "MixedVector") -> "MixedVector":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "MixedVector":
-        return MixedVector(scalar * self.coeffs, self.layout)
-
-
-@dataclass(frozen=True)
-class SpreadMap:
-    """Strictly increasing target positions together with their largest gap."""
-
-    positions: np.ndarray
-    gap: int
-
-    @classmethod
-    def from_positions(cls, positions) -> "SpreadMap":
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.ndim != 1 or pos.size == 0:
-            raise ParameterError("need at least one position")
-        if pos[0] < 1 or np.any(np.diff(pos) <= 0):
-            raise ParameterError("positions must be strictly increasing and >= 1")
-        gap = int(np.diff(pos).max()) if pos.size > 1 else 0
-        return cls(positions=pos, gap=gap)
-
-    @classmethod
-    def identity(cls, n: int) -> "SpreadMap":
-        return cls.from_positions(np.arange(1, n + 1))
-
-
-def spread(v: MixedVector, smap: SpreadMap, target: BlockLayout) -> MixedVector:
-    """Insert zeros: entry k of v moves to coordinate positions[k] of target."""
-    if smap.positions.size != v.layout.dim:
-        raise StructuralError("spread map length does not match source dimension")
-    if smap.positions[-1] > target.dim:
-        raise StructuralError(
-            f"position {int(smap.positions[-1])} exceeds target dim {target.dim}"
-        )
-    out = np.zeros(target.dim, dtype=np.complex128)
-    out[smap.positions - 1] = v.coeffs
-    return MixedVector(out, target)
-
-
-def compress(w: MixedVector, smap: SpreadMap, source: BlockLayout) -> MixedVector:
-    """Section of ``spread``: pull the entries at the mapped positions back."""
-    if smap.positions.size != source.dim:
-        raise StructuralError("spread map length does not match source dimension")
-    if smap.positions[-1] > w.layout.dim:
-        raise StructuralError("positions exceed the spread vector's dimension")
-    return MixedVector(w.coeffs[smap.positions - 1], source)

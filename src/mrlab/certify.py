@@ -38,9 +38,7 @@ from .sequences import (
     RatioSeq,
     alpha_for_right_endpoint,
     block_q_norms,
-    block_qsup_partials,
     block_target_sums,
-    family_ratios,
     holder_conjugate,
     seq_from_ratios,
 )
@@ -60,10 +58,6 @@ __all__ = [
     "dissipativity_norm_onset",
     "holder_gap",
 ]
-
-TREND_TOL = 1e-6
-_STAND_IN = 1.0 / 16.0   # the constant family's value where it stands in at 2;
-                         # the plan leaves alpha None on constant and geometric sides
 
 
 def holder_gap(p, alpha: float):
@@ -114,22 +108,13 @@ def diagonal_norm(ratios: RatioSeq, p: float, n_blocks: int) -> DiagonalNorm:
 class MRVerdict:
     regular: bool
     p: float
-    kind: str                       # "small-p", "threshold" or "trend"
-    gap: float | None = None        # threshold exponent gap, families only
-    trend_increase: float | None = None
+    kind: str                       # "small-p" or "threshold"
+    gap: float | None = None        # threshold exponent gap, power families only
 
 
 def _validate_hypotheses(ratios: RatioSeq):
-    vals = ratios.block_values if ratios.is_block_constant else ratios.dense_values
-    if float(np.max(np.abs(vals))) >= 0.125:
+    if float(np.max(np.abs(ratios.block_values))) >= 0.125:
         raise ParameterError("hypothesis violated: ratio values must stay below 1/8")
-    if ratios.is_block_constant:
-        return
-    tail = np.asarray(vals, dtype=np.float64)
-    half = tail[tail.size // 2:]
-    if np.any(np.diff(half) > 0.0):
-        raise ParameterError("hypothesis violated: ratio sequence is not "
-                             "eventually decreasing over the stored range")
 
 
 def _family_regular(kind: str, alpha, p):
@@ -146,10 +131,8 @@ def _family_regular(kind: str, alpha, p):
 def mr_predicate(ratios: RatioSeq, p: float) -> MRVerdict:
     """Regularity verdict for the multiplier generated by the ratio sequence.
 
-    Exponents p <= 2 are always regular.  Above 2 the named families are
-    decided analytically from the growth order of their block ell_q norms;
-    custom sequences fall back to a trend test: bounded means the partial
-    sups grow by less than 1e-6 over the last decade of stored blocks.
+    Exponents p <= 2 are always regular.  Above 2 each family is decided
+    analytically from the growth order of its block ell_q norms.
     """
     p = float(p)
     if not p > 1.0:
@@ -157,15 +140,9 @@ def mr_predicate(ratios: RatioSeq, p: float) -> MRVerdict:
     _validate_hypotheses(ratios)
     if p <= 2.0:
         return MRVerdict(regular=True, p=p, kind="small-p")
-    if ratios.family in (POWER, POWERLOG, CONSTANT, GEOMETRIC):
-        gap = holder_gap(p, ratios.alpha) if ratios.alpha is not None else None
-        return MRVerdict(regular=bool(_family_regular(ratios.family, ratios.alpha, p)),
-                         p=p, kind="threshold", gap=gap)
-    sups = block_qsup_partials(ratios, holder_conjugate(p))
-    decade = max(1, sups.size // 10)
-    increase = float(sups[-1] - sups[-decade])
-    return MRVerdict(regular=bool(increase < TREND_TOL), p=p, kind="trend",
-                     trend_increase=increase)
+    gap = holder_gap(p, ratios.alpha) if ratios.alpha is not None else None
+    return MRVerdict(regular=bool(_family_regular(ratios.family, ratios.alpha, p)),
+                     p=p, kind="threshold", gap=gap)
 
 
 # -- interval planning -------------------------------------------------------
@@ -242,12 +219,6 @@ class MRPlan:
 
     def predicted(self, p):
         return self.right_factor(p) & self.left_factor(p)
-
-    def right_ratios(self, n_blocks: int) -> RatioSeq:
-        return family_ratios(self.right_kind, self.right_alpha or _STAND_IN, n_blocks)
-
-    def left_ratios(self, n_blocks: int) -> RatioSeq:
-        return family_ratios(self.left_kind, self.left_alpha or _STAND_IN, n_blocks)
 
 
 def plan_interval(interval: IntervalSpec, grid=None) -> MRPlan:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .blockspace import EXACT_TERM_LIMIT, BlockLayout
+from .blockspace import EXACT_TERM_LIMIT, BlockLayout, triangular_end
 from .certify import (
     IntervalSpec,
     diagonal_norm,
@@ -46,6 +46,7 @@ from .twistbasis import build_permutation, unconditional_constant
 _LN2 = math.log(2.0)
 _ROW_BLOCK = 1024   # table rows converted and written at a time
 _GRID_POINTS = 10 ** 6   # most points a generated grid may hold
+_TRUNCATION_DIM = 2 * 10 ** 7   # most coordinates a triangular truncation may hold
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,6 +190,16 @@ def _grid_points(n):
     if not 1 <= n <= _GRID_POINTS:
         raise ParameterError(f"a grid takes 1 to {_GRID_POINTS} points, not {n:.7g}")
     return n
+
+
+def _truncation_blocks(n_blocks):
+    """n_blocks, refused before anything is built when blocks 1..n_blocks
+    hold more than _TRUNCATION_DIM coordinates."""
+    dim = triangular_end(n_blocks)
+    if dim > _TRUNCATION_DIM:
+        raise ParameterError(f"a truncation takes at most {_TRUNCATION_DIM} coordinates, "
+                             f"not {dim}")
+    return n_blocks
 
 
 def _parse_grid(text):
@@ -344,7 +355,7 @@ def cmd_rbound_blowup(args):
 
 
 def cmd_diag_norm(args):
-    ratios = family_ratios(*_family(args), args.blocks)
+    ratios = family_ratios(*_family(args), _truncation_blocks(args.blocks))
     dn = diagonal_norm(ratios, args.p, args.blocks)
     verdict = mr_predicate(ratios, args.p)
     _emit(args, "diag-norm", ["p", "q", "value", "argmax_block"],
@@ -393,6 +404,7 @@ def cmd_interval_certify(args):
 
 
 def cmd_dissipativity(args):
+    _truncation_blocks(args.block)
     ratios = family_ratios(*_family(args), max(args.block + 2, args.onset_max + 1))
     w = dissipativity_witness(ratios, args.block)
     onset = dissipativity_norm_onset(ratios, k_max=args.onset_max)

@@ -151,9 +151,6 @@ class TwistedMultiplier:
             raise ParameterError("vector length does not match the operator layout")
         return self.apply_symbols(diag, off, arr)
 
-    def _values(self):
-        return self.seq.values_upto(self.structure.needed)
-
     def _log2(self):
         return self.seq.log2[: self.structure.needed]
 
@@ -166,7 +163,7 @@ class TwistedMultiplier:
 
     def apply(self, v):
         """A v, the multiplier with symbol g(x) = x."""
-        return self._multiply(self._values(), v)
+        return self._multiply(self.seq.values_upto(self.structure.needed), v)
 
     def resolvent(self, lam, v):
         """(lam - A)^{-1} v for lam off the truncated spectrum."""
@@ -208,31 +205,9 @@ class TwistedMultiplier:
             raise ParameterError("imaginary-power parameters must be finite")
         return self._multiply(np.exp(1j * float(t) * _LN2 * self._log2()), v)
 
-    def fractional_power_apply(self, alpha, v):
-        """A^alpha v through the symbol x^alpha (real alpha > 0)."""
-        if not (np.isfinite(alpha) and alpha > 0.0):
-            raise ParameterError("fractional powers need alpha > 0")
-        with np.errstate(over="ignore"):
-            g = np.exp2(alpha * self._log2())
-        if not np.all(np.isfinite(g)):
-            raise ParameterError("fractional power overflows on this truncation")
-        return self._multiply(g, v)
-
-    def sequence_apply(self, beta, v):
-        """Multiplier with arbitrary coefficients beta (1-based, covers the coupling)."""
-        return self._multiply(np.asarray(beta), v)
-
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of the truncated operator (the diagonal symbol values)."""
-        return self.symbols(self._values())[0]
-
-    def dense_matrix(self, symbols=None) -> np.ndarray:
-        """Materialize the coordinate matrix; small truncations only."""
-        st = self.structure
-        diag, off = self.symbols(self._values()) if symbols is None else symbols
-        mat = np.diag(diag.astype(np.complex128))
-        mat[st.off_rows, st.off_cols] = off
-        return mat
+        return self.symbols(self.seq.values_upto(self.structure.needed))[0]
 
 
 def _structure(layout: BlockLayout, perm: TwistPermutation, variant: str) -> _Structure:
@@ -270,6 +245,8 @@ def positivity_check(op: TwistedMultiplier, t_grid, tol: float = 1e-12) -> Posit
     ts = np.asarray(t_grid, dtype=np.float64).ravel()
     if ts.size == 0 or np.any(ts < 0.0):
         raise ParameterError("the time grid must be nonempty and nonnegative")
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"the tolerance must be finite and >= 0, not {tol}")
     log2 = op.seq.log2[: st.needed]
     ts = np.unique(np.concatenate([ts, _extremal_times(log2, st)]))
 
@@ -351,7 +328,7 @@ def bip_pair_ratios(seq: MultiplierSeq, ratios: RatioSeq, t_grid, n_pairs: int):
 
     The linear-growth bound for the imaginary powers asserts this never
     exceeds 1 when the ratio sequence stays inside (0, 1/8).  t = 0 reads
-    0.0, as does a t whose ratios are not numbers.
+    0.0; the times must be finite.
     """
     if seq.origin != "recurrence":
         raise ParameterError("the pair bound applies to recurrence-built sequences")
@@ -364,18 +341,14 @@ def bip_pair_ratios(seq: MultiplierSeq, ratios: RatioSeq, t_grid, n_pairs: int):
         raise ParameterError("the pair bound requires ratio values inside (0, 1/8)")
     gaps = seq.ln_pair_gap(2 * np.arange(1, n_pairs + 1))   # ln(gamma_{2m} / gamma_{2m-1}) > 0
     ts = np.asarray(t_grid, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(ts)):
+        raise ParameterError("the pair bound's times must be finite")
     worst = np.zeros(ts.size)
     for i, t in enumerate(ts):
         if t != 0.0:
             num = 2.0 * np.abs(np.sin(0.5 * t * gaps))
-            worst[i] = max(0.0, float((num / (8.0 * abs(t) * cvals)).max()))
+            worst[i] = (num / (8.0 * abs(t) * cvals)).max()
     return worst
-
-
-def imaginary_pair_magnitude(seq: MultiplierSeq, t: float, even_m):
-    """|y_{2m}^{it} - y_{2m-1}^{it}| = sqrt(2 (1 - cos(t log(y_{2m-1}/y_{2m}))))."""
-    gaps = seq.ln_pair_gap(even_m)
-    return np.sqrt(2.0 * (1.0 - np.cos(t * gaps)))
 
 
 # -- variation bound for the lacunary semigroup -----------------------------
@@ -433,9 +406,6 @@ class SectorialityReport:
     bv_upper: np.ndarray         # (n_angles, n_radii) variation norms of the symbol
     measured_K: float
     skipped: tuple = ()
-
-    def upper(self):
-        return self.measured_K * self.bv_upper
 
 
 def _j_map(z, exponent, layout):

@@ -23,7 +23,7 @@ in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +53,6 @@ __all__ = [
     "Log2Negatives",
     "associated_operator",
     "pair_resolvent_coeffs",
-    "RBoundReport",
-    "rbound_lower",
-    "evaluate_rbound_witness",
     "BlowupSeries",
     "blowup_series",
     "blowup_witness",
@@ -77,13 +74,6 @@ class RadSum:
         if t.shape[1] != self.layout.dim:
             raise StructuralError("term length does not match the layout")
         object.__setattr__(self, "terms", t)
-
-    @classmethod
-    def from_vectors(cls, vectors, p) -> "RadSum":
-        vecs = list(vectors)
-        if not vecs:
-            raise ParameterError("a Rademacher sum needs at least one term")
-        return cls(np.stack([v.coeffs for v in vecs]), vecs[0].layout, p)
 
     @property
     def n_terms(self) -> int:
@@ -201,88 +191,6 @@ def pair_resolvent_coeffs(seq: MultiplierSeq, log2_q, even_indices):
     kept = 1.0 / (1.0 + r_hi)
     leaked = kept - 1.0 / (1.0 + r_lo)
     return kept, leaked
-
-
-# -- R-bound lower estimation -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RBoundReport:
-    lower_bound: float
-    op_indices: tuple
-    witness: RadSum = field(repr=False)
-    method: str
-    p: float
-    seed: int = 0
-
-
-def _family_ratio(ops, idx, s: RadSum, seed):
-    mapped = np.stack([np.asarray(ops[i](s.terms[k]), dtype=np.complex128)
-                       for k, i in enumerate(idx)])
-    out = RadSum(mapped, s.layout, s.p)
-    if s.n_terms <= 12:
-        denom = rad_norm(s, "exact")
-        numer = rad_norm(out, "exact")
-    elif s.supports_disjoint() and out.supports_disjoint():
-        denom = rad_norm(s, "disjoint")
-        numer = rad_norm(out, "disjoint")
-    else:
-        denom = rad_norm(s, "sampled", seed=seed, samples=4096).value
-        numer = rad_norm(out, "sampled", seed=seed, samples=4096).value
-    return (numer / denom if denom > 0.0 else 0.0), denom
-
-
-def rbound_lower(ops, layout: BlockLayout, p, trials: int = 20, seed: int = 0,
-                 max_terms: int = 8, candidates=None) -> RBoundReport:
-    """Certified lower bound for the R-bound of a finite operator family.
-
-    Random subsets with random term vectors, improved by coordinate
-    perturbations, plus any caller-provided candidate sums (each paired
-    with explicit operator indices).  The reported witness re-evaluates to
-    the bound.
-    """
-    if not ops:
-        raise ParameterError("the operator family is empty")
-    rng = np.random.default_rng(seed)
-    best = None
-
-    def consider(idx, s, tag):
-        nonlocal best
-        ratio, denom = _family_ratio(ops, idx, s, seed)
-        if denom == 0.0:
-            return 0.0
-        if best is None or ratio > best[0]:
-            best = (ratio, tuple(idx), s, tag)
-        return ratio
-
-    if candidates:
-        for idx, s in candidates:
-            consider(list(idx), s, "candidate")
-
-    for trial in range(trials):
-        k = int(rng.integers(1, min(max_terms, 12) + 1))
-        idx = list(rng.integers(0, len(ops), size=k))
-        terms = rng.standard_normal((k, layout.dim)) + 1j * rng.standard_normal((k, layout.dim))
-        s = RadSum(terms, layout, p)
-        base = consider(idx, s, "sampled")
-        # a few coordinate bumps on the best term stack found in this trial
-        for _ in range(4):
-            t2 = s.terms.copy()
-            kk = int(rng.integers(0, k))
-            jj = int(rng.integers(0, layout.dim))
-            t2[kk, jj] *= rng.choice([-1.0, 0.5, 2.0])
-            s2 = RadSum(t2, layout, p)
-            if consider(idx, s2, "ascent") > base:
-                s = s2
-    ratio, idx, s, tag = best
-    return RBoundReport(lower_bound=float(ratio), op_indices=idx, witness=s,
-                        method=tag, p=p, seed=seed)
-
-
-def evaluate_rbound_witness(ops, report: RBoundReport) -> float:
-    ratio, _ = _family_ratio(ops, list(report.op_indices), report.witness,
-                             seed=report.seed)
-    return float(ratio)
 
 
 # -- blow-up experiments -------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockspace import BlockLayout, block_lq_norms, triangular_block_index, triangular_end
+from .blockspace import triangular_block_index, triangular_end
 from .errors import ParameterError, SequenceOverflowError
 
 __all__ = [
@@ -31,11 +31,8 @@ __all__ = [
     "constant_ratios",
     "family_ratios",
     "family_seq",
-    "custom_ratios",
     "seq_from_ratios",
     "twisted_lacunary",
-    "custom_seq",
-    "resolvent_gap_max",
     "block_q_norms",
     "block_target_counts",
     "block_target_sums",
@@ -52,13 +49,12 @@ POWER = "power"
 POWERLOG = "powerlog"
 CONSTANT = "constant"
 GEOMETRIC = "geometric"
-CUSTOM = "custom"
-_FAMILIES = (POWER, POWERLOG, CONSTANT, GEOMETRIC, CUSTOM)
+_FAMILIES = (POWER, POWERLOG, CONSTANT, GEOMETRIC)
 
 
 @dataclass(frozen=True)
 class RatioSeq:
-    """A ratio sequence, block-constant for the named families.
+    """A named ratio family: one value per triangular block.
 
     ``bound`` is the open upper constraint: every value lies strictly in
     (0, bound).  Indexing is 1-based; the recurrence consumes values from
@@ -68,42 +64,31 @@ class RatioSeq:
     family: str
     bound: float
     n_blocks: int
-    block_values: np.ndarray | None = field(default=None, repr=False)
-    dense_values: np.ndarray | None = field(default=None, repr=False)
+    block_values: np.ndarray = field(repr=False)
     alpha: float | None = None
     scale: float | None = None
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ParameterError(f"unknown ratio family {self.family!r}")
-        vals = self.block_values if self.dense_values is None else self.dense_values
-        if vals is None or len(vals) == 0:
+        vals = np.asarray(self.block_values, dtype=np.float64)
+        if vals.size == 0:
             raise ParameterError("ratio sequence has no values")
-        vals = np.asarray(vals, dtype=np.float64)
         outside = ~((vals > 0.0) & (vals < self.bound))   # NaN fails it too
         if np.any(outside):
             bad = int(np.flatnonzero(outside)[0]) + 1
             raise ParameterError(f"ratio value at position {bad} is outside (0, {self.bound})")
 
     @property
-    def is_block_constant(self) -> bool:
-        return self.dense_values is None
-
-    @property
     def max_index(self) -> int:
-        if self.is_block_constant:
-            return triangular_end(self.n_blocks)
-        return int(self.dense_values.size)
+        return triangular_end(self.n_blocks)
 
     def value_at(self, m):
         """c_m for 1-based indices m (scalar or array)."""
         m = np.asarray(m, dtype=np.int64)
         if np.any(m < 1) or np.any(m > self.max_index):
             raise ParameterError(f"index out of range 1..{self.max_index}")
-        if self.is_block_constant:
-            out = self.block_values[triangular_block_index(m) - 1]
-        else:
-            out = self.dense_values[m - 1]
+        out = self.block_values[triangular_block_index(m) - 1]
         return out if out.ndim else float(out)
 
     def values_upto(self, n: int) -> np.ndarray:
@@ -182,12 +167,6 @@ def family_ratios(family: str, param, n_blocks: int, bound: float = 0.125) -> Ra
     if family == GEOMETRIC:
         return geometric_ratios(n_blocks, bound)
     return ratio_family(family, param, n_blocks, bound)
-
-
-def custom_ratios(values, bound: float = 0.5) -> RatioSeq:
-    values = np.asarray(values, dtype=np.float64)
-    return RatioSeq(family=CUSTOM, bound=bound, n_blocks=triangular_block_index(values.size),
-                    dense_values=values)
 
 
 @dataclass(frozen=True)
@@ -286,26 +265,6 @@ def family_seq(family: str, param, length: int, bound: float = 0.125):
     return seq_from_ratios(ratios, length=length), ratios
 
 
-def custom_seq(values) -> MultiplierSeq:
-    values = np.asarray(values, dtype=np.float64)
-    if np.any(values <= 0.0) or np.any(~np.isfinite(values)):
-        raise ParameterError("custom multiplier values must be positive and finite")
-    return MultiplierSeq(origin="custom", log2=np.log2(values))
-
-
-def resolvent_gap_max(g_prev: float, g_cur: float):
-    """Maximize d(t) = t [(t + g_prev)^{-1} - (t + g_cur)^{-1}] over t > 0.
-
-    Returns (t_star, d_star) with t_star = sqrt(g_prev g_cur); the maximum
-    exceeds half the normalized gap (g_cur - g_prev) / (g_cur + g_prev).
-    """
-    if not (0.0 < g_prev < g_cur):
-        raise ParameterError("need 0 < g_prev < g_cur")
-    t_star = math.sqrt(g_prev) * math.sqrt(g_cur)
-    d_star = t_star * (g_cur - g_prev) / ((t_star + g_prev) * (t_star + g_cur))
-    return t_star, d_star
-
-
 def block_qsup_partials(ratios: RatioSeq, q: float, n_blocks: int | None = None) -> np.ndarray:
     """Running sup over k of the block ell_q norms of the ratio sequence."""
     return np.maximum.accumulate(block_q_norms(ratios, q, n_blocks))
@@ -317,13 +276,10 @@ def block_q_norms(ratios: RatioSeq, q: float, n_blocks: int | None = None) -> np
     if not (2.0 < q < math.inf):
         raise ParameterError("q must be finite and > 2")
     n_blocks = ratios.n_blocks if n_blocks is None else n_blocks
-    if ratios.is_block_constant:
-        if n_blocks > ratios.n_blocks:
-            raise ParameterError("ratio sequence is shorter than requested")
-        ks = np.arange(1, n_blocks + 1, dtype=np.float64)
-        return np.power(ks, 1.0 / q) * ratios.block_values[:n_blocks]
-    layout = BlockLayout.triangular(n_blocks)
-    return block_lq_norms(ratios.values_upto(layout.dim), q, layout)
+    if n_blocks > ratios.n_blocks:
+        raise ParameterError("ratio sequence is shorter than requested")
+    ks = np.arange(1, n_blocks + 1, dtype=np.float64)
+    return np.power(ks, 1.0 / q) * ratios.block_values[:n_blocks]
 
 
 def block_target_counts(n_blocks: int):
@@ -336,18 +292,12 @@ def block_target_counts(n_blocks: int):
 
 def block_target_sums(ratios: RatioSeq, f, n_blocks: int) -> np.ndarray:
     """Sum of f(c_{m+1}) over the targets m = 1 mod 4 of each block 1..n_blocks
-    (f elementwise): (n_k - e_k) f(c_k) + e_k f(c_{k+1}) on block-constant
-    ratios; dense ratios reduce the per-target values by block."""
+    (f elementwise): (n_k - e_k) f(c_k) + e_k f(c_{k+1})."""
     if ratios.max_index < triangular_end(n_blocks) + 1:
         raise ParameterError("ratio sequence does not cover the block")
     n, e = block_target_counts(n_blocks)
-    if ratios.is_block_constant:
-        fc = f(ratios.block_values[: n_blocks + 1])
-        return (n - e) * fc[:-1] + e * fc[1:]
-    vals = f(ratios.dense_values[4 * np.arange(n.sum()) + 1])
-    # block 2 holds no target; its start is clipped into range and zeroed
-    starts = np.minimum(np.cumsum(n) - n, vals.size - 1)
-    return np.where(n > 0, np.add.reduceat(vals, starts), 0.0)
+    fc = f(ratios.block_values[: n_blocks + 1])
+    return (n - e) * fc[:-1] + e * fc[1:]
 
 
 def alpha_for_right_endpoint(p0: float) -> float:

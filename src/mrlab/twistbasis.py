@@ -46,7 +46,6 @@ __all__ = [
     "first_even_in_shifted_block",
     "twisted_analysis",
     "twisted_synthesis",
-    "analysis_length",
     "synthesis_cover",
     "twisted_basis_matrix",
     "unconditional_constant",
@@ -200,11 +199,6 @@ def layout_coupling(perm: TwistPermutation, variant: str, dim: int) -> Coupling:
 def _longest(t: Coupling, dim: int) -> int:
     """The largest coefficient index an expansion on coordinates 1..dim reaches."""
     return int(max(dim, t.index.max(initial=0), t.b.max(initial=0)))
-
-
-def analysis_length(layout: BlockLayout, perm: TwistPermutation, variant: str) -> int:
-    """Number of twisted coefficients needed to expand any vector of the layout."""
-    return _longest(layout_coupling(perm, variant, layout.dim), layout.dim)
 
 
 def synthesis_cover(n_coeffs: int, perm: TwistPermutation, variant: str) -> int:

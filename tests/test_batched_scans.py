@@ -22,7 +22,7 @@ from mrlab.multiplier import (
     positivity_check,
     sectoriality_probe,
 )
-from mrlab.sequences import custom_seq, seq_from_ratios, twisted_lacunary
+from mrlab.sequences import MultiplierSeq, seq_from_ratios, twisted_lacunary
 from mrlab.twistbasis import EVEN_TWIST, ODD_TWIST, PLAIN, TwistPermutation
 
 
@@ -145,7 +145,8 @@ OPERATORS = {
     "even-constant": lambda: make_op(EVEN_TWIST, lambda n: seq_from_ratios(np.full(n - 1, 0.3))),
     "odd-constant": lambda: make_op(ODD_TWIST, lambda n: seq_from_ratios(np.full(n - 1, 0.3))),
     "odd-lacunary": lambda: make_op(ODD_TWIST, twisted_lacunary),
-    "even-decreasing": lambda: make_op(EVEN_TWIST, lambda n: custom_seq(np.linspace(5.0, 1.0, n))),
+    "even-decreasing": lambda: make_op(
+        EVEN_TWIST, lambda n: MultiplierSeq("custom", np.log2(np.linspace(5.0, 1.0, n)))),
     "cli-constant": lambda: gamma_op("constant:0.001", 700),
     "cli-power": lambda: gamma_op("power:0.45", 700),
     "cli-powerlog": lambda: gamma_op("powerlog:0.2", 400),
@@ -249,6 +250,6 @@ def test_opnorm_lower_matches_per_trial_loop(trials, cells, monkeypatch):
 def test_opnorm_lower_zero_operator_has_no_witness():
     op = OPERATORS["even-constant"]()
     zero = np.zeros(op.structure.needed)
-    args = (lambda v: op.sequence_apply(zero, v),
+    args = (lambda v: op.apply_symbols(*op.symbols(zero), v),
             lambda u: op.adjoint_apply_symbols(*op.symbols(zero + 0j), u), op.layout, 2.0)
     assert opnorm_lower(*args, trials=2) == (0.0, None) == opnorm_oracle(*args, trials=2)

@@ -15,10 +15,10 @@ from mrlab.certify import dissipativity_norm_onset, dissipativity_norm_sq
 from mrlab.errors import ParameterError
 from mrlab.rademacher import _blowup_args, blowup_series
 from mrlab.sequences import (
+    RatioSeq,
     block_target_counts,
     block_target_sums,
     constant_ratios,
-    custom_ratios,
     geometric_ratios,
     ratio_family,
 )
@@ -96,10 +96,12 @@ def _assert_rel(new, old):
     assert np.all(np.abs(new - old) <= REL * scale)
 
 
-def _dense(n_blocks, seed):
+def _random_blocks(n_blocks, seed):
+    """Random values on blocks 1..n_blocks + 1, so that c is known one index
+    past block n_blocks; the constant label is read only by mr_predicate."""
     rng = np.random.default_rng(seed)
-    size = n_blocks * (n_blocks + 1) // 2 + 1
-    return custom_ratios(rng.uniform(0.001, 0.12, size=size))
+    return RatioSeq("constant", 0.125, n_blocks + 1,
+                    block_values=rng.uniform(0.001, 0.12, size=n_blocks + 1))
 
 
 def _mass_families(n_blocks):
@@ -112,7 +114,7 @@ def _mass_families(n_blocks):
         "powerlog-0.1": ratio_family("powerlog", 0.1, n_blocks),
         "powerlog-0.25": ratio_family("powerlog", 0.25, n_blocks),
         "geometric": geometric_ratios(n_blocks),
-        "custom": _dense(n_blocks - 1, seed=5),
+        "custom": _random_blocks(n_blocks - 1, seed=5),
     }
 
 
@@ -176,7 +178,7 @@ def test_onsets_cover_found_and_missing():
 
 @pytest.mark.parametrize("n_blocks", [1, 2, 3, 4, 60])
 def test_dense_sums_match_enumeration(n_blocks):
-    ratios = _dense(n_blocks, seed=n_blocks)
+    ratios = _random_blocks(n_blocks, seed=n_blocks)
     sums = block_target_sums(ratios, np.square, n_blocks)
     old = [float(np.square(np.asarray(ratios.value_at(triangular_indices_1mod4(k) + 1))).sum())
            for k in range(1, n_blocks + 1)]
@@ -185,15 +187,13 @@ def test_dense_sums_match_enumeration(n_blocks):
 
 def test_uncovered_ratios_raise_the_same_error():
     short = constant_ratios(0.1, 10)
-    dense = custom_ratios(np.full(55, 0.1))
-    for ratios in (short, dense):
-        for new, old in ((dissipativity_norm_sq, old_dissipativity_norm_sq),
-                         (dissipativity_norm_onset, old_dissipativity_norm_onset)):
-            with pytest.raises(ParameterError) as want:
-                old(ratios, 10)
-            with pytest.raises(ParameterError) as got:
-                new(ratios, 10)
-            assert str(got.value) == str(want.value)
+    for new, old in ((dissipativity_norm_sq, old_dissipativity_norm_sq),
+                     (dissipativity_norm_onset, old_dissipativity_norm_onset)):
+        with pytest.raises(ParameterError) as want:
+            old(short, 10)
+        with pytest.raises(ParameterError) as got:
+            new(short, 10)
+        assert str(got.value) == str(want.value)
     for new, old in ((dissipativity_norm_sq, old_dissipativity_norm_sq),
                      (dissipativity_norm_onset, old_dissipativity_norm_onset)):
         with pytest.raises(ParameterError) as want:

@@ -16,8 +16,9 @@ from mrlab.certify import (
 )
 from mrlab.errors import ParameterError
 from mrlab.sequences import (
+    RatioSeq,
     constant_ratios,
-    custom_ratios,
+    family_ratios,
     geometric_ratios,
     holder_conjugate,
     ratio_family,
@@ -104,28 +105,10 @@ def test_mr_predicate_monotone_in_p():
         assert not flips
 
 
-def test_mr_predicate_custom_trend():
-    # decreasing custom tail whose block q-norms stabilize
-    n_blocks = 40
-    dim = n_blocks * (n_blocks + 1) // 2
-    ks = np.repeat(np.arange(1, n_blocks + 1), np.arange(1, n_blocks + 1))
-    fam = custom_ratios(0.1 * ks ** (-0.45), bound=0.125)
-    v = mr_predicate(fam, 3.0)
-    assert v.kind == "trend" and v.regular
-    slow = custom_ratios(0.1 * ks ** (-0.05), bound=0.125)
-    v2 = mr_predicate(slow, 6.0)
-    assert v2.kind == "trend" and not v2.regular
-
-
 def test_mr_predicate_hypothesis_errors():
     big = constant_ratios(0.2, 10, bound=0.5)
     with pytest.raises(ParameterError, match="1/8"):
         mr_predicate(big, 3.0)
-    n = 10
-    ks = np.repeat(np.arange(1, n + 1), np.arange(1, n + 1))
-    rising = custom_ratios(0.01 * (1.0 + ks / n), bound=0.125)
-    with pytest.raises(ParameterError, match="decreasing"):
-        mr_predicate(rising, 3.0)
 
 
 def test_mr_predicate_exponent_validation():
@@ -197,10 +180,10 @@ def test_plan_interval_family_choices():
 
 def test_plan_interval_materializes_ratio_families():
     plan = plan_interval(IntervalSpec(1.5, 3.0, True, True))
-    right = plan.right_ratios(25)
+    right = family_ratios(plan.right_kind, plan.right_alpha, 25)
     assert mr_predicate(right, 3.0).regular
     assert not mr_predicate(right, 3.05).regular
-    left = plan.left_ratios(25)
+    left = family_ratios(plan.left_kind, plan.left_alpha, 25)
     assert mr_predicate(left, 3.0).regular  # conjugate of 1.5
 
 
@@ -289,12 +272,18 @@ def test_dissipativity_block_without_eligible_indices():
         dissipativity_witness(fam, 2)  # B_2 = {2, 3} has no m = 1 mod 4
 
 
+def irregular_ratios(values):
+    """One arbitrary value per block, under the constant label (which only
+    mr_predicate reads)."""
+    return RatioSeq("constant", 0.125, len(values), block_values=np.asarray(values))
+
+
 def test_diagonal_norm_dense_ratios_match_per_block_sums():
-    # dense sequences have no block-constant closed form: compare with the
-    # block-by-block sums
+    # irregular block values: compare the closed form k^(1/q) c_k with the
+    # sums over every index of each block
     rng = np.random.default_rng(3)
     n_blocks = 30
-    fam = custom_ratios(rng.uniform(0.001, 0.1, n_blocks * (n_blocks + 1) // 2), bound=0.125)
+    fam = irregular_ratios(rng.uniform(0.001, 0.1, n_blocks))
     p = 3.0
     q = holder_conjugate(p)
     per_block = []
@@ -312,9 +301,9 @@ def test_diagonal_norm_dense_ratios_match_per_block_sums():
 def test_diagonal_norm_of_tiny_dense_ratios():
     # the block norms and the Holder profile are scaled by the peak value, so
     # neither underflows to a zero norm
-    fam = custom_ratios(np.geomspace(1e-200, 1e-190, 21), bound=0.125)
+    fam = irregular_ratios(np.geomspace(1e-200, 1e-190, 6))
     dn = diagonal_norm(fam, 4.0, 6)
-    assert dn.value == 1.0025157431475624e-190
+    assert dn.value == pytest.approx(6 ** 0.25 * 1e-190, rel=1e-14)
     assert dn.block == 6
     lay = dn.extremizer.layout
     got = mixed_norm(dn.extremizer.coeffs * fam.values_upto(lay.dim), 4.0, lay)
@@ -324,9 +313,6 @@ def test_diagonal_norm_of_tiny_dense_ratios():
 def test_short_ratio_sequences_are_refused_where_they_are_read():
     with pytest.raises(ParameterError, match="shorter than requested"):
         diagonal_norm(constant_ratios(0.05, 5), 4.0, 6)
-    with pytest.raises(ParameterError, match="index out of range"):
-        diagonal_norm(custom_ratios(np.full(20, 0.05), bound=0.125), 4.0, 6)
     # the block-12 witness reads c up to index 80 = hi + 2
-    fam = custom_ratios(np.full(79, 0.05), bound=0.125)
-    with pytest.raises(ParameterError, match=r"index out of range 1\.\.79"):
-        dissipativity_witness(fam, 12)
+    with pytest.raises(ParameterError, match=r"index out of range 1\.\.78"):
+        dissipativity_witness(constant_ratios(0.05, 12), 12)

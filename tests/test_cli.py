@@ -308,11 +308,18 @@ def test_nan_family_value_is_refused_at_the_ratio_check(capsys):
     ["semigroup-check", "--n", "10", "--tgrid", "pow2:-1000000:1000000"],
     ["sector-probe", "--n", "10", "--radii", "geom:1:10:100000000000"],
     ["bv-bound", "--n", "10", "--alpha", "geom:0.1:1:1001", "--tgrid", "geom:0.01:10:1000"],
+    # 5·10^15 coordinates: the extremizer and the witness sequence used to end
+    # in a MemoryError traceback
+    ["diag-norm", "--blocks", "100000000"],
+    ["dissipativity", "--block", "100000000"],
 ])
 def test_oversized_grid_is_refused_before_it_is_built(argv, capsys):
     code, out, err = run_err(argv, capsys)
     assert_one_line_usage_error(code, out, err)
-    assert "a grid takes 1 to 1000000 points, not " in err
+    if argv[0] in ("diag-norm", "dissipativity"):
+        assert "a truncation takes at most 20000000 coordinates, not 5000000050000000" in err
+    else:
+        assert "a grid takes 1 to 1000000 points, not " in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -381,3 +388,21 @@ def test_dissipativity_overflow_is_one_line_error(capsys):
                                   "--block", "45", "--onset-max", "200"], capsys)
     assert_one_line_usage_error(code, out, err)
     assert "45" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["semigroup-check", "--n", "10", "--tol", "nan"], "tolerance must be finite and >= 0"),
+    (["semigroup-check", "--n", "10", "--tol", "-1"], "tolerance must be finite and >= 0"),
+    (["semigroup-check", "--n", "10", "--tol", "inf"], "tolerance must be finite and >= 0"),
+    (["bip-check", "--pairs", "3", "--tgrid", "inf"], "times must be finite"),
+    (["bip-check", "--pairs", "3", "--tgrid", "1,-inf"], "times must be finite"),
+    (["bip-check", "--pairs", "3", "--tgrid", "nan"], "times must be finite"),
+])
+def test_non_finite_parameters_are_one_line_errors(argv, message, capsys):
+    # a NaN or negative tolerance used to exit 2 as a broken invariant; an
+    # infinite time warned from numpy and read 0.0, a NaN time read 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(argv, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert message in err

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import scipy.linalg
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mrlab import multiplier
 from mrlab.blockspace import BlockLayout, MixedVector, bv_norm
@@ -13,14 +15,13 @@ from mrlab.multiplier import (
     bip_pair_ratios,
     bv_closed_form,
     bv_semigroup_bound,
-    imaginary_pair_magnitude,
     opnorm_lower,
     positivity_check,
     sectoriality_probe,
 )
 from mrlab.sequences import (
+    MultiplierSeq,
     constant_ratios,
-    custom_seq,
     family_seq,
     ratio_family,
     seq_from_ratios,
@@ -51,6 +52,48 @@ def make_op(n_blocks=6, variant=EVEN_TWIST, c=0.1):
 def with_seq(op, seq_of_length, pad):
     """The operator's shape with the sequence seq_of_length(needed + pad)."""
     return dataclasses.replace(op, seq=seq_of_length(op.structure.needed + pad))
+
+
+def dense_matrix(op):
+    """The coordinate matrix of the operator: the oracle of the structured path."""
+    structure = op.structure
+    diag, off = op.symbols(op.seq.values_upto(structure.needed))
+    mat = np.diag(diag.astype(np.complex128))
+    mat[structure.off_rows, structure.off_cols] = off
+    return mat
+
+
+# -- the operator identities on random sizes, variants and families -----------
+
+FAMILIES = [("lacunary", None), ("constant", 0.1), ("power", 0.25), ("powerlog", 0.2),
+            ("geometric", None)]
+
+
+def family_op(variant, n_blocks, family, param):
+    """The family's operator of any variant on n triangular blocks."""
+    layout = BlockLayout.triangular(n_blocks)
+    perm = TwistPermutation.covering(2 * layout.dim + 8)
+    needed = multiplier._structure(layout, perm, variant).needed
+    seq = family_seq(family, param, needed + 2)[0]
+    return TwistedMultiplier(seq=seq, perm=perm, variant=variant, layout=layout)
+
+
+sizes = hs.integers(1, 8)               # triangular blocks, dim up to 36
+families = hs.sampled_from(FAMILIES)
+variants = hs.sampled_from([PLAIN, EVEN_TWIST, ODD_TWIST])
+seeds = hs.integers(0, 2 ** 32 - 1)
+# lam off the positive axis, where the spectrum lies
+off_spectrum = hs.builds(complex, hs.floats(-100.0, 100.0), hs.floats(0.5, 1e6)) | \
+    hs.floats(-1e4, -0.01).map(complex)
+
+
+def examples(n):
+    return settings(max_examples=n, database=None, deadline=None)
+
+
+def random_vector(seed, dim):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
 def test_apply_on_unit_vectors_even_twist():
@@ -111,39 +154,43 @@ def test_spectrum_closed_truncation_is_head_of_sequence():
     op = TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=layout)
     np.testing.assert_allclose(np.sort(op.spectrum()),
                                np.sort(seq.values_upto(21)), rtol=1e-14)
-    eig = np.linalg.eigvals(op.dense_matrix())
+    eig = np.linalg.eigvals(dense_matrix(op))
     np.testing.assert_allclose(np.sort(eig.real), np.sort(seq.values_upto(21)),
                                rtol=1e-8)
     assert np.abs(eig.imag).max() < 1e-10
 
 
-def test_spectrum_general_truncation_matches_eig():
-    op = make_op(n_blocks=7)  # dim 28 is not closed under the coupling
-    eig = np.linalg.eigvals(op.dense_matrix())
+@examples(20)
+@given(variants, hs.integers(1, 7), hs.floats(0.01, 0.3))
+def test_spectrum_general_truncation_matches_eig(variant, n_blocks, c):
+    # most truncations are not closed under the coupling; as the coupling rows
+    # are never coupling columns, the eigenvalues are still the diagonal symbols
+    op = make_op(n_blocks=n_blocks, variant=variant, c=c)
+    eig = np.linalg.eigvals(dense_matrix(op))
     np.testing.assert_allclose(np.sort(eig.real), np.sort(op.spectrum()), rtol=1e-8)
+    assert np.abs(eig.imag).max() <= 1e-8 * op.spectrum().max()
 
 
-def test_resolvent_inverts_shift():
-    op = make_op()
-    rng = np.random.default_rng(2)
-    for lam in (-1.0, -50.0, 3.7 + 2j, 1e6j):
-        for _ in range(25):
-            v = rng.standard_normal(op.layout.dim) + 1j * rng.standard_normal(op.layout.dim)
-            w = op.resolvent(lam, v)
-            back = lam * w - op.apply(w)
-            np.testing.assert_allclose(back, v, rtol=1e-9, atol=1e-9 * np.abs(v).max())
+@examples(30)
+@given(variants, sizes, families, off_spectrum, seeds)
+def test_resolvent_inverts_shift(variant, n_blocks, family, lam, seed):
+    # (lam - A) R(lam) v = v
+    op = family_op(variant, n_blocks, *family)
+    v = random_vector(seed, op.layout.dim)
+    w = op.resolvent(lam, v)
+    np.testing.assert_allclose(lam * w - op.apply(w), v, rtol=1e-9, atol=1e-9 * np.abs(v).max())
 
 
 @pytest.mark.parametrize("variant", [EVEN_TWIST, ODD_TWIST, PLAIN])
-def test_resolvent_identity(variant):
-    op = make_op(variant=variant)
-    rng = np.random.default_rng(3)
-    lam, mu = -2.0, -35.0 + 1j
-    for _ in range(20):
-        v = rng.standard_normal(op.layout.dim)
-        lhs = op.resolvent(lam, v) - op.resolvent(mu, v)
-        rhs = (mu - lam) * op.resolvent(lam, op.resolvent(mu, v))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
+@examples(25)
+@given(sizes, families, off_spectrum, off_spectrum, seeds)
+def test_resolvent_identity(variant, n_blocks, family, lam, mu, seed):
+    # R(lam) - R(mu) = (mu - lam) R(lam) R(mu)
+    op = family_op(variant, n_blocks, *family)
+    v = random_vector(seed, op.layout.dim)
+    lhs = op.resolvent(lam, v) - op.resolvent(mu, v)
+    rhs = (mu - lam) * op.resolvent(lam, op.resolvent(mu, v))
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12 * np.abs(v).max())
 
 
 def test_resolvent_limit_at_large_negative_lambda():
@@ -178,15 +225,16 @@ def test_resolvent_coefficient_at_minus_even_value():
 
 
 @pytest.mark.parametrize("variant", [EVEN_TWIST, ODD_TWIST])
-def test_semigroup_identity_at_zero_and_composition(variant):
-    op = make_op(variant=variant)
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal(op.layout.dim) + 1j * rng.standard_normal(op.layout.dim)
+@examples(25)
+@given(sizes, families, hs.floats(0.0, 20.0), hs.floats(0.0, 20.0), seeds)
+def test_semigroup_identity_at_zero_and_composition(variant, n_blocks, family, s, t, seed):
+    # T(0) = I and T(s) T(t) = T(s + t)
+    op = family_op(variant, n_blocks, *family)
+    v = random_vector(seed, op.layout.dim)
     np.testing.assert_allclose(op.semigroup(0.0, v), v, rtol=0, atol=0)
-    for s, t in [(0.1, 0.2), (1.0, 3.0), (0.01, 10.0)]:
-        lhs = op.semigroup(s, op.semigroup(t, v))
-        rhs = op.semigroup(s + t, v)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
+    lhs = op.semigroup(s, op.semigroup(t, v))
+    rhs = op.semigroup(s + t, v)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10 * np.abs(v).max())
     with pytest.raises(ParameterError):
         op.semigroup(-1.0, v)
 
@@ -225,7 +273,7 @@ def test_positivity_fails_for_increasing_sequence():
 def test_positivity_verdict_equals_monotonicity_on_families():
     for builder in (lambda n: twisted_lacunary(n),
                     lambda n: seq_from_ratios(np.full(n - 1, 0.3)),
-                    lambda n: custom_seq(np.linspace(5.0, 1.0, n))):
+                    lambda n: MultiplierSeq("custom", np.log2(np.linspace(5.0, 1.0, n)))):
         op = with_seq(make_op(), builder, 4)
         rep = positivity_check(op, 2.0 ** np.arange(-8, 9))
         assert rep.verdict == rep.monotone_pairs
@@ -243,24 +291,36 @@ def test_imaginary_power_identity_and_unimodular_diagonal():
         op.imaginary_power(float("nan"), v)
 
 
-def test_imaginary_power_group_law():
-    op = make_op()
-    rng = np.random.default_rng(6)
-    v = rng.standard_normal(op.layout.dim) + 1j * rng.standard_normal(op.layout.dim)
-    for s, t in [(0.5, 1.25), (-2.0, 3.0)]:
-        lhs = op.imaginary_power(s, op.imaginary_power(t, v))
-        rhs = op.imaginary_power(s + t, v)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
+@examples(30)
+@given(variants, sizes, families, hs.floats(-10.0, 10.0), hs.floats(-10.0, 10.0), seeds)
+def test_imaginary_power_group_law(variant, n_blocks, family, s, t, seed):
+    # A^{is} A^{it} = A^{i(s + t)}
+    op = family_op(variant, n_blocks, *family)
+    v = random_vector(seed, op.layout.dim)
+    lhs = op.imaginary_power(s, op.imaginary_power(t, v))
+    rhs = op.imaginary_power(s + t, v)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10 * np.abs(v).max())
+
+
+def imaginary_coupling_entries(op, t):
+    """The coupling entries of A^{it}: row H(b) of the column A^{it} e_{H(a)}."""
+    structure = op.structure
+    columns = op.imaginary_power(t, np.eye(op.layout.dim))   # row j: A^{it} e_{j+1}
+    return columns[structure.off_cols, structure.off_rows]
 
 
 def test_imaginary_pair_magnitude_formula():
-    seq = seq_from_ratios(np.full(99, 0.05))
-    even_m = np.arange(2, 100, 2)
+    # |y_{2m}^{it} - y_{2m-1}^{it}| = sqrt(2 (1 - cos(t ln(y_{2m} / y_{2m-1})))), the
+    # numerator of the bip pair bound, read off the coupling entries of A^{it}
+    op = make_op(n_blocks=12, c=0.05)
+    even_m = op.structure.off_hi   # even twist: the pairs (2m, 2m - 1)
     t = 1.7
-    got = imaginary_pair_magnitude(seq, t, even_m)
-    vals = seq.values_upto(100)
+    got = np.abs(imaginary_coupling_entries(op, t))
+    vals = op.seq.values_upto(op.structure.needed)
     direct = np.abs(vals[even_m - 1] ** (1j * t) - vals[even_m - 2] ** (1j * t))
+    formula = np.sqrt(2.0 * (1.0 - np.cos(t * op.seq.ln_pair_gap(even_m))))
     np.testing.assert_allclose(got, direct, rtol=1e-10)
+    np.testing.assert_allclose(got, formula, rtol=1e-10)
 
 
 def test_imaginary_power_norm_growth_at_p2():
@@ -309,9 +369,11 @@ def test_bip_pair_ratio_validates_hypothesis():
 
 
 def test_bip_equal_pair_gives_zero():
-    seq = custom_seq(np.array([2.0, 2.0, 5.0, 5.0]))
-    even_m = np.array([2, 4])
-    np.testing.assert_allclose(imaginary_pair_magnitude(seq, 3.0, even_m), 0.0, atol=1e-12)
+    # y_{2m} = y_{2m-1} on every pair: A^{it} has no coupling entries
+    op = with_seq(make_op(), lambda n: MultiplierSeq(
+        "custom", np.repeat(np.arange(1.0, n // 2 + 2), 2)[:n]), 0)
+    entries = imaginary_coupling_entries(op, 3.0)
+    assert entries.size and np.all(entries == 0.0)
 
 
 def test_bv_semigroup_bound_values():
@@ -370,7 +432,7 @@ def test_sequence_multiplier_bv_ratio_stable_across_sizes():
         ratios = []
         for beta in betas:
             head = beta[: op.structure.needed]
-            val, _ = opnorm_lower(lambda v, b=head: op.sequence_apply(b, v),
+            val, _ = opnorm_lower(lambda v, b=head: op.apply_symbols(*op.symbols(b), v),
                                   lambda u, b=head: op.adjoint_apply_symbols(
                                       *op.symbols(b + 0j), u),
                                   op.layout, 2.5, trials=2, seed=11)
@@ -385,7 +447,7 @@ def test_sequence_multiplier_bv_ratio_stable_across_sizes():
 def test_sectoriality_probe_diagonal_contraction():
     # plain diagonal on singleton blocks at p = 2: |lam R(lam)| <= 1 on the
     # negative axis (angle pi/2 aims lam at the negative reals here)
-    layout = BlockLayout.singletons(12)
+    layout = BlockLayout.from_sizes(np.ones(12, int))
     seq = seq_from_ratios(np.full(14, 0.1))
     perm = TwistPermutation.covering(2 * layout.dim + 8)
     op = TwistedMultiplier(seq=seq, perm=perm, variant=PLAIN, layout=layout)
@@ -393,7 +455,7 @@ def test_sectoriality_probe_diagonal_contraction():
                              p=2.0, trials=2, seed=0)
     assert rep.lower.max() <= 1.0 + 1e-6
     assert rep.measured_K > 0.0
-    assert np.all(rep.lower <= rep.upper() + 1e-9)
+    assert np.all(rep.lower <= rep.measured_K * rep.bv_upper + 1e-9)
 
 
 def test_sectoriality_probe_twisted_lacunary_flat_in_radius():
@@ -423,7 +485,7 @@ def test_structured_apply_matches_dense_matrix(variant):
     rng = np.random.default_rng(9)
     for n_blocks in (3, 5, 8):
         op = make_op(n_blocks=n_blocks, variant=variant, c=0.07)
-        mat = op.dense_matrix()
+        mat = dense_matrix(op)
         for _ in range(10):
             v = rng.standard_normal(op.layout.dim) + 1j * rng.standard_normal(op.layout.dim)
             np.testing.assert_allclose(op.apply(v), mat @ v, rtol=1e-12, atol=1e-12)
@@ -436,18 +498,6 @@ def test_structured_apply_matches_dense_matrix(variant):
         t = 0.31
         expm = scipy.linalg.expm(-t * mat)
         np.testing.assert_allclose(op.semigroup(t, v), expm @ v, rtol=1e-9, atol=1e-9)
-
-
-def test_fractional_power_symbols():
-    op = make_op(n_blocks=5)
-    rng = np.random.default_rng(12)
-    v = rng.standard_normal(op.layout.dim)
-    np.testing.assert_allclose(op.fractional_power_apply(1.0, v), op.apply(v),
-                               rtol=1e-13)
-    half_twice = op.fractional_power_apply(0.5, op.fractional_power_apply(0.5, v))
-    np.testing.assert_allclose(half_twice, op.apply(v), rtol=1e-11)
-    with pytest.raises(ParameterError):
-        op.fractional_power_apply(-1.0, v)
 
 
 def test_covering_operator_and_short_sequence_error():

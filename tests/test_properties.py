@@ -1,5 +1,6 @@
 """Properties of the triangular layout, the per-block norms, the
-permutation and the coupling rule, checked on random inputs.
+permutation, the coupling rule and the twisted analysis and synthesis,
+checked on random inputs.
 
 Each property draws a fixed number of examples and keeps no example
 database, so a run reads and writes nothing outside the test itself.
@@ -11,18 +12,20 @@ from hypothesis import strategies as st
 
 from mrlab.blockspace import (
     BlockLayout,
-    block_lq_norms,
+    MixedVector,
     triangular_block_index,
     triangular_end,
     triangular_indices_1mod4,
 )
-from mrlab.sequences import block_q_norms, block_target_counts, custom_ratios
+from mrlab.sequences import RatioSeq, block_q_norms, block_target_counts
 from mrlab.twistbasis import (
     VARIANTS,
     TwistPermutation,
     _coupling,
     synthesis_cover,
+    twisted_analysis,
     twisted_basis_matrix,
+    twisted_synthesis,
 )
 
 
@@ -57,29 +60,21 @@ def test_block_target_counts_count_the_targets(n_blocks):
         assert e[k - 1] == int(targets.size > 0 and targets[-1] == triangular_end(k))
 
 
-positive_blocks = st.integers(1, 12).flatmap(
-    lambda n_blocks: st.lists(st.floats(1e-3, 0.49), min_size=triangular_end(n_blocks),
-                              max_size=triangular_end(n_blocks)))
+block_values = st.lists(st.floats(1e-3, 0.49), min_size=1, max_size=300)
 scales = st.floats(-250.0, 0.0).map(lambda e: 10.0 ** e)
 
 
+def ratios(values):
+    """One value per block, under the constant label (read only by mr_predicate)."""
+    return RatioSeq("constant", 0.5, len(values), block_values=np.asarray(values))
+
+
 @examples(60)
-@given(positive_blocks, scales, st.floats(1.5, 20.0))
+@given(block_values, scales, st.floats(2.5, 20.0))
 def test_per_block_norms_are_homogeneous(values, s, q):
     c = np.array(values)
-    layout = BlockLayout.triangular(triangular_block_index(c.size))
-    np.testing.assert_allclose(block_lq_norms(s * c, q, layout),
-                               s * block_lq_norms(c, q, layout), rtol=1e-12, atol=0.0)
-
-
-@examples(60)
-@given(positive_blocks, scales, st.floats(2.5, 20.0))
-def test_dense_ratio_block_norms_are_homogeneous(values, s, q):
-    c = np.array(values)
-    n_blocks = triangular_block_index(c.size)
-    scaled = block_q_norms(custom_ratios(s * c), q, n_blocks)
-    np.testing.assert_allclose(scaled, s * block_q_norms(custom_ratios(c), q, n_blocks),
-                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(block_q_norms(ratios(s * c), q),
+                               s * block_q_norms(ratios(c), q), rtol=1e-12, atol=0.0)
 
 
 @examples(40)
@@ -124,3 +119,16 @@ def test_basis_matrix_rows_are_the_coupling_heads(n):
         for j, hb in zip(t.a.tolist(), t.head_b.tolist()):
             heads[j - 1].add(int(hb))
         assert [set((np.flatnonzero(row) + 1).tolist()) for row in nonzero] == heads
+
+
+@examples(40)
+@given(st.integers(1, 14), st.sampled_from(VARIANTS), st.integers(0, 2 ** 32 - 1))
+def test_synthesis_after_analysis_is_the_identity(n_blocks, variant, seed):
+    # every vector of the layout is the synthesis of its twisted coefficients
+    layout = BlockLayout.triangular(n_blocks)
+    perm = TwistPermutation.covering(2 * layout.dim + 8)
+    rng = np.random.default_rng(seed)
+    v = MixedVector(rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim),
+                    layout)
+    back = twisted_synthesis(twisted_analysis(v, perm, variant), perm, variant, layout)
+    np.testing.assert_allclose(back.coeffs, v.coeffs, rtol=0.0, atol=1e-15 * np.abs(v.coeffs).max())

@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 
 from mrlab.errors import ParameterError, SequenceOverflowError
+from mrlab.rademacher import pair_resolvent_coeffs
 from mrlab.sequences import (
     _global_raw_max,
     _raw_block_values,
     alpha_for_right_endpoint,
     block_q_norms,
     block_qsup_partials,
+    MultiplierSeq,
+    RatioSeq,
     constant_ratios,
-    custom_ratios,
-    custom_seq,
     family_ratios,
     family_seq,
     geometric_ratios,
     holder_conjugate,
     ratio_family,
-    resolvent_gap_max,
     seq_from_ratios,
     twisted_lacunary,
 )
@@ -142,32 +142,46 @@ def test_family_alpha_validation():
         ratio_family("cubic", 0.2, 10)
 
 
+def leaked_weight(g_prev, g_cur, t):
+    """|leak| of t R(-t, A) from a reserved even coordinate onto its odd
+    neighbour, read off ``pair_resolvent_coeffs``: d(t) = t [(t + g_prev)^{-1}
+    - (t + g_cur)^{-1}]."""
+    seq = MultiplierSeq("custom", np.log2([g_prev, g_cur]))
+    return np.abs(pair_resolvent_coeffs(seq, np.log2(t), 2)[1])
+
+
+def resolvent_gap_max(g_prev, g_cur):
+    """The closed-form maximum of d(t): t_star = sqrt(g_prev g_cur)."""
+    t_star = math.sqrt(g_prev) * math.sqrt(g_cur)
+    return t_star, t_star * (g_cur - g_prev) / ((t_star + g_prev) * (t_star + g_cur))
+
+
 def test_resolvent_gap_max_against_grid_oracle():
     t_star, d_star = resolvent_gap_max(2.0, 4.0)
     assert t_star == pytest.approx(math.sqrt(8.0), rel=1e-15)
     assert d_star == pytest.approx((2.0 - math.sqrt(2.0)) / (2.0 + math.sqrt(2.0)), rel=1e-12)
     assert d_star > 1.0 / 6.0
+    assert leaked_weight(2.0, 4.0, t_star) == pytest.approx(d_star, rel=1e-14)
     grid = np.arange(1e-4, 100.0, 1e-4)
-    d = grid * (1.0 / (grid + 2.0) - 1.0 / (grid + 4.0))
+    d = leaked_weight(2.0, 4.0, grid)
     assert d_star >= d.max() - 1e-12
     assert abs(grid[np.argmax(d)] - t_star) <= 1e-3
 
 
 def test_resolvent_gap_at_gamma_cur_is_half_ratio():
     for a, b in [(2.0, 4.0), (1.0, 1.5), (10.0, 160.0)]:
-        d_at_b = b * (1.0 / (b + a) - 1.0 / (b + b))
+        d_at_b = leaked_weight(a, b, b)
         assert d_at_b == pytest.approx(0.5 * (b - a) / (b + a), rel=1e-14)
         _, d_star = resolvent_gap_max(a, b)
         assert d_star > d_at_b
 
 
 def test_resolvent_gap_scaling_invariance():
-    t1, d1 = resolvent_gap_max(2.0, 4.0)
-    t2, d2 = resolvent_gap_max(2.0 * 37.5, 4.0 * 37.5)
-    assert t2 == pytest.approx(37.5 * t1, rel=1e-14)
-    assert d2 == pytest.approx(d1, rel=1e-14)
+    t = np.geomspace(0.01, 100.0, 41)
+    np.testing.assert_allclose(leaked_weight(2.0 * 37.5, 4.0 * 37.5, 37.5 * t),
+                               leaked_weight(2.0, 4.0, t), rtol=1e-14)
     with pytest.raises(ParameterError):
-        resolvent_gap_max(4.0, 2.0)
+        pair_resolvent_coeffs(MultiplierSeq("custom", np.log2([2.0, 4.0])), 1.0, 1)
 
 
 def test_resolvent_gap_dominates_dense_grid():
@@ -177,8 +191,7 @@ def test_resolvent_gap_dominates_dense_grid():
         b = a * rng.uniform(1.1, 20.0)
         t_star, d_star = resolvent_gap_max(a, b)
         grid = np.linspace(t_star / 50, t_star * 50, 10_000)
-        d = grid * (1.0 / (grid + a) - 1.0 / (grid + b))
-        assert np.all(d_star >= d - 1e-12)
+        assert np.all(d_star >= leaked_weight(a, b, grid) - 1e-12)
 
 
 def test_block_qsup_partials_power_at_threshold_constant():
@@ -205,17 +218,6 @@ def test_block_qsup_partials_power_subthreshold_cauchy():
     sups = block_qsup_partials(fam, 8.0)
     tail = sups[1000:]
     assert np.max(np.abs(np.diff(tail))) < 1e-6
-
-
-def test_custom_ratio_and_custom_seq():
-    vals = np.array([0.3, 0.2, 0.1, 0.05, 0.2, 0.1])
-    fam = custom_ratios(vals, bound=0.5)
-    assert not fam.is_block_constant
-    np.testing.assert_array_equal(fam.values_upto(6), vals)
-    seq = custom_seq(np.array([1.0, 3.0, 2.0]))
-    np.testing.assert_allclose(seq.values_upto(3), [1.0, 3.0, 2.0], rtol=1e-14)
-    with pytest.raises(ParameterError):
-        custom_seq(np.array([1.0, -2.0]))
 
 
 def test_constant_and_geometric_families():
@@ -309,12 +311,14 @@ def test_constant_ratios_reject_nan():
     with pytest.raises(ParameterError, match=r"position 1 is outside \(0, 0.125\)"):
         constant_ratios(float("nan"), 3)
     with pytest.raises(ParameterError, match="position 4 is outside"):
-        custom_ratios([0.1, 0.1, 0.1, float("nan")], bound=0.125)
+        RatioSeq("constant", 0.125, 4, block_values=np.array([0.1, 0.1, 0.1, float("nan")]))
 
 
 def test_dense_block_q_norms_of_tiny_values_do_not_underflow():
-    # the q-th powers of 1e-190 underflow to zero unless scaled first
-    fam = custom_ratios(np.geomspace(1e-200, 1e-190, 21), bound=0.125)
-    per_block = block_q_norms(fam, 4.0, 6)
+    # the q-th powers of 1e-190 underflow to zero, so a block norm must not
+    # be formed from them; irregular values under the constant label, which
+    # only mr_predicate reads
+    vals = np.geomspace(1e-200, 1e-190, 6)
+    per_block = block_q_norms(RatioSeq("constant", 0.125, 6, block_values=vals), 4.0)
     assert np.all(per_block > 0.0)
-    assert per_block[-1] == 1.0025157431475624e-190
+    np.testing.assert_allclose(per_block, np.arange(1, 7) ** 0.25 * vals, rtol=1e-15)

@@ -10,7 +10,6 @@ from mrlab.twistbasis import (
     ODD_TWIST,
     PLAIN,
     TwistPermutation,
-    analysis_length,
     build_permutation,
     first_even_in_shifted_block,
     synthesis_cover,
@@ -169,7 +168,7 @@ def test_synthesis_structural_error_names_index():
 def test_synthesis_cover_and_analysis_length():
     perm = TwistPermutation.covering(64)
     layout = BlockLayout.triangular(4)  # dim 10
-    n = analysis_length(layout, perm, EVEN_TWIST)
+    n = twisted_analysis(MixedVector(np.zeros(layout.dim), layout), perm, EVEN_TWIST).size
     assert n >= layout.dim
     cover = synthesis_cover(12, perm, EVEN_TWIST)
     assert cover >= max(perm.pi(m) for m in range(2, 13, 2))
@@ -181,7 +180,7 @@ def test_synthesis_cover_agrees_with_synthesis_at_the_table_end(variant):
     the same error; otherwise synthesis fits inside the cover."""
     for size in (2, 3, 20, 21, 64):
         perm = TwistPermutation.build(size)
-        wide = BlockLayout.singletons(4 * size + 16)
+        wide = BlockLayout.from_sizes(np.ones(4 * size + 16, int))
         for n in range(1, size + 4):
             try:
                 cover = synthesis_cover(n, perm, variant)
@@ -189,7 +188,8 @@ def test_synthesis_cover_agrees_with_synthesis_at_the_table_end(variant):
                 with pytest.raises(ParameterError, match=re.escape(str(exc))):
                     twisted_synthesis(np.ones(n), perm, variant, wide)
                 continue
-            twisted_synthesis(np.ones(n), perm, variant, BlockLayout.singletons(cover))
+            fits = BlockLayout.from_sizes(np.ones(cover, int))
+            twisted_synthesis(np.ones(n), perm, variant, fits)
 
 
 def test_unconditional_constant_plain_basis_is_one():
