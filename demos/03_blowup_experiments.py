@@ -23,8 +23,8 @@ print("kept/leaked coefficients for the twisted lacunary family:")
 print(" ", res.detail, "\n")
 
 print("materialized witness vs closed form (powerlog, block 20, p = 4):")
-rsum, qs, op, expected = blowup_witness("powerlog", 20, 4.0, alpha=0.25)
-out = associated_operator(op, qs, rsum)
+rsum, log2_q, op, expected = blowup_witness("powerlog", 20, 4.0, alpha=0.25)
+out = associated_operator(op, log2_q, rsum)
 print(f"  input norm (disjoint mode)  {rad_norm(rsum, 'disjoint'):.12f}")
 print(f"  output norm                 {rad_norm(out, 'disjoint'):.12f}")
 print(f"  closed form                 {expected:.12f}\n")

@@ -42,7 +42,6 @@ from .multiplier import (
     sectoriality_probe,
 )
 from .rademacher import (
-    Log2Negatives,
     RadSum,
     associated_operator,
     blowup_series,

@@ -32,7 +32,6 @@ from .multiplier import (
     positivity_check,
 )
 from .rademacher import (
-    Log2Negatives,
     RadSum,
     associated_operator,
     blowup_series,
@@ -102,7 +101,7 @@ def check_lacunary_half_sixth() -> CheckResult:
     terms = np.zeros((head, layout.dim), dtype=np.complex128)
     cols = op.perm.pi(2 * np.arange(1, head + 1))
     terms[np.arange(head), cols - 1] = 1.0
-    out = associated_operator(op, Log2Negatives(2.0 * np.arange(1, head + 1) - 1.0),
+    out = associated_operator(op, 2.0 * np.arange(1, head + 1) - 1.0,
                               RadSum(terms, layout, 4.0))
     kept_e2e = out.terms[np.arange(head), cols - 1]
     leaked_e2e = out.terms[np.arange(head), 2 * np.arange(1, head + 1) - 2]

@@ -63,6 +63,7 @@ def triangular_indices_1mod4(k) -> np.ndarray:
 
 EXACT_TERM_LIMIT = 14      # largest k whose 2^k sign patterns are enumerated
 _PATTERN_CELLS = 1 << 16   # complex cells of one row block in combination_norms
+_NORMAL_MIN = np.finfo(np.float64).tiny   # smallest sum of squares kept unscaled
 
 
 def sign_patterns(k: int) -> np.ndarray:
@@ -133,8 +134,15 @@ def _check_p(p):
     return p
 
 
+@np.errstate(over="ignore")   # squares past the float range are summed again below
 def block_norms(arr, layout: BlockLayout):
-    """Euclidean norm of each block; supports batches along the last axis."""
+    """Euclidean norm of each block; supports batches along the last axis.
+
+    A block whose sum of squares overflowed, or fell below the normal float
+    range in a vector too small to hold a block 2^53 times its norm, is
+    summed again scaled by its largest modulus; every other block keeps the
+    plain sum.
+    """
     arr = np.asarray(arr)
     if arr.shape[-1] != layout.dim:
         raise StructuralError(f"vector length {arr.shape[-1]} != layout dim {layout.dim}")
@@ -142,7 +150,32 @@ def block_norms(arr, layout: BlockLayout):
         sq = arr.real * arr.real + arr.imag * arr.imag
     else:
         sq = arr * arr
-    return np.sqrt(np.add.reduceat(sq, layout.starts, axis=-1))
+    sums = np.add.reduceat(sq, layout.starts, axis=-1)
+    out = np.sqrt(sums)
+    if sums.size and not (sums.min() >= _NORMAL_MIN and sums.max() < math.inf):
+        # a vector whose squares add up to ``shadow`` holds a block 2^53 times
+        # the norm of any block whose sum underflowed; those blocks stay as they are
+        shadow = _NORMAL_MIN * 2.0 ** 106 * layout.n_blocks
+        total = sums.dot(np.ones(layout.n_blocks))
+        if not (total.min() >= shadow and total.max() < math.inf):
+            redo = ((sums < _NORMAL_MIN) & (total < shadow)[..., None]) | (sums == math.inf)
+            out[redo] = _scaled_block_norms(arr, layout, redo)
+    return out
+
+
+def _scaled_block_norms(arr, layout, redo):
+    """Norms of the blocks ``redo`` marks, each block divided by its largest
+    modulus before it is squared."""
+    rows = redo.reshape(-1, layout.n_blocks)
+    pick = rows.any(axis=1)
+    mod = np.abs(arr.reshape(-1, layout.dim)[pick])
+    peak = np.maximum.reduceat(mod, layout.starts, axis=-1)
+    # blocks left out of ``redo`` may read NaN here; they are dropped
+    with np.errstate(invalid="ignore"):
+        scaled = mod / np.repeat(np.where(peak > 0.0, peak, 1.0), layout.sizes, axis=-1)
+        norms = peak * np.sqrt(np.add.reduceat(scaled * scaled, layout.starts, axis=-1))
+    norms[peak == math.inf] = math.inf
+    return norms[rows[pick]]
 
 
 def _lp_of_blocks(bn, p):

@@ -109,7 +109,6 @@ class MRVerdict:
     regular: bool
     p: float
     kind: str                       # "small-p" or "threshold"
-    gap: float | None = None        # threshold exponent gap, power families only
 
 
 def _validate_hypotheses(ratios: RatioSeq):
@@ -140,9 +139,8 @@ def mr_predicate(ratios: RatioSeq, p: float) -> MRVerdict:
     _validate_hypotheses(ratios)
     if p <= 2.0:
         return MRVerdict(regular=True, p=p, kind="small-p")
-    gap = holder_gap(p, ratios.alpha) if ratios.alpha is not None else None
     return MRVerdict(regular=bool(_family_regular(ratios.family, ratios.alpha, p)),
-                     p=p, kind="threshold", gap=gap)
+                     p=p, kind="threshold")
 
 
 # -- interval planning -------------------------------------------------------

@@ -47,6 +47,7 @@ _LN2 = math.log(2.0)
 _ROW_BLOCK = 1024   # table rows converted and written at a time
 _GRID_POINTS = 10 ** 6   # most points a generated grid may hold
 _TRUNCATION_DIM = 2 * 10 ** 7   # most coordinates a triangular truncation may hold
+_ARRAY_ENTRIES = 10 ** 7   # most entries of the largest array a flag sizes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,6 +203,14 @@ def _truncation_blocks(n_blocks):
     return n_blocks
 
 
+def _array_entries(flags, entries):
+    """Refuse, before anything is built, flag values whose largest array
+    would hold more than _ARRAY_ENTRIES entries."""
+    if entries > _ARRAY_ENTRIES:
+        raise ParameterError(f"{flags} asks for an array of {entries} entries; "
+                             f"at most {_ARRAY_ENTRIES} are allowed")
+
+
 def _parse_grid(text):
     """Comma list of floats, or pow2:a:b for 2^a .. 2^b, or geom:a:b:n."""
     try:
@@ -234,6 +243,7 @@ def _family(args):
 def _gamma_operator(args):
     """The operator of --gamma (lacunary | power:A | powerlog:A | constant:C) at --n;
     a constant C may take any value in (0, 1/2)."""
+    _array_entries(f"--n {args.n}", 2 * args.n + 8)   # the permutation covers 2 dim + 8
     if args.gamma == LACUNARY:
         return TwistedMultiplier.covering(args.n, LACUNARY)
     kind, _, value = args.gamma.partition(":")
@@ -254,6 +264,7 @@ def _gamma_operator(args):
 def cmd_gen_gamma(args):
     if args.n < 1:
         raise ParameterError("--n must be at least 1")
+    _array_entries(f"--n {args.n}", args.n)
     seq, ratios = family_seq(*_family(args), args.n)
     cvals = np.full(args.n, float("nan"))
     cvals[1:] = (seq.recovered_ratios() if ratios is None
@@ -266,6 +277,7 @@ def cmd_gen_gamma(args):
 
 
 def cmd_pi_table(args):
+    _array_entries(f"--n {args.n}", args.n + 1)
     perm = build_permutation(args.n)
     b_line = " ".join(map(str, perm.b_list[:(args.n - 2) // 4 + 1].tolist()))
     m = np.arange(1, args.n + 1)
@@ -297,6 +309,7 @@ def cmd_semigroup_check(args):
 def cmd_bv_bound(args):
     alphas, ts = _parse_grid(args.alpha), _parse_grid(args.tgrid)
     _grid_points(alphas.size * ts.size)
+    _array_entries(f"--n {args.n}", args.n)
     per_alpha = [bv_semigroup_bound(alpha, ts, args.n, check=False) for alpha in alphas.tolist()]
     computed, closed = (np.concatenate(part) for part in zip(*per_alpha))
     ok = computed <= closed
@@ -306,6 +319,7 @@ def cmd_bv_bound(args):
 
 
 def cmd_bip_check(args):
+    _array_entries(f"--pairs {args.pairs}", 2 * args.pairs + 2)
     seq, ratios = family_seq(*_family(args), 2 * args.pairs + 2)
     ts = _parse_grid(args.tgrid)
     per_t = bip_pair_ratios(seq, ratios, ts, args.pairs)
@@ -317,6 +331,8 @@ def cmd_bip_check(args):
 
 def cmd_sector_probe(args):
     op = _gamma_operator(args)
+    # every trial of a ray waits as one row of the next batch
+    _array_entries(f"--trials {args.trials}", args.trials * op.layout.dim)
     rep = sectoriality_probe(op, _parse_grid(args.angles), _parse_grid(args.radii),
                              p=args.p, trials=args.trials, seed=args.seed)
     angle, radius = np.meshgrid(rep.angles, rep.radii, indexing="ij")
@@ -332,6 +348,9 @@ def cmd_sector_probe(args):
 
 
 def cmd_rad_norm(args):
+    _array_entries(f"--k {args.k} with --blocks {args.blocks}",
+                   max(args.k, 1) * triangular_end(args.blocks))
+    _array_entries(f"--samples {args.samples} with --k {args.k}", args.samples * args.k)
     layout = BlockLayout.triangular(args.blocks)
     terms = np.random.default_rng(args.seed).standard_normal((max(args.k, 0), layout.dim))
     s = RadSum(terms, layout, args.p)
@@ -346,8 +365,9 @@ def cmd_rad_norm(args):
 
 
 def cmd_rbound_blowup(args):
-    series = blowup_series(args.family, args.p, alpha=args.alpha,
-                           block_counts=_parse_ints(args.blocks))
+    blocks = _parse_ints(args.blocks)
+    _array_entries(f"--blocks {max(blocks)}", max(blocks) + 1)
+    series = blowup_series(args.family, args.p, alpha=args.alpha, block_counts=blocks)
     _emit(args, "rbound-blowup", ["k", "L_k", "fitted_slope"],
           [series.ks, series.lower, np.full(series.ks.size, series.slope)],
           extra=[f"slope {_fmt(series.slope)}"])
@@ -405,6 +425,7 @@ def cmd_interval_certify(args):
 
 def cmd_dissipativity(args):
     _truncation_blocks(args.block)
+    _array_entries(f"--onset-max {args.onset_max}", args.onset_max + 1)
     ratios = family_ratios(*_family(args), max(args.block + 2, args.onset_max + 1))
     w = dissipativity_witness(ratios, args.block)
     onset = dissipativity_norm_onset(ratios, k_max=args.onset_max)
@@ -419,6 +440,8 @@ def cmd_dissipativity(args):
 
 
 def cmd_uncond_constant(args):
+    if args.mode == "sampled":   # exact mode enumerates at most EXACT_TERM_LIMIT terms
+        _array_entries(f"--n {args.n}", args.n * args.n)   # the basis is synthesized from I_n
     val = unconditional_constant(args.n, args.p, mode=args.mode, seed=args.seed)
     _emit(args, "uncond-constant", ["n", "p", "mode", "estimate"],
           [args.n, args.p, args.mode, val])

@@ -37,6 +37,7 @@ __all__ = [
     "bv_semigroup_bound",
     "sectoriality_probe",
     "opnorm_lower",
+    "scaled_resolvent_values",
 ]
 
 _LN2 = math.log(2.0)
@@ -112,13 +113,15 @@ class TwistedMultiplier:
     def symbols(self, g):
         """Diagonal and coupling entries of the multiplier with symbol values g.
 
-        ``g[i - 1]`` is the symbol at sequence index i, for i = 1 ..
-        ``structure.needed``; returns ``(diag, off)``.
+        ``g[..., i - 1]`` is the symbol at sequence index i, for i = 1 ..
+        ``structure.needed``; returns ``(diag, off)``, one row of each per
+        row of a stack g, which ``apply_symbols`` applies row by row.
         """
         st = self.structure
-        if len(g) < st.needed:
+        if g.shape[-1] < st.needed:
             raise ParameterError(f"symbol values must cover index {st.needed}")
-        return g[st.diag_src - 1], g[st.off_hi - 1] - g[st.off_lo - 1]
+        return (g.take(st.diag_src - 1, axis=-1),
+                g.take(st.off_hi - 1, axis=-1) - g.take(st.off_lo - 1, axis=-1))
 
     def apply_symbols(self, diag, off, arr):
         """Multiply by the entries ``symbols`` returned; batches run along the last axis."""
@@ -208,6 +211,16 @@ class TwistedMultiplier:
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of the truncated operator (the diagonal symbol values)."""
         return self.symbols(self.seq.values_upto(self.structure.needed))[0]
+
+
+def scaled_resolvent_values(log2_gamma, log2_q):
+    """Symbol of q R(q, A) at the values gamma, for q = -2^log2_q.
+
+    Written in ratio form 1 / (1 + gamma/|q|), so arbitrarily large
+    exponents on either side stay finite; broadcasts like its arguments.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp2(log2_gamma - log2_q))
 
 
 def _structure(layout: BlockLayout, perm: TwistPermutation, variant: str) -> _Structure:
@@ -474,22 +487,26 @@ def _first_max(values):
     return best, at
 
 
-def opnorm_lower(apply_fn, adjoint_fn, layout: BlockLayout, p,
-                 trials: int = 4, iters: int = 12, seed: int = 0):
-    """Certified lower bound of an operator norm on the mixed-norm space.
+def opnorm_lower(op: TwistedMultiplier, g, p, trials: int = 4, iters: int = 12,
+                 seed: int = 0):
+    """Certified lower bound of the norm of the multiplier with symbol values
+    g (as in ``TwistedMultiplier.symbols``) on the mixed-norm space.
 
     Duality-map power ascents from random starts, all trials as rows of
-    one batch: ``apply_fn`` and ``adjoint_fn`` act along the last axis.
-    The returned witness attains the bound, so re-evaluation reproduces
-    it; it is the earliest trial and step that reaches the maximum.
+    one batch.  The returned witness attains the bound, so re-evaluation
+    reproduces it; it is the earliest trial and step that reaches the
+    maximum.
     """
+    diag, off = op.symbols(g)
+    layout = op.layout
     rng = np.random.default_rng(seed)
     n = max(1, trials)
     block = max(1, _PROBE_CELLS // layout.dim)
     best, best_v = 0.0, None
     for first in range(0, n, block):
         starts = np.stack([_start(rng, layout.dim) for _ in range(min(block, n - first))])
-        vals, vecs = _ascend(lambda x, rows: apply_fn(x), lambda u, rows: adjoint_fn(u),
+        vals, vecs = _ascend(lambda x, rows: op.apply_symbols(diag, off, x),
+                             lambda u, rows: op.adjoint_apply_symbols(diag, off, u),
                              starts, layout, p, iters)
         val, at = _first_max(vals)
         if val > best:

@@ -36,7 +36,7 @@ from .blockspace import (
     triangular_indices_1mod4,
 )
 from .errors import ParameterError, StructuralError
-from .multiplier import TwistedMultiplier
+from .multiplier import TwistedMultiplier, scaled_resolvent_values
 from .sequences import (
     MultiplierSeq,
     block_target_counts,
@@ -50,7 +50,6 @@ __all__ = [
     "RadSum",
     "SampledNorm",
     "rad_norm",
-    "Log2Negatives",
     "associated_operator",
     "pair_resolvent_coeffs",
     "BlowupSeries",
@@ -122,55 +121,18 @@ def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_0
 # -- the q R(q, A) family ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Log2Negatives:
-    """Negative reals q_k = -2^(log2_magnitudes[k]), exponent form."""
+def associated_operator(op: TwistedMultiplier, log2_q, s: RadSum) -> RadSum:
+    """Map sum r_k x_k to sum r_k q_k R(q_k, A) x_k, q_k = -2^log2_q[k].
 
-    log2_magnitudes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "log2_magnitudes",
-                           np.asarray(self.log2_magnitudes, dtype=np.float64))
-
-    def __len__(self):
-        return int(self.log2_magnitudes.size)
-
-    def log2_abs(self, k):
-        return float(self.log2_magnitudes[k])
-
-
-def _as_log2_negatives(qs, n_terms):
-    if not isinstance(qs, Log2Negatives):
-        arr = np.asarray(qs, dtype=np.float64).ravel()
-        if np.any(arr >= 0.0):
-            raise ParameterError("the resolvent family takes negative parameters")
-        qs = Log2Negatives(np.log2(-arr))
-    if len(qs) != n_terms:
-        raise ParameterError("need one q per term")
-    return qs
-
-
-def scaled_resolvent_symbols(op: TwistedMultiplier, log2_q: float):
-    """Diagonal and coupling entries of q R(q, A) for q = -2^log2_q.
-
-    Written in ratio form 1 / (1 + gamma/|q|), so arbitrarily large
-    exponents on either side stay finite.
+    One symbol row per term, applied to the stacked terms at once.
     """
-    with np.errstate(over="ignore"):
-        r = np.exp2(op.seq.log2[: op.structure.needed] - log2_q)
-    return op.symbols(1.0 / (1.0 + r))
-
-
-def associated_operator(op: TwistedMultiplier, qs, s: RadSum) -> RadSum:
-    """Map sum r_k x_k to sum r_k q_k R(q_k, A) x_k, term by term."""
     if s.layout.dim != op.layout.dim:
         raise ParameterError("sum layout does not match the operator")
-    qlog = _as_log2_negatives(qs, s.n_terms)
-    out = np.empty_like(s.terms)
-    for k in range(s.n_terms):
-        diag, off = scaled_resolvent_symbols(op, qlog.log2_abs(k))
-        out[k] = op.apply_symbols(diag, off, s.terms[k])
-    return RadSum(out, s.layout, s.p)
+    lq = np.asarray(log2_q, dtype=np.float64).ravel()
+    if lq.size != s.n_terms:
+        raise ParameterError("need one q per term")
+    g = scaled_resolvent_values(op.seq.log2[: op.structure.needed], lq[:, None])
+    return RadSum(op._multiply(g, s.terms), s.layout, s.p)
 
 
 def pair_resolvent_coeffs(seq: MultiplierSeq, log2_q, even_indices):
@@ -185,12 +147,8 @@ def pair_resolvent_coeffs(seq: MultiplierSeq, log2_q, even_indices):
     if np.any(m % 2):
         raise ParameterError("pair coefficients are indexed by even positions")
     lq = np.asarray(log2_q, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        r_hi = np.exp2(seq.log2_at(m) - lq)
-        r_lo = np.exp2(seq.log2_at(m - 1) - lq)
-    kept = 1.0 / (1.0 + r_hi)
-    leaked = kept - 1.0 / (1.0 + r_lo)
-    return kept, leaked
+    kept = scaled_resolvent_values(seq.log2_at(m), lq)
+    return kept, kept - scaled_resolvent_values(seq.log2_at(m - 1), lq)
 
 
 # -- blow-up experiments -------------------------------------------------------
@@ -200,7 +158,6 @@ CONSTRUCTIONS = ("lacunary", "power", "powerlog")
 
 @dataclass(frozen=True)
 class BlowupSeries:
-    construction: str
     p: float
     alpha: float | None
     ks: np.ndarray
@@ -245,16 +202,16 @@ def blowup_series(construction: str, p, alpha=None, block_counts=(100, 1000, 100
     logs = np.log(lower[lower > 0.0])
     logk = np.log(ks[lower > 0.0].astype(float))
     slope = float(np.polyfit(logk, logs, 1)[0]) if logs.size >= 2 else float("nan")
-    return BlowupSeries(construction=construction, p=p, alpha=alpha, ks=ks,
-                        lower=lower, slope=slope)
+    return BlowupSeries(p=p, alpha=alpha, ks=ks, lower=lower, slope=slope)
 
 
 def blowup_witness(construction: str, k: int, p, alpha=None, bound: float = 0.125):
     """Materialize the extremal witness for target block k.
 
-    Returns (rsum, qs, op, expected) where expected is the closed-form
-    norm of the mapped sum (the leaked block value combined with the kept
-    halves).  Small k only; the layout must hold the reserved coordinates.
+    Returns (rsum, log2_q, op, expected): q_k = -2^log2_q[k] drives term
+    k, and expected is the closed-form norm of the mapped sum (the leaked
+    block value combined with the kept halves).  Small k only; the layout
+    must hold the reserved coordinates.
     """
     p, q, _ = _blowup_args(construction, p, [k], alpha)
     targets = triangular_indices_1mod4(k)
@@ -274,8 +231,7 @@ def blowup_witness(construction: str, k: int, p, alpha=None, bound: float = 0.12
     terms = np.zeros((targets.size, layout.dim), dtype=np.complex128)
     terms[np.arange(targets.size), reserved - 1] = profile
     rsum = RadSum(terms, layout, p)
-    qs = Log2Negatives(seq.log2_at(4 * ms + 2))
     leak_norm = float(np.power(np.power(np.abs(profile * leak), 2).sum(), 0.5))
     expected = (leak_norm ** p + (0.5 ** p) * np.power(np.abs(profile), p).sum()) ** (1.0 / p)
-    return rsum, qs, op, expected
+    return rsum, seq.log2_at(4 * ms + 2), op, expected
 

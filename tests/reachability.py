@@ -35,8 +35,6 @@ KEEP = {
         "the overflow error a too-long sequence raises; tests reach it",
     "multiplier.TwistedMultiplier.structure":
         "operator API: the structure of a directly built operator (covering seeds it)",
-    "multiplier.TwistedMultiplier._multiply":
-        "operator API: the one symbol -> apply path behind A, R, T and A^{it}",
     "multiplier.TwistedMultiplier.apply":
         "operator API: A v, in the property tests",
     "multiplier.TwistedMultiplier.resolvent":
@@ -48,7 +46,8 @@ KEEP = {
     "multiplier.TwistedMultiplier.spectrum":
         "operator API: the eigenvalues of a truncation, in the property tests",
     "multiplier.opnorm_lower":
-        "lower operator-norm bound; BENCHMARK.json and perfbench name it",
+        "lower norm bound of the multiplier with symbol values g; BENCHMARK.json and "
+        "perfbench name it, and the tests bound A^{it} and BV multipliers with it",
     "sequences.MultiplierSeq.value_at":
         "one sequence value; perfbench/tracing.py counts its calls",
     "twistbasis.twisted_synthesis":

@@ -238,11 +238,12 @@ def test_opnorm_lower_matches_per_trial_loop(trials, cells, monkeypatch):
     op = OPERATORS["even-constant"]()
     if cells is not None:
         monkeypatch.setattr(multiplier, "_PROBE_CELLS", cells * op.layout.dim)
-    sym = op.symbols(np.exp(1j * 2.0 * math.log(2.0) * op.seq.log2[: op.structure.needed]))
-    args = (lambda v: op.imaginary_power(2.0, v),
-            lambda u: op.adjoint_apply_symbols(*sym, u), op.layout, 2.5)
-    val, vec = opnorm_lower(*args, trials=trials, seed=4)
-    want, want_v = opnorm_oracle(*args, trials=trials, seed=4)
+    g = np.exp(1j * 2.0 * math.log(2.0) * op.seq.log2[: op.structure.needed])
+    sym = op.symbols(g)
+    val, vec = opnorm_lower(op, g, 2.5, trials=trials, seed=4)
+    want, want_v = opnorm_oracle(lambda v: op.imaginary_power(2.0, v),
+                                 lambda u: op.adjoint_apply_symbols(*sym, u),
+                                 op.layout, 2.5, trials=trials, seed=4)
     assert bits(val) == bits(want)
     assert vec.tobytes() == want_v.tobytes()
 
@@ -250,6 +251,7 @@ def test_opnorm_lower_matches_per_trial_loop(trials, cells, monkeypatch):
 def test_opnorm_lower_zero_operator_has_no_witness():
     op = OPERATORS["even-constant"]()
     zero = np.zeros(op.structure.needed)
-    args = (lambda v: op.apply_symbols(*op.symbols(zero), v),
-            lambda u: op.adjoint_apply_symbols(*op.symbols(zero + 0j), u), op.layout, 2.0)
-    assert opnorm_lower(*args, trials=2) == (0.0, None) == opnorm_oracle(*args, trials=2)
+    sym = op.symbols(zero)
+    want = opnorm_oracle(lambda v: op.apply_symbols(*sym, v),
+                         lambda u: op.adjoint_apply_symbols(*sym, u), op.layout, 2.0, trials=2)
+    assert opnorm_lower(op, zero, 2.0, trials=2) == (0.0, None) == want

@@ -4,6 +4,7 @@ import pytest
 from mrlab.blockspace import (
     BlockLayout,
     MixedVector,
+    block_norms,
     bv_norm,
     mixed_norm,
     triangular_block_index,
@@ -94,6 +95,35 @@ def test_mixed_norm_homogeneous_and_triangle():
         y = rng.standard_normal(lay.dim)
         assert mixed_norm(2.5 * x, p, lay) == pytest.approx(2.5 * mixed_norm(x, p, lay))
         assert mixed_norm(x + y, p, lay) <= mixed_norm(x, p, lay) + mixed_norm(y, p, lay) + 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_mixed_norm_survives_squares_out_of_range(scale, dtype):
+    # 1e-200 squared underflows to 0.0 and 1e200 squared overflows to inf;
+    # the sum used to read 0.0 and NaN, with overflow warnings
+    lay = BlockLayout.triangular(3)
+    ones = mixed_norm(np.ones(6, dtype=dtype), 3.0, lay)
+    got = mixed_norm(np.full(6, scale, dtype=dtype), 3.0, lay)
+    assert got == pytest.approx(scale * ones, rel=1e-15, abs=0.0)
+
+
+def test_block_norms_rescale_only_the_blocks_out_of_range():
+    lay = BlockLayout.triangular(4)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, lay.dim)) + 1j * rng.standard_normal((3, lay.dim))
+    x[0, 1:3] = 0.0                     # a zero block beside normal ones
+    x[1] *= 1e-200                      # every block underflows
+    x[2, 3:6] = [1e200, -1e200, 0.0]    # one block overflows
+    with np.errstate(over="ignore"):
+        sq = x.real * x.real + x.imag * x.imag
+        plain = np.sqrt(np.add.reduceat(sq, lay.starts, axis=-1))
+    got = block_norms(x, lay)
+    assert got[0].tobytes() == plain[0].tobytes()
+    np.testing.assert_allclose(got[1], 1e-200 * block_norms(x[1] * 1e200, lay), rtol=1e-15)
+    assert got[2, 2] == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert np.delete(got[2], 2).tobytes() == np.delete(plain[2], 2).tobytes()
+    assert block_norms(np.array([np.inf, 1, 1, 1, 1, 1]), BlockLayout.triangular(3))[0] == INF
 
 
 def test_mixed_norm_errors():

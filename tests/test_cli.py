@@ -322,6 +322,33 @@ def test_oversized_grid_is_refused_before_it_is_built(argv, capsys):
         assert "a grid takes 1 to 1000000 points, not " in err
 
 
+@pytest.mark.parametrize("argv, flags, entries", [
+    # each used to end in a MemoryError traceback, or to try to allocate
+    # gigabytes, before the limit was checked
+    (["gen-gamma", "--n", "100000000"], "--n 100000000", 100000000),
+    (["pi-table", "--n", "100000000"], "--n 100000000", 100000001),
+    (["bv-bound", "--n", "100000000"], "--n 100000000", 100000000),
+    (["bip-check", "--pairs", "100000000"], "--pairs 100000000", 200000002),
+    (["rbound-blowup", "--blocks", "100,100000000"], "--blocks 100000000", 100000001),
+    (["dissipativity", "--onset-max", "100000000"], "--onset-max 100000000", 100000001),
+    (["semigroup-check", "--n", "100000000"], "--n 100000000", 200000008),
+    (["sector-probe", "--n", "100000000"], "--n 100000000", 200000008),
+    (["sector-probe", "--n", "64", "--trials", "100000000"], "--trials 100000000",
+     6600000000),
+    (["uncond-constant", "--n", "100000", "--mode", "sampled"], "--n 100000", 10 ** 10),
+    (["rad-norm", "--blocks", "6000"], "--k 10 with --blocks 6000", 180030000),
+    (["rad-norm", "--k", "100000000", "--blocks", "2"], "--k 100000000 with --blocks 2",
+     300000000),
+    (["rad-norm", "--k", "20000", "--blocks", "2"], "--samples 100000 with --k 20000",
+     2 * 10 ** 9),
+])
+def test_oversized_array_is_refused_before_it_is_built(argv, flags, entries, capsys):
+    code, out, err = run_err(argv, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err == (f"error: {flags} asks for an array of {entries} entries; "
+                   f"at most 10000000 are allowed\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["sector-probe", "--n", "10", "--radii", "geom:1:10:0"],
     ["sector-probe", "--n", "10", "--angles", "geom:1:2:0"],

@@ -17,6 +17,7 @@ from mrlab.multiplier import (
     bv_semigroup_bound,
     opnorm_lower,
     positivity_check,
+    scaled_resolvent_values,
     sectoriality_probe,
 )
 from mrlab.sequences import (
@@ -302,6 +303,31 @@ def test_imaginary_power_group_law(variant, n_blocks, family, s, t, seed):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10 * np.abs(v).max())
 
 
+@examples(40)
+@given(variants, hs.integers(1, 12), families, hs.integers(1, 4), seeds)
+def test_truncation_commutes_with_composition(variant, n_blocks, family, n_factors, seed):
+    # the truncated multipliers of the symbols q_k/(q_k - x) compose to the
+    # truncated multiplier of their product: the coupling rows are never
+    # coupling columns.  The factors and the product go through ``symbols``
+    # as rows of one stack, and each row of the stacked apply is the
+    # single apply of its symbol, bit for bit
+    op = family_op(variant, n_blocks, *family)
+    log2 = op.seq.log2[: op.structure.needed]
+    rng = np.random.default_rng(seed)
+    log2_q = rng.uniform(-5.0, min(log2.max(), 600.0) + 5.0, n_factors)
+    g = scaled_resolvent_values(log2, log2_q[:, None])
+    diag, off = op.symbols(np.vstack([g, g.prod(axis=0)]))
+    v = random_vector(seed, op.layout.dim)
+    composed = v
+    for k in range(n_factors):
+        composed = op.apply_symbols(diag[k], off[k], composed)
+    direct = op.apply_symbols(diag[-1], off[-1], v)
+    np.testing.assert_allclose(composed, direct, rtol=1e-13, atol=1e-14 * np.abs(v).max())
+    rows = op.apply_symbols(diag, off, np.broadcast_to(v, (n_factors + 1, v.size)))
+    assert rows[0].tobytes() == op.apply_symbols(diag[0], off[0], v).tobytes()
+    assert rows[-1].tobytes() == direct.tobytes()
+
+
 def imaginary_coupling_entries(op, t):
     """The coupling entries of A^{it}: row H(b) of the column A^{it} e_{H(a)}."""
     structure = op.structure
@@ -327,14 +353,11 @@ def test_imaginary_power_norm_growth_at_p2():
     # |A^{it}| <= 1 + 8 C |t| with C the sup of the ratio values
     fam = ratio_family("power", 0.25, 12)
     op = TwistedMultiplier.covering(36, "power", 0.25)   # 8 triangular blocks
-    layout, cover = op.layout, op.structure.needed
+    cover = op.structure.needed
     cmax = float(fam.block_values.max())
     for t in (0.5, 2.0, 10.0):
-        val, _ = opnorm_lower(lambda v: op.imaginary_power(t, v),
-                              lambda u: op.adjoint_apply_symbols(
-                                  *op.symbols(np.exp(1j * t * math.log(2.0)
-                                                     * op.seq.log2[:cover])), u),
-                              layout, 2.0, trials=3, seed=0)
+        val, _ = opnorm_lower(op, np.exp(1j * t * math.log(2.0) * op.seq.log2[:cover]),
+                              2.0, trials=3, seed=0)
         assert val <= 1.0 + 8.0 * cmax * t + 1e-9
 
 
@@ -431,11 +454,7 @@ def test_sequence_multiplier_bv_ratio_stable_across_sizes():
     for n, op in ops.items():
         ratios = []
         for beta in betas:
-            head = beta[: op.structure.needed]
-            val, _ = opnorm_lower(lambda v, b=head: op.apply_symbols(*op.symbols(b), v),
-                                  lambda u, b=head: op.adjoint_apply_symbols(
-                                      *op.symbols(b + 0j), u),
-                                  op.layout, 2.5, trials=2, seed=11)
+            val, _ = opnorm_lower(op, beta[: op.structure.needed], 2.5, trials=2, seed=11)
             ratios.append(val / bv_norm(beta))
         measured.append(max(ratios))
     assert max(measured) < 10.0

@@ -1,23 +1,25 @@
-"""Properties of the triangular layout, the per-block norms, the
-permutation, the coupling rule and the twisted analysis and synthesis,
-checked on random inputs.
+"""Properties of the triangular layout, the per-block norms, the mixed
+norm, the ratio recurrence, the permutation, the coupling rule and the
+twisted analysis and synthesis, checked on random inputs.
 
 Each property draws a fixed number of examples and keeps no example
 database, so a run reads and writes nothing outside the test itself.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrlab.blockspace import (
     BlockLayout,
     MixedVector,
+    mixed_norm,
     triangular_block_index,
     triangular_end,
     triangular_indices_1mod4,
 )
-from mrlab.sequences import RatioSeq, block_q_norms, block_target_counts
+from mrlab.sequences import RatioSeq, block_q_norms, block_target_counts, seq_from_ratios
 from mrlab.twistbasis import (
     VARIANTS,
     TwistPermutation,
@@ -132,3 +134,54 @@ def test_synthesis_after_analysis_is_the_identity(n_blocks, variant, seed):
                     layout)
     back = twisted_synthesis(twisted_analysis(v, perm, variant), perm, variant, layout)
     np.testing.assert_allclose(back.coeffs, v.coeffs, rtol=0.0, atol=1e-15 * np.abs(v.coeffs).max())
+
+
+# -- the mixed norm and the ratio recurrence ----------------------------------
+
+block_sizes = st.lists(st.integers(1, 12), min_size=1, max_size=12)
+exponents = st.floats(1.01, 50.0) | st.just(float("inf"))
+
+
+def random_pair(sizes, seed, decades):
+    """A layout of the given block sizes and two complex vectors on it, each
+    at its own scale between 10^-decades and 10^decades."""
+    layout = BlockLayout.from_sizes(sizes)
+    rng = np.random.default_rng(seed)
+    x, y = (10.0 ** rng.uniform(-decades, decades)
+            * (rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim))
+            for _ in range(2))
+    return layout, x, y
+
+
+@examples(60)
+@given(block_sizes, exponents, st.integers(0, 2 ** 32 - 1))
+def test_mixed_norm_triangle_inequality(sizes, p, seed):
+    # scales whose squares leave the float range take the rescaled block sums
+    layout, x, y = random_pair(sizes, seed, 250.0)
+    lhs = mixed_norm(x + y, p, layout)
+    assert lhs <= (mixed_norm(x, p, layout) + mixed_norm(y, p, layout)) * (1.0 + 1e-13)
+    assert mixed_norm(-2.5j * x, p, layout) == pytest.approx(2.5 * mixed_norm(x, p, layout),
+                                                             rel=1e-14)
+
+
+@examples(60)
+@given(block_sizes, st.floats(1.01, 50.0), st.integers(0, 2 ** 32 - 1))
+def test_mixed_norm_holder_inequality(sizes, p, seed):
+    # |<x, y>| <= |x|_p |y|_p' with 1/p + 1/p' = 1: the pairing of the space
+    # with its dual, ell_p' of the same Euclidean blocks
+    layout, x, y = random_pair(sizes, seed, 150.0)
+    pairing = abs(np.vdot(y, x))
+    bound = mixed_norm(x, p, layout) * mixed_norm(y, p / (p - 1.0), layout)
+    assert pairing <= bound * (1.0 + 1e-13)
+
+
+@examples(60)
+@given(st.lists(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True), min_size=1,
+                max_size=400))
+def test_ratio_recurrence_round_trip(values):
+    # c -> t = 4c/(1 - 2c) -> c = t/(2(2 + t)), for any admissible ratios,
+    # subnormal ones and ones next to 1/2 included
+    c = np.array(values)
+    back = seq_from_ratios(c).recovered_ratios()
+    assert back.size == c.size
+    np.testing.assert_allclose(back, c, rtol=1e-15, atol=0.0)

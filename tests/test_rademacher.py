@@ -7,7 +7,6 @@ from mrlab.blockspace import BlockLayout, MixedVector, mixed_norm
 from mrlab.errors import ParameterError, StructuralError
 from mrlab.multiplier import TwistedMultiplier
 from mrlab.rademacher import (
-    Log2Negatives,
     RadSum,
     associated_operator,
     blowup_series,
@@ -16,7 +15,7 @@ from mrlab.rademacher import (
     rad_norm,
 )
 from mrlab.sequences import seq_from_ratios, twisted_lacunary
-from mrlab.twistbasis import EVEN_TWIST, PLAIN, TwistPermutation
+from mrlab.twistbasis import EVEN_TWIST, ODD_TWIST, PLAIN, TwistPermutation
 
 
 def test_rad_norm_single_term():
@@ -124,8 +123,7 @@ def test_associated_operator_lacunary_half_and_sixth():
             terms.append(MixedVector.unit(op.layout, j))
             keep.append(int(m))
     s = RadSum(np.stack([t.coeffs for t in terms]), op.layout, 4.0)
-    qs = Log2Negatives(np.array([2.0 * m - 1.0 for m in keep]))
-    out = associated_operator(op, qs, s)
+    out = associated_operator(op, np.array([2.0 * m - 1.0 for m in keep]), s)
     for row, m in enumerate(keep):
         j = op.perm.pi(2 * m)
         vec = out.terms[row]
@@ -151,7 +149,7 @@ def test_associated_operator_recurrence_leaks_minus_c():
     m = 3  # term at e_{pi(4m+2)} with q = -gamma_{4m+2}
     j = perm.pi(4 * m + 2)
     s = RadSum(MixedVector.unit(layout, j).coeffs[None, :], layout, 4.0)
-    out = associated_operator(op, Log2Negatives(seq.log2_at([4 * m + 2])), s)
+    out = associated_operator(op, seq.log2_at([4 * m + 2]), s)
     vec = out.terms[0]
     assert vec[j - 1] == pytest.approx(0.5, abs=1e-14)
     assert vec[4 * m] == pytest.approx(-c, rel=1e-9)
@@ -162,9 +160,8 @@ def test_associated_operator_resolvent_limit():
     rng = np.random.default_rng(6)
     terms = rng.standard_normal((3, op.layout.dim))
     s = RadSum(terms, op.layout, 3.0)
-    gmax = np.exp2(op.seq.log2[: op.structure.needed].max())
-    qs = np.full(3, -1e9 * gmax)
-    out = associated_operator(op, qs, s)
+    log2_q = np.full(3, math.log2(1e9) + op.seq.log2[: op.structure.needed].max())
+    out = associated_operator(op, log2_q, s)
     assert np.abs(out.terms - s.terms).max() < 1e-6
 
 
@@ -173,14 +170,12 @@ def test_associated_operator_scaling_and_validation():
     rng = np.random.default_rng(7)
     terms = rng.standard_normal((4, op.layout.dim))
     s = RadSum(terms, op.layout, 3.0)
-    qs = -np.abs(rng.uniform(1.0, 50.0, size=4))
-    out1 = associated_operator(op, qs, s)
-    out2 = associated_operator(op, qs, RadSum(2.5 * terms, op.layout, 3.0))
+    log2_q = np.log2(rng.uniform(1.0, 50.0, size=4))
+    out1 = associated_operator(op, log2_q, s)
+    out2 = associated_operator(op, log2_q, RadSum(2.5 * terms, op.layout, 3.0))
     np.testing.assert_allclose(out2.terms, 2.5 * out1.terms, rtol=1e-13)
-    with pytest.raises(ParameterError):
-        associated_operator(op, np.array([1.0, -2.0, -3.0, -4.0]), s)
-    with pytest.raises(ParameterError):
-        associated_operator(op, qs[:2], s)
+    with pytest.raises(ParameterError, match="one q per term"):
+        associated_operator(op, log2_q[:2], s)
 
 
 def test_associated_operator_commutes_with_truncation_restriction():
@@ -191,12 +186,58 @@ def test_associated_operator_commutes_with_truncation_restriction():
     big, perm, seq = op_big.layout, op_big.perm, op_big.seq
     op_small = TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=small)
     j = perm.pi(6)
-    qs = np.array([-3.7])
+    log2_q = np.log2([3.7])
     s_small = RadSum(MixedVector.unit(small, j).coeffs[None, :], small, 3.0)
     s_big = RadSum(MixedVector.unit(big, j).coeffs[None, :], big, 3.0)
-    out_small = associated_operator(op_small, qs, s_small).terms[0]
-    out_big = associated_operator(op_big, qs, s_big).terms[0]
+    out_small = associated_operator(op_small, log2_q, s_small).terms[0]
+    out_big = associated_operator(op_big, log2_q, s_big).terms[0]
     np.testing.assert_allclose(out_big[: small.dim], out_small, rtol=1e-14)
+
+
+def associated_operator_oracle(op, log2_q, s):
+    """One term at a time: the symbol of q_k R(q_k, A) in ratio form, applied
+    to term k alone."""
+    log2 = op.seq.log2[: op.structure.needed]
+    out = np.empty_like(s.terms)
+    for k in range(s.n_terms):
+        with np.errstate(over="ignore"):
+            r = np.exp2(log2 - float(log2_q[k]))
+        out[k] = op.apply_symbols(*op.symbols(1.0 / (1.0 + r)), s.terms[k])
+    return out
+
+
+@pytest.mark.parametrize("variant", [PLAIN, EVEN_TWIST, ODD_TWIST])
+@pytest.mark.parametrize("family, param, n_terms, seed", [
+    ("lacunary", None, 1, 0),
+    ("constant", 0.1, 5, 1),
+    ("power", 0.25, 9, 2),
+    ("powerlog", 0.3, 4, 3),
+])
+def test_associated_operator_matches_per_term_loop(variant, family, param, n_terms, seed):
+    covering = TwistedMultiplier.covering(60, family, param)
+    op = TwistedMultiplier(seq=covering.seq, perm=covering.perm, variant=variant,
+                           layout=covering.layout)
+    rng = np.random.default_rng(seed)
+    terms = rng.standard_normal((n_terms, op.layout.dim)) \
+        + 1j * rng.standard_normal((n_terms, op.layout.dim))
+    s = RadSum(terms, op.layout, 3.0)
+    # magnitudes from far below the smallest value to far above the largest
+    log2_q = rng.uniform(-40.0, op.seq.log2[: op.structure.needed].max() + 40.0, n_terms)
+    want = associated_operator_oracle(op, log2_q, s)
+    assert associated_operator(op, log2_q, s).terms.tobytes() == want.tobytes()
+
+
+def test_associated_operator_matches_per_term_loop_past_256_kib():
+    # the stacked products exceed the 256 KiB at which numpy reuses a
+    # temporary operand and multiplies in swapped order
+    op = TwistedMultiplier.covering(3000, "powerlog", 0.25)
+    rng = np.random.default_rng(8)
+    terms = rng.standard_normal((40, op.layout.dim)) + 1j * rng.standard_normal((40, op.layout.dim))
+    assert terms.nbytes > 1 << 18 and 40 * op.structure.off_rows.size * 16 > 1 << 18
+    s = RadSum(terms, op.layout, 4.0)
+    log2_q = rng.uniform(0.0, 40.0, 40)
+    want = associated_operator_oracle(op, log2_q, s)
+    assert associated_operator(op, log2_q, s).terms.tobytes() == want.tobytes()
 
 
 def test_rbound_diagonal_resolvents_hilbert_contractive():
@@ -211,8 +252,8 @@ def test_rbound_diagonal_resolvents_hilbert_contractive():
         k = int(rng.integers(1, 9))
         s = RadSum(rng.standard_normal((k, lay.dim)) + 1j * rng.standard_normal((k, lay.dim)),
                    lay, 2.0)
-        qs = rng.choice([-0.5, -2.0, -10.0, -100.0], size=k)
-        mapped = associated_operator(op, qs, s)
+        log2_q = np.log2(rng.choice([0.5, 2.0, 10.0, 100.0], size=k))
+        mapped = associated_operator(op, log2_q, s)
         assert rad_norm(mapped, "exact") <= rad_norm(s, "exact") * (1 + 1e-12)
 
 
@@ -221,8 +262,8 @@ def test_blowup_series_monotone_and_crosschecked():
     assert np.all(np.diff(series.lower) >= -1e-15)
     # materialized witness agrees with the closed-form block value
     for k in (9, 20, 41):
-        rsum, qs, op, expected = blowup_witness("powerlog", k, 4.0, alpha=0.25)
-        out = associated_operator(op, qs, rsum)
+        rsum, log2_q, op, expected = blowup_witness("powerlog", k, 4.0, alpha=0.25)
+        out = associated_operator(op, log2_q, rsum)
         got = rad_norm(out, "disjoint")
         assert got == pytest.approx(expected, rel=1e-9)
         assert rad_norm(rsum, "disjoint") == pytest.approx(1.0, rel=1e-12)
@@ -232,15 +273,15 @@ def test_blowup_series_monotone_and_crosschecked():
 def test_blowup_witness_builds_its_sequence_at_its_bound(construction):
     # the closed form reads the ratios at ``bound``; the operator's sequence
     # must be solved from the same ratios (at bound 1/2 it was solved at 1/8)
-    rsum, qs, op, expected = blowup_witness(construction, 9, 4.0, alpha=0.25, bound=0.5)
-    out = associated_operator(op, qs, rsum)
+    rsum, log2_q, op, expected = blowup_witness(construction, 9, 4.0, alpha=0.25, bound=0.5)
+    out = associated_operator(op, log2_q, rsum)
     assert rad_norm(out, "disjoint") == pytest.approx(expected, rel=1e-9)
 
 
 def test_blowup_witness_exact_mode_agreement():
-    rsum, qs, op, expected = blowup_witness("power", 9, 4.0, alpha=0.25)
+    rsum, log2_q, op, expected = blowup_witness("power", 9, 4.0, alpha=0.25)
     assert rsum.n_terms <= 14
-    out = associated_operator(op, qs, rsum)
+    out = associated_operator(op, log2_q, rsum)
     assert rad_norm(out, "exact") == pytest.approx(rad_norm(out, "disjoint"), rel=1e-12)
 
 
@@ -265,8 +306,8 @@ def test_blowup_seeds_rbound_family():
     # the witness's ratio under the resolvent family bounds the R-bound from
     # below, and it dominates half the leaked block value
     k = 20
-    rsum, qs, op, expected = blowup_witness("powerlog", k, 4.0, alpha=0.25)
-    ratio = rad_norm(associated_operator(op, qs, rsum), "disjoint") / rad_norm(rsum, "disjoint")
+    rsum, log2_q, op, expected = blowup_witness("powerlog", k, 4.0, alpha=0.25)
+    ratio = rad_norm(associated_operator(op, log2_q, rsum), "disjoint") / rad_norm(rsum, "disjoint")
     series = blowup_series("powerlog", 4.0, alpha=0.25, block_counts=[k])
     assert ratio >= 0.5 * series.lower[0]
 
