@@ -44,8 +44,8 @@ print("  five random unit profiles: ",
       np.round(mixed_norm(a * cvals[None, :], 4.0, lay), 6), "all below\n")
 
 for p in (3.9, 4.0, 4.1):
-    vp = mr_predicate(power, p).regular
-    vl = mr_predicate(plog, p).regular
+    vp = mr_predicate(power, p)
+    vl = mr_predicate(plog, p)
     print(f"p = {p:3.1f}:  power regular = {vp!s:5}  powerlog regular = {vl!s:5}")
 
 print("\nblock-q-norm partial sups (the boundedness surrogate):")

@@ -15,7 +15,6 @@ from .certify import (
     DissipativityWitness,
     IntervalSpec,
     MRPlan,
-    MRVerdict,
     diagonal_norm,
     dissipativity_norm_onset,
     dissipativity_norm_sq,

@@ -172,8 +172,8 @@ def check_threshold_families() -> CheckResult:
     plog = ratio_family("powerlog", 0.25, 30)
     ok = True
     for p in grid:
-        ok = ok and mr_predicate(power, float(p)).regular == (p <= 4.0)
-        ok = ok and mr_predicate(plog, float(p)).regular == (p < 4.0)
+        ok = ok and mr_predicate(power, float(p)) == (p <= 4.0)
+        ok = ok and mr_predicate(plog, float(p)) == (p < 4.0)
     return _result(6, "threshold-families", 1.0, start, ok,
                    "power: p <= 4, powerlog: p < 4 on p = 2.1 .. 6.0")
 

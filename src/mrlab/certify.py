@@ -16,9 +16,8 @@ predicted regularity set: the right end through a family on the space
 itself, the left end through the conjugate exponent (the dual semigroup
 is never materialized; closedness of the left end mirrors through
 conjugation), and the two factors intersect.  Threshold comparisons
-evaluate (p - 2)/(2 p) - alpha with alpha produced by the same float
-expression, so a grid point sitting exactly on a threshold decides
-exactly.
+evaluate ``threshold_exponent(p) - alpha`` with alpha produced by the same
+function, so a grid point sitting exactly on a threshold decides exactly.
 """
 
 from __future__ import annotations
@@ -41,13 +40,13 @@ from .sequences import (
     block_target_sums,
     holder_conjugate,
     seq_from_ratios,
+    threshold_exponent,
 )
 from .twistbasis import first_even_in_shifted_block
 
 __all__ = [
     "DiagonalNorm",
     "diagonal_norm",
-    "MRVerdict",
     "mr_predicate",
     "IntervalSpec",
     "MRPlan",
@@ -57,12 +56,17 @@ __all__ = [
     "dissipativity_norm_sq",
     "dissipativity_norm_onset",
     "holder_gap",
+    "OVERLAP_BLOCKS",
 ]
+
+# blocks whose witness couples a target to an even coordinate of the same
+# block: the pairing carries overlap terms there and has no closed form
+OVERLAP_BLOCKS = range(3, 7)
 
 
 def holder_gap(p, alpha: float):
     """(p - 2)/(2 p) - alpha, elementwise; the sign decides block-norm boundedness."""
-    return (p - 2.0) / (2.0 * p) - alpha
+    return threshold_exponent(p) - alpha
 
 
 # -- diagonal norm -----------------------------------------------------------
@@ -104,13 +108,6 @@ def diagonal_norm(ratios: RatioSeq, p: float, n_blocks: int) -> DiagonalNorm:
 # -- regularity predicate ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MRVerdict:
-    regular: bool
-    p: float
-    kind: str                       # "small-p" or "threshold"
-
-
 def _validate_hypotheses(ratios: RatioSeq):
     if float(np.max(np.abs(ratios.block_values))) >= 0.125:
         raise ParameterError("hypothesis violated: ratio values must stay below 1/8")
@@ -127,7 +124,12 @@ def _family_regular(kind: str, alpha, p):
     raise ParameterError(f"no analytic threshold for family {kind!r}")
 
 
-def mr_predicate(ratios: RatioSeq, p: float) -> MRVerdict:
+def _regular(kind: str, alpha, p):
+    """Regular at p <= 2, else by the family's threshold; elementwise in p."""
+    return (p <= 2.0) | _family_regular(kind, alpha, p)
+
+
+def mr_predicate(ratios: RatioSeq, p: float) -> bool:
     """Regularity verdict for the multiplier generated by the ratio sequence.
 
     Exponents p <= 2 are always regular.  Above 2 each family is decided
@@ -137,10 +139,7 @@ def mr_predicate(ratios: RatioSeq, p: float) -> MRVerdict:
     if not p > 1.0:
         raise ParameterError("exponents start above 1")
     _validate_hypotheses(ratios)
-    if p <= 2.0:
-        return MRVerdict(regular=True, p=p, kind="small-p")
-    return MRVerdict(regular=bool(_family_regular(ratios.family, ratios.alpha, p)),
-                     p=p, kind="threshold")
+    return bool(_regular(ratios.family, ratios.alpha, p))
 
 
 # -- interval planning -------------------------------------------------------
@@ -185,9 +184,6 @@ class IntervalSpec:
         return f"{lb}{self.left:g}, {right}{rb}"
 
 
-_DEFAULT_GRID = np.arange(21, 161, dtype=np.int64) / 20.0  # 1.05 .. 8.00
-
-
 @dataclass(frozen=True)
 class MRPlan:
     """Two ratio families whose combined verdicts trace out the interval."""
@@ -210,7 +206,7 @@ class MRPlan:
 
     # the factors and their intersection hold elementwise in p
     def right_factor(self, p):
-        return (p <= 2.0) | _family_regular(self.right_kind, self.right_alpha, p)
+        return _regular(self.right_kind, self.right_alpha, p)
 
     def left_factor(self, p):
         return (p >= 2.0) | _family_regular(self.left_kind, self.left_alpha, p / (p - 1.0))
@@ -219,7 +215,7 @@ class MRPlan:
         return self.right_factor(p) & self.left_factor(p)
 
 
-def plan_interval(interval: IntervalSpec, grid=None) -> MRPlan:
+def plan_interval(interval: IntervalSpec, grid) -> MRPlan:
     """Choose the two families whose regularity sets intersect to the interval.
 
     The construction is checked against interval membership on the grid at
@@ -253,7 +249,7 @@ def plan_interval(interval: IntervalSpec, grid=None) -> MRPlan:
         left_kind = POWER if interval.left_closed else POWERLOG
         left_alpha = alpha_for_right_endpoint(dual)
 
-    grid = _DEFAULT_GRID if grid is None else np.asarray(grid, dtype=np.float64)
+    grid = np.asarray(grid, dtype=np.float64)
     plan = MRPlan(interval=interval, right_kind=right_kind, right_alpha=right_alpha,
                   left_kind=left_kind, left_alpha=left_alpha,
                   left_dual_endpoint=dual, external_reference=external,
@@ -327,7 +323,7 @@ def _dissipativity_masses(ratios: RatioSeq, k_max: int) -> np.ndarray:
     if k_max < 1:
         raise ParameterError("block numbers are 1-based")
     x_sq = block_target_sums(ratios, lambda c: (2.0 * c / (1.0 - 2.0 * c)) ** 2, k_max)
-    return x_sq + np.isin(np.arange(1, k_max + 1), range(3, 7))
+    return x_sq + np.isin(np.arange(1, k_max + 1), OVERLAP_BLOCKS)
 
 
 def dissipativity_norm_sq(ratios: RatioSeq, k: int) -> float:
@@ -340,7 +336,7 @@ def dissipativity_norm_sq(ratios: RatioSeq, k: int) -> float:
     return float(_dissipativity_masses(ratios, k)[-1])
 
 
-def dissipativity_norm_onset(ratios: RatioSeq, k_max: int = 500):
+def dissipativity_norm_onset(ratios: RatioSeq, k_max: int):
     """Smallest k0 with witness mass above 1 for every k in [k0, k_max].
 
     Returns None when the mass still sits below 1 at the horizon.  (Blocks

@@ -17,13 +17,15 @@ the plain diagonal through the coordinate transforms.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .blockspace import BlockLayout, MixedVector, bv_norm, mixed_norm, sequence_variation
+from .blockspace import (BlockLayout, MixedVector, _lp_of_blocks, block_norms, bv_norm, mixed_norm,
+                         sequence_variation)
 from .errors import InvariantViolation, ParameterError, SingularityError
 from .sequences import MultiplierSeq, RatioSeq, family_seq, twisted_lacunary
 from .twistbasis import EVEN_TWIST, TwistPermutation, layout_coupling
@@ -44,7 +46,8 @@ _LN2 = math.log(2.0)
 _LOG2_HUGE = 600.0  # beyond this, treat gamma as infinite relative to any sane lambda
 _EXP_DEAD = 746.0   # np.exp(-x) is exactly 0.0 for every x > 745.14
 _SCAN_CELLS = 1 << 15   # float64 cells per block of the positivity table
-_PROBE_CELLS = 1 << 14  # complex cells per batch of the sector probe's ascents
+_PROBE_CELLS = 1 << 14  # complex cells per batch of duality-map ascents
+_ASCENT_STEPS = 12      # duality-map steps of each ascent before its last evaluation
 
 
 @dataclass(frozen=True)
@@ -381,8 +384,10 @@ def bv_semigroup_bound(alpha: float, t, n: int, check: bool = True):
     go in row blocks of about _SCAN_CELLS cells.
     """
     ts = np.asarray(t, dtype=np.float64)
-    if not (alpha > 0.0 and np.all(ts > 0.0)):
-        raise ParameterError("need alpha > 0 and t > 0")
+    # the closed form divides by 2^alpha - 1 and forms 2^(3 alpha); both are
+    # nonzero floats only while 2^alpha > 1 and 3 alpha < 1024
+    if not (3.0 * alpha < 1024.0 and 2.0 ** alpha > 1.0 and np.all(ts > 0.0)):
+        raise ParameterError("need 0 < alpha < 1024/3 with 2^alpha > 1, and t > 0")
     seq = twisted_lacunary(n)
     with np.errstate(over="ignore"):
         powered = np.exp2(alpha * seq.log2)
@@ -421,12 +426,10 @@ class SectorialityReport:
     skipped: tuple = ()
 
 
-def _j_map(z, exponent, layout):
-    """Norming directions of the rows of z: block weights bn^(e-2); e = inf
-    concentrates on the top block.  Zero rows map to zero."""
-    from .blockspace import block_norms
-
-    bn = block_norms(z, layout)
+def _j_map(z, bn, exponent, layout):
+    """Norming directions of the rows of z, whose block norms are bn: block
+    weights bn^(e-2); e = inf concentrates on the top block.  Zero rows map
+    to zero."""
     safe = np.where(bn > 0.0, bn, 1.0)
     if exponent == math.inf:
         weights = np.where(bn == bn.max(axis=-1, keepdims=True), 1.0, 0.0)
@@ -440,35 +443,40 @@ def _start(rng, dim):
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
-def _ascend(apply_rows, adjoint_rows, v, layout, p, iters):
-    """Duality-map power ascents from the rows of v, run together.
+def _ascend(op, rows, p):
+    """Duality-map power ascents from a batch of (lam, diag, off, start) rows, run together.
 
-    ``apply_rows(x, rows)`` and ``adjoint_rows(u, rows)`` apply, to each
-    row of x (u), the operator of the ascent ``rows`` names.  An ascent
-    stops once its image or its next iterate has norm zero; the others
-    take ``iters`` steps and a last evaluation.  Returns each ascent's
-    largest image norm (0.0 if none is positive) and the earliest
-    iterate attaining it.
+    Row k ascends lam_k times the multiplier with the entries (diag_k,
+    off_k) of ``TwistedMultiplier.symbols`` from start_k.  An ascent stops
+    once its image or its next iterate has norm zero; the others take
+    _ASCENT_STEPS steps and a last evaluation.  Returns each ascent's
+    largest image norm (0.0 if none is positive) and the earliest iterate
+    attaining it.
     """
+    lam, diag, off, v = (np.stack(x) for x in zip(*rows))
+    lam = lam[:, None]
+    lam_diag, lam_off = lam * diag, lam * off
+    layout = op.layout
     v = v / mixed_norm(v, p, layout)[:, None]   # rejects p <= 1 before q is formed
     q = 1.0 if p == math.inf else p / (p - 1.0)
-    iters = max(1, iters)
     best = np.zeros(v.shape[0])
     best_v = v.copy()
     active = np.arange(v.shape[0])
-    for step in range(iters + 1):
-        rows = slice(None) if active.size == v.shape[0] else active   # a view while all run
-        z = apply_rows(v[rows], rows)
-        nz = mixed_norm(z, p, layout)
+    for step in range(_ASCENT_STEPS + 1):
+        at = slice(None) if active.size == v.shape[0] else active   # a view while all run
+        z = lam[at] * op.apply_symbols(diag[at], off[at], v[at])
+        bn = block_norms(z, layout)
+        nz = _lp_of_blocks(bn, p)
         up = nz > best[active]
         best[active[up]] = nz[up]
         best_v[active[up]] = v[active[up]]
-        if step == iters:
+        if step == _ASCENT_STEPS:
             break
         live = nz != 0.0
-        active, z = active[live], z[live]
-        w = adjoint_rows(_j_map(z, p, layout), active)
-        v_new = _j_map(w, q, layout)
+        active = active[live]
+        w = op.adjoint_apply_symbols(lam_diag[active], lam_off[active],
+                                     _j_map(z[live], bn[live], p, layout))
+        v_new = _j_map(w, block_norms(w, layout), q, layout)
         nv = mixed_norm(v_new, p, layout)
         live = nv != 0.0
         active = active[live]
@@ -478,40 +486,39 @@ def _ascend(apply_rows, adjoint_rows, v, layout, p, iters):
     return best, best_v
 
 
-def _first_max(values):
-    """(max, index of its first occurrence) over values > 0.0; (0.0, None) if none."""
-    best, at = 0.0, None
-    for k, x in enumerate(values):
-        if x > best:
-            best, at = float(x), k
-    return best, at
+def _ascents(op, rows, p):
+    """Ascents of the (lam, diag, off, start) rows an iterable yields, drawn
+    _PROBE_CELLS // dim rows per batch, so at most one batch is held at once.
+
+    Returns each row's largest image norm, rows in order, and the earliest
+    iterate attaining the largest of them (None when none is positive).
+    """
+    rows = iter(rows)
+    size = max(1, _PROBE_CELLS // op.layout.dim)
+    best, top, witness = [], 0.0, None
+    while batch := list(itertools.islice(rows, size)):
+        vals, vecs = _ascend(op, batch, p)
+        k = int(np.argmax(vals))
+        if vals[k] > top:
+            top, witness = vals[k], vecs[k].copy()
+        best.extend(vals.tolist())
+    return best, witness
 
 
-def opnorm_lower(op: TwistedMultiplier, g, p, trials: int = 4, iters: int = 12,
-                 seed: int = 0):
+def opnorm_lower(op: TwistedMultiplier, g, p, trials: int = 4, seed: int = 0):
     """Certified lower bound of the norm of the multiplier with symbol values
     g (as in ``TwistedMultiplier.symbols``) on the mixed-norm space.
 
-    Duality-map power ascents from random starts, all trials as rows of
-    one batch.  The returned witness attains the bound, so re-evaluation
+    Duality-map power ascents from random starts, each trial a row with
+    lam = 1.  The returned witness attains the bound, so re-evaluation
     reproduces it; it is the earliest trial and step that reaches the
     maximum.
     """
     diag, off = op.symbols(g)
-    layout = op.layout
     rng = np.random.default_rng(seed)
-    n = max(1, trials)
-    block = max(1, _PROBE_CELLS // layout.dim)
-    best, best_v = 0.0, None
-    for first in range(0, n, block):
-        starts = np.stack([_start(rng, layout.dim) for _ in range(min(block, n - first))])
-        vals, vecs = _ascend(lambda x, rows: op.apply_symbols(diag, off, x),
-                             lambda u, rows: op.adjoint_apply_symbols(diag, off, u),
-                             starts, layout, p, iters)
-        val, at = _first_max(vals)
-        if val > best:
-            best, best_v = val, vecs[at].copy()
-    return best, best_v
+    rows = ((1.0, diag, off, _start(rng, op.layout.dim)) for _ in range(max(1, trials)))
+    best, witness = _ascents(op, rows, p)
+    return max(best), witness
 
 
 def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
@@ -530,55 +537,36 @@ def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
         raise ParameterError("angles must lie strictly between 0 and pi")
     if not np.all(radii > 0.0):
         raise ParameterError("radii must be positive")
-    vals, dim, n_trials = op._gamma, op.layout.dim, max(1, trials)
+    n_trials = max(1, trials)
     lower = np.zeros((angles.size, radii.size))
     bv_upper = np.zeros_like(lower)
-    skipped = []
-    rays = []              # (i, j) of each nonsingular ray, in order
-    pending = []           # rows waiting for the next batch
-    best = []              # each finished row's best, rows in order
-    block = max(1, _PROBE_CELLS // dim)
+    singular = np.zeros(lower.shape, dtype=bool)
+    best = _ascents(op, _ray_rows(op, angles, radii, n_trials, seed, singular, bv_upper), p)[0]
+    lower[~singular] = np.reshape(best, (-1, n_trials)).max(axis=1)
+    ratios = lower[bv_upper > 0.0] / bv_upper[bv_upper > 0.0]
+    measured_k = float(ratios.max()) if ratios.size else 0.0
+    return SectorialityReport(angles=angles, radii=radii, lower=lower,
+                              per_angle_sup=lower.max(axis=1),
+                              bv_upper=bv_upper, measured_K=measured_k,
+                              skipped=tuple((float(angles[i]), float(radii[j]))
+                                            for i, j in np.argwhere(singular)))
+
+
+def _ray_rows(op, angles, radii, trials, seed, singular, bv_upper):
+    """The probe's (lam, diag, off, start) rows, ``trials`` per ray, rays in
+    order; marks each singular ray in ``singular`` and fills ``bv_upper``
+    with the variation norm of each other ray's symbol as it goes."""
     for i, theta in enumerate(angles):
         for j, r in enumerate(radii):
             lam = r * cmath.exp(1j * (math.pi - theta))
             try:
                 diag, off = op.symbols(op._resolvent_values(lam))
             except SingularityError:
-                skipped.append((float(theta), float(r)))
+                singular[i, j] = True
                 continue
-            rays.append((i, j))
-            ray = (lam, diag, off, lam * diag, lam * off)
-            rng = np.random.default_rng(seed + 7 * i + j)
-            pending += [(ray, _start(rng, dim)) for _ in range(n_trials)]
-            while len(pending) >= block:
-                best.extend(_probe_rows(op, pending[:block], p))
-                del pending[:block]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                symbol = lam / (lam - vals)
-            symbol = np.where(np.isfinite(symbol), symbol, 0.0)
-            bv_upper[i, j] = bv_norm(symbol)
-    if pending:
-        best.extend(_probe_rows(op, pending, p))
-    for k, (i, j) in enumerate(rays):
-        lower[i, j] = _first_max(best[k * n_trials:(k + 1) * n_trials])[0]
-    ratios = lower[bv_upper > 0.0] / bv_upper[bv_upper > 0.0]
-    measured_k = float(ratios.max()) if ratios.size else 0.0
-    return SectorialityReport(angles=angles, radii=radii, lower=lower,
-                              per_angle_sup=lower.max(axis=1),
-                              bv_upper=bv_upper, measured_K=measured_k,
-                              skipped=tuple(skipped))
-
-
-def _probe_rows(op, rows, p):
-    """Best |lam R(lam, A) v| of the ascent from each (ray, start) row."""
-    lam, diag, off, lam_diag, lam_off = (np.stack(x) for x in zip(*(ray for ray, _ in rows)))
-    lam = lam[:, None]
-
-    def apply_rows(x, idx):
-        return lam[idx] * op.apply_symbols(diag[idx], off[idx], x)
-
-    def adjoint_rows(u, idx):
-        return op.adjoint_apply_symbols(lam_diag[idx], lam_off[idx], u)
-
-    starts = np.stack([v for _, v in rows])
-    return _ascend(apply_rows, adjoint_rows, starts, op.layout, p, iters=12)[0].tolist()
+                symbol = lam / (lam - op._gamma)
+            bv_upper[i, j] = bv_norm(np.where(np.isfinite(symbol), symbol, 0.0))
+            rng = np.random.default_rng(seed + 7 * i + j)
+            for _ in range(trials):
+                yield lam, diag, off, _start(rng, op.layout.dim)

@@ -180,8 +180,8 @@ def _blowup_args(construction, p, blocks, alpha):
     return p, holder_conjugate(p), ks
 
 
-def blowup_series(construction: str, p, alpha=None, block_counts=(100, 1000, 10000),
-                  bound: float = 0.125) -> BlowupSeries:
+def blowup_series(construction: str, p, alpha=None,
+                  block_counts=(100, 1000, 10000)) -> BlowupSeries:
     """Leaked-mass lower bounds L_k over nested block truncations.
 
     Divergence of L_k is the finite-truncation reading of the failure of
@@ -195,7 +195,7 @@ def blowup_series(construction: str, p, alpha=None, block_counts=(100, 1000, 100
         # q_m = -gamma_{4m+2} leaks exactly 1/6 on every pair
         leak = np.power(block_target_counts(kmax)[0], 1.0 / q) / 6.0
     else:
-        ratios = ratio_family(construction, alpha, kmax + 1, bound=bound)
+        ratios = ratio_family(construction, alpha, kmax + 1)
         leak = np.power(block_target_sums(ratios, lambda c: np.abs(c) ** q, kmax), 1.0 / q)
     leak[:6] = 0.0
     lower = np.maximum.accumulate(leak)[ks - 1]

@@ -37,6 +37,7 @@ __all__ = [
     "block_target_counts",
     "block_target_sums",
     "block_qsup_partials",
+    "threshold_exponent",
     "alpha_for_right_endpoint",
     "holder_conjugate",
 ]
@@ -192,9 +193,6 @@ class MultiplierSeq:
         with np.errstate(over="ignore"):
             return np.exp2(head)
 
-    def value_at(self, m: int) -> float:
-        return float(self.values_upto(m)[m - 1])
-
     def log2_at(self, m):
         m = np.asarray(m, dtype=np.int64)
         if np.any(m < 1) or np.any(m > self.length):
@@ -265,9 +263,9 @@ def family_seq(family: str, param, length: int, bound: float = 0.125):
     return seq_from_ratios(ratios, length=length), ratios
 
 
-def block_qsup_partials(ratios: RatioSeq, q: float, n_blocks: int | None = None) -> np.ndarray:
+def block_qsup_partials(ratios: RatioSeq, q: float) -> np.ndarray:
     """Running sup over k of the block ell_q norms of the ratio sequence."""
-    return np.maximum.accumulate(block_q_norms(ratios, q, n_blocks))
+    return np.maximum.accumulate(block_q_norms(ratios, q))
 
 
 def block_q_norms(ratios: RatioSeq, q: float, n_blocks: int | None = None) -> np.ndarray:
@@ -300,12 +298,19 @@ def block_target_sums(ratios: RatioSeq, f, n_blocks: int) -> np.ndarray:
     return (n - e) * fc[:-1] + e * fc[1:]
 
 
+def threshold_exponent(p):
+    """(p - 2)/(2 p), elementwise: the alpha whose power family has its
+    threshold at p.  Halving last keeps 2 p from overflowing, and halving is
+    exact, so the value is (p - 2)/(2 p) wherever 2 p is finite."""
+    return (p - 2.0) / p / 2.0
+
+
 def alpha_for_right_endpoint(p0: float) -> float:
     """Exponent alpha with boundedness threshold exactly at p0 (> 2)."""
     p0 = float(p0)
     if not p0 > 2.0:
         raise ParameterError("the right endpoint must exceed 2")
-    return (p0 - 2.0) / (2.0 * p0)
+    return threshold_exponent(p0)
 
 
 def holder_conjugate(p: float) -> float:

@@ -268,9 +268,8 @@ def _witness_family(n, rng, n_random=6):
 
 
 def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
-                           variant: str = EVEN_TWIST,
-                           perm: TwistPermutation | None = None,
-                           n_signs: int = 2000, ascent_sweeps: int = 2) -> float:
+                           variant: str = EVEN_TWIST, n_signs: int = 2000,
+                           ascent_sweeps: int = 2) -> float:
     """Lower estimate of the unconditional constant of the twisted basis.
 
     Exact mode enumerates all 2^n sign patterns against a fixed witness
@@ -289,8 +288,7 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
         signs[1, np.arange(n) % 4 == 0] = -1.0
     else:
         raise ParameterError("mode must be 'exact' or 'sampled'")
-    if perm is None:
-        perm = TwistPermutation.covering(max(2 * n + 4, 8))
+    perm = TwistPermutation.covering(max(2 * n + 4, 8))
     layout = BlockLayout.triangular_covering(synthesis_cover(n, perm, variant))
     basis = twisted_basis_matrix(n, perm, variant, layout)
 

@@ -48,8 +48,6 @@ KEEP = {
     "multiplier.opnorm_lower":
         "lower norm bound of the multiplier with symbol values g; BENCHMARK.json and "
         "perfbench name it, and the tests bound A^{it} and BV multipliers with it",
-    "sequences.MultiplierSeq.value_at":
-        "one sequence value; perfbench/tracing.py counts its calls",
     "twistbasis.twisted_synthesis":
         "operator API: synthesis after analysis is the identity, in the property tests",
 }

@@ -233,21 +233,75 @@ def test_sector_probe_large_batch(monkeypatch):
     assert bits(rep.lower) == bits(lower)
 
 
-@pytest.mark.parametrize("trials, cells", [(3, None), (5, 2), (1, None)])
-def test_opnorm_lower_matches_per_trial_loop(trials, cells, monkeypatch):
+def imaginary_power_symbol(op):
+    return np.exp(1j * 2.0 * math.log(2.0) * op.seq.log2[: op.structure.needed])
+
+
+def zeros_symbol(op):
+    # exact zeros on every third index: zero entries give signed zeros in the
+    # images, which a lam = 1 row must carry into the witness unchanged
+    g = np.exp(1j * 0.7 * op.seq.log2[: op.structure.needed])
+    return np.where(np.arange(g.size) % 3 == 0, 0.0, g)
+
+
+def check_opnorm_lower(trials, cells, p, symbol, monkeypatch):
     op = OPERATORS["even-constant"]()
     if cells is not None:
         monkeypatch.setattr(multiplier, "_PROBE_CELLS", cells * op.layout.dim)
-    g = np.exp(1j * 2.0 * math.log(2.0) * op.seq.log2[: op.structure.needed])
+    g = symbol(op)
     sym = op.symbols(g)
-    val, vec = opnorm_lower(op, g, 2.5, trials=trials, seed=4)
-    want, want_v = opnorm_oracle(lambda v: op.imaginary_power(2.0, v),
+    val, vec = opnorm_lower(op, g, p, trials=trials, seed=4)
+    want, want_v = opnorm_oracle(lambda v: op._multiply(g, v),
                                  lambda u: op.adjoint_apply_symbols(*sym, u),
-                                 op.layout, 2.5, trials=trials, seed=4)
+                                 op.layout, p, trials=trials, seed=4)
     assert bits(val) == bits(want)
     assert vec.tobytes() == want_v.tobytes()
 
 
+TRIALS_CELLS = [(3, None), (5, 2), (1, None)]
+
+
+@pytest.mark.parametrize("trials, cells", TRIALS_CELLS)
+def test_opnorm_lower_matches_per_trial_loop(trials, cells, monkeypatch):
+    check_opnorm_lower(trials, cells, 2.5, imaginary_power_symbol, monkeypatch)
+
+
+@pytest.mark.parametrize("p, symbol", [
+    (1.5, imaginary_power_symbol), (math.inf, imaginary_power_symbol),
+    (1.5, zeros_symbol), (2.5, zeros_symbol), (math.inf, zeros_symbol),
+])
+@pytest.mark.parametrize("trials, cells", TRIALS_CELLS)
+def test_opnorm_lower_matches_per_trial_loop_at_edge_exponents_and_zeros(
+        trials, cells, p, symbol, monkeypatch):
+    check_opnorm_lower(trials, cells, p, symbol, monkeypatch)
+
+
+def test_sector_probe_draws_at_most_one_batch_ahead(monkeypatch):
+    # the CLI bounds --trials x dim by the rows one batch holds: every batch
+    # takes at most _PROBE_CELLS // dim rows, and no start is drawn before
+    # the batch that runs it
+    op = OPERATORS["odd-constant"]()
+    gam = op.spectrum().real
+    monkeypatch.setattr(multiplier, "_PROBE_CELLS", 5 * op.layout.dim + 1)
+    starts, batches = [], []
+    start, ascend = multiplier._start, multiplier._ascend
+
+    def counted_start(rng, dim):
+        starts.append(dim)
+        return start(rng, dim)
+
+    def counted_ascend(op, rows, p):
+        batches.append(len(rows))
+        assert len(starts) == sum(batches)
+        return ascend(op, rows, p)
+
+    monkeypatch.setattr(multiplier, "_start", counted_start)
+    monkeypatch.setattr(multiplier, "_ascend", counted_ascend)
+    rep = sectoriality_probe(op, [math.nextafter(math.pi, 0.0), 1.0],
+                             [0.5, gam[0], 7.0, 30.0], p=3.0, trials=3, seed=1)
+    assert len(rep.skipped) == 1
+    assert batches == [5, 5, 5, 5, 1]
+    assert len(starts) == 3 * 7
 def test_opnorm_lower_zero_operator_has_no_witness():
     op = OPERATORS["even-constant"]()
     zero = np.zeros(op.structure.needed)

@@ -83,23 +83,22 @@ def test_diagonal_norm_brute_force_block_max():
 def test_mr_predicate_power_threshold():
     fam = ratio_family("power", 0.25, 30)
     for p in GRID[GRID > 2.0]:
-        assert mr_predicate(fam, float(p)).regular == (p <= 4.0)
-    assert mr_predicate(fam, 4.0).regular  # exact threshold included
-    assert mr_predicate(fam, 1.5).regular
-    assert mr_predicate(fam, 1.5).kind == "small-p"
+        assert mr_predicate(fam, float(p)) == (p <= 4.0)
+    assert mr_predicate(fam, 4.0)  # exact threshold included
+    assert mr_predicate(fam, 1.5) is True
 
 
 def test_mr_predicate_powerlog_strict_threshold():
     fam = ratio_family("powerlog", 0.25, 30)
-    assert not mr_predicate(fam, 4.0).regular
-    assert mr_predicate(fam, 3.95).regular
-    assert not mr_predicate(fam, 4.05).regular
+    assert not mr_predicate(fam, 4.0)
+    assert mr_predicate(fam, 3.95)
+    assert not mr_predicate(fam, 4.05)
 
 
 def test_mr_predicate_monotone_in_p():
     for fam in (ratio_family("power", 0.2, 30), ratio_family("powerlog", 0.35, 30),
                 constant_ratios(0.05, 30), geometric_ratios(30)):
-        verdicts = [mr_predicate(fam, float(p)).regular for p in GRID]
+        verdicts = [mr_predicate(fam, float(p)) for p in GRID]
         # once regularity is lost going up in p it never returns
         flips = [i for i in range(1, len(verdicts)) if verdicts[i] and not verdicts[i - 1]]
         assert not flips
@@ -157,34 +156,34 @@ def test_plan_interval_reproduces_membership(interval):
 
 
 def test_plan_interval_family_choices():
-    plan = plan_interval(IntervalSpec(1.5, 3.0, True, True))
+    plan = plan_interval(IntervalSpec(1.5, 3.0, True, True), GRID)
     assert plan.right_kind == "power"
     assert plan.right_alpha == pytest.approx(1.0 / 6.0)
     assert plan.left_kind == "power"
     assert plan.left_dual_endpoint == pytest.approx(3.0)
     assert plan.left_alpha == pytest.approx(1.0 / 6.0)
 
-    plan2 = plan_interval(IntervalSpec(4.0 / 3.0, 4.0, False, True))
+    plan2 = plan_interval(IntervalSpec(4.0 / 3.0, 4.0, False, True), GRID)
     assert plan2.right_kind == "power" and plan2.right_alpha == pytest.approx(0.25)
     assert plan2.left_kind == "powerlog"
     assert plan2.left_dual_endpoint == pytest.approx(4.0)
 
-    plan3 = plan_interval(IntervalSpec(2.0, 2.0, True, True))
+    plan3 = plan_interval(IntervalSpec(2.0, 2.0, True, True), GRID)
     assert plan3.right_kind == "constant" and plan3.left_kind == "constant"
     assert plan3.external_reference
 
-    plan4 = plan_interval(IntervalSpec(1.0, math.inf, False, False))
+    plan4 = plan_interval(IntervalSpec(1.0, math.inf, False, False), GRID)
     assert plan4.right_kind == "geometric" and plan4.left_kind == "geometric"
     assert not plan4.external_reference
 
 
 def test_plan_interval_materializes_ratio_families():
-    plan = plan_interval(IntervalSpec(1.5, 3.0, True, True))
+    plan = plan_interval(IntervalSpec(1.5, 3.0, True, True), GRID)
     right = family_ratios(plan.right_kind, plan.right_alpha, 25)
-    assert mr_predicate(right, 3.0).regular
-    assert not mr_predicate(right, 3.05).regular
+    assert mr_predicate(right, 3.0)
+    assert not mr_predicate(right, 3.05)
     left = family_ratios(plan.left_kind, plan.left_alpha, 25)
-    assert mr_predicate(left, 3.0).regular  # conjugate of 1.5
+    assert mr_predicate(left, 3.0)  # conjugate of 1.5
 
 
 def test_plan_interval_random_intervals_stay_intervals():

@@ -115,6 +115,32 @@ def test_interval_certify_infinite(capsys):
     assert json.loads(out)["set_equal"] is True
 
 
+def test_interval_certify_right_endpoint_past_half_the_float_range(capsys):
+    # 2 p0 overflowed past 8.99e307, so the threshold exponent read 0.0 and
+    # the planned set disagreed with the interval
+    code, out = run(["interval-certify", "--left", "1.5", "--right", "1e308",
+                     "--format", "csv"], capsys)
+    assert code == 0
+    assert "# right powerlog 0.5\n" in out and "# set_equal true\n" in out
+
+
+FAMILIES = [["--family", "power", "--alpha", "0.25"], ["--family", "powerlog", "--alpha", "0.25"],
+            ["--family", "constant"], ["--family", "geometric"]]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[1])
+@pytest.mark.parametrize("block", range(1, 9))
+def test_dissipativity_exit_codes_by_block(block, family, capsys):
+    # blocks 3-6 carry overlap terms that the closed form leaves out, so
+    # they are not checked against it; block 2 has no witness coordinate
+    code, out, err = run_err(["dissipativity", "--block", str(block)] + family, capsys)
+    if block == 2:
+        assert_one_line_usage_error(code, out, err)
+    else:
+        assert (code, err) == (0, "")
+        assert f"\n{block}," in out
+
+
 def test_dissipativity_command(capsys):
     code, out = run(["dissipativity", "--family", "power", "--alpha", "0.25",
                      "--block", "30"], capsys)
@@ -424,6 +450,11 @@ def test_dissipativity_overflow_is_one_line_error(capsys):
     (["bip-check", "--pairs", "3", "--tgrid", "inf"], "times must be finite"),
     (["bip-check", "--pairs", "3", "--tgrid", "1,-inf"], "times must be finite"),
     (["bip-check", "--pairs", "3", "--tgrid", "nan"], "times must be finite"),
+    (["bv-bound", "--alpha", "2000", "--tgrid", "1"], "alpha < 1024/3"),
+    (["bv-bound", "--alpha", "1e300", "--tgrid", "1"], "alpha < 1024/3"),
+    (["bv-bound", "--alpha", "inf", "--tgrid", "1"], "alpha < 1024/3"),
+    (["bv-bound", "--alpha", "1e-300", "--tgrid", "1"], "2^alpha > 1"),
+    (["semigroup-check", "--n", "10", "--tgrid", "geom:-1:1:5"], "cannot read grid"),
 ])
 def test_non_finite_parameters_are_one_line_errors(argv, message, capsys):
     # a NaN or negative tolerance used to exit 2 as a broken invariant; an

@@ -310,7 +310,7 @@ def test_plan_grid_verdicts_match_the_per_point_rules(inv):
 
 def test_scalar_predicates_read_one_truth_value():
     for spec in specs():
-        plan = plan_interval(spec)
+        plan = plan_interval(spec, np.arange(21, 161) / 20.0)
         for p in (1.05, 1.5, 2.0, 3.0, 3.05, 8.0, spec.left if spec.left > 1.0 else 1.5):
             for got, want in ((plan.predicted(p), predicted(plan, p)),
                               (plan.right_factor(p), right_factor(plan, p)),

@@ -205,7 +205,7 @@ def test_resolvent_limit_at_large_negative_lambda():
 
 def test_resolvent_singularity_detection():
     op = make_op()
-    gamma3 = op.seq.value_at(3)
+    gamma3 = op.seq.values_upto(3)[2]
     with pytest.raises(SingularityError):
         op.resolvent(gamma3 * (1.0 + 1e-16), np.ones(op.layout.dim))
 
@@ -218,11 +218,12 @@ def test_resolvent_coefficient_at_minus_even_value():
     perm = TwistPermutation.covering(2 * layout.dim + 10)
     op = TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=layout)
     m = 4
-    lam = -seq.value_at(m)
+    gamma_m = seq.values_upto(m)[m - 1]
+    lam = -gamma_m
     e = MixedVector.unit(op.layout, op.perm.pi(m))
     out = op.resolvent(lam, e)
     coeffs = twisted_analysis(out, perm, EVEN_TWIST)
-    assert coeffs[m - 1] == pytest.approx(-1.0 / (2.0 * seq.value_at(m)), rel=1e-12)
+    assert coeffs[m - 1] == pytest.approx(-1.0 / (2.0 * gamma_m), rel=1e-12)
 
 
 @pytest.mark.parametrize("variant", [EVEN_TWIST, ODD_TWIST])

@@ -41,7 +41,7 @@ def test_gamma_starts_at_one_and_increases():
     rng = np.random.default_rng(1)
     c = rng.uniform(0.01, 0.49, size=60)
     seq = seq_from_ratios(c)
-    assert seq.value_at(1) == 1.0
+    assert seq.values_upto(1)[0] == 1.0
     assert np.all(np.diff(seq.values_upto(61)) > 0.0)
     assert np.all(np.diff(seq.log2) > 0.0)
 
