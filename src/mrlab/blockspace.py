@@ -2,8 +2,8 @@
 
 The working space is an ell_p sum of Euclidean blocks.  The canonical
 ("triangular") layout uses consecutive blocks of sizes 1, 2, 3, ..., so a
-truncation to n blocks has dimension n(n+1)/2.  Scalars are complex
-throughout; every norm reads the modulus.
+truncation to n blocks has dimension n(n+1)/2.  Entries are real or
+complex; every norm reads their modulus.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def triangular_indices_1mod4(k) -> np.ndarray:
 
 
 EXACT_TERM_LIMIT = 14      # largest k whose 2^k sign patterns are enumerated
-_PATTERN_CELLS = 1 << 16   # complex cells of one row block in combination_norms
+_PATTERN_CELLS = 1 << 16   # cells of one combination_norms row block, in the product's dtype
 _NORMAL_MIN = np.finfo(np.float64).tiny   # smallest sum of squares kept unscaled
 
 
@@ -199,11 +199,13 @@ def mixed_norm(v, p, layout: BlockLayout | None = None):
 
 def combination_norms(weights, vectors, p, layout: BlockLayout) -> np.ndarray:
     """Mixed norm of each row of ``weights @ vectors``, formed a row block at a
-    time so that memory stays bounded however many rows there are."""
+    time so that memory stays bounded however many rows there are.  The
+    product is formed in the inputs' common dtype: real unless one is complex."""
     rows = max(1, _PATTERN_CELLS // layout.dim)
+    dtype = np.result_type(weights, vectors)
     out = np.empty(weights.shape[0])
     for i in range(0, weights.shape[0], rows):
-        out[i:i + rows] = mixed_norm(weights[i:i + rows].astype(np.complex128) @ vectors,
+        out[i:i + rows] = mixed_norm(weights[i:i + rows].astype(dtype, copy=False) @ vectors,
                                      p, layout)
     return out
 

@@ -42,7 +42,7 @@ from .multiplier import (
 )
 from .rademacher import RadSum, blowup_series, rad_norm
 from .sequences import CONSTANT, LACUNARY, POWER, POWERLOG, family_ratios, family_seq
-from .twistbasis import build_permutation, unconditional_constant
+from .twistbasis import basis_layout, build_permutation, unconditional_constant
 
 _LN2 = math.log(2.0)
 _ROW_BLOCK = 1024   # table rows converted and written at a time
@@ -212,6 +212,18 @@ def _array_entries(flags, entries):
                              f"at most {_ARRAY_ENTRIES} are allowed")
 
 
+def _seed(text):
+    """The seed of --seed, MRLAB_SEED or a config: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ParameterError(f"a seed (--seed, MRLAB_SEED or config) is a non-negative "
+                             f"integer, not {text!r}")
+    return seed
+
+
 def _parse_grid(text):
     """Comma list of floats, or pow2:a:b for 2^a .. 2^b, or geom:a:b:n."""
     try:
@@ -334,11 +346,12 @@ def cmd_bip_check(args):
 
 
 def cmd_sector_probe(args):
+    angles, radii = _parse_grid(args.angles), _parse_grid(args.radii)
+    _grid_points(angles.size * radii.size)
     op = _gamma_operator(args)
     # every trial of a ray waits as one row of the next batch
     _array_entries(f"--trials {args.trials}", args.trials * op.layout.dim)
-    rep = sectoriality_probe(op, _parse_grid(args.angles), _parse_grid(args.radii),
-                             p=args.p, trials=args.trials, seed=args.seed)
+    rep = sectoriality_probe(op, angles, radii, p=args.p, trials=args.trials, seed=args.seed)
     angle, radius = np.meshgrid(rep.angles, rep.radii, indexing="ij")
     extra = [f"measured_K {_fmt(rep.measured_K)}"]
     for i, theta in enumerate(rep.angles):
@@ -446,7 +459,10 @@ def cmd_dissipativity(args):
 
 def cmd_uncond_constant(args):
     if args.mode == "sampled":   # exact mode enumerates at most EXACT_TERM_LIMIT terms
-        _array_entries(f"--n {args.n}", args.n * args.n)   # the basis is synthesized from I_n
+        # the basis is synthesized from I_n into an n x dim array; checking
+        # n x n first keeps the permutation that sizes dim small
+        _array_entries(f"--n {args.n}", args.n * args.n)
+        _array_entries(f"--n {args.n}", args.n * basis_layout(args.n)[1].dim)
     val = unconditional_constant(args.n, args.p, mode=args.mode, seed=args.seed)
     _emit(args, "uncond-constant", ["n", "p", "mode", "estimate"],
           [args.n, args.p, args.mode, val])
@@ -477,8 +493,7 @@ def _build_parser(env_seed):
         sp = subs.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
                              **kwargs)
         sp.set_defaults(func=fn)
-        sp.add_argument("--seed", type=int,
-                        default=int(env_seed),
+        sp.add_argument("--seed", default=env_seed,   # a string until main applies _seed
                         help="RNG seed (default: MRLAB_SEED or 0)")
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
         sp.add_argument("--config", default=None,
@@ -612,6 +627,7 @@ def main(argv=None) -> int:
     if getattr(args, "format", None) is None:
         args.format = "json" if args.command == "interval-certify" else "csv"
     try:
+        args.seed = _seed(args.seed)
         return args.func(args)
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)

@@ -60,14 +60,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadSum:
-    """Finite Rademacher sum: row k of ``terms`` multiplies the k-th sign."""
+    """Finite Rademacher sum: row k of ``terms`` multiplies the k-th sign.
+
+    Real terms are kept as float64 and complex ones as complex128, so the
+    sign averages run in the terms' own dtype.
+    """
 
     terms: np.ndarray
     layout: BlockLayout
     p: float
 
     def __post_init__(self):
-        t = np.atleast_2d(np.asarray(self.terms, dtype=np.complex128))
+        t = np.atleast_2d(self.terms)
+        t = t.astype(np.complex128 if np.iscomplexobj(t) else np.float64, copy=False)
         if t.shape[0] == 0:
             raise ParameterError("a Rademacher sum needs at least one term")
         if t.shape[1] != self.layout.dim:

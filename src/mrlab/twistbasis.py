@@ -48,6 +48,7 @@ __all__ = [
     "twisted_synthesis",
     "synthesis_cover",
     "twisted_basis_matrix",
+    "basis_layout",
     "unconditional_constant",
 ]
 
@@ -267,19 +268,29 @@ def _witness_family(n, rng, n_random=6):
     return fam + list(rng.standard_normal((n_random, n)))
 
 
+def basis_layout(n: int, variant: str = EVEN_TWIST):
+    """The permutation and the triangular layout that hold the first n
+    basis vectors of the variant."""
+    perm = TwistPermutation.covering(max(2 * n + 4, 8))
+    return perm, BlockLayout.triangular_covering(synthesis_cover(n, perm, variant))
+
+
 def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
                            variant: str = EVEN_TWIST, n_signs: int = 2000,
                            ascent_sweeps: int = 2) -> float:
     """Lower estimate of the unconditional constant of the twisted basis.
 
-    Exact mode enumerates all 2^n sign patterns against a fixed witness
-    family; sampled mode draws seeded random signs and improves the witness
-    by coordinate ascent.  The plain variant returns 1 exactly.
+    Exact mode enumerates the 2^(n-1) sign patterns whose last sign is -1
+    against a fixed witness family (each other pattern is the mirror of
+    one of these and gives bit for bit the same norm); sampled mode draws
+    seeded random signs and improves the witness by coordinate ascent.  The
+    plain variant returns 1 exactly.  The basis has 0/1 entries, so every
+    product is real.
     """
     if n < 2:
         raise ParameterError("need n >= 2")
     if mode == "exact":
-        signs = sign_patterns(n)
+        signs = sign_patterns(n)[: 2 ** (n - 1)]
     elif mode == "sampled":
         signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n_signs, n))
         # row 1 flips one member per coupled pair: turns the small
@@ -288,9 +299,8 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
         signs[1, np.arange(n) % 4 == 0] = -1.0
     else:
         raise ParameterError("mode must be 'exact' or 'sampled'")
-    perm = TwistPermutation.covering(max(2 * n + 4, 8))
-    layout = BlockLayout.triangular_covering(synthesis_cover(n, perm, variant))
-    basis = twisted_basis_matrix(n, perm, variant, layout)
+    perm, layout = basis_layout(n, variant)
+    basis = np.ascontiguousarray(twisted_basis_matrix(n, perm, variant, layout).real)
 
     def best_ratio(a):
         base = combination_norms(a[None, :], basis, p, layout)[0]
@@ -308,8 +318,9 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
 
 
 def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float:
-    """Coordinate ascent on the witness a, whose ratio is best: each step
-    rescales one coefficient and keeps the change when the ratio rises.
+    """Coordinate ascent on the witness a, whose ratio is best, over the real
+    0/1 basis: each step rescales one coefficient and keeps the change when
+    the ratio rises.
 
     The sign products (signs * a) @ basis and their block norms are kept
     across steps.  Rescaling a_i moves only the coordinates of f_i (at most
@@ -318,14 +329,13 @@ def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float
     products, so the values equal the full product's bit for bit.
     """
     p = float(p)
-    ones = basis.real
-    prod = (signs * a) @ ones
+    prod = (signs * a) @ basis
     bn = block_norms(prod, layout)
     for _ in range(sweeps):
         for i in range(a.size):
-            cols = np.flatnonzero(ones[i])                     # the coordinates of f_i
-            feed = np.flatnonzero(ones[:, cols].any(axis=1))   # the coefficients feeding them
-            ks = np.unique(layout.block_of(cols + 1)) - 1      # the blocks holding them
+            cols = np.flatnonzero(basis[i])                     # the coordinates of f_i
+            feed = np.flatnonzero(basis[:, cols].any(axis=1))   # the coefficients feeding them
+            ks = np.unique(layout.block_of(cols + 1)) - 1       # the blocks holding them
             span = np.concatenate([np.arange(s, s + z) for s, z in
                                    zip(layout.starts[ks], layout.sizes[ks])])
             at, touched = np.searchsorted(span, cols), BlockLayout.from_sizes(layout.sizes[ks])
@@ -336,7 +346,7 @@ def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float
                 if base == 0.0:
                     continue    # a ratio of 0 is never kept
                 seg = prod[:, span]
-                seg[:, at] = (signs[:, feed] * a[feed]) @ ones[np.ix_(feed, cols)]
+                seg[:, at] = (signs[:, feed] * a[feed]) @ basis[np.ix_(feed, cols)]
                 trial = bn.copy()
                 trial[:, ks] = block_norms(seg, touched)
                 r = float(np.max(_lp_of_blocks(trial, p)) / base)

@@ -232,6 +232,50 @@ def test_env_seed_is_read_on_every_call(capsys, monkeypatch):
         assert f"# seed {seed}\n" in out
 
 
+@pytest.mark.parametrize("argv", [
+    # numpy's seeding used to end each of these in a ValueError traceback
+    ["rad-norm", "--seed", "-1"],
+    ["uncond-constant", "--n", "5", "--mode", "sampled", "--seed", "-1"],
+    ["sector-probe", "--n", "64", "--seed", "-1"],
+    # exact mode seeds only seed + 1, so -1 used to pass and exit 0
+    ["uncond-constant", "--n", "5", "--seed", "-1"],
+    ["uncond-constant", "--n", "5", "--seed", "-2"],
+    ["rad-norm", "--seed", "abc"],
+    ["rad-norm", "--seed", "1.5"],
+])
+def test_seed_is_a_non_negative_integer(argv, capsys):
+    code, out, err = run_err(argv, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert f"a non-negative integer, not '{argv[-1]}'" in err
+
+
+@pytest.mark.parametrize("seed", ["abc", "-3", ""])
+def test_env_seed_follows_the_seed_rule(seed, capsys, monkeypatch):
+    # an unreadable MRLAB_SEED used to end in an int() traceback
+    monkeypatch.setenv("MRLAB_SEED", seed)
+    code, out, err = run_err(["rad-norm", "--k", "3", "--blocks", "3"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "MRLAB_SEED" in err
+
+
+@pytest.mark.parametrize("seed", [-3, "x", 2.5, True])
+def test_config_seed_follows_the_seed_rule(seed, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    code, out, err = run_err(["rad-norm", "--k", "3", "--blocks", "3", "--config", str(cfg)],
+                             capsys)
+    assert_one_line_usage_error(code, out, err)
+
+
+def test_config_seed_is_read_as_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    argv = ["rad-norm", "--k", "3", "--blocks", "3", "--samples", "100"]
+    code, out = run(argv + ["--config", str(cfg)], capsys)
+    assert code == 0
+    assert out == run(argv + ["--seed", "5"], capsys)[1]
+
+
 def test_unwritable_output_is_io_error():
     with pytest.raises(SystemExit) as exc:
         main(["gen-gamma", "--n", "4", "--out", "/nonexistent-dir/x.csv"])
@@ -338,6 +382,9 @@ def test_nan_family_value_is_refused_at_the_ratio_check(capsys):
     # in a MemoryError traceback
     ["diag-norm", "--blocks", "100000000"],
     ["dissipativity", "--block", "100000000"],
+    # 10^10 rays: the probe's per-ray arrays used to fail to allocate 74.5 GiB
+    ["sector-probe", "--gamma", "lacunary", "--n", "10", "--angles", "geom:0.1:1:100000",
+     "--radii", "geom:1:10:100000"],
 ])
 def test_oversized_grid_is_refused_before_it_is_built(argv, capsys):
     code, out, err = run_err(argv, capsys)
@@ -367,6 +414,8 @@ def test_oversized_grid_is_refused_before_it_is_built(argv, capsys):
      300000000),
     (["rad-norm", "--k", "20000", "--blocks", "2"], "--samples 100000 with --k 20000",
      2 * 10 ** 9),
+    # n x n passes; the (3000, 282376) basis used to fail to allocate 12.6 GiB
+    (["uncond-constant", "--n", "3000", "--mode", "sampled"], "--n 3000", 3000 * 282376),
 ])
 def test_oversized_array_is_refused_before_it_is_built(argv, flags, entries, capsys):
     code, out, err = run_err(argv, capsys)

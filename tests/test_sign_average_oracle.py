@@ -159,16 +159,66 @@ def test_combination_norms_reads_each_row():
     assert got[2] == 0.0
 
 
+# -- the dtype of the products ---------------------------------------------------
+
+
+@pytest.mark.parametrize("terms, dtype", [(np.ones((2, 3)), np.float64),
+                                          (np.ones((2, 3), dtype=np.float32), np.float64),
+                                          (np.ones((2, 3), dtype=np.int64), np.float64),
+                                          ([[1, 0, 2]], np.float64),
+                                          (np.ones((2, 3), dtype=np.complex64), np.complex128),
+                                          (np.ones((2, 3)) * 1j, np.complex128)])
+def test_rad_sum_keeps_real_terms_real(terms, dtype):
+    s = RadSum(terms, BlockLayout.triangular(2), 3.0)
+    assert s.terms.dtype == dtype
+    assert s.terms.ndim == 2
+
+
+def _recorded_dtypes(monkeypatch):
+    seen = []
+    norm = blockspace.mixed_norm
+
+    def recording(v, p, layout=None):
+        seen.append(np.asarray(v).dtype)
+        return norm(v, p, layout)
+
+    monkeypatch.setattr(blockspace, "mixed_norm", recording)
+    return seen
+
+
+@pytest.mark.parametrize("vectors, dtype", [(np.ones((3, 15)), np.float64),
+                                            (np.ones((3, 15)) + 0j, np.complex128)])
+def test_combination_norms_forms_the_product_in_the_inputs_dtype(vectors, dtype, monkeypatch):
+    seen = _recorded_dtypes(monkeypatch)
+    weights = sign_patterns(3)
+    got = combination_norms(weights, vectors, 3.0, BlockLayout.triangular(5))
+    assert seen and set(seen) == {np.dtype(dtype)}
+    monkeypatch.undo()
+    assert bits(got) == bits(mixed_norm(weights.astype(np.complex128) @ vectors, 3.0,
+                                        BlockLayout.triangular(5)))
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_real_sign_averages_form_no_complex_product(mode, monkeypatch):
+    seen = _recorded_dtypes(monkeypatch)
+    rad_norm(make_sum(5, 4, seed=1), mode, samples=50)
+    unconditional_constant(8, 3.0, mode=mode, n_signs=50, ascent_sweeps=1)
+    assert seen and set(seen) == {np.dtype(np.float64)}
+
+
 # -- unconditional_constant ----------------------------------------------------
 
 
-# n = 14 enumerates 2^14 patterns per witness: one variant there
+# n = 14 enumerates 2^14 patterns per witness: one variant there and at the
+# odd n = 13; the oracle takes the maximum over all 2^n patterns, exact mode
+# over the half whose last sign is -1
 UNCOND_EXACT = [(n, variant) for n in (2, 3, 5, 8, 11)
-                for variant in (PLAIN, EVEN_TWIST, ODD_TWIST)] + [(14, EVEN_TWIST)]
+                for variant in (PLAIN, EVEN_TWIST, ODD_TWIST)] + [(13, ODD_TWIST),
+                                                                  (14, EVEN_TWIST)]
 
 
 @pytest.mark.parametrize("n, variant", UNCOND_EXACT)
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 6.0, math.inf])
 def test_exact_unconditional_constant_matches_the_oracle(n, variant, p):
     seed = n % 3
     got = unconditional_constant(n, p, seed=seed, variant=variant)
