@@ -12,7 +12,6 @@ coupled pair.
 import numpy as np
 
 from mrlab import (
-    MixedVector,
     TwistedMultiplier,
     build_permutation,
     positivity_check,
@@ -31,9 +30,10 @@ inc = TwistedMultiplier.covering(36, "constant", 0.1)
 layout, perm = lac.layout, lac.perm
 
 # the coupled pair: the twisted coordinate expands as a difference
-v = MixedVector.unit(layout, perm.pi(2))
+v = np.zeros(layout.dim)
+v[perm.pi(2) - 1] = 1.0
 coeffs = twisted_analysis(v, perm, EVEN_TWIST)
-print("unit vector at the twisted slot of 2 expands as", coeffs[:2].real,
+print("unit vector at the twisted slot of 2 expands as", coeffs[:2],
       "(difference of two basis elements)\n")
 
 grid = 2.0 ** np.arange(-10, 11)

@@ -14,6 +14,7 @@ hit it with a closed and an open right end.
 import numpy as np
 
 from mrlab import (
+    BlockLayout,
     block_qsup_partials,
     diagonal_norm,
     holder_conjugate,
@@ -28,16 +29,16 @@ plog = ratio_family("powerlog", alpha, 10_000)
 
 print(f"alpha = {alpha}: threshold exponent 2/(1 - 2 alpha) = 4\n")
 
-dn = diagonal_norm(power, 4.0, 20)
-cvals = power.values_upto(dn.extremizer.layout.dim)
-attained = mixed_norm(dn.extremizer.coeffs * cvals, 4.0, dn.extremizer.layout)
+lay = BlockLayout.triangular(20)
+dn = diagonal_norm(power, 4.0, lay.n_blocks)
+cvals = power.values_upto(lay.dim)
+attained = mixed_norm(dn.extremizer * cvals, 4.0, lay)
 print("power family at p = 4 (q = 4):")
 print(f"  closed-form diagonal norm  {dn.value:.12f}")
 print(f"  extremizer evaluation      {attained:.12f}")
 print(f"  winning block              {dn.block}\n")
 
 rng = np.random.default_rng(0)
-lay = dn.extremizer.layout
 a = rng.standard_normal((5, lay.dim))
 a /= np.power(np.power(np.abs(a), 4.0).sum(axis=1), 0.25)[:, None]
 print("  five random unit profiles: ",

@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .blockspace import (
     BlockLayout,
-    MixedVector,
     bv_norm,
     mixed_norm,
 )

@@ -98,7 +98,7 @@ def check_lacunary_half_sixth() -> CheckResult:
     reserved_hi = int(first_even_in_shifted_block(np.arange(head // 2)).max())
     op = TwistedMultiplier.covering(max(reserved_hi, 2 * head), "lacunary")
     layout = op.layout
-    terms = np.zeros((head, layout.dim), dtype=np.complex128)
+    terms = np.zeros((head, layout.dim))
     cols = op.perm.pi(2 * np.arange(1, head + 1))
     terms[np.arange(head), cols - 1] = 1.0
     out = associated_operator(op, 2.0 * np.arange(1, head + 1) - 1.0,
@@ -148,13 +148,13 @@ def check_diagonal_norm_identity(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     ok = True
     detail = []
+    lay = BlockLayout.triangular(20)
     for kind in ("power", "powerlog"):
         fam = ratio_family(kind, 0.25, 20)
         for p in (2.5, 3.0, 4.0, 6.0):
-            dn = diagonal_norm(fam, p, 20)
-            lay = dn.extremizer.layout
+            dn = diagonal_norm(fam, p, lay.n_blocks)
             cvals = fam.values_upto(lay.dim)
-            attained = mixed_norm(dn.extremizer.coeffs * cvals, p, lay)
+            attained = mixed_norm(dn.extremizer * cvals, p, lay)
             ok = ok and abs(attained - dn.value) <= 1e-9 * dn.value
             a = rng.standard_normal((10_000, lay.dim))
             a /= np.power(np.power(np.abs(a), p).sum(axis=1), 1.0 / p)[:, None]
@@ -267,7 +267,7 @@ def check_rademacher_machinery(seed: int = 0) -> CheckResult:
     worst_rel = 0.0
     for trial in range(100):
         groups = np.array_split(rng.permutation(lay.dim), 12)
-        terms = np.zeros((12, lay.dim), dtype=np.complex128)
+        terms = np.zeros((12, lay.dim))
         for g, grp in enumerate(groups):
             terms[g, grp] = rng.standard_normal(grp.size)
         s = RadSum(terms, lay, float(rng.uniform(1.5, 6.0)))

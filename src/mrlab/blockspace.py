@@ -4,6 +4,11 @@ The working space is an ell_p sum of Euclidean blocks.  The canonical
 ("triangular") layout uses consecutive blocks of sizes 1, 2, 3, ..., so a
 truncation to n blocks has dimension n(n+1)/2.  Entries are real or
 complex; every norm reads their modulus.
+
+One dtype rule holds for every array the package forms from its inputs:
+a product takes ``np.result_type`` of its inputs, and integers are
+promoted to float64.  Data are plain arrays, so complex numbers appear
+only where a complex lambda, symbol or start enters.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from .errors import ParameterError, StructuralError
 
 __all__ = [
     "BlockLayout",
-    "MixedVector",
     "triangular_end",
     "triangular_block_index",
     "triangular_bounds",
@@ -186,13 +190,9 @@ def _lp_of_blocks(bn, p):
     return peak[..., 0] * np.power(np.power(scaled, p).sum(axis=-1), 1.0 / p)
 
 
-def mixed_norm(v, p, layout: BlockLayout | None = None):
+def mixed_norm(v, p, layout: BlockLayout):
     """ell_p norm of the block Euclidean norms; p = inf takes the block sup."""
     p = _check_p(p)
-    if isinstance(v, MixedVector):
-        v, layout = v.coeffs, v.layout
-    elif layout is None:
-        raise StructuralError("raw arrays need an explicit layout")
     out = _lp_of_blocks(block_norms(v, layout), p)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -226,27 +226,3 @@ def sequence_variation(s):
         raise ParameterError("variation of an empty sequence")
     out = np.abs(np.diff(s, axis=-1)).sum(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass(frozen=True)
-class MixedVector:
-    """Coefficients in the unit-vector basis of a truncated mixed-norm space."""
-
-    coeffs: np.ndarray
-    layout: BlockLayout
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1)
-        if arr.size != self.layout.dim:
-            raise StructuralError(
-                f"coefficient length {arr.size} does not match layout dim {self.layout.dim}"
-            )
-        if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
-            raise StructuralError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", arr)
-
-    @classmethod
-    def unit(cls, layout: BlockLayout, idx: int) -> "MixedVector":
-        arr = np.zeros(layout.dim, dtype=np.complex128)
-        arr[idx - 1] = 1.0
-        return cls(arr, layout)

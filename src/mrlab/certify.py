@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockspace import BlockLayout, MixedVector, triangular_bounds, triangular_indices_1mod4
+from .blockspace import BlockLayout, triangular_bounds, triangular_indices_1mod4
 from .errors import InvariantViolation, ParameterError
 from .sequences import (
     GEOMETRIC,
@@ -76,7 +76,7 @@ def holder_gap(p, alpha: float):
 class DiagonalNorm:
     value: float
     block: int
-    extremizer: MixedVector = field(repr=False)
+    extremizer: np.ndarray = field(repr=False)   # float64, on BlockLayout.triangular(n_blocks)
     p: float
     q: float
 
@@ -99,10 +99,10 @@ def diagonal_norm(ratios: RatioSeq, p: float, n_blocks: int) -> DiagonalNorm:
     cvals = np.abs(np.asarray(ratios.value_at(np.arange(lo, hi + 1)), dtype=np.float64))
     profile = np.power(cvals / cvals.max(), q / p)
     profile /= np.power(np.power(profile, p).sum(), 1.0 / p)
-    arr = np.zeros(layout.dim, dtype=np.complex128)
+    arr = np.zeros(layout.dim)
     arr[lo - 1: hi] = profile
     return DiagonalNorm(value=float(per_block[best - 1]), block=best,
-                        extremizer=MixedVector(arr, layout), p=p, q=q)
+                        extremizer=arr, p=p, q=q)
 
 
 # -- regularity predicate ----------------------------------------------------

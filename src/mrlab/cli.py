@@ -70,8 +70,7 @@ class _Parser(argparse.ArgumentParser):
                     hints.append(f"{b} -> did you mean {close[0]}?")
             if hints:
                 message += "  (" + "; ".join(hints) + ")"
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -228,8 +227,11 @@ def _parse_grid(text):
     """Comma list of floats, or pow2:a:b for 2^a .. 2^b, or geom:a:b:n."""
     try:
         if text.startswith("pow2:"):
-            _, a, b = text.split(":")
-            return 2.0 ** np.arange(int(a), int(a) + _grid_points(int(b) - int(a) + 1))
+            a, b = (int(x) for x in text.split(":")[1:])
+            n = _grid_points(b - a + 1)
+            if a < -1074 or b > 1023:   # 2^a or 2^b is no float64 number
+                raise ValueError(text)
+            return 2.0 ** np.arange(a, a + n)
         if text.startswith("geom:"):
             _, a, b, n = text.split(":")
             a, b = float(a), float(b)

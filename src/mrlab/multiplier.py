@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockspace import (BlockLayout, MixedVector, _lp_of_blocks, block_norms, bv_norm, mixed_norm,
-                         sequence_variation)
+from .blockspace import (_NORMAL_MIN, BlockLayout, _lp_of_blocks, block_norms, bv_norm,
+                         mixed_norm, sequence_variation)
 from .errors import InvariantViolation, ParameterError, SingularityError
 from .sequences import MultiplierSeq, RatioSeq, family_seq, twisted_lacunary
 from .twistbasis import EVEN_TWIST, TwistPermutation, layout_coupling
@@ -148,11 +148,7 @@ class TwistedMultiplier:
 
     def _multiply(self, g, v):
         diag, off = self.symbols(g)
-        if isinstance(v, MixedVector):
-            if v.layout.dim != self.layout.dim:
-                raise ParameterError("vector layout does not match the operator")
-            return MixedVector(self.apply_symbols(diag, off, v.coeffs), self.layout)
-        arr = np.asarray(v, dtype=np.complex128)
+        arr = np.asarray(v)
         if arr.shape[-1] != self.layout.dim:
             raise ParameterError("vector length does not match the operator layout")
         return self.apply_symbols(diag, off, arr)
@@ -344,7 +340,9 @@ def bip_pair_ratios(seq: MultiplierSeq, ratios: RatioSeq, t_grid, n_pairs: int):
 
     The linear-growth bound for the imaginary powers asserts this never
     exceeds 1 when the ratio sequence stays inside (0, 1/8).  t = 0 reads
-    0.0; the times must be finite.
+    0.0; the times must be finite.  Where x = t g / 2 (g the log pair gap)
+    or the denominator leaves the normal float range, the ratio is read as
+    |sin x / x| g / (8 c_{2m}), with sin x / x = 1 below that range.
     """
     if seq.origin != "recurrence":
         raise ParameterError("the pair bound applies to recurrence-built sequences")
@@ -359,11 +357,18 @@ def bip_pair_ratios(seq: MultiplierSeq, ratios: RatioSeq, t_grid, n_pairs: int):
     ts = np.asarray(t_grid, dtype=np.float64).ravel()
     if not np.all(np.isfinite(ts)):
         raise ParameterError("the pair bound's times must be finite")
+    # float products are monotone, so the extreme c and g decide for each t
+    # whether every x and denominator stays in the normal range
+    c_lo, c_hi, g_lo = float(cvals.min()), float(cvals.max()), float(gaps.min())
     worst = np.zeros(ts.size)
-    for i, t in enumerate(ts):
-        if t != 0.0:
+    for i, t in enumerate(ts.tolist()):
+        a = abs(t)
+        if 8.0 * a * c_lo >= _NORMAL_MIN and 8.0 * a * c_hi < math.inf \
+                and 0.5 * a * g_lo >= _NORMAL_MIN:
             num = 2.0 * np.abs(np.sin(0.5 * t * gaps))
-            worst[i] = (num / (8.0 * abs(t) * cvals)).max()
+            worst[i] = (num / (8.0 * a * cvals)).max()
+        elif t != 0.0:   # np.sinc(y) is sin(pi y) / (pi y), and 1 at y = 0
+            worst[i] = (np.abs(np.sinc(0.5 * t * gaps / np.pi)) * gaps / (8.0 * cvals)).max()
     return worst
 
 

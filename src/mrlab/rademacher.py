@@ -233,7 +233,7 @@ def blowup_witness(construction: str, k: int, p, alpha=None, bound: float = 0.12
         leak = np.asarray(ratios.value_at(targets + 1), dtype=np.float64)
         profile = np.power(leak, q / p)
         profile /= np.power(np.power(profile, p).sum(), 1.0 / p)
-    terms = np.zeros((targets.size, layout.dim), dtype=np.complex128)
+    terms = np.zeros((targets.size, layout.dim))
     terms[np.arange(targets.size), reserved - 1] = profile
     rsum = RadSum(terms, layout, p)
     leak_norm = float(np.power(np.power(np.abs(profile * leak), 2).sum(), 0.5))

@@ -29,9 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockspace import (BlockLayout, MixedVector, _lp_of_blocks, block_norms,
-                         combination_norms, sign_patterns, triangular_block_index,
-                         triangular_end)
+from .blockspace import (BlockLayout, _lp_of_blocks, block_norms, combination_norms,
+                         sign_patterns, triangular_block_index, triangular_end)
 from .errors import ParameterError, StructuralError
 
 __all__ = [
@@ -209,15 +208,17 @@ def synthesis_cover(n_coeffs: int, perm: TwistPermutation, variant: str) -> int:
     return int(max(n_coeffs, t.head.max(initial=0), t.head_b.max(initial=0)))
 
 
-def twisted_analysis(v: MixedVector, perm: TwistPermutation, variant: str) -> np.ndarray:
-    """Coefficients of v in the twisted basis (1-based order, entry m at [m-1]).
+def twisted_analysis(v: np.ndarray, perm: TwistPermutation, variant: str) -> np.ndarray:
+    """Coefficients of the coordinate vector v in the twisted basis
+    (1-based order, entry m at [m-1]).
 
-    c_j = v_{H(j)}, coordinates outside the layout reading as zero, then
+    c_j = v_{H(j)}, coordinates past v.size reading as zero, then
     c_b = v_{H(b)} - c_a for each coupled pair.
     """
-    t = layout_coupling(perm, variant, v.layout.dim)
-    coeffs = np.zeros(_longest(t, v.layout.dim), dtype=np.complex128)
-    coeffs[t.index - 1] = v.coeffs
+    v = np.asarray(v)
+    t = layout_coupling(perm, variant, v.size)
+    coeffs = np.zeros(_longest(t, v.size), dtype=np.result_type(v, 0.0))
+    coeffs[t.index - 1] = v
     coeffs[t.b - 1] -= coeffs[t.a - 1]
     return coeffs
 
@@ -228,7 +229,8 @@ def _synthesize(c: np.ndarray, t: Coupling, dim: int) -> np.ndarray:
     coordinate beyond dim receives a nonzero total."""
     n = c.shape[1]
     coords = np.concatenate([t.head, t.head_b[t.b > n]])
-    totals = np.zeros((c.shape[0], coords.size), dtype=np.complex128)
+    dtype = np.result_type(c, 0.0)
+    totals = np.zeros((c.shape[0], coords.size), dtype=dtype)
     totals[:, :n] = c
     totals[:, t.b - 1] += c[:, t.a - 1]
     bad = np.flatnonzero((coords > dim) & np.any(totals != 0.0, axis=0))
@@ -239,25 +241,25 @@ def _synthesize(c: np.ndarray, t: Coupling, dim: int) -> np.ndarray:
         j = int(bad[np.argmax(own[bad])])
         raise StructuralError(f"coefficient {j + 1} needs coordinate {int(coords[j])} "
                               f"outside layout dim {dim}")
-    out = np.zeros((c.shape[0], dim), dtype=np.complex128)
+    out = np.zeros((c.shape[0], dim), dtype=dtype)
     keep = coords <= dim
     out[:, coords[keep] - 1] = totals[:, keep]
     return out
 
 
 def twisted_synthesis(coeffs, perm: TwistPermutation, variant: str,
-                      layout: BlockLayout) -> MixedVector:
+                      layout: BlockLayout) -> np.ndarray:
     """Rebuild the coordinate vector sum_m c_m f_m inside the given layout."""
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(1, -1)
+    c = np.asarray(coeffs).reshape(1, -1)
     t = _coupling(perm, variant, np.arange(1, c.shape[1] + 1))
-    return MixedVector(_synthesize(c, t, layout.dim)[0], layout)
+    return _synthesize(c, t, layout.dim)[0]
 
 
 def twisted_basis_matrix(n: int, perm: TwistPermutation, variant: str,
                          layout: BlockLayout) -> np.ndarray:
     """(n, dim) matrix whose row m-1 is f_m in coordinates; small n only."""
     t = _coupling(perm, variant, np.arange(1, n + 1))
-    return _synthesize(np.eye(n, dtype=np.complex128), t, layout.dim)
+    return _synthesize(np.eye(n), t, layout.dim)
 
 
 def _witness_family(n, rng, n_random=6):
@@ -284,8 +286,7 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
     against a fixed witness family (each other pattern is the mirror of
     one of these and gives bit for bit the same norm); sampled mode draws
     seeded random signs and improves the witness by coordinate ascent.  The
-    plain variant returns 1 exactly.  The basis has 0/1 entries, so every
-    product is real.
+    plain variant returns 1 exactly.
     """
     if n < 2:
         raise ParameterError("need n >= 2")
@@ -300,7 +301,7 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
     else:
         raise ParameterError("mode must be 'exact' or 'sampled'")
     perm, layout = basis_layout(n, variant)
-    basis = np.ascontiguousarray(twisted_basis_matrix(n, perm, variant, layout).real)
+    basis = twisted_basis_matrix(n, perm, variant, layout)
 
     def best_ratio(a):
         base = combination_norms(a[None, :], basis, p, layout)[0]

@@ -49,7 +49,8 @@ KEEP = {
         "lower norm bound of the multiplier with symbol values g; BENCHMARK.json and "
         "perfbench name it, and the tests bound A^{it} and BV multipliers with it",
     "twistbasis.twisted_synthesis":
-        "operator API: synthesis after analysis is the identity, in the property tests",
+        "operator API: the coordinate vector of twisted coefficients, a plain array in "
+        "their dtype; the round-trip property tests and the coupling oracles reach it",
 }
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mrlab.blockspace import mixed_norm, triangular_bounds
+from mrlab.blockspace import BlockLayout, mixed_norm, triangular_bounds
 from mrlab.certify import (
     dissipativity_norm_sq,
     IntervalSpec,
@@ -29,11 +29,12 @@ GRID = np.arange(21, 161) / 20.0
 
 def test_diagonal_norm_power_at_threshold_all_blocks_tie():
     fam = ratio_family("power", 0.25, 20)
-    dn = diagonal_norm(fam, 4.0, 20)
+    lay = BlockLayout.triangular(20)
+    dn = diagonal_norm(fam, 4.0, lay.n_blocks)
     # every block value equals the scale, so the max does too
     assert dn.value == pytest.approx(fam.scale, rel=1e-12)
-    got = mixed_norm(dn.extremizer.coeffs * fam.values_upto(dn.extremizer.layout.dim),
-                     4.0, dn.extremizer.layout)
+    assert dn.extremizer.dtype == np.float64 and dn.extremizer.shape == (lay.dim,)
+    got = mixed_norm(dn.extremizer * fam.values_upto(lay.dim), 4.0, lay)
     assert got == pytest.approx(dn.value, rel=1e-9)
 
 
@@ -41,10 +42,10 @@ def test_diagonal_norm_power_at_threshold_all_blocks_tie():
 @pytest.mark.parametrize("kind", ["power", "powerlog"])
 def test_diagonal_norm_extremizer_and_domination(p, kind):
     fam = ratio_family(kind, 0.25, 20)
-    dn = diagonal_norm(fam, p, 20)
-    lay = dn.extremizer.layout
+    lay = BlockLayout.triangular(20)
+    dn = diagonal_norm(fam, p, lay.n_blocks)
     cvals = fam.values_upto(lay.dim)
-    got = mixed_norm(dn.extremizer.coeffs * cvals, p, lay)
+    got = mixed_norm(dn.extremizer * cvals, p, lay)
     assert got == pytest.approx(dn.value, rel=1e-9)
     rng = np.random.default_rng(0)
     a = rng.standard_normal((2000, lay.dim))
@@ -66,8 +67,8 @@ def test_diagonal_norm_brute_force_block_max():
     # beat the closed-form block value
     fam = ratio_family("powerlog", 0.3, 8)
     p = 3.5
-    dn = diagonal_norm(fam, p, 8)
-    lay = dn.extremizer.layout
+    lay = BlockLayout.triangular(8)
+    dn = diagonal_norm(fam, p, lay.n_blocks)
     lo, hi = lay.bounds(dn.block)
     c = fam.values_upto(lay.dim)[lo - 1: hi]
     rng = np.random.default_rng(1)
@@ -289,11 +290,11 @@ def test_diagonal_norm_dense_ratios_match_per_block_sums():
     for k in range(1, n_blocks + 1):
         lo, hi = triangular_bounds(k)
         per_block.append(np.power(np.power(fam.value_at(np.arange(lo, hi + 1)), q).sum(), 1 / q))
-    dn = diagonal_norm(fam, p, n_blocks)
+    lay = BlockLayout.triangular(n_blocks)
+    dn = diagonal_norm(fam, p, lay.n_blocks)
     assert dn.value == pytest.approx(max(per_block), rel=1e-12)
     assert dn.block == int(np.argmax(per_block)) + 1
-    lay = dn.extremizer.layout
-    got = mixed_norm(dn.extremizer.coeffs * fam.values_upto(lay.dim), p, lay)
+    got = mixed_norm(dn.extremizer * fam.values_upto(lay.dim), p, lay)
     assert got == pytest.approx(dn.value, rel=1e-9)
 
 
@@ -301,11 +302,11 @@ def test_diagonal_norm_of_tiny_dense_ratios():
     # the block norms and the Holder profile are scaled by the peak value, so
     # neither underflows to a zero norm
     fam = irregular_ratios(np.geomspace(1e-200, 1e-190, 6))
-    dn = diagonal_norm(fam, 4.0, 6)
+    lay = BlockLayout.triangular(6)
+    dn = diagonal_norm(fam, 4.0, lay.n_blocks)
     assert dn.value == pytest.approx(6 ** 0.25 * 1e-190, rel=1e-14)
     assert dn.block == 6
-    lay = dn.extremizer.layout
-    got = mixed_norm(dn.extremizer.coeffs * fam.values_upto(lay.dim), 4.0, lay)
+    got = mixed_norm(dn.extremizer * fam.values_upto(lay.dim), 4.0, lay)
     assert got == pytest.approx(dn.value, rel=1e-9)
 
 

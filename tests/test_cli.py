@@ -71,6 +71,19 @@ def test_bv_bound_ok(capsys):
     assert cols[4] == "true"
 
 
+@pytest.mark.parametrize("tgrid", ["1e308,1e308", "5e-324,-1e-310,-1e308"])
+def test_bip_check_reads_finite_ratios_at_extreme_times(tgrid, capsys):
+    # 8 |t| c overflowed at 1e308, and 0/0 gave NaN at subnormal t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(["bip-check", "--tgrid", tgrid], capsys)
+    assert (code, err) == (0, "")
+    rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+    ratios = [float(l.split(",")[1]) for l in rows]
+    assert len(ratios) == tgrid.count(",") + 1
+    assert all(0.0 < r <= 1.0 for r in ratios)
+
+
 def test_bip_check_exit_codes(capsys):
     code, out = run(["bip-check", "--family", "power", "--alpha", "0.25",
                      "--pairs", "100", "--tgrid", "0.1,1"], capsys)
@@ -171,6 +184,24 @@ def test_selftest_subset(capsys):
     code, out = run(["selftest", "--only", "6,9"], capsys)
     assert code == 0
     assert out.count("[PASS]") == 2
+
+
+@pytest.mark.parametrize("argv", [["pi-table", "--n", "abc"], ["rad-norm", "--blocks", "0.5"],
+                                  ["rad-norm", "--p", ""], ["gen-gamma", "--famly", "power"]])
+def test_argparse_errors_are_one_line(argv, capsys):
+    # argparse printed its usage text before the error line
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert_one_line_usage_error(exc.value.code, captured.out, captured.err)
+    assert argv[1] in captured.err
+
+
+def test_help_prints_the_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pi-table", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
 
 
 def test_usage_error_exit_one_and_suggestion(capsys):
@@ -504,6 +535,10 @@ def test_dissipativity_overflow_is_one_line_error(capsys):
     (["bv-bound", "--alpha", "inf", "--tgrid", "1"], "alpha < 1024/3"),
     (["bv-bound", "--alpha", "1e-300", "--tgrid", "1"], "2^alpha > 1"),
     (["semigroup-check", "--n", "10", "--tgrid", "geom:-1:1:5"], "cannot read grid"),
+    # 2^1100 overflowed with a numpy warning and ran on inf times; 2^-1100
+    # read 0.0 and the subnormal times gave bip-check NaN ratios
+    (["semigroup-check", "--n", "10", "--tgrid", "pow2:1000:1100"], "cannot read grid"),
+    (["bip-check", "--tgrid", "pow2:-1100:-1000"], "cannot read grid"),
 ])
 def test_non_finite_parameters_are_one_line_errors(argv, message, capsys):
     # a NaN or negative tolerance used to exit 2 as a broken invariant; an

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from mrlab import multiplier
-from mrlab.blockspace import BlockLayout, MixedVector, bv_norm
+from mrlab.blockspace import BlockLayout, bv_norm
 from mrlab.errors import ParameterError, SingularityError
 from mrlab.multiplier import (
     TwistedMultiplier,
@@ -97,18 +97,25 @@ def random_vector(seed, dim):
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
+def unit(dim, j):
+    """The unit vector e_j of length dim."""
+    e = np.zeros(dim)
+    e[j - 1] = 1.0
+    return e
+
+
 def test_apply_on_unit_vectors_even_twist():
     op = make_op()
     vals = op.seq.values_upto(op.structure.needed)
-    e1 = MixedVector.unit(op.layout, 1)
+    e1 = unit(op.layout.dim, 1)
     out = op.apply(e1)
-    np.testing.assert_allclose(out.coeffs, vals[0] * e1.coeffs, rtol=1e-14)
+    np.testing.assert_allclose(out, vals[0] * e1, rtol=1e-14)
     # column at pi(m): gamma_m e_{pi(m)} + (gamma_m - gamma_{m-1}) e_{m-1}
     for m in (2, 4, 6, 8):
         j = op.perm.pi(m)
         if j > op.layout.dim or m - 1 > op.layout.dim:
             continue
-        out = op.apply(MixedVector.unit(op.layout, j)).coeffs
+        out = op.apply(unit(op.layout.dim, j))
         expect = np.zeros(op.layout.dim, dtype=complex)
         expect[j - 1] = vals[m - 1]
         expect[m - 2] = vals[m - 1] - vals[m - 2]
@@ -140,11 +147,11 @@ def test_apply_matches_transform_composition(variant):
     vals = seq.values_upto(op.structure.needed + 8)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        v = MixedVector(rng.standard_normal(layout.dim), layout)
+        v = rng.standard_normal(layout.dim)
         coeffs = twisted_analysis(v, perm, variant)
         scaled = coeffs * vals[: coeffs.size]
         via_transform = twisted_synthesis(scaled, perm, variant, layout)
-        np.testing.assert_allclose(op.apply(v).coeffs, via_transform.coeffs,
+        np.testing.assert_allclose(op.apply(v), via_transform,
                                    rtol=1e-11, atol=1e-11)
 
 
@@ -220,8 +227,7 @@ def test_resolvent_coefficient_at_minus_even_value():
     m = 4
     gamma_m = seq.values_upto(m)[m - 1]
     lam = -gamma_m
-    e = MixedVector.unit(op.layout, op.perm.pi(m))
-    out = op.resolvent(lam, e)
+    out = op.resolvent(lam, unit(op.layout.dim, op.perm.pi(m)))
     coeffs = twisted_analysis(out, perm, EVEN_TWIST)
     assert coeffs[m - 1] == pytest.approx(-1.0 / (2.0 * gamma_m), rel=1e-12)
 
@@ -241,6 +247,36 @@ def test_semigroup_identity_at_zero_and_composition(variant, n_blocks, family, s
         op.semigroup(-1.0, v)
 
 
+def same_bits(a, b):
+    """Equal shape, dtype and bytes (so -0.0 and 0.0 differ)."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(hs.lists(hs.integers(1, 6), min_size=1, max_size=7), families,
+       hs.floats(0.0, 20.0), hs.floats(-20.0, 20.0), off_spectrum, seeds)
+def test_real_vectors_keep_their_dtype(block_sizes, family, t, s, lam, seed):
+    # a real vector under a real symbol gives a float64 result: the real part,
+    # bit for bit, of the same call on the complex cast, whose imaginary part
+    # is +0.0 throughout; complex symbols give the complex cast's result
+    layout = BlockLayout.from_sizes(block_sizes)
+    perm = TwistPermutation.covering(2 * layout.dim + 8)
+    v = np.random.default_rng(seed).standard_normal(layout.dim)
+    for variant in (PLAIN, EVEN_TWIST, ODD_TWIST):
+        needed = multiplier._structure(layout, perm, variant).needed
+        op = TwistedMultiplier(family_seq(*family, needed + 2)[0], perm, variant, layout)
+        real = [(op.apply, v), (lambda x: op.semigroup(t, x), v),
+                (lambda x: twisted_analysis(x, perm, variant), v),
+                (lambda c: twisted_synthesis(c, perm, variant, layout),
+                 twisted_analysis(v, perm, variant))]
+        for call, x in real:
+            got, want = call(x), call(x.astype(np.complex128))
+            assert got.dtype == np.float64 and same_bits(got, want.real)
+            assert same_bits(want.imag, np.zeros(want.shape))
+        for call in (lambda x: op.resolvent(lam, x), lambda x: op.imaginary_power(s, x)):
+            assert same_bits(call(v), call(v.astype(np.complex128)))
+
+
 def test_semigroup_column_formula():
     op = make_op()
     vals = op.seq.values_upto(op.structure.needed)
@@ -249,7 +285,7 @@ def test_semigroup_column_formula():
         j = op.perm.pi(m)
         if j > op.layout.dim:
             continue
-        col = op.semigroup(t, MixedVector.unit(op.layout, j)).coeffs
+        col = op.semigroup(t, unit(op.layout.dim, j))
         expect = np.zeros(op.layout.dim, dtype=complex)
         expect[j - 1] = math.exp(-t * vals[m - 1])
         expect[m - 2] = math.exp(-t * vals[m - 1]) - math.exp(-t * vals[m - 2])
@@ -383,6 +419,19 @@ def test_bip_pair_ratios_per_time():
     for t, value in zip(grid, per_t):
         assert bip_pair_ratios(seq, fam, [t], 1000)[0] == value
     assert per_t[3] == bip_pair_ratios(seq, fam, [3.0], 1000)[0] > 0.0
+
+
+def test_bip_pair_ratios_at_times_past_the_float_range():
+    # below the normal range the ratio is its t -> 0 limit log-gap / (8 c); at
+    # 1e308, where 8 |t| c overflows, it is |sin x / x| log-gap / (8 c)
+    fam = constant_ratios(0.1, 70)
+    seq = seq_from_ratios(fam, length=2000)
+    gap = math.log(1.2 / 0.8)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        per_t = bip_pair_ratios(seq, fam, [5e-324, -1e-310, 1e308, -1e308], 1000)
+    assert per_t[:2] == pytest.approx(gap / (8 * 0.1), rel=1e-12)
+    assert per_t[2] == per_t[3]
+    assert 0.0 < per_t[2] <= 2.0 / 8.0 / 1e308 / 0.1   # |sin x| <= 1
 
 
 def test_bip_pair_ratio_validates_hypothesis():

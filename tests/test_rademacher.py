@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mrlab.blockspace import BlockLayout, MixedVector, mixed_norm
+from mrlab.blockspace import BlockLayout, mixed_norm
 from mrlab.errors import ParameterError, StructuralError
 from mrlab.multiplier import TwistedMultiplier
 from mrlab.rademacher import (
@@ -106,6 +106,13 @@ def test_rad_norm_errors():
         RadSum(np.zeros((0, lay.dim)), lay, 2.0)
 
 
+def unit(layout, j):
+    """The unit vector e_j of the layout."""
+    e = np.zeros(layout.dim)
+    e[j - 1] = 1.0
+    return e
+
+
 def make_lacunary_op(n_blocks=8):
     return TwistedMultiplier.covering(n_blocks * (n_blocks + 1) // 2, "lacunary")
 
@@ -120,9 +127,9 @@ def test_associated_operator_lacunary_half_and_sixth():
     for m in ms:
         j = op.perm.pi(2 * int(m))
         if j <= op.layout.dim and 2 * int(m) - 1 <= op.layout.dim:
-            terms.append(MixedVector.unit(op.layout, j))
+            terms.append(unit(op.layout, j))
             keep.append(int(m))
-    s = RadSum(np.stack([t.coeffs for t in terms]), op.layout, 4.0)
+    s = RadSum(np.stack(terms), op.layout, 4.0)
     out = associated_operator(op, np.array([2.0 * m - 1.0 for m in keep]), s)
     for row, m in enumerate(keep):
         j = op.perm.pi(2 * m)
@@ -148,7 +155,7 @@ def test_associated_operator_recurrence_leaks_minus_c():
     layout, perm, seq = op.layout, op.perm, op.seq
     m = 3  # term at e_{pi(4m+2)} with q = -gamma_{4m+2}
     j = perm.pi(4 * m + 2)
-    s = RadSum(MixedVector.unit(layout, j).coeffs[None, :], layout, 4.0)
+    s = RadSum(unit(layout, j), layout, 4.0)
     out = associated_operator(op, seq.log2_at([4 * m + 2]), s)
     vec = out.terms[0]
     assert vec[j - 1] == pytest.approx(0.5, abs=1e-14)
@@ -187,8 +194,8 @@ def test_associated_operator_commutes_with_truncation_restriction():
     op_small = TwistedMultiplier(seq=seq, perm=perm, variant=EVEN_TWIST, layout=small)
     j = perm.pi(6)
     log2_q = np.log2([3.7])
-    s_small = RadSum(MixedVector.unit(small, j).coeffs[None, :], small, 3.0)
-    s_big = RadSum(MixedVector.unit(big, j).coeffs[None, :], big, 3.0)
+    s_small = RadSum(unit(small, j), small, 3.0)
+    s_big = RadSum(unit(big, j), big, 3.0)
     out_small = associated_operator(op_small, log2_q, s_small).terms[0]
     out_big = associated_operator(op_big, log2_q, s_big).terms[0]
     np.testing.assert_allclose(out_big[: small.dim], out_small, rtol=1e-14)

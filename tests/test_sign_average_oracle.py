@@ -65,7 +65,7 @@ def unconditional_constant_oracle(n, p, mode="exact", seed=0, variant=EVEN_TWIST
                                   n_signs=2000, ascent_sweeps=2):
     perm = TwistPermutation.covering(max(2 * n + 4, 8))
     layout = BlockLayout.triangular_covering(synthesis_cover(n, perm, variant))
-    basis = twisted_basis_matrix(n, perm, variant, layout)
+    basis = twisted_basis_matrix(n, perm, variant, layout).astype(np.complex128)
 
     rng = np.random.default_rng(seed)
     if mode == "exact":
