@@ -113,21 +113,6 @@ class BlockLayout:
         """Smallest triangular layout with dim >= min_dim."""
         return cls.triangular(triangular_block_index(min_dim))
 
-    def block_of(self, idx):
-        """Block number (1-based) containing the 1-based coordinate index."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if np.any(idx < 1) or np.any(idx > self.dim):
-            raise StructuralError(f"index out of range 1..{self.dim}")
-        ends = self.starts + self.sizes  # exclusive, 0-based
-        k = np.searchsorted(ends, idx - 1, side="right") + 1
-        return k if k.ndim else int(k)
-
-    def bounds(self, k: int):
-        """(first, last) 1-based indices of block k."""
-        if not 1 <= k <= self.n_blocks:
-            raise ParameterError(f"block {k} not in 1..{self.n_blocks}")
-        return int(self.starts[k - 1]) + 1, int(self.starts[k - 1] + self.sizes[k - 1])
-
 
 def _check_p(p):
     if p == math.inf:

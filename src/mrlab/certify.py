@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockspace import BlockLayout, triangular_bounds, triangular_indices_1mod4
+from .blockspace import triangular_bounds, triangular_end, triangular_indices_1mod4
 from .errors import InvariantViolation, ParameterError
 from .sequences import (
     GEOMETRIC,
@@ -94,12 +94,11 @@ def diagonal_norm(ratios: RatioSeq, p: float, n_blocks: int) -> DiagonalNorm:
     q = holder_conjugate(p)
     per_block = block_q_norms(ratios, q, n_blocks)
     best = int(np.argmax(per_block)) + 1
-    layout = BlockLayout.triangular(n_blocks)
-    lo, hi = layout.bounds(best)
+    lo, hi = triangular_bounds(best)
     cvals = np.abs(np.asarray(ratios.value_at(np.arange(lo, hi + 1)), dtype=np.float64))
     profile = np.power(cvals / cvals.max(), q / p)
     profile /= np.power(np.power(profile, p).sum(), 1.0 / p)
-    arr = np.zeros(layout.dim)
+    arr = np.zeros(triangular_end(n_blocks))
     arr[lo - 1: hi] = profile
     return DiagonalNorm(value=float(per_block[best - 1]), block=best,
                         extremizer=arr, p=p, q=q)

@@ -119,8 +119,7 @@ class _Out:
             try:
                 self.fh = open(self.path, "w", encoding="utf-8", newline="\n")
             except OSError as exc:
-                print(f"cannot write {self.path}: {exc}", file=sys.stderr)
-                raise SystemExit(1)
+                raise ParameterError(f"cannot write {self.path}: {exc}") from None
             self._close = True
         return self.fh
 
@@ -261,7 +260,8 @@ def _family(args):
 def _gamma_operator(args):
     """The operator of --gamma (lacunary | power:A | powerlog:A | constant:C) at --n;
     a constant C may take any value in (0, 1/2)."""
-    _array_entries(f"--n {args.n}", 2 * args.n + 8)   # the permutation covers 2 dim + 8
+    # the covering permutation of the layout holding --n has at most 2 n + 8 entries
+    _array_entries(f"--n {args.n}", 2 * args.n + 8)
     if args.gamma == LACUNARY:
         return TwistedMultiplier.covering(args.n, LACUNARY)
     kind, _, value = args.gamma.partition(":")
@@ -460,7 +460,8 @@ def cmd_dissipativity(args):
 
 
 def cmd_uncond_constant(args):
-    if args.mode == "sampled":   # exact mode enumerates at most EXACT_TERM_LIMIT terms
+    # exact mode enumerates at most EXACT_TERM_LIMIT terms; n < 2 is refused below
+    if args.mode == "sampled" and args.n >= 2:
         # the basis is synthesized from I_n into an n x dim array; checking
         # n x n first keeps the permutation that sizes dim small
         _array_entries(f"--n {args.n}", args.n * args.n)
@@ -602,33 +603,31 @@ def _config_value(action, value):
 def main(argv=None) -> int:
     parser = _build_parser(os.environ.get("MRLAB_SEED", "0"))
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
-            return 1
-        actions = {a.dest: a for a in parser._mrlab_subparsers[args.command]._actions}
-        for key, value in overrides.items():
-            action = actions.get(key.replace("-", "_"))
-            if action is None or not hasattr(args, action.dest):
-                print(f"config key {key!r} is not a flag of this subcommand",
-                      file=sys.stderr)
-                return 1
-            try:
-                setattr(args, action.dest, _config_value(action, value))
-            except (TypeError, ValueError):
-                print(f"config key {key!r} cannot take the value {value!r}",
-                      file=sys.stderr)
-                return 1
-    if getattr(args, "out", None) in ("csv", "json"):
-        # the bare format name as a target selects stdout in that format
-        args.format = args.out
-        args.out = "-"
-    if getattr(args, "format", None) is None:
-        args.format = "json" if args.command == "interval-certify" else "csv"
     try:
+        if args.config:
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    overrides = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise ParameterError(f"cannot read config {args.config}: {exc}") from None
+            if not isinstance(overrides, dict):
+                raise ParameterError(f"config {args.config} must hold a JSON object of flags")
+            actions = {a.dest: a for a in parser._mrlab_subparsers[args.command]._actions}
+            for key, value in overrides.items():
+                action = actions.get(key.replace("-", "_"))
+                if action is None or not hasattr(args, action.dest):
+                    raise ParameterError(f"config key {key!r} is not a flag of this subcommand")
+                try:
+                    setattr(args, action.dest, _config_value(action, value))
+                except (TypeError, ValueError):
+                    raise ParameterError(f"config key {key!r} cannot take the value "
+                                         f"{value!r}") from None
+        if getattr(args, "out", None) in ("csv", "json"):
+            # the bare format name as a target selects stdout in that format
+            args.format = args.out
+            args.out = "-"
+        if getattr(args, "format", None) is None:
+            args.format = "json" if args.command == "interval-certify" else "csv"
         args.seed = _seed(args.seed)
         return args.func(args)
     except InvariantViolation as exc:

@@ -67,10 +67,11 @@ class TwistedMultiplier:
     Parameters
     ----------
     seq : MultiplierSeq
-        The positive multiplier sequence.  Must cover every coupled index
-        of the truncation (roughly twice the layout dimension).
+        The positive multiplier sequence.  Must cover every index the
+        structure reads: the table indices and their partners.
     perm : TwistPermutation
-        Permutation of the evens; its inverse must cover the layout.
+        Permutation of the evens; it must serve the coordinates of the
+        layout, as ``TwistPermutation.covering(layout.dim)`` does.
     variant : str
         One of "plain", "even-twist", "odd-twist".
     layout : BlockLayout
@@ -96,16 +97,13 @@ class TwistedMultiplier:
         """The even-twist operator of a named family (``sequences.family_seq``)
         on the smallest triangular layout holding ``dim`` coordinates.
 
-        The permutation covers 2 dim + 8 and the sequence runs two past the
-        largest index the truncation couples; the structure is built once.
+        The permutation is ``TwistPermutation.covering`` of the layout
+        dimension.  Every index the structure reads is a table index or its
+        partner, so the sequence runs one past the table.
         """
         layout = BlockLayout.triangular_covering(dim)
-        perm = TwistPermutation.covering(2 * layout.dim + 8)
-        op = cls.__new__(cls)
-        # seeds the cached property, so __post_init__ reads it rather than rebuild it
-        op.__dict__["structure"] = st = _structure(layout, perm, EVEN_TWIST)
-        op.__init__(family_seq(family, param, st.needed + 2, bound)[0], perm, EVEN_TWIST, layout)
-        return op
+        perm = TwistPermutation.covering(layout.dim)
+        return cls(family_seq(family, param, perm.size + 1, bound)[0], perm, EVEN_TWIST, layout)
 
     @cached_property
     def structure(self) -> _Structure:

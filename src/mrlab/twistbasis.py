@@ -99,13 +99,12 @@ class TwistPermutation:
         return out if out.ndim else int(out)
 
     @classmethod
-    def build(cls, size: int) -> "TwistPermutation":
-        return _build(size, even_cover=0)
-
-    @classmethod
-    def covering(cls, even_cover: int) -> "TwistPermutation":
-        """Build a table large enough that pi^{-1} is known on evens <= even_cover."""
-        return _build(size=0, even_cover=even_cover)
+    def covering(cls, n: int) -> "TwistPermutation":
+        """The table that serves the indices 1..n in every variant, as
+        coordinates (``layout_coupling``) or as coefficients (synthesis):
+        pi^{-1} on the evens up to n + 1, the odd-twist partner of n, which
+        also puts n + 1 in the table."""
+        return _build(size=0, even_cover=n + 1)
 
 
 def _build(size: int, even_cover: int) -> TwistPermutation:
@@ -140,7 +139,7 @@ def build_permutation(n: int) -> TwistPermutation:
     """Table of pi(m) for m <= n."""
     if n < 2:
         raise ParameterError("permutation tables start at size 2")
-    return TwistPermutation.build(n)
+    return _build(n, even_cover=0)
 
 
 # -- the coupling rule -------------------------------------------------------
@@ -273,7 +272,7 @@ def _witness_family(n, rng, n_random=6):
 def basis_layout(n: int, variant: str = EVEN_TWIST):
     """The permutation and the triangular layout that hold the first n
     basis vectors of the variant."""
-    perm = TwistPermutation.covering(max(2 * n + 4, 8))
+    perm = TwistPermutation.covering(n)
     return perm, BlockLayout.triangular_covering(synthesis_cover(n, perm, variant))
 
 
@@ -320,8 +319,8 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
 
 def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float:
     """Coordinate ascent on the witness a, whose ratio is best, over the real
-    0/1 basis: each step rescales one coefficient and keeps the change when
-    the ratio rises.
+    0/1 basis on a triangular layout: each step rescales one coefficient and
+    keeps the change when the ratio rises.
 
     The sign products (signs * a) @ basis and their block norms are kept
     across steps.  Rescaling a_i moves only the coordinates of f_i (at most
@@ -336,7 +335,7 @@ def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float
         for i in range(a.size):
             cols = np.flatnonzero(basis[i])                     # the coordinates of f_i
             feed = np.flatnonzero(basis[:, cols].any(axis=1))   # the coefficients feeding them
-            ks = np.unique(layout.block_of(cols + 1)) - 1       # the blocks holding them
+            ks = np.unique(triangular_block_index(cols + 1)) - 1   # the blocks holding them
             span = np.concatenate([np.arange(s, s + z) for s, z in
                                    zip(layout.starts[ks], layout.sizes[ks])])
             at, touched = np.searchsorted(span, cols), BlockLayout.from_sizes(layout.sizes[ks])

@@ -33,8 +33,6 @@ KEEP = {
         "reads --config entries; tests/test_cli.py reaches it",
     "errors.SequenceOverflowError.__init__":
         "the overflow error a too-long sequence raises; tests reach it",
-    "multiplier.TwistedMultiplier.structure":
-        "operator API: the structure of a directly built operator (covering seeds it)",
     "multiplier.TwistedMultiplier.apply":
         "operator API: A v, in the property tests",
     "multiplier.TwistedMultiplier.resolvent":

@@ -36,20 +36,6 @@ def test_block_index_vectorized_matches_scalar():
     np.testing.assert_array_equal(ks, oracle)
 
 
-def test_layout_block_of_and_bounds():
-    lay = BlockLayout.triangular(6)
-    assert lay.dim == 21 and lay.n_blocks == 6
-    assert lay.bounds(1) == (1, 1)
-    assert lay.bounds(4) == (7, 10)
-    assert lay.block_of(7) == 4
-    np.testing.assert_array_equal(lay.block_of(np.array([1, 2, 3, 4, 21])),
-                                  [1, 2, 2, 3, 6])
-    with pytest.raises(ParameterError):
-        lay.bounds(7)
-    with pytest.raises(StructuralError):
-        lay.block_of(22)
-
-
 def test_layout_covering_and_singletons():
     lay = BlockLayout.triangular_covering(500)
     assert lay.dim >= 500 and np.array_equal(lay.sizes, np.arange(1, lay.n_blocks + 1))

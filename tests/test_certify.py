@@ -69,7 +69,7 @@ def test_diagonal_norm_brute_force_block_max():
     p = 3.5
     lay = BlockLayout.triangular(8)
     dn = diagonal_norm(fam, p, lay.n_blocks)
-    lo, hi = lay.bounds(dn.block)
+    lo, hi = triangular_bounds(dn.block)
     c = fam.values_upto(lay.dim)[lo - 1: hi]
     rng = np.random.default_rng(1)
     best = 0.0

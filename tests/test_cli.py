@@ -307,12 +307,6 @@ def test_config_seed_is_read_as_the_flag(tmp_path, capsys):
     assert out == run(argv + ["--seed", "5"], capsys)[1]
 
 
-def test_unwritable_output_is_io_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-gamma", "--n", "4", "--out", "/nonexistent-dir/x.csv"])
-    assert exc.value.code == 1
-
-
 def run_err(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -366,10 +360,46 @@ def test_unusable_config_entry_exits_one(entry, tmp_path, capsys):
     assert code == 1 and out == "" and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content, says", [
+    (b"[1, 2]", "must hold a JSON object of flags"),
+    (b"null", "must hold a JSON object of flags"),
+    (b'{"bogus": 1}', "config key 'bogus' is not a flag of this subcommand"),
+    (b'{"n": "x"}', "config key 'n' cannot take the value 'x'"),
+    (b"{not json", "cannot read config"),
+    (b"\xff\xfe{}", "cannot read config"),
+    (None, "cannot read config"),
+])
+def test_config_problems_are_one_line_errors(content, says, tmp_path, capsys):
+    # a list used to end in an AttributeError traceback, undecodable bytes in
+    # a UnicodeDecodeError one, and the other lines lacked the error: prefix
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    code, out, err = run_err(["gen-gamma", "--config", str(cfg)], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert says in err
+
+
+def test_unwritable_output_is_io_error(tmp_path, capsys):
+    # used to exit through SystemExit without the error: prefix
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_err(["gen-gamma", "--n", "4", "--out", str(target)], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_gen_gamma_needs_a_positive_length(n, capsys):
     code, out, err = run_err(["gen-gamma", "--n", n], capsys)
     assert_one_line_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize("n", ["-3", "0", "1"])
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_uncond_constant_needs_two_terms(n, mode, capsys):
+    code, out, err = run_err(["uncond-constant", "--n", n, "--mode", mode], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err == "error: need n >= 2\n"
 
 
 @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-5"], ["--samples", "1"],

@@ -326,17 +326,26 @@ def test_first_even_in_shifted_block_takes_arrays():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 20, 2000, 100_000])
 def test_build_matches_oracle(n):
-    assert same_permutation(TwistPermutation.build(n), _build(n, even_cover=0))
+    if n == 1:
+        with pytest.raises(ParameterError):
+            tb.build_permutation(n)
+    else:
+        assert same_permutation(tb.build_permutation(n), _build(n, even_cover=0))
+
+
+# covering(n) serves the indices 1..n: the inverse covers n + 1, the
+# odd-twist partner of n
 
 
 def test_covering_matches_oracle_on_small_covers():
     for cover in range(2, 400):
-        assert same_permutation(TwistPermutation.covering(cover), _build(0, even_cover=cover))
+        assert same_permutation(TwistPermutation.covering(cover),
+                                _build(0, even_cover=cover + 1))
 
 
 @pytest.mark.parametrize("cover", [511, 1000, 1001, 4097, 8014, 16_010])
 def test_covering_matches_oracle(cover):
-    assert same_permutation(TwistPermutation.covering(cover), _build(0, even_cover=cover))
+    assert same_permutation(TwistPermutation.covering(cover), _build(0, even_cover=cover + 1))
 
 
 @pytest.mark.parametrize("size, cover", [(-1, 0), (0, 0), (0, 1), (-3, 5)])
@@ -378,7 +387,7 @@ def test_structure_on_short_permutations_matches_oracle(variant):
     for dim in range(1, 40):
         layout = BlockLayout.from_sizes(np.ones(dim, int))
         for size in range(max(2, dim - 1), dim + 3):
-            perm = TwistPermutation.build(size)
+            perm = tb.build_permutation(size)
             want = outcome(_structure, layout, perm, variant)
             got = outcome(multiplier._structure, layout, perm, variant)
             if isinstance(want, type):
@@ -392,7 +401,7 @@ def test_structure_on_short_permutations_matches_oracle(variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_synthesis_cover_matches_oracle_up_to_and_past_the_table(variant):
     for size in (2, 3, 20, 21, 64):
-        perm = TwistPermutation.build(size)
+        perm = tb.build_permutation(size)
         for n in range(0, size + 4):   # n = size, size + 1 meet the m + 1 <= size guard
             want = outcome(synthesis_cover, n, perm, variant)
             if variant == ODD_TWIST and n in (size, size + 1) and n - 1 + n % 2 >= size:
@@ -482,7 +491,7 @@ def test_synthesis_past_the_permutation_table_matches_oracle(variant):
     rng = np.random.default_rng(3)
     layout = BlockLayout.triangular(4)
     for size in (10, 11, 12):
-        perm = TwistPermutation.build(size)
+        perm = tb.build_permutation(size)
         for n in range(0, size + 4):
             c = np.zeros(n, dtype=np.complex128)
             c[: min(n, 4)] = rng.standard_normal(min(n, 4))

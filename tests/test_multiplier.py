@@ -573,7 +573,12 @@ def test_covering_operator_and_short_sequence_error():
     op = TwistedMultiplier.covering(13, "constant", 0.1)
     cover = op.structure.needed
     assert op.layout.dim == 15 and cover >= op.layout.dim   # 5 triangular blocks
-    assert op.perm.size >= 2 * op.layout.dim + 8 and op.seq.length == cover + 2
-    seq = seq_from_ratios(np.full(cover - 3, 0.1))
+    # the table serves the coordinates 1..dim; the sequence covers its
+    # indices and their partners, one past the table
+    assert op.perm.size <= 2 * op.layout.dim + 8 and op.perm.even_cover == op.layout.dim + 1
+    assert op.seq.length == op.perm.size + 1 and cover <= op.seq.length
+    TwistedMultiplier(seq=seq_from_ratios(np.full(cover - 1, 0.1)), perm=op.perm,
+                      variant=EVEN_TWIST, layout=op.layout)   # length cover suffices
+    seq = seq_from_ratios(np.full(cover - 2, 0.1))
     with pytest.raises(ParameterError, match="too short"):
         TwistedMultiplier(seq=seq, perm=op.perm, variant=EVEN_TWIST, layout=op.layout)

@@ -23,6 +23,7 @@ from mrlab.twistbasis import (
     VARIANTS,
     TwistPermutation,
     _coupling,
+    build_permutation,
     synthesis_cover,
     twisted_analysis,
     twisted_basis_matrix,
@@ -81,7 +82,7 @@ def test_per_block_norms_are_homogeneous(values, s, q):
 @examples(40)
 @given(st.integers(2, 20_000))
 def test_permutation_is_a_bijection_on_the_evens(n):
-    perm = TwistPermutation.build(n)
+    perm = build_permutation(n)
     m = np.arange(1, n + 1)
     images = perm.pi(m)
     assert np.array_equal(images[m % 2 == 1], m[m % 2 == 1])
@@ -107,7 +108,7 @@ def test_covering_inverse_is_defined_on_every_even_up_to_the_cover(cover):
 def test_basis_matrix_rows_are_the_coupling_heads(n):
     # f_j = e_{H(j)} + [j coupled] e_{H(partner of j)}: one or two unit entries
     # per row, and no coordinate fed by more than two coefficients
-    perm = TwistPermutation.covering(max(2 * n + 4, 8))
+    perm = TwistPermutation.covering(n)
     for variant in VARIANTS:
         layout = BlockLayout.triangular_covering(synthesis_cover(n, perm, variant))
         basis = twisted_basis_matrix(n, perm, variant, layout)

@@ -3,8 +3,10 @@ import re
 import numpy as np
 import pytest
 
+from mrlab import multiplier
 from mrlab.blockspace import BlockLayout
 from mrlab.errors import ParameterError, StructuralError
+from mrlab.multiplier import TwistedMultiplier
 from mrlab.twistbasis import (
     EVEN_TWIST,
     ODD_TWIST,
@@ -93,6 +95,31 @@ def test_inverse_round_trip():
     np.testing.assert_array_equal(perm.pi(pre), evens)
 
 
+COVERED = sorted(set(range(1, 100)) | set(range(100, 3001, 11)) | {2999, 3000})
+
+
+@pytest.mark.parametrize("variant", [PLAIN, EVEN_TWIST, ODD_TWIST])
+def test_covering_serves_the_indices_asked_of_it(variant):
+    # covering(n) serves 1..n as coordinates and as coefficients: the
+    # structure and the synthesis cover read from it what a wide table gives
+    wide = TwistPermutation.covering(3 * max(COVERED))
+    for n in COVERED:
+        perm = TwistPermutation.covering(n)
+        layout = BlockLayout.from_sizes(np.ones(n, int))
+        got, want = (multiplier._structure(layout, p, variant) for p in (perm, wide))
+        assert got.needed == want.needed
+        for name in ("diag_src", "off_rows", "off_cols", "off_hi", "off_lo"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert synthesis_cover(n, perm, variant) == synthesis_cover(n, wide, variant)
+
+
+def test_covering_operator_table_stays_within_twice_the_dimension():
+    # the bound the CLI checks before it builds an operator
+    for n in COVERED[::3]:
+        assert TwistedMultiplier.covering(n, "lacunary").perm.size <= 2 * n + 8
+    assert TwistedMultiplier.covering(8000, "lacunary").perm.size == 15_500
+
+
 @pytest.mark.parametrize("variant", [EVEN_TWIST, ODD_TWIST, PLAIN])
 @pytest.mark.parametrize("n_blocks", [4, 8, 13])
 def test_round_trip_random_vectors(variant, n_blocks):
@@ -177,7 +204,7 @@ def test_synthesis_cover_agrees_with_synthesis_at_the_table_end(variant):
     """The cover raises exactly when synthesis of n coefficients does, with
     the same error; otherwise synthesis fits inside the cover."""
     for size in (2, 3, 20, 21, 64):
-        perm = TwistPermutation.build(size)
+        perm = build_permutation(size)
         wide = BlockLayout.from_sizes(np.ones(4 * size + 16, int))
         for n in range(1, size + 4):
             try:
