@@ -168,11 +168,13 @@ def _scaled_block_norms(arr, layout, redo):
 
 
 def _lp_of_blocks(bn, p):
+    # each row's peak as column maxima of a transposed copy: numpy reduces a
+    # short last axis one row at a time, and a max is exact in any order
+    peak = np.ascontiguousarray(bn.T).max(axis=0).T
     if p == math.inf:
-        return bn.max(axis=-1)
-    peak = bn.max(axis=-1, keepdims=True)
-    scaled = bn / np.where(peak == 0.0, 1.0, peak)
-    return peak[..., 0] * np.power(np.power(scaled, p).sum(axis=-1), 1.0 / p)
+        return peak
+    scaled = bn / np.where(peak == 0.0, 1.0, peak)[..., None]
+    return peak * np.power(np.power(scaled, p).sum(axis=-1), 1.0 / p)
 
 
 def mixed_norm(v, p, layout: BlockLayout):

@@ -378,8 +378,13 @@ def cmd_rad_norm(args):
     sampled = rad_norm(s, "sampled", seed=args.seed, samples=args.samples)
     _emit(args, "rad-norm", ["k", "p", "exact", "sampled", "stderr"],
           [args.k, args.p, exact, sampled.value, sampled.stderr])
-    if enumerable and abs(sampled.value - exact) > 4.0 * max(sampled.stderr, 1e-15):
-        return 2
+    if enumerable:
+        # the standard error the 2^(k-1) equally likely squares give, not the
+        # sample's: a few draws may all land on one pattern and read 0
+        se = float(np.std(s.pattern_norms ** 2)) / math.sqrt(args.samples)
+        se = se / (2.0 * exact) if exact > 0.0 else se
+        if abs(sampled.value - exact) > 4.0 * max(se, 1e-15):
+            return 2
     return 0
 
 

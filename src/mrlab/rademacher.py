@@ -3,12 +3,14 @@ R-bound blow-up experiments.
 
 A finite Rademacher sum sum_k r_k x_k is stored as a stack of term
 vectors.  Its L_2 norm is the root mean square of |sum_k eps_k x_k| over
-sign patterns: enumerated for up to EXACT_TERM_LIMIT terms, sampled
-beyond, both streamed in fixed row blocks; or read off one plain sum when
-the supports are pairwise disjoint (flipping signs of disjointly supported
+sign patterns: enumerated or sampled, or read off one plain sum when the
+supports are pairwise disjoint (flipping signs of disjointly supported
 vectors never changes the norm of the sum).  Mirrored sign patterns give
-the same norm, so the sampler pins the first sign and each draw accounts
-for its mirror image.
+the same norm, bit for bit, so for up to EXACT_TERM_LIMIT terms the
+2^(k-1) patterns with a first sign of +1 are normed once, in fixed row
+blocks, and both modes read their squares from that table; past the limit
+the sampler streams its draws in the same row blocks.  The sampler pins
+the first sign, so each draw accounts for its mirror image.
 
 The blow-up experiments drive the family {q R(q, A) : q < 0} with input
 sums supported on the reserved even coordinates (one per block, so the
@@ -24,10 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .blockspace import (
+    EXACT_TERM_LIMIT,
     BlockLayout,
     combination_norms,
     mixed_norm,
@@ -63,7 +67,10 @@ class RadSum:
     """Finite Rademacher sum: row k of ``terms`` multiplies the k-th sign.
 
     Real terms are kept as float64 and complex ones as complex128, so the
-    sign averages run in the terms' own dtype.
+    sign averages run in the terms' own dtype.  ``pattern_norms`` is formed
+    on first use and kept, so the exact and sampled norms of one sum share
+    it; terms already in that dtype are not copied, so change them only
+    through a new sum.
     """
 
     terms: np.ndarray
@@ -86,6 +93,15 @@ class RadSum:
     def supports_disjoint(self) -> bool:
         return bool(((np.abs(self.terms) > 0.0).sum(axis=0) <= 1).all())
 
+    @cached_property
+    def pattern_norms(self) -> np.ndarray:
+        """Mixed norms of the 2^(k-1) sign patterns whose first sign is +1:
+        row r holds pattern 2r + 1 of ``sign_patterns(k)``, whose mirror,
+        pattern 2^k - 2 - 2r, has the same norm bit for bit.  Raises
+        ParameterError past EXACT_TERM_LIMIT terms."""
+        return combination_norms(sign_patterns(self.n_terms)[1::2], self.terms, self.p,
+                                 self.layout)
+
 
 @dataclass(frozen=True)
 class SampledNorm:
@@ -97,27 +113,42 @@ class SampledNorm:
 def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_000):
     """L_2([0,1]; X) norm of the Rademacher sum.
 
-    exact     sqrt(mean over all sign patterns of |sum eps_k x_k|^2)
+    exact     sqrt(mean over all 2^k sign patterns of |sum eps_k x_k|^2)
     disjoint  |sum x_k| for pairwise disjoint supports
     sampled   Monte Carlo estimate, returned as SampledNorm(value, stderr)
+
+    Up to EXACT_TERM_LIMIT terms both the exact and the sampled mode read
+    their squares from ``s.pattern_norms``: the exact mean still runs over
+    all 2^k squares in pattern order, and each draw reads its pattern's
+    square.  Past the limit the draws are normed a row block at a time.
     """
     if mode == "disjoint":
         if not s.supports_disjoint():
             raise StructuralError("terms overlap; disjoint mode needs disjoint supports")
         return float(mixed_norm(s.terms.sum(axis=0), s.p, s.layout))
+    k = s.n_terms
     if mode == "exact":
-        signs = sign_patterns(s.n_terms)
-    elif mode == "sampled":
-        if samples < 2:
-            raise ParameterError("sampled mode needs at least 2 samples for a standard error")
-        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(samples, s.n_terms))
-        signs[:, 0] = 1.0
-    else:
+        table = s.pattern_norms ** 2
+        sq = np.empty(2 * table.size)
+        sq[1::2] = table          # pattern 2r + 1 is row r
+        sq[::2] = table[::-1]     # pattern 2r mirrors 2^k - 1 - 2r, row 2^(k-1) - 1 - r
+        return math.sqrt(float(np.mean(sq)))
+    if mode != "sampled":
         raise ParameterError("mode must be 'exact', 'disjoint' or 'sampled'")
-    sq = combination_norms(signs, s.terms, s.p, s.layout) ** 2
+    if samples < 2:
+        raise ParameterError("sampled mode needs at least 2 samples for a standard error")
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(samples, k))
+    signs[:, 0] = 1.0
+    if k <= EXACT_TERM_LIMIT:
+        # sum_i eps_i 2^i = 2c - (2^k - 1) for pattern c, exact in float64, and
+        # c = 2r + 1 is odd, so adding 2^k - 3 and dividing by 4 gives row r
+        code = signs @ np.exp2(np.arange(k))
+        code += 2 ** k - 3
+        code /= 4
+        sq = (s.pattern_norms ** 2)[code.astype(np.intp)]
+    else:
+        sq = combination_norms(signs, s.terms, s.p, s.layout) ** 2
     value = math.sqrt(float(np.mean(sq)))
-    if mode == "exact":
-        return value
     se_mean = float(np.std(sq, ddof=1) / math.sqrt(samples))
     stderr = se_mean / (2.0 * value) if value > 0.0 else se_mean
     return SampledNorm(value=value, stderr=stderr, samples=samples)

@@ -1,9 +1,13 @@
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 
+from mrlab import __version__, cli
 from mrlab.cli import main
+from mrlab.rademacher import SampledNorm, rad_norm
 
 
 def run(argv, capsys):
@@ -170,6 +174,42 @@ def test_rad_norm_command(capsys):
     row = [l for l in out.splitlines() if l.startswith("8,")][0].split(",")
     exact, sampled = float(row[2]), float(row[3])
     assert sampled == pytest.approx(exact, rel=0.05)
+
+
+# the rows at the parent of the exact-spread check, which exited 2 on each:
+# both draws land on one pattern, and the sample's spread reads 0
+TWO_DRAW_ROWS = {1: "1.9772612445700481,2.0584123869155904",
+                 2: "3.5063388509313342,2.6841849448179564",
+                 3: "4.50284958821263,5.2823001817869963",
+                 4: "3.129506365202916,2.4169968872659298",
+                 5: "2.7209221673004773,3.2105359775499829"}
+
+
+@pytest.mark.parametrize("seed", sorted(TWO_DRAW_ROWS))
+def test_rad_norm_two_draws_on_one_pattern_pass(seed, capsys):
+    code, out = run(["rad-norm", "--k", "2", "--blocks", "3", "--samples", "2",
+                     "--seed", str(seed)], capsys)
+    assert code == 0
+    config = ('{"blocks": 3, "command": "rad-norm", "format": "csv", "jobs": 1, "k": 2, '
+              f'"p": 3.0, "samples": 2, "seed": {seed}}}')
+    assert out == (f"# mrlab {__version__}\n# schema mrlab/rad-norm/v1\n# seed {seed}\n"
+                   f"# config {config}\nk,p,exact,sampled,stderr\n"
+                   f"2,3,{TWO_DRAW_ROWS[seed]},0\n")
+
+
+@pytest.mark.parametrize("shift, code", [(3.0, 0), (5.0, 2)])
+def test_rad_norm_checks_the_exact_standard_error(shift, code, capsys, monkeypatch):
+    # move the sampled value by `shift` standard errors of the pattern table
+    def shifted(s, mode, **kw):
+        got = rad_norm(s, mode, **kw)
+        if mode == "exact":
+            return got
+        exact = rad_norm(s, "exact")
+        se = np.std(s.pattern_norms ** 2) / math.sqrt(kw["samples"]) / (2.0 * exact)
+        return SampledNorm(exact + shift * se, got.stderr, got.samples)
+
+    monkeypatch.setattr(cli, "rad_norm", shifted)
+    assert run(["rad-norm", "--k", "6", "--blocks", "4", "--samples", "3000"], capsys)[0] == code
 
 
 def test_sector_probe_command(capsys):

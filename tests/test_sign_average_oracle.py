@@ -5,7 +5,10 @@ form the whole patterns x dim product ``signs @ vectors`` at once and
 norm it in one ``mixed_norm`` call.  Those forms are kept here verbatim
 as oracles: ``blockspace.combination_norms``, which forms the product a
 row block at a time, must reproduce them bit for bit, also when the
-blocks are made a few rows long so that they split unevenly.
+blocks are made a few rows long so that they split unevenly.  Up to
+EXACT_TERM_LIMIT terms ``rad_norm`` reads every square from the table of
+the 2^(k-1) patterns with a first sign of +1, which relies on a product
+row's bits not depending on its place in the batch.
 """
 
 import math
@@ -15,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mrlab import blockspace
+from mrlab import blockspace, rademacher
 from mrlab.blockspace import (
     EXACT_TERM_LIMIT,
     BlockLayout,
@@ -157,6 +160,74 @@ def test_combination_norms_reads_each_row():
     assert got.shape == (3,)
     assert got[0] == mixed_norm(vectors[0], 4.0, layout)
     assert got[2] == 0.0
+
+
+# -- the table of pattern norms ---------------------------------------------------
+
+
+def _normed_rows(monkeypatch):
+    rows = []
+    norms = rademacher.combination_norms
+
+    def counting(weights, vectors, p, layout):
+        rows.append(weights.shape[0])
+        return norms(weights, vectors, p, layout)
+
+    monkeypatch.setattr(rademacher, "combination_norms", counting)
+    return rows
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, EXACT_TERM_LIMIT])
+def test_exact_and_sampled_norms_share_one_pattern_table(k, monkeypatch):
+    rows = _normed_rows(monkeypatch)
+    s = make_sum(k, 4, seed=k)
+    rad_norm(s, "exact")
+    rad_norm(s, "sampled", seed=1, samples=5000)
+    assert sum(rows) == 2 ** (k - 1)
+    assert s.pattern_norms.shape == (2 ** (k - 1),)
+
+
+def test_sampled_norm_past_the_limit_norms_each_draw(monkeypatch):
+    rows = _normed_rows(monkeypatch)
+    rad_norm(make_sum(EXACT_TERM_LIMIT + 1, 3, seed=2), "sampled", seed=3, samples=700)
+    assert sum(rows) == 700
+
+
+def make_complex_sum(k, blocks, seed, p):
+    layout = BlockLayout.triangular(blocks)
+    g = np.random.default_rng(seed).standard_normal((2, k, layout.dim))
+    return RadSum(g[0] + 1j * g[1], layout, p)
+
+
+@pytest.mark.parametrize("k", range(1, EXACT_TERM_LIMIT + 1))
+@pytest.mark.parametrize("p", [1.5, 3.0, math.inf])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_pattern_table_reads_match_the_oracle_at_every_width(k, p, kind):
+    # every width checks the mirror index c ^ (2^k - 1) and the draw numbering
+    s = make_sum(k, 3, seed=k, p=p) if kind == "real" else make_complex_sum(k, 3, k, p)
+    assert bits(rad_norm(s, "exact")) == bits(rad_norm_oracle(s, "exact"))
+    got = rad_norm(s, "sampled", seed=k, samples=1001)
+    want = rad_norm_oracle(s, "sampled", seed=k, samples=1001)
+    assert bits([got.value, got.stderr]) == bits([want.value, want.stderr])
+
+
+def test_sampled_table_reads_hold_no_more_than_the_draw_and_one_row_block():
+    # 100,000 draws at k = 14 over dim 210: a samples x dim product would be
+    # 168 MB.  ``Generator.choice`` itself holds its int64 indices next to
+    # the signs, so the draw's own peak is measured first.
+    k, samples = EXACT_TERM_LIMIT, 100_000
+    s = make_sum(k, 20, seed=6)
+    tracemalloc.start()
+    try:
+        np.random.default_rng(0).choice([-1.0, 1.0], size=(samples, k))
+        _, draw = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        rad_norm(s, "sampled", seed=0, samples=samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draw >= samples * k * 8
+    assert peak < draw + blockspace._PATTERN_CELLS * 16
 
 
 # -- the dtype of the products ---------------------------------------------------
