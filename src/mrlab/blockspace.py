@@ -29,6 +29,7 @@ __all__ = [
     "sign_patterns",
     "block_norms",
     "mixed_norm",
+    "block_rows",
     "combination_norms",
     "bv_norm",
     "sequence_variation",
@@ -66,7 +67,7 @@ def triangular_indices_1mod4(k) -> np.ndarray:
 
 
 EXACT_TERM_LIMIT = 14      # largest k whose 2^k sign patterns are enumerated
-_PATTERN_CELLS = 1 << 16   # cells of one combination_norms row block, in the product's dtype
+_PATTERN_CELLS = 1 << 16   # cells of one row block (see block_rows), in the product's dtype
 _NORMAL_MIN = np.finfo(np.float64).tiny   # smallest sum of squares kept unscaled
 
 
@@ -184,11 +185,17 @@ def mixed_norm(v, p, layout: BlockLayout):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def block_rows(width: int) -> int:
+    """Rows of one row block of ``width`` cells a row: _PATTERN_CELLS cells, and
+    at least one row."""
+    return max(1, _PATTERN_CELLS // width)
+
+
 def combination_norms(weights, vectors, p, layout: BlockLayout) -> np.ndarray:
     """Mixed norm of each row of ``weights @ vectors``, formed a row block at a
     time so that memory stays bounded however many rows there are.  The
     product is formed in the inputs' common dtype: real unless one is complex."""
-    rows = max(1, _PATTERN_CELLS // layout.dim)
+    rows = block_rows(layout.dim)
     dtype = np.result_type(weights, vectors)
     out = np.empty(weights.shape[0])
     for i in range(0, weights.shape[0], rows):

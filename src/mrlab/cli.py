@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -49,10 +50,18 @@ _ROW_BLOCK = 1024   # table rows converted and written at a time
 _GRID_POINTS = 10 ** 6   # most points a generated grid may hold
 _TRUNCATION_DIM = 2 * 10 ** 7   # most coordinates a triangular truncation may hold
 _ARRAY_ENTRIES = 10 ** 7   # most entries of the largest array a flag sizes
+# a minus sign before what float() reads; argparse's own pattern takes only
+# -1 and -.5, so -inf, -nan and -1e5 would be read as flags
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf|infinity|nan)$",
+                              re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse with exit code 1 on usage errors and flag suggestions."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         if "unrecognized arguments" in message:

@@ -8,9 +8,10 @@ supports are pairwise disjoint (flipping signs of disjointly supported
 vectors never changes the norm of the sum).  Mirrored sign patterns give
 the same norm, bit for bit, so for up to EXACT_TERM_LIMIT terms the
 2^(k-1) patterns with a first sign of +1 are normed once, in fixed row
-blocks, and both modes read their squares from that table; past the limit
-the sampler streams its draws in the same row blocks.  The sampler pins
-the first sign, so each draw accounts for its mirror image.
+blocks, and both modes read their squares from that table.  The sampler
+draws a row block at a time; past the limit, or with fewer draws than
+patterns, it norms the draws themselves.  It pins the first sign, so each
+draw accounts for its mirror image.
 
 The blow-up experiments drive the family {q R(q, A) : q < 0} with input
 sums supported on the reserved even coordinates (one per block, so the
@@ -33,6 +34,7 @@ import numpy as np
 from .blockspace import (
     EXACT_TERM_LIMIT,
     BlockLayout,
+    block_rows,
     combination_norms,
     mixed_norm,
     sign_patterns,
@@ -117,10 +119,15 @@ def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_0
     disjoint  |sum x_k| for pairwise disjoint supports
     sampled   Monte Carlo estimate, returned as SampledNorm(value, stderr)
 
-    Up to EXACT_TERM_LIMIT terms both the exact and the sampled mode read
-    their squares from ``s.pattern_norms``: the exact mean still runs over
-    all 2^k squares in pattern order, and each draw reads its pattern's
-    square.  Past the limit the draws are normed a row block at a time.
+    Up to EXACT_TERM_LIMIT terms the exact mode reads its squares from
+    ``s.pattern_norms``, its mean still over all 2^k squares in pattern
+    order.  The sampled mode draws its signs a row block at a time from one
+    generator, the stream of a single draw, and holds one row block plus a
+    square of 8 bytes a sample (16 while ``np.std`` forms its deviations).
+    Each draw reads its pattern's square from the table when the table is
+    already built or there are at least 2^(k-1) draws; otherwise, and past
+    the limit, the draws are normed a row block at a time, with the same
+    bits.
     """
     if mode == "disjoint":
         if not s.supports_disjoint():
@@ -137,17 +144,26 @@ def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_0
         raise ParameterError("mode must be 'exact', 'disjoint' or 'sampled'")
     if samples < 2:
         raise ParameterError("sampled mode needs at least 2 samples for a standard error")
-    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(samples, k))
-    signs[:, 0] = 1.0
-    if k <= EXACT_TERM_LIMIT:
-        # sum_i eps_i 2^i = 2c - (2^k - 1) for pattern c, exact in float64, and
-        # c = 2r + 1 is odd, so adding 2^k - 3 and dividing by 4 gives row r
-        code = signs @ np.exp2(np.arange(k))
-        code += 2 ** k - 3
-        code /= 4
-        sq = (s.pattern_norms ** 2)[code.astype(np.intp)]
-    else:
-        sq = combination_norms(signs, s.terms, s.p, s.layout) ** 2
+    # a table of 2^(k-1) norms pays off once there are as many draws, or once
+    # the exact mode has built it
+    table = k <= EXACT_TERM_LIMIT and ("pattern_norms" in vars(s) or samples >= 2 ** (k - 1))
+    if table:
+        squares = s.pattern_norms ** 2
+        place = 1 << np.arange(k)
+    rows = block_rows(k if table else s.layout.dim)
+    rng = np.random.default_rng(seed)
+    sq = np.empty(samples)
+    for i in range(0, samples, rows):
+        # bit 1 is sign +1: the stream of choice([-1.0, 1.0]) over all the draws
+        draw = rng.integers(0, 2, size=(min(rows, samples - i), k))
+        if table:
+            # the first sign is pinned to +1, so the draw is pattern 2r + 1,
+            # and row r is its bits past the first
+            sq[i:i + rows] = squares[(draw @ place) >> 1]
+        else:
+            signs = draw * 2.0 - 1.0
+            signs[:, 0] = 1.0
+            sq[i:i + rows] = combination_norms(signs, s.terms, s.p, s.layout) ** 2
     value = math.sqrt(float(np.mean(sq)))
     se_mean = float(np.std(sq, ddof=1) / math.sqrt(samples))
     stderr = se_mean / (2.0 * value) if value > 0.0 else se_mean

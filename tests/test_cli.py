@@ -618,3 +618,38 @@ def test_non_finite_parameters_are_one_line_errors(argv, message, capsys):
         code, out, err = run_err(argv, capsys)
     assert_one_line_usage_error(code, out, err)
     assert message in err
+
+
+P_CHECK = "exponent must satisfy p > 1 (or p = inf)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rad-norm", "--p", "-inf"], P_CHECK),
+    (["rad-norm", "--p", "-nan"], P_CHECK),
+    (["rad-norm", "--p", "-1e5"], P_CHECK),
+    (["sector-probe", "--p", "-INF"], P_CHECK),
+    (["diag-norm", "--p", "-Infinity"], "the diagonal characterization needs p > 2"),
+    (["uncond-constant", "--p", "-1.5E+2"], P_CHECK),
+    (["rbound-blowup", "--p", "-.5e1"], "the blow-up experiments live at p > 2"),
+    (["diag-norm", "--alpha", "-1e-3"], "alpha must lie in (0, 1/2)"),
+    (["gen-gamma", "--family", "power", "--alpha", "-1e-3"], "alpha must lie in (0, 1/2)"),
+    (["semigroup-check", "--n", "10", "--tol", "-1e-9"], "tolerance must be finite and >= 0"),
+    (["semigroup-check", "--n", "10", "--tol", "-NaN"], "tolerance must be finite and >= 0"),
+])
+def test_negative_numbers_in_every_float_spelling_reach_the_value_checks(argv, message, capsys):
+    # argparse took -inf, -nan and exponent forms for flags and stopped at
+    # "expected one argument"; they now read as the --flag=value spelling does
+    code, out, err = run_err(argv, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert message in err
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert run_err(joined, capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize("value", ["-x", "-1e", "-infx", "--inf"])
+def test_words_after_a_minus_sign_are_still_flags(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rad-norm", "--p", value])
+    captured = capsys.readouterr()
+    assert_one_line_usage_error(exc.value.code, captured.out, captured.err)
+    assert "argument --p: expected one argument" in captured.err

@@ -8,7 +8,9 @@ row block at a time, must reproduce them bit for bit, also when the
 blocks are made a few rows long so that they split unevenly.  Up to
 EXACT_TERM_LIMIT terms ``rad_norm`` reads every square from the table of
 the 2^(k-1) patterns with a first sign of +1, which relies on a product
-row's bits not depending on its place in the batch.
+row's bits not depending on its place in the batch.  The sampler draws
+its signs a row block at a time, which must give the oracle's single
+draw, and norms the draws themselves when the table is not worth forming.
 """
 
 import math
@@ -332,3 +334,77 @@ def test_every_enumeration_shares_one_limit():
     with pytest.raises(ParameterError, match=re.escape(message)):
         unconditional_constant(k, 2.0)
     assert sign_patterns(EXACT_TERM_LIMIT).shape == (2 ** EXACT_TERM_LIMIT, EXACT_TERM_LIMIT)
+
+
+# -- the streamed draw -------------------------------------------------------------
+
+# the sampler draws a row block at a time; one generator across the blocks
+# gives the same stream as the oracle's single draw.  Up to EXACT_TERM_LIMIT
+# terms 2001 draws stay below 2^(k-1) at k = 13, 14 and are normed as they
+# come, 9001 reach it and read the table; both leave a remainder block
+STREAM_KS = [1, 2, 13, 14, EXACT_TERM_LIMIT + 1, EXACT_TERM_LIMIT + 2]
+
+
+@pytest.mark.parametrize("k, exact_first", [(k, first) for k in STREAM_KS for first in (False, True)
+                                             if k <= EXACT_TERM_LIMIT or not first])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("samples", [2001, 9001])
+@pytest.mark.parametrize("few_rows", [False, True])
+def test_streamed_draws_match_the_one_draw_oracle(k, kind, samples, exact_first, few_rows,
+                                                  monkeypatch):
+    # dim 78: 840 rows a block by default, 7 with few_rows
+    s = make_sum(k, 12, seed=k) if kind == "real" else make_complex_sum(k, 12, k, 3.0)
+    want = rad_norm_oracle(s, "sampled", seed=k + 1, samples=samples)
+    if few_rows:
+        monkeypatch.setattr(blockspace, "_PATTERN_CELLS", 7 * s.layout.dim + 3)
+    if exact_first:
+        rad_norm(s, "exact")
+    got = rad_norm(s, "sampled", seed=k + 1, samples=samples)
+    assert bits([got.value, got.stderr]) == bits([want.value, want.stderr])
+    assert got.samples == want.samples
+
+
+def test_sampled_only_norm_forms_no_pattern_table(monkeypatch):
+    # 200 draws on a fresh 14-term sum over dim 1,830 norm 200 rows, not
+    # the 8,192 of the table, and leave no table on the sum
+    rows = _normed_rows(monkeypatch)
+    s = make_sum(EXACT_TERM_LIMIT, 60, seed=8)
+    got = rad_norm(s, "sampled", seed=2, samples=200)
+    assert sum(rows) == 200
+    assert "pattern_norms" not in vars(s)
+    monkeypatch.undo()
+    want = rad_norm_oracle(s, "sampled", seed=2, samples=200)
+    assert bits([got.value, got.stderr]) == bits([want.value, want.stderr])
+
+
+@pytest.mark.parametrize("samples, table", [(511, False), (512, True)])
+def test_sampled_norm_reads_the_table_from_as_many_draws_as_patterns(samples, table,
+                                                                      monkeypatch):
+    rows = _normed_rows(monkeypatch)
+    s = make_sum(10, 5, seed=9)
+    rad_norm(s, "sampled", seed=3, samples=samples)
+    assert ("pattern_norms" in vars(s)) == table
+    assert sum(rows) == (2 ** 9 if table else samples)
+
+
+def _sampled_peak(k, samples):
+    s = make_sum(k, 20, seed=k)
+    tracemalloc.start()
+    try:
+        rad_norm(s, "sampled", seed=0, samples=samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k", [EXACT_TERM_LIMIT, EXACT_TERM_LIMIT + 1])
+def test_sampled_memory_grows_by_the_squares_alone(k):
+    # dim 210: the squares take 8 bytes a sample and the rest is one row
+    # block (k = 15) or the table and its 2^14 x 14 sign patterns (k = 14).
+    # Measured with numpy 2.4, the peaks differ by exactly 8 x 90,000 bytes
+    # at k = 15 and by 0 at k = 14; the slack of 64 KiB allows for other
+    # numpy versions' temporaries
+    small, large = _sampled_peak(k, 10 ** 4), _sampled_peak(k, 10 ** 5)
+    assert large - small <= 8 * (10 ** 5 - 10 ** 4) + 64 * 2 ** 10
+    if k == EXACT_TERM_LIMIT:
+        assert large < 4 * 2 ** 20
