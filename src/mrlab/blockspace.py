@@ -66,17 +66,22 @@ def triangular_indices_1mod4(k) -> np.ndarray:
     return np.arange(lo + ((1 - lo) % 4), hi + 1, 4, dtype=np.int64)
 
 
-EXACT_TERM_LIMIT = 14      # largest k whose 2^k sign patterns are enumerated
+EXACT_TERM_LIMIT = 14      # largest k whose sign patterns are enumerated (see sign_patterns)
 _PATTERN_CELLS = 1 << 16   # cells of one row block (see block_rows), in the product's dtype
 _NORMAL_MIN = np.finfo(np.float64).tiny   # smallest sum of squares kept unscaled
 
 
 def sign_patterns(k: int) -> np.ndarray:
-    """All 2^k sign vectors as rows of +-1.0; bit i of the row number sets sign i."""
-    if k > EXACT_TERM_LIMIT:
-        raise ParameterError(f"sign enumeration takes at most {EXACT_TERM_LIMIT} terms, not {k}")
-    rows = np.arange(2 ** k, dtype=np.uint64)
-    return ((rows[:, None] >> np.arange(k, dtype=np.uint64)) & 1) * 2.0 - 1.0
+    """The 2^(k-1) sign vectors of length k with a first sign of +1, rows of
+    +-1.0: row r flips sign i + 1 to -1 where bit i of r is set (row 0 is all
+    plus).  Each other pattern is the negative of one of these, and a product
+    row and its negative have the same mixed norm bit for bit."""
+    if not 1 <= k <= EXACT_TERM_LIMIT:
+        raise ParameterError(f"sign enumeration takes 1 to {EXACT_TERM_LIMIT} terms, not {k}")
+    out = np.ones((2 ** (k - 1), k))
+    for i in range(k - 1):
+        out.reshape(-1, 2, 2 ** i, k)[:, 1, :, i + 1] = -1.0
+    return out
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,10 @@ _ROW_BLOCK = 1024   # table rows converted and written at a time
 _GRID_POINTS = 10 ** 6   # most points a generated grid may hold
 _TRUNCATION_DIM = 2 * 10 ** 7   # most coordinates a triangular truncation may hold
 _ARRAY_ENTRIES = 10 ** 7   # most entries of the largest array a flag sizes
-# a minus sign before what float() reads; argparse's own pattern takes only
-# -1 and -.5, so -inf, -nan and -1e5 would be read as flags
-_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf|infinity|nan)$",
-                              re.IGNORECASE)
+# a minus sign before what float() reads, alone or first in a comma list;
+# argparse's own pattern takes -1 and -.5 but reads -inf, -1e5 and -5,7 as flags
+_FLOAT = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf|infinity|nan)"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_FLOAT}(?:,[-+]?{_FLOAT})*$", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -390,7 +390,7 @@ def cmd_rad_norm(args):
     if enumerable:
         # the standard error the 2^(k-1) equally likely squares give, not the
         # sample's: a few draws may all land on one pattern and read 0
-        se = float(np.std(s.pattern_norms ** 2)) / math.sqrt(args.samples)
+        se = float(np.std(s.pattern_squares)) / math.sqrt(args.samples)
         se = se / (2.0 * exact) if exact > 0.0 else se
         if abs(sampled.value - exact) > 4.0 * max(se, 1e-15):
             return 2

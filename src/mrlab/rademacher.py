@@ -5,13 +5,12 @@ A finite Rademacher sum sum_k r_k x_k is stored as a stack of term
 vectors.  Its L_2 norm is the root mean square of |sum_k eps_k x_k| over
 sign patterns: enumerated or sampled, or read off one plain sum when the
 supports are pairwise disjoint (flipping signs of disjointly supported
-vectors never changes the norm of the sum).  Mirrored sign patterns give
-the same norm, bit for bit, so for up to EXACT_TERM_LIMIT terms the
-2^(k-1) patterns with a first sign of +1 are normed once, in fixed row
-blocks, and both modes read their squares from that table.  The sampler
-draws a row block at a time; past the limit, or with fewer draws than
-patterns, it norms the draws themselves.  It pins the first sign, so each
-draw accounts for its mirror image.
+vectors never changes the norm of the sum).  For up to EXACT_TERM_LIMIT
+terms the half ``sign_patterns(k)`` of the patterns is normed once, in
+fixed row blocks, and both modes read their squares from that table.  The
+sampler draws a row block at a time; past the limit, or with fewer draws
+than patterns, it norms the draws themselves.  It pins the first sign, so
+each draw accounts for its negative.
 
 The blow-up experiments drive the family {q R(q, A) : q < 0} with input
 sums supported on the reserved even coordinates (one per block, so the
@@ -69,10 +68,10 @@ class RadSum:
     """Finite Rademacher sum: row k of ``terms`` multiplies the k-th sign.
 
     Real terms are kept as float64 and complex ones as complex128, so the
-    sign averages run in the terms' own dtype.  ``pattern_norms`` is formed
-    on first use and kept, so the exact and sampled norms of one sum share
-    it; terms already in that dtype are not copied, so change them only
-    through a new sum.
+    sign averages run in the terms' own dtype.  ``pattern_squares`` is
+    formed on first use and kept, so the exact and sampled norms of one sum
+    share it; terms already in that dtype are not copied, so change them
+    only through a new sum.
     """
 
     terms: np.ndarray
@@ -96,13 +95,11 @@ class RadSum:
         return bool(((np.abs(self.terms) > 0.0).sum(axis=0) <= 1).all())
 
     @cached_property
-    def pattern_norms(self) -> np.ndarray:
-        """Mixed norms of the 2^(k-1) sign patterns whose first sign is +1:
-        row r holds pattern 2r + 1 of ``sign_patterns(k)``, whose mirror,
-        pattern 2^k - 2 - 2r, has the same norm bit for bit.  Raises
-        ParameterError past EXACT_TERM_LIMIT terms."""
-        return combination_norms(sign_patterns(self.n_terms)[1::2], self.terms, self.p,
-                                 self.layout)
+    def pattern_squares(self) -> np.ndarray:
+        """Squared mixed norms of the sums over ``sign_patterns(k)``, row r
+        for row r.  Raises ParameterError past EXACT_TERM_LIMIT terms."""
+        return combination_norms(sign_patterns(self.n_terms), self.terms, self.p,
+                                 self.layout) ** 2
 
 
 @dataclass(frozen=True)
@@ -120,14 +117,14 @@ def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_0
     sampled   Monte Carlo estimate, returned as SampledNorm(value, stderr)
 
     Up to EXACT_TERM_LIMIT terms the exact mode reads its squares from
-    ``s.pattern_norms``, its mean still over all 2^k squares in pattern
-    order.  The sampled mode draws its signs a row block at a time from one
-    generator, the stream of a single draw, and holds one row block plus a
-    square of 8 bytes a sample (16 while ``np.std`` forms its deviations).
-    Each draw reads its pattern's square from the table when the table is
-    already built or there are at least 2^(k-1) draws; otherwise, and past
-    the limit, the draws are normed a row block at a time, with the same
-    bits.
+    ``s.pattern_squares``, its mean still over all 2^k squares in pattern
+    order (pattern c sets sign i to +1 where bit i of c is set).  The
+    sampled mode draws its signs a row block at a time from one generator,
+    the stream of a single draw, and holds one row block plus a square of 8
+    bytes a sample, whose spread it takes in place.  Each draw reads its
+    pattern's square from the table when the table is already built or
+    there are at least 2^(k-1) draws; otherwise, and past the limit, the
+    draws are normed a row block at a time, with the same bits.
     """
     if mode == "disjoint":
         if not s.supports_disjoint():
@@ -135,20 +132,19 @@ def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_0
         return float(mixed_norm(s.terms.sum(axis=0), s.p, s.layout))
     k = s.n_terms
     if mode == "exact":
-        table = s.pattern_norms ** 2
-        sq = np.empty(2 * table.size)
-        sq[1::2] = table          # pattern 2r + 1 is row r
-        sq[::2] = table[::-1]     # pattern 2r mirrors 2^k - 1 - 2r, row 2^(k-1) - 1 - r
+        table = s.pattern_squares
+        # pattern 2r is the negative of row r, pattern 2r + 1 is row 2^(k-1) - 1 - r
+        sq = np.column_stack((table, table[::-1])).ravel()
         return math.sqrt(float(np.mean(sq)))
     if mode != "sampled":
         raise ParameterError("mode must be 'exact', 'disjoint' or 'sampled'")
     if samples < 2:
         raise ParameterError("sampled mode needs at least 2 samples for a standard error")
-    # a table of 2^(k-1) norms pays off once there are as many draws, or once
+    # a table of 2^(k-1) squares pays off once there are as many draws, or once
     # the exact mode has built it
-    table = k <= EXACT_TERM_LIMIT and ("pattern_norms" in vars(s) or samples >= 2 ** (k - 1))
+    table = k <= EXACT_TERM_LIMIT and ("pattern_squares" in vars(s) or samples >= 2 ** (k - 1))
     if table:
-        squares = s.pattern_norms ** 2
+        squares = s.pattern_squares[::-1]
         place = 1 << np.arange(k)
     rows = block_rows(k if table else s.layout.dim)
     rng = np.random.default_rng(seed)
@@ -157,15 +153,17 @@ def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_0
         # bit 1 is sign +1: the stream of choice([-1.0, 1.0]) over all the draws
         draw = rng.integers(0, 2, size=(min(rows, samples - i), k))
         if table:
-            # the first sign is pinned to +1, so the draw is pattern 2r + 1,
-            # and row r is its bits past the first
+            # first sign pinned to +1: row r of the reversed table, r the bits past it
             sq[i:i + rows] = squares[(draw @ place) >> 1]
         else:
             signs = draw * 2.0 - 1.0
             signs[:, 0] = 1.0
             sq[i:i + rows] = combination_norms(signs, s.terms, s.p, s.layout) ** 2
-    value = math.sqrt(float(np.mean(sq)))
-    se_mean = float(np.std(sq, ddof=1) / math.sqrt(samples))
+    mean = np.mean(sq, keepdims=True)
+    value = math.sqrt(float(mean[0]))
+    sq -= mean      # np.std(sq, ddof=1), step for step, in place of the squares
+    sq *= sq
+    se_mean = math.sqrt(float(sq.sum()) / (samples - 1)) / math.sqrt(samples)
     stderr = se_mean / (2.0 * value) if value > 0.0 else se_mean
     return SampledNorm(value=value, stderr=stderr, samples=samples)
 

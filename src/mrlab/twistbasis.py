@@ -281,16 +281,15 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
                            ascent_sweeps: int = 2) -> float:
     """Lower estimate of the unconditional constant of the twisted basis.
 
-    Exact mode enumerates the 2^(n-1) sign patterns whose last sign is -1
-    against a fixed witness family (each other pattern is the mirror of
-    one of these and gives bit for bit the same norm); sampled mode draws
-    seeded random signs and improves the witness by coordinate ascent.  The
-    plain variant returns 1 exactly.
+    Exact mode enumerates ``sign_patterns(n)`` against a fixed witness
+    family; sampled mode draws seeded random signs and improves the witness
+    by coordinate ascent.  Both read each ratio's denominator from row 0 of
+    the sign products, the all-plus pattern.  The plain variant returns 1 exactly.
     """
     if n < 2:
         raise ParameterError("need n >= 2")
     if mode == "exact":
-        signs = sign_patterns(n)[: 2 ** (n - 1)]
+        signs = sign_patterns(n)
     elif mode == "sampled":
         signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n_signs, n))
         # row 1 flips one member per coupled pair: turns the small
@@ -301,12 +300,11 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
         raise ParameterError("mode must be 'exact' or 'sampled'")
     perm, layout = basis_layout(n, variant)
     basis = twisted_basis_matrix(n, perm, variant, layout)
+    scaled = np.empty_like(signs)   # reused: a fresh one is page-faulted for each witness
 
     def best_ratio(a):
-        base = combination_norms(a[None, :], basis, p, layout)[0]
-        if base == 0.0:
-            return 0.0
-        return float(np.max(combination_norms(signs * a, basis, p, layout)) / base)
+        norms = combination_norms(np.multiply(signs, a, out=scaled), basis, p, layout)
+        return float(np.max(norms) / norms[0]) if norms[0] != 0.0 else 0.0
 
     witnesses = _witness_family(n, np.random.default_rng(seed + 1))
     ratios = [best_ratio(a) for a in witnesses]
@@ -342,14 +340,13 @@ def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float
             keep, val, kept = best, a[i], None
             for step in (0.5, 2.0, -1.0):
                 a[i] = val * step if val != 0 else step
-                base = combination_norms(a[None, :], basis, p, layout)[0]
-                if base == 0.0:
-                    continue    # a ratio of 0 is never kept
                 seg = prod[:, span]
                 seg[:, at] = (signs[:, feed] * a[feed]) @ basis[np.ix_(feed, cols)]
                 trial = bn.copy()
                 trial[:, ks] = block_norms(seg, touched)
-                r = float(np.max(_lp_of_blocks(trial, p)) / base)
+                norms = _lp_of_blocks(trial, p)
+                # a ratio of 0 is never kept
+                r = float(np.max(norms) / norms[0]) if norms[0] != 0.0 else 0.0
                 if r > keep:
                     keep, val, kept = r, a[i], (seg, trial)
             a[i] = val

@@ -205,7 +205,7 @@ def test_rad_norm_checks_the_exact_standard_error(shift, code, capsys, monkeypat
         if mode == "exact":
             return got
         exact = rad_norm(s, "exact")
-        se = np.std(s.pattern_norms ** 2) / math.sqrt(kw["samples"]) / (2.0 * exact)
+        se = np.std(s.pattern_squares) / math.sqrt(kw["samples"]) / (2.0 * exact)
         return SampledNorm(exact + shift * se, got.stderr, got.samples)
 
     monkeypatch.setattr(cli, "rad_norm", shifted)
@@ -635,10 +635,16 @@ P_CHECK = "exponent must satisfy p > 1 (or p = inf)"
     (["gen-gamma", "--family", "power", "--alpha", "-1e-3"], "alpha must lie in (0, 1/2)"),
     (["semigroup-check", "--n", "10", "--tol", "-1e-9"], "tolerance must be finite and >= 0"),
     (["semigroup-check", "--n", "10", "--tol", "-NaN"], "tolerance must be finite and >= 0"),
+    (["rbound-blowup", "--blocks", "-5,7"], "target blocks start at 7"),
+    (["bv-bound", "--alpha", "-1,2"], "2^alpha > 1"),
+    (["semigroup-check", "--tgrid", "-1,2"], "the time grid must be nonempty and nonnegative"),
+    (["sector-probe", "--angles", "-1,2"], "angles must lie strictly between 0 and pi"),
+    (["sector-probe", "--radii", "-1,2"], "radii must be positive"),
 ])
 def test_negative_numbers_in_every_float_spelling_reach_the_value_checks(argv, message, capsys):
-    # argparse took -inf, -nan and exponent forms for flags and stopped at
-    # "expected one argument"; they now read as the --flag=value spelling does
+    # argparse took -inf, -nan, exponent forms and comma lists led by a
+    # negative number for flags and stopped at "expected one argument"; they
+    # now read as the --flag=value spelling does
     code, out, err = run_err(argv, capsys)
     assert_one_line_usage_error(code, out, err)
     assert message in err
@@ -646,7 +652,13 @@ def test_negative_numbers_in_every_float_spelling_reach_the_value_checks(argv, m
     assert run_err(joined, capsys) == (code, out, err)
 
 
-@pytest.mark.parametrize("value", ["-x", "-1e", "-infx", "--inf"])
+def test_negative_comma_list_reads_as_its_joined_spelling(capsys):
+    code, out, err = run_err(["bip-check", "--tgrid", "-1,2"], capsys)
+    assert code == 0 and err == ""
+    assert run_err(["bip-check", "--tgrid=-1,2"], capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize("value", ["-x", "-1e", "-infx", "--inf", "-1,x"])
 def test_words_after_a_minus_sign_are_still_flags(value, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rad-norm", "--p", value])

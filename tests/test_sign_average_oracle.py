@@ -5,12 +5,16 @@ form the whole patterns x dim product ``signs @ vectors`` at once and
 norm it in one ``mixed_norm`` call.  Those forms are kept here verbatim
 as oracles: ``blockspace.combination_norms``, which forms the product a
 row block at a time, must reproduce them bit for bit, also when the
-blocks are made a few rows long so that they split unevenly.  Up to
-EXACT_TERM_LIMIT terms ``rad_norm`` reads every square from the table of
-the 2^(k-1) patterns with a first sign of +1, which relies on a product
-row's bits not depending on its place in the batch.  The sampler draws
-its signs a row block at a time, which must give the oracle's single
+blocks are made a few rows long so that they split unevenly.  The
+oracles enumerate all 2^k sign patterns with the old ``sign_patterns``,
+kept here verbatim too; the code reads only the half ``sign_patterns(k)``
+whose first sign is +1, which relies on a product row's bits not
+depending on its place in the batch.  Up to EXACT_TERM_LIMIT terms
+``rad_norm`` reads every square from the table of that half.  The sampler
+draws its signs a row block at a time, which must give the oracle's single
 draw, and norms the draws themselves when the table is not worth forming.
+``unconditional_constant`` reads each ratio's denominator from row 0 of
+its sign products, where the oracle forms a one-row product.
 """
 
 import math
@@ -20,7 +24,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mrlab import blockspace, rademacher
+from mrlab import blockspace, rademacher, twistbasis
 from mrlab.blockspace import (
     EXACT_TERM_LIMIT,
     BlockLayout,
@@ -49,9 +53,17 @@ def bits(x):
 # -- the old unblocked code, verbatim ------------------------------------------
 
 
+def all_sign_patterns(k: int) -> np.ndarray:
+    """All 2^k sign vectors as rows of +-1.0; bit i of the row number sets sign i."""
+    if k > EXACT_TERM_LIMIT:
+        raise ParameterError(f"sign enumeration takes at most {EXACT_TERM_LIMIT} terms, not {k}")
+    rows = np.arange(2 ** k, dtype=np.uint64)
+    return ((rows[:, None] >> np.arange(k, dtype=np.uint64)) & 1) * 2.0 - 1.0
+
+
 def rad_norm_oracle(s, mode, seed=0, samples=100_000):
     if mode == "exact":
-        signs = sign_patterns(s.n_terms)
+        signs = all_sign_patterns(s.n_terms)
         norms = mixed_norm(signs.astype(np.complex128) @ s.terms, s.p, s.layout)
         return float(np.sqrt(np.mean(norms ** 2)))
     rng = np.random.default_rng(seed)
@@ -74,7 +86,7 @@ def unconditional_constant_oracle(n, p, mode="exact", seed=0, variant=EVEN_TWIST
 
     rng = np.random.default_rng(seed)
     if mode == "exact":
-        signs = sign_patterns(n)
+        signs = all_sign_patterns(n)
     else:
         signs = rng.choice([-1.0, 1.0], size=(n_signs, n))
         signs[0] = 1.0
@@ -186,7 +198,7 @@ def test_exact_and_sampled_norms_share_one_pattern_table(k, monkeypatch):
     rad_norm(s, "exact")
     rad_norm(s, "sampled", seed=1, samples=5000)
     assert sum(rows) == 2 ** (k - 1)
-    assert s.pattern_norms.shape == (2 ** (k - 1),)
+    assert s.pattern_squares.shape == (2 ** (k - 1),)
 
 
 def test_sampled_norm_past_the_limit_norms_each_draw(monkeypatch):
@@ -263,7 +275,7 @@ def _recorded_dtypes(monkeypatch):
                                             (np.ones((3, 15)) + 0j, np.complex128)])
 def test_combination_norms_forms_the_product_in_the_inputs_dtype(vectors, dtype, monkeypatch):
     seen = _recorded_dtypes(monkeypatch)
-    weights = sign_patterns(3)
+    weights = all_sign_patterns(3)
     got = combination_norms(weights, vectors, 3.0, BlockLayout.triangular(5))
     assert seen and set(seen) == {np.dtype(dtype)}
     monkeypatch.undo()
@@ -284,7 +296,7 @@ def test_real_sign_averages_form_no_complex_product(mode, monkeypatch):
 
 # n = 14 enumerates 2^14 patterns per witness: one variant there and at the
 # odd n = 13; the oracle takes the maximum over all 2^n patterns, exact mode
-# over the half whose last sign is -1
+# over the half ``sign_patterns(n)`` whose first sign is +1
 UNCOND_EXACT = [(n, variant) for n in (2, 3, 5, 8, 11)
                 for variant in (PLAIN, EVEN_TWIST, ODD_TWIST)] + [(13, ODD_TWIST),
                                                                   (14, EVEN_TWIST)]
@@ -333,7 +345,47 @@ def test_every_enumeration_shares_one_limit():
         rad_norm(make_sum(k, 3, seed=0), "exact")
     with pytest.raises(ParameterError, match=re.escape(message)):
         unconditional_constant(k, 2.0)
-    assert sign_patterns(EXACT_TERM_LIMIT).shape == (2 ** EXACT_TERM_LIMIT, EXACT_TERM_LIMIT)
+    assert sign_patterns(EXACT_TERM_LIMIT).shape == (2 ** (EXACT_TERM_LIMIT - 1),
+                                                     EXACT_TERM_LIMIT)
+    # the half with a first sign of +1 needs a first sign
+    with pytest.raises(ParameterError, match="not 0"):
+        sign_patterns(0)
+
+
+@pytest.mark.parametrize("k", range(1, EXACT_TERM_LIMIT + 1))
+def test_sign_patterns_are_the_half_with_a_first_plus_all_plus_first(k):
+    half = sign_patterns(k)
+    assert half.shape == (2 ** (k - 1), k)
+    assert (half[0] == 1.0).all() and (half[:, 0] == 1.0).all()
+    # row r is pattern 2^k - 1 - 2r of the full enumeration
+    rows = 2 ** k - 1 - 2 * np.arange(2 ** (k - 1))
+    assert bits(half) == bits(all_sign_patterns(k)[rows])
+
+
+def test_sign_patterns_hold_one_half_table():
+    # the 2^13 x 14 table is 0.875 MiB; the full one and its uint64 shifts were 3.7 MiB
+    tracemalloc.start()
+    try:
+        sign_patterns(EXACT_TERM_LIMIT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("n, mode", [(8, "exact"), (12, "sampled")])
+def test_unconditional_ratios_form_no_one_row_product(n, mode, monkeypatch):
+    # the denominator is row 0 of the sign products, the all-plus pattern
+    rows = []
+    norms = twistbasis.combination_norms
+
+    def counting(weights, *args):
+        rows.append(weights.shape[0])
+        return norms(weights, *args)
+
+    monkeypatch.setattr(twistbasis, "combination_norms", counting)
+    unconditional_constant(n, 3.0, mode=mode, seed=1, n_signs=64)
+    assert rows and min(rows) > 1
 
 
 # -- the streamed draw -------------------------------------------------------------
@@ -371,7 +423,7 @@ def test_sampled_only_norm_forms_no_pattern_table(monkeypatch):
     s = make_sum(EXACT_TERM_LIMIT, 60, seed=8)
     got = rad_norm(s, "sampled", seed=2, samples=200)
     assert sum(rows) == 200
-    assert "pattern_norms" not in vars(s)
+    assert "pattern_squares" not in vars(s)
     monkeypatch.undo()
     want = rad_norm_oracle(s, "sampled", seed=2, samples=200)
     assert bits([got.value, got.stderr]) == bits([want.value, want.stderr])
@@ -383,7 +435,7 @@ def test_sampled_norm_reads_the_table_from_as_many_draws_as_patterns(samples, ta
     rows = _normed_rows(monkeypatch)
     s = make_sum(10, 5, seed=9)
     rad_norm(s, "sampled", seed=3, samples=samples)
-    assert ("pattern_norms" in vars(s)) == table
+    assert ("pattern_squares" in vars(s)) == table
     assert sum(rows) == (2 ** 9 if table else samples)
 
 
@@ -400,11 +452,25 @@ def _sampled_peak(k, samples):
 @pytest.mark.parametrize("k", [EXACT_TERM_LIMIT, EXACT_TERM_LIMIT + 1])
 def test_sampled_memory_grows_by_the_squares_alone(k):
     # dim 210: the squares take 8 bytes a sample and the rest is one row
-    # block (k = 15) or the table and its 2^14 x 14 sign patterns (k = 14).
+    # block (k = 15) or the table and its 2^13 x 14 sign patterns (k = 14).
     # Measured with numpy 2.4, the peaks differ by exactly 8 x 90,000 bytes
-    # at k = 15 and by 0 at k = 14; the slack of 64 KiB allows for other
-    # numpy versions' temporaries
+    # at k = 15 and by under 1 KB at k = 14; the slack of 64 KiB allows for
+    # other numpy versions' temporaries
     small, large = _sampled_peak(k, 10 ** 4), _sampled_peak(k, 10 ** 5)
     assert large - small <= 8 * (10 ** 5 - 10 ** 4) + 64 * 2 ** 10
     if k == EXACT_TERM_LIMIT:
         assert large < 4 * 2 ** 20
+
+
+def test_sampled_norm_holds_one_samples_long_array():
+    # 10^6 squares are 7.6 MiB; the spread is taken in place of them, where
+    # np.std formed a second samples-long array of deviations
+    s = make_sum(EXACT_TERM_LIMIT, 4, seed=4)
+    rad_norm(s, "exact")
+    tracemalloc.start()
+    try:
+        rad_norm(s, "sampled", seed=0, samples=10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
