@@ -432,14 +432,40 @@ class SectorialityReport:
 def _j_map(z, bn, exponent, layout):
     """Norming directions of the rows of z, whose block norms are bn: block
     weights bn^(e-2); e = inf concentrates on the top block.  Zero rows map
-    to zero."""
+    to zero.
+
+    A row whose image, of block norms bn^(e-1), has its largest block norm
+    outside the normal float range is weighed again as (z / bn) (bn / peak)^(e-1),
+    the same direction scaled by peak^(1-e) (a zero row maps to zero again);
+    every other row keeps the plain weights.
+    """
     safe = np.where(bn > 0.0, bn, 1.0)
     if exponent == math.inf:
         weights = np.where(bn == bn.max(axis=-1, keepdims=True), 1.0, 0.0)
         scale = np.where(bn > 0.0, weights / safe, 0.0)
-    else:
+        return z * np.repeat(scale, layout.sizes, axis=-1)
+    # a weight or an image past the float range raises a floating-point flag
+    # here; only then are the rows read one by one
+    flags = []
+    with np.errstate(over="call", under="call", invalid="call", call=lambda *_: flags.append(1)):
         scale = np.where(bn > 0.0, safe ** (exponent - 2.0), 0.0)
-    return z * np.repeat(scale, layout.sizes, axis=-1)
+        out = z * np.repeat(scale, layout.sizes, axis=-1)
+    if not flags:
+        return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each row's largest image block norm, column-wise as in _lp_of_blocks
+        top = np.ascontiguousarray((bn * scale).T).max(axis=0)
+    redo = ~((top >= _NORMAL_MIN) & (top < math.inf))
+    if redo.any():
+        unit = z[redo]
+        # real and imaginary parts apart: a complex quotient overflows on the
+        # way to a subnormal block norm
+        parts = unit.view(np.float64).reshape(*unit.shape, -1)
+        parts /= np.repeat(safe[redo], layout.sizes, axis=-1)[..., None]
+        peak = bn[redo].max(axis=-1, keepdims=True)
+        ratio = bn[redo] / np.where(peak > 0.0, peak, 1.0)
+        out[redo] = unit * np.repeat(ratio ** (exponent - 1.0), layout.sizes, axis=-1)
+    return out
 
 
 def _start(rng, dim):

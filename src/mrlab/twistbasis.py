@@ -24,13 +24,15 @@ the layout receives a nonzero total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .blockspace import (BlockLayout, _lp_of_blocks, block_norms, combination_norms,
-                         sign_patterns, triangular_block_index, triangular_end)
+from .blockspace import (_NORMAL_MIN, BlockLayout, _lp_of_blocks, block_norms,
+                         combination_norms, sign_patterns, triangular_block_index,
+                         triangular_end)
 from .errors import ParameterError, StructuralError
 
 __all__ = [
@@ -315,42 +317,121 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
     return best
 
 
+# The sampled ascent norms exactly only the sign rows whose estimated norm
+# c S^(1/p) is within this factor of the largest estimate, where c is the
+# row's peak block norm and S = sum (b / c)^p lies in [1, n_blocks]: S cannot
+# overflow, and a term that underflows is negligible against it.  A moved
+# block's norm b is estimated from sums of squares in another order, within
+# about m ulps for a block of m coordinates.  Each b / c is then off by
+# about m ulps and its p-th power by about p m ulps, so S is off by about
+# (p m + n_blocks) ulps, which its 1/p-th power divides by p: the estimate is
+# within about (m + n_blocks + 8) ulps of the norm for every p in (1, inf].
+# The row with the largest norm thus estimates within twice that of the
+# largest estimate, far inside 2^-30.
+_SCREEN_MARGIN = 1.0 - 2.0 ** -30
+
+
+def _block_norm_estimates(seg_t, touched: BlockLayout):
+    """Each row's norm of each block of ``touched``, from its columns seg_t
+    (coordinates x rows) summed down the columns: within a few ulps of
+    ``block_norms``, or NaN where the squares of a nonzero block fall below
+    the normal float range."""
+    out = np.empty((touched.n_blocks, seg_t.shape[1]))
+    for k, (s, z) in enumerate(zip(touched.starts, touched.sizes)):
+        blk = seg_t[s:s + z]
+        out[k] = np.einsum("ij,ij->j", blk, blk)   # inf past the float range, without a warning
+        low = out[k] < _NORMAL_MIN
+        if low.any():
+            out[k, low & (np.abs(blk).max(axis=0) > 0.0)] = math.nan
+    return np.sqrt(out)
+
+
+def _contenders(c_rest, mass, touched, p):
+    """Rows whose norm may be the largest of the trial: row 0, every row whose
+    estimate is within _SCREEN_MARGIN of the largest finite one, and every row
+    whose estimate is NaN or inf.  ``c_rest`` and ``mass`` are each row's peak
+    and sum (b / c_rest)^p over the blocks the step leaves alone, ``touched``
+    the estimated norms of the blocks it moves, a block a row."""
+    with np.errstate(all="ignore"):   # non-finite estimates are kept whatever they read
+        c = c_rest
+        for b in touched:
+            c = np.maximum(c, b)
+        if p == math.inf:
+            est = c
+        else:
+            safe = np.where(c > 0.0, c, 1.0)
+            s = mass * (c_rest / safe) ** p
+            for b in touched:
+                s += (b / safe) ** p
+            est = c * s ** (1.0 / p)
+    finite = np.isfinite(est)
+    keep = ~finite | (est >= np.max(est, where=finite, initial=0.0) * _SCREEN_MARGIN)
+    keep[0] = True
+    return np.flatnonzero(keep)
+
+
 def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float:
     """Coordinate ascent on the witness a, whose ratio is best, over the real
     0/1 basis on a triangular layout: each step rescales one coefficient and
     keeps the change when the ratio rises.
 
-    The sign products (signs * a) @ basis and their block norms are kept
-    across steps.  Rescaling a_i moves only the coordinates of f_i (at most
-    two), each fed by at most two coefficients, so a step recomputes those
-    columns and the blocks holding them.  Each is a sum of at most two exact
-    products, so the values equal the full product's bit for bit.
+    The sign products (signs * a) @ basis, held coordinates x rows, and their
+    block norms are kept across steps.  Rescaling a_i moves only the
+    coordinates of f_i (at most two), each fed by at most two coefficients,
+    so a step recomputes those coordinates and the blocks holding them.  Each
+    is a sum of at most two exact products, so the values equal the full
+    product's bit for bit.
+
+    The ratio reads two rows: row 0 and the largest.  A cheap estimate of
+    each row's norm (see _SCREEN_MARGIN) picks the rows that can hold the
+    largest, and only those, with row 0, go through ``block_norms`` and
+    ``_lp_of_blocks``.  Both norm each row on its own, so the largest of those
+    exact norms is the whole table's bit for bit, and the kept steps, the
+    products and the result are those of norming every row; the moved blocks
+    of every row are normed exactly only when a step is kept.
     """
     p = float(p)
     prod = (signs * a) @ basis
-    bn = block_norms(prod, layout)
+    bn_t = np.ascontiguousarray(block_norms(prod, layout).T)   # blocks x rows
+    prod_t = np.ascontiguousarray(prod.T)                       # coordinates x rows
+    del prod
+    plans = []
+    for i in range(a.size):
+        cols = np.flatnonzero(basis[i])                     # the coordinates of f_i
+        feed = np.flatnonzero(basis[:, cols].any(axis=1))   # the coefficients feeding them
+        ks = np.unique(triangular_block_index(cols + 1)) - 1   # the blocks holding them
+        span = np.concatenate([np.arange(s, s + z) for s, z in
+                               zip(layout.starts[ks], layout.sizes[ks])])
+        rest = np.delete(np.arange(layout.n_blocks), ks)   # the blocks left alone
+        plans.append((span, np.searchsorted(span, cols), ks, rest,
+                      BlockLayout.from_sizes(layout.sizes[ks]), feed, basis[np.ix_(feed, cols)].T))
+    work = np.empty_like(bn_t)   # reused: a fresh one is page-faulted for each coefficient
     for _ in range(sweeps):
-        for i in range(a.size):
-            cols = np.flatnonzero(basis[i])                     # the coordinates of f_i
-            feed = np.flatnonzero(basis[:, cols].any(axis=1))   # the coefficients feeding them
-            ks = np.unique(triangular_block_index(cols + 1)) - 1   # the blocks holding them
-            span = np.concatenate([np.arange(s, s + z) for s, z in
-                                   zip(layout.starts[ks], layout.sizes[ks])])
-            at, touched = np.searchsorted(span, cols), BlockLayout.from_sizes(layout.sizes[ks])
+        for i, (span, at, ks, rest, touched, feed, feed_basis) in enumerate(plans):
+            feed_signs = signs.T[feed]   # per coefficient: n copies would hold up to 3 sign tables
+            others = np.take(bn_t, rest, axis=0, out=work[:rest.size])
+            c_rest = others.max(axis=0, initial=0.0)
+            mass = None
+            if p != math.inf:
+                with np.errstate(invalid="ignore"):   # a row holding inf or NaN is normed exactly
+                    others /= np.where(c_rest > 0.0, c_rest, 1.0)
+                    mass = np.power(others, p, out=others).sum(axis=0)
             keep, val, kept = best, a[i], None
             for step in (0.5, 2.0, -1.0):
                 a[i] = val * step if val != 0 else step
-                seg = prod[:, span]
-                seg[:, at] = (signs[:, feed] * a[feed]) @ basis[np.ix_(feed, cols)]
-                trial = bn.copy()
-                trial[:, ks] = block_norms(seg, touched)
+                seg_t = prod_t[span]
+                seg_t[at] = feed_basis @ (feed_signs * a[feed, None])
+                rows = _contenders(c_rest, mass, _block_norm_estimates(seg_t, touched), p)
+                trial = bn_t[:, rows].T.copy()
+                trial[:, ks] = block_norms(seg_t[:, rows].T.copy(), touched)
                 norms = _lp_of_blocks(trial, p)
                 # a ratio of 0 is never kept
                 r = float(np.max(norms) / norms[0]) if norms[0] != 0.0 else 0.0
                 if r > keep:
-                    keep, val, kept = r, a[i], (seg, trial)
+                    keep, val, kept = r, a[i], seg_t
             a[i] = val
             if kept is not None:
-                prod[:, span], bn = kept
+                prod_t[span] = kept
+                bn_t[ks] = block_norms(kept.T.copy(), touched).T
             best = max(best, keep)
     return best

@@ -593,6 +593,21 @@ def test_dissipativity_overflow_is_one_line_error(capsys):
     assert "45" in err
 
 
+@pytest.mark.parametrize("p", ["1.001", "200", "1000"])
+def test_sector_probe_at_extreme_exponents_runs_clean(p, capsys):
+    # the duality map weighed each block by bn^(e-2) unscaled, for e = p and
+    # q = p/(p-1): the weights left the float range, numpy warned and the
+    # ascents stalled on NaN images
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_err(["sector-probe", "--n", "50", "--p", p], capsys)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    assert rows[0] == ["angle", "radius", "lower_bound", "bv_norm"]
+    lower = [float(row[2]) for row in rows[1:]]
+    assert len(lower) == 21 and all(0.0 < x < math.inf for x in lower)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["semigroup-check", "--n", "10", "--tol", "nan"], "tolerance must be finite and >= 0"),
     (["semigroup-check", "--n", "10", "--tol", "-1"], "tolerance must be finite and >= 0"),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -546,6 +547,18 @@ def test_sectoriality_probe_needs_an_angle_and_a_radius(angles, radii):
     op = TwistedMultiplier.covering(10, "lacunary")
     with pytest.raises(ParameterError, match="at least one angle and one radius"):
         sectoriality_probe(op, angles, radii, p=4.0)
+
+
+@pytest.mark.parametrize("p", [1.001, 200.0, 1000.0])
+def test_opnorm_lower_at_extreme_exponents(p):
+    # unimodular symbols: the duality-map weights bn^(p-2) and bn^(q-2) leave
+    # the float range at these exponents unless the row is rescaled
+    op = TwistedMultiplier.covering(50, "lacunary")
+    g = np.exp(1j * 0.7 * op.seq.log2[: op.structure.needed])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        val, vec = opnorm_lower(op, g, p)
+    assert 1.0 < val < INF and np.isfinite(vec).all()
 
 
 @pytest.mark.parametrize("variant", [PLAIN, EVEN_TWIST, ODD_TWIST])

@@ -14,7 +14,9 @@ depending on its place in the batch.  Up to EXACT_TERM_LIMIT terms
 draws its signs a row block at a time, which must give the oracle's single
 draw, and norms the draws themselves when the table is not worth forming.
 ``unconditional_constant`` reads each ratio's denominator from row 0 of
-its sign products, where the oracle forms a one-row product.
+its sign products, where the oracle forms a one-row product; its sampled
+ascent norms exactly only the rows that can hold a trial's maximum, where
+the oracle norms every row.
 """
 
 import math
@@ -310,16 +312,61 @@ def test_exact_unconditional_constant_matches_the_oracle(n, variant, p):
     assert bits(got) == bits(unconditional_constant_oracle(n, p, seed=seed, variant=variant))
 
 
+# the ascent norms exactly only the rows its estimate cannot rule out: at
+# exponents near 1 and far past 2, where the estimate's powers reach the
+# ends of the float range, and at n = 5, where 2000 draws repeat 32 patterns
+# (16 norms, as a pattern and its negative share one) and the largest rows tie
+SCREEN_EDGES = [(n, p, n % 3, EVEN_TWIST) for n in (12, 27, 40)
+                for p in (1.001, 200.0, 1000.0, math.inf)] + [(5, 3.0, 1, EVEN_TWIST)]
+
+
 @pytest.mark.parametrize("n, p, seed, variant", [(12, 2.0, 0, EVEN_TWIST),
                                                  (20, 3.0, 1, ODD_TWIST),
                                                  (28, 4.0, 2, EVEN_TWIST),
                                                  (40, 3.0, 1, EVEN_TWIST),
                                                  (18, math.inf, 2, PLAIN),
-                                                 (33, 1.5, 0, ODD_TWIST)])
+                                                 (33, 1.5, 0, ODD_TWIST)] + SCREEN_EDGES)
 def test_sampled_unconditional_constant_matches_the_oracle(n, p, seed, variant):
     got = unconditional_constant(n, p, mode="sampled", seed=seed, variant=variant)
     want = unconditional_constant_oracle(n, p, mode="sampled", seed=seed, variant=variant)
     assert bits(got) == bits(want)
+
+
+def test_the_sampled_ascent_norms_few_rows_exactly(monkeypatch):
+    # one exact call per trial (2 sweeps x 40 coefficients x 3 steps); a
+    # return to norming the whole table would read 2000 rows a call
+    rows = []
+    exact = twistbasis._lp_of_blocks
+
+    def counting(bn, p):
+        rows.append(bn.shape[0])
+        return exact(bn, p)
+
+    monkeypatch.setattr(twistbasis, "_lp_of_blocks", counting)
+    unconditional_constant(40, 3.0, mode="sampled", seed=1)
+    assert len(rows) == 240 and np.mean(rows) < 200
+
+
+def test_the_screen_norms_exactly_what_it_cannot_estimate():
+    # two blocks (2 and 3 coordinates) of 5 rows, a row a column: plain
+    # values, squares below the normal range, zeros, squares past the float
+    # range, and the largest plain row
+    touched = BlockLayout.from_sizes([2, 3])
+    seg_t = np.array([[3.0, 1e-170, 0.0, 1e200, 10.0],
+                      [4.0, 1e-170, 0.0, 1e200, 10.0],
+                      [1.0, 0.0, 0.0, 1.0, 10.0],
+                      [0.0, 0.0, 0.0, 0.0, 10.0],
+                      [0.0, 0.0, 0.0, 0.0, 10.0]])
+    with np.errstate(over="ignore"):
+        exact = blockspace.block_norms(np.ascontiguousarray(seg_t.T), touched).T
+    est = twistbasis._block_norm_estimates(seg_t, touched)
+    assert np.isnan(est[0, 1]) and est[0, 3] == math.inf
+    fine = np.isfinite(est)
+    assert np.allclose(est[fine], exact[fine], rtol=1e-15, atol=0.0)
+    # row 0 is the denominator, rows 1 and 3 cannot be ruled out and row 4
+    # holds the largest finite estimate; rows 0 and 2 fall short of it
+    rows = twistbasis._contenders(np.ones(5), np.ones(5), est, 3.0)
+    assert rows.tolist() == [0, 1, 3, 4]
 
 
 @pytest.mark.parametrize("n, mode", [(6, "exact"), (10, "exact"), (12, "sampled")])
