@@ -93,7 +93,11 @@ class RatioSeq:
         return out if out.ndim else float(out)
 
     def values_upto(self, n: int) -> np.ndarray:
-        return np.asarray(self.value_at(np.arange(1, n + 1)))
+        """c_1 .. c_n: block k's value k times over the blocks holding n."""
+        if n > self.max_index:
+            raise ParameterError(f"index out of range 1..{self.max_index}")
+        k = triangular_block_index(n)
+        return np.repeat(self.block_values[:k], np.arange(1, k + 1))[:max(n, 0)]
 
 
 def _raw_block_values(kind, alpha, ks):

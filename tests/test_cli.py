@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,6 +430,42 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
     code, out, err = run_err(["gen-gamma", "--n", "4", "--out", str(target)], capsys)
     assert_one_line_usage_error(code, out, err)
     assert err.startswith(f"error: cannot write {target}: ")
+
+
+def mrlab_process(*argv, **kwargs):
+    """mrlab as the console script runs it, in a child process."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.Popen([sys.executable, "-c",
+                             "import sys; from mrlab.cli import main; sys.exit(main())", *argv],
+                            env=env, stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def assert_one_write_error(proc, target):
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert err.startswith(f"error: cannot write {target}: "), err
+
+
+@pytest.mark.parametrize("argv", [["gen-gamma", "--n", "20000"], ["pi-table", "--n", "100000"]])
+def test_a_reader_that_stops_early_ends_in_one_error_line(argv):
+    # used to end in a BrokenPipeError traceback and an "Exception ignored"
+    # line from the flush at interpreter exit
+    proc = mrlab_process(*argv, stdout=subprocess.PIPE)
+    proc.stdout.readline()
+    proc.stdout.close()
+    assert_one_write_error(proc, "stdout")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [["gen-gamma", "--n", "5"], ["pi-table", "--n", "100000"]])
+def test_a_full_device_ends_in_one_error_line(argv):
+    # a short table fails at close, a long one at a write and again at close
+    proc = mrlab_process(*argv, "--out", "/dev/full", stdout=subprocess.DEVNULL)
+    assert_one_write_error(proc, "/dev/full")
+    with open("/dev/full", "w") as full:
+        assert_one_write_error(mrlab_process(*argv, stdout=full), "stdout")
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

@@ -7,7 +7,10 @@ JSON branch of ``_emit`` (a per-cell lambda, then ``json.dump``) and the
 per-point dict plus ``json.dump`` of ``interval-certify``; the rows came
 from ``_column_rows``.  The emitter must reproduce their bytes for every
 golden argv in both formats and for synthetic tables that hold NaN, +-inf,
--0.0, denormals, 2^62, bool and str columns, one row or none.
+-0.0, denormals, 2^62, bool and str columns, one row or none.  A full row
+block of a float column that repeats values is formatted once per distinct
+bit pattern; tables past one row block and ``gen-gamma`` of every workload
+family reach that path, and a spy counts what it formats.
 
 ``MRPlan`` and ``IntervalSpec`` now evaluate the plan on the whole grid at
 once; the per-point scalar rules are kept here as the oracle of
@@ -199,6 +202,74 @@ def test_synthetic_tables_are_written_as_the_old_writers_did(table, fmt, block, 
     args = synthetic_args(fmt)
     assert (written(cli._emit, args, "synthetic", columns, arrays, extra=extra)
             == written(oracle_emit, args, "synthetic", columns, arrays, extra=extra))
+
+
+# bit patterns a value-keyed dedup would merge: signed zeros, NaNs of both
+# signs and two payloads; then the infinities and the extreme magnitudes
+EDGE_BITS = np.array([0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000,
+                      0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000ABC],
+                     dtype=np.uint64).view(np.float64)
+EDGES = np.concatenate([EDGE_BITS, [math.inf, -math.inf, 5e-324, 1e308, 0.1, -2.5]])
+
+
+def repeated(rows):
+    """A column of the edge values, each repeated over runs and scattered."""
+    return np.concatenate([np.repeat(EDGES, 7), EDGES[np.arange(rows) * 5 % len(EDGES)]])[:rows]
+
+
+DEDUP_TABLES = {
+    "repeated": lambda rows: (["m", "c", "g"], [np.arange(rows), repeated(rows),
+                                                 np.full(rows, math.inf)]),
+    "all-distinct": lambda rows: (["x", "c"], [np.linspace(-1.0, 1.0, rows) ** 3,
+                                               repeated(rows)[::-1]]),
+}
+
+
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("table", sorted(DEDUP_TABLES))
+def test_full_blocks_that_repeat_values_are_written_as_the_old_writers_did(table, fmt, rows):
+    columns, arrays = DEDUP_TABLES[table](rows)
+    args = synthetic_args(fmt)
+    assert (written(cli._emit, args, "synthetic", columns, arrays)
+            == written(oracle_emit, args, "synthetic", columns, arrays))
+
+
+WORKLOAD_FAMILIES = [["--family", "lacunary"], ["--family", "geometric"],
+                     ["--family", "constant", "--value", "0.01"],
+                     ["--family", "constant", "--value", "0.1"],
+                     *[["--family", kind, "--alpha", alpha] for kind in ("power", "powerlog")
+                       for alpha in ("0.1", "0.25", "0.4")]]
+
+
+@pytest.mark.parametrize("family", WORKLOAD_FAMILIES, ids=" ".join)
+def test_gen_gamma_past_one_row_block_is_written_as_the_old_writers_did(family, monkeypatch):
+    calls = emit_calls(["gen-gamma", *family, "--n", "1500"], monkeypatch)
+    args, call, kwargs = calls[0]
+    for fmt in ("csv", "json"):
+        ns = copy.copy(args)
+        ns.format = fmt
+        assert written(cli._emit, ns, *call, **kwargs) == written(oracle_emit, ns, *call,
+                                                                 **kwargs), fmt
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_distinct_bit_pattern_of_a_repeating_block_is_formatted_once(fmt, monkeypatch):
+    formatted = []
+
+    def spy(column, fmt):
+        if column.dtype.kind == "f":
+            formatted.append(column.view(np.int64).copy())
+        return cell_values(column, fmt)
+
+    cell_values = cli._cell_values
+    monkeypatch.setattr(cli, "_cell_values", spy)
+    rows = 2 * cli._ROW_BLOCK
+    column = repeated(rows)
+    written(cli._emit, synthetic_args(fmt), "synthetic", ["c"], [column])
+    bits = column.view(np.int64)
+    assert [f.tolist() for f in formatted] == [
+        np.unique(bits[i:i + cli._ROW_BLOCK]).tolist() for i in range(0, rows, cli._ROW_BLOCK)]
 
 
 @pytest.mark.parametrize("block", [1024, 2])

@@ -249,6 +249,22 @@ def test_family_seq_solves_the_covering_blocks(family, param, length):
     assert seq.log2.tobytes() == expect.log2.tobytes()
 
 
+@pytest.mark.parametrize("family, param", [("power", 0.25), ("powerlog", 0.1),
+                                           ("constant", 0.05), ("geometric", None)])
+def test_values_upto_reads_what_value_at_reads(family, param):
+    # the repeated block values against the per-index lookup, bit for bit, on
+    # each side of every block end up to 5,000 and at the last stored index
+    ratios = family_ratios(family, param, 101)
+    ends = [k * (k + 1) // 2 for k in range(1, 100)]
+    lengths = sorted({n for end in ends for n in (end - 1, end, end + 1) if n <= 5000})
+    for n in [*lengths, ratios.max_index]:
+        got = ratios.values_upto(n)
+        assert got.tobytes() == ratios.value_at(np.arange(1, n + 1)).tobytes(), n
+    assert ratios.values_upto(0).size == 0
+    with pytest.raises(ParameterError, match="index out of range"):
+        ratios.values_upto(ratios.max_index + 1)
+
+
 def test_family_seq_lacunary_has_no_ratios():
     seq, ratios = family_seq("lacunary", None, 9)
     assert ratios is None and seq.log2.tobytes() == twisted_lacunary(9).log2.tobytes()
