@@ -18,12 +18,13 @@ import math
 import os
 import re
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .blockspace import EXACT_TERM_LIMIT, BlockLayout, triangular_end
+from .blockspace import EXACT_TERM_LIMIT, BlockLayout, triangular_block_index, triangular_end
 from .certify import (
     OVERLAP_BLOCKS,
     IntervalSpec,
@@ -43,7 +44,7 @@ from .multiplier import (
 )
 from .rademacher import RadSum, blowup_series, rad_norm
 from .sequences import CONSTANT, LACUNARY, POWER, POWERLOG, family_ratios, family_seq
-from .twistbasis import basis_layout, build_permutation, unconditional_constant
+from .twistbasis import SAMPLED_SIGNS, build_permutation, unconditional_constant
 
 _LN2 = math.log(2.0)
 _ROW_BLOCK = 1024   # table rows converted and written at a time
@@ -66,12 +67,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         if "unrecognized arguments" in message:
             bad = message.split(":", 1)[1].strip().split()
-            options = set()
-            for action in self._actions:
-                options.update(action.option_strings)
+            options = set(self._option_string_actions)
             for sub in getattr(self, "_mrlab_subparsers", {}).values():
-                for action in sub._actions:
-                    options.update(action.option_strings)
+                options.update(sub._option_string_actions)
             hints = []
             for b in bad:
                 close = difflib.get_close_matches(b, sorted(options), n=1)
@@ -144,15 +142,12 @@ class _Out:
         self.path = path
 
     def __enter__(self):
-        if self.path in (None, "-"):
-            self.fh = sys.stdout
-            self._close = False
-        else:
-            try:
-                self.fh = open(self.path, "w", encoding="utf-8", newline="\n")
-            except OSError as exc:
-                raise ParameterError(f"cannot write {self.path}: {exc}") from None
-            self._close = True
+        self._close = self.path not in (None, "-")
+        try:
+            self.fh = (open(self.path, "w", encoding="utf-8", newline="\n") if self._close
+                       else sys.stdout)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {self.path}: {exc}") from None
         return self.fh
 
     def __exit__(self, kind, exc, tb):
@@ -234,28 +229,36 @@ def _emit(args, command, columns, arrays, extra=(), report=None):
         fh.write(tail)
 
 
-def _grid_points(n):
-    if not 1 <= n <= _GRID_POINTS:
-        raise ParameterError(f"a grid takes 1 to {_GRID_POINTS} points, not {n:.7g}")
-    return n
+class _Size(NamedTuple):
+    """The problem a subcommand allocates: the coordinates of its truncation,
+    the points of its grid (None without one), its random samples, and each
+    array its flags size as (the flags a refusal names, entries), in the
+    order _admit reads them.  A count below its range states no size, so
+    that the range check which follows names it."""
+    dim: int = 0
+    points: float | None = None
+    samples: int = 0
+    arrays: tuple = ()
 
 
-def _truncation_blocks(n_blocks):
-    """n_blocks, refused before anything is built when blocks 1..n_blocks
-    hold more than _TRUNCATION_DIM coordinates."""
-    dim = triangular_end(n_blocks)
-    if dim > _TRUNCATION_DIM:
+def _admit(size):
+    """Refuse a record whose grid, arrays or truncation exceed _GRID_POINTS,
+    _ARRAY_ENTRIES or _TRUNCATION_DIM."""
+    if size.points is not None and not 1 <= size.points <= _GRID_POINTS:
+        raise ParameterError(f"a grid takes 1 to {_GRID_POINTS} points, not {size.points:.7g}")
+    for flags, entries in size.arrays:
+        if entries > _ARRAY_ENTRIES:
+            raise ParameterError(f"{flags} asks for an array of {entries} entries; "
+                                 f"at most {_ARRAY_ENTRIES} are allowed")
+    if size.dim > _TRUNCATION_DIM:
         raise ParameterError(f"a truncation takes at most {_TRUNCATION_DIM} coordinates, "
-                             f"not {dim}")
-    return n_blocks
+                             f"not {size.dim}")
 
 
-def _array_entries(flags, entries):
-    """Refuse, before anything is built, flag values whose largest array
-    would hold more than _ARRAY_ENTRIES entries."""
-    if entries > _ARRAY_ENTRIES:
-        raise ParameterError(f"{flags} asks for an array of {entries} entries; "
-                             f"at most {_ARRAY_ENTRIES} are allowed")
+def _at_least_one(flag, value):
+    if value < 1:
+        raise ParameterError(f"{flag} must be at least 1")
+    return value
 
 
 def _seed(text):
@@ -275,16 +278,17 @@ def _parse_grid(text):
     try:
         if text.startswith("pow2:"):
             a, b = (int(x) for x in text.split(":")[1:])
-            n = _grid_points(b - a + 1)
+            _admit(_Size(points=b - a + 1))
             if a < -1074 or b > 1023:   # 2^a or 2^b is no float64 number
                 raise ValueError(text)
-            return 2.0 ** np.arange(a, a + n)
+            return 2.0 ** np.arange(a, b + 1)
         if text.startswith("geom:"):
             _, a, b, n = text.split(":")
-            a, b = float(a), float(b)
+            a, b, n = float(a), float(b), int(n)
             if (a < 0.0) != (b < 0.0):   # like a zero endpoint, no geometric grid joins them
                 raise ValueError(text)
-            return np.geomspace(a, b, _grid_points(int(n)))
+            _admit(_Size(points=n))
+            return np.geomspace(a, b, n)
         return np.array([float(x) for x in text.split(",")])
     except LabError:
         raise
@@ -308,8 +312,6 @@ def _family(args):
 def _gamma_operator(args):
     """The operator of --gamma (lacunary | power:A | powerlog:A | constant:C) at --n;
     a constant C may take any value in (0, 1/2)."""
-    # the covering permutation of the layout holding --n has at most 2 n + 8 entries
-    _array_entries(f"--n {args.n}", 2 * args.n + 8)
     if args.gamma == LACUNARY:
         return TwistedMultiplier.covering(args.n, LACUNARY)
     kind, _, value = args.gamma.partition(":")
@@ -324,25 +326,32 @@ def _gamma_operator(args):
                                       bound=0.5 if kind == CONSTANT else 0.125)
 
 
+def _operator_size(args):
+    """The record of _gamma_operator: the smallest triangular layout holding
+    --n coordinates, and its covering permutation of at most 2 n + 8 entries."""
+    n = _at_least_one("--n", args.n)
+    return _Size(dim=triangular_end(triangular_block_index(n)), arrays=((f"--n {n}", 2 * n + 8),))
+
+
 # -- subcommands --------------------------------------------------------------
+# Each is a generator: it yields its _Size record before it builds anything
+# and, once main has admitted the record, returns 2 when an invariant fails.
 
 
 def cmd_gen_gamma(args):
-    if args.n < 1:
-        raise ParameterError("--n must be at least 1")
-    _array_entries(f"--n {args.n}", args.n)
-    seq, ratios = family_seq(*_family(args), args.n)
-    cvals = np.full(args.n, float("nan"))
-    cvals[1:] = seq.recovered_ratios() if ratios is None else ratios.values_upto(args.n)[1:]
+    n = _at_least_one("--n", args.n)
+    yield _Size(arrays=((f"--n {n}", n),))
+    seq, ratios = family_seq(*_family(args), n)
+    cvals = np.full(n, float("nan"))
+    cvals[1:] = seq.recovered_ratios() if ratios is None else ratios.values_upto(n)[1:]
     with np.errstate(over="ignore"):
         vals = np.exp2(seq.log2)
     _emit(args, "gen-gamma", ["m", "c_m", "gamma_m", "log_gamma_m"],
-          [np.arange(1, args.n + 1), cvals, vals, seq.log2 * _LN2])
-    return 0
+          [np.arange(1, n + 1), cvals, vals, seq.log2 * _LN2])
 
 
 def cmd_pi_table(args):
-    _array_entries(f"--n {args.n}", args.n + 1)
+    yield _Size(arrays=((f"--n {args.n}", args.n + 1),))
     perm = build_permutation(args.n)
     b_line = " ".join(map(str, perm.b_list[:(args.n - 2) // 4 + 1].tolist()))
     m = np.arange(1, args.n + 1)
@@ -350,13 +359,12 @@ def cmd_pi_table(args):
     inverse = np.where(m % 2 == 1, m, perm.inv_even[m // 2])
     _emit(args, "pi-table", ["m", "pi", "inverse"], [m, perm.table[1:], inverse],
           extra=[f"b_list {b_line}"])
-    return 0
 
 
 def cmd_semigroup_check(args):
-    op = _gamma_operator(args)
     grid = _parse_grid(args.tgrid)
-    rep = positivity_check(op, grid, tol=args.tol)
+    yield _operator_size(args)._replace(points=grid.size)
+    rep = positivity_check(_gamma_operator(args), grid, tol=args.tol)
     _emit(args, "semigroup-check", ["t", "min_entry", "verdict"],
           [rep.t_grid, rep.per_t_min, rep.per_t_min >= -args.tol], extra=[
         f"verdict {_fmt(rep.verdict)}",
@@ -368,13 +376,11 @@ def cmd_semigroup_check(args):
         print("positivity verdict disagrees with the pair monotonicity",
               file=sys.stderr)
         return 2
-    return 0
 
 
 def cmd_bv_bound(args):
     alphas, ts = _parse_grid(args.alpha), _parse_grid(args.tgrid)
-    _grid_points(alphas.size * ts.size)
-    _array_entries(f"--n {args.n}", args.n)
+    yield _Size(points=alphas.size * ts.size, arrays=((f"--n {args.n}", args.n),))
     per_alpha = [bv_semigroup_bound(alpha, ts, args.n, check=False) for alpha in alphas.tolist()]
     computed, closed = (np.concatenate(part) for part in zip(*per_alpha))
     ok = computed <= closed
@@ -384,9 +390,9 @@ def cmd_bv_bound(args):
 
 
 def cmd_bip_check(args):
-    _array_entries(f"--pairs {args.pairs}", 2 * args.pairs + 2)
-    seq, ratios = family_seq(*_family(args), 2 * args.pairs + 2)
-    ts = _parse_grid(args.tgrid)
+    length, ts = 2 * args.pairs + 2, _parse_grid(args.tgrid)
+    yield _Size(points=ts.size, arrays=((f"--pairs {args.pairs}", length),))
+    seq, ratios = family_seq(*_family(args), length)
     per_t = bip_pair_ratios(seq, ratios, ts, args.pairs)
     worst = max(0.0, *per_t.tolist())
     _emit(args, "bip-check", ["t", "worst_ratio"], [ts, per_t],
@@ -396,10 +402,12 @@ def cmd_bip_check(args):
 
 def cmd_sector_probe(args):
     angles, radii = _parse_grid(args.angles), _parse_grid(args.radii)
-    _grid_points(angles.size * radii.size)
+    size = _operator_size(args)
+    trials = _at_least_one("--trials", args.trials)
+    # each ray ascends trials rows of dim coordinates, drawn a batch at a time
+    yield size._replace(points=angles.size * radii.size, samples=trials,
+                        arrays=size.arrays + ((f"--trials {trials}", trials * size.dim),))
     op = _gamma_operator(args)
-    # every trial of a ray waits as one row of the next batch
-    _array_entries(f"--trials {args.trials}", args.trials * op.layout.dim)
     rep = sectoriality_probe(op, angles, radii, p=args.p, trials=args.trials, seed=args.seed)
     angle, radius = np.meshgrid(rep.angles, rep.radii, indexing="ij")
     extra = [f"measured_K {_fmt(rep.measured_K)}"]
@@ -410,13 +418,13 @@ def cmd_sector_probe(args):
     _emit(args, "sector-probe", ["angle", "radius", "lower_bound", "bv_norm"],
           [angle.ravel(), radius.ravel(), rep.lower.ravel(), rep.bv_upper.ravel()],
           extra=extra)
-    return 0
 
 
 def cmd_rad_norm(args):
-    _array_entries(f"--k {args.k} with --blocks {args.blocks}",
-                   max(args.k, 1) * triangular_end(args.blocks))
-    _array_entries(f"--samples {args.samples} with --k {args.k}", args.samples * args.k)
+    dim = triangular_end(max(args.blocks, 0))
+    yield _Size(dim=dim, samples=args.samples, arrays=(
+        (f"--k {args.k} with --blocks {args.blocks}", max(args.k, 1) * dim),
+        (f"--samples {args.samples} with --k {args.k}", max(args.samples, 0) * max(args.k, 0))))
     layout = BlockLayout.triangular(args.blocks)
     terms = np.random.default_rng(args.seed).standard_normal((max(args.k, 0), layout.dim))
     s = RadSum(terms, layout, args.p)
@@ -432,26 +440,24 @@ def cmd_rad_norm(args):
         se = se / (2.0 * exact) if exact > 0.0 else se
         if abs(sampled.value - exact) > 4.0 * max(se, 1e-15):
             return 2
-    return 0
 
 
 def cmd_rbound_blowup(args):
     blocks = _parse_ints(args.blocks)
-    _array_entries(f"--blocks {max(blocks)}", max(blocks) + 1)
+    yield _Size(arrays=((f"--blocks {max(blocks)}", max(blocks) + 1),))
     series = blowup_series(args.family, args.p, alpha=args.alpha, block_counts=blocks)
     _emit(args, "rbound-blowup", ["k", "L_k", "fitted_slope"],
           [series.ks, series.lower, np.full(series.ks.size, series.slope)],
           extra=[f"slope {_fmt(series.slope)}"])
-    return 0
 
 
 def cmd_diag_norm(args):
-    ratios = family_ratios(*_family(args), _truncation_blocks(args.blocks))
+    yield _Size(dim=triangular_end(max(args.blocks, 0)))
+    ratios = family_ratios(*_family(args), args.blocks)
     dn = diagonal_norm(ratios, args.p, args.blocks)
     _emit(args, "diag-norm", ["p", "q", "value", "argmax_block"],
           [dn.p, dn.q, dn.value, dn.block],
           extra=[f"regular {_fmt(mr_predicate(ratios, args.p))}"])
-    return 0
 
 
 def cmd_interval_certify(args):
@@ -462,7 +468,7 @@ def cmd_interval_certify(args):
     if not 0.0 < args.grid <= 1.0:
         raise ParameterError("--grid must lie in (0, 1]")
     spec = IntervalSpec(left, right, args.left_closed, args.right_closed)
-    _grid_points(7.0 / args.grid)
+    yield _Size(points=7.0 / args.grid)
     # integer numerators keep grid points at the exact rationals k/inv
     inv = round(1.0 / args.grid)
     grid = np.arange(inv + 1, 8 * inv + 1) / inv
@@ -474,13 +480,9 @@ def cmd_interval_certify(args):
     report = {
         "meta": _meta(args, "interval-certify"),
         "interval": spec.describe(),
-        "plan": {
-            "right_kind": plan.right_kind, "right_alpha": plan.right_alpha,
-            "left_kind": plan.left_kind, "left_alpha": plan.left_alpha,
-            "left_dual_endpoint": plan.left_dual_endpoint,
-            "external_reference": plan.external_reference,
-            "notes": list(plan.notes),
-        },
+        "plan": {key: getattr(plan, key) for key in (   # notes, a tuple, dumps as a list
+            "right_kind", "right_alpha", "left_kind", "left_alpha", "left_dual_endpoint",
+            "external_reference", "notes")},
         "per_p": _ROWS,
         "set_equal": True,
     }
@@ -490,12 +492,11 @@ def cmd_interval_certify(args):
                  f"right {plan.right_kind} {plan.right_alpha}",
                  f"left {plan.left_kind} {plan.left_alpha}",
                  "set_equal true"], report=report)
-    return 0
 
 
 def cmd_dissipativity(args):
-    _truncation_blocks(args.block)
-    _array_entries(f"--onset-max {args.onset_max}", args.onset_max + 1)
+    yield _Size(dim=triangular_end(max(args.block, 0)),
+                arrays=((f"--onset-max {args.onset_max}", args.onset_max + 1),))
     ratios = family_ratios(*_family(args), max(args.block + 2, args.onset_max + 1))
     w = dissipativity_witness(ratios, args.block)
     onset = dissipativity_norm_onset(ratios, k_max=args.onset_max)
@@ -504,27 +505,30 @@ def cmd_dissipativity(args):
           [w.block, w.pairing, w.closed_form, w.x_norm_sq, w.n_terms],
           extra=[f"norm_onset_block {onset if onset is not None else 'none'}"])
     if args.block in OVERLAP_BLOCKS:   # the closed form holds only past the overlap
-        return 0
+        return
     if w.pairing <= 0.0 or abs(w.pairing - w.closed_form) > 1e-9 * abs(w.closed_form):
         print("dissipativity pairing disagrees with its closed form", file=sys.stderr)
         return 2
-    return 0
 
 
 def cmd_uncond_constant(args):
+    n, size = args.n, _Size()
     # exact mode enumerates at most EXACT_TERM_LIMIT terms; n < 2 is refused below
-    if args.mode == "sampled" and args.n >= 2:
-        # the basis is synthesized from I_n into an n x dim array; checking
-        # n x n first keeps the permutation that sizes dim small
-        _array_entries(f"--n {args.n}", args.n * args.n)
-        _array_entries(f"--n {args.n}", args.n * basis_layout(args.n)[1].dim)
-    val = unconditional_constant(args.n, args.p, mode=args.mode, seed=args.seed)
+    if args.mode == "sampled" and n >= 2:
+        # I_n, the n x dim basis synthesized from it, and the sign rows times
+        # the basis; the layout holds the largest head pi(4k + 2) = b_k with
+        # 4k + 2 <= n, which lies in block k + 2
+        dim = triangular_end(max(triangular_block_index(n), (n - 2) // 4 + 2))
+        size = _Size(dim=dim, samples=SAMPLED_SIGNS, arrays=(
+            (f"--n {n}", n * n), (f"--n {n}", n * dim), (f"--n {n}", SAMPLED_SIGNS * dim)))
+    yield size
+    val = unconditional_constant(n, args.p, mode=args.mode, seed=args.seed)
     _emit(args, "uncond-constant", ["n", "p", "mode", "estimate"],
-          [args.n, args.p, args.mode, val])
-    return 0
+          [n, args.p, args.mode, val])
 
 
 def cmd_selftest(args):
+    yield _Size()
     numbers = set(_parse_ints(args.only)) if args.only else None
     results = run_all(numbers)
     with _Out(args.out) as fh:
@@ -542,101 +546,90 @@ def _build_parser(env_seed):
     parser = _Parser(prog="mrlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mrlab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    parser._mrlab_subparsers = {}
+    parser._mrlab_subparsers = subs.choices   # name -> subparser
 
-    def sub(name, fn, **kwargs):
-        sp = subs.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-                             **kwargs)
-        sp.set_defaults(func=fn)
-        sp.add_argument("--seed", default=env_seed,   # a string until main applies _seed
-                        help="RNG seed (default: MRLAB_SEED or 0)")
-        sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-        sp.add_argument("--config", default=None,
-                        help="JSON file whose entries override flags")
-        sp.add_argument("--format", default=None, choices=["csv", "json"],
-                        help="output format (default: csv tables, json reports)")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker hint; output does not depend on it")
-        parser._mrlab_subparsers[name] = sp
-        return sp
+    def flag(option, default=None, help=None, **kwargs):
+        """A flag that reads its default's type; a False default makes a switch."""
+        if default is False:
+            kwargs["action"] = "store_true"
+        elif isinstance(default, (int, float)):
+            kwargs["type"] = type(default)
+        return option, dict(default=default, help=help, **kwargs)
 
-    def family_flags(sp, default, *choices):
+    def family(default, *choices):
         """--family, --alpha and, where constant is a choice, --value."""
-        sp.add_argument("--family", default=default, choices=list(choices))
-        sp.add_argument("--alpha", type=float, default=0.25)
-        if CONSTANT in choices:
-            sp.add_argument("--value", type=float, default=0.1, help="constant family value")
+        value = [flag("--value", 0.1, "constant family value")] if CONSTANT in choices else []
+        return [flag("--family", default, choices=list(choices)), flag("--alpha", 0.25), *value]
 
-    sp = sub("gen-gamma", cmd_gen_gamma, help="dump a multiplier sequence as CSV")
-    family_flags(sp, "constant", "lacunary", "power", "powerlog", "constant", "geometric")
-    sp.add_argument("--n", type=int, default=64, help="sequence length")
-
-    sp = sub("pi-table", cmd_pi_table, help="dump the even permutation table")
-    sp.add_argument("--n", type=int, default=64)
-
-    sp = sub("semigroup-check", cmd_semigroup_check,
-             help="positivity scan of the semigroup matrices")
-    sp.add_argument("--gamma", default="lacunary",
-                    help="lacunary | power:A | powerlog:A | constant:C")
-    sp.add_argument("--tgrid", default="pow2:-10:10")
-    sp.add_argument("--n", type=int, default=128, help="truncation dimension")
-    sp.add_argument("--tol", type=float, default=1e-12)
-
-    sp = sub("bv-bound", cmd_bv_bound, help="variation bound for the lacunary semigroup")
-    sp.add_argument("--alpha", default="0.25,0.5,1.0")
-    sp.add_argument("--tgrid", default="geom:0.01:10:50")
-    sp.add_argument("--n", type=int, default=2000)
-
-    sp = sub("bip-check", cmd_bip_check, help="imaginary-power pair inequality")
-    family_flags(sp, "power", "power", "powerlog", "constant")
-    sp.add_argument("--tgrid", default="0.01,0.1,1,10,100")
-    sp.add_argument("--pairs", type=int, default=10000)
-
-    sp = sub("sector-probe", cmd_sector_probe, help="resolvent bounds along rays")
-    sp.add_argument("--gamma", default="lacunary")
-    sp.add_argument("--angles", default="0.5,1.0,1.5707963267948966")
-    sp.add_argument("--radii", default="geom:1:1e6:7")
-    sp.add_argument("--p", type=float, default=4.0)
-    sp.add_argument("--trials", type=int, default=3)
-    sp.add_argument("--n", type=int, default=64, help="truncation dimension")
-
-    sp = sub("rad-norm", cmd_rad_norm, help="exact vs sampled Rademacher norm")
-    sp.add_argument("--k", type=int, default=10, help="number of terms")
-    sp.add_argument("--blocks", type=int, default=6)
-    sp.add_argument("--p", type=float, default=3.0)
-    sp.add_argument("--samples", type=int, default=100000)
-
-    sp = sub("rbound-blowup", cmd_rbound_blowup, help="leaked-mass blow-up series")
-    family_flags(sp, "powerlog", "lacunary", "power", "powerlog")
-    sp.add_argument("--p", type=float, default=4.0)
-    sp.add_argument("--blocks", default="100,1000,10000", help="comma list of k")
-
-    sp = sub("diag-norm", cmd_diag_norm, help="diagonal-map norm and extremizer")
-    family_flags(sp, "power", "power", "powerlog", "constant", "geometric")
-    sp.add_argument("--p", type=float, default=4.0)
-    sp.add_argument("--blocks", type=int, default=20)
-
-    sp = sub("interval-certify", cmd_interval_certify,
-             help="plan families realizing a regularity interval")
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--right", required=True, help="number or 'inf'")
-    sp.add_argument("--left-closed", action="store_true")
-    sp.add_argument("--right-closed", action="store_true")
-    sp.add_argument("--grid", type=float, default=0.05)
-
-    sp = sub("dissipativity", cmd_dissipativity, help="sup-block dissipativity witness")
-    family_flags(sp, "power", "power", "powerlog", "constant", "geometric")
-    sp.add_argument("--block", type=int, default=30)
-    sp.add_argument("--onset-max", type=int, default=120)
-
-    sp = sub("uncond-constant", cmd_uncond_constant,
-             help="unconditional-constant lower estimate")
-    sp.add_argument("--n", type=int, default=12)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--mode", default="exact", choices=["exact", "sampled"])
-
-    sp = sub("selftest", cmd_selftest, help="run the acceptance suite")
-    sp.add_argument("--only", default=None, help="comma list of check numbers")
+    shared = [flag("--seed", env_seed,   # a string until main applies _seed
+                   "RNG seed (default: MRLAB_SEED or 0)"),
+              flag("--out", "-", "output path, '-' for stdout"),
+              flag("--config", None, "JSON file whose entries override flags"),
+              flag("--format", None, "output format (default: csv tables, json reports)",
+                   choices=["csv", "json"]),
+              flag("--jobs", 1, "worker hint; output does not depend on it")]
+    # name, generator, help, and the flags past the shared ones
+    for name, fn, text, *flags in [
+        ("gen-gamma", cmd_gen_gamma, "dump a multiplier sequence as CSV",
+         *family("constant", "lacunary", "power", "powerlog", "constant", "geometric"),
+         flag("--n", 64, "sequence length")),
+        ("pi-table", cmd_pi_table, "dump the even permutation table",
+         flag("--n", 64)),
+        ("semigroup-check", cmd_semigroup_check, "positivity scan of the semigroup matrices",
+         flag("--gamma", "lacunary", "lacunary | power:A | powerlog:A | constant:C"),
+         flag("--tgrid", "pow2:-10:10"),
+         flag("--n", 128, "truncation dimension"),
+         flag("--tol", 1e-12)),
+        ("bv-bound", cmd_bv_bound, "variation bound for the lacunary semigroup",
+         flag("--alpha", "0.25,0.5,1.0"),
+         flag("--tgrid", "geom:0.01:10:50"),
+         flag("--n", 2000)),
+        ("bip-check", cmd_bip_check, "imaginary-power pair inequality",
+         *family("power", "power", "powerlog", "constant"),
+         flag("--tgrid", "0.01,0.1,1,10,100"),
+         flag("--pairs", 10000)),
+        ("sector-probe", cmd_sector_probe, "resolvent bounds along rays",
+         flag("--gamma", "lacunary"),
+         flag("--angles", "0.5,1.0,1.5707963267948966"),
+         flag("--radii", "geom:1:1e6:7"),
+         flag("--p", 4.0),
+         flag("--trials", 3),
+         flag("--n", 64, "truncation dimension")),
+        ("rad-norm", cmd_rad_norm, "exact vs sampled Rademacher norm",
+         flag("--k", 10, "number of terms"),
+         flag("--blocks", 6),
+         flag("--p", 3.0),
+         flag("--samples", 100000)),
+        ("rbound-blowup", cmd_rbound_blowup, "leaked-mass blow-up series",
+         *family("powerlog", "lacunary", "power", "powerlog"),
+         flag("--p", 4.0),
+         flag("--blocks", "100,1000,10000", "comma list of k")),
+        ("diag-norm", cmd_diag_norm, "diagonal-map norm and extremizer",
+         *family("power", "power", "powerlog", "constant", "geometric"),
+         flag("--p", 4.0),
+         flag("--blocks", 20)),
+        ("interval-certify", cmd_interval_certify, "plan families realizing a regularity interval",
+         flag("--left", required=True),
+         flag("--right", None, "number or 'inf'", required=True),
+         flag("--left-closed", False),
+         flag("--right-closed", False),
+         flag("--grid", 0.05)),
+        ("dissipativity", cmd_dissipativity, "sup-block dissipativity witness",
+         *family("power", "power", "powerlog", "constant", "geometric"),
+         flag("--block", 30),
+         flag("--onset-max", 120)),
+        ("uncond-constant", cmd_uncond_constant, "unconditional-constant lower estimate",
+         flag("--n", 12),
+         flag("--p", 2.0),
+         flag("--mode", "exact", choices=["exact", "sampled"])),
+        ("selftest", cmd_selftest, "run the acceptance suite",
+         flag("--only", None, "comma list of check numbers")),
+    ]:
+        sp = subs.add_parser(name, help=text,
+                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sp.set_defaults(func=fn)
+        for option, kwargs in shared + flags:
+            sp.add_argument(option, **kwargs)
     return parser
 
 
@@ -681,7 +674,11 @@ def main(argv=None) -> int:
         if getattr(args, "format", None) is None:
             args.format = "json" if args.command == "interval-certify" else "csv"
         args.seed = _seed(args.seed)
-        return args.func(args)
+        run = args.func(args)
+        _admit(next(run))
+        next(run)
+    except StopIteration as done:   # the subcommand's exit code, None for 0
+        return done.value or 0
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 2

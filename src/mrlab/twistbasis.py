@@ -40,6 +40,7 @@ __all__ = [
     "EVEN_TWIST",
     "ODD_TWIST",
     "VARIANTS",
+    "SAMPLED_SIGNS",
     "TwistPermutation",
     "Coupling",
     "build_permutation",
@@ -57,6 +58,7 @@ PLAIN = "plain"
 EVEN_TWIST = "even-twist"
 ODD_TWIST = "odd-twist"
 VARIANTS = (PLAIN, EVEN_TWIST, ODD_TWIST)
+SAMPLED_SIGNS = 2000   # sign rows unconditional_constant draws in sampled mode
 
 
 def first_even_in_shifted_block(k):
@@ -279,7 +281,7 @@ def basis_layout(n: int, variant: str = EVEN_TWIST):
 
 
 def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
-                           variant: str = EVEN_TWIST, n_signs: int = 2000,
+                           variant: str = EVEN_TWIST, n_signs: int = SAMPLED_SIGNS,
                            ascent_sweeps: int = 2) -> float:
     """Lower estimate of the unconditional constant of the twisted basis.
 

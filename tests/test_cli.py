@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -557,6 +558,9 @@ def test_oversized_grid_is_refused_before_it_is_built(argv, capsys):
      2 * 10 ** 9),
     # n x n passes; the (3000, 282376) basis used to fail to allocate 12.6 GiB
     (["uncond-constant", "--n", "3000", "--mode", "sampled"], "--n 3000", 3000 * 282376),
+    # n x dim passes; the 2000 sampled sign rows times the (394, 5050) basis
+    # used to take 10100000 cells, a 185 MiB tracemalloc peak
+    (["uncond-constant", "--n", "394", "--mode", "sampled"], "--n 394", 2000 * 5050),
 ])
 def test_oversized_array_is_refused_before_it_is_built(argv, flags, entries, capsys):
     code, out, err = run_err(argv, capsys)
@@ -695,6 +699,11 @@ P_CHECK = "exponent must satisfy p > 1 (or p = inf)"
     (["semigroup-check", "--tgrid", "-1,2"], "the time grid must be nonempty and nonnegative"),
     (["sector-probe", "--angles", "-1,2"], "angles must lie strictly between 0 and pi"),
     (["sector-probe", "--radii", "-1,2"], "radii must be positive"),
+    # a negative block count used to be sized as k(k+1)/2 coordinates and
+    # refused as too large; it reads as the count 0 does
+    (["rad-norm", "--blocks", "-100000"], "need at least one block"),
+    (["diag-norm", "--blocks", "-100000"], "ratio sequence has no values"),
+    (["dissipativity", "--block", "-100000"], "block numbers are 1-based"),
 ])
 def test_negative_numbers_in_every_float_spelling_reach_the_value_checks(argv, message, capsys):
     # argparse took -inf, -nan, exponent forms and comma lists led by a
@@ -720,3 +729,71 @@ def test_words_after_a_minus_sign_are_still_flags(value, capsys):
     captured = capsys.readouterr()
     assert_one_line_usage_error(exc.value.code, captured.out, captured.err)
     assert "argument --p: expected one argument" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["semigroup-check", "--n", "0"], "--n must be at least 1"),
+    (["semigroup-check", "--n", "-5"], "--n must be at least 1"),
+    (["sector-probe", "--n", "-5"], "--n must be at least 1"),
+    (["sector-probe", "--trials", "0"], "--trials must be at least 1"),
+    (["sector-probe", "--trials", "-1"], "--trials must be at least 1"),
+])
+def test_counts_below_one_are_refused(argv, message, capsys):
+    # each used to exit 0, on a one-coordinate truncation or with one trial
+    # per ray, under a header that echoed the count it did not use
+    code, out, err = run_err(argv, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err == f"error: {message}\n"
+
+
+def stated_size(argv):
+    """The size record the subcommand of argv states before it builds anything."""
+    args = cli._build_parser("0").parse_args(argv)
+    return next(args.func(args))
+
+
+def traced_peak(argv):
+    """main(argv) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_refused_probe_builds_nothing(capsys):
+    # the operator of 4·10^6 coordinates used to be built before its 100
+    # trials per ray were refused: a 343 MiB peak
+    code, peak = traced_peak(["sector-probe", "--n", "4000000", "--trials", "100"])
+    assert_one_line_usage_error(code, *capsys.readouterr())
+    assert peak < 2 * 2 ** 20
+
+
+# the most a call may peak at, per 8 bytes of the largest array its record
+# states, at sizes where that array outweighs the fixed buffers (the probe
+# batches 2^14 cells); sector-probe's ascents hold about twenty complex
+# vectors of the truncation at once, 21.5 times its 2 n + 8 permutation
+PEAK_FACTOR = 24
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-gamma", "--n", "30000"],
+    ["pi-table", "--n", "30000"],
+    ["semigroup-check", "--n", "200000"],
+    ["bv-bound", "--n", "1000000", "--alpha", "0.25", "--tgrid", "1"],
+    ["bip-check", "--pairs", "1000000"],
+    ["sector-probe", "--n", "200000", "--trials", "1", "--angles", "1", "--radii", "1"],
+    ["sector-probe", "--n", "20000", "--radii", "1,1000"],
+    ["rad-norm", "--k", "2", "--blocks", "1000", "--samples", "100"],
+    ["rbound-blowup", "--blocks", "100,1000000"],
+    ["diag-norm", "--blocks", "4000"],
+    ["interval-certify", "--left", "1.5", "--right", "3", "--grid", "1e-4"],
+    ["dissipativity", "--onset-max", "1000000"],
+    ["uncond-constant", "--n", "60", "--mode", "sampled"],
+], ids=" ".join)
+def test_peak_memory_stays_within_the_stated_size(argv, tmp_path):
+    size = stated_size(argv)
+    largest = max(size.dim, size.points or 0, *(entries for _, entries in size.arrays))
+    code, peak = traced_peak(argv + ["--out", str(tmp_path / "table")])
+    assert code == 0
+    assert peak <= PEAK_FACTOR * 8 * largest

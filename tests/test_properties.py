@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrlab import cli
 from mrlab.blockspace import (
     BlockLayout,
     mixed_norm,
@@ -23,6 +24,7 @@ from mrlab.twistbasis import (
     VARIANTS,
     TwistPermutation,
     _coupling,
+    basis_layout,
     build_permutation,
     synthesis_cover,
     twisted_analysis,
@@ -184,3 +186,29 @@ def test_ratio_recurrence_round_trip(values):
     back = seq_from_ratios(c).recovered_ratios()
     assert back.size == c.size
     np.testing.assert_allclose(back, c, rtol=1e-15, atol=0.0)
+
+
+def stated_size(*argv):
+    """The size record the subcommand of argv states before it builds anything."""
+    args = cli._build_parser("0").parse_args(argv)
+    return next(args.func(args))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 10 ** 6))
+def test_operator_record_states_the_layout_and_its_cover_bound(n):
+    # the covering permutation stays within the 2 n + 8 entries the record
+    # admits, though it covers the whole layout, which may exceed n
+    layout = BlockLayout.triangular_covering(n)
+    assert TwistPermutation.covering(layout.dim).size <= 2 * n + 8
+    for command in ("semigroup-check", "sector-probe"):
+        size = stated_size(command, "--n", str(n))
+        assert size.dim == layout.dim
+        assert size.arrays[0] == (f"--n {n}", 2 * n + 8)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 3000))
+def test_sampled_basis_record_states_the_basis_layout(n):
+    size = stated_size("uncond-constant", "--n", str(n), "--mode", "sampled")
+    assert size.dim == basis_layout(n)[1].dim
