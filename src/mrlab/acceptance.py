@@ -131,11 +131,10 @@ def check_variation_bound() -> CheckResult:
     ok = True
     worst_slack = math.inf
     for alpha in (0.25, 0.5, 1.0):
-        computed, closed = bv_semigroup_bound(alpha, np.geomspace(0.01, 10.0, 50), 2000,
-                                              check=False)
+        computed, closed = bv_semigroup_bound(alpha, np.geomspace(0.01, 10.0, 50), 2000)
         ok = ok and bool(np.all(computed <= closed))
         worst_slack = min(worst_slack, float((closed - computed).min()))
-    _, closed_11 = bv_semigroup_bound(1.0, 1.0, 2000, check=False)
+    _, closed_11 = bv_semigroup_bound(1.0, 1.0, 2000)
     ok = ok and abs(closed_11 - 16.0 / math.e) <= 1e-12
     ok = ok and abs(closed_11 - 5.886071058743077) <= 1e-12
     return _result(4, "lacunary-variation-bound", 5.0, start, ok,

@@ -256,7 +256,7 @@ def plan_interval(interval: IntervalSpec, grid) -> MRPlan:
     if not np.array_equal(plan.grid_predicted, plan.grid_member):
         bad = grid[plan.grid_predicted != plan.grid_member]
         raise InvariantViolation(
-            f"planned set disagrees with {interval.describe()} at p = {bad[:5]}"
+            f"planned set disagrees with {interval.describe()} at p = {bad[:5].tolist()}"
         )
     return plan
 

@@ -335,7 +335,8 @@ def _operator_size(args):
 
 # -- subcommands --------------------------------------------------------------
 # Each is a generator: it yields its _Size record before it builds anything
-# and, once main has admitted the record, returns 2 when an invariant fails.
+# and, once main has admitted the record, writes its output, then raises
+# InvariantViolation, naming the numbers it compared, if an invariant fails.
 
 
 def cmd_gen_gamma(args):
@@ -365,28 +366,28 @@ def cmd_semigroup_check(args):
     grid = _parse_grid(args.tgrid)
     yield _operator_size(args)._replace(points=grid.size)
     rep = positivity_check(_gamma_operator(args), grid, tol=args.tol)
+    extra = [f"verdict {_fmt(rep.verdict)}",
+             f"monotone_pairs {_fmt(rep.monotone_pairs)}",
+             f"min_entry {_fmt(rep.min_entry)} at t {_fmt(rep.argmin_t)} column {rep.argmin_col}"]
     _emit(args, "semigroup-check", ["t", "min_entry", "verdict"],
-          [rep.t_grid, rep.per_t_min, rep.per_t_min >= -args.tol], extra=[
-        f"verdict {_fmt(rep.verdict)}",
-        f"monotone_pairs {_fmt(rep.monotone_pairs)}",
-        f"min_entry {_fmt(rep.min_entry)} at t {_fmt(rep.argmin_t)} "
-        f"column {rep.argmin_col}",
-    ])
+          [rep.t_grid, rep.per_t_min, rep.per_t_min >= -args.tol], extra=extra)
     if rep.verdict != rep.monotone_pairs:
-        print("positivity verdict disagrees with the pair monotonicity",
-              file=sys.stderr)
-        return 2
+        raise InvariantViolation("positivity verdict disagrees with the pair monotonicity: "
+                                 + ", ".join(extra))
 
 
 def cmd_bv_bound(args):
     alphas, ts = _parse_grid(args.alpha), _parse_grid(args.tgrid)
     yield _Size(points=alphas.size * ts.size, arrays=((f"--n {args.n}", args.n),))
-    per_alpha = [bv_semigroup_bound(alpha, ts, args.n, check=False) for alpha in alphas.tolist()]
+    per_alpha = [bv_semigroup_bound(alpha, ts, args.n) for alpha in alphas.tolist()]
     computed, closed = (np.concatenate(part) for part in zip(*per_alpha))
+    columns = [np.repeat(alphas, ts.size), np.tile(ts, alphas.size), computed, closed]
     ok = computed <= closed
-    _emit(args, "bv-bound", ["alpha", "t", "computed", "bound", "ok"],
-          [np.repeat(alphas, ts.size), np.tile(ts, alphas.size), computed, closed, ok])
-    return 0 if ok.all() else 2
+    _emit(args, "bv-bound", ["alpha", "t", "computed", "bound", "ok"], [*columns, ok])
+    if not ok.all():   # the first failing row
+        raise InvariantViolation(
+            "variation exceeds its closed-form bound at alpha %s t %s: computed %s, bound %s"
+            % tuple(_fmt(c[np.argmin(ok)]) for c in columns))
 
 
 def cmd_bip_check(args):
@@ -397,7 +398,8 @@ def cmd_bip_check(args):
     worst = max(0.0, *per_t.tolist())
     _emit(args, "bip-check", ["t", "worst_ratio"], [ts, per_t],
           extra=[f"worst_ratio {_fmt(worst)}"])
-    return 2 if worst > 1.0 else 0
+    if worst > 1.0:
+        raise InvariantViolation(f"imaginary-power pair ratio above 1: worst_ratio {_fmt(worst)}")
 
 
 def cmd_sector_probe(args):
@@ -438,8 +440,11 @@ def cmd_rad_norm(args):
         # sample's: a few draws may all land on one pattern and read 0
         se = float(np.std(s.pattern_squares)) / math.sqrt(args.samples)
         se = se / (2.0 * exact) if exact > 0.0 else se
-        if abs(sampled.value - exact) > 4.0 * max(se, 1e-15):
-            return 2
+        bound = 4.0 * max(se, 1e-15)
+        if abs(sampled.value - exact) > bound:
+            raise InvariantViolation(
+                f"sampled norm strays more than 4 standard errors from the exact norm: sampled "
+                f"{_fmt(sampled.value)}, exact {_fmt(exact)}, 4 standard errors {_fmt(bound)}")
 
 
 def cmd_rbound_blowup(args):
@@ -472,11 +477,7 @@ def cmd_interval_certify(args):
     # integer numerators keep grid points at the exact rationals k/inv
     inv = round(1.0 / args.grid)
     grid = np.arange(inv + 1, 8 * inv + 1) / inv
-    try:
-        plan = plan_interval(spec, grid=grid)
-    except InvariantViolation as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    plan = plan_interval(spec, grid=grid)
     report = {
         "meta": _meta(args, "interval-certify"),
         "interval": spec.describe(),
@@ -504,11 +505,13 @@ def cmd_dissipativity(args):
           ["block", "pairing", "closed_form", "x_norm_sq", "n_terms"],
           [w.block, w.pairing, w.closed_form, w.x_norm_sq, w.n_terms],
           extra=[f"norm_onset_block {onset if onset is not None else 'none'}"])
-    if args.block in OVERLAP_BLOCKS:   # the closed form holds only past the overlap
-        return
-    if w.pairing <= 0.0 or abs(w.pairing - w.closed_form) > 1e-9 * abs(w.closed_form):
-        print("dissipativity pairing disagrees with its closed form", file=sys.stderr)
-        return 2
+    bound = 1e-9 * abs(w.closed_form)
+    # the closed form holds only past the overlap
+    if args.block not in OVERLAP_BLOCKS and (
+            w.pairing <= 0.0 or abs(w.pairing - w.closed_form) > bound):
+        raise InvariantViolation(
+            f"dissipativity pairing is not positive and within 1e-9 relative of its closed form: "
+            f"pairing {_fmt(w.pairing)}, closed form {_fmt(w.closed_form)}, bound {_fmt(bound)}")
 
 
 def cmd_uncond_constant(args):
@@ -534,7 +537,9 @@ def cmd_selftest(args):
     with _Out(args.out) as fh:
         for res in results:
             fh.write(res.line() + "\n")
-    return 0 if all(r.passed for r in results) else 2
+    failed = [str(r.number) for r in results if not r.passed]
+    if failed:
+        raise InvariantViolation(f"acceptance checks failed: {','.join(failed)}")
 
 
 # -- wiring --------------------------------------------------------------------
@@ -676,15 +681,14 @@ def main(argv=None) -> int:
         args.seed = _seed(args.seed)
         run = args.func(args)
         _admit(next(run))
-        next(run)
-    except StopIteration as done:   # the subcommand's exit code, None for 0
-        return done.value or 0
+        next(run, None)
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 2
     except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

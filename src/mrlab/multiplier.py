@@ -26,7 +26,7 @@ import numpy as np
 
 from .blockspace import (_NORMAL_MIN, BlockLayout, _lp_of_blocks, block_norms, bv_norm,
                          mixed_norm, sequence_variation)
-from .errors import InvariantViolation, ParameterError, SingularityError
+from .errors import ParameterError, SingularityError
 from .sequences import MultiplierSeq, RatioSeq, family_seq, twisted_lacunary
 from .twistbasis import EVEN_TWIST, TwistPermutation, layout_coupling
 
@@ -253,7 +253,7 @@ def positivity_check(op: TwistedMultiplier, t_grid, tol: float = 1e-12) -> Posit
     """
     st = op.structure
     ts = np.asarray(t_grid, dtype=np.float64).ravel()
-    if ts.size == 0 or np.any(ts < 0.0):
+    if ts.size == 0 or not np.all(ts >= 0.0):   # written so that NaN fails it
         raise ParameterError("the time grid must be nonempty and nonnegative")
     if not 0.0 <= tol < math.inf:
         raise ParameterError(f"the tolerance must be finite and >= 0, not {tol}")
@@ -261,7 +261,9 @@ def positivity_check(op: TwistedMultiplier, t_grid, tol: float = 1e-12) -> Posit
     ts = np.unique(np.concatenate([ts, _extremal_times(log2, st)]))
 
     per_t = np.empty(ts.size)
-    batched = (ts > 0.0) & (ts < np.inf)    # t = 0, inf and NaN go one at a time
+    # t = 0 and inf go one at a time, as does the NaN extremal time of a
+    # pair whose values round equal
+    batched = (ts > 0.0) & (ts < np.inf)
     per_t[batched] = _entry_minima(op, ts[batched])
     for i in np.flatnonzero(~batched):
         per_t[i] = _entries_at(op, float(ts[i])).min()
@@ -378,13 +380,14 @@ def bv_closed_form(alpha: float, t: float) -> float:
     return a / (a - 1.0) * (2.0 ** (3.0 * alpha) + a - 2.0) * math.exp(-t)
 
 
-def bv_semigroup_bound(alpha: float, t, n: int, check: bool = True):
+def bv_semigroup_bound(alpha: float, t, n: int):
     """Variation of (e^{-t y_m^alpha}) for the twisted lacunary sequence.
 
     Returns (computed, closed_form), floats for a scalar t and arrays shaped
     like t otherwise; the closed form dominates the full infinite sum, so any
-    truncation must stay below it.  The sequence is built once, and the times
-    go in row blocks of about _SCAN_CELLS cells.
+    truncation must stay below it.  Nothing is judged here: the callers hold
+    computed <= closed_form (bv-bound's ok column).  The sequence is built
+    once, and the times go in row blocks of about _SCAN_CELLS cells.
     """
     ts = np.asarray(t, dtype=np.float64)
     # the closed form divides by 2^alpha - 1 and forms 2^(3 alpha); both are
@@ -403,13 +406,6 @@ def bv_semigroup_bound(alpha: float, t, n: int, check: bool = True):
         s = np.where(np.isnan(s), 0.0, s)
         computed[i:i + rows] = sequence_variation(s)
     closed = np.array([bv_closed_form(alpha, x) for x in flat.tolist()])
-    over = np.flatnonzero(computed > closed * (1.0 + 1e-12))
-    if check and over.size:
-        k = over[0]
-        raise InvariantViolation(
-            f"variation {computed[k]} exceeds the closed-form bound {closed[k]} "
-            f"at alpha={alpha}, t={flat[k]}"
-        )
     if ts.ndim == 0:
         return float(computed[0]), float(closed[0])
     return computed.reshape(ts.shape), closed.reshape(ts.shape)

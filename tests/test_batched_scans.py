@@ -15,7 +15,7 @@ import pytest
 
 from mrlab import cli, multiplier
 from mrlab.blockspace import BlockLayout, block_norms, bv_norm, mixed_norm
-from mrlab.errors import SingularityError
+from mrlab.errors import ParameterError, SingularityError
 from mrlab.multiplier import (
     TwistedMultiplier,
     opnorm_lower,
@@ -156,7 +156,7 @@ OPERATORS = {
 GRIDS = {
     "pow2": 2.0 ** np.arange(-10, 11),
     "with-zero": np.array([0.0, 1e-3, 1.0]),
-    "extremes": np.array([0.0, 5e-324, 1e-300, 1e300, np.inf, np.nan]),
+    "extremes": np.array([0.0, 5e-324, 1e-300, 1e300, np.inf]),
 }
 
 
@@ -170,6 +170,20 @@ def test_positivity_scan_matches_per_time_loop(name, grid):
     assert bits(rep.per_t_min) == bits(per_t)
     assert bits([rep.min_entry, rep.argmin_t]) == bits([best, arg_t])
     assert (rep.argmin_col, rep.verdict, rep.monotone_pairs) == (arg_col, verdict, monotone)
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_positivity_scan_refuses_nan_times(name):
+    # NaN passed the check ts < 0 and was scanned as a time
+    with pytest.raises(ParameterError, match="the time grid must be nonempty and nonnegative"):
+        positivity_check(OPERATORS[name](), np.append(GRIDS["extremes"], np.nan))
+
+
+@pytest.mark.parametrize("tgrid", ["nan", "1,nan"])
+def test_semigroup_check_refuses_nan_times(tgrid, capsys):
+    # --tgrid nan exited 0 with a row at t nan and a minimum of 0 at t nan
+    assert cli.main(["semigroup-check", "--tgrid", tgrid, "--n", "5"]) == 1
+    assert capsys.readouterr() == ("", "error: the time grid must be nonempty and nonnegative\n")
 
 
 def test_lacunary_case_has_infinite_gamma():
@@ -302,6 +316,8 @@ def test_sector_probe_draws_at_most_one_batch_ahead(monkeypatch):
     assert len(rep.skipped) == 1
     assert batches == [5, 5, 5, 5, 1]
     assert len(starts) == 3 * 7
+
+
 def test_opnorm_lower_zero_operator_has_no_witness():
     op = OPERATORS["even-constant"]()
     zero = np.zeros(op.structure.needed)

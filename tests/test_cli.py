@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mrlab import __version__, cli
+from mrlab import __version__, certify, cli
+from mrlab.acceptance import run_all
+from mrlab.certify import dissipativity_witness
 from mrlab.cli import main
+from mrlab.multiplier import bv_semigroup_bound, positivity_check
 from mrlab.rademacher import SampledNorm, rad_norm
 
 
@@ -214,7 +218,81 @@ def test_rad_norm_checks_the_exact_standard_error(shift, code, capsys, monkeypat
         return SampledNorm(exact + shift * se, got.stderr, got.samples)
 
     monkeypatch.setattr(cli, "rad_norm", shifted)
-    assert run(["rad-norm", "--k", "6", "--blocks", "4", "--samples", "3000"], capsys)[0] == code
+    code_run, out, err = run_err(["rad-norm", "--k", "6", "--blocks", "4", "--samples", "3000"],
+                                 capsys)
+    assert code_run == code
+    if code:
+        exact, sampled = out.splitlines()[-1].split(",")[2:4]
+        assert_one_violation(code, err, f"sampled {sampled}, exact {exact}, 4 standard errors ")
+    else:
+        assert err == ""
+
+
+# -- every exit 2: a violating kernel result, the table, one stderr line ---------
+
+
+def assert_one_violation(code, err, *numbers):
+    """Exit 2 and one stderr line that reports the violation with each of numbers."""
+    assert code == 2
+    assert err.startswith("invariant violated: ") and err.count("\n") == 1
+    for number in numbers:
+        assert number in err
+
+
+def test_semigroup_check_violation_states_the_minimum(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "positivity_check", lambda op, grid, tol: dataclasses.replace(
+        positivity_check(op, grid, tol=tol), verdict=False))
+    code, out, err = run_err(["semigroup-check", "--n", "64", "--tgrid", "0.5,2"], capsys)
+    minimum = next(l for l in out.splitlines() if l.startswith("# min_entry "))[2:]
+    assert_one_violation(code, err, "verdict false", "monotone_pairs true", minimum)
+    assert "t,min_entry,verdict\n" in out and out.endswith("\n2,0,true\n")
+
+
+def test_bv_bound_violation_states_the_first_failing_row(monkeypatch, capsys):
+    def lowered(alpha, t, n):   # a bound below the variation at alpha 0.5 and t 1
+        computed, closed = bv_semigroup_bound(alpha, t, n)
+        return computed, np.where((alpha == 0.5) & (t == 1.0), computed / 2, closed)
+
+    monkeypatch.setattr(cli, "bv_semigroup_bound", lowered)
+    code, out, err = run_err(["bv-bound", "--alpha", "0.25,0.5", "--tgrid", "0.1,1,10",
+                              "--n", "200"], capsys)
+    row = next(l for l in out.splitlines() if l.endswith(",false"))
+    alpha, t, computed, bound = row.split(",")[:4]
+    assert (alpha, t, out.count(",false")) == ("0.5", "1", 1)
+    assert_one_violation(code, err, f"at alpha 0.5 t 1: computed {computed}, bound {bound}")
+
+
+def test_bip_check_violation_states_the_worst_ratio(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "bip_pair_ratios", lambda *args: np.array([0.5, 1.25]))
+    code, out, err = run_err(["bip-check", "--pairs", "10", "--tgrid", "0.1,1"], capsys)
+    assert_one_violation(code, err, "worst_ratio 1.25")
+    assert "# worst_ratio 1.25\n" in out and out.endswith("\n1,1.25\n")
+
+
+def test_interval_certify_violation_states_the_disagreeing_points(monkeypatch, capsys):
+    # a right factor that holds everywhere plans p past the right endpoint
+    monkeypatch.setattr(certify.MRPlan, "right_factor", lambda self, p: p > 0.0)
+    code, out, err = run_err(["interval-certify", "--left", "1.5", "--right", "3"], capsys)
+    assert_one_violation(code, err, "planned set disagrees with (1.5, 3) at p = [3.")
+    assert out == ""
+
+
+def test_dissipativity_violation_states_the_pairing_and_closed_form(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "dissipativity_witness", lambda ratios, k: dataclasses.replace(
+        dissipativity_witness(ratios, k), pairing=-1.0))
+    code, out, err = run_err(["dissipativity", "--block", "30"], capsys)
+    pairing, closed = next(l for l in out.splitlines() if l.startswith("30,")).split(",")[1:3]
+    assert pairing == "-1"
+    assert_one_violation(code, err, f"pairing {pairing}, closed form {closed}, bound ")
+
+
+def test_selftest_violation_names_the_failed_checks(monkeypatch, capsys):
+    _counting_checks(monkeypatch)
+    monkeypatch.setattr(cli, "run_all", lambda numbers: [
+        dataclasses.replace(r, passed=r.number == 5) for r in run_all(numbers)])
+    code, out, err = run_err(["selftest", "--only", "3,5,12"], capsys)
+    assert (code, err) == (2, "invariant violated: acceptance checks failed: 3,12\n")
+    assert (out.count("[FAIL]"), out.count("[PASS]")) == (2, 1)
 
 
 def test_sector_probe_command(capsys):

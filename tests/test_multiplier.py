@@ -486,7 +486,7 @@ def test_bv_bound_over_a_time_grid_matches_the_oracle(n, monkeypatch):
     monkeypatch.setattr(multiplier, "_SCAN_CELLS", 3 * n + 1)
     ts = np.geomspace(1e-3, 40.0, 23).reshape(1, 23)
     for alpha in (0.05, 0.5, 1.0):
-        computed, closed = bv_semigroup_bound(alpha, ts, n, check=False)
+        computed, closed = bv_semigroup_bound(alpha, ts, n)
         assert computed.shape == closed.shape == ts.shape
         want = [bv_bound_oracle(alpha, t, n) for t in ts[0].tolist()]
         assert computed[0].tolist() == [c for c, _ in want]
