@@ -145,7 +145,12 @@ def block_norms(arr, layout: BlockLayout):
         sq = arr.real * arr.real + arr.imag * arr.imag
     else:
         sq = arr * arr
-    sums = np.add.reduceat(sq, layout.starts, axis=-1)
+    return _norms_of_sums(arr, layout, np.add.reduceat(sq, layout.starts, axis=-1))
+
+
+def _norms_of_sums(arr, layout, sums):
+    """The block norms of arr from its blocks' sums of squares ``sums``, as
+    ``block_norms`` describes; the caller ignores overflow."""
     out = np.sqrt(sums)
     if sums.size and not (sums.min() >= _NORMAL_MIN and sums.max() < math.inf):
         # a vector whose squares add up to ``shadow`` holds a block 2^53 times

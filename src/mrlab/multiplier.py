@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockspace import (_NORMAL_MIN, BlockLayout, _lp_of_blocks, block_norms, bv_norm,
+from .blockspace import (_NORMAL_MIN, BlockLayout, _lp_of_blocks, _norms_of_sums, bv_norm,
                          mixed_norm, sequence_variation)
 from .errors import ParameterError, SingularityError
 from .sequences import MultiplierSeq, RatioSeq, family_seq, twisted_lacunary
@@ -137,7 +137,8 @@ class TwistedMultiplier:
         st = self.structure
         # named: past 256 KiB numpy reuses a temporary right operand of the
         # output's shape and multiplies in swapped order, which rounds the
-        # complex products differently
+        # complex products differently (_ascend writes these products with
+        # out=, in this order)
         conj_diag = np.conj(diag)
         out = arr * conj_diag
         if st.off_rows.size:
@@ -239,6 +240,7 @@ class PositivityReport:
     argmin_col: int
     verdict: bool
     monotone_pairs: bool
+    monotone_values: bool
     per_t_min: np.ndarray = field(repr=False)
     t_grid: np.ndarray = field(repr=False)
 
@@ -261,8 +263,7 @@ def positivity_check(op: TwistedMultiplier, t_grid, tol: float = 1e-12) -> Posit
     ts = np.unique(np.concatenate([ts, _extremal_times(log2, st)]))
 
     per_t = np.empty(ts.size)
-    # t = 0 and inf go one at a time, as does the NaN extremal time of a
-    # pair whose values round equal
+    # t = 0 and inf go one at a time
     batched = (ts > 0.0) & (ts < np.inf)
     per_t[batched] = _entry_minima(op, ts[batched])
     for i in np.flatnonzero(~batched):
@@ -271,17 +272,23 @@ def positivity_check(op: TwistedMultiplier, t_grid, tol: float = 1e-12) -> Posit
     cols = np.concatenate([np.arange(op.layout.dim), st.off_cols])
     arg_col = int(cols[np.argmin(_entries_at(op, float(ts[i])))]) + 1
     best = float(per_t[i])
-    monotone = bool(np.all(log2[st.off_hi - 1] <= log2[st.off_lo - 1]))  # True with no pairs
-    return PositivityReport(min_entry=best, argmin_t=float(ts[i]), argmin_col=arg_col,
-                            verdict=bool(best >= -tol), monotone_pairs=monotone,
-                            per_t_min=per_t, t_grid=ts)
+    # True with no pairs; the values are the rounded ones the entries read
+    gamma = op._gamma
+    return PositivityReport(
+        min_entry=best, argmin_t=float(ts[i]), argmin_col=arg_col, verdict=bool(best >= -tol),
+        monotone_pairs=bool(np.all(log2[st.off_hi - 1] <= log2[st.off_lo - 1])),
+        monotone_values=bool(np.all(gamma[st.off_hi - 1] <= gamma[st.off_lo - 1])),
+        per_t_min=per_t, t_grid=ts)
 
 
 def _extremal_times(log2, st):
-    """Per coupled pair with finite, distinct values a, b: |ln(b/a)| / |b - a|."""
+    """Per coupled pair with finite values a, b that differ once rounded:
+    |ln(b/a)| / |b - a|."""
     hi, lo = log2[st.off_hi - 1], log2[st.off_lo - 1]
-    keep = (hi < _LOG2_HUGE) & (lo < _LOG2_HUGE) & (hi != lo)
+    keep = (hi < _LOG2_HUGE) & (lo < _LOG2_HUGE)
     a, b = np.exp2(hi[keep]), np.exp2(lo[keep])
+    differ = a != b
+    a, b = a[differ], b[differ]
     # math.log per pair: np.log differs from it in the last bit on some ratios
     logs = np.array([math.log(r) for r in (b / a).tolist()], dtype=np.float64)
     return np.abs(logs) / np.abs(b - a)
@@ -425,10 +432,10 @@ class SectorialityReport:
     skipped: tuple = ()
 
 
-def _j_map(z, bn, exponent, layout):
-    """Norming directions of the rows of z, whose block norms are bn: block
-    weights bn^(e-2); e = inf concentrates on the top block.  Zero rows map
-    to zero.
+def _j_map(z, bn, exponent, layout, out):
+    """Norming directions of the rows of z, whose block norms are bn, written
+    into ``out`` (not z): block weights bn^(e-2); e = inf concentrates on the
+    top block.  Zero rows map to zero.
 
     A row whose image, of block norms bn^(e-1), has its largest block norm
     outside the normal float range is weighed again as (z / bn) (bn / peak)^(e-1),
@@ -439,13 +446,13 @@ def _j_map(z, bn, exponent, layout):
     if exponent == math.inf:
         weights = np.where(bn == bn.max(axis=-1, keepdims=True), 1.0, 0.0)
         scale = np.where(bn > 0.0, weights / safe, 0.0)
-        return z * np.repeat(scale, layout.sizes, axis=-1)
+        return np.multiply(z, np.repeat(scale, layout.sizes, axis=-1), out=out)
     # a weight or an image past the float range raises a floating-point flag
     # here; only then are the rows read one by one
     flags = []
     with np.errstate(over="call", under="call", invalid="call", call=lambda *_: flags.append(1)):
         scale = np.where(bn > 0.0, safe ** (exponent - 2.0), 0.0)
-        out = z * np.repeat(scale, layout.sizes, axis=-1)
+        np.multiply(z, np.repeat(scale, layout.sizes, axis=-1), out=out)
     if not flags:
         return out
     with np.errstate(over="ignore", invalid="ignore"):
@@ -464,70 +471,132 @@ def _j_map(z, bn, exponent, layout):
     return out
 
 
-def _start(rng, dim):
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+@np.errstate(over="ignore")   # as in block_norms
+def _block_norms(arr, layout, sq, tmp):
+    """``block_norms`` of the complex rows of arr, their squares formed in the
+    float buffers sq and tmp of arr's shape."""
+    np.multiply(arr.real, arr.real, out=sq)
+    np.multiply(arr.imag, arr.imag, out=tmp)
+    np.add(sq, tmp, out=sq)
+    return _norms_of_sums(arr, layout, np.add.reduceat(sq, layout.starts, axis=-1))
 
 
-def _ascend(op, rows, p):
-    """Duality-map power ascents from a batch of (lam, diag, off, start) rows, run together.
+def _start(rng, out):
+    """Draw a standard complex normal start into ``out``, real parts first."""
+    re = rng.standard_normal(out.size)
+    np.multiply(1j, rng.standard_normal(out.size), out=out)
+    np.add(re, out, out=out)
+
+
+def _ascend(op, rows, p, witness=False):
+    """Duality-map power ascents from a batch of (lam, diag, off, rng) rows, run together.
 
     Row k ascends lam_k times the multiplier with the entries (diag_k,
-    off_k) of ``TwistedMultiplier.symbols`` from start_k.  An ascent stops
-    once its image or its next iterate has norm zero; the others take
-    _ASCENT_STEPS steps and a last evaluation.  Returns each ascent's
-    largest image norm (0.0 if none is positive) and the earliest iterate
-    attaining it.
+    off_k) of ``TwistedMultiplier.symbols`` from the start ``_start`` draws
+    from rng_k, rows in order.  An ascent stops once its image or its next
+    iterate has norm zero; the others take _ASCENT_STEPS steps and a last
+    evaluation.  Returns each ascent's largest image norm (0.0 if none is
+    positive) and, with ``witness``, the earliest iterate attaining it.
+
+    The iterates and the images live in two complex buffers of the batch's
+    shape, written in place with every product in the operand order of
+    ``apply_symbols`` and ``adjoint_apply_symbols``; rows move up only when
+    one stops.  The entries and the adjoint's conj(lam diag) and conj(lam off)
+    are formed once per batch: the rows' shared (diag, off) when they hold
+    one, else one row of each per row.
     """
-    lam, diag, off, v = (np.stack(x) for x in zip(*rows))
-    lam = lam[:, None]
-    lam_diag, lam_off = lam * diag, lam * off
-    layout = op.layout
-    v = v / mixed_norm(v, p, layout)[:, None]   # rejects p <= 1 before q is formed
+    layout, st = op.layout, op.structure
+    n, dim, n_off = len(rows), layout.dim, st.off_rows.size
+    v = np.empty((n, dim), dtype=np.complex128)
+    for k, row in enumerate(rows):
+        _start(row[3], v[k])
+    np.divide(v, mixed_norm(v, p, layout)[:, None], out=v)   # rejects p <= 1 before q is formed
     q = 1.0 if p == math.inf else p / (p - 1.0)
-    best = np.zeros(v.shape[0])
-    best_v = v.copy()
-    active = np.arange(v.shape[0])
+    lam = np.array([row[0] for row in rows], dtype=np.complex128)[:, None]
+    lam0, diag0, off0 = rows[0][:3]
+    if all(row[1] is diag0 and row[2] is off0 and row[0] == lam0 for row in rows):
+        entries = [diag0, off0, lam0 * diag0, lam0 * off0]
+    else:
+        entries = [np.stack([row[1] for row in rows]), np.stack([row[2] for row in rows])]
+        entries += [lam * entries[0], lam * entries[1]]
+    for adjoint in entries[2:]:
+        np.conj(adjoint, out=adjoint)
+    best = np.zeros(n)
+    best_v = v.copy() if witness else None
+    active = np.arange(n)
+    z = np.empty_like(v)
+    sq, tmp = np.empty((n, dim)), np.empty((n, dim))
+    # the coupling entries of every row as flat positions in the batch
+    shift = np.arange(n)[:, None] * dim
+    flat_rows, flat_cols = (shift + st.off_rows).ravel(), (shift + st.off_cols).ravel()
+    gathered = np.empty(n * n_off, dtype=np.complex128)
+
+    def apply_entries(k, diag, off, pick, put):
+        # z = v * diag, then z[put] += off * v[pick], on the first k rows
+        np.multiply(v[:k], diag, out=z[:k])
+        if n_off:
+            got = gathered[:k * n_off]
+            np.take(v.reshape(-1), pick[:got.size], out=got)
+            np.multiply(off, got.reshape(k, n_off), out=got.reshape(k, n_off))
+            z.reshape(-1)[put[:got.size]] += got
+
     for step in range(_ASCENT_STEPS + 1):
-        at = slice(None) if active.size == v.shape[0] else active   # a view while all run
-        z = lam[at] * op.apply_symbols(diag[at], off[at], v[at])
-        bn = block_norms(z, layout)
+        k = active.size
+        apply_entries(k, entries[0], entries[1], flat_cols, flat_rows)   # z = lam A v
+        np.multiply(lam, z[:k], out=z[:k])
+        bn = _block_norms(z[:k], layout, sq[:k], tmp[:k])
         nz = _lp_of_blocks(bn, p)
         up = nz > best[active]
         best[active[up]] = nz[up]
-        best_v[active[up]] = v[active[up]]
+        if witness:
+            best_v[active[up]] = v[:k][up]
         if step == _ASCENT_STEPS:
             break
-        live = nz != 0.0
-        active = active[live]
-        w = op.adjoint_apply_symbols(lam_diag[active], lam_off[active],
-                                     _j_map(z[live], bn[live], p, layout))
-        v_new = _j_map(w, block_norms(w, layout), q, layout)
-        nv = mixed_norm(v_new, p, layout)
-        live = nv != 0.0
-        active = active[live]
-        v[active] = v_new[live] / nv[live][:, None]
-        if not active.size:
-            break
+        if not nz.all():
+            active, lam, entries, bn = _compact(nz != 0.0, z, active, lam, entries, bn)
+            k = active.size
+            if not k:
+                break
+        _j_map(z[:k], bn, p, layout, out=v[:k])
+        apply_entries(k, entries[2], entries[3], flat_rows, flat_cols)   # z = A* J_p(lam A v)
+        _j_map(z[:k], _block_norms(z[:k], layout, sq[:k], tmp[:k]), q, layout, out=v[:k])
+        nv = _lp_of_blocks(_block_norms(v[:k], layout, sq[:k], tmp[:k]), p)
+        if not nv.all():
+            active, lam, entries, nv = _compact(nv != 0.0, v, active, lam, entries, nv)
+            if not active.size:
+                break
+        np.divide(v[:nv.size], nv[:, None], out=v[:nv.size])
     return best, best_v
 
 
-def _ascents(op, rows, p):
-    """Ascents of the (lam, diag, off, start) rows an iterable yields, drawn
-    _PROBE_CELLS // dim rows per batch, so at most one batch is held at once.
+def _compact(live, buf, active, lam, entries, norms):
+    """Move the live rows of buf up, and keep their indices, lams, entries
+    (where they are one row per row) and norms."""
+    keep = np.flatnonzero(live)
+    buf[:keep.size] = buf[keep]
+    return (active[keep], lam[keep], [e[keep] if e.ndim == 2 else e for e in entries],
+            norms[keep])
 
-    Returns each row's largest image norm, rows in order, and the earliest
-    iterate attaining the largest of them (None when none is positive).
+
+def _ascents(op, rows, p, witness=False):
+    """Ascents of the (lam, diag, off, rng) rows an iterable yields, drawn
+    _PROBE_CELLS // dim rows per batch: a batch's rows, and their starts, are
+    drawn when it runs.
+
+    Returns each row's largest image norm, rows in order, and, with
+    ``witness``, the earliest iterate attaining the largest of them (None
+    when none is positive, or without ``witness``).
     """
     rows = iter(rows)
     size = max(1, _PROBE_CELLS // op.layout.dim)
-    best, top, witness = [], 0.0, None
+    best, top, found = [], 0.0, None
     while batch := list(itertools.islice(rows, size)):
-        vals, vecs = _ascend(op, batch, p)
-        k = int(np.argmax(vals))
-        if vals[k] > top:
-            top, witness = vals[k], vecs[k].copy()
+        vals, vecs = _ascend(op, batch, p, witness)
+        if witness and vals.max() > top:
+            k = int(np.argmax(vals))
+            top, found = vals[k], vecs[k].copy()
         best.extend(vals.tolist())
-    return best, witness
+    return best, found
 
 
 def opnorm_lower(op: TwistedMultiplier, g, p, trials: int = 4, seed: int = 0):
@@ -541,8 +610,8 @@ def opnorm_lower(op: TwistedMultiplier, g, p, trials: int = 4, seed: int = 0):
     """
     diag, off = op.symbols(g)
     rng = np.random.default_rng(seed)
-    rows = ((1.0, diag, off, _start(rng, op.layout.dim)) for _ in range(max(1, trials)))
-    best, witness = _ascents(op, rows, p)
+    best, witness = _ascents(op, ((1.0, diag, off, rng) for _ in range(max(1, trials))), p,
+                             witness=True)
     return max(best), witness
 
 
@@ -578,9 +647,10 @@ def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
 
 
 def _ray_rows(op, angles, radii, trials, seed, singular, bv_upper):
-    """The probe's (lam, diag, off, start) rows, ``trials`` per ray, rays in
-    order; marks each singular ray in ``singular`` and fills ``bv_upper``
-    with the variation norm of each other ray's symbol as it goes."""
+    """The probe's (lam, diag, off, rng) rows, ``trials`` per ray, rays in
+    order, each ray's rows with one (diag, off) and one generator of starts;
+    marks each singular ray in ``singular`` and fills ``bv_upper`` with the
+    variation norm of each other ray's symbol as it goes."""
     for i, theta in enumerate(angles):
         for j, r in enumerate(radii):
             lam = r * cmath.exp(1j * (math.pi - theta))
@@ -589,9 +659,17 @@ def _ray_rows(op, angles, radii, trials, seed, singular, bv_upper):
             except SingularityError:
                 singular[i, j] = True
                 continue
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                symbol = lam / (lam - op._gamma)
-            bv_upper[i, j] = bv_norm(np.where(np.isfinite(symbol), symbol, 0.0))
+            bv_upper[i, j] = _symbol_variation(lam, op._gamma)
             rng = np.random.default_rng(seed + 7 * i + j)
             for _ in range(trials):
-                yield lam, diag, off, _start(rng, op.layout.dim)
+                yield lam, diag, off, rng
+
+
+def _symbol_variation(lam, gamma):
+    """``bv_norm`` of the symbol lam / (lam - gamma), read as 0 where it is not
+    finite: formed in place, and released before the ray's ascents run."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        symbol = np.subtract(lam, gamma)
+        np.divide(lam, symbol, out=symbol)
+    symbol[~np.isfinite(symbol)] = 0.0
+    return bv_norm(symbol)

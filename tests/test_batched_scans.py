@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mrlab import cli, multiplier
-from mrlab.blockspace import BlockLayout, block_norms, bv_norm, mixed_norm
+from mrlab.blockspace import _NORMAL_MIN, BlockLayout, block_norms, bv_norm, mixed_norm
 from mrlab.errors import ParameterError, SingularityError
 from mrlab.multiplier import (
     TwistedMultiplier,
@@ -53,9 +53,10 @@ def positivity_oracle(op, t_grid, tol=1e-12):
     finite = log2 < 600.0
     extra = []
     for hi, lo in zip(st.off_hi, st.off_lo):
-        if finite[hi - 1] and finite[lo - 1] and log2[hi - 1] != log2[lo - 1]:
+        if finite[hi - 1] and finite[lo - 1]:
             a, b = np.exp2(log2[hi - 1]), np.exp2(log2[lo - 1])
-            extra.append(abs(math.log(b / a)) / abs(b - a))
+            if a != b:
+                extra.append(abs(math.log(b / a)) / abs(b - a))
     ts = np.unique(np.concatenate([ts, np.asarray(extra)])) if extra else np.unique(ts)
     best, arg_t, arg_col = np.inf, float("nan"), -1
     per_t = np.empty(ts.size)
@@ -79,9 +80,18 @@ def j_map_oracle(z, exponent, layout):
     if exponent == math.inf:
         weights = np.where(bn == bn.max(), 1.0, 0.0)
         scale = np.where(bn > 0.0, weights / safe, 0.0)
-    else:
+        return z * np.repeat(scale, layout.sizes)
+    with np.errstate(all="ignore"):
         scale = np.where(bn > 0.0, safe ** (exponent - 2.0), 0.0)
-    return z * np.repeat(scale, layout.sizes)
+        if _NORMAL_MIN <= (bn * scale).max() < math.inf:
+            return z * np.repeat(scale, layout.sizes)
+    # the image's largest block norm leaves the normal range: the same
+    # direction as (z / bn) (bn / peak)^(e - 1), block by block
+    unit = np.empty_like(z)
+    unit.real = z.real / np.repeat(safe, layout.sizes)
+    unit.imag = z.imag / np.repeat(safe, layout.sizes)
+    ratio = bn / bn.max()
+    return unit * np.repeat(ratio ** (exponent - 1.0), layout.sizes)
 
 
 def opnorm_oracle(apply_fn, adjoint_fn, layout, p, trials=4, iters=12, seed=0):
@@ -219,6 +229,34 @@ def test_sector_probe_matches_per_trial_loop(source, n, p, trials, seed):
     assert rep.skipped == skipped
 
 
+@pytest.mark.parametrize("source, n", [("power:0.25", 64), ("lacunary", 64),
+                                       ("constant:0.01", 120)])
+@pytest.mark.parametrize("p", [1.001, 1000.0])
+def test_sector_probe_matches_per_trial_loop_at_extreme_exponents(source, n, p):
+    # at one of the exponents p and q the duality map's weights leave the
+    # float range, and _j_map weighs those rows again into its output buffer
+    op = gamma_op(source, n)
+    lower, bv_upper, skipped = probe_oracle(op, DEFAULT_ANGLES, DEFAULT_RADII, p, 3, 0)
+    rep = sectoriality_probe(op, DEFAULT_ANGLES, DEFAULT_RADII, p=p, trials=3, seed=0)
+    assert bits(rep.lower) == bits(lower)
+    assert bits(rep.bv_upper) == bits(bv_upper)
+
+
+@pytest.mark.parametrize("rows", [1, 17])
+def test_sector_probe_splits_rays_across_batches(rows, monkeypatch):
+    # rays of 5 trials over batches of one row, and over batches of 17 rows
+    # of 1035 coordinates: 275 KiB a buffer, past the 256 KiB from which
+    # numpy reuses a temporary operand and would swap complex products
+    op = TwistedMultiplier.covering(1000, "lacunary")
+    angles, radii = [1.0, 2.0], [1.0, 1e3, 1e6]
+    lower, bv_upper, _ = probe_oracle(op, angles, radii, 3.0, 5, 2)
+    monkeypatch.setattr(multiplier, "_PROBE_CELLS", rows * op.layout.dim)
+    assert rows * op.layout.dim * 16 > 1 << 18 or rows == 1
+    rep = sectoriality_probe(op, angles, radii, p=3.0, trials=5, seed=2)
+    assert bits(rep.lower) == bits(lower)
+    assert bits(rep.bv_upper) == bits(bv_upper)
+
+
 def test_sector_probe_batches_across_rays_and_skips(monkeypatch):
     # radii on the spectrum with lam almost on the positive axis are
     # singular and skipped; batches of 2 rows split rays of 3 trials
@@ -281,7 +319,8 @@ def test_opnorm_lower_matches_per_trial_loop(trials, cells, monkeypatch):
 
 
 @pytest.mark.parametrize("p, symbol", [
-    (1.5, imaginary_power_symbol), (math.inf, imaginary_power_symbol),
+    (1.001, imaginary_power_symbol), (1.5, imaginary_power_symbol),
+    (1000.0, imaginary_power_symbol), (math.inf, imaginary_power_symbol),
     (1.5, zeros_symbol), (2.5, zeros_symbol), (math.inf, zeros_symbol),
 ])
 @pytest.mark.parametrize("trials, cells", TRIALS_CELLS)
@@ -300,14 +339,16 @@ def test_sector_probe_draws_at_most_one_batch_ahead(monkeypatch):
     starts, batches = [], []
     start, ascend = multiplier._start, multiplier._ascend
 
-    def counted_start(rng, dim):
-        starts.append(dim)
-        return start(rng, dim)
+    def counted_start(rng, out):
+        starts.append(out.size)
+        return start(rng, out)
 
-    def counted_ascend(op, rows, p):
-        batches.append(len(rows))
+    def counted_ascend(op, rows, p, witness):
         assert len(starts) == sum(batches)
-        return ascend(op, rows, p)
+        batches.append(len(rows))
+        found = ascend(op, rows, p, witness)
+        assert len(starts) == sum(batches)
+        return found
 
     monkeypatch.setattr(multiplier, "_start", counted_start)
     monkeypatch.setattr(multiplier, "_ascend", counted_ascend)

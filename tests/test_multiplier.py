@@ -89,10 +89,6 @@ off_spectrum = hs.builds(complex, hs.floats(-100.0, 100.0), hs.floats(0.5, 1e6))
     hs.floats(-1e4, -0.01).map(complex)
 
 
-def examples(n):
-    return settings(max_examples=n, database=None, deadline=None)
-
-
 def random_vector(seed, dim):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -169,7 +165,7 @@ def test_spectrum_closed_truncation_is_head_of_sequence():
     assert np.abs(eig.imag).max() < 1e-10
 
 
-@examples(20)
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(variants, hs.integers(1, 7), hs.floats(0.01, 0.3))
 def test_spectrum_general_truncation_matches_eig(variant, n_blocks, c):
     # most truncations are not closed under the coupling; as the coupling rows
@@ -180,7 +176,7 @@ def test_spectrum_general_truncation_matches_eig(variant, n_blocks, c):
     assert np.abs(eig.imag).max() <= 1e-8 * op.spectrum().max()
 
 
-@examples(30)
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(variants, sizes, families, off_spectrum, seeds)
 def test_resolvent_inverts_shift(variant, n_blocks, family, lam, seed):
     # (lam - A) R(lam) v = v
@@ -191,7 +187,7 @@ def test_resolvent_inverts_shift(variant, n_blocks, family, lam, seed):
 
 
 @pytest.mark.parametrize("variant", [EVEN_TWIST, ODD_TWIST, PLAIN])
-@examples(25)
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(sizes, families, off_spectrum, off_spectrum, seeds)
 def test_resolvent_identity(variant, n_blocks, family, lam, mu, seed):
     # R(lam) - R(mu) = (mu - lam) R(lam) R(mu)
@@ -234,7 +230,7 @@ def test_resolvent_coefficient_at_minus_even_value():
 
 
 @pytest.mark.parametrize("variant", [EVEN_TWIST, ODD_TWIST])
-@examples(25)
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(sizes, families, hs.floats(0.0, 20.0), hs.floats(0.0, 20.0), seeds)
 def test_semigroup_identity_at_zero_and_composition(variant, n_blocks, family, s, t, seed):
     # T(0) = I and T(s) T(t) = T(s + t)
@@ -330,7 +326,7 @@ def test_imaginary_power_identity_and_unimodular_diagonal():
         op.imaginary_power(float("nan"), v)
 
 
-@examples(30)
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(variants, sizes, families, hs.floats(-10.0, 10.0), hs.floats(-10.0, 10.0), seeds)
 def test_imaginary_power_group_law(variant, n_blocks, family, s, t, seed):
     # A^{is} A^{it} = A^{i(s + t)}
@@ -341,7 +337,7 @@ def test_imaginary_power_group_law(variant, n_blocks, family, s, t, seed):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10 * np.abs(v).max())
 
 
-@examples(40)
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(variants, hs.integers(1, 12), families, hs.integers(1, 4), seeds)
 def test_truncation_commutes_with_composition(variant, n_blocks, family, n_factors, seed):
     # the truncated multipliers of the symbols q_k/(q_k - x) compose to the
