@@ -40,10 +40,10 @@ grid = 2.0 ** np.arange(-10, 11)
 rep = positivity_check(lac, grid)
 print("twisted lacunary sequence (pairs decrease):")
 print(f"  min semigroup entry over the grid: {rep.min_entry:.3e}")
-print(f"  positive = {rep.verdict}, pairs monotone = {rep.monotone_pairs}\n")
+print(f"  positive = {rep.min_entry >= -1e-12}, pairs monotone = {rep.monotone_pairs}\n")
 
 rep = positivity_check(inc, grid)
 print("strictly increasing sequence from the ratio recurrence:")
 print(f"  min semigroup entry over the grid: {rep.min_entry:.3e} "
       f"at t = {rep.argmin_t:.4g}, column {rep.argmin_col}")
-print(f"  positive = {rep.verdict}, pairs monotone = {rep.monotone_pairs}")
+print(f"  positive = {rep.min_entry >= -1e-12}, pairs monotone = {rep.monotone_pairs}")

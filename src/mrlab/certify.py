@@ -272,6 +272,17 @@ class DissipativityWitness:
     block: int
     n_terms: int
 
+    def violation(self):
+        """The InvariantViolation if, past the overlap, the pairing strays more than
+        1e-9 relative from its closed form (a sum of squared rounded gaps), else None."""
+        pairing, closed = self.pairing, self.closed_form
+        bound = 1e-9 * closed
+        if self.block in OVERLAP_BLOCKS or abs(pairing - closed) <= bound:
+            return None
+        return InvariantViolation(
+            "dissipativity pairing is not positive and within 1e-9 relative of its closed form: "
+            f"pairing {pairing:.17g}, closed form {closed:.17g}, bound {bound:.17g}")
+
 
 def dissipativity_witness(ratios: RatioSeq, k: int) -> DissipativityWitness:
     """Evaluate the pairing <Bx, x*> for the block-k witness vector.

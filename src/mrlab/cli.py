@@ -26,7 +26,6 @@ from . import __version__
 from .acceptance import run_all
 from .blockspace import EXACT_TERM_LIMIT, BlockLayout, triangular_block_index, triangular_end
 from .certify import (
-    OVERLAP_BLOCKS,
     IntervalSpec,
     diagonal_norm,
     dissipativity_norm_onset,
@@ -335,8 +334,8 @@ def _operator_size(args):
 
 # -- subcommands --------------------------------------------------------------
 # Each is a generator: it yields its _Size record before it builds anything
-# and, once main has admitted the record, writes its output, then raises
-# InvariantViolation, naming the numbers it compared, if an invariant fails.
+# and, once main has admitted the record, writes its output; its last yield,
+# if any, is the InvariantViolation of a failed invariant or None.
 
 
 def cmd_gen_gamma(args):
@@ -365,18 +364,15 @@ def cmd_pi_table(args):
 def cmd_semigroup_check(args):
     grid = _parse_grid(args.tgrid)
     yield _operator_size(args)._replace(points=grid.size)
-    rep = positivity_check(_gamma_operator(args), grid, tol=args.tol)
-    extra = [f"verdict {_fmt(rep.verdict)}",
+    rep = positivity_check(_gamma_operator(args), grid)
+    if not 0.0 <= args.tol < math.inf:   # --tol sets only the printed verdicts
+        raise ParameterError(f"the tolerance must be finite and >= 0, not {args.tol}")
+    extra = [f"verdict {_fmt(rep.min_entry >= -args.tol)}",
              f"monotone_pairs {_fmt(rep.monotone_pairs)}",
              f"min_entry {_fmt(rep.min_entry)} at t {_fmt(rep.argmin_t)} column {rep.argmin_col}"]
     _emit(args, "semigroup-check", ["t", "min_entry", "verdict"],
           [rep.t_grid, rep.per_t_min, rep.per_t_min >= -args.tol], extra=extra)
-    # positive entries iff every coupled pair's rounded values decrease; --tol
-    # sets only the printed verdicts
-    if (rep.min_entry >= 0.0) != rep.monotone_values:
-        raise InvariantViolation(
-            "the sign of the smallest entry disagrees with the monotonicity of the pair values: "
-            f"{extra[2]}, monotone_values {_fmt(rep.monotone_values)}")
+    yield rep.violation()
 
 
 def cmd_bv_bound(args):
@@ -387,10 +383,9 @@ def cmd_bv_bound(args):
     columns = [np.repeat(alphas, ts.size), np.tile(ts, alphas.size), computed, closed]
     ok = computed <= closed
     _emit(args, "bv-bound", ["alpha", "t", "computed", "bound", "ok"], [*columns, ok])
-    if not ok.all():   # the first failing row
-        raise InvariantViolation(
-            "variation exceeds its closed-form bound at alpha %s t %s: computed %s, bound %s"
-            % tuple(_fmt(c[np.argmin(ok)]) for c in columns))
+    yield None if ok.all() else InvariantViolation(   # the first failing row
+        "variation exceeds its closed-form bound at alpha %s t %s: computed %s, bound %s"
+        % tuple(_fmt(c[np.argmin(ok)]) for c in columns))
 
 
 def cmd_bip_check(args):
@@ -401,8 +396,8 @@ def cmd_bip_check(args):
     worst = max(0.0, *per_t.tolist())
     _emit(args, "bip-check", ["t", "worst_ratio"], [ts, per_t],
           extra=[f"worst_ratio {_fmt(worst)}"])
-    if worst > 1.0:
-        raise InvariantViolation(f"imaginary-power pair ratio above 1: worst_ratio {_fmt(worst)}")
+    yield None if worst <= 1.0 else InvariantViolation(
+        f"imaginary-power pair ratio above 1: worst_ratio {_fmt(worst)}")
 
 
 def cmd_sector_probe(args):
@@ -438,16 +433,7 @@ def cmd_rad_norm(args):
     sampled = rad_norm(s, "sampled", seed=args.seed, samples=args.samples)
     _emit(args, "rad-norm", ["k", "p", "exact", "sampled", "stderr"],
           [args.k, args.p, exact, sampled.value, sampled.stderr])
-    if enumerable:
-        # the standard error the 2^(k-1) equally likely squares give, not the
-        # sample's: a few draws may all land on one pattern and read 0
-        se = float(np.std(s.pattern_squares)) / math.sqrt(args.samples)
-        se = se / (2.0 * exact) if exact > 0.0 else se
-        bound = 4.0 * max(se, 1e-15)
-        if abs(sampled.value - exact) > bound:
-            raise InvariantViolation(
-                f"sampled norm strays more than 4 standard errors from the exact norm: sampled "
-                f"{_fmt(sampled.value)}, exact {_fmt(exact)}, 4 standard errors {_fmt(bound)}")
+    yield s.sampled_violation(sampled.value, exact, args.samples, 4) if enumerable else None
 
 
 def cmd_rbound_blowup(args):
@@ -508,13 +494,7 @@ def cmd_dissipativity(args):
           ["block", "pairing", "closed_form", "x_norm_sq", "n_terms"],
           [w.block, w.pairing, w.closed_form, w.x_norm_sq, w.n_terms],
           extra=[f"norm_onset_block {onset if onset is not None else 'none'}"])
-    bound = 1e-9 * abs(w.closed_form)
-    # the closed form holds only past the overlap
-    if args.block not in OVERLAP_BLOCKS and (
-            w.pairing <= 0.0 or abs(w.pairing - w.closed_form) > bound):
-        raise InvariantViolation(
-            f"dissipativity pairing is not positive and within 1e-9 relative of its closed form: "
-            f"pairing {_fmt(w.pairing)}, closed form {_fmt(w.closed_form)}, bound {_fmt(bound)}")
+    yield w.violation()
 
 
 def cmd_uncond_constant(args):
@@ -541,8 +521,7 @@ def cmd_selftest(args):
         for res in results:
             fh.write(res.line() + "\n")
     failed = [str(r.number) for r in results if not r.passed]
-    if failed:
-        raise InvariantViolation(f"acceptance checks failed: {','.join(failed)}")
+    yield InvariantViolation(f"acceptance checks failed: {','.join(failed)}") if failed else None
 
 
 # -- wiring --------------------------------------------------------------------
@@ -684,7 +663,8 @@ def main(argv=None) -> int:
         args.seed = _seed(args.seed)
         run = args.func(args)
         _admit(next(run))
-        next(run, None)
+        if (violation := next(run, None)) is not None:
+            raise violation
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ import numpy as np
 
 from .blockspace import (_NORMAL_MIN, BlockLayout, _lp_of_blocks, _norms_of_sums, bv_norm,
                          mixed_norm, sequence_variation)
-from .errors import ParameterError, SingularityError
+from .errors import InvariantViolation, ParameterError, SingularityError
 from .sequences import MultiplierSeq, RatioSeq, family_seq, twisted_lacunary
 from .twistbasis import EVEN_TWIST, TwistPermutation, layout_coupling
 
@@ -238,14 +238,23 @@ class PositivityReport:
     min_entry: float
     argmin_t: float
     argmin_col: int
-    verdict: bool
     monotone_pairs: bool
     monotone_values: bool
     per_t_min: np.ndarray = field(repr=False)
     t_grid: np.ndarray = field(repr=False)
 
+    def violation(self):
+        """The InvariantViolation if the sign of the minimum and the pairs' rounded
+        values disagree (positive entries iff every pair decreases), else None."""
+        if (self.min_entry >= 0.0) == self.monotone_values:
+            return None
+        return InvariantViolation(
+            "the sign of the smallest entry disagrees with the monotonicity of the pair values: "
+            f"min_entry {self.min_entry:.17g} at t {self.argmin_t:.17g} column {self.argmin_col}, "
+            f"monotone_values {str(self.monotone_values).lower()}")
 
-def positivity_check(op: TwistedMultiplier, t_grid, tol: float = 1e-12) -> PositivityReport:
+
+def positivity_check(op: TwistedMultiplier, t_grid) -> PositivityReport:
     """Scan the semigroup matrices over a time grid for negative entries.
 
     The grid is augmented, per coupled pair, with the time maximizing the
@@ -257,8 +266,6 @@ def positivity_check(op: TwistedMultiplier, t_grid, tol: float = 1e-12) -> Posit
     ts = np.asarray(t_grid, dtype=np.float64).ravel()
     if ts.size == 0 or not np.all(ts >= 0.0):   # written so that NaN fails it
         raise ParameterError("the time grid must be nonempty and nonnegative")
-    if not 0.0 <= tol < math.inf:
-        raise ParameterError(f"the tolerance must be finite and >= 0, not {tol}")
     log2 = op.seq.log2[: st.needed]
     ts = np.unique(np.concatenate([ts, _extremal_times(log2, st)]))
 
@@ -271,13 +278,11 @@ def positivity_check(op: TwistedMultiplier, t_grid, tol: float = 1e-12) -> Posit
     i = int(np.argmin(per_t))               # the earliest time attaining the minimum
     cols = np.concatenate([np.arange(op.layout.dim), st.off_cols])
     arg_col = int(cols[np.argmin(_entries_at(op, float(ts[i])))]) + 1
-    best = float(per_t[i])
     # True with no pairs; the values are the rounded ones the entries read
-    gamma = op._gamma
     return PositivityReport(
-        min_entry=best, argmin_t=float(ts[i]), argmin_col=arg_col, verdict=bool(best >= -tol),
+        min_entry=float(per_t[i]), argmin_t=float(ts[i]), argmin_col=arg_col,
         monotone_pairs=bool(np.all(log2[st.off_hi - 1] <= log2[st.off_lo - 1])),
-        monotone_values=bool(np.all(gamma[st.off_hi - 1] <= gamma[st.off_lo - 1])),
+        monotone_values=bool(np.all(op._gamma[st.off_hi - 1] <= op._gamma[st.off_lo - 1])),
         per_t_min=per_t, t_grid=ts)
 
 

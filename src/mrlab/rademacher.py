@@ -40,7 +40,7 @@ from .blockspace import (
     triangular_end,
     triangular_indices_1mod4,
 )
-from .errors import ParameterError, StructuralError
+from .errors import InvariantViolation, ParameterError, StructuralError
 from .multiplier import TwistedMultiplier, scaled_resolvent_values
 from .sequences import (
     MultiplierSeq,
@@ -100,6 +100,18 @@ class RadSum:
         for row r.  Raises ParameterError past EXACT_TERM_LIMIT terms."""
         return combination_norms(sign_patterns(self.n_terms), self.terms, self.p,
                                  self.layout) ** 2
+
+    def sampled_violation(self, sampled, exact, samples, sigmas):
+        """The InvariantViolation if ``sampled`` strays more than ``sigmas`` standard
+        errors from ``exact``, else None.  The error is the pattern table's, not the
+        sample's: a few draws may all land on one pattern and read 0."""
+        se = float(np.std(self.pattern_squares)) / math.sqrt(samples)
+        bound = sigmas * max(se / (2.0 * exact) if exact > 0.0 else se, 1e-15)
+        if abs(sampled - exact) <= bound:
+            return None
+        return InvariantViolation(
+            f"sampled norm strays more than {sigmas:g} standard errors from the exact norm: "
+            f"sampled {sampled:.17g}, exact {exact:.17g}, {sigmas:g} standard errors {bound:.17g}")
 
 
 @dataclass(frozen=True)

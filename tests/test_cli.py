@@ -13,10 +13,11 @@ import pytest
 
 from mrlab import __version__, certify, cli
 from mrlab.acceptance import run_all
-from mrlab.certify import dissipativity_witness
+from mrlab.certify import DissipativityWitness, dissipativity_witness
 from mrlab.cli import main
-from mrlab.multiplier import bv_semigroup_bound, positivity_check
-from mrlab.rademacher import SampledNorm, rad_norm
+from mrlab.errors import InvariantViolation
+from mrlab.multiplier import PositivityReport, bv_semigroup_bound, positivity_check
+from mrlab.rademacher import RadSum, SampledNorm, rad_norm
 
 
 def run(argv, capsys):
@@ -167,6 +168,18 @@ def test_dissipativity_exit_codes_by_block(block, family, capsys):
         assert f"\n{block}," in out
 
 
+@pytest.mark.parametrize("block", [53, 100, 1000])
+def test_dissipativity_geometric_gaps_that_round_to_zero(block, capsys):
+    # from block 53 on the ratios drop below 1e-17, gamma_{m+1} rounds to
+    # gamma_m, and pairing 0 against closed form 0 used to exit 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_err(["dissipativity", "--family", "geometric",
+                                  "--block", str(block)], capsys)
+    assert (code, err) == (0, "")
+    assert f"\n{block},0,0," in out
+
+
 def test_dissipativity_command(capsys):
     code, out = run(["dissipativity", "--family", "power", "--alpha", "0.25",
                      "--block", "30"], capsys)
@@ -241,8 +254,8 @@ def assert_one_violation(code, err, *numbers):
 
 def test_semigroup_check_violation_states_the_minimum(monkeypatch, capsys):
     # a negative smallest entry beside pair values that decrease
-    monkeypatch.setattr(cli, "positivity_check", lambda op, grid, tol: dataclasses.replace(
-        positivity_check(op, grid, tol=tol), min_entry=-1.0))
+    monkeypatch.setattr(cli, "positivity_check", lambda op, grid: dataclasses.replace(
+        positivity_check(op, grid), min_entry=-1.0))
     code, out, err = run_err(["semigroup-check", "--n", "64", "--tgrid", "0.5,2"], capsys)
     minimum = next(l for l in out.splitlines() if l.startswith("# min_entry "))[2:]
     assert minimum.startswith("min_entry -1 at t ")
@@ -311,6 +324,22 @@ def test_selftest_violation_names_the_failed_checks(monkeypatch, capsys):
     code, out, err = run_err(["selftest", "--only", "3,5,12"], capsys)
     assert (code, err) == (2, "invariant violated: acceptance checks failed: 3,12\n")
     assert (out.count("[FAIL]"), out.count("[PASS]")) == (2, 1)
+
+
+@pytest.mark.parametrize("owner, name, argv, check", [
+    (PositivityReport, "violation", ["semigroup-check", "--n", "64", "--tgrid", "0.5,2"], 3),
+    (DissipativityWitness, "violation", ["dissipativity", "--block", "30"], 10),
+    (RadSum, "sampled_violation", ["rad-norm", "--k", "4", "--blocks", "3", "--samples", "100"],
+     11),
+], ids=["positivity", "dissipativity", "rademacher"])
+def test_subcommand_and_selftest_read_one_decision(owner, name, argv, check, monkeypatch,
+                                                   capsys):
+    # each statement is decided by one method; a violation it reports ends
+    # the subcommand with exit 2 and fails the matching acceptance check
+    monkeypatch.setattr(owner, name, lambda self, *args: InvariantViolation("forced"))
+    code, out, err = run_err(argv, capsys)
+    assert_one_violation(code, err, "forced")
+    assert [r.passed for r in run_all([check])] == [False]
 
 
 def test_sector_probe_command(capsys):
