@@ -18,12 +18,10 @@ from mrlab import (
     dissipativity_norm_sq,
     dissipativity_witness,
     ratio_family,
-    seq_from_ratios,
 )
 
 fam = ratio_family("power", 0.25, 250)
-seq = seq_from_ratios(fam, length=20_002)
-worst = bip_pair_ratios(seq, fam, [0.01, 0.1, 1.0, 10.0, 100.0], 10_000).max()
+worst = bip_pair_ratios(fam, [0.01, 0.1, 1.0, 10.0, 100.0], 10_000).max()
 print(f"imaginary-power pair ratio, power family, 10^4 pairs: {worst:.6f} <= 1\n")
 
 print("variation of the lacunary semigroup sequence vs the closed form:")

@@ -40,7 +40,6 @@ from .rademacher import (
 )
 from .sequences import (
     constant_ratios,
-    family_seq,
     ratio_family,
     seq_from_ratios,
     twisted_lacunary,
@@ -202,8 +201,8 @@ def check_bip_inequality() -> CheckResult:
     start = time.perf_counter()
     worst = 0.0
     for kind in ("power", "powerlog"):
-        seq, fam = family_seq(kind, 0.25, 20_002)
-        worst = max(worst, *bip_pair_ratios(seq, fam, [0.01, 0.1, 1.0, 10.0, 100.0],
+        fam = ratio_family(kind, 0.25, triangular_block_index(20_002) + 1)
+        worst = max(worst, *bip_pair_ratios(fam, [0.01, 0.1, 1.0, 10.0, 100.0],
                                             10_000).tolist())
     return _result(8, "bip-pair-inequality", 5.0, start, worst <= 1.0,
                    f"worst ratio {worst:.6f}")

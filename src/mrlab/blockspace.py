@@ -32,7 +32,6 @@ __all__ = [
     "block_rows",
     "combination_norms",
     "bv_norm",
-    "sequence_variation",
 ]
 
 
@@ -220,13 +219,3 @@ def bv_norm(s):
     if s.size == 0:
         raise ParameterError("bv_norm of an empty sequence")
     return float(np.abs(s[0]) + np.abs(np.diff(s)).sum())
-
-
-def sequence_variation(s):
-    """Total variation sum |s_{m+1} - s_m| without the leading term; supports
-    batches along the last axis."""
-    s = np.asarray(s)
-    if s.size == 0:
-        raise ParameterError("variation of an empty sequence")
-    out = np.abs(np.diff(s, axis=-1)).sum(axis=-1)
-    return float(out) if np.ndim(out) == 0 else out

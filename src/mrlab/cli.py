@@ -39,6 +39,7 @@ from .multiplier import (
     bip_pair_ratios,
     bv_semigroup_bound,
     positivity_check,
+    scan_times,
     sectoriality_probe,
 )
 from .rademacher import RadSum, blowup_series, rad_norm
@@ -133,6 +134,45 @@ def _block_cells(column, fmt):
     return conversion, _cell_values(column, fmt)
 
 
+# str(int) two places at a time: the uint16 byte pair at r + 100 min(q, 1) for
+# the pair r under the higher places q; with none above, its leading zeros are
+# NUL (the pair 0 is two NULs, so the cell 0 takes _ZERO)
+_DIGIT_PAIRS = np.frombuffer(b"".join([b"\0\0", *(b"\0%d" % r for r in range(1, 10)),
+                                       *(b"%d" % r for r in range(10, 100)),
+                                       *(b"%02d" % r for r in range(100))]), dtype=np.uint16)
+_MINUS, _ZERO = np.frombuffer(b"-\0\x000", dtype=np.uint16)
+
+
+def _digit_rows(arrays, pieces):
+    """Rows of integer columns as bytes: pieces[0], the first cell, pieces[1],
+    ..., the last cell, pieces[-1]; a cell as str(int) writes it.  Each byte
+    pair of the rows is an array down the rows: the ASCII pieces, a sign,
+    then the digit pairs of uint64 magnitudes (so int64's minimum works),
+    NUL wherever a cell leaves a place unused; row-major, the bytes lose
+    their NULs."""
+    rows = len(arrays[0])
+    places = []
+    for piece, column in itertools.zip_longest(pieces, arrays):
+        text = np.frombuffer((piece + "\0" * (len(piece) % 2)).encode(), dtype=np.uint16)
+        places.append(np.broadcast_to(text[:, None], (text.size, rows)))
+        if column is None:
+            break
+        column = column.astype(np.int64, copy=False)
+        rest = magnitude = np.abs(column).view(np.uint64)   # abs(-2^63) wraps, read as 2^63
+        pairs = (len(str(int(rest.max()))) + 1) // 2
+        cell = np.empty((pairs + 1, rows), dtype=np.uint16)
+        np.multiply(column < 0, _MINUS, out=cell[0])
+        for place in range(pairs, 0, -1):
+            high = rest // 100
+            pair = rest - high * 100
+            pair += np.minimum(high, 1) * 100
+            np.take(_DIGIT_PAIRS, pair, out=cell[place])
+            rest = high
+        cell[pairs, magnitude == 0] = _ZERO
+        places.append(cell)
+    return np.concatenate(places).T.tobytes().translate(None, b"\0")
+
+
 class _Out:
     """The target of --out: a file, or stdout for None or '-'.  A write,
     flush or close that fails ends as a ParameterError naming the target."""
@@ -221,10 +261,18 @@ def _emit(args, command, columns, arrays, extra=(), report=None):
 
     with _Out(args.out) as fh:
         fh.write(head)
-        for i in range(0, n, _ROW_BLOCK):
-            conversions, part = zip(*[_block_cells(a[i:i + _ROW_BLOCK], fmt) for a in arrays])
-            values = tuple(itertools.chain.from_iterable(zip(*part)))   # row-major
-            fh.write((sep if i else "") + template(conversions, len(part[0])) % values)
+        if all(a.dtype.kind == "i" for a in arrays):   # every row takes sep first
+            row = template(("%s",) * len(arrays), 1) % (("\0",) * len(arrays))
+            pieces, rows = (sep + row).split("\0"), 8 * _ROW_BLOCK
+            for i in range(0, n, rows):
+                text = _digit_rows([a[i:i + rows] for a in arrays], pieces).decode()
+                fh.write(text if i else text[len(sep):])
+        else:
+            for i in range(0, n, _ROW_BLOCK):
+                conversions, part = zip(*[_block_cells(a[i:i + _ROW_BLOCK], fmt)
+                                          for a in arrays])
+                values = tuple(itertools.chain.from_iterable(zip(*part)))   # row-major
+                fh.write((sep if i else "") + template(conversions, len(part[0])) % values)
         fh.write(tail)
 
 
@@ -364,9 +412,11 @@ def cmd_pi_table(args):
 def cmd_semigroup_check(args):
     grid = _parse_grid(args.tgrid)
     yield _operator_size(args)._replace(points=grid.size)
-    rep = positivity_check(_gamma_operator(args), grid)
+    op = _gamma_operator(args)
+    scan_times(grid)   # a bad grid is the error named before a bad --tol
     if not 0.0 <= args.tol < math.inf:   # --tol sets only the printed verdicts
         raise ParameterError(f"the tolerance must be finite and >= 0, not {args.tol}")
+    rep = positivity_check(op, grid)
     extra = [f"verdict {_fmt(rep.min_entry >= -args.tol)}",
              f"monotone_pairs {_fmt(rep.monotone_pairs)}",
              f"min_entry {_fmt(rep.min_entry)} at t {_fmt(rep.argmin_t)} column {rep.argmin_col}"]
@@ -391,8 +441,8 @@ def cmd_bv_bound(args):
 def cmd_bip_check(args):
     length, ts = 2 * args.pairs + 2, _parse_grid(args.tgrid)
     yield _Size(points=ts.size, arrays=((f"--pairs {args.pairs}", length),))
-    seq, ratios = family_seq(*_family(args), length)
-    per_t = bip_pair_ratios(seq, ratios, ts, args.pairs)
+    ratios = family_ratios(*_family(args), triangular_block_index(length) + 1)
+    per_t = bip_pair_ratios(ratios, ts, args.pairs)
     worst = max(0.0, *per_t.tolist())
     _emit(args, "bip-check", ["t", "worst_ratio"], [ts, per_t],
           extra=[f"worst_ratio {_fmt(worst)}"])

@@ -25,9 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .blockspace import (_NORMAL_MIN, BlockLayout, _lp_of_blocks, _norms_of_sums, bv_norm,
-                         mixed_norm, sequence_variation)
+                         mixed_norm)
 from .errors import InvariantViolation, ParameterError, SingularityError
-from .sequences import MultiplierSeq, RatioSeq, family_seq, twisted_lacunary
+from .sequences import MultiplierSeq, RatioSeq, family_seq, step_offsets, twisted_lacunary
 from .twistbasis import EVEN_TWIST, TwistPermutation, layout_coupling
 
 __all__ = [
@@ -263,11 +263,8 @@ def positivity_check(op: TwistedMultiplier, t_grid) -> PositivityReport:
     entries underflow to zero at any representable time).
     """
     st = op.structure
-    ts = np.asarray(t_grid, dtype=np.float64).ravel()
-    if ts.size == 0 or not np.all(ts >= 0.0):   # written so that NaN fails it
-        raise ParameterError("the time grid must be nonempty and nonnegative")
     log2 = op.seq.log2[: st.needed]
-    ts = np.unique(np.concatenate([ts, _extremal_times(log2, st)]))
+    ts = np.unique(np.concatenate([scan_times(t_grid), _extremal_times(log2, st)]))
 
     per_t = np.empty(ts.size)
     # t = 0 and inf go one at a time
@@ -284,6 +281,14 @@ def positivity_check(op: TwistedMultiplier, t_grid) -> PositivityReport:
         monotone_pairs=bool(np.all(log2[st.off_hi - 1] <= log2[st.off_lo - 1])),
         monotone_values=bool(np.all(op._gamma[st.off_hi - 1] <= op._gamma[st.off_lo - 1])),
         per_t_min=per_t, t_grid=ts)
+
+
+def scan_times(t_grid):
+    """The times of a positivity scan, flat float64: nonempty, none negative or NaN."""
+    ts = np.asarray(t_grid, dtype=np.float64).ravel()
+    if ts.size == 0 or not np.all(ts >= 0.0):   # written so that NaN fails it
+        raise ParameterError("the time grid must be nonempty and nonnegative")
+    return ts
 
 
 def _extremal_times(log2, st):
@@ -347,8 +352,9 @@ def _entry_minima(op, ts):
 # -- imaginary powers -------------------------------------------------------
 
 
-def bip_pair_ratios(seq: MultiplierSeq, ratios: RatioSeq, t_grid, n_pairs: int):
-    """Per t of the grid, max over pairs of |y_{2m}^{it} - y_{2m-1}^{it}| / (8 |t| c_{2m}).
+def bip_pair_ratios(ratios: RatioSeq, t_grid, n_pairs: int):
+    """Per t of the grid, max over pairs of |y_{2m}^{it} - y_{2m-1}^{it}| / (8 |t| c_{2m}),
+    y the sequence the ratios solve (``sequences.seq_from_ratios``).
 
     The linear-growth bound for the imaginary powers asserts this never
     exceeds 1 when the ratio sequence stays inside (0, 1/8).  t = 0 reads
@@ -356,16 +362,14 @@ def bip_pair_ratios(seq: MultiplierSeq, ratios: RatioSeq, t_grid, n_pairs: int):
     or the denominator leaves the normal float range, the ratio is read as
     |sin x / x| g / (8 c_{2m}), with sin x / x = 1 below that range.
     """
-    if seq.origin != "recurrence":
-        raise ParameterError("the pair bound applies to recurrence-built sequences")
     if n_pairs < 1:
         raise ParameterError("the pair bound needs at least one pair")
-    if 2 * n_pairs > seq.length:
-        raise ParameterError("sequence too short for the requested number of pairs")
-    cvals = ratios.value_at(2 * np.arange(1, n_pairs + 1))
+    if 2 * n_pairs > ratios.max_index:
+        raise ParameterError("ratio sequence too short for the requested number of pairs")
+    cvals = ratios.values_upto(2 * n_pairs)[1::2]   # c_{2m}, m = 1 .. n_pairs
     if np.any(cvals >= 0.125) or np.any(cvals <= 0.0):
         raise ParameterError("the pair bound requires ratio values inside (0, 1/8)")
-    gaps = seq.ln_pair_gap(2 * np.arange(1, n_pairs + 1))   # ln(gamma_{2m} / gamma_{2m-1}) > 0
+    gaps = np.log1p(step_offsets(cvals))   # ln(gamma_{2m} / gamma_{2m-1}) > 0
     ts = np.asarray(t_grid, dtype=np.float64).ravel()
     if not np.all(np.isfinite(ts)):
         raise ParameterError("the pair bound's times must be finite")
@@ -399,7 +403,8 @@ def bv_semigroup_bound(alpha: float, t, n: int):
     like t otherwise; the closed form dominates the full infinite sum, so any
     truncation must stay below it.  Nothing is judged here: the callers hold
     computed <= closed_form (bv-bound's ok column).  The sequence is built
-    once, and the times go in row blocks of about _SCAN_CELLS cells.
+    once; the times go in row blocks of about _SCAN_CELLS cells, each exp'd
+    only on the prefix its smallest time leaves above 0.0.
     """
     ts = np.asarray(t, dtype=np.float64)
     # the closed form divides by 2^alpha - 1 and forms 2^(3 alpha); both are
@@ -409,14 +414,21 @@ def bv_semigroup_bound(alpha: float, t, n: int):
     seq = twisted_lacunary(n)
     with np.errstate(over="ignore"):
         powered = np.exp2(alpha * seq.log2)
+    # past its last entry whose suffix minimum is at most _EXP_DEAD / t,
+    # e^{-t y^alpha} reads 0.0, and so do the differences one entry on
+    floor = np.minimum.accumulate(powered[::-1])[::-1]
     flat = ts.ravel()
     computed = np.empty(flat.size)
     rows = max(1, _SCAN_CELLS // n)
     for i in range(0, flat.size, rows):
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = np.exp(-flat[i:i + rows, None] * powered)
-        s = np.where(np.isnan(s), 0.0, s)
-        computed[i:i + rows] = sequence_variation(s)
+        t = flat[i:i + rows, None]
+        with np.errstate(over="ignore"):
+            live = min(n, int(np.searchsorted(floor, _EXP_DEAD / t.min(), side="right")) + 1)
+            s = np.exp(-t * powered[:live])
+        # the zero tail keeps each row's pairwise summation, and so its bits
+        steps = np.zeros((t.size, n - 1))
+        np.abs(np.diff(s, axis=-1), out=steps[:, :live - 1])
+        computed[i:i + rows] = steps.sum(axis=-1)
     closed = np.array([bv_closed_form(alpha, x) for x in flat.tolist()])
     if ts.ndim == 0:
         return float(computed[0]), float(closed[0])
@@ -570,7 +582,10 @@ def _ascend(op, rows, p, witness=False):
             active, lam, entries, nv = _compact(nv != 0.0, v, active, lam, entries, nv)
             if not active.size:
                 break
-        np.divide(v[:nv.size], nv[:, None], out=v[:nv.size])
+        if witness:   # the witness bytes are pinned, signed zeros too
+            np.divide(v[:nv.size], nv[:, None], out=v[:nv.size])
+        else:   # complex / real is (re + im 0, im - re 0) / nv: equal up to signed zeros
+            np.multiply(v[:nv.size], np.conj(1.0 / nv + 0j)[:, None], out=v[:nv.size])
     return best, best_v
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "family_ratios",
     "family_seq",
     "seq_from_ratios",
+    "step_offsets",
     "twisted_lacunary",
     "block_q_norms",
     "block_target_counts",
@@ -204,15 +205,6 @@ class MultiplierSeq:
         out = self.log2[m - 1]
         return out if out.ndim else float(out)
 
-    def ln_pair_gap(self, even_m):
-        """ln(gamma_{m} / gamma_{m-1}) for even m, stable for tiny steps."""
-        even_m = np.asarray(even_m, dtype=np.int64)
-        if np.any(even_m % 2):
-            raise ParameterError("pair gaps are indexed by even positions")
-        if self.origin == "recurrence":
-            return np.log1p(self.step_offsets[even_m - 2])
-        return (self.log2_at(even_m) - self.log2_at(even_m - 1)) * _LN2
-
     def recovered_ratios(self, n: int | None = None) -> np.ndarray:
         """The ratio sequence read back off the stored steps, index 2..n.
 
@@ -228,6 +220,11 @@ class MultiplierSeq:
         return 0.5 * (rho - 1.0) / (rho + 1.0)
 
 
+def step_offsets(c):
+    """t = 4 c / (1 - 2 c), so that gamma_m = gamma_{m-1} (1 + t) for c = c_m."""
+    return 4.0 * c / (1.0 - 2.0 * c)
+
+
 def seq_from_ratios(ratios, length: int | None = None) -> MultiplierSeq:
     """Solve the ratio recurrence; gamma_1 = 1 and gamma is strictly increasing."""
     if isinstance(ratios, RatioSeq):
@@ -240,7 +237,7 @@ def seq_from_ratios(ratios, length: int | None = None) -> MultiplierSeq:
     if np.any(~np.isfinite(c)) or np.any(c <= 0.0) or np.any(c >= 0.5):
         bad = int(np.flatnonzero(~np.isfinite(c) | (c <= 0.0) | (c >= 0.5))[0]) + 2
         raise ParameterError(f"ratio at index {bad} is outside (0, 1/2)")
-    t = 4.0 * c / (1.0 - 2.0 * c)
+    t = step_offsets(c)
     log2 = np.concatenate(([0.0], np.cumsum(np.log1p(t)) / _LN2))
     return MultiplierSeq(origin="recurrence", log2=log2, step_offsets=t)
 

@@ -804,6 +804,23 @@ def test_non_finite_parameters_are_one_line_errors(argv, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_a_bad_tolerance_is_refused_before_the_positivity_scan(tol, monkeypatch, capsys):
+    scans = []
+    monkeypatch.setattr(cli, "positivity_check", lambda *args: scans.append(args))
+    code, out, err = run_err(["semigroup-check", "--n", "10", "--tol", tol], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "tolerance must be finite and >= 0" in err and scans == []
+
+
+@pytest.mark.parametrize("tgrid", ["-1,2", "nan", "1,nan"])
+def test_a_bad_grid_is_named_before_a_bad_tolerance(tgrid, capsys):
+    code, out, err = run_err(["semigroup-check", "--n", "10", "--tgrid=" + tgrid, "--tol", "nan"],
+                             capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "the time grid must be nonempty and nonnegative" in err
+
+
 P_CHECK = "exponent must satisfy p > 1 (or p = inf)"
 
 

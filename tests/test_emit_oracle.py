@@ -10,7 +10,10 @@ golden argv in both formats and for synthetic tables that hold NaN, +-inf,
 -0.0, denormals, 2^62, bool and str columns, one row or none.  A full row
 block of a float column that repeats values is formatted once per distinct
 bit pattern; tables past one row block and ``gen-gamma`` of every workload
-family reach that path, and a spy counts what it formats.
+family reach that path, and a spy counts what it formats.  A table whose
+every column is integer takes the digit writer (``cli._digit_rows``) and
+must give the bytes that str(int) gave, for int64's ends, signs, widths,
+row counts past its blocks and both JSON row shapes.
 
 ``MRPlan`` and ``IntervalSpec`` now evaluate the plan on the whole grid at
 once; the per-point scalar rules are kept here as the oracle of
@@ -286,6 +289,47 @@ def test_reports_write_rows_as_objects_as_json_dump_did(rows, block, monkeypatch
     arrays = [FLOATS[1:rows + 1], BOOLS[:rows], INTS[:rows]]
     assert (written(cli._emit, args, "synthetic", columns, arrays, report=report)
             == written(oracle_emit, args, "synthetic", columns, arrays, report=report))
+
+
+def _widths(rows):
+    """Integers of every digit count and sign, int64's ends among them."""
+    m = np.arange(rows, dtype=np.int64)
+    return np.where(m % 2, -1, 1) * (m * 7919) ** (m % 5) + np.where(m % 97 == 3, -(2 ** 63), 0)
+
+
+INT_TABLES = {
+    "edges": lambda rows: (["i", "j"], [np.resize(INTS, rows), np.resize(INTS[::-1], rows)]),
+    "widths": lambda rows: (["m", "w", "narrow"], [np.arange(rows), _widths(rows),
+                                                   np.arange(rows, dtype=np.int32) % 3 - 1]),
+    "zeros": lambda rows: (["z"], [np.zeros(rows, dtype=np.int64)]),
+}
+
+
+@pytest.mark.parametrize("block", [1024, 3, 1])
+@pytest.mark.parametrize("rows", [0, 1, 2, 8 * 1024 + 1, 20_000])
+@pytest.mark.parametrize("fmt", ["csv", "json", "report"])
+@pytest.mark.parametrize("table", sorted(INT_TABLES))
+def test_integer_tables_are_written_as_str_int_did(table, fmt, rows, block, monkeypatch):
+    """An all-integer table takes the digit writer in blocks of 8 row blocks;
+    rows as lists (CSV, JSON) and as objects (a report)."""
+    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    monkeypatch.setattr(cli, "_block_cells", None)   # the digit writer never calls it
+    columns, arrays = INT_TABLES[table](rows)
+    args = synthetic_args("csv" if fmt == "csv" else "json")
+    report = {"meta": cli._meta(args, "synthetic"), "per_m": cli._ROWS,
+              "note": "100% %s"} if fmt == "report" else None
+    got = written(cli._emit, args, "synthetic", columns, arrays, extra=["x"], report=report)
+    monkeypatch.undo()
+    assert got == written(oracle_emit, args, "synthetic", columns, arrays, extra=["x"],
+                          report=report)
+
+
+def test_one_row_of_integer_scalars_is_written_as_str_int_did(monkeypatch):
+    row = [np.int64(-(2 ** 63)), 2 ** 63 - 1, 0, np.int8(-7)]
+    for fmt in ("csv", "json"):
+        args = synthetic_args(fmt)
+        assert (written(cli._emit, args, "synthetic", ["a", "b", "c", "d"], row)
+                == written(oracle_emit, args, "synthetic", ["a", "b", "c", "d"], row))
 
 
 def test_header_values_are_the_one_cell_case_of_the_csv_formatter():

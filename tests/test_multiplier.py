@@ -376,7 +376,7 @@ def test_imaginary_pair_magnitude_formula():
     got = np.abs(imaginary_coupling_entries(op, t))
     vals = op.seq.values_upto(op.structure.needed)
     direct = np.abs(vals[even_m - 1] ** (1j * t) - vals[even_m - 2] ** (1j * t))
-    formula = np.sqrt(2.0 * (1.0 - np.cos(t * op.seq.ln_pair_gap(even_m))))
+    formula = np.sqrt(2.0 * (1.0 - np.cos(t * np.log1p(op.seq.step_offsets[even_m - 2]))))
     np.testing.assert_allclose(got, direct, rtol=1e-10)
     np.testing.assert_allclose(got, formula, rtol=1e-10)
 
@@ -395,11 +395,10 @@ def test_imaginary_power_norm_growth_at_p2():
 
 def test_bip_pair_ratio_bounded_by_one():
     fam = constant_ratios(0.1, 70)
-    seq = seq_from_ratios(fam, length=2000)
-    worst = bip_pair_ratios(seq, fam, [1.0], 1000).max()
+    worst = bip_pair_ratios(fam, [1.0], 1000).max()
     assert worst <= 1.0
     # t -> 0 limit: ratio approaches log-gap / (8 c), still below 1
-    tiny = bip_pair_ratios(seq, fam, [1e-8], 1000).max()
+    tiny = bip_pair_ratios(fam, [1e-8], 1000).max()
     gap = math.log(1.2 / 0.8)  # ln((1 + 2c)/(1 - 2c)) at c = 0.1
     assert tiny == pytest.approx(gap / (8 * 0.1), rel=1e-6)
     assert tiny <= 1.0
@@ -407,23 +406,21 @@ def test_bip_pair_ratio_bounded_by_one():
 
 def test_bip_pair_ratios_per_time():
     fam = constant_ratios(0.1, 70)
-    seq = seq_from_ratios(fam, length=2000)
     grid = [1.0, 0.0, 1e-8, -3.0]
-    per_t = bip_pair_ratios(seq, fam, grid, 1000)
+    per_t = bip_pair_ratios(fam, grid, 1000)
     assert per_t.shape == (4,) and per_t[1] == 0.0
     for t, value in zip(grid, per_t):
-        assert bip_pair_ratios(seq, fam, [t], 1000)[0] == value
-    assert per_t[3] == bip_pair_ratios(seq, fam, [3.0], 1000)[0] > 0.0
+        assert bip_pair_ratios(fam, [t], 1000)[0] == value
+    assert per_t[3] == bip_pair_ratios(fam, [3.0], 1000)[0] > 0.0
 
 
 def test_bip_pair_ratios_at_times_past_the_float_range():
     # below the normal range the ratio is its t -> 0 limit log-gap / (8 c); at
     # 1e308, where 8 |t| c overflows, it is |sin x / x| log-gap / (8 c)
     fam = constant_ratios(0.1, 70)
-    seq = seq_from_ratios(fam, length=2000)
     gap = math.log(1.2 / 0.8)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        per_t = bip_pair_ratios(seq, fam, [5e-324, -1e-310, 1e308, -1e308], 1000)
+        per_t = bip_pair_ratios(fam, [5e-324, -1e-310, 1e308, -1e308], 1000)
     assert per_t[:2] == pytest.approx(gap / (8 * 0.1), rel=1e-12)
     assert per_t[2] == per_t[3]
     assert 0.0 < per_t[2] <= 2.0 / 8.0 / 1e308 / 0.1   # |sin x| <= 1
@@ -431,9 +428,10 @@ def test_bip_pair_ratios_at_times_past_the_float_range():
 
 def test_bip_pair_ratio_validates_hypothesis():
     fam = constant_ratios(0.2, 50, bound=0.5)
-    seq = seq_from_ratios(fam, length=100)
-    with pytest.raises(ParameterError):
-        bip_pair_ratios(seq, fam, [1.0], 40)
+    with pytest.raises(ParameterError, match="inside \\(0, 1/8\\)"):
+        bip_pair_ratios(fam, [1.0], 40)
+    with pytest.raises(ParameterError, match="too short"):   # c_1 .. c_6 hold 3 pairs
+        bip_pair_ratios(constant_ratios(0.1, 3), [1.0], 4)
 
 
 def test_bip_equal_pair_gives_zero():

@@ -20,6 +20,7 @@ from mrlab.sequences import (
     holder_conjugate,
     ratio_family,
     seq_from_ratios,
+    step_offsets,
     twisted_lacunary,
 )
 
@@ -293,11 +294,11 @@ def test_holder_conjugate_rejects_non_finite_p(p):
         holder_conjugate(p)
 
 
-def test_ln_pair_gap_matches_log_ratio():
+def test_step_offsets_give_the_log_pair_gap():
     c = np.full(99, 0.2)
     seq = seq_from_ratios(c)
-    even_m = np.arange(2, 100, 2)
-    gaps = seq.ln_pair_gap(even_m)
+    gaps = np.log1p(step_offsets(c))
+    assert gaps.tobytes() == np.log1p(seq.step_offsets).tobytes()
     direct = np.log((1.0 + 0.4) / (1.0 - 0.4))
     np.testing.assert_allclose(gaps, direct, rtol=1e-13)
 
