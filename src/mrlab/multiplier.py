@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockspace import (_NORMAL_MIN, BlockLayout, _lp_of_blocks, _norms_of_sums, bv_norm,
-                         mixed_norm)
+from .blockspace import (_NORMAL_MIN, BlockLayout, _check_p, _lp_of_blocks, _norms_of_sums,
+                         bv_norm)
 from .errors import InvariantViolation, ParameterError, SingularityError
 from .sequences import MultiplierSeq, RatioSeq, family_seq, step_offsets, twisted_lacunary
 from .twistbasis import EVEN_TWIST, TwistPermutation, layout_coupling
@@ -510,24 +510,22 @@ def _ascend(op, rows, p, witness=False):
 
     Row k ascends lam_k times the multiplier with the entries (diag_k,
     off_k) of ``TwistedMultiplier.symbols`` from the start ``_start`` draws
-    from rng_k, rows in order.  An ascent stops once its image or its next
-    iterate has norm zero; the others take _ASCENT_STEPS steps and a last
-    evaluation.  Returns each ascent's largest image norm (0.0 if none is
-    positive) and, with ``witness``, the earliest iterate attaining it.
+    from rng_k, rows in order: _ASCENT_STEPS steps and a last evaluation,
+    each normalizing the iterate and evaluating its image.  The exponent p
+    is checked by the entry points.  Returns each ascent's largest image
+    norm (0.0 if none is positive) and, with ``witness``, the earliest
+    iterate attaining it.
 
     The iterates and the images live in two complex buffers of the batch's
-    shape, written in place with every product in the operand order of
-    ``apply_symbols`` and ``adjoint_apply_symbols``; rows move up only when
-    one stops.  The entries and the adjoint's conj(lam diag) and conj(lam off)
-    are formed once per batch: the rows' shared (diag, off) when they hold
-    one, else one row of each per row.
+    fixed shape, written in place with every product in the operand order
+    of ``apply_symbols`` and ``adjoint_apply_symbols``.  A row whose image
+    or iterate reaches norm zero rides along at zero, its zero norm read as
+    1, so no later image beats its best.  The entries and the adjoint's
+    conj(lam diag) and conj(lam off) are formed once per batch: the rows'
+    shared (diag, off) when they hold one, else one row of each per row.
     """
     layout, st = op.layout, op.structure
     n, dim, n_off = len(rows), layout.dim, st.off_rows.size
-    v = np.empty((n, dim), dtype=np.complex128)
-    for k, row in enumerate(rows):
-        _start(row[3], v[k])
-    np.divide(v, mixed_norm(v, p, layout)[:, None], out=v)   # rejects p <= 1 before q is formed
     q = 1.0 if p == math.inf else p / (p - 1.0)
     lam = np.array([row[0] for row in rows], dtype=np.complex128)[:, None]
     lam0, diag0, off0 = rows[0][:3]
@@ -538,64 +536,46 @@ def _ascend(op, rows, p, witness=False):
         entries += [lam * entries[0], lam * entries[1]]
     for adjoint in entries[2:]:
         np.conj(adjoint, out=adjoint)
+    v, z = np.empty((n, dim), dtype=np.complex128), np.empty((n, dim), dtype=np.complex128)
+    for k, row in enumerate(rows):
+        _start(row[3], v[k])
     best = np.zeros(n)
-    best_v = v.copy() if witness else None
-    active = np.arange(n)
-    z = np.empty_like(v)
+    best_v = np.zeros_like(v) if witness else None
     sq, tmp = np.empty((n, dim)), np.empty((n, dim))
     # the coupling entries of every row as flat positions in the batch
     shift = np.arange(n)[:, None] * dim
     flat_rows, flat_cols = (shift + st.off_rows).ravel(), (shift + st.off_cols).ravel()
-    gathered = np.empty(n * n_off, dtype=np.complex128)
+    gathered = np.empty((n, n_off), dtype=np.complex128)
 
-    def apply_entries(k, diag, off, pick, put):
-        # z = v * diag, then z[put] += off * v[pick], on the first k rows
-        np.multiply(v[:k], diag, out=z[:k])
+    def apply_entries(diag, off, pick, put):
+        # z = v * diag, then z[put] += off * v[pick]
+        np.multiply(v, diag, out=z)
         if n_off:
-            got = gathered[:k * n_off]
-            np.take(v.reshape(-1), pick[:got.size], out=got)
-            np.multiply(off, got.reshape(k, n_off), out=got.reshape(k, n_off))
-            z.reshape(-1)[put[:got.size]] += got
+            np.take(v.reshape(-1), pick, out=gathered.reshape(-1))
+            np.multiply(off, gathered, out=gathered)
+            z.reshape(-1)[put] += gathered.reshape(-1)
 
     for step in range(_ASCENT_STEPS + 1):
-        k = active.size
-        apply_entries(k, entries[0], entries[1], flat_cols, flat_rows)   # z = lam A v
-        np.multiply(lam, z[:k], out=z[:k])
-        bn = _block_norms(z[:k], layout, sq[:k], tmp[:k])
+        nv = _lp_of_blocks(_block_norms(v, layout, sq, tmp), p)
+        nv[nv == 0.0] = 1.0   # a row at zero stays at zero
+        if witness:   # the witness bytes are pinned, signed zeros too
+            np.divide(v, nv[:, None], out=v)
+        else:   # complex / real is (re + im 0, im - re 0) / nv: equal up to signed zeros
+            np.multiply(v, np.conj(1.0 / nv + 0j)[:, None], out=v)
+        apply_entries(entries[0], entries[1], flat_cols, flat_rows)   # z = lam A v
+        np.multiply(lam, z, out=z)
+        bn = _block_norms(z, layout, sq, tmp)
         nz = _lp_of_blocks(bn, p)
-        up = nz > best[active]
-        best[active[up]] = nz[up]
+        up = nz > best
+        best[up] = nz[up]
         if witness:
-            best_v[active[up]] = v[:k][up]
+            best_v[up] = v[up]
         if step == _ASCENT_STEPS:
             break
-        if not nz.all():
-            active, lam, entries, bn = _compact(nz != 0.0, z, active, lam, entries, bn)
-            k = active.size
-            if not k:
-                break
-        _j_map(z[:k], bn, p, layout, out=v[:k])
-        apply_entries(k, entries[2], entries[3], flat_rows, flat_cols)   # z = A* J_p(lam A v)
-        _j_map(z[:k], _block_norms(z[:k], layout, sq[:k], tmp[:k]), q, layout, out=v[:k])
-        nv = _lp_of_blocks(_block_norms(v[:k], layout, sq[:k], tmp[:k]), p)
-        if not nv.all():
-            active, lam, entries, nv = _compact(nv != 0.0, v, active, lam, entries, nv)
-            if not active.size:
-                break
-        if witness:   # the witness bytes are pinned, signed zeros too
-            np.divide(v[:nv.size], nv[:, None], out=v[:nv.size])
-        else:   # complex / real is (re + im 0, im - re 0) / nv: equal up to signed zeros
-            np.multiply(v[:nv.size], np.conj(1.0 / nv + 0j)[:, None], out=v[:nv.size])
+        _j_map(z, bn, p, layout, out=v)
+        apply_entries(entries[2], entries[3], flat_rows, flat_cols)   # z = A* J_p(lam A v)
+        _j_map(z, _block_norms(z, layout, sq, tmp), q, layout, out=v)
     return best, best_v
-
-
-def _compact(live, buf, active, lam, entries, norms):
-    """Move the live rows of buf up, and keep their indices, lams, entries
-    (where they are one row per row) and norms."""
-    keep = np.flatnonzero(live)
-    buf[:keep.size] = buf[keep]
-    return (active[keep], lam[keep], [e[keep] if e.ndim == 2 else e for e in entries],
-            norms[keep])
 
 
 def _ascents(op, rows, p, witness=False):
@@ -628,9 +608,12 @@ def opnorm_lower(op: TwistedMultiplier, g, p, trials: int = 4, seed: int = 0):
     reproduces it; it is the earliest trial and step that reaches the
     maximum.
     """
+    p = _check_p(p)
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
     diag, off = op.symbols(g)
     rng = np.random.default_rng(seed)
-    best, witness = _ascents(op, ((1.0, diag, off, rng) for _ in range(max(1, trials))), p,
+    best, witness = _ascents(op, ((1.0, diag, off, rng) for _ in range(trials)), p,
                              witness=True)
     return max(best), witness
 
@@ -651,12 +634,14 @@ def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
         raise ParameterError("angles must lie strictly between 0 and pi")
     if not np.all(radii > 0.0):
         raise ParameterError("radii must be positive")
-    n_trials = max(1, trials)
+    p = _check_p(p)
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
     lower = np.zeros((angles.size, radii.size))
     bv_upper = np.zeros_like(lower)
     singular = np.zeros(lower.shape, dtype=bool)
-    best = _ascents(op, _ray_rows(op, angles, radii, n_trials, seed, singular, bv_upper), p)[0]
-    lower[~singular] = np.reshape(best, (-1, n_trials)).max(axis=1)
+    best = _ascents(op, _ray_rows(op, angles, radii, trials, seed, singular, bv_upper), p)[0]
+    lower[~singular] = np.reshape(best, (-1, trials)).max(axis=1)
     ratios = lower[bv_upper > 0.0] / bv_upper[bv_upper > 0.0]
     measured_k = float(ratios.max()) if ratios.size else 0.0
     return SectorialityReport(angles=angles, radii=radii, lower=lower,

@@ -295,6 +295,8 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
     if mode == "exact":
         signs = sign_patterns(n)
     elif mode == "sampled":
+        if n_signs < 2:
+            raise ParameterError("sampled mode needs at least 2 sign rows")
         signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n_signs, n))
         # row 1 flips one member per coupled pair: turns the small
         # difference vectors of the pair witness into the large sums

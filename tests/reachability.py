@@ -36,9 +36,6 @@ KEEP = {
     "multiplier.TwistedMultiplier.adjoint_apply_symbols":
         "operator API: the adjoint the probe's ascents write in place; the ascent oracles "
         "in tests/test_batched_scans.py apply it",
-    "multiplier._compact":
-        "moves up the rows of an ascent batch when one stops at a zero image or iterate; "
-        "the zero-operator oracle in tests/test_batched_scans.py reaches it",
     "multiplier.TwistedMultiplier.apply":
         "operator API: A v, in the property tests",
     "multiplier.TwistedMultiplier.resolvent":

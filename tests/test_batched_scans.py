@@ -366,3 +366,68 @@ def test_opnorm_lower_zero_operator_has_no_witness():
     want = opnorm_oracle(lambda v: op.apply_symbols(*sym, v),
                          lambda u: op.adjoint_apply_symbols(*sym, u), op.layout, 2.0, trials=2)
     assert opnorm_lower(op, zero, 2.0, trials=2) == (0.0, None) == want
+
+
+# (lam, symbol, scale, seed) rows of one batch, and where the oracle stops
+# each: the zero symbol and lam = 0 at the first image; the scales 1e-150
+# and 1e-154 at the first and the eleventh iterate, whose adjoint image
+# underflows to zero; the others never
+MIXED_ROWS = [
+    (0.7 - 0.2j, imaginary_power_symbol, 1.0, 1),
+    (0.7 - 0.2j, imaginary_power_symbol, 0.0, 2),
+    (0.7 - 0.2j, imaginary_power_symbol, 1e-154, 3),
+    (1.1 + 0.5j, zeros_symbol, 0.0, 4),
+    (0.7 - 0.2j, imaginary_power_symbol, 1e-150, 5),
+    (0.0, zeros_symbol, 1.0, 6),
+    (-0.3 + 0.9j, zeros_symbol, 1.0, 7),
+]
+MIXED_ADJOINTS = [12, 0, 11, 0, 1, 0, 12]   # the oracle's adjoint steps per row
+
+
+def mixed_rows(op):
+    """The (lam, diag, off, rng) rows of MIXED_ROWS, each with its own
+    generator, and the per-trial oracle's (best, witness) of each."""
+    rows, want, adjoints = [], [], []
+    for lam, symbol, scale, seed in MIXED_ROWS:
+        diag, off = op.symbols(symbol(op) * scale)
+        lam_diag, lam_off = lam * diag, lam * off
+
+        def adjoint(u, diag=lam_diag, off=lam_off):
+            adjoints[-1] += 1
+            return op.adjoint_apply_symbols(diag, off, u)
+
+        adjoints.append(0)
+        want.append(opnorm_oracle(lambda v, lam=lam, diag=diag, off=off:
+                                  lam * op.apply_symbols(diag, off, v),
+                                  adjoint, op.layout, 3.0, trials=1, seed=seed))
+        rows.append((lam, diag, off, np.random.default_rng(seed)))
+    assert adjoints == MIXED_ADJOINTS
+    return rows, want
+
+
+@pytest.mark.parametrize("witness", [False, True])
+def test_ascent_batch_with_rows_stopping_at_different_steps(witness):
+    # the stopped rows ride along at zero in the batch's fixed shape
+    op = OPERATORS["even-constant"]()
+    rows, want = mixed_rows(op)
+    best, best_v = multiplier._ascend(op, rows, 3.0, witness)
+    assert bits(best) == bits([val for val, _ in want])
+    for k, (val, vec) in enumerate(want):
+        assert (vec is None) == (val == 0.0)
+        if witness and vec is not None:
+            assert best_v[k].tobytes() == vec.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_ascents_with_stopped_rows_mid_batch_and_at_batch_edges(size, monkeypatch):
+    # batches of 3 rows hold a zero row mid-batch (row 1), first (row 3) and
+    # last (row 5); batches of 1 row stop every row of some batches
+    op = OPERATORS["even-constant"]()
+    monkeypatch.setattr(multiplier, "_PROBE_CELLS", size * op.layout.dim)
+    rows, want = mixed_rows(op)
+    vals = [val for val, _ in want]
+    best, found = multiplier._ascents(op, rows, 3.0, witness=True)
+    assert bits(best) == bits(vals)
+    assert found.tobytes() == want[int(np.argmax(vals))][1].tobytes()
+    rows = mixed_rows(op)[0]
+    assert bits(multiplier._ascents(op, rows, 3.0)[0]) == bits(vals)

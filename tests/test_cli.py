@@ -873,6 +873,16 @@ def test_words_after_a_minus_sign_are_still_flags(value, capsys):
     assert "argument --p: expected one argument" in captured.err
 
 
+@pytest.mark.parametrize("p", ["0.5", "nan"])
+def test_sector_probe_checks_the_exponent_when_every_ray_is_singular(p, capsys):
+    # no ascent ran, so none checked p: this exited 0 with a table,
+    # "# skipped 1 singular parameters" and "p": NaN in the config line
+    code, out, err = run_err(["sector-probe", "--angles", "3.1415926535897927", "--radii", "4",
+                              "--p", p, "--n", "10"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err == f"error: {P_CHECK}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["semigroup-check", "--n", "0"], "--n must be at least 1"),
     (["semigroup-check", "--n", "-5"], "--n must be at least 1"),

@@ -541,6 +541,29 @@ def test_sectoriality_probe_needs_an_angle_and_a_radius(angles, radii):
         sectoriality_probe(op, angles, radii, p=4.0)
 
 
+# lam = 4 e^{i(pi - theta)} at this theta rounds onto gamma_2 = 4: a singular ray
+SINGULAR_ANGLE = 3.1415926535897927
+
+
+@pytest.mark.parametrize("p", [0.5, math.nan])
+def test_sectoriality_probe_checks_the_exponent_when_every_ray_is_singular(p):
+    # the exponent was checked by the first ascent, and no ray ran one
+    op = TwistedMultiplier.covering(10, "lacunary")
+    assert sectoriality_probe(op, [SINGULAR_ANGLE], [4.0], 3.0).skipped == ((SINGULAR_ANGLE, 4.0),)
+    with pytest.raises(ParameterError, match=r"exponent must satisfy p > 1 \(or p = inf\)"):
+        sectoriality_probe(op, [SINGULAR_ANGLE], [4.0], p)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_trial_counts_below_one_are_refused(trials):
+    # both used to run one trial, as if asked for it
+    op = TwistedMultiplier.covering(10, "lacunary")
+    with pytest.raises(ParameterError, match="trials must be at least 1"):
+        sectoriality_probe(op, [1.0], [4.0], 3.0, trials=trials)
+    with pytest.raises(ParameterError, match="trials must be at least 1"):
+        opnorm_lower(op, np.ones(op.structure.needed), 3.0, trials=trials)
+
+
 @pytest.mark.parametrize("p", [1.001, 200.0, 1000.0])
 def test_opnorm_lower_at_extreme_exponents(p):
     # unimodular symbols: the duality-map weights bn^(p-2) and bn^(q-2) leave

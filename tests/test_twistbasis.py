@@ -239,6 +239,14 @@ def test_unconditional_constant_grows_at_p4():
     assert vals[2] > vals[0] * 1.15
 
 
+@pytest.mark.parametrize("n_signs", [0, 1])
+def test_unconditional_constant_sampled_needs_two_sign_rows(n_signs):
+    # row 1 flips one member per coupled pair: with fewer rows this ended
+    # in an IndexError
+    with pytest.raises(ParameterError, match="at least 2 sign rows"):
+        unconditional_constant(8, 3.0, mode="sampled", n_signs=n_signs)
+
+
 def test_unconditional_constant_sampled_close_to_exact():
     exact = unconditional_constant(10, 2.0, mode="exact")
     sampled = unconditional_constant(10, 2.0, mode="sampled", seed=1, n_signs=512)
