@@ -280,6 +280,37 @@ def basis_layout(n: int, variant: str = EVEN_TWIST):
     return perm, BlockLayout.triangular_covering(synthesis_cover(n, perm, variant))
 
 
+def _sign_classes(signs, basis) -> np.ndarray:
+    """The first row, in order, of each class of sign rows whose products
+    (signs * a) @ basis have the same moduli for every witness a.
+
+    The basis is 0/1 and feeds each coordinate from at most two
+    coefficients, so a product coordinate reads |a_i| in every row, or
+    |s_i a_i + s_j a_j|, which depends on the row only through s_i s_j:
+    negating both terms negates their rounded sum.  Rows that agree on that
+    bit at every shared coordinate thus have the same mixed norm bit for bit,
+    for every witness and every ascent step.  Row 0 stays first; with no
+    shared coordinate (plain) all rows are one class.
+    """
+    shared = basis[:, basis.sum(axis=0) == 2].T
+    i, j = np.nonzero(shared)[1].reshape(-1, 2).T   # the two coefficients of each
+    bits = np.packbits(signs[:, i] == signs[:, j], axis=1)
+    # at least one 64-bit word a row: np.lexsort refuses an empty key
+    words = np.zeros((signs.shape[0], max(1, -(-bits.shape[1] // 8))), dtype=np.uint64)
+    words.view(np.uint8)[:, :bits.shape[1]] = bits
+    order = np.lexsort(words.T)   # stable: each class lists its rows in order
+    words = words[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(words[1:] != words[:-1], axis=1)
+    return np.sort(order[first])
+
+
+def _ratio(norms) -> float:
+    """The largest norm over row 0's, the all-plus pattern; 0 (never kept)
+    when row 0 is 0."""
+    return float(np.max(norms) / norms[0]) if norms[0] != 0.0 else 0.0
+
+
 def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
                            variant: str = EVEN_TWIST, n_signs: int = SAMPLED_SIGNS,
                            ascent_sweeps: int = 2) -> float:
@@ -287,8 +318,9 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
 
     Exact mode enumerates ``sign_patterns(n)`` against a fixed witness
     family; sampled mode draws seeded random signs and improves the witness
-    by coordinate ascent.  Both read each ratio's denominator from row 0 of
-    the sign products, the all-plus pattern.  The plain variant returns 1 exactly.
+    by coordinate ascent.  Both keep one sign row of each class of
+    ``_sign_classes`` and read each ratio's denominator from row 0 of the
+    sign products, the all-plus pattern.  The plain variant returns 1 exactly.
     """
     if n < 2:
         raise ParameterError("need n >= 2")
@@ -306,14 +338,12 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
         raise ParameterError("mode must be 'exact' or 'sampled'")
     perm, layout = basis_layout(n, variant)
     basis = twisted_basis_matrix(n, perm, variant, layout)
+    signs = signs[_sign_classes(signs, basis)]
     scaled = np.empty_like(signs)   # reused: a fresh one is page-faulted for each witness
-
-    def best_ratio(a):
-        norms = combination_norms(np.multiply(signs, a, out=scaled), basis, p, layout)
-        return float(np.max(norms) / norms[0]) if norms[0] != 0.0 else 0.0
-
     witnesses = _witness_family(n, np.random.default_rng(seed + 1))
-    ratios = [best_ratio(a) for a in witnesses]
+    ratios = [_ratio(combination_norms(np.multiply(signs, a, out=scaled), basis, p, layout))
+              for a in witnesses]
+    del scaled   # not held through the ascent, whose products set the peak
     best = max(ratios)
     if mode == "sampled":
         a = witnesses[ratios.index(best)].astype(float).copy()   # the first best
@@ -428,9 +458,7 @@ def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float
                 rows = _contenders(c_rest, mass, _block_norm_estimates(seg_t, touched), p)
                 trial = bn_t[:, rows].T.copy()
                 trial[:, ks] = block_norms(seg_t[:, rows].T.copy(), touched)
-                norms = _lp_of_blocks(trial, p)
-                # a ratio of 0 is never kept
-                r = float(np.max(norms) / norms[0]) if norms[0] != 0.0 else 0.0
+                r = _ratio(_lp_of_blocks(trial, p))
                 if r > keep:
                     keep, val, kept = r, a[i], seg_t
             a[i] = val

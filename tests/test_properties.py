@@ -1,6 +1,7 @@
 """Properties of the triangular layout, the per-block norms, the mixed
-norm, the ratio recurrence, the permutation, the coupling rule and the
-twisted analysis and synthesis, checked on random inputs.
+norm, the ratio recurrence, the permutation, the coupling rule, the
+twisted analysis and synthesis and the sign classes of the unconditional
+constant, checked on random inputs.
 
 Each property draws the same fixed examples on every run and keeps no
 example database, so a run reads and writes nothing outside the test
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from mrlab import cli
 from mrlab.blockspace import (
     BlockLayout,
+    combination_norms,
     mixed_norm,
     triangular_block_index,
     triangular_end,
@@ -29,6 +31,8 @@ from mrlab.twistbasis import (
     VARIANTS,
     TwistPermutation,
     _coupling,
+    _sign_classes,
+    _witness_family,
     basis_layout,
     build_permutation,
     synthesis_cover,
@@ -124,6 +128,53 @@ def test_basis_matrix_rows_are_the_coupling_heads(n):
         for j, hb in zip(t.a.tolist(), t.head_b.tolist()):
             heads[j - 1].add(int(hb))
         assert [set((np.flatnonzero(row) + 1).tolist()) for row in nonzero] == heads
+
+
+@st.composite
+def sign_rows(draw):
+    """(variant, signs): the all-plus row 0, a few drawn rows, and copies and
+    negations of rows already drawn, in a drawn order after row 0."""
+    variant = draw(st.sampled_from(VARIANTS))
+    n = draw(st.integers(2, 40))
+    drawn = draw(st.lists(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n),
+                          min_size=1, max_size=6))
+    rows = [np.ones(n)] + [np.array(r) for r in drawn]
+    for pick, negate in draw(st.lists(st.tuples(st.integers(0, 2 * len(rows)),
+                                                st.booleans()), max_size=8)):
+        row = rows[pick % len(rows)]
+        rows.append(-row if negate else row.copy())
+    rest = draw(st.permutations(rows[1:]))
+    return variant, np.stack([rows[0], *rest])
+
+
+@st.composite
+def witnesses(draw, n):
+    """The all-ones, pair or a Gaussian witness, with drawn coordinates zeroed."""
+    family = _witness_family(n, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    a = family[draw(st.sampled_from([0, 2, len(family) - 1]))].copy()
+    a[draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    return a
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(sign_rows(), st.data(), st.sampled_from([1.001, 1.5, 3.0, 200.0, math.inf]))
+def test_sign_rows_of_one_class_have_one_norm(drawn, data, p):
+    # the class of a row: the bit s_i s_j of each coordinate two coefficients feed
+    variant, signs = drawn
+    n = signs.shape[1]
+    a = data.draw(witnesses(n))
+    perm, layout = basis_layout(n, variant)
+    basis = twisted_basis_matrix(n, perm, variant, layout)
+    key = signs @ basis[:, basis.sum(axis=0) == 2] != 0.0
+    first = {}
+    for r, k in enumerate(key):
+        first.setdefault(k.tobytes(), r)
+    kept = _sign_classes(signs, basis)
+    assert kept.tolist() == sorted(first.values()) and kept[0] == 0
+    norms = combination_norms(signs * a, basis, p, layout)
+    assert norms.tobytes() == norms[[first[k.tobytes()] for k in key]].tobytes()
+    reduced = combination_norms(signs[kept] * a, basis, p, layout)
+    assert reduced[[0, np.argmax(reduced)]].tobytes() == norms[[0, np.argmax(norms)]].tobytes()
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

@@ -13,10 +13,11 @@ depending on its place in the batch.  Up to EXACT_TERM_LIMIT terms
 ``rad_norm`` reads every square from the table of that half.  The sampler
 draws its signs a row block at a time, which must give the oracle's single
 draw, and norms the draws themselves when the table is not worth forming.
-``unconditional_constant`` reads each ratio's denominator from row 0 of
-its sign products, where the oracle forms a one-row product; its sampled
-ascent norms exactly only the rows that can hold a trial's maximum, where
-the oracle norms every row.
+``unconditional_constant`` norms one sign row of each class whose products
+have the same moduli, where the oracle norms every row, and reads each
+ratio's denominator from row 0 of its sign products, where the oracle
+forms a one-row product; its sampled ascent norms exactly only the rows
+that can hold a trial's maximum.
 """
 
 import math
@@ -314,8 +315,9 @@ def test_exact_unconditional_constant_matches_the_oracle(n, variant, p):
 
 # the ascent norms exactly only the rows its estimate cannot rule out: at
 # exponents near 1 and far past 2, where the estimate's powers reach the
-# ends of the float range, and at n = 5, where 2000 draws repeat 32 patterns
-# (16 norms, as a pattern and its negative share one) and the largest rows tie
+# ends of the float range, and at n = 5, where the 2000 draws fall into the
+# 4 classes of two coupled pairs, one row each.  Rows that tie for the
+# largest estimate are pinned by test_the_screen_keeps_every_row_tied_for_the_largest
 SCREEN_EDGES = [(n, p, n % 3, EVEN_TWIST) for n in (12, 27, 40)
                 for p in (1.001, 200.0, 1000.0, math.inf)] + [(5, 3.0, 1, EVEN_TWIST)]
 
@@ -345,6 +347,44 @@ def test_the_sampled_ascent_norms_few_rows_exactly(monkeypatch):
     monkeypatch.setattr(twistbasis, "_lp_of_blocks", counting)
     unconditional_constant(40, 3.0, mode="sampled", seed=1)
     assert len(rows) == 240 and np.mean(rows) < 200
+
+
+@pytest.mark.parametrize("n, mode, variant, most", [(12, "sampled", EVEN_TWIST, 64),
+                                                    (12, "sampled", ODD_TWIST, 64),
+                                                    (14, "exact", EVEN_TWIST, 128),
+                                                    (12, "sampled", PLAIN, 1),
+                                                    (14, "exact", PLAIN, 1)])
+def test_each_sign_class_is_normed_once(n, mode, variant, most, monkeypatch):
+    # n // 2 coupled pairs: 2^6 classes among the 2000 draws at n = 12, 2^7
+    # among the 2^13 patterns at n = 14, one with no pair (plain); a return
+    # to norming every row would read 2000 or 8192 rows a call
+    normed, ascended = [], []
+    norms, ascend = twistbasis.combination_norms, twistbasis._ascend
+
+    def counting_norms(weights, *args):
+        normed.append(weights.shape[0])
+        return norms(weights, *args)
+
+    def counting_ascent(a, best, signs, *args):
+        ascended.append(signs.shape[0])
+        return ascend(a, best, signs, *args)
+
+    monkeypatch.setattr(twistbasis, "combination_norms", counting_norms)
+    monkeypatch.setattr(twistbasis, "_ascend", counting_ascent)
+    got = unconditional_constant(n, 3.0, mode=mode, seed=1, variant=variant)
+    assert normed and max(normed) <= most
+    assert len(ascended) == (mode == "sampled") and max(ascended, default=1) <= most
+    if variant == PLAIN:
+        assert set(normed + ascended) == {1} and got == 1.0
+
+
+@pytest.mark.parametrize("p", [1.001, 3.0, math.inf])
+def test_the_screen_keeps_every_row_tied_for_the_largest(p):
+    # rows 1, 3 and 4 share the largest estimate: one sign row a class leaves
+    # no repeated row to tie, so the ties are set up here
+    touched = [np.array([1.0, 2.0, 1.0, 2.0, 2.0, 0.5])]
+    rows = twistbasis._contenders(np.ones(6), np.ones(6), touched, p)
+    assert rows.tolist() == [0, 1, 3, 4]
 
 
 def test_the_screen_norms_exactly_what_it_cannot_estimate():
