@@ -351,25 +351,59 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
     return best
 
 
-# The sampled ascent norms exactly only the sign rows whose estimated norm
-# c S^(1/p) is within this factor of the largest estimate, where c is the
-# row's peak block norm and S = sum (b / c)^p lies in [1, n_blocks]: S cannot
-# overflow, and a term that underflows is negligible against it.  A moved
-# block's norm b is estimated from sums of squares in another order, within
-# about m ulps for a block of m coordinates.  Each b / c is then off by
-# about m ulps and its p-th power by about p m ulps, so S is off by about
-# (p m + n_blocks) ulps, which its 1/p-th power divides by p: the estimate is
-# within about (m + n_blocks + 8) ulps of the norm for every p in (1, inf].
-# The row with the largest norm thus estimates within twice that of the
-# largest estimate, far inside 2^-30.
+# At p = inf the sampled ascent norms exactly only the sign rows whose
+# estimated norm, the largest of its block norms, is within this factor of the
+# largest estimate.  A moved block's norm is estimated from its sum of squares
+# in another order, within about m + 4 ulps of its norm for a block of m
+# coordinates, so the row with the largest norm estimates within twice that of
+# the largest estimate, far inside 2^-30.
 _SCREEN_MARGIN = 1.0 - 2.0 ** -30
 
+# For finite p the ascent screens in p-th-power space.  With g the table's
+# largest block norm, P = (b / g)^p for each block norm b of the table and T a
+# row's sum of P, a trial's screen value of a row is
+#     E = (T - P[moved]) + sum over the moved blocks of (s / g^2)^(p/2),
+# s the moved blocks' sums of squares, against X = (N / g)^p for the row's
+# norm N in real arithmetic.  With u = 2^-53, m the largest block size, n_b
+# the number of blocks and err = (p + 1)(m + n_b + 16) u:
+# - ordering: block_norms sums a block's squares, rescaled or not, and takes
+#   a root, within (m + 4) u of the block's norm; s sums the same squares in
+#   another order, within (m + 1) u, or reads NaN where a nonzero block's sum
+#   falls below the normal range;
+# - np.power: the quotient by g, or the product by 1 / g^2, adds up to 3 u;
+#   the power multiplies the error by p, or p / 2, and adds its own u, so
+#   each term is within (p + 1)(m + 6) u of (b / g)^p, plus
+#   2^(1 - 1073 min(1, p / 2)) where its argument falls below the normal
+#   range (a power q <= 1 is off by at most the q-th power of that error);
+# - the subtraction: T adds n_b terms and T - P[moved] may cancel, which costs
+#   up to c T with c = (n_b + 8) u and T the row's own sum before the step;
+#   adding the moved terms costs 2 u E.
+#   So |E - X| <= err X + c T + eta, with eta = (n_b + 4) 2^(1 - 1073 min(1, p / 2));
+# - the exact norm: _lp_of_blocks rounds the block norms, their quotients by
+#   the peak, the powers, the sum, the root and the product, so its value n is
+#   within (m + n_b + 9) u of N, and n^p within err of N^p.
+# The row whose exact norm is the largest thus has X at least (1 - 2 err)
+# times that of the row with the largest E, top, so its E is at least
+# top (1 - 4 err) - tol with tol = 2 (c max T + eta): the rows with
+# E >= top margin_p - tol, margin_p = 1 - 32 err, hold it.  The ratio
+# r = n / n_0 of that row over row 0 has
+# r^p <= (1 + 5 err) (top + tol) / (E_0 - c T_0 - eta).  The screen's bound
+# divides top by margin_p and multiplies E_0 by it, which covers those 5 err
+# and its own rounding, so a trial with ((top / margin_p + tol) / (E_0 margin_p - c T_0 - eta))^(1/p)
+# <= keep cannot be kept and is not normed.  The bounds are linear in err and
+# hold while err <= 2^-20; past that every row is normed exactly.  A non-finite
+# E (a sum of squares or a table entry past the float range, g zero, or g^2
+# or its inverse outside the normal range) marks its row a contender and the
+# trial is never skipped; nor is it when E_0 margin_p <= c T_0 + eta, which a
+# zero E_0 always is.
+_POWER_SCREEN_ERR = 2.0 ** -20
 
-def _block_norm_estimates(seg_t, touched: BlockLayout):
-    """Each row's norm of each block of ``touched``, from its columns seg_t
-    (coordinates x rows) summed down the columns: within a few ulps of
-    ``block_norms``, or NaN where the squares of a nonzero block fall below
-    the normal float range."""
+
+def _block_squares(seg_t, touched: BlockLayout):
+    """Each row's sum of squares of each block of ``touched``, from its
+    columns seg_t (coordinates x rows) summed down the columns: inf past the
+    float range, and NaN where the squares of a nonzero block fall below the
+    normal float range."""
     out = np.empty((touched.n_blocks, seg_t.shape[1]))
     for k, (s, z) in enumerate(zip(touched.starts, touched.sizes)):
         blk = seg_t[s:s + z]
@@ -377,31 +411,108 @@ def _block_norm_estimates(seg_t, touched: BlockLayout):
         low = out[k] < _NORMAL_MIN
         if low.any():
             out[k, low & (np.abs(blk).max(axis=0) > 0.0)] = math.nan
-    return np.sqrt(out)
+    return out
 
 
-def _contenders(c_rest, mass, touched, p):
-    """Rows whose norm may be the largest of the trial: row 0, every row whose
-    estimate is within _SCREEN_MARGIN of the largest finite one, and every row
-    whose estimate is NaN or inf.  ``c_rest`` and ``mass`` are each row's peak
-    and sum (b / c_rest)^p over the blocks the step leaves alone, ``touched``
-    the estimated norms of the blocks it moves, a block a row."""
-    with np.errstate(all="ignore"):   # non-finite estimates are kept whatever they read
-        c = c_rest
-        for b in touched:
-            c = np.maximum(c, b)
-        if p == math.inf:
-            est = c
-        else:
-            safe = np.where(c > 0.0, c, 1.0)
-            s = mass * (c_rest / safe) ** p
-            for b in touched:
-                s += (b / safe) ** p
-            est = c * s ** (1.0 / p)
+def _moved_squares(sq_rest, moved, fold: bool):
+    """Each row's sums of squares of the blocks a step moves: ``sq_rest``,
+    those of the coordinates it leaves alone (``_block_squares``), plus the
+    squares of the moved coordinates ``moved`` (coordinates x rows), one a
+    block or, with fold, both in the one block.  As in ``_block_squares``:
+    inf past the float range, and NaN where the squares of a nonzero block
+    fall below the normal float range; sq_rest is 0 there, or NaN already, so
+    the block is nonzero where a moved coordinate is."""
+    # inf past the float range, without a warning
+    sq = sq_rest + np.einsum("ij,ij->j" if fold else "ij,ij->ij", moved, moved)
+    low = sq < _NORMAL_MIN
+    if low.any():
+        nonzero = moved != 0.0
+        sq[low & (nonzero.any(axis=0) if fold else nonzero)] = math.nan
+    return sq
+
+
+def _contenders(est, margin, tol=0.0):
+    """Rows whose screen value ``est`` may be the largest: row 0, every row
+    whose value is at least ``margin`` times the largest finite one less
+    ``tol``, and every row whose value is NaN or inf."""
     finite = np.isfinite(est)
-    keep = ~finite | (est >= np.max(est, where=finite, initial=0.0) * _SCREEN_MARGIN)
+    keep = ~finite | (est >= np.max(est, where=finite, initial=0.0) * margin - tol)
     keep[0] = True
     return np.flatnonzero(keep)
+
+
+class _SupScreen:
+    """The screen at p = inf: a row's estimate is its largest block norm, over
+    the table's blocks left alone and the roots of the moved blocks' sums of
+    squares (see _SCREEN_MARGIN)."""
+
+    def __init__(self, bn_t):
+        self.bn_t = bn_t                  # blocks x rows, as the ascent updates it
+        self.work = np.empty_like(bn_t)   # reused: a fresh one is page-faulted for each coefficient
+
+    def update(self, ks):
+        """Nothing to redo when a kept step moves the blocks ks: the screen
+        reads the table as it stands."""
+
+    def rest(self, ks):
+        """Each row's largest norm over the blocks other than ks."""
+        rest = np.delete(np.arange(self.bn_t.shape[0]), ks)
+        return np.take(self.bn_t, rest, axis=0, out=self.work[:rest.size]).max(axis=0, initial=0.0)
+
+    def contenders(self, rest, sq, keep):
+        """The rows to norm exactly; never None, as this screen skips no trial."""
+        return _contenders(np.maximum(rest, np.sqrt(sq.max(axis=0))), _SCREEN_MARGIN)
+
+
+class _PowerScreen:
+    """The screen at finite p, in p-th-power space (see _POWER_SCREEN_ERR):
+    the table P = (b / g)^p of the block norms b, blocks x rows, g the largest,
+    and each row's sum T, updated on each kept step."""
+
+    def __init__(self, bn_t, p, layout: BlockLayout):
+        self.p = p
+        unit = 2.0 ** -53
+        err = (p + 1.0) * (int(layout.sizes.max()) + layout.n_blocks + 16) * unit
+        self.margin = 1.0 - 32.0 * err if err <= _POWER_SCREEN_ERR else None
+        self.c = (layout.n_blocks + 8) * unit
+        self.eta = (layout.n_blocks + 4) * 2.0 ** (1.0 - 1073.0 * min(1.0, p / 2.0))
+        self.bn_t, self.g = bn_t, math.nan   # blocks x rows, as the ascent updates it
+        self.update(None)
+
+    def update(self, ks):
+        """Form the table again after a kept step moved the blocks ks of the
+        block norms: their rows alone while g stays, else the whole table."""
+        g = float(self.bn_t.max())
+        with np.errstate(all="ignore"):   # a non-finite or zero g reads non-finite entries
+            if g == self.g:
+                self.P[ks] = np.power(self.bn_t[ks] / g, self.p)
+            else:
+                self.g = g
+                # 1 / g^2 scales the sums of squares; NaN, which every row then
+                # reads, where g^2 or its inverse leaves the normal range
+                self.scale = 1.0 / (g * g) if 2.0 ** -500 <= g <= 2.0 ** 500 else math.nan
+                self.P = np.power(self.bn_t / g, self.p)
+        self.T = self.P.sum(axis=0)
+        top_t = np.max(self.T, where=np.isfinite(self.T), initial=0.0)
+        self.tol = 2.0 * (self.c * float(top_t) + self.eta)
+
+    def rest(self, ks):
+        """Each row's sum of P over the blocks other than ks."""
+        return self.T - self.P[ks].sum(axis=0)
+
+    def contenders(self, rest, sq, keep):
+        """The rows to norm exactly, or None when the trial's ratio cannot
+        exceed keep."""
+        if self.margin is None:
+            return np.arange(rest.size)
+        with np.errstate(all="ignore"):   # non-finite values are kept whatever they read
+            e = rest + np.power(sq * self.scale, self.p / 2.0).sum(axis=0)
+        top = float(e.max())   # NaN or inf when any value is
+        if math.isfinite(top):
+            den = float(e[0]) * self.margin - (self.c * float(self.T[0]) + self.eta)
+            if den > 0.0 and ((top / self.margin + self.tol) / den) ** (1.0 / self.p) <= keep:
+                return None
+        return _contenders(e, self.margin, self.tol)
 
 
 def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float:
@@ -411,18 +522,25 @@ def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float
 
     The sign products (signs * a) @ basis, held coordinates x rows, and their
     block norms are kept across steps.  Rescaling a_i moves only the
-    coordinates of f_i (at most two), each fed by at most two coefficients,
-    so a step recomputes those coordinates and the blocks holding them.  Each
-    is a sum of at most two exact products, so the values equal the full
-    product's bit for bit.
+    coordinates of f_i (at most two), each fed by a_i and at most one other
+    coefficient, so a step recomputes those coordinates, s_i a_i plus the
+    other's fixed product, and the blocks holding them.  Each is a sum of at
+    most two exact products, so the values equal the full product's bit for
+    bit.
 
-    The ratio reads two rows: row 0 and the largest.  A cheap estimate of
-    each row's norm (see _SCREEN_MARGIN) picks the rows that can hold the
-    largest, and only those, with row 0, go through ``block_norms`` and
-    ``_lp_of_blocks``.  Both norm each row on its own, so the largest of those
-    exact norms is the whole table's bit for bit, and the kept steps, the
-    products and the result are those of norming every row; the moved blocks
-    of every row are normed exactly only when a step is kept.
+    The ratio reads two rows: row 0 and the largest.  A screen value of each
+    row's norm, from the sums of squares of the blocks the step moves (those
+    of the coordinates it leaves alone summed once a coefficient), picks the
+    rows that can hold the largest, and only those, with row 0, go through
+    ``block_norms`` and ``_lp_of_blocks``; at finite p the screen also bounds
+    the trial's ratio and skips the exact norms of a trial that cannot rise
+    above the ratio kept (see _POWER_SCREEN_ERR).  Both norm each row on its
+    own, so the largest of those exact norms is the whole table's bit for
+    bit, and the kept steps, the products and the result are those of norming
+    every row; the moved blocks of every row are normed exactly, and the
+    screen's table updated, only when a step is kept.  A cycle of n
+    visits that keeps nothing leaves the state as it found it, so every later
+    visit would keep nothing either: the ascent returns.
     """
     p = float(p)
     prod = (signs * a) @ basis
@@ -436,34 +554,45 @@ def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float
         ks = np.unique(triangular_block_index(cols + 1)) - 1   # the blocks holding them
         span = np.concatenate([np.arange(s, s + z) for s, z in
                                zip(layout.starts[ks], layout.sizes[ks])])
-        rest = np.delete(np.arange(layout.n_blocks), ks)   # the blocks left alone
-        plans.append((span, np.searchsorted(span, cols), ks, rest,
-                      BlockLayout.from_sizes(layout.sizes[ks]), feed, basis[np.ix_(feed, cols)].T))
-    work = np.empty_like(bn_t)   # reused: a fresh one is page-faulted for each coefficient
+        plans.append((cols, span, np.searchsorted(span, cols), ks,
+                      BlockLayout.from_sizes(layout.sizes[ks]), feed,
+                      basis[np.ix_(feed, cols)].T))
+    screen = _SupScreen(bn_t) if p == math.inf else _PowerScreen(bn_t, p, layout)
+    idle = 0   # consecutive visits that kept nothing
     for _ in range(sweeps):
-        for i, (span, at, ks, rest, touched, feed, feed_basis) in enumerate(plans):
-            feed_signs = signs.T[feed]   # per coefficient: n copies would hold up to 3 sign tables
-            others = np.take(bn_t, rest, axis=0, out=work[:rest.size])
-            c_rest = others.max(axis=0, initial=0.0)
-            mass = None
-            if p != math.inf:
-                with np.errstate(invalid="ignore"):   # a row holding inf or NaN is normed exactly
-                    others /= np.where(c_rest > 0.0, c_rest, 1.0)
-                    mass = np.power(others, p, out=others).sum(axis=0)
-            keep, val, kept = best, a[i], None
+        for i, (cols, span, at, ks, touched, feed, feed_basis) in enumerate(plans):
+            val = a[i]
+            a[i] = 0.0
+            fixed = feed_basis @ (signs.T[feed] * a[feed, None])   # the other coefficients' part
+            sign = signs.T[i]
+            base = prod_t[span]
+            base[at] = 0.0
+            sq_rest = _block_squares(base, touched)
+            fold = cols.size > ks.size   # both coordinates in one block
+            rest = screen.rest(ks)
+            keep, kept = best, None
             for step in (0.5, 2.0, -1.0):
                 a[i] = val * step if val != 0 else step
-                seg_t = prod_t[span]
-                seg_t[at] = feed_basis @ (feed_signs * a[feed, None])
-                rows = _contenders(c_rest, mass, _block_norm_estimates(seg_t, touched), p)
+                moved = fixed + a[i] * sign
+                rows = screen.contenders(rest, _moved_squares(sq_rest, moved, fold), keep)
+                if rows is None:
+                    continue
+                seg_t = base[:, rows]
+                seg_t[at] = moved[:, rows]
                 trial = bn_t[:, rows].T.copy()
-                trial[:, ks] = block_norms(seg_t[:, rows].T.copy(), touched)
+                trial[:, ks] = block_norms(seg_t.T.copy(), touched)
                 r = _ratio(_lp_of_blocks(trial, p))
                 if r > keep:
-                    keep, val, kept = r, a[i], seg_t
+                    keep, val, kept = r, a[i], moved
             a[i] = val
-            if kept is not None:
-                prod_t[span] = kept
-                bn_t[ks] = block_norms(kept.T.copy(), touched).T
-            best = max(best, keep)
+            if kept is None:
+                idle += 1
+                if idle == a.size:
+                    return best
+                continue
+            idle = 0
+            prod_t[cols] = kept
+            bn_t[ks] = block_norms(prod_t[span].T.copy(), touched).T
+            screen.update(ks)
+            best = keep
     return best

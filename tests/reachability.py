@@ -31,6 +31,10 @@ KEEP = {
         "usage errors exit 1 with a flag suggestion; tests/test_cli.py reaches it",
     "cli._config_value":
         "reads --config entries; tests/test_cli.py reaches it",
+    "blockspace._scaled_block_norms":
+        "rescales the blocks whose squares under- or overflow; since the sampled ascent "
+        "norms little beyond its kept steps no golden meets such a block, and "
+        "tests/test_blockspace.py and the extreme-scale ascent oracle reach it",
     "errors.SequenceOverflowError.__init__":
         "the overflow error a too-long sequence raises; tests reach it",
     "multiplier.TwistedMultiplier.adjoint_apply_symbols":
@@ -49,6 +53,16 @@ KEEP = {
     "multiplier.opnorm_lower":
         "lower norm bound of the multiplier with symbol values g; BENCHMARK.json and "
         "perfbench name it, and the tests bound A^{it} and BV multipliers with it",
+    "twistbasis._SupScreen.__init__":
+        "the p = inf screen of the sampled ascent, which no golden runs; CI's "
+        "`uncond-constant --n 3 --mode sampled --p inf` and the ascent oracles in "
+        "tests/test_sign_average_oracle.py reach it",
+    "twistbasis._SupScreen.contenders":
+        "the p = inf screen of the sampled ascent (see _SupScreen.__init__)",
+    "twistbasis._SupScreen.rest":
+        "the p = inf screen of the sampled ascent (see _SupScreen.__init__)",
+    "twistbasis._SupScreen.update":
+        "the p = inf screen of the sampled ascent (see _SupScreen.__init__)",
     "twistbasis.twisted_synthesis":
         "operator API: the coordinate vector of twisted coefficients, a plain array in "
         "their dtype; the round-trip property tests and the coupling oracles reach it",

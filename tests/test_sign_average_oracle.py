@@ -17,7 +17,8 @@ draw, and norms the draws themselves when the table is not worth forming.
 have the same moduli, where the oracle norms every row, and reads each
 ratio's denominator from row 0 of its sign products, where the oracle
 forms a one-row product; its sampled ascent norms exactly only the rows
-that can hold a trial's maximum.
+that can hold a trial's maximum, only in the trials whose ratio can rise,
+and returns once a cycle over the coefficients keeps nothing.
 """
 
 import math
@@ -26,6 +27,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mrlab import blockspace, rademacher, twistbasis
 from mrlab.blockspace import (
@@ -41,8 +44,10 @@ from mrlab.twistbasis import (
     EVEN_TWIST,
     ODD_TWIST,
     PLAIN,
+    VARIANTS,
     TwistPermutation,
     _witness_family,
+    basis_layout,
     synthesis_cover,
     twisted_basis_matrix,
     unconditional_constant,
@@ -315,11 +320,14 @@ def test_exact_unconditional_constant_matches_the_oracle(n, variant, p):
 
 # the ascent norms exactly only the rows its estimate cannot rule out: at
 # exponents near 1 and far past 2, where the estimate's powers reach the
-# ends of the float range, and at n = 5, where the 2000 draws fall into the
-# 4 classes of two coupled pairs, one row each.  Rows that tie for the
-# largest estimate are pinned by test_the_screen_keeps_every_row_tied_for_the_largest
+# ends of the float range, past the exponents the power screen's margin
+# covers (1e12), where every row is normed, and at n = 5, where the 2000
+# draws fall into the 4 classes of two coupled pairs, one row each.  Rows
+# that tie for the largest estimate are pinned by
+# test_the_screen_keeps_every_row_tied_for_the_largest
 SCREEN_EDGES = [(n, p, n % 3, EVEN_TWIST) for n in (12, 27, 40)
-                for p in (1.001, 200.0, 1000.0, math.inf)] + [(5, 3.0, 1, EVEN_TWIST)]
+                for p in (1.001, 200.0, 1000.0, math.inf)] + [(5, 3.0, 1, EVEN_TWIST),
+                                                              (12, 1e12, 0, EVEN_TWIST)]
 
 
 @pytest.mark.parametrize("n, p, seed, variant", [(12, 2.0, 0, EVEN_TWIST),
@@ -334,19 +342,110 @@ def test_sampled_unconditional_constant_matches_the_oracle(n, p, seed, variant):
     assert bits(got) == bits(want)
 
 
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(n=hs.integers(2, 24),
+       p=hs.sampled_from([1.001, 1.5, 2.0, 3.0, 7.5, 200.0, 1000.0, math.inf]),
+       seed=hs.integers(0, 2 ** 16), variant=hs.sampled_from(VARIANTS))
+def test_sampled_unconditional_constant_matches_the_oracle_anywhere(n, p, seed, variant):
+    got = unconditional_constant(n, p, mode="sampled", seed=seed, variant=variant)
+    want = unconditional_constant_oracle(n, p, mode="sampled", seed=seed, variant=variant)
+    assert bits(got) == bits(want)
+
+
+def ascent_oracle(a, signs, basis, p, layout, sweeps=2):
+    """The ascent as ``unconditional_constant_oracle`` runs it, norming every
+    sign row of every trial: the witness a's ratio and the ascent's result."""
+    def ratio(a):
+        norms = mixed_norm((signs * a) @ basis, p, layout)
+        return float(np.max(norms) / norms[0]) if norms[0] != 0.0 else 0.0
+
+    start = best = ratio(a)
+    for _ in range(sweeps):
+        for i in range(a.size):
+            keep, val = best, a[i]
+            for step in (0.5, 2.0, -1.0):
+                a[i] = val * step if val != 0 else step
+                r = ratio(a)
+                if r > keep:
+                    keep, val = r, a[i]
+            a[i] = val
+            best = max(best, keep)
+    return start, best
+
+
+# witness scales whose squares fall below the normal range, whose largest
+# block norm squared leaves it (past 2^500 or under 2^-500), and whose
+# squares overflow; the zero coefficients step to 0.5, 2 and -1, so blocks
+# mix those scales with plain ones
+@pytest.mark.parametrize("scale", [1e-170, 1e-155, 1e-140, 1e152, 1e200])
+@pytest.mark.parametrize("p", [1.001, 3.0, 1000.0, math.inf])
+def test_the_ascent_matches_the_oracle_at_the_ends_of_the_float_range(scale, p):
+    n = 10
+    rng = np.random.default_rng(7)
+    perm, layout = basis_layout(n)
+    basis = twisted_basis_matrix(n, perm, EVEN_TWIST, layout)
+    signs = rng.choice([-1.0, 1.0], size=(200, n))
+    signs[0] = 1.0
+    a = scale * rng.standard_normal(n) * (np.arange(n) % 3 != 0)
+    start, want = ascent_oracle(a.copy(), signs, basis, p, layout)
+    got = twistbasis._ascend(a.copy(), start, signs, basis, p, layout, 2)
+    assert bits(got) == bits(want)
+
+
 def test_the_sampled_ascent_norms_few_rows_exactly(monkeypatch):
-    # one exact call per trial (2 sweeps x 40 coefficients x 3 steps); a
-    # return to norming the whole table would read 2000 rows a call
-    rows = []
+    # of the 240 trials (2 sweeps x 40 coefficients x 3 steps) only those the
+    # screen cannot rule out are normed exactly, and every kept step is one of
+    # them; a return to norming the whole table would read 2000 rows a call
+    rows, trials, kept = [], [], []
     exact = twistbasis._lp_of_blocks
+    screen, update = twistbasis._PowerScreen.contenders, twistbasis._PowerScreen.update
 
     def counting(bn, p):
         rows.append(bn.shape[0])
         return exact(bn, p)
 
+    def counting_trials(self, *args):
+        trials.append(1)
+        return screen(self, *args)
+
+    def counting_kept(self, ks):
+        kept.append(ks)   # None for the table formed before the first step
+        return update(self, ks)
+
     monkeypatch.setattr(twistbasis, "_lp_of_blocks", counting)
+    monkeypatch.setattr(twistbasis._PowerScreen, "contenders", counting_trials)
+    monkeypatch.setattr(twistbasis._PowerScreen, "update", counting_kept)
     unconditional_constant(40, 3.0, mode="sampled", seed=1)
-    assert len(rows) == 240 and np.mean(rows) < 200
+    assert kept[0] is None and len(trials) == 240 and len(kept) > 1
+    assert len(kept) - 1 <= len(rows) < len(trials) and np.mean(rows) < 200
+
+
+def test_the_ascent_stops_after_a_cycle_that_keeps_nothing(monkeypatch):
+    # at p = 2 only the first two visits keep a step: the 40 visits after
+    # them keep nothing, so the ascent returns after visit 41 (counted from 0)
+    # of the 2 x 40, with the bits of the oracle's full two sweeps
+    visits = []
+    squares = twistbasis._block_squares
+
+    def counting(seg_t, touched):
+        visits.append(1)   # once a visit, for the coordinates it leaves alone
+        return squares(seg_t, touched)
+
+    monkeypatch.setattr(twistbasis, "_block_squares", counting)
+    got = unconditional_constant(40, 2.0, mode="sampled", seed=1)
+    assert len(visits) == 42
+    assert bits(got) == bits(unconditional_constant_oracle(40, 2.0, mode="sampled", seed=1))
+
+
+def screened(bn_t, ks, sq, p, keep=0.0):
+    """The ascent's screen of a trial over the block norms bn_t (blocks x
+    rows, one coordinate a block) that moves the blocks ks to the sums of
+    squares sq."""
+    if p == math.inf:
+        screen = twistbasis._SupScreen(bn_t)
+    else:
+        screen = twistbasis._PowerScreen(bn_t, p, BlockLayout.from_sizes(np.ones(bn_t.shape[0])))
+    return screen.contenders(screen.rest(np.asarray(ks)), sq, keep)
 
 
 @pytest.mark.parametrize("n, mode, variant, most", [(12, "sampled", EVEN_TWIST, 64),
@@ -380,10 +479,11 @@ def test_each_sign_class_is_normed_once(n, mode, variant, most, monkeypatch):
 
 @pytest.mark.parametrize("p", [1.001, 3.0, math.inf])
 def test_the_screen_keeps_every_row_tied_for_the_largest(p):
-    # rows 1, 3 and 4 share the largest estimate: one sign row a class leaves
-    # no repeated row to tie, so the ties are set up here
-    touched = [np.array([1.0, 2.0, 1.0, 2.0, 2.0, 0.5])]
-    rows = twistbasis._contenders(np.ones(6), np.ones(6), touched, p)
+    # rows 1, 3 and 4 share the largest screen value: one sign row a class
+    # leaves no repeated row to tie, so the ties are set up here, a block of
+    # norm 1 left alone and one moved to the norms below
+    moved = np.array([[1.0, 2.0, 1.0, 2.0, 2.0, 0.5]])
+    rows = screened(np.ones((2, 6)), [1], moved ** 2, p)
     assert rows.tolist() == [0, 1, 3, 4]
 
 
@@ -399,14 +499,87 @@ def test_the_screen_norms_exactly_what_it_cannot_estimate():
                       [0.0, 0.0, 0.0, 0.0, 10.0]])
     with np.errstate(over="ignore"):
         exact = blockspace.block_norms(np.ascontiguousarray(seg_t.T), touched).T
-    est = twistbasis._block_norm_estimates(seg_t, touched)
-    assert np.isnan(est[0, 1]) and est[0, 3] == math.inf
-    fine = np.isfinite(est)
-    assert np.allclose(est[fine], exact[fine], rtol=1e-15, atol=0.0)
+    sq = twistbasis._block_squares(seg_t, touched)
+    assert np.isnan(sq[0, 1]) and sq[0, 3] == math.inf and sq[0, 2] == sq[1, 2] == 0.0
+    fine = np.isfinite(sq)
+    assert np.allclose(np.sqrt(sq[fine]), exact[fine], rtol=1e-15, atol=0.0)
     # row 0 is the denominator, rows 1 and 3 cannot be ruled out and row 4
-    # holds the largest finite estimate; rows 0 and 2 fall short of it
-    rows = twistbasis._contenders(np.ones(5), np.ones(5), est, 3.0)
-    assert rows.tolist() == [0, 1, 3, 4]
+    # holds the largest finite value; rows 0 and 2, whose zero blocks are
+    # estimated exactly, fall short of it.  With rows it cannot estimate the
+    # screen skips no trial, however high the ratio to beat
+    for p in (3.0, math.inf):
+        rows = screened(np.ones((3, 5)), [1, 2], sq, p, keep=1e300)
+        assert rows.tolist() == [0, 1, 3, 4]
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_the_moved_squares_read_as_the_whole_blocks_do(fold):
+    # the blocks of test_the_screen_norms_exactly_what_it_cannot_estimate
+    # with a row of tiny values moved into a zero block, summed from the
+    # coordinates a step leaves alone and those it moves: one in each block,
+    # or both in the second block alone
+    seg_t = np.array([[3.0, 1e-170, 0.0, 1e200, 10.0, 0.0],
+                      [4.0, 1e-170, 0.0, 1e200, 10.0, 1e-170],
+                      [1.0, 0.0, 0.0, 1.0, 10.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 10.0, 1e-170],
+                      [0.0, 0.0, 0.0, 0.0, 10.0, 0.0]])
+    if fold:
+        touched, seg_t, at = BlockLayout.from_sizes([3]), seg_t[2:], np.array([1, 2])
+    else:
+        touched, at = BlockLayout.from_sizes([2, 3]), np.array([1, 3])
+    base = seg_t.copy()
+    base[at] = 0.0
+    got = twistbasis._moved_squares(twistbasis._block_squares(base, touched), seg_t[at], fold)
+    want = twistbasis._block_squares(seg_t, touched)
+    assert np.array_equal(np.isnan(got), np.isnan(want)) and np.isnan(got[:, 5]).all()
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0, equal_nan=True)
+
+
+# at p = 2 the moved block of a row may dwarf the one left alone, so that
+# T - P[moved] rounds the rest mass: 3e-17 beside 0.25 reads 5.55e-17 and
+# 1e-16 beside 1 reads 0 once the trial zeroes the moved block.  A rival at
+# 9e-17 then reads above the row of the largest norm, and row 0 reads above
+# its norm, so that the ratio looks lower than it is: the screen still norms
+# the largest row and skips neither trial, whose ratio tops the one to beat
+CANCELLED = [([[np.sqrt(3e-17), np.sqrt(1e-16), np.sqrt(9e-17)], [0.5, 1.0, 0.0]], 1.0, [0, 1, 2]),
+             ([[np.sqrt(3e-17), 1.0], [0.5, 1.0]], 1.5e8, [0, 1])]
+
+
+@pytest.mark.parametrize("bn_t, keep, rows", CANCELLED)
+def test_the_power_screen_allows_for_the_rest_mass_it_cancels(bn_t, keep, rows):
+    bn_t = np.array(bn_t)
+    trial = bn_t.T.copy()
+    trial[:, 1] = 0.0
+    norms = blockspace._lp_of_blocks(trial, 2.0)
+    assert np.argmax(norms) == 1 and twistbasis._ratio(norms) > keep
+    got = screened(bn_t, [1], np.zeros((1, bn_t.shape[1])), 2.0, keep)
+    assert got is not None and got.tolist() == rows
+
+
+@pytest.mark.parametrize("p", [1.0000001, 1.001, 1.5, 2.0, 3.0, 7.5, 200.0, 1000.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_the_power_screen_skips_only_trials_that_cannot_win(p, seed):
+    # a table of 6 blocks over 300 rows whose last two blocks the trial
+    # moves: the exact ratio r of the trial is the largest exact norm over
+    # row 0's.  A trial whose ratio tops the ratio to beat is never skipped
+    # and keeps the row of its largest norm.  One that falls short of it by
+    # more than 2^-20 is skipped, unless row 0's sum before the step, which
+    # the subtraction T - P[moved] rounds against, dwarfs its value in the
+    # trial: at p = 200 and 1000 the table's powers span that far
+    rng = np.random.default_rng(seed)
+    layout = BlockLayout.from_sizes(np.ones(6))
+    bn_t = rng.uniform(0.5, 2.0, (6, 300))
+    moved = rng.uniform(0.5, 2.0, (2, 300)) * rng.choice([0.9, 1.0, 1.1], (2, 1))
+    trial = bn_t.T.copy()
+    trial[:, 4:] = moved.T
+    norms = blockspace._lp_of_blocks(trial, p)
+    r = twistbasis._ratio(norms)
+    screen = twistbasis._PowerScreen(bn_t, p, layout)
+    rest = screen.rest(np.array([4, 5]))
+    rows = screen.contenders(rest, moved ** 2, np.nextafter(r, 0.0))
+    assert rows is not None and rows[0] == 0 and np.argmax(norms) in rows
+    if p < 10.0:
+        assert screen.contenders(rest, moved ** 2, r * (1.0 + 2.0 ** -20)) is None
 
 
 @pytest.mark.parametrize("n, mode", [(6, "exact"), (10, "exact"), (12, "sampled")])
