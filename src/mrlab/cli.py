@@ -48,6 +48,11 @@ from .twistbasis import SAMPLED_SIGNS, build_permutation, unconditional_constant
 
 _LN2 = math.log(2.0)
 _ROW_BLOCK = 1024   # table rows converted and written at a time
+# CSV rows from which a numeric table takes _place_rows: its fixed cost, about
+# 0.15 ms, matched the % template's cost per float cell at 190 rows of two
+# float columns and a bool (semigroup-check's table), 100 of four (bv-bound's)
+# and 350 of one
+_PLACE_ROWS = 256
 _GRID_POINTS = 10 ** 6   # most points a generated grid may hold
 _TRUNCATION_DIM = 2 * 10 ** 7   # most coordinates a triangular truncation may hold
 _ARRAY_ENTRIES = 10 ** 7   # most entries of the largest array a flag sizes
@@ -115,12 +120,12 @@ def _fmt(x):
 
 
 def _block_cells(column, fmt):
-    """The % conversion and the values of one row block of a column.  A
+    """The % conversion and the values of one row block of a column.  A JSON
     float64 block of _ROW_BLOCK cells that holds at most half as many bit
     patterns as cells comes back as %s of its cells' text, each distinct
     pattern formatted once; bits keep -0.0 from 0.0 and NaN payloads apart."""
     conversion = _conversion(column, fmt)
-    if len(column) == _ROW_BLOCK and column.dtype == np.float64:
+    if fmt == "json" and len(column) == _ROW_BLOCK and column.dtype == np.float64:
         bits = column.view(np.int64)
         ordered = np.sort(bits)   # counts the patterns for a third of np.unique's cost
         if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) <= len(bits):
@@ -141,36 +146,328 @@ _DIGIT_PAIRS = np.frombuffer(b"".join([b"\0\0", *(b"\0%d" % r for r in range(1, 
                                        *(b"%d" % r for r in range(10, 100)),
                                        *(b"%02d" % r for r in range(100))]), dtype=np.uint16)
 _MINUS, _ZERO = np.frombuffer(b"-\0\x000", dtype=np.uint16)
+_BOOL_PLACES = np.frombuffer(b"false\0true\0\0", dtype=np.uint16).reshape(2, 3).T.copy()
 
 
-def _digit_rows(arrays, pieces):
-    """Rows of integer columns as bytes: pieces[0], the first cell, pieces[1],
-    ..., the last cell, pieces[-1]; a cell as str(int) writes it.  Each byte
-    pair of the rows is an array down the rows: the ASCII pieces, a sign,
-    then the digit pairs of uint64 magnitudes (so int64's minimum works),
-    NUL wherever a cell leaves a place unused; row-major, the bytes lose
-    their NULs."""
+def _int_places(column):
+    """An integer column as str(int) writes it: a sign, then the digit pairs
+    of uint64 magnitudes (so int64's minimum works), each byte pair an array
+    down the rows."""
+    column = column.astype(np.int64, copy=False)
+    rest = magnitude = np.abs(column).view(np.uint64)   # abs(-2^63) wraps, read as 2^63
+    pairs = (len(str(int(rest.max()))) + 1) // 2
+    cell = np.empty((pairs + 1, len(column)), dtype=np.uint16)
+    np.multiply(column < 0, _MINUS, out=cell[0])
+    for place in range(pairs, 0, -1):
+        high = rest // 100
+        pair = rest - high * 100
+        pair += np.minimum(high, 1) * 100
+        np.take(_DIGIT_PAIRS, pair, out=cell[place])
+        rest = high
+    cell[pairs, magnitude == 0] = _ZERO
+    return cell
+
+
+# %.17g without dtoa.  A finite nonzero x = m 2^E (np.frexp, 1/2 <= m < 1)
+# with k = floor(log10 |x|) has the digits D = round(|x| 10^s), s = 16 - k,
+# 10^16 <= D <= 10^17, rounded half to even; a D of 10^17 is 10^16 at k + 1.
+# np.log10 only seeds k: |x| >= 10^k exactly when |x| is at least the
+# smallest float64 >= 10^k, so one comparison each way against a table of
+# those fixes k.  With 10^s = (H + L) 2^b, 1 <= H < 2 and L the rest rounded,
+# |10^s 2^-b - H - L| <= 2^-106.  Dekker's two-product m H = P + e, on 26-bit
+# halves, is exact, and |x| 10^s = (P + R) 2^q with R = e + m L, q = E + b.
+# Each step is one correctly rounded IEEE operation, so the digits are a
+# function of x's bits alone.  R's error, in units of 2^q: the table's 2^-106
+# times m < 1; |m L| < 2^-53 rounds by 2^-107; |e| <= ulp(P) / 2 <= 2^-53, so
+# e + m L rounds by 2^-105: at most 7 2^-107 in all.  P 2^q >= 10^16 > 2^53 is
+# an even integer, and 2^q <= 2 (10^17 + 16) < 2^58, so R 2^q is within
+# 7 2^-50 < _DIGIT_ERR of the exact rest, and np.rint's half to even rounds
+# it as D rounds.  Where 0 <= s <= 22, 10^s is a float64, L = 0 and the rest
+# is exact, ties too.  Any other rest within _DIGIT_ERR of a half takes
+# Python's digits (_dtoa_digits): 2^-25 and 3 2^-24 tie exactly at s = 24 and
+# 23.  No tie exists at s < 0: |x| = (2 D + 1) 5^|s| 2^(|s| - 1) would need an
+# odd part above 2^53.
+_DIGIT_ERR = 2.0 ** -47
+_K_MIN, _K_MAX = -324, 308   # floor(log10 |x|) at float64's extremes
+_SPLIT = 2.0 ** 27 + 1.0   # Dekker's splitter: 26-bit halves of a float64
+_FLOAT_CHUNK = 4096   # cells _float_words takes at a time; 8192 took 1.8x as long a cell
+
+
+def _word(text):
+    """Up to 8 bytes as a uint64 that holds text[j] in its byte j from the low end."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+# The text of a float cell's digits fills three uint64 words, place 8 i + j in
+# byte j of word i.  For v = place - 8 i + 16: the mask of word i's bytes
+# before that place, and a point at that place
+_LOW_BYTES = np.array([(1 << 8 * min(max(v - 16, 0), 8)) - 1 for v in range(41)], dtype=np.uint64)
+_POINT = np.array([_word(b"\0" * (v - 16) + b".") if 16 <= v < 24 else 0 for v in range(41)],
+                  dtype=np.uint64)
+_NO_POINT = 24   # a place past the three words
+_WORD_START = np.array([[0], [8], [16]])
+# the digits of nan, inf and 0; the head word holds a sign, none for NaN
+_SPECIAL = np.array([_word(b"nan"), _word(b"inf"), _word(b"0")], dtype=np.uint64)
+
+
+@functools.cache
+def _float_tables():
+    """The tables of _float_words, built on first use.  Over s = 16 - _K_MAX
+    .. 16 - _K_MIN: H, its Dekker halves and L of 10^s = (H + L) 2^b, one
+    row each, and b.  Over k = _K_MIN - 1 .. _K_MAX + 1: the smallest
+    float64 >= 10^k.  Over k = _K_MIN .. _K_MAX: the word before the digits,
+    by the sign bit (a sign, and "0." and zeros for -4 <= k < 0), and e, a sign
+    and the exponent (outside -4 <= k < 17) from byte 2 of the last word on."""
+    powers, exponents = [], []
+    for s in range(16 - _K_MAX, 17 - _K_MIN):
+        num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
+        b = num.bit_length() - den.bit_length()
+        num, den = num << max(-b, 0), den << max(b, 0)
+        if num < den:
+            b, num = b - 1, 2 * num
+        h = num / den   # int / int rounds correctly
+        a, c = h.as_integer_ratio()
+        t = h * _SPLIT
+        powers.append((h, t - (t - h), h - (t - (t - h)), (num * c - a * den) / (den * c)))
+        exponents.append(b)
+    at_least = []
+    for k in range(_K_MIN - 1, _K_MAX + 1):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        value = num / den
+        a, c = value.as_integer_ratio()
+        at_least.append(math.nextafter(value, math.inf) if a * den < num * c else value)
+    ks = range(_K_MIN, _K_MAX + 1)
+    head = np.array([[_word(sign + (b"0." + b"0" * (-1 - k) if -4 <= k < 0 else b""))
+                      for k in ks] for sign in (b"", b"-")], dtype=np.uint64)
+    tail = np.array([_word(b"\0\0" + (b"e%+03d" % k if not -4 <= k < 17 else b""))
+                     for k in ks], dtype=np.uint64)
+    return (np.array(powers).T.copy(), np.array(exponents), np.array(at_least + [math.inf]),
+            head, tail)
+
+
+def _eight_digits(v):
+    """Integers below 10^8 in place as their 8 digits, one a byte, the first
+    in the low byte: halves of 4 digits in 32-bit lanes, then pairs in 16-bit
+    lanes, then digits in bytes.  A multiply and a shift divide each lane by
+    100 or 10 (exactly, below 10^4 and 100), and the masks drop what the lane
+    above spills into it."""
+    high = v // 10 ** 4
+    v -= high * 10 ** 4
+    v <<= 32
+    v |= high
+    high = v * 10486
+    high >>= 20
+    high &= 0x0000007F0000007F
+    v -= high * 100
+    v <<= 16
+    v |= high
+    high = v * 103
+    high >>= 10
+    high &= 0x000F000F000F000F
+    v -= high * 10
+    v <<= 8
+    v |= high
+
+
+def _dtoa_digits(values):
+    """The digits D and the exponent k of each value as Python writes them,
+    for the cells whose rounding _float_words cannot decide (_DIGIT_ERR)."""
+    text = [("%.16e" % v).split("e") for v in values.tolist()]
+    return [int(m.replace(".", "")) for m, _ in text], [int(e) for _, e in text]
+
+
+def _decimal(ax):
+    """The 17 digits D, as int64, and the exponent k of "%.17g" % x for finite
+    positive float64 cells ax (see _DIGIT_ERR)."""
+    powers, exponents, at_least = _float_tables()[:3]
+    m, q = np.frexp(ax)
+    k = np.log10(ax)
+    k += 1 - _K_MIN   # positive, so truncation floors it
+    k = k.astype(np.intp)   # k - _K_MIN + 1, the index into at_least
+    k -= ax < at_least[k]
+    k += ax >= at_least[k + 1]
+    i = (_K_MAX - _K_MIN + 1) - k   # s - (16 - _K_MAX)
+    k += _K_MIN - 1
+    h, hh, hl, low = powers.take(i, axis=1)
+    q += exponents.take(i)
+    t = m * _SPLIT
+    mh = t - (t - m)
+    ml = m - mh
+    p = m * h
+    e = mh * hh
+    e -= p
+    e += mh * hl
+    e += ml * hh
+    e += ml * hl
+    low *= m
+    e += low
+    rest = np.ldexp(e, q)
+    rounded = np.rint(rest)
+    digits = np.ldexp(p, q).astype(np.int64)
+    digits += rounded.astype(np.int64)
+    rest -= rounded
+    np.abs(rest, out=rest)
+    near = (rest >= 0.5 - _DIGIT_ERR) & ((k < -6) | (k > 16))   # 10^s no float64
+    top = digits == 10 ** 17
+    np.copyto(digits, 10 ** 16, where=top)
+    k += top
+    if near.any():
+        digits[near], k[near] = _dtoa_digits(ax[near])
+    return digits, k
+
+
+def _digit_bytes(digits, words):
+    """The 17 digits of each D into three words, digits 0-7, 8-15 and 16, one
+    a byte; and the place of the last digit that is not 0, read from the
+    highest nonzero byte (a digit below 10 cannot round the float up past
+    its byte)."""
+    first = digits // 10 ** 9
+    tenth = digits // 10
+    words[0] = first
+    words[1] = tenth - first * 10 ** 8
+    words[2] = digits - tenth * 10
+    _eight_digits(words[:2])
+    byte = np.frexp(words.astype(np.float64))[1]
+    byte -= 1
+    byte >>= 3
+    return np.where(words[2] > 0, 16, np.where(words[1] > 0, 8 + byte[1], byte[0]))
+
+
+def _insert_point(words, point):
+    """The point into three words of text before the place point (none at
+    _NO_POINT): each word keeps its bytes before it, moves the rest up a byte
+    and, after the point, takes the top byte of the word before it."""
+    at = point + (16 - _WORD_START)
+    mask = _LOW_BYTES.take(at)
+    carry = words[:-1] >> 56
+    carry *= at[1:] < 16
+    moved = words & ~mask
+    moved <<= 8
+    words &= mask
+    words |= moved
+    words |= _POINT.take(at)
+    words[1:] |= carry
+
+
+def _float_words(x):
+    """float64 cells as "%.17g" % x writes them (see _DIGIT_ERR), four words
+    each down the cells, NUL where a cell leaves a place unused: a sign with
+    "0." and zeros; the 17 digits, the point moving the digits after it up a
+    byte; then e and the exponent.  _FLOAT_CHUNK cells at a time."""
+    if len(x) > _FLOAT_CHUNK:
+        cells = np.empty((4, len(x)), dtype=np.uint64)
+        for i in range(0, len(x), _FLOAT_CHUNK):
+            cells[:, i:i + _FLOAT_CHUNK] = _float_words(x[i:i + _FLOAT_CHUNK])
+        return cells
+    ax = np.abs(x)
+    special = ~((ax > 0.0) & (ax < math.inf))   # NaN, +-inf and +-0
+    np.copyto(ax, 1.0, where=special)
+    digits, k = _decimal(ax)
+    cells = np.empty((4, len(x)), dtype=np.uint64)
+    words = cells[1:]
+    last = _digit_bytes(digits, words)
+    # the place of the point (before the digit there), and the last digit
+    # written: the last that is not 0, or the last before the point
+    fixed = (k >= -4) & (k < 17)
+    point = np.where(fixed, k + 1, 1)
+    keep = np.maximum(last, point - 1)
+    point[(point <= 0) | (point > last)] = _NO_POINT
+    words |= _word(b"0" * 8)
+    words &= _LOW_BYTES.take(keep + (17 - _WORD_START))
+    _insert_point(words, point)
+    if special.any():
+        v = x[special]
+        words[:, special] = 0
+        words[0, special] = _SPECIAL[np.where(np.isnan(v), 0, np.where(np.isinf(v), 1, 2))]
+    head, tail = _float_tables()[3:]
+    k -= _K_MIN
+    if not fixed.all():
+        words[2] |= tail.take(k)
+    cells[0] = head[(np.signbit(x) & ~np.isnan(x)).view(np.uint8), k]
+    return cells
+
+
+_PLACES = {"i": _int_places, "b": lambda column: _BOOL_PLACES[:, column.astype(np.intp)]}
+
+
+def _repeats(column):
+    """A float column of a row block as the values to format and the index
+    of each row's value, or None for every row its own.  From _ROW_BLOCK rows
+    on, equal bit patterns are formatted once where that halves the values:
+    a run of one pattern, or, where runs do not and the first 64 rows repeat,
+    each pattern of the sorted rows.  Bits keep -0.0 from 0.0 and NaN
+    payloads apart."""
+    x = column.astype(np.float64, copy=False)
+    if len(x) < _ROW_BLOCK:
+        return x, None
+
+    def first_of_runs(bits):
+        return np.concatenate(([True], bits[1:] != bits[:-1]))
+
+    bits, order = x.view(np.int64), None
+    new = first_of_runs(bits)
+    if 2 * np.count_nonzero(new) > len(x) and 2 * len(set(bits[:64].tolist())) <= 64:
+        order = np.argsort(bits)
+        bits = bits[order]
+        new = first_of_runs(bits)
+    if 2 * np.count_nonzero(new) > len(x):
+        return x, None
+    index = np.cumsum(new) - 1
+    if order is not None:
+        index[order] = index.copy()
+    return bits[new].view(np.float64), index
+
+
+def _float_blocks(columns):
+    """Float columns of a row block as rows of words, rows x words: one
+    _float_words call on what _repeats leaves of them; a head word that no
+    cell of a column uses is left out."""
+    if not columns:
+        return []
+    values, index = zip(*map(_repeats, columns))
+    words = np.split(_float_words(np.concatenate(values)),
+                     np.cumsum([len(v) for v in values[:-1]]), axis=1)
+    words = [(w if w[0].any() else w[1:]).T for w in words]
+    return [w if i is None else np.ascontiguousarray(w)[i] for w, i in zip(words, index)]
+
+
+def _place_rows(arrays, pieces):
+    """Rows of integer, bool and float columns as bytes: pieces[0], the first
+    cell, pieces[1], ..., the last cell, pieces[-1]; a cell as str(int),
+    true/false or "%.17g" writes it.  The rows are laid out in blocks, NUL
+    wherever a cell leaves a place unused: the pieces and integer and bool
+    cells between two float cells, each of their byte pairs an array down
+    the rows (_int_places, _BOOL_PLACES), and each float cell, rows of words
+    (_float_blocks) with the one-byte piece after it in its last byte.
+    Row-major, the bytes lose their NULs."""
     rows = len(arrays[0])
-    places = []
-    for piece, column in itertools.zip_longest(pieces, arrays):
-        text = np.frombuffer((piece + "\0" * (len(piece) % 2)).encode(), dtype=np.uint16)
-        places.append(np.broadcast_to(text[:, None], (text.size, rows)))
-        if column is None:
+    floats = iter(_float_blocks([a for a in arrays if a.dtype.kind == "f"]))
+    blocks, places = [], []
+    for j, piece in enumerate(pieces):
+        piece = piece.encode()
+        if j and arrays[j - 1].dtype.kind == "f" and len(piece) == 1:
+            blocks[-1][:, -1] |= np.uint64(piece[0] << 56)
+        else:
+            text = np.frombuffer(piece + b"\0" * (len(piece) % 2), dtype=np.uint16)
+            places.append(np.broadcast_to(text[:, None], (text.size, rows)))
+        if j == len(arrays):
             break
-        column = column.astype(np.int64, copy=False)
-        rest = magnitude = np.abs(column).view(np.uint64)   # abs(-2^63) wraps, read as 2^63
-        pairs = (len(str(int(rest.max()))) + 1) // 2
-        cell = np.empty((pairs + 1, rows), dtype=np.uint16)
-        np.multiply(column < 0, _MINUS, out=cell[0])
-        for place in range(pairs, 0, -1):
-            high = rest // 100
-            pair = rest - high * 100
-            pair += np.minimum(high, 1) * 100
-            np.take(_DIGIT_PAIRS, pair, out=cell[place])
-            rest = high
-        cell[pairs, magnitude == 0] = _ZERO
-        places.append(cell)
-    return np.concatenate(places).T.tobytes().translate(None, b"\0")
+        if arrays[j].dtype.kind == "f":
+            blocks += [np.concatenate(places).T] if places else []
+            blocks.append(next(floats))
+            places = []
+        else:
+            places.append(_PLACES[arrays[j].dtype.kind](arrays[j]))
+    blocks += [np.concatenate(places).T] if places else []
+    if len(blocks) == 1 and blocks[0].dtype == np.uint16:   # no float column
+        return blocks[0].tobytes().translate(None, b"\0")
+    ends = np.cumsum([block.shape[1] * block.itemsize for block in blocks]).tolist()
+    table = bytearray(rows * ends[-1])
+    cells = np.frombuffer(table, dtype=np.uint8).reshape(rows, -1)
+    for block, start, end in zip(blocks, [0, *ends], ends):
+        cells[:, start:end].view("<u8" if block.itemsize == 8 else np.uint16)[...] = block
+    del blocks, block, floats, places   # not held while the bytes lose their NULs
+    return table.translate(None, b"\0")
 
 
 class _Out:
@@ -223,11 +520,17 @@ def _meta(args, command):
 def _emit(args, command, columns, arrays, extra=(), report=None):
     """Write column arrays as a CSV table or a JSON report, per --format.
 
-    Each cell is written by its column's dtype through one % template per
-    row, _ROW_BLOCK rows at a time; a scalar stands for a one-row column.
-    A full row block of a float column that repeats values (at most half
-    of its cells distinct) is formatted once per distinct value and
-    written as text (_block_cells).  CSV carries a # header with ``extra``
+    Each cell is written by its column's dtype; a scalar stands for a
+    one-row column.  A table whose every column is integer, and a CSV table
+    of _PLACE_ROWS rows or more whose columns are integer, bool or float,
+    goes through _place_rows, 8 row blocks at a time (4 with a float
+    column): the bytes of str(int), true/false and "%.17g" % x, exact for
+    every float64 bit pattern (see _DIGIT_ERR).  Any other table (JSON floats, written by repr; str
+    columns; shorter tables) goes through one % template per row,
+    _ROW_BLOCK rows at a time, and a full row block of a JSON float column
+    that repeats values (at most half of its cells distinct) is formatted
+    once per distinct value and written as text (_block_cells).  JSON's
+    bytes are as they were.  CSV carries a # header with ``extra``
     as its last lines.  A JSON report is ``report`` dumped with _ROWS where
     the rows go, the rows as objects keyed by column; by default it is meta
     (with ``extra`` as notes), columns and rows, the rows as lists.
@@ -261,12 +564,18 @@ def _emit(args, command, columns, arrays, extra=(), report=None):
 
     with _Out(args.out) as fh:
         fh.write(head)
-        if all(a.dtype.kind == "i" for a in arrays):   # every row takes sep first
+        kinds = {a.dtype.kind for a in arrays}
+        if kinds == {"i"} or fmt == "csv" and kinds <= set("ibf") and n >= _PLACE_ROWS:
+            # every row takes sep first
             row = template(("%s",) * len(arrays), 1) % (("\0",) * len(arrays))
-            pieces, rows = (sep + row).split("\0"), 8 * _ROW_BLOCK
+            pieces = (sep + row).split("\0")
+            # 4 row blocks with floats keep gen-gamma --n 30000 within the
+            # peak memory that tests/test_cli.py allows
+            rows = (8 if kinds == {"i"} else 4) * _ROW_BLOCK
             for i in range(0, n, rows):
-                text = _digit_rows([a[i:i + rows] for a in arrays], pieces).decode()
+                text = _place_rows([a[i:i + rows] for a in arrays], pieces).decode()
                 fh.write(text if i else text[len(sep):])
+                del text   # not held while the next block is laid out
         else:
             for i in range(0, n, _ROW_BLOCK):
                 conversions, part = zip(*[_block_cells(a[i:i + _ROW_BLOCK], fmt)

@@ -31,6 +31,10 @@ KEEP = {
         "usage errors exit 1 with a flag suggestion; tests/test_cli.py reaches it",
     "cli._config_value":
         "reads --config entries; tests/test_cli.py reaches it",
+    "cli._dtoa_digits":
+        "Python's digits for a CSV float whose rounding the float64 arithmetic cannot "
+        "decide (2^-25, 3 2^-24); no golden or demo writes one, and the edge table of "
+        "tests/test_emit_oracle.py reaches it",
     "blockspace._scaled_block_norms":
         "rescales the blocks whose squares under- or overflow; since the sampled ascent "
         "norms little beyond its kept steps no golden meets such a block, and "

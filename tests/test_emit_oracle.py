@@ -1,19 +1,31 @@
 """The columnar emitter and the array predicate against the code they replaced.
 
-``cli._emit`` writes every table from column arrays through one % row
-template per format.  It replaced three writers, kept here verbatim as
-oracles: ``_write_csv`` (cells through the ``_CELL_FMT`` type dict), the
-JSON branch of ``_emit`` (a per-cell lambda, then ``json.dump``) and the
-per-point dict plus ``json.dump`` of ``interval-certify``; the rows came
-from ``_column_rows``.  The emitter must reproduce their bytes for every
-golden argv in both formats and for synthetic tables that hold NaN, +-inf,
--0.0, denormals, 2^62, bool and str columns, one row or none.  A full row
-block of a float column that repeats values is formatted once per distinct
-bit pattern; tables past one row block and ``gen-gamma`` of every workload
-family reach that path, and a spy counts what it formats.  A table whose
-every column is integer takes the digit writer (``cli._digit_rows``) and
-must give the bytes that str(int) gave, for int64's ends, signs, widths,
-row counts past its blocks and both JSON row shapes.
+``cli._emit`` writes every table from column arrays.  It replaced three
+writers, kept here verbatim as oracles: ``_write_csv`` (cells through the
+``_CELL_FMT`` type dict), the JSON branch of ``_emit`` (a per-cell lambda,
+then ``json.dump``) and the per-point dict plus ``json.dump`` of
+``interval-certify``; the rows came from ``_column_rows``.  The emitter must
+reproduce their bytes for every golden argv in both formats and for
+synthetic tables that hold NaN, +-inf, -0.0, denormals, 2^62, bool and str
+columns, one row or none.
+
+Two writers share the work, by table.  A table whose every column is
+integer, and a CSV table of ``cli._PLACE_ROWS`` rows or more whose columns
+are integer, bool or float, takes the place writer (``cli._place_rows``): it
+must give the bytes of str(int), true/false and "%.17g" for int64's ends,
+signs, widths, row counts past its blocks and both JSON row shapes, and for
+every float64 bit pattern.  Its floats come from float64 arithmetic: each
+step is one correctly rounded IEEE operation, the rounding is decided
+exactly where 10^s is a float64 and otherwise screened by a derived error
+bound, and a cell inside the bound takes Python's own digits; so a
+property test over arbitrary bit patterns (NaN payloads of both signs,
+subnormals) and an edge table (every 2^k, 10^k and its neighbours, exact
+17-digit ties, the %g layout switches) hold it to the oracle.  Every other
+table goes through one % row template, JSON floats by repr, as before:
+JSON's bytes are unchanged.  A full row block of a JSON float column that
+repeats values is formatted once per distinct bit pattern; tables past one
+row block and ``gen-gamma`` of every workload family reach that path, and a
+spy counts what it formats.
 
 ``MRPlan`` and ``IntervalSpec`` now evaluate the plan on the whole grid at
 once; the per-point scalar rules are kept here as the oracle of
@@ -23,6 +35,7 @@ once; the per-point scalar rules are kept here as the oracle of
 import argparse
 import contextlib
 import copy
+import decimal
 import io
 import itertools
 import json
@@ -31,6 +44,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from mrlab import __version__, cli
 from mrlab.certify import IntervalSpec, plan_interval
@@ -192,6 +208,9 @@ TABLES = {
     "empty": (["a", "b"], [np.zeros(0), np.zeros(0, dtype=np.int64)]),
     "bool-only": (["t", "u"], [BOOLS, ~BOOLS]),
     "long": (["m", "x"], [np.arange(2500), np.linspace(-1.0, 1.0, 2500) ** 3]),
+    # past _PLACE_ROWS: the place writer's float, integer and bool cells
+    "long-mixed": (["b", "f", "i", "g"], [np.resize(BOOLS, 600), np.resize(FLOATS, 600),
+                                          np.resize(INTS, 600), np.resize(FLOATS[::-1], 600)]),
 }
 
 
@@ -245,9 +264,12 @@ WORKLOAD_FAMILIES = [["--family", "lacunary"], ["--family", "geometric"],
                        for alpha in ("0.1", "0.25", "0.4")]]
 
 
+@pytest.mark.parametrize("n", ["1500", "20000"])
 @pytest.mark.parametrize("family", WORKLOAD_FAMILIES, ids=" ".join)
-def test_gen_gamma_past_one_row_block_is_written_as_the_old_writers_did(family, monkeypatch):
-    calls = emit_calls(["gen-gamma", *family, "--n", "1500"], monkeypatch)
+def test_gen_gamma_past_one_row_block_is_written_as_the_old_writers_did(family, n, monkeypatch):
+    """1500 rows cross one row block of the template, 20000 the place
+    writer's blocks of 8 row blocks."""
+    calls = emit_calls(["gen-gamma", *family, "--n", n], monkeypatch)
     args, call, kwargs = calls[0]
     for fmt in ("csv", "json"):
         ns = copy.copy(args)
@@ -256,8 +278,19 @@ def test_gen_gamma_past_one_row_block_is_written_as_the_old_writers_did(family, 
                                                                  **kwargs), fmt
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_each_distinct_bit_pattern_of_a_repeating_block_is_formatted_once(fmt, monkeypatch):
+def test_gen_gamma_writes_the_bytes_of_stdout_to_a_file(tmp_path, monkeypatch):
+    monkeypatch.delenv("MRLAB_SEED", raising=False)
+    argv, path = ["gen-gamma", "--n", "20000"], tmp_path / "gamma.csv"
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+def test_each_distinct_bit_pattern_of_a_repeating_block_is_formatted_once(monkeypatch):
+    """JSON only: CSV floats of a full row block take the place writer."""
+    fmt = "json"
     formatted = []
 
     def spy(column, fmt):
@@ -330,6 +363,66 @@ def test_one_row_of_integer_scalars_is_written_as_str_int_did(monkeypatch):
         args = synthetic_args(fmt)
         assert (written(cli._emit, args, "synthetic", ["a", "b", "c", "d"], row)
                 == written(oracle_emit, args, "synthetic", ["a", "b", "c", "d"], row))
+
+
+def written_as_csv_column(values):
+    """One float column as the emitter and the old CSV writer write it."""
+    args = synthetic_args("csv")
+    return (written(cli._emit, args, "synthetic", ["x"], [values]),
+            written(oracle_emit, args, "synthetic", ["x"], [values]))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(hnp.arrays(np.uint64, hs.integers(cli._PLACE_ROWS, 3 * cli._PLACE_ROWS)))
+def test_float_bit_patterns_are_written_as_the_old_csv_writer_did(bits):
+    """Any uint64 read as float64: NaN payloads of both signs, infinities,
+    signed zeros, subnormals and normals of both signs."""
+    got, want = written_as_csv_column(bits.view(np.float64))
+    assert got == want
+
+
+def exact_ties():
+    """Floats whose exact decimal has 18 significant digits, the last a 5, at
+    10^j <= x < 10^(j + 1) for -6 <= j <= 15 (s = 16 - j <= 22): odd
+    multiples of 2^(j - 17), rounded to 17 digits as ties."""
+    ties = []
+    for j in range(-6, 16):
+        low = math.ceil(10.0 ** j * 2 ** (17 - j)) | 1
+        ties += [m * 2.0 ** (j - 17) for m in (low, low + 2, (low // 3) * 5 | 1)]
+    return ties
+
+
+def edge_floats():
+    tens = np.array([10.0 ** k for k in range(-323, 309)])
+    near = np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, math.inf)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5, 99999999999999984.0])
+    values = np.concatenate([2.0 ** np.arange(-1074, 1024), near, exact_ties(),
+                             [2.0 ** -25, 3 * 2.0 ** -24], switches,
+                             np.nextafter(switches, 0.0), np.nextafter(switches, math.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_edge_floats_are_written_as_the_old_csv_writer_did(monkeypatch):
+    """Every 2^k; 10^k and its neighbours (17-digit roundings up to the next
+    power among them); exact ties where 10^s is a float64, decided by the
+    arithmetic, and the ties at s = 24 and 23, which take Python's digits;
+    and the %g switches at 1e-4 and 1e17."""
+    screened = []
+
+    def spy(values):
+        screened.extend(values.tolist())
+        return dtoa_digits(values)
+
+    dtoa_digits = cli._dtoa_digits
+    monkeypatch.setattr(cli, "_dtoa_digits", spy)
+    values = edge_floats()
+    for x in exact_ties():
+        digits = format(decimal.Decimal(x), "f").replace(".", "").strip("0")
+        assert len(digits) == 18 and digits.endswith("5")
+    got, want = written_as_csv_column(values)
+    assert got == want
+    assert {2.0 ** -25, 3 * 2.0 ** -24} <= set(screened)
+    assert not set(screened) & set(exact_ties())
 
 
 def test_header_values_are_the_one_cell_case_of_the_csv_formatter():
