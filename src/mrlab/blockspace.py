@@ -200,16 +200,15 @@ def block_rows(width: int) -> int:
     return max(1, _PATTERN_CELLS // width)
 
 
-def combination_norms(weights, vectors, p, layout: BlockLayout) -> np.ndarray:
-    """Mixed norm of each row of ``weights @ vectors``, formed a row block at a
-    time so that memory stays bounded however many rows there are.  The
-    product is formed in the inputs' common dtype: real unless one is complex."""
+def combination_norms(weights, product, p, layout: BlockLayout) -> np.ndarray:
+    """Mixed norm of each row of ``product(weights)``, the vectors the rows of
+    weights combine, formed a row block at a time so that memory stays bounded
+    however many rows there are; ``product`` maps a row block of weights to
+    its rows of dim coordinates."""
     rows = block_rows(layout.dim)
-    dtype = np.result_type(weights, vectors)
     out = np.empty(weights.shape[0])
     for i in range(0, weights.shape[0], rows):
-        out[i:i + rows] = mixed_norm(weights[i:i + rows].astype(dtype, copy=False) @ vectors,
-                                     p, layout)
+        out[i:i + rows] = mixed_norm(product(weights[i:i + rows]), p, layout)
     return out
 
 

@@ -860,12 +860,11 @@ def cmd_uncond_constant(args):
     n, size = args.n, _Size()
     # exact mode enumerates at most EXACT_TERM_LIMIT terms; n < 2 is refused below
     if args.mode == "sampled" and n >= 2:
-        # I_n, the n x dim basis synthesized from it, and the sign rows times
-        # the basis; the layout holds the largest head pi(4k + 2) = b_k with
-        # 4k + 2 <= n, which lies in block k + 2
+        # the sign products, sign rows x dim; the layout holds the largest
+        # head pi(4k + 2) = b_k with 4k + 2 <= n, which lies in block k + 2
         dim = triangular_end(max(triangular_block_index(n), (n - 2) // 4 + 2))
-        size = _Size(dim=dim, samples=SAMPLED_SIGNS, arrays=(
-            (f"--n {n}", n * n), (f"--n {n}", n * dim), (f"--n {n}", SAMPLED_SIGNS * dim)))
+        size = _Size(dim=dim, samples=SAMPLED_SIGNS,
+                     arrays=((f"--n {n}", SAMPLED_SIGNS * dim),))
     yield size
     val = unconditional_constant(n, args.p, mode=args.mode, seed=args.seed)
     _emit(args, "uncond-constant", ["n", "p", "mode", "estimate"],

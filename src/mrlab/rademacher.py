@@ -98,8 +98,8 @@ class RadSum:
     def pattern_squares(self) -> np.ndarray:
         """Squared mixed norms of the sums over ``sign_patterns(k)``, row r
         for row r.  Raises ParameterError past EXACT_TERM_LIMIT terms."""
-        return combination_norms(sign_patterns(self.n_terms), self.terms, self.p,
-                                 self.layout) ** 2
+        return combination_norms(sign_patterns(self.n_terms), lambda w: w @ self.terms,
+                                 self.p, self.layout) ** 2
 
     def sampled_violation(self, sampled, exact, samples, sigmas):
         """The InvariantViolation if ``sampled`` strays more than ``sigmas`` standard
@@ -170,7 +170,7 @@ def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_0
         else:
             signs = draw * 2.0 - 1.0
             signs[:, 0] = 1.0
-            sq[i:i + rows] = combination_norms(signs, s.terms, s.p, s.layout) ** 2
+            sq[i:i + rows] = combination_norms(signs, lambda w: w @ s.terms, s.p, s.layout) ** 2
     mean = np.mean(sq, keepdims=True)
     value = math.sqrt(float(mean[0]))
     sq -= mean      # np.std(sq, ddof=1), step for step, in place of the squares

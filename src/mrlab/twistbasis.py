@@ -15,18 +15,19 @@ j to j - 1 (even-twist), each odd j to j + 1 (odd-twist), or nothing
     even-twist  f_m = e_m (m odd),            e_{m-1} + e_{pi(m)} (m even)
     odd-twist   f_m = e_m + e_{pi(m+1)} (m odd),   e_{pi(m)}      (m even)
 
-``Coupling`` holds the rule as arrays; analysis, synthesis, the covers,
-the basis matrix and the multiplier structure all read it.  Coefficient
-analysis (vector -> twisted coefficients) is total; synthesis back into
-a fixed layout fails with a structural error when a coordinate outside
-the layout receives a nonzero total.
+``Coupling`` holds the rule as arrays; analysis, synthesis (also of the
+unconditional constant's sign products), the covers and the multiplier
+structure all read it.  Coefficient analysis (vector -> twisted
+coefficients) is total; synthesis back into a fixed layout fails with a
+structural error when a coordinate outside the layout receives a nonzero
+total.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -48,8 +49,6 @@ __all__ = [
     "first_even_in_shifted_block",
     "twisted_analysis",
     "twisted_synthesis",
-    "synthesis_cover",
-    "twisted_basis_matrix",
     "basis_layout",
     "unconditional_constant",
 ]
@@ -171,6 +170,17 @@ class Coupling:
         """H(b); looked up on first use, as the lengths need only b."""
         return _heads(self.perm, self.variant, self.b)
 
+    @cached_property
+    def cover(self) -> int:
+        """Smallest dimension that can hold a synthesis over the coefficients
+        ``index``; a partner beyond the permutation table raises, as in synthesis."""
+        return int(max(self.index.size, self.head.max(initial=0), self.head_b.max(initial=0)))
+
+    @cached_property
+    def scatter(self) -> tuple:
+        """0-based H(j), H(b) and a: where a synthesis puts c_j and adds c_a."""
+        return self.head - 1, self.head_b - 1, self.a - 1
+
 
 def _heads(perm: TwistPermutation, variant: str, j: np.ndarray, inverse=False):
     """H(j), or H^{-1}(j) with inverse; pi fixes the odds."""
@@ -204,13 +214,6 @@ def _longest(t: Coupling, dim: int) -> int:
     return int(max(dim, t.index.max(initial=0), t.b.max(initial=0)))
 
 
-def synthesis_cover(n_coeffs: int, perm: TwistPermutation, variant: str) -> int:
-    """Smallest dimension that can hold a synthesis of n_coeffs coefficients;
-    a partner beyond the permutation table raises, as in synthesis."""
-    t = _coupling(perm, variant, np.arange(1, n_coeffs + 1))
-    return int(max(n_coeffs, t.head.max(initial=0), t.head_b.max(initial=0)))
-
-
 def twisted_analysis(v: np.ndarray, perm: TwistPermutation, variant: str) -> np.ndarray:
     """Coefficients of the coordinate vector v in the twisted basis
     (1-based order, entry m at [m-1]).
@@ -227,26 +230,27 @@ def twisted_analysis(v: np.ndarray, perm: TwistPermutation, variant: str) -> np.
 
 
 def _synthesize(c: np.ndarray, t: Coupling, dim: int) -> np.ndarray:
-    """sum_j c_j f_j on the coordinates 1..dim for each row of c (a trailing
-    coefficient coupled forward adds the partner n + 1); raises when a
-    coordinate beyond dim receives a nonzero total."""
-    n = c.shape[1]
-    coords = np.concatenate([t.head, t.head_b[t.b > n]])
-    dtype = np.result_type(c, 0.0)
-    totals = np.zeros((c.shape[0], coords.size), dtype=dtype)
-    totals[:, :n] = c
-    totals[:, t.b - 1] += c[:, t.a - 1]
-    bad = np.flatnonzero((coords > dim) & np.any(totals != 0.0, axis=0))
-    if bad.size:
-        # name the first coefficient's own coordinate before a shared one
-        own = np.ones(coords.size, dtype=bool)
-        own[t.b - 1] = False
-        j = int(bad[np.argmax(own[bad])])
-        raise StructuralError(f"coefficient {j + 1} needs coordinate {int(coords[j])} "
-                              f"outside layout dim {dim}")
-    out = np.zeros((c.shape[0], dim), dtype=dtype)
-    keep = coords <= dim
-    out[:, coords[keep] - 1] = totals[:, keep]
+    """sum_j c_j f_j on the coordinates 1..dim for each row of c: c_j at H(j),
+    plus c_a at H(b) for each coupled pair (b = n + 1 for a trailing a); raises
+    when a coordinate beyond dim, the only ones checked, gets a nonzero total."""
+    out = np.zeros((c.shape[0], dim), dtype=np.result_type(c, 0.0))
+    if t.cover > dim:
+        coords = np.concatenate([t.head, t.head_b[t.b > c.shape[1]]])
+        totals = np.zeros((c.shape[0], coords.size), dtype=out.dtype)
+        totals[:, :c.shape[1]] = c
+        totals[:, t.b - 1] += c[:, t.a - 1]
+        bad = np.flatnonzero((coords > dim) & totals.any(axis=0))
+        if bad.size:
+            # name the first coefficient's own coordinate before a shared one
+            j = int(min(np.setdiff1d(bad, t.b - 1), default=bad[0]))
+            raise StructuralError(f"coefficient {j + 1} needs coordinate {int(coords[j])} "
+                                  f"outside layout dim {dim}")
+        keep = coords <= dim
+        out[:, coords[keep] - 1] = totals[:, keep]
+        return out
+    head, head_b, a = t.scatter
+    out[:, head] = c
+    out[:, head_b] += c[:, a]
     return out
 
 
@@ -258,13 +262,6 @@ def twisted_synthesis(coeffs, perm: TwistPermutation, variant: str,
     return _synthesize(c, t, layout.dim)[0]
 
 
-def twisted_basis_matrix(n: int, perm: TwistPermutation, variant: str,
-                         layout: BlockLayout) -> np.ndarray:
-    """(n, dim) matrix whose row m-1 is f_m in coordinates; small n only."""
-    t = _coupling(perm, variant, np.arange(1, n + 1))
-    return _synthesize(np.eye(n), t, layout.dim)
-
-
 def _witness_family(n, rng, n_random=6):
     """Deterministic coefficient vectors, nested across n by truncation."""
     idx = np.arange(1, n + 1) % 4   # alternating signs on (4k+1, 4k+2) pairs
@@ -274,27 +271,25 @@ def _witness_family(n, rng, n_random=6):
 
 
 def basis_layout(n: int, variant: str = EVEN_TWIST):
-    """The permutation and the triangular layout that hold the first n
-    basis vectors of the variant."""
-    perm = TwistPermutation.covering(n)
-    return perm, BlockLayout.triangular_covering(synthesis_cover(n, perm, variant))
+    """The coupling of the first n basis vectors of the variant, over the
+    permutation that serves them, and the triangular layout that holds them."""
+    t = _coupling(TwistPermutation.covering(n), variant, np.arange(1, n + 1))
+    return t, BlockLayout.triangular_covering(t.cover)
 
 
-def _sign_classes(signs, basis) -> np.ndarray:
+def _sign_classes(signs, t: Coupling) -> np.ndarray:
     """The first row, in order, of each class of sign rows whose products
-    (signs * a) @ basis have the same moduli for every witness a.
+    _synthesize(signs * a, t, dim) have the same moduli for every witness a.
 
-    The basis is 0/1 and feeds each coordinate from at most two
-    coefficients, so a product coordinate reads |a_i| in every row, or
-    |s_i a_i + s_j a_j|, which depends on the row only through s_i s_j:
-    negating both terms negates their rounded sum.  Rows that agree on that
-    bit at every shared coordinate thus have the same mixed norm bit for bit,
-    for every witness and every ascent step.  Row 0 stays first; with no
-    shared coordinate (plain) all rows are one class.
+    A product coordinate reads |a_i| in every row, or |s_i a_i + s_j a_j| at
+    H(j) for a coupled pair (i, j) = (t.a, t.b) with j <= n, which depends on
+    the row only through s_i s_j: negating both terms negates their rounded sum.  Rows
+    that agree on that bit for every such pair thus have the same mixed norm
+    bit for bit, for every witness and every ascent step.  Row 0 stays first;
+    with no such pair (plain) all rows are one class.
     """
-    shared = basis[:, basis.sum(axis=0) == 2].T
-    i, j = np.nonzero(shared)[1].reshape(-1, 2).T   # the two coefficients of each
-    bits = np.packbits(signs[:, i] == signs[:, j], axis=1)
+    shared = t.b <= signs.shape[1]
+    bits = np.packbits(signs[:, t.a[shared] - 1] == signs[:, t.b[shared] - 1], axis=1)
     # at least one 64-bit word a row: np.lexsort refuses an empty key
     words = np.zeros((signs.shape[0], max(1, -(-bits.shape[1] // 8))), dtype=np.uint64)
     words.view(np.uint8)[:, :bits.shape[1]] = bits
@@ -336,18 +331,18 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
         signs[1, np.arange(n) % 4 == 0] = -1.0
     else:
         raise ParameterError("mode must be 'exact' or 'sampled'")
-    perm, layout = basis_layout(n, variant)
-    basis = twisted_basis_matrix(n, perm, variant, layout)
-    signs = signs[_sign_classes(signs, basis)]
+    t, layout = basis_layout(n, variant)
+    signs = signs[_sign_classes(signs, t)]
     scaled = np.empty_like(signs)   # reused: a fresh one is page-faulted for each witness
     witnesses = _witness_family(n, np.random.default_rng(seed + 1))
-    ratios = [_ratio(combination_norms(np.multiply(signs, a, out=scaled), basis, p, layout))
+    products = partial(_synthesize, t=t, dim=layout.dim)
+    ratios = [_ratio(combination_norms(np.multiply(signs, a, out=scaled), products, p, layout))
               for a in witnesses]
     del scaled   # not held through the ascent, whose products set the peak
     best = max(ratios)
     if mode == "sampled":
         a = witnesses[ratios.index(best)].astype(float).copy()   # the first best
-        best = _ascend(a, best, signs, basis, p, layout, ascent_sweeps)
+        best = _ascend(a, best, signs, t, p, layout, ascent_sweeps)
     return best
 
 
@@ -515,18 +510,17 @@ class _PowerScreen:
         return _contenders(e, self.margin, self.tol)
 
 
-def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float:
-    """Coordinate ascent on the witness a, whose ratio is best, over the real
-    0/1 basis on a triangular layout: each step rescales one coefficient and
-    keeps the change when the ratio rises.
+def _ascend(a, best, signs, t: Coupling, p, layout: BlockLayout, sweeps: int) -> float:
+    """Coordinate ascent on the witness a, whose ratio is best, over the basis
+    of the coupling t on a triangular layout: each step rescales one
+    coefficient and keeps the change when the ratio rises.
 
-    The sign products (signs * a) @ basis, held coordinates x rows, and their
-    block norms are kept across steps.  Rescaling a_i moves only the
+    The sign products _synthesize(signs * a, t, dim), held coordinates x rows,
+    and their block norms are kept across steps.  Rescaling a_i moves only the
     coordinates of f_i (at most two), each fed by a_i and at most one other
     coefficient, so a step recomputes those coordinates, s_i a_i plus the
-    other's fixed product, and the blocks holding them.  Each is a sum of at
-    most two exact products, so the values equal the full product's bit for
-    bit.
+    other's part, and the blocks holding them.  Each is a sum of at most two
+    exact products, so the values equal the full product's bit for bit.
 
     The ratio reads two rows: row 0 and the largest.  A screen value of each
     row's norm, from the sums of squares of the blocks the step moves (those
@@ -542,28 +536,35 @@ def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float
     visits that keeps nothing leaves the state as it found it, so every later
     visit would keep nothing either: the ascent returns.
     """
-    p = float(p)
-    prod = (signs * a) @ basis
+    p, n = float(p), a.size
+    prod = _synthesize(signs * a, t, layout.dim)
     bn_t = np.ascontiguousarray(block_norms(prod, layout).T)   # blocks x rows
     prod_t = np.ascontiguousarray(prod.T)                       # coordinates x rows
     del prod
+    # the basis entries, each coefficient at its head and each coupled one at
+    # its partner's, with the other coefficient feeding that coordinate, or its
+    # own where none does (a_i is zero while its visit forms the others' part)
+    shared = t.b <= n
+    coef = np.concatenate([np.arange(n), t.a - 1])
+    coords = np.concatenate([t.head, t.head_b]) - 1
+    others = np.concatenate([np.arange(n), np.where(shared, t.b, t.a) - 1])
+    others[t.b[shared] - 1] = t.a[shared] - 1
+    order = np.lexsort((coords, coef))   # by coefficient, its coordinates in block order
     plans = []
-    for i in range(a.size):
-        cols = np.flatnonzero(basis[i])                     # the coordinates of f_i
-        feed = np.flatnonzero(basis[:, cols].any(axis=1))   # the coefficients feeding them
+    for entries in np.split(order, np.cumsum(np.bincount(coef))[:-1]):
+        cols = coords[entries]                                 # the coordinates of f_i
         ks = np.unique(triangular_block_index(cols + 1)) - 1   # the blocks holding them
         span = np.concatenate([np.arange(s, s + z) for s, z in
                                zip(layout.starts[ks], layout.sizes[ks])])
         plans.append((cols, span, np.searchsorted(span, cols), ks,
-                      BlockLayout.from_sizes(layout.sizes[ks]), feed,
-                      basis[np.ix_(feed, cols)].T))
+                      BlockLayout.from_sizes(layout.sizes[ks]), others[entries]))
     screen = _SupScreen(bn_t) if p == math.inf else _PowerScreen(bn_t, p, layout)
     idle = 0   # consecutive visits that kept nothing
     for _ in range(sweeps):
-        for i, (cols, span, at, ks, touched, feed, feed_basis) in enumerate(plans):
+        for i, (cols, span, at, ks, touched, other) in enumerate(plans):
             val = a[i]
             a[i] = 0.0
-            fixed = feed_basis @ (signs.T[feed] * a[feed, None])   # the other coefficients' part
+            fixed = signs.T[other] * a[other, None]   # the other coefficients' part
             sign = signs.T[i]
             base = prod_t[span]
             base[at] = 0.0
@@ -587,7 +588,7 @@ def _ascend(a, best, signs, basis, p, layout: BlockLayout, sweeps: int) -> float
             a[i] = val
             if kept is None:
                 idle += 1
-                if idle == a.size:
+                if idle == n:
                     return best
                 continue
             idle = 0

@@ -675,16 +675,18 @@ def test_oversized_grid_is_refused_before_it_is_built(argv, capsys):
     (["sector-probe", "--n", "100000000"], "--n 100000000", 200000008),
     (["sector-probe", "--n", "64", "--trials", "100000000"], "--trials 100000000",
      6600000000),
-    (["uncond-constant", "--n", "100000", "--mode", "sampled"], "--n 100000", 10 ** 10),
+    (["uncond-constant", "--n", "100000", "--mode", "sampled"], "--n 100000",
+     2000 * 312537501),
     (["rad-norm", "--blocks", "6000"], "--k 10 with --blocks 6000", 180030000),
     (["rad-norm", "--k", "100000000", "--blocks", "2"], "--k 100000000 with --blocks 2",
      300000000),
     (["rad-norm", "--k", "20000", "--blocks", "2"], "--samples 100000 with --k 20000",
      2 * 10 ** 9),
-    # n x n passes; the (3000, 282376) basis used to fail to allocate 12.6 GiB
-    (["uncond-constant", "--n", "3000", "--mode", "sampled"], "--n 3000", 3000 * 282376),
-    # n x dim passes; the 2000 sampled sign rows times the (394, 5050) basis
-    # used to take 10100000 cells, a 185 MiB tracemalloc peak
+    # the 2000 sampled sign rows times a layout of 282376 coordinates; a
+    # (3000, 282376) basis matrix, no longer formed, used to fail to allocate 12.6 GiB
+    (["uncond-constant", "--n", "3000", "--mode", "sampled"], "--n 3000", 2000 * 282376),
+    # the 2000 sampled sign rows times the 5050 coordinates of n = 394 used
+    # to take 10100000 cells, a 185 MiB tracemalloc peak
     (["uncond-constant", "--n", "394", "--mode", "sampled"], "--n 394", 2000 * 5050),
 ])
 def test_oversized_array_is_refused_before_it_is_built(argv, flags, entries, capsys):

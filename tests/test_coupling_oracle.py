@@ -2,9 +2,11 @@
 it replaced, kept here verbatim as oracles.
 
 The permutation builder, coefficient analysis and synthesis, the two
-cover rules, the basis matrix and the multiplier structure must agree
-with the oracles bit for bit, and raise the same error class wherever
-the oracles raise.
+cover rules, the basis matrix (the synthesis of ``np.eye(n)``) and the
+multiplier structure must agree with the oracles bit for bit, and raise
+the same error class wherever the oracles raise.  The program forms no
+dense basis matrix; the oracle ``twisted_basis_matrix`` is the one the
+sign-average oracles and the sign-class properties multiply by.
 """
 
 from dataclasses import dataclass
@@ -268,6 +270,12 @@ def _structure(layout: BlockLayout, perm: TwistPermutation, variant: str) -> _St
 # -- comparison helpers ------------------------------------------------------
 
 
+def coupling_cover(n_coeffs, perm, variant):
+    """The program's synthesis cover: the ``cover`` of the coupling of n_coeffs
+    coefficients."""
+    return tb._coupling(perm, variant, np.arange(1, n_coeffs + 1)).cover
+
+
 def same_array(a, b):
     """Equal shape, dtype and bytes (so -0.0 and 0.0 differ)."""
     a, b = np.asarray(a), np.asarray(b)
@@ -408,20 +416,18 @@ def test_synthesis_cover_matches_oracle_up_to_and_past_the_table(variant):
                 # the oracle leaves out the partner of its last odd coefficient,
                 # which lies past the table; synthesis raises there, so does the cover
                 want = ParameterError
-            assert_same_outcome(outcome(tb.synthesis_cover, n, perm, variant), want)
+            assert_same_outcome(outcome(coupling_cover, n, perm, variant), want)
     perm = TwistPermutation.covering(16_010)
     for n in (1001, 16_009):
-        assert_same_outcome(tb.synthesis_cover(n, perm, variant),
-                            synthesis_cover(n, perm, variant))
+        assert_same_outcome(coupling_cover(n, perm, variant), synthesis_cover(n, perm, variant))
 
 
 def test_unknown_variant_is_a_parameter_error():
     layout, perm = setup(3)
     for fn, args in ((multiplier._structure, (layout, perm, "twisted")),
                      (analysis_size, (layout, perm, "twisted")),
-                     (tb.synthesis_cover, (5, perm, "twisted")),
-                     (tb.twisted_synthesis, (np.ones(3), perm, "twisted", layout)),
-                     (tb.twisted_basis_matrix, (3, perm, "twisted", layout))):
+                     (coupling_cover, (5, perm, "twisted")),
+                     (tb.twisted_synthesis, (np.ones(3), perm, "twisted", layout))):
         with pytest.raises(ParameterError, match="unknown basis variant 'twisted'"):
             fn(*args)
 
@@ -509,10 +515,16 @@ def test_synthesis_error_names_the_coordinate():
         tb.twisted_synthesis(coeffs, perm, EVEN_TWIST, layout)
 
 
+def synthesized_basis(n, perm, variant, layout):
+    """The (n, dim) matrix whose row m-1 is f_m, synthesized from np.eye(n)."""
+    t = tb._coupling(perm, variant, np.arange(1, n + 1))
+    return tb._synthesize(np.eye(n), t, layout.dim)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_basis_matrix_matches_oracle(variant):
     for n_blocks in (1, 2, 3, 4, 6, 9):
         layout, perm = setup(n_blocks)
         for n in range(1, 2 * layout.dim + 3):
-            assert_same_outcome(outcome(tb.twisted_basis_matrix, n, perm, variant, layout),
+            assert_same_outcome(outcome(synthesized_basis, n, perm, variant, layout),
                                 outcome(twisted_basis_matrix, n, perm, variant, layout))

@@ -11,6 +11,7 @@ itself.
 import contextlib
 import io
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from mrlab import cli
 from mrlab.blockspace import (
     BlockLayout,
+    block_norms,
     combination_norms,
     mixed_norm,
     triangular_block_index,
@@ -28,18 +30,20 @@ from mrlab.blockspace import (
 )
 from mrlab.sequences import RatioSeq, block_q_norms, block_target_counts, seq_from_ratios
 from mrlab.twistbasis import (
+    EVEN_TWIST,
+    ODD_TWIST,
     VARIANTS,
     TwistPermutation,
     _coupling,
     _sign_classes,
+    _synthesize,
     _witness_family,
     basis_layout,
     build_permutation,
-    synthesis_cover,
     twisted_analysis,
-    twisted_basis_matrix,
     twisted_synthesis,
 )
+from test_coupling_oracle import twisted_basis_matrix as oracle_basis
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -117,13 +121,13 @@ def test_basis_matrix_rows_are_the_coupling_heads(n):
     # per row, and no coordinate fed by more than two coefficients
     perm = TwistPermutation.covering(n)
     for variant in VARIANTS:
-        layout = BlockLayout.triangular_covering(synthesis_cover(n, perm, variant))
-        basis = twisted_basis_matrix(n, perm, variant, layout)
+        t = _coupling(perm, variant, np.arange(1, n + 1))
+        layout = BlockLayout.triangular_covering(t.cover)
+        basis = _synthesize(np.eye(n), t, layout.dim)
         assert np.all((basis == 0.0) | (basis == 1.0))
         nonzero = basis != 0.0
         assert set(nonzero.sum(axis=1).tolist()) <= {1, 2}
         assert nonzero.sum(axis=0).max() <= 2
-        t = _coupling(perm, variant, np.arange(1, n + 1))
         heads = [{int(h)} for h in t.head]
         for j, hb in zip(t.a.tolist(), t.head_b.tolist()):
             heads[j - 1].add(int(hb))
@@ -163,18 +167,70 @@ def test_sign_rows_of_one_class_have_one_norm(drawn, data, p):
     variant, signs = drawn
     n = signs.shape[1]
     a = data.draw(witnesses(n))
-    perm, layout = basis_layout(n, variant)
-    basis = twisted_basis_matrix(n, perm, variant, layout)
+    t, layout = basis_layout(n, variant)
+    basis = oracle_basis(n, t.perm, variant, layout).real.copy()
     key = signs @ basis[:, basis.sum(axis=0) == 2] != 0.0
     first = {}
     for r, k in enumerate(key):
         first.setdefault(k.tobytes(), r)
-    kept = _sign_classes(signs, basis)
+    kept = _sign_classes(signs, t)
     assert kept.tolist() == sorted(first.values()) and kept[0] == 0
-    norms = combination_norms(signs * a, basis, p, layout)
+    norms = combination_norms(signs * a, lambda w: w @ basis, p, layout)
     assert norms.tobytes() == norms[[first[k.tobytes()] for k in key]].tobytes()
-    reduced = combination_norms(signs[kept] * a, basis, p, layout)
+    products = partial(_synthesize, t=t, dim=layout.dim)
+    reduced = combination_norms(signs[kept] * a, products, p, layout)
     assert reduced[[0, np.argmax(reduced)]].tobytes() == norms[[0, np.argmax(norms)]].tobytes()
+
+
+def sign_classes_oracle(signs, basis):
+    """The sign classes as they were read off the dense basis, verbatim: the
+    coordinates two coefficients feed found by a scan of its columns."""
+    shared = basis[:, basis.sum(axis=0) == 2].T
+    i, j = np.nonzero(shared)[1].reshape(-1, 2).T   # the two coefficients of each
+    bits = np.packbits(signs[:, i] == signs[:, j], axis=1)
+    # at least one 64-bit word a row: np.lexsort refuses an empty key
+    words = np.zeros((signs.shape[0], max(1, -(-bits.shape[1] // 8))), dtype=np.uint64)
+    words.view(np.uint8)[:, :bits.shape[1]] = bits
+    order = np.lexsort(words.T)   # stable: each class lists its rows in order
+    words = words[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(words[1:] != words[:-1], axis=1)
+    return np.sort(order[first])
+
+
+# coefficients at both ends of the float range and below its normal range,
+# so that a shared coordinate may add 1e300 to -1e300, or a subnormal to 0
+EDGE_COEFFS = [0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -5e-324, 2.5e-310, 1.5, -3.0]
+
+
+def assert_sign_products_are_the_basis_products(variant, n, a, seed, rows=64):
+    """_synthesize(signs * a, t, dim) against the dense basis product: equal
+    moduli and block norms bit for bit, and the sign classes of the old column
+    scan, over rows that repeat and negate a few drawn ones after the all-plus row 0."""
+    rng = np.random.default_rng(seed)
+    drawn = rng.choice([-1.0, 1.0], size=(6, n))
+    signs = drawn[rng.integers(0, 6, rows)] * rng.choice([-1.0, 1.0], size=(rows, 1))
+    signs[0] = 1.0
+    t, layout = basis_layout(n, variant)
+    basis = oracle_basis(n, t.perm, variant, layout).real.copy()   # the real 0/1 basis
+    got, want = _synthesize(signs * a, t, layout.dim), (signs * a) @ basis
+    assert np.abs(got).tobytes() == np.abs(want).tobytes()
+    assert block_norms(got, layout).tobytes() == block_norms(want, layout).tobytes()
+    assert _sign_classes(signs, t).tolist() == sign_classes_oracle(signs, basis).tolist()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(VARIANTS), st.integers(2, 60), st.data())
+def test_sign_products_through_the_coupling_are_the_basis_products(variant, n, data):
+    a = np.array(data.draw(st.lists(st.sampled_from(EDGE_COEFFS), min_size=n, max_size=n)))
+    assert_sign_products_are_the_basis_products(variant, n, a, data.draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@pytest.mark.parametrize("variant", [EVEN_TWIST, ODD_TWIST])
+def test_sign_products_through_the_coupling_are_the_basis_products_at_n_393(variant):
+    # the widest sampled layout the CLI admits (dim 4,950)
+    a = np.resize(EDGE_COEFFS, 393) * np.random.default_rng(3).uniform(0.5, 2.0, 393)
+    assert_sign_products_are_the_basis_products(variant, 393, a, seed=5, rows=100)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

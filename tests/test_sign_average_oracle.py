@@ -2,10 +2,15 @@
 
 ``rad_norm`` (exact and sampled) and ``unconditional_constant`` used to
 form the whole patterns x dim product ``signs @ vectors`` at once and
-norm it in one ``mixed_norm`` call.  Those forms are kept here verbatim
-as oracles: ``blockspace.combination_norms``, which forms the product a
-row block at a time, must reproduce them bit for bit, also when the
-blocks are made a few rows long so that they split unevenly.  The
+norm it in one ``mixed_norm`` call, ``unconditional_constant`` with the
+dense basis matrix as its vectors.  Those forms are kept here verbatim
+as oracles, the basis matrix being the one of ``test_coupling_oracle``:
+``blockspace.combination_norms``, which forms the product a row block at
+a time, must reproduce them bit for bit, also when the blocks are made a
+few rows long so that they split unevenly.  ``unconditional_constant``
+forms its sign products through the coupling (``twistbasis._synthesize``,
+one coefficient or the sum of two at each coordinate), where the oracles
+multiply by the basis matrix.  The
 oracles enumerate all 2^k sign patterns with the old ``sign_patterns``,
 kept here verbatim too; the code reads only the half ``sign_patterns(k)``
 whose first sign is +1, which relies on a product row's bits not
@@ -48,10 +53,10 @@ from mrlab.twistbasis import (
     TwistPermutation,
     _witness_family,
     basis_layout,
-    synthesis_cover,
-    twisted_basis_matrix,
     unconditional_constant,
 )
+from test_coupling_oracle import coupling_cover
+from test_coupling_oracle import twisted_basis_matrix as oracle_basis
 
 
 def bits(x):
@@ -89,8 +94,8 @@ def rad_norm_oracle(s, mode, seed=0, samples=100_000):
 def unconditional_constant_oracle(n, p, mode="exact", seed=0, variant=EVEN_TWIST,
                                   n_signs=2000, ascent_sweeps=2):
     perm = TwistPermutation.covering(max(2 * n + 4, 8))
-    layout = BlockLayout.triangular_covering(synthesis_cover(n, perm, variant))
-    basis = twisted_basis_matrix(n, perm, variant, layout).astype(np.complex128)
+    layout = BlockLayout.triangular_covering(coupling_cover(n, perm, variant))
+    basis = oracle_basis(n, perm, variant, layout)
 
     rng = np.random.default_rng(seed)
     if mode == "exact":
@@ -178,7 +183,7 @@ def test_combination_norms_reads_each_row():
     layout = BlockLayout.triangular(5)
     vectors = np.random.default_rng(4).standard_normal((3, layout.dim))
     weights = np.array([[1.0, 0.0, 0.0], [1.0, -1.0, 2.0], [0.0, 0.0, 0.0]])
-    got = combination_norms(weights, vectors, 4.0, layout)
+    got = combination_norms(weights, lambda w: w @ vectors, 4.0, layout)
     assert got.shape == (3,)
     assert got[0] == mixed_norm(vectors[0], 4.0, layout)
     assert got[2] == 0.0
@@ -191,9 +196,9 @@ def _normed_rows(monkeypatch):
     rows = []
     norms = rademacher.combination_norms
 
-    def counting(weights, vectors, p, layout):
+    def counting(weights, product, p, layout):
         rows.append(weights.shape[0])
-        return norms(weights, vectors, p, layout)
+        return norms(weights, product, p, layout)
 
     monkeypatch.setattr(rademacher, "combination_norms", counting)
     return rows
@@ -282,9 +287,10 @@ def _recorded_dtypes(monkeypatch):
 @pytest.mark.parametrize("vectors, dtype", [(np.ones((3, 15)), np.float64),
                                             (np.ones((3, 15)) + 0j, np.complex128)])
 def test_combination_norms_forms_the_product_in_the_inputs_dtype(vectors, dtype, monkeypatch):
+    # the product of rad_norm's sign rows and its terms: real unless the terms are complex
     seen = _recorded_dtypes(monkeypatch)
     weights = all_sign_patterns(3)
-    got = combination_norms(weights, vectors, 3.0, BlockLayout.triangular(5))
+    got = combination_norms(weights, lambda w: w @ vectors, 3.0, BlockLayout.triangular(5))
     assert seen and set(seen) == {np.dtype(dtype)}
     monkeypatch.undo()
     assert bits(got) == bits(mixed_norm(weights.astype(np.complex128) @ vectors, 3.0,
@@ -382,13 +388,13 @@ def ascent_oracle(a, signs, basis, p, layout, sweeps=2):
 def test_the_ascent_matches_the_oracle_at_the_ends_of_the_float_range(scale, p):
     n = 10
     rng = np.random.default_rng(7)
-    perm, layout = basis_layout(n)
-    basis = twisted_basis_matrix(n, perm, EVEN_TWIST, layout)
+    t, layout = basis_layout(n)
+    basis = oracle_basis(n, t.perm, EVEN_TWIST, layout).real.copy()   # the real 0/1 basis
     signs = rng.choice([-1.0, 1.0], size=(200, n))
     signs[0] = 1.0
     a = scale * rng.standard_normal(n) * (np.arange(n) % 3 != 0)
     start, want = ascent_oracle(a.copy(), signs, basis, p, layout)
-    got = twistbasis._ascend(a.copy(), start, signs, basis, p, layout, 2)
+    got = twistbasis._ascend(a.copy(), start, signs, t, p, layout, 2)
     assert bits(got) == bits(want)
 
 
@@ -585,7 +591,7 @@ def test_the_power_screen_skips_only_trials_that_cannot_win(p, seed):
 @pytest.mark.parametrize("n, mode", [(6, "exact"), (10, "exact"), (12, "sampled")])
 def test_unconditional_constant_matches_the_oracle_in_uneven_blocks(n, mode, monkeypatch):
     perm = TwistPermutation.covering(max(2 * n + 4, 8))
-    dim = BlockLayout.triangular_covering(synthesis_cover(n, perm, EVEN_TWIST)).dim
+    dim = BlockLayout.triangular_covering(coupling_cover(n, perm, EVEN_TWIST)).dim
     want = unconditional_constant_oracle(n, 3.0, mode=mode, seed=4, n_signs=500)
     monkeypatch.setattr(blockspace, "_PATTERN_CELLS", 7 * dim + 3)
     got = unconditional_constant(n, 3.0, mode=mode, seed=4, n_signs=500)

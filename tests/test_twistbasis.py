@@ -14,12 +14,12 @@ from mrlab.twistbasis import (
     TwistPermutation,
     build_permutation,
     first_even_in_shifted_block,
-    synthesis_cover,
     twisted_analysis,
-    twisted_basis_matrix,
     twisted_synthesis,
     unconditional_constant,
 )
+from test_coupling_oracle import coupling_cover as synthesis_cover
+from test_coupling_oracle import twisted_basis_matrix
 
 
 def naive_permutation(n):
