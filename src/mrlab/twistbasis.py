@@ -176,11 +176,6 @@ class Coupling:
         ``index``; a partner beyond the permutation table raises, as in synthesis."""
         return int(max(self.index.size, self.head.max(initial=0), self.head_b.max(initial=0)))
 
-    @cached_property
-    def scatter(self) -> tuple:
-        """0-based H(j), H(b) and a: where a synthesis puts c_j and adds c_a."""
-        return self.head - 1, self.head_b - 1, self.a - 1
-
 
 def _heads(perm: TwistPermutation, variant: str, j: np.ndarray, inverse=False):
     """H(j), or H^{-1}(j) with inverse; pi fixes the odds."""
@@ -233,25 +228,20 @@ def _synthesize(c: np.ndarray, t: Coupling, dim: int) -> np.ndarray:
     """sum_j c_j f_j on the coordinates 1..dim for each row of c: c_j at H(j),
     plus c_a at H(b) for each coupled pair (b = n + 1 for a trailing a); raises
     when a coordinate beyond dim, the only ones checked, gets a nonzero total."""
-    out = np.zeros((c.shape[0], dim), dtype=np.result_type(c, 0.0))
+    out = np.zeros((c.shape[0], max(dim, t.cover)), dtype=np.result_type(c, 0.0))
+    out[:, t.head - 1] = c
+    out[:, t.head_b - 1] += c[:, t.a - 1]
     if t.cover > dim:
+        # position j - 1 holds H(j); a trailing partner H(n + 1) comes last
         coords = np.concatenate([t.head, t.head_b[t.b > c.shape[1]]])
-        totals = np.zeros((c.shape[0], coords.size), dtype=out.dtype)
-        totals[:, :c.shape[1]] = c
-        totals[:, t.b - 1] += c[:, t.a - 1]
-        bad = np.flatnonzero((coords > dim) & totals.any(axis=0))
+        far = np.flatnonzero(coords > dim)
+        bad = far[out[:, coords[far] - 1].any(axis=0)]
         if bad.size:
             # name the first coefficient's own coordinate before a shared one
             j = int(min(np.setdiff1d(bad, t.b - 1), default=bad[0]))
             raise StructuralError(f"coefficient {j + 1} needs coordinate {int(coords[j])} "
                                   f"outside layout dim {dim}")
-        keep = coords <= dim
-        out[:, coords[keep] - 1] = totals[:, keep]
-        return out
-    head, head_b, a = t.scatter
-    out[:, head] = c
-    out[:, head_b] += c[:, a]
-    return out
+    return np.ascontiguousarray(out[:, :dim])
 
 
 def twisted_synthesis(coeffs, perm: TwistPermutation, variant: str,

@@ -12,6 +12,8 @@ from mrlab.twistbasis import (
     ODD_TWIST,
     PLAIN,
     TwistPermutation,
+    _coupling,
+    _synthesize,
     build_permutation,
     first_even_in_shifted_block,
     twisted_analysis,
@@ -19,7 +21,6 @@ from mrlab.twistbasis import (
     unconditional_constant,
 )
 from test_coupling_oracle import coupling_cover as synthesis_cover
-from test_coupling_oracle import twisted_basis_matrix
 
 
 def naive_permutation(n):
@@ -160,7 +161,7 @@ def test_round_trip_large_dimension_conditioning():
 def test_basis_columns_even_twist():
     layout = BlockLayout.triangular(6)
     perm = TwistPermutation.covering(64)
-    f = twisted_basis_matrix(8, perm, EVEN_TWIST, layout)
+    f = _synthesize(np.eye(8), _coupling(perm, EVEN_TWIST, np.arange(1, 9)), layout.dim)
     e = np.eye(layout.dim)
     np.testing.assert_array_equal(f[0], e[0])          # f_1 = e_1
     np.testing.assert_array_equal(f[1], e[0] + e[1])   # f_2 = e_1 + e_{pi(2)}
@@ -174,7 +175,7 @@ def test_basis_columns_even_twist():
 def test_basis_columns_odd_twist():
     layout = BlockLayout.triangular(6)
     perm = TwistPermutation.covering(64)
-    f = twisted_basis_matrix(8, perm, ODD_TWIST, layout)
+    f = _synthesize(np.eye(8), _coupling(perm, ODD_TWIST, np.arange(1, 9)), layout.dim)
     e = np.eye(layout.dim)
     np.testing.assert_array_equal(f[0], e[0] + e[1])   # f_1 = e_1 + e_{pi(2)}
     np.testing.assert_array_equal(f[1], e[1])          # f_2 = e_{pi(2)}
