@@ -27,6 +27,7 @@ __all__ = [
     "triangular_bounds",
     "triangular_indices_1mod4",
     "sign_patterns",
+    "SignDraws",
     "block_norms",
     "mixed_norm",
     "block_rows",
@@ -81,6 +82,61 @@ def sign_patterns(k: int) -> np.ndarray:
     for i in range(k - 1):
         out.reshape(-1, 2, 2 ** i, k)[:, 1, :, i + 1] = -1.0
     return out
+
+
+class SignDraws:
+    """The draws of ``Generator.integers(0, 2)``, and so of ``choice([-1.0,
+    1.0])`` with draw 1 for +1, from a PCG64 generator, read bit for bit from
+    its raw stream, which NumPy keeps stable.
+
+    With a range of 2, Lemire's bounded 32-bit draw is the top bit of a 32-bit
+    half word and never rejects, and PCG64 hands out a word's low half before
+    its high half: draw j is bit 31 of half word j.  The generator must hold
+    no half word of its own (``state["has_uint32"]`` clear, as in a fresh
+    one), and it is the sampler's from then on: the unused half of an odd
+    count's last word is kept for the next call.  The calls share one buffer
+    of draws and one of packed pattern rows.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64) or bit_generator.state["has_uint32"]:
+            raise ParameterError("sign draws need a PCG64 generator holding no half word")
+        self._raw = bit_generator.random_raw
+        self._held = None               # the draw of a half word read but not yet used
+        self._bits = np.empty(0, dtype=bool)
+        self._wide = np.empty((0, 16), dtype=bool)   # pattern rows, zero past k - 1 draws
+        self._wide_k = 0
+
+    def _next(self, count: int) -> np.ndarray:
+        """The next ``count`` draws, True for 1, in the reused buffer."""
+        held = self._held is not None
+        words = (count - held + 1) // 2
+        if self._bits.size < held + 2 * words:
+            self._bits = np.empty(held + 2 * words, dtype=bool)
+        bits = self._bits[:held + 2 * words]
+        if held:
+            bits[0] = self._held
+        # the sign bit of each little-endian 32-bit half, low half first
+        np.less(self._raw(words).astype("<u8", copy=False).view("<i4"), 0, out=bits[held:])
+        self._held = bits[count] if bits.size > count else None
+        return bits[:count]
+
+    def signs(self, rows: int, k: int) -> np.ndarray:
+        """The next rows x k draws as a new array of signs, +1.0 for a draw of 1."""
+        out = self._next(rows * k).reshape(rows, k) * 2.0
+        out -= 1.0
+        return out
+
+    def patterns(self, rows: int, k: int) -> np.ndarray:
+        """The next ``rows`` rows of k <= 17 draws, each as the number
+        sum_{i>=1} b_i 2^(i-1) of its draws b_1 .. b_{k-1} past the first:
+        those draws are laid out 16 to a row and packed two bytes a row."""
+        if self._wide.shape[0] < rows or self._wide_k != k:
+            self._wide, self._wide_k = np.zeros((rows, 16), dtype=bool), k
+        wide = self._wide[:rows]
+        wide[:, :k - 1] = self._next(rows * k).reshape(rows, k)[:, 1:]
+        return np.packbits(wide, bitorder="little").view("<u2")
 
 
 @dataclass(frozen=True)

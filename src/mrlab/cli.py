@@ -737,8 +737,7 @@ def cmd_semigroup_check(args):
 def cmd_bv_bound(args):
     alphas, ts = _parse_grid(args.alpha), _parse_grid(args.tgrid)
     yield _Size(points=alphas.size * ts.size, arrays=((f"--n {args.n}", args.n),))
-    per_alpha = [bv_semigroup_bound(alpha, ts, args.n) for alpha in alphas.tolist()]
-    computed, closed = (np.concatenate(part) for part in zip(*per_alpha))
+    computed, closed = (part.ravel() for part in bv_semigroup_bound(alphas[:, None], ts, args.n))
     columns = [np.repeat(alphas, ts.size), np.tile(ts, alphas.size), computed, closed]
     ok = computed <= closed
     _emit(args, "bv-bound", ["alpha", "t", "computed", "bound", "ok"], [*columns, ok])

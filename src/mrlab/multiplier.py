@@ -396,40 +396,45 @@ def bv_closed_form(alpha: float, t: float) -> float:
     return a / (a - 1.0) * (2.0 ** (3.0 * alpha) + a - 2.0) * math.exp(-t)
 
 
-def bv_semigroup_bound(alpha: float, t, n: int):
+def bv_semigroup_bound(alpha, t, n: int):
     """Variation of (e^{-t y_m^alpha}) for the twisted lacunary sequence.
 
-    Returns (computed, closed_form), floats for a scalar t and arrays shaped
-    like t otherwise; the closed form dominates the full infinite sum, so any
-    truncation must stay below it.  Nothing is judged here: the callers hold
-    computed <= closed_form (bv-bound's ok column).  The sequence is built
-    once; the times go in row blocks of about _SCAN_CELLS cells, each exp'd
+    alpha and t broadcast together.  Returns (computed, closed_form), floats
+    when both are scalars and arrays of their broadcast shape otherwise; the
+    closed form dominates the full infinite sum, so any truncation must stay
+    below it.  Nothing is judged here: the callers hold computed <=
+    closed_form (bv-bound's ok column).  The sequence is built once; each
+    alpha's times go in row blocks of about _SCAN_CELLS cells, each exp'd
     only on the prefix its smallest time leaves above 0.0.
     """
-    ts = np.asarray(t, dtype=np.float64)
+    alphas, ts = np.broadcast_arrays(np.asarray(alpha, dtype=np.float64),
+                                     np.asarray(t, dtype=np.float64))
+    flat_alphas, flat = alphas.ravel(), ts.ravel()
+    distinct = dict.fromkeys(flat_alphas.tolist())
     # the closed form divides by 2^alpha - 1 and forms 2^(3 alpha); both are
     # nonzero floats only while 2^alpha > 1 and 3 alpha < 1024
-    if not (3.0 * alpha < 1024.0 and 2.0 ** alpha > 1.0 and np.all(ts > 0.0)):
+    if not (all(3.0 * a < 1024.0 and 2.0 ** a > 1.0 for a in distinct) and np.all(ts > 0.0)):
         raise ParameterError("need 0 < alpha < 1024/3 with 2^alpha > 1, and t > 0")
     seq = twisted_lacunary(n)
-    with np.errstate(over="ignore"):
-        powered = np.exp2(alpha * seq.log2)
-    # past its last entry whose suffix minimum is at most _EXP_DEAD / t,
-    # e^{-t y^alpha} reads 0.0, and so do the differences one entry on
-    floor = np.minimum.accumulate(powered[::-1])[::-1]
-    flat = ts.ravel()
     computed = np.empty(flat.size)
     rows = max(1, _SCAN_CELLS // n)
-    for i in range(0, flat.size, rows):
-        t = flat[i:i + rows, None]
+    for a in distinct:
+        at = np.flatnonzero(flat_alphas == a)
         with np.errstate(over="ignore"):
-            live = min(n, int(np.searchsorted(floor, _EXP_DEAD / t.min(), side="right")) + 1)
-            s = np.exp(-t * powered[:live])
-        # the zero tail keeps each row's pairwise summation, and so its bits
-        steps = np.zeros((t.size, n - 1))
-        np.abs(np.diff(s, axis=-1), out=steps[:, :live - 1])
-        computed[i:i + rows] = steps.sum(axis=-1)
-    closed = np.array([bv_closed_form(alpha, x) for x in flat.tolist()])
+            powered = np.exp2(a * seq.log2)
+        # past its last entry whose suffix minimum is at most _EXP_DEAD / t,
+        # e^{-t y^alpha} reads 0.0, and so do the differences one entry on
+        floor = np.minimum.accumulate(powered[::-1])[::-1]
+        for i in range(0, at.size, rows):
+            t = flat[at[i:i + rows], None]
+            with np.errstate(over="ignore"):
+                live = min(n, int(np.searchsorted(floor, _EXP_DEAD / t.min(), side="right")) + 1)
+                s = np.exp(-t * powered[:live])
+            # the zero tail keeps each row's pairwise summation, and so its bits
+            steps = np.zeros((t.size, n - 1))
+            np.abs(np.diff(s, axis=-1), out=steps[:, :live - 1])
+            computed[at[i:i + rows]] = steps.sum(axis=-1)
+    closed = np.array([bv_closed_form(a, x) for a, x in zip(flat_alphas.tolist(), flat.tolist())])
     if ts.ndim == 0:
         return float(computed[0]), float(closed[0])
     return computed.reshape(ts.shape), closed.reshape(ts.shape)

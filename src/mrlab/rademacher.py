@@ -33,6 +33,7 @@ import numpy as np
 from .blockspace import (
     EXACT_TERM_LIMIT,
     BlockLayout,
+    SignDraws,
     block_rows,
     combination_norms,
     mixed_norm,
@@ -131,12 +132,15 @@ def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_0
     Up to EXACT_TERM_LIMIT terms the exact mode reads its squares from
     ``s.pattern_squares``, its mean still over all 2^k squares in pattern
     order (pattern c sets sign i to +1 where bit i of c is set).  The
-    sampled mode draws its signs a row block at a time from one generator,
-    the stream of a single draw, and holds one row block plus a square of 8
-    bytes a sample, whose spread it takes in place.  Each draw reads its
-    pattern's square from the table when the table is already built or
-    there are at least 2^(k-1) draws; otherwise, and past the limit, the
-    draws are normed a row block at a time, with the same bits.
+    sampled mode reads its signs a row block at a time from the raw stream
+    of one generator through ``SignDraws``: the draws of a single
+    ``integers(0, 2)`` call, bit for bit, with draw 1 for sign +1.  It holds
+    one row block plus a square of 8 bytes a sample, whose spread it takes
+    in place.  Each draw reads its pattern's square from the table, by the
+    pattern number ``SignDraws.patterns`` packs from its draws, when the
+    table is already built or there are at least 2^(k-1) draws; otherwise,
+    and past the limit, the draws are normed a row block at a time, with
+    the same bits.
     """
     if mode == "disjoint":
         if not s.supports_disjoint():
@@ -157,20 +161,18 @@ def rad_norm(s: RadSum, mode: str = "exact", seed: int = 0, samples: int = 100_0
     table = k <= EXACT_TERM_LIMIT and ("pattern_squares" in vars(s) or samples >= 2 ** (k - 1))
     if table:
         squares = s.pattern_squares[::-1]
-        place = 1 << np.arange(k)
     rows = block_rows(k if table else s.layout.dim)
-    rng = np.random.default_rng(seed)
+    draws = SignDraws(np.random.default_rng(seed))
     sq = np.empty(samples)
     for i in range(0, samples, rows):
-        # bit 1 is sign +1: the stream of choice([-1.0, 1.0]) over all the draws
-        draw = rng.integers(0, 2, size=(min(rows, samples - i), k))
+        m = min(rows, samples - i)
         if table:
-            # first sign pinned to +1: row r of the reversed table, r the bits past it
-            sq[i:i + rows] = squares[(draw @ place) >> 1]
+            # first sign pinned to +1: row r of the reversed table, r the draws past it
+            sq[i:i + m] = squares[draws.patterns(m, k)]
         else:
-            signs = draw * 2.0 - 1.0
+            signs = draws.signs(m, k)
             signs[:, 0] = 1.0
-            sq[i:i + rows] = combination_norms(signs, lambda w: w @ s.terms, s.p, s.layout) ** 2
+            sq[i:i + m] = combination_norms(signs, lambda w: w @ s.terms, s.p, s.layout) ** 2
     mean = np.mean(sq, keepdims=True)
     value = math.sqrt(float(mean[0]))
     sq -= mean      # np.std(sq, ddof=1), step for step, in place of the squares

@@ -31,7 +31,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .blockspace import (_NORMAL_MIN, BlockLayout, _lp_of_blocks, block_norms,
+from .blockspace import (_NORMAL_MIN, BlockLayout, SignDraws, _lp_of_blocks, block_norms,
                          combination_norms, sign_patterns, triangular_block_index,
                          triangular_end)
 from .errors import ParameterError, StructuralError
@@ -302,10 +302,12 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
     """Lower estimate of the unconditional constant of the twisted basis.
 
     Exact mode enumerates ``sign_patterns(n)`` against a fixed witness
-    family; sampled mode draws seeded random signs and improves the witness
-    by coordinate ascent.  Both keep one sign row of each class of
-    ``_sign_classes`` and read each ratio's denominator from row 0 of the
-    sign products, the all-plus pattern.  The plain variant returns 1 exactly.
+    family; sampled mode draws n_signs x n seeded random signs, the signs of
+    one ``choice([-1.0, 1.0])`` call read from the generator's raw stream by
+    ``SignDraws``, and improves the witness by coordinate ascent.  Both keep
+    one sign row of each class of ``_sign_classes`` and read each ratio's
+    denominator from row 0 of the sign products, the all-plus pattern.  The
+    plain variant returns 1 exactly.
     """
     if n < 2:
         raise ParameterError("need n >= 2")
@@ -314,7 +316,7 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
     elif mode == "sampled":
         if n_signs < 2:
             raise ParameterError("sampled mode needs at least 2 sign rows")
-        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n_signs, n))
+        signs = SignDraws(np.random.default_rng(seed)).signs(n_signs, n)
         # row 1 flips one member per coupled pair: turns the small
         # difference vectors of the pair witness into the large sums
         signs[:2] = 1.0
