@@ -121,21 +121,17 @@ def _fmt(x):
 
 def _block_cells(column, fmt):
     """The % conversion and the values of one row block of a column.  A JSON
-    float64 block of _ROW_BLOCK cells that holds at most half as many bit
-    patterns as cells comes back as %s of its cells' text, each distinct
-    pattern formatted once; bits keep -0.0 from 0.0 and NaN payloads apart."""
+    float block in which _repeats finds repeats comes back as %s of its
+    cells' text, each value _repeats leaves formatted once."""
     conversion = _conversion(column, fmt)
-    if fmt == "json" and len(column) == _ROW_BLOCK and column.dtype == np.float64:
-        bits = column.view(np.int64)
-        ordered = np.sort(bits)   # counts the patterns for a third of np.unique's cost
-        if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) <= len(bits):
-            distinct, inverse = np.unique(bits, return_inverse=True)
-            values = distinct.view(np.float64)
+    if fmt == "json" and column.dtype.kind == "f":
+        values, index = _repeats(column)
+        if index is not None:
             text = ("\n".join([conversion] * len(values))
                     % tuple(_cell_values(values, fmt))).split("\n")
-            # take, not [inverse]: over a threshold-series run the indexed
+            # take, not [index]: over a threshold-series run the indexed
             # object gather left a 0.3 MB higher peak RSS
-            return "%s", np.array(text, dtype=object).take(inverse).tolist()
+            return "%s", np.array(text, dtype=object).take(index).tolist()
     return conversion, _cell_values(column, fmt)
 
 
@@ -528,8 +524,8 @@ def _emit(args, command, columns, arrays, extra=(), report=None):
     every float64 bit pattern (see _DIGIT_ERR).  Any other table (JSON floats, written by repr; str
     columns; shorter tables) goes through one % template per row,
     _ROW_BLOCK rows at a time, and a full row block of a JSON float column
-    that repeats values (at most half of its cells distinct) is formatted
-    once per distinct value and written as text (_block_cells).  JSON's
+    in which _repeats finds repeats is formatted once per value it leaves
+    and written as text (_block_cells).  JSON's
     bytes are as they were.  CSV carries a # header with ``extra``
     as its last lines.  A JSON report is ``report`` dumped with _ROWS where
     the rows go, the rows as objects keyed by column; by default it is meta

@@ -264,7 +264,9 @@ def positivity_check(op: TwistedMultiplier, t_grid) -> PositivityReport:
     """
     st = op.structure
     log2 = op.seq.log2[: st.needed]
-    ts = np.unique(np.concatenate([scan_times(t_grid), _extremal_times(log2, st)]))
+    # sorted, equal neighbours dropped: np.unique would import numpy.ma
+    ts = np.sort(np.concatenate([scan_times(t_grid), _extremal_times(log2, st)]))
+    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
 
     per_t = np.empty(ts.size)
     # t = 0 and inf go one at a time
@@ -510,7 +512,7 @@ def _start(rng, out):
     np.add(re, out, out=out)
 
 
-def _ascend(op, rows, p, witness=False):
+def _ascend(op, rows, p):
     """Duality-map power ascents from a batch of (lam, diag, off, rng) rows, run together.
 
     Row k ascends lam_k times the multiplier with the entries (diag_k,
@@ -518,8 +520,7 @@ def _ascend(op, rows, p, witness=False):
     from rng_k, rows in order: _ASCENT_STEPS steps and a last evaluation,
     each normalizing the iterate and evaluating its image.  The exponent p
     is checked by the entry points.  Returns each ascent's largest image
-    norm (0.0 if none is positive) and, with ``witness``, the earliest
-    iterate attaining it.
+    norm (0.0 if none is positive).
 
     The iterates and the images live in two complex buffers of the batch's
     fixed shape, written in place with every product in the operand order
@@ -545,7 +546,6 @@ def _ascend(op, rows, p, witness=False):
     for k, row in enumerate(rows):
         _start(row[3], v[k])
     best = np.zeros(n)
-    best_v = np.zeros_like(v) if witness else None
     sq, tmp = np.empty((n, dim)), np.empty((n, dim))
     # the coupling entries of every row as flat positions in the batch
     shift = np.arange(n)[:, None] * dim
@@ -563,64 +563,50 @@ def _ascend(op, rows, p, witness=False):
     for step in range(_ASCENT_STEPS + 1):
         nv = _lp_of_blocks(_block_norms(v, layout, sq, tmp), p)
         nv[nv == 0.0] = 1.0   # a row at zero stays at zero
-        if witness:   # the witness bytes are pinned, signed zeros too
-            np.divide(v, nv[:, None], out=v)
-        else:   # complex / real is (re + im 0, im - re 0) / nv: equal up to signed zeros
-            np.multiply(v, np.conj(1.0 / nv + 0j)[:, None], out=v)
+        # numpy's complex / real is (re + im 0, im - re 0) / nv: this, up to signed zeros
+        np.multiply(v, np.conj(1.0 / nv + 0j)[:, None], out=v)
         apply_entries(entries[0], entries[1], flat_cols, flat_rows)   # z = lam A v
         np.multiply(lam, z, out=z)
         bn = _block_norms(z, layout, sq, tmp)
         nz = _lp_of_blocks(bn, p)
         up = nz > best
         best[up] = nz[up]
-        if witness:
-            best_v[up] = v[up]
         if step == _ASCENT_STEPS:
             break
         _j_map(z, bn, p, layout, out=v)
         apply_entries(entries[2], entries[3], flat_rows, flat_cols)   # z = A* J_p(lam A v)
         _j_map(z, _block_norms(z, layout, sq, tmp), q, layout, out=v)
-    return best, best_v
+    return best
 
 
-def _ascents(op, rows, p, witness=False):
+def _ascents(op, rows, p):
     """Ascents of the (lam, diag, off, rng) rows an iterable yields, drawn
     _PROBE_CELLS // dim rows per batch: a batch's rows, and their starts, are
     drawn when it runs.
 
-    Returns each row's largest image norm, rows in order, and, with
-    ``witness``, the earliest iterate attaining the largest of them (None
-    when none is positive, or without ``witness``).
+    Returns each row's largest image norm, rows in order.
     """
     rows = iter(rows)
     size = max(1, _PROBE_CELLS // op.layout.dim)
-    best, top, found = [], 0.0, None
+    best = []
     while batch := list(itertools.islice(rows, size)):
-        vals, vecs = _ascend(op, batch, p, witness)
-        if witness and vals.max() > top:
-            k = int(np.argmax(vals))
-            top, found = vals[k], vecs[k].copy()
-        best.extend(vals.tolist())
-    return best, found
+        best.extend(_ascend(op, batch, p).tolist())
+    return best
 
 
-def opnorm_lower(op: TwistedMultiplier, g, p, trials: int = 4, seed: int = 0):
+def opnorm_lower(op: TwistedMultiplier, g, p, trials: int = 4, seed: int = 0) -> float:
     """Certified lower bound of the norm of the multiplier with symbol values
     g (as in ``TwistedMultiplier.symbols``) on the mixed-norm space.
 
     Duality-map power ascents from random starts, each trial a row with
-    lam = 1.  The returned witness attains the bound, so re-evaluation
-    reproduces it; it is the earliest trial and step that reaches the
-    maximum.
+    lam = 1; the bound is the largest image norm any of them reaches.
     """
     p = _check_p(p)
     if trials < 1:
         raise ParameterError("trials must be at least 1")
     diag, off = op.symbols(g)
     rng = np.random.default_rng(seed)
-    best, witness = _ascents(op, ((1.0, diag, off, rng) for _ in range(trials)), p,
-                             witness=True)
-    return max(best), witness
+    return max(_ascents(op, ((1.0, diag, off, rng) for _ in range(trials)), p))
 
 
 def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
@@ -645,7 +631,7 @@ def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,
     lower = np.zeros((angles.size, radii.size))
     bv_upper = np.zeros_like(lower)
     singular = np.zeros(lower.shape, dtype=bool)
-    best = _ascents(op, _ray_rows(op, angles, radii, trials, seed, singular, bv_upper), p)[0]
+    best = _ascents(op, _ray_rows(op, angles, radii, trials, seed, singular, bv_upper), p)
     lower[~singular] = np.reshape(best, (-1, trials)).max(axis=1)
     ratios = lower[bv_upper > 0.0] / bv_upper[bv_upper > 0.0]
     measured_k = float(ratios.max()) if ratios.size else 0.0

@@ -545,7 +545,9 @@ def _ascend(a, best, signs, t: Coupling, p, layout: BlockLayout, sweeps: int) ->
     plans = []
     for entries in np.split(order, np.cumsum(np.bincount(coef))[:-1]):
         cols = coords[entries]                                 # the coordinates of f_i
-        ks = np.unique(triangular_block_index(cols + 1)) - 1   # the blocks holding them
+        # the blocks holding them, cols ascending: not np.unique, which imports numpy.ma
+        ks = triangular_block_index(cols + 1) - 1
+        ks = ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
         span = np.concatenate([np.arange(s, s + z) for s, z in
                                zip(layout.starts[ks], layout.sizes[ks])])
         plans.append((cols, span, np.searchsorted(span, cols), ks,

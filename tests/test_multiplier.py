@@ -388,8 +388,8 @@ def test_imaginary_power_norm_growth_at_p2():
     cover = op.structure.needed
     cmax = float(fam.block_values.max())
     for t in (0.5, 2.0, 10.0):
-        val, _ = opnorm_lower(op, np.exp(1j * t * math.log(2.0) * op.seq.log2[:cover]),
-                              2.0, trials=3, seed=0)
+        val = opnorm_lower(op, np.exp(1j * t * math.log(2.0) * op.seq.log2[:cover]),
+                           2.0, trials=3, seed=0)
         assert val <= 1.0 + 8.0 * cmax * t + 1e-9
 
 
@@ -497,7 +497,7 @@ def test_sequence_multiplier_bv_ratio_stable_across_sizes():
     for n, op in ops.items():
         ratios = []
         for beta in betas:
-            val, _ = opnorm_lower(op, beta[: op.structure.needed], 2.5, trials=2, seed=11)
+            val = opnorm_lower(op, beta[: op.structure.needed], 2.5, trials=2, seed=11)
             ratios.append(val / bv_norm(beta))
         measured.append(max(ratios))
     assert max(measured) < 10.0
@@ -572,8 +572,8 @@ def test_opnorm_lower_at_extreme_exponents(p):
     g = np.exp(1j * 0.7 * op.seq.log2[: op.structure.needed])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        val, vec = opnorm_lower(op, g, p)
-    assert 1.0 < val < INF and np.isfinite(vec).all()
+        val = opnorm_lower(op, g, p)
+    assert 1.0 < val < INF
 
 
 @pytest.mark.parametrize("variant", [PLAIN, EVEN_TWIST, ODD_TWIST])

@@ -238,23 +238,23 @@ def test_pattern_table_reads_match_the_oracle_at_every_width(k, p, kind):
     assert bits([got.value, got.stderr]) == bits([want.value, want.stderr])
 
 
-def test_sampled_table_reads_hold_no_more_than_the_draw_and_one_row_block():
+def test_sampled_table_reads_hold_the_squares_the_table_and_one_row_block():
     # 100,000 draws at k = 14 over dim 210: a samples x dim product would be
-    # 168 MB.  ``Generator.choice`` itself holds its int64 indices next to
-    # the signs, so the draw's own peak is measured first.
+    # 168 MB, and the draws as float64 signs 11.2 MB.  The call holds the
+    # squares, 8 bytes a sample, the 2^13 x 14 sign patterns its table norms,
+    # one row block of products in the terms' dtype, and the slack of
+    # test_sampled_memory_grows_by_the_squares_alone
     k, samples = EXACT_TERM_LIMIT, 100_000
     s = make_sum(k, 20, seed=6)
     tracemalloc.start()
     try:
-        np.random.default_rng(0).choice([-1.0, 1.0], size=(samples, k))
-        _, draw = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
         rad_norm(s, "sampled", seed=0, samples=samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert draw >= samples * k * 8
-    assert peak < draw + blockspace._PATTERN_CELLS * 16
+    table = 2 ** (k - 1) * k * 8
+    row_block = blockspace._PATTERN_CELLS * s.terms.itemsize
+    assert peak <= 8 * samples + table + row_block + 64 * 2 ** 10
 
 
 # -- the dtype of the products ---------------------------------------------------
