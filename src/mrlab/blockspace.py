@@ -43,7 +43,12 @@ def triangular_end(k):
 
 def triangular_block_index(m):
     """Block number of 1-based index m under block sizes 1, 2, 3, ...: also the
-    fewest blocks holding m indices, which is one block for m < 1."""
+    fewest blocks holding m indices, which is one block for m < 1.  A single
+    integer is read exactly, however large; an array as int64."""
+    if isinstance(m, (int, np.integer)):
+        m = max(int(m), 1)
+        k = (math.isqrt(8 * m + 1) - 1) // 2   # the last block ending at or before m
+        return k if triangular_end(k) == m else k + 1
     m = np.maximum(np.asarray(m, dtype=np.int64), 1)
     k = ((np.sqrt(8.0 * m + 1.0) - 1.0) / 2.0).astype(np.int64)
     # float sqrt may be off by one near block boundaries

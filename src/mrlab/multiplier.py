@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .blockspace import (_NORMAL_MIN, BlockLayout, _check_p, _lp_of_blocks, _norms_of_sums,
-                         bv_norm)
+                         bv_norm, triangular_block_index, triangular_end)
 from .errors import InvariantViolation, ParameterError, SingularityError
 from .sequences import MultiplierSeq, RatioSeq, family_seq, step_offsets, twisted_lacunary
 from .twistbasis import EVEN_TWIST, TwistPermutation, layout_coupling
@@ -315,21 +315,209 @@ def _entries_at(op, t):
 def _entry_minima(op, ts):
     """Smallest entry of e^{-tA} at each time of ``ts`` (sorted, positive).
 
-    Equal bit for bit to ``_entries_at(op, t).min()``.  An entry reads
-    e^{-t gamma} at one or two indices, and np.exp is exactly 0.0 below
-    -745.14, so an entry whose every gamma has t gamma > _EXP_DEAD is 0.0.
-    Sorted by their smallest gamma, the entries still alive at t form a
-    prefix; only that prefix is evaluated, and the diagonal (never
-    negative) only while every entry is alive.  Times go in blocks of
-    about _SCAN_CELLS cells, each sized at its smallest time.
+    Equal bit for bit to ``_entries_at(op, t).min()``: a minimum is exact in
+    any order, so only the set of entries evaluated differs.
+    ``_screened_minima`` settles the times at which it finds a negative
+    entry, from the runs of coupled pairs its bounds cannot rule out;
+    ``_prefix_minima`` takes the others.
     """
     st, gamma = op.structure, op._gamma
-    d_key = np.sort(gamma[st.diag_src - 1])
     hi, lo = gamma[st.off_hi - 1], gamma[st.off_lo - 1]
     order = np.argsort(np.minimum(hi, lo), kind="stable")
     hi, lo = hi[order], lo[order]
-    o_key = np.minimum(hi, lo)
+    out = np.empty(ts.size)
+    rest = _screened_minima(hi, lo, np.maximum(st.off_hi, st.off_lo)[order], ts, out)
+    out[rest] = _prefix_minima(np.sort(gamma[st.diag_src - 1]), hi, lo, ts[rest])
+    return out
 
+
+# The bound of the screen.  A coupled pair with values hi, lo has key =
+# min(hi, lo) and ratio r = |hi - lo| / key; at time t let v = t key.  The
+# scan reads E = fl(fl(e^x) - fl(e^y)) with x = fl(-t hi), y = fl(-t lo),
+# and u = 2^-53:
+# - the products: |x - y| <= t |hi - lo| + u t (hi + lo) <= v (r + 2u (1 + r)),
+#   and max(x, y) <= -v (1 - u);
+# - np.exp is taken to be within eps = _SCREEN_EXP_ERR relative where its
+#   value is normal and within 2^-1070 where it is subnormal (test_batched_scans
+#   holds the running dispatch target to 2^-48 against math.exp); it reads
+#   0.0 below -745.14, so E = 0.0 once v > _EXP_DEAD, and e^{uv} <= 1 + 2^-43
+#   for every other entry;
+# - |e^x - e^y| <= |x - y| e^max(x, y), and the subtraction adds u.
+# So |E| <= (1 + 2^-41) e^{-v} (v R' + 2 eps) + 2^-1068 for each pair of a run
+# whose rounded ratios are at most R, where R' = R (1 + 2^-50) + 2^-50 covers
+# the rounding of r and the 2u (1 + r).  Over v in [t first, t last], v e^{-v}
+# peaks at c = clip(1, t first, t last), and 2 eps e^{-v} <= 6 eps e^{-c}
+# (c is t first when that is past 1, else e^{-v} <= 1 <= e e^{-c}), so each
+# entry of the run is at most e^{-c} (c R' + 6 eps), times 1 + 2^-41, plus the
+# 2^-1068.  Past c = 1 this only falls, so c is clamped to _SCREEN_U_MAX,
+# where 6 eps e^{-c} is still normal, some 2^160 above the 2^-1068.  Forming
+# c from rounded products moves c e^{-c} and e^{-c} by at most 1200 u
+# relative, and np.exp and the bound's five roundings add eps + 5u:
+# _SCREEN_SLACK = 1 + 2^-36 covers all of it.  ``_Runs.band`` bounds the runs
+# past a band's edge from these bounds.
+_SCREEN_EXP_ERR = 2.0 ** -44
+_SCREEN_U_MAX = 600.0
+_SCREEN_SLACK = 1.0 + 2.0 ** -36
+_SCREEN_RUN = 16          # most pairs in one run
+_SCREEN_BANDS = (2, 8)    # runs bounded one by one on each side of the peak's run
+
+
+def _screened_minima(hi, lo, index, ts, out):
+    """Write the smallest entry of each time of ``ts`` it settles into ``out``;
+    return the positions of the others, sorted.
+
+    hi and lo are the coupled pairs' values sorted by key = min(hi, lo), and
+    ``index`` their larger sequence indices.  At time t the pair whose
+    key is nearest 1/t, where v e^{-v} peaks, is read first.  If it reads
+    m < 0, the minimum is m or an entry of a run (see ``_Runs``) whose
+    bound exceeds |m|, since the diagonal and the dead entries read 0.0 or
+    more; those runs are evaluated.  Left to ``_prefix_minima`` are every
+    time of a scan of fewer than 2 _SCAN_CELLS live coupled entries in all,
+    or with no increasing pair, and each time
+    - with at most 4 _SCREEN_RUN live pairs,
+    - whose first pair reads no negative entry,
+    - whose widest band cannot rule out the runs past its edges,
+    - or whose runs to evaluate hold more than half of its live pairs.
+    Times go in blocks whose first band bounds about _SCAN_CELLS // 4 runs.
+    """
+    key = np.minimum(hi, lo)
+    with np.errstate(over="ignore"):
+        live = np.searchsorted(key, _EXP_DEAD / ts, side="right")
+    wide = live > 4 * _SCREEN_RUN
+    if live.sum() < 2 * _SCAN_CELLS or not wide.any() or not np.any(hi > lo):
+        return np.arange(ts.size)
+    runs = _Runs.cut(hi, lo, index)
+    rest = [np.flatnonzero(~wide)]
+    wide = np.flatnonzero(wide)
+    step = max(1, _SCAN_CELLS // 4 // (2 * _SCREEN_BANDS[0] + 3))
+    for i in range(0, wide.size, step):
+        at = wide[i:i + step]
+        t = ts[at]
+        with np.errstate(over="ignore"):
+            peak = np.minimum(np.searchsorted(key, 1.0 / t), key.size - 1)
+            low = np.exp(-t * hi[peak]) - np.exp(-t * lo[peak])
+        top = np.searchsorted(runs.starts, peak, side="right") - 1
+        todo = np.flatnonzero(low < 0.0)
+        row_of, run_of = [np.repeat(todo, runs.always.size)], [np.tile(runs.always, todo.size)]
+        for width in _SCREEN_BANDS:
+            if todo.size:
+                held, row, run = runs.band(t[todo], low[todo], top[todo], width)
+                row_of.append(todo[row])
+                run_of.append(run)
+                todo = todo[~held]
+        settled = low < 0.0
+        settled[todo] = False
+        row_of, run_of = np.concatenate(row_of), np.concatenate(run_of)
+        cells = np.bincount(row_of, weights=runs.lens[run_of], minlength=t.size)
+        settled &= 2 * cells <= live[at]
+        keep = settled[row_of]
+        row_of, run_of = row_of[keep], run_of[keep]
+        np.minimum.at(low, row_of, _run_minima(-t[row_of], hi, lo, runs.starts[run_of],
+                                               runs.lens[run_of]))
+        out[at[settled]] = low[settled]
+        rest.append(at[~settled])
+    return np.sort(np.concatenate(rest))
+
+
+@dataclass(frozen=True)
+class _Runs:
+    """The coupled pairs, sorted by key, cut into runs of at most _SCREEN_RUN
+    pairs that share a triangular block, each with its bound's terms.
+
+    ``ratio`` is each run's R' (see _SCREEN_SLACK), or inf where a pair's
+    ratio is not finite (a value 0, or one value inf): such a run, listed in
+    ``always``, is evaluated at every time, and ``below`` and ``above``, the
+    largest R' of the runs up to and from each run, leave it out.
+    """
+    starts: np.ndarray
+    lens: np.ndarray
+    first: np.ndarray      # each run's smallest key
+    last: np.ndarray       # and its largest
+    ratio: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+    always: np.ndarray
+
+    @classmethod
+    def cut(cls, hi, lo, index):
+        """The runs of the pairs (hi, lo), sorted by key, whose larger sequence
+        indices are ``index``."""
+        key = np.minimum(hi, lo)
+        # a pair's block: the first whose last index is at or past it
+        ends = triangular_end(np.arange(triangular_block_index(int(index.max())) + 1))
+        blocks = np.searchsorted(ends, index)
+        block_at = np.flatnonzero(np.concatenate(([True], blocks[1:] != blocks[:-1])))
+        place = np.arange(key.size) - np.repeat(block_at, np.diff(np.append(block_at, key.size)))
+        starts = np.flatnonzero(place % _SCREEN_RUN == 0)
+        lens = np.diff(np.append(starts, key.size))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(hi - lo) / key
+        ratio[key == np.inf] = 0.0   # both values inf: the entry reads 0.0 at every t > 0
+        ratio = np.maximum.reduceat(ratio, starts)   # NaN where any ratio is
+        finite = np.isfinite(ratio)
+        ratio = np.where(finite, ratio * (1.0 + 2.0 ** -50) + 2.0 ** -50, np.inf)
+        edge = np.where(finite, ratio, 0.0)
+        return cls(starts, lens, key[starts], key[starts + lens - 1], ratio,
+                   np.maximum.accumulate(edge), np.maximum.accumulate(edge[::-1])[::-1],
+                   np.flatnonzero(~finite))
+
+    def band(self, t, low, top, width):
+        """For times t with negative first entries low and peaks in the runs
+        top: whether the runs within ``width`` of top hold every entry below
+        low, and the (time, run) positions of those runs whose bound exceeds
+        |low|.
+
+        The runs past each edge of the band are bounded together by the
+        bound of the edge run with the largest R' on its side, its c moved
+        to 1 where it lies beyond it and 17 eps (over 6 e eps) in place of
+        6 eps: c is monotone in the run, c e^{-c} only rises up to c = 1 and
+        only falls past it, and e^{-c} <= 1 <= e e^{-1} wherever c <= 1.
+        """
+        run = top + np.arange(-width - 1, width + 2)[:, None]   # the band and its two edges
+        inside = (run >= 0) & (run < self.starts.size)
+        run = np.clip(run, 0, self.starts.size - 1)
+        with np.errstate(over="ignore"):
+            c = np.minimum(np.maximum(np.minimum(t * self.last[run], 1.0), t * self.first[run]),
+                           _SCREEN_U_MAX)
+        c[0], c[-1] = np.minimum(c[0], 1.0), np.maximum(c[-1], 1.0)
+        r = self.ratio[run]
+        r[0], r[-1] = self.below[run[0]], self.above[run[-1]]
+        eps = np.full((run.shape[0], 1), 6.0 * _SCREEN_EXP_ERR)
+        eps[[0, -1]] = 17.0 * _SCREEN_EXP_ERR
+        with np.errstate(invalid="ignore"):   # 0 inf: a NaN bound passes, as an inf one does
+            need = ~(_SCREEN_SLACK * np.exp(-c) * (c * r + eps) <= -low) & inside
+        band = np.flatnonzero(need[1:-1])
+        return ~(need[0] | need[-1]), band % t.size, run[1:-1].ravel()[band]
+
+
+def _run_minima(neg_t, hi, lo, starts, lens):
+    """The smallest coupling entry of each run (starts, lens) at its time
+    -neg_t: runs by columns, _SCREEN_RUN rows deep, a short run repeating
+    its last pair, about _SCAN_CELLS // 4 cells at a time."""
+    low = np.empty(starts.size)
+    step = max(1, _SCAN_CELLS // 4 // _SCREEN_RUN)
+    for i in range(0, starts.size, step):
+        first = starts[i:i + step]
+        pairs = np.minimum(first + np.arange(_SCREEN_RUN)[:, None], first + lens[i:i + step] - 1)
+        t = neg_t[i:i + step]
+        with np.errstate(over="ignore"):
+            low[i:i + step] = (np.exp(t * hi[pairs]) - np.exp(t * lo[pairs])).min(axis=0)
+    return low
+
+
+def _prefix_minima(d_key, hi, lo, ts):
+    """Smallest entry of e^{-tA} at each time of ``ts`` (sorted, positive),
+    from the sorted diagonal values and the coupled pairs sorted by
+    min(hi, lo).
+
+    An entry reads e^{-t gamma} at one or two indices, and np.exp is
+    exactly 0.0 below -745.14, so an entry whose every gamma has t gamma >
+    _EXP_DEAD is 0.0.  Sorted by their smallest gamma, the entries still
+    alive at t form a prefix; only that prefix is evaluated, and the
+    diagonal (never negative) only while every entry is alive.  Times go in
+    blocks of about _SCAN_CELLS cells, each sized at its smallest time.
+    """
+    o_key = np.minimum(hi, lo)
     out = np.empty(ts.size)
     i = 0
     while i < ts.size:

@@ -238,10 +238,10 @@ def _blowup_args(construction, p, blocks, alpha):
     p = float(p)
     if p <= 2.0:
         raise ParameterError("the blow-up experiments live at p > 2")
-    ks = np.asarray(sorted(set(int(k) for k in blocks)), dtype=np.int64)
-    if np.any(ks < 7):
+    ks = sorted(set(int(k) for k in blocks))   # compared as Python integers, however large
+    if ks[0] < 7:
         raise ParameterError("target blocks start at 7")
-    return p, holder_conjugate(p), ks
+    return p, holder_conjugate(p), np.asarray(ks, dtype=np.int64)
 
 
 def blowup_series(construction: str, p, alpha=None,

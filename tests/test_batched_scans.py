@@ -9,12 +9,16 @@ reproduce them bit for bit, not merely to a tolerance.
 import cmath
 import math
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrlab import cli, multiplier
-from mrlab.blockspace import _NORMAL_MIN, BlockLayout, block_norms, bv_norm, mixed_norm
+from mrlab.blockspace import (_NORMAL_MIN, BlockLayout, block_norms, bv_norm, mixed_norm,
+                              triangular_block_index)
 from mrlab.errors import ParameterError, SingularityError
 from mrlab.multiplier import (
     TwistedMultiplier,
@@ -24,6 +28,12 @@ from mrlab.multiplier import (
 )
 from mrlab.sequences import MultiplierSeq, seq_from_ratios, twisted_lacunary
 from mrlab.twistbasis import EVEN_TWIST, ODD_TWIST, PLAIN, TwistPermutation
+
+# the --gamma sources of the benchmark's operator scans
+SCAN_GAMMAS = ("lacunary",
+               "constant:0.001", "constant:0.004", "constant:0.02", "constant:0.1",
+               "power:0.1", "power:0.2", "power:0.3", "power:0.45",
+               "powerlog:0.1", "powerlog:0.2", "powerlog:0.3", "powerlog:0.45")
 
 
 def bits(x):
@@ -70,6 +80,37 @@ def positivity_oracle(op, t_grid):
             arg_col = int(cols[np.argmin(entries)]) + 1
     monotone = bool(np.all(log2[st.off_hi - 1] <= log2[st.off_lo - 1]))
     return best, arg_t, arg_col, monotone, per_t, ts
+
+
+def entry_minima_oracle(op, ts):
+    """The live-prefix scan of every time (sorted, positive), as
+    ``multiplier._entry_minima`` ran before its screen."""
+    st, gamma = op.structure, op._gamma
+    d_key = np.sort(gamma[st.diag_src - 1])
+    hi, lo = gamma[st.off_hi - 1], gamma[st.off_lo - 1]
+    order = np.argsort(np.minimum(hi, lo), kind="stable")
+    hi, lo = hi[order], lo[order]
+    o_key = np.minimum(hi, lo)
+
+    out = np.empty(ts.size)
+    i = 0
+    while i < ts.size:
+        with np.errstate(over="ignore"):
+            cut = multiplier._EXP_DEAD / ts[i]
+            nd = int(np.searchsorted(d_key, cut, side="right"))
+            no = int(np.searchsorted(o_key, cut, side="right"))
+            everything = nd + no == d_key.size + o_key.size
+            rows = max(1, (1 << 15) // max(1, 2 * no + (nd if everything else 0)))
+            t = -ts[i:i + rows, None]
+            low = np.zeros(t.shape[0])
+            if everything:
+                low = np.exp(t * d_key).min(axis=1)
+            if no:
+                off = np.exp(t * hi[:no]) - np.exp(t * lo[:no])
+                np.minimum(low, off.min(axis=1), out=low)
+        out[i:i + low.size] = low
+        i += low.size
+    return out
 
 
 def j_map_oracle(z, exponent, layout):
@@ -206,6 +247,121 @@ def test_positivity_scan_small_blocks(monkeypatch):
     expect = positivity_oracle(op, GRIDS["pow2"])[4]
     monkeypatch.setattr(multiplier, "_SCAN_CELLS", 7)
     assert bits(positivity_check(op, GRIDS["pow2"]).per_t_min) == bits(expect)
+
+
+# -- the screened scan ------------------------------------------------------
+
+
+def scanned_times(rep):
+    """The times of a positivity report that _entry_minima scans: 0 < t < inf."""
+    return (rep.t_grid > 0.0) & (rep.t_grid < np.inf)
+
+
+@pytest.mark.parametrize("gamma, n", [
+    *[(g, n) for g in SCAN_GAMMAS for n in (500, 2639, 8000)],
+    ("constant:0.001", 20100),
+])
+def test_screened_scan_matches_the_prefix_scan(gamma, n):
+    op = gamma_op(gamma, n)
+    rep = positivity_check(op, GRIDS["pow2"])
+    ts = rep.t_grid[scanned_times(rep)]
+    assert bits(rep.per_t_min[scanned_times(rep)]) == bits(entry_minima_oracle(op, ts))
+
+
+# per block, the step of log2 gamma from each index to the next: equal
+# values, near-equal ones (as constant:1e-13 has), increasing and
+# decreasing pairs; slow growth keeps many pairs alive at once
+LOG2_STEPS = [0.0, 1.4e-13, -1.4e-13, 1e-3, 1e-3, 6e-3, 6e-3, 0.05, -0.05, 0.4, -0.7, 2.0]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(steps=st.lists(st.sampled_from(LOG2_STEPS), min_size=40, max_size=40),
+       start=st.sampled_from([-30.0, 0.0, 12.0]),
+       overflow=st.sampled_from([None, 28, 34]),
+       times=st.lists(st.floats(1e-300, 1e300), max_size=4),
+       cells=st.sampled_from([64, 1024, 1 << 15]),
+       run=st.sampled_from([2, 16]))
+def test_screened_scan_matches_per_time_loop_on_block_constant_ratios(steps, start, overflow,
+                                                                      times, cells, run):
+    # gamma_{m+1} / gamma_m is one constant on each triangular block of m,
+    # as in the ratio families, with pairs across block edges, and from the
+    # block ``overflow`` on gamma leaves the float range; small blocks and
+    # runs send even these few pairs through the screen
+    if overflow is not None:
+        steps = steps[:overflow] + [40.0] * (len(steps) - overflow)
+
+    def seq(length):
+        m = np.arange(1, length)
+        step = np.asarray(steps)[triangular_block_index(m) % len(steps)]
+        return MultiplierSeq("custom", start + np.concatenate(([0.0], np.cumsum(step))))
+
+    op = make_op(EVEN_TWIST, seq, n_blocks=30)
+    grid = np.array([0.0, 5e-324, np.inf, *times])
+    best, arg_t, arg_col, monotone, per_t, ts = positivity_oracle(op, grid)
+    with mock.patch.object(multiplier, "_SCAN_CELLS", cells), \
+            mock.patch.object(multiplier, "_SCREEN_RUN", run):
+        rep = positivity_check(op, grid)
+    assert bits(rep.t_grid) == bits(ts)
+    assert bits(rep.per_t_min) == bits(per_t)
+    assert bits([rep.min_entry, rep.argmin_t]) == bits([best, arg_t])
+    assert (rep.argmin_col, rep.monotone_pairs) == (arg_col, monotone)
+
+
+def test_screen_reads_a_pair_with_one_infinite_value_at_every_time():
+    # at t = 2^-10 the peak is a run of pairs at 2^10 with ratio 1e-3, the
+    # pairs from 2^11 to 2^12.9 differ by about 1e-13, and the pair (904,
+    # 903), 904 past the float range, reads -e^{-t 2^12.9}: the smallest
+    # entry, more than a band away from the peak and left out of the edge
+    # bounds, so only its run's evaluation at every time finds it
+    def seq(length):
+        i = np.arange(1, length + 1)
+        p = (i + 1) // 4   # pair p couples 4p - 1 and 4p
+        log2 = np.where(p <= 100, 9.9 * p / 100,
+                        np.where(p <= 120, 10.0, 11.0 + 1.9 * (p - 121) / 104))
+        log2 += np.where((p > 100) & (p <= 120), 1.44e-3, 1.4e-13) * (i % 4 == 0)
+        log2[i >= 904] = 2000.0
+        return MultiplierSeq("custom", log2)
+
+    op = make_op(EVEN_TWIST, seq, n_blocks=45)
+    grid = np.array([2.0 ** -10])
+    per_t, ts = positivity_oracle(op, grid)[4:]
+    with mock.patch.object(multiplier, "_SCAN_CELLS", 1024):
+        rep = positivity_check(op, grid)
+    assert bits(rep.per_t_min) == bits(per_t)
+    assert per_t[np.searchsorted(ts, 2.0 ** -10)] < -5e-4
+
+
+@pytest.mark.parametrize("gamma", ["constant:0.001", "power:0.45", "lacunary"])
+def test_screen_leaves_the_prefix_scan_only_times_with_few_live_pairs(gamma, monkeypatch):
+    # a screen that silently sent every time to the live-prefix scan would
+    # be exact, and quadratic in the pairs again
+    op = gamma_op(gamma, 8000)
+    sent = []
+    prefix = multiplier._prefix_minima
+
+    def counted(d_key, hi, lo, ts):
+        sent.append(np.searchsorted(np.minimum(hi, lo), multiplier._EXP_DEAD / ts, side="right"))
+        return prefix(d_key, hi, lo, ts)
+
+    monkeypatch.setattr(multiplier, "_prefix_minima", counted)
+    scanned = np.count_nonzero(scanned_times(positivity_check(op, GRIDS["pow2"])))
+    live = np.concatenate(sent)
+    if gamma == "lacunary":   # no pair increases: no entry is negative, nothing to screen
+        assert live.size == scanned
+    else:
+        assert live.size <= scanned // 20
+        assert np.all(live <= 4 * multiplier._SCREEN_RUN)
+
+
+def test_exp_is_within_the_screens_error_at_this_dispatch():
+    # the screen's bound takes np.exp to be within _SCREEN_EXP_ERR of e^x
+    # where that is normal, and within 2^-1070 below; math.exp (libm) is
+    # within an ulp, so 2^-48 leaves room for both
+    x = np.concatenate([np.linspace(-745.0, 0.0, 200_001), -np.geomspace(1e-300, 745.0, 20_001)])
+    got, want = np.exp(x), np.array([math.exp(v) for v in x.tolist()])
+    normal = want >= _NORMAL_MIN
+    assert np.all(np.abs(got - want)[normal] <= multiplier._SCREEN_EXP_ERR / 16 * want[normal])
+    assert np.all(np.abs(got - want)[~normal] <= 2.0 ** -1070)
 
 
 # -- sector probe ------------------------------------------------------------

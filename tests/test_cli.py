@@ -794,6 +794,29 @@ def test_dissipativity_overflow_is_one_line_error(capsys):
     assert "45" in err
 
 
+INT64_EDGES = [str(2 ** 63 - 1), str(2 ** 63), str(2 ** 64)]
+PAST_INT64 = [
+    *[(["semigroup-check", "--n", n], "asks for an array") for n in INT64_EDGES],
+    *[(["sector-probe", "--n", n], "asks for an array") for n in INT64_EDGES],
+    *[(["uncond-constant", "--mode", "sampled", "--n", n], "asks for an array")
+      for n in INT64_EDGES],
+    (["bip-check", f"--pairs={-2 ** 63 - 1}"], "the pair bound needs at least one pair"),
+    (["rbound-blowup", f"--blocks={-2 ** 63 - 1}"], "target blocks start at 7"),
+]
+
+
+@pytest.mark.parametrize("argv, message", PAST_INT64, ids=[" ".join(a) for a, _ in PAST_INT64])
+def test_sizes_past_int64_are_one_line_errors(argv, message, capsys):
+    # the size records were formed in int64 before the caps were read: past
+    # 2^63 - 1 a flag ended in an OverflowError traceback, and at 2^63 - 1
+    # the triangular end of the block index overflowed with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_err(argv, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert message in err
+
+
 @pytest.mark.parametrize("p", ["1.001", "200", "1000"])
 def test_sector_probe_at_extreme_exponents_runs_clean(p, capsys):
     # the duality map weighed each block by bn^(e-2) unscaled, for e = p and

@@ -54,6 +54,15 @@ def test_block_index_brackets_a_scalar_index(m):
     assert triangular_end(k - 1) < m <= triangular_end(k)
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(2 ** 62, 2 ** 80))
+def test_block_index_of_a_scalar_past_int64_is_exact(m):
+    # an integer is read with math.isqrt, not through int64 and a float root
+    k = triangular_block_index(m)
+    assert isinstance(k, int)
+    assert triangular_end(k - 1) < m <= triangular_end(k)
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(st.lists(st.integers(1, 10 ** 15), min_size=1, max_size=64))
 def test_block_index_brackets_an_array_of_indices(ms):
