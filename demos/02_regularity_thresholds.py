@@ -32,7 +32,10 @@ print(f"alpha = {alpha}: threshold exponent 2/(1 - 2 alpha) = 4\n")
 lay = BlockLayout.triangular(20)
 dn = diagonal_norm(power, 4.0, lay.n_blocks)
 cvals = power.values_upto(lay.dim)
-attained = mixed_norm(dn.extremizer * cvals, 4.0, lay)
+extremizer = np.zeros(lay.dim)   # the unit profile on the winning block, zero elsewhere
+first = lay.starts[dn.block - 1]
+extremizer[first:first + dn.block] = dn.profile
+attained = mixed_norm(extremizer * cvals, 4.0, lay)
 print("power family at p = 4 (q = 4):")
 print(f"  closed-form diagonal norm  {dn.value:.12f}")
 print(f"  extremizer evaluation      {attained:.12f}")

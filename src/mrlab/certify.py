@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockspace import triangular_bounds, triangular_end, triangular_indices_1mod4
+from .blockspace import triangular_bounds, triangular_indices_1mod4
 from .errors import InvariantViolation, ParameterError
 from .sequences import (
     GEOMETRIC,
@@ -76,7 +76,7 @@ def holder_gap(p, alpha: float):
 class DiagonalNorm:
     value: float
     block: int
-    extremizer: np.ndarray = field(repr=False)   # float64, on BlockLayout.triangular(n_blocks)
+    profile: np.ndarray = field(repr=False)   # float64, on the indices of block `block`
     p: float
     q: float
 
@@ -84,9 +84,9 @@ class DiagonalNorm:
 def diagonal_norm(ratios: RatioSeq, p: float, n_blocks: int) -> DiagonalNorm:
     """Exact norm of a -> (a_m c_m) from ell_p into the mixed space.
 
-    The value is the largest block ell_q norm of c; the returned
-    extremizer is the unit ell_p profile on the winning block that attains
-    it through Holder equality.
+    The value is the largest block ell_q norm of c; the returned profile is
+    the unit ell_p vector on the winning block's indices that, extended by
+    zero, attains it through Holder equality.
     """
     p = float(p)
     if p <= 2.0:
@@ -98,10 +98,7 @@ def diagonal_norm(ratios: RatioSeq, p: float, n_blocks: int) -> DiagonalNorm:
     cvals = np.abs(np.asarray(ratios.value_at(np.arange(lo, hi + 1)), dtype=np.float64))
     profile = np.power(cvals / cvals.max(), q / p)
     profile /= np.power(np.power(profile, p).sum(), 1.0 / p)
-    arr = np.zeros(triangular_end(n_blocks))
-    arr[lo - 1: hi] = profile
-    return DiagonalNorm(value=float(per_block[best - 1]), block=best,
-                        extremizer=arr, p=p, q=q)
+    return DiagonalNorm(value=float(per_block[best - 1]), block=best, profile=profile, p=p, q=q)
 
 
 # -- regularity predicate ----------------------------------------------------

@@ -135,35 +135,6 @@ def _block_cells(column, fmt):
     return conversion, _cell_values(column, fmt)
 
 
-# str(int) two places at a time: the uint16 byte pair at r + 100 min(q, 1) for
-# the pair r under the higher places q; with none above, its leading zeros are
-# NUL (the pair 0 is two NULs, so the cell 0 takes _ZERO)
-_DIGIT_PAIRS = np.frombuffer(b"".join([b"\0\0", *(b"\0%d" % r for r in range(1, 10)),
-                                       *(b"%d" % r for r in range(10, 100)),
-                                       *(b"%02d" % r for r in range(100))]), dtype=np.uint16)
-_MINUS, _ZERO = np.frombuffer(b"-\0\x000", dtype=np.uint16)
-_BOOL_PLACES = np.frombuffer(b"false\0true\0\0", dtype=np.uint16).reshape(2, 3).T.copy()
-
-
-def _int_places(column):
-    """An integer column as str(int) writes it: a sign, then the digit pairs
-    of uint64 magnitudes (so int64's minimum works), each byte pair an array
-    down the rows."""
-    column = column.astype(np.int64, copy=False)
-    rest = magnitude = np.abs(column).view(np.uint64)   # abs(-2^63) wraps, read as 2^63
-    pairs = (len(str(int(rest.max()))) + 1) // 2
-    cell = np.empty((pairs + 1, len(column)), dtype=np.uint16)
-    np.multiply(column < 0, _MINUS, out=cell[0])
-    for place in range(pairs, 0, -1):
-        high = rest // 100
-        pair = rest - high * 100
-        pair += np.minimum(high, 1) * 100
-        np.take(_DIGIT_PAIRS, pair, out=cell[place])
-        rest = high
-    cell[pairs, magnitude == 0] = _ZERO
-    return cell
-
-
 # %.17g without dtoa.  A finite nonzero x = m 2^E (np.frexp, 1/2 <= m < 1)
 # with k = floor(log10 |x|) has the digits D = round(|x| 10^s), s = 16 - k,
 # 10^16 <= D <= 10^17, rounded half to even; a D of 10^17 is 10^16 at k + 1.
@@ -383,7 +354,39 @@ def _float_words(x):
     return cells
 
 
-_PLACES = {"i": _int_places, "b": lambda column: _BOOL_PLACES[:, column.astype(np.intp)]}
+_MINUS = np.uint64(_word(b"\0" * 7 + b"-"))   # a sign word, before the digits
+_ZERO = np.uint64(_word(b"\0" * 7 + b"0"))   # the last digit word of the cell 0
+# a bool cell, its first byte NUL
+_BOOL_WORDS = np.array([[_word(b"\0false")], [_word(b"\0true")]], dtype=np.uint64)
+
+
+def _int_words(column):
+    """An integer column as str(int) writes it, rows x words: the digits of
+    the uint64 magnitudes (so int64's minimum works), 8 a word by
+    _eight_digits, in digits // 8 + 1 words so that a cell's first byte is
+    NUL, its leading zeros NUL; a sign word before them where a cell is
+    negative."""
+    column = column.astype(np.int64, copy=False)
+    rest = np.abs(column).view(np.uint64)   # abs(-2^63) wraps, read as 2^63
+    negative = column < 0
+    sign = int(negative.any())
+    cell = np.empty((sign + len(str(int(rest.max()))) // 8 + 1, len(column)), dtype=np.uint64)
+    digits = cell[sign:]
+    for word in digits[:0:-1]:
+        high = rest // 10 ** 8
+        np.subtract(rest, high * 10 ** 8, out=word)
+        rest = high
+    digits[0] = rest
+    _eight_digits(digits)
+    written = np.zeros(len(column), dtype=np.uint64)
+    for word in digits:
+        written |= -(word & -word)   # each bit from the first digit that is not 0 on
+        word |= written & _word(b"0" * 8)
+        written = -(written >> 63)   # every bit of the words after
+    digits[-1] |= _ZERO & ~written   # the cell 0
+    if sign:
+        np.multiply(negative, _MINUS, out=cell[0])
+    return cell.T
 
 
 def _repeats(column):
@@ -430,39 +433,35 @@ def _float_blocks(columns):
 def _place_rows(arrays, pieces):
     """Rows of integer, bool and float columns as bytes: pieces[0], the first
     cell, pieces[1], ..., the last cell, pieces[-1]; a cell as str(int),
-    true/false or "%.17g" writes it.  The rows are laid out in blocks, NUL
-    wherever a cell leaves a place unused: the pieces and integer and bool
-    cells between two float cells, each of their byte pairs an array down
-    the rows (_int_places, _BOOL_PLACES), and each float cell, rows of words
-    (_float_blocks) with the one-byte piece after it in its last byte.
-    Row-major, the bytes lose their NULs."""
+    true/false or "%.17g" writes it.  Every cell and piece is laid out as
+    uint64 words, rows x words, NUL wherever it leaves a place unused:
+    integers by _int_words, bools as _BOOL_WORDS, floats by _float_blocks.
+    A one-byte piece takes the free last byte of a float cell before it, or
+    else the free first byte of an integer or bool cell after it; any other
+    piece is words of its own.  Row-major, the words lose their NULs."""
     rows = len(arrays[0])
     floats = iter(_float_blocks([a for a in arrays if a.dtype.kind == "f"]))
-    blocks, places = [], []
+    blocks, fold = [], 0
     for j, piece in enumerate(pieces):
         piece = piece.encode()
+        kind = arrays[j].dtype.kind if j < len(arrays) else None
         if j and arrays[j - 1].dtype.kind == "f" and len(piece) == 1:
             blocks[-1][:, -1] |= np.uint64(piece[0] << 56)
-        else:
-            text = np.frombuffer(piece + b"\0" * (len(piece) % 2), dtype=np.uint16)
-            places.append(np.broadcast_to(text[:, None], (text.size, rows)))
-        if j == len(arrays):
+        elif kind in ("i", "b") and len(piece) == 1:
+            fold = piece[0]
+        elif piece:
+            text = np.frombuffer(piece + b"\0" * (-len(piece) % 8), dtype="<u8")
+            blocks.append(np.broadcast_to(text, (rows, text.size)))
+        if kind is None:
             break
-        if arrays[j].dtype.kind == "f":
-            blocks += [np.concatenate(places).T] if places else []
-            blocks.append(next(floats))
-            places = []
-        else:
-            places.append(_PLACES[arrays[j].dtype.kind](arrays[j]))
-    blocks += [np.concatenate(places).T] if places else []
-    if len(blocks) == 1 and blocks[0].dtype == np.uint16:   # no float column
-        return blocks[0].tobytes().translate(None, b"\0")
-    ends = np.cumsum([block.shape[1] * block.itemsize for block in blocks]).tolist()
-    table = bytearray(rows * ends[-1])
-    cells = np.frombuffer(table, dtype=np.uint8).reshape(rows, -1)
-    for block, start, end in zip(blocks, [0, *ends], ends):
-        cells[:, start:end].view("<u8" if block.itemsize == 8 else np.uint16)[...] = block
-    del blocks, block, floats, places   # not held while the bytes lose their NULs
+        blocks.append(next(floats) if kind == "f" else _int_words(arrays[j]) if kind == "i"
+                      else _BOOL_WORDS[arrays[j].astype(np.intp)])
+        if fold:
+            blocks[-1][:, 0] |= np.uint64(fold)
+            fold = 0
+    table = bytearray(rows * 8 * sum(block.shape[1] for block in blocks))
+    np.concatenate(blocks, axis=1, out=np.frombuffer(table, dtype="<u8").reshape(rows, -1))
+    del blocks, floats   # not held while the bytes lose their NULs
     return table.translate(None, b"\0")
 
 
@@ -800,7 +799,7 @@ def cmd_rbound_blowup(args):
 
 
 def cmd_diag_norm(args):
-    yield _Size(dim=triangular_end(max(args.blocks, 0)))
+    yield _Size(arrays=((f"--blocks {args.blocks}", max(args.blocks, 0)),))
     ratios = family_ratios(*_family(args), args.blocks)
     dn = diagonal_norm(ratios, args.p, args.blocks)
     _emit(args, "diag-norm", ["p", "q", "value", "argmax_block"],
@@ -944,7 +943,7 @@ def _build_parser(env_seed):
          *family("powerlog", "lacunary", "power", "powerlog"),
          flag("--p", 4.0),
          flag("--blocks", "100,1000,10000", "comma list of k")),
-        ("diag-norm", cmd_diag_norm, "diagonal-map norm and extremizer",
+        ("diag-norm", cmd_diag_norm, "diagonal-map norm and its winning block",
          *family("power", "power", "powerlog", "constant", "geometric"),
          flag("--p", 4.0),
          flag("--blocks", 20)),

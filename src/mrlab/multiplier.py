@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .blockspace import (_NORMAL_MIN, BlockLayout, _check_p, _lp_of_blocks, _norms_of_sums,
-                         bv_norm, triangular_block_index, triangular_end)
+                         bv_norm, triangular_block_index)
 from .errors import InvariantViolation, ParameterError, SingularityError
 from .sequences import MultiplierSeq, RatioSeq, family_seq, step_offsets, twisted_lacunary
 from .twistbasis import EVEN_TWIST, TwistPermutation, layout_coupling
@@ -443,9 +443,7 @@ class _Runs:
         """The runs of the pairs (hi, lo), sorted by key, whose larger sequence
         indices are ``index``."""
         key = np.minimum(hi, lo)
-        # a pair's block: the first whose last index is at or past it
-        ends = triangular_end(np.arange(triangular_block_index(int(index.max())) + 1))
-        blocks = np.searchsorted(ends, index)
+        blocks = triangular_block_index(index)
         block_at = np.flatnonzero(np.concatenate(([True], blocks[1:] != blocks[:-1])))
         place = np.arange(key.size) - np.repeat(block_at, np.diff(np.append(block_at, key.size)))
         starts = np.flatnonzero(place % _SCREEN_RUN == 0)

@@ -27,14 +27,22 @@ from mrlab.sequences import (
 GRID = np.arange(21, 161) / 20.0
 
 
+def extremizer(dn, lay):
+    """The profile of a DiagonalNorm laid out on its layout: zero off the winning block."""
+    a = np.zeros(lay.dim)
+    start = lay.starts[dn.block - 1]
+    a[start:start + dn.block] = dn.profile
+    return a
+
+
 def test_diagonal_norm_power_at_threshold_all_blocks_tie():
     fam = ratio_family("power", 0.25, 20)
     lay = BlockLayout.triangular(20)
     dn = diagonal_norm(fam, 4.0, lay.n_blocks)
     # every block value equals the scale, so the max does too
     assert dn.value == pytest.approx(fam.scale, rel=1e-12)
-    assert dn.extremizer.dtype == np.float64 and dn.extremizer.shape == (lay.dim,)
-    got = mixed_norm(dn.extremizer * fam.values_upto(lay.dim), 4.0, lay)
+    assert dn.profile.dtype == np.float64 and dn.profile.shape == (dn.block,)
+    got = mixed_norm(extremizer(dn, lay) * fam.values_upto(lay.dim), 4.0, lay)
     assert got == pytest.approx(dn.value, rel=1e-9)
 
 
@@ -45,7 +53,7 @@ def test_diagonal_norm_extremizer_and_domination(p, kind):
     lay = BlockLayout.triangular(20)
     dn = diagonal_norm(fam, p, lay.n_blocks)
     cvals = fam.values_upto(lay.dim)
-    got = mixed_norm(dn.extremizer * cvals, p, lay)
+    got = mixed_norm(extremizer(dn, lay) * cvals, p, lay)
     assert got == pytest.approx(dn.value, rel=1e-9)
     rng = np.random.default_rng(0)
     a = rng.standard_normal((2000, lay.dim))
@@ -294,7 +302,7 @@ def test_diagonal_norm_dense_ratios_match_per_block_sums():
     dn = diagonal_norm(fam, p, lay.n_blocks)
     assert dn.value == pytest.approx(max(per_block), rel=1e-12)
     assert dn.block == int(np.argmax(per_block)) + 1
-    got = mixed_norm(dn.extremizer * fam.values_upto(lay.dim), p, lay)
+    got = mixed_norm(extremizer(dn, lay) * fam.values_upto(lay.dim), p, lay)
     assert got == pytest.approx(dn.value, rel=1e-9)
 
 
@@ -306,7 +314,7 @@ def test_diagonal_norm_of_tiny_dense_ratios():
     dn = diagonal_norm(fam, 4.0, lay.n_blocks)
     assert dn.value == pytest.approx(6 ** 0.25 * 1e-190, rel=1e-14)
     assert dn.block == 6
-    got = mixed_norm(dn.extremizer * fam.values_upto(lay.dim), 4.0, lay)
+    got = mixed_norm(extremizer(dn, lay) * fam.values_upto(lay.dim), 4.0, lay)
     assert got == pytest.approx(dn.value, rel=1e-9)
 
 

@@ -676,7 +676,7 @@ def test_nan_family_value_is_refused_at_the_ratio_check(capsys):
     ["sector-probe", "--n", "10", "--radii", "geom:1:10:100000000000"],
     ["bv-bound", "--n", "10", "--alpha", "geom:0.1:1:1001", "--tgrid", "geom:0.01:10:1000"],
     # 5·10^15 coordinates: the extremizer and the witness sequence used to end
-    # in a MemoryError traceback
+    # in a MemoryError traceback; diag-norm now forms arrays of --blocks entries
     ["diag-norm", "--blocks", "100000000"],
     ["dissipativity", "--block", "100000000"],
     # 10^10 rays: the probe's per-ray arrays used to fail to allocate 74.5 GiB
@@ -686,7 +686,10 @@ def test_nan_family_value_is_refused_at_the_ratio_check(capsys):
 def test_oversized_grid_is_refused_before_it_is_built(argv, capsys):
     code, out, err = run_err(argv, capsys)
     assert_one_line_usage_error(code, out, err)
-    if argv[0] in ("diag-norm", "dissipativity"):
+    if argv[0] == "diag-norm":
+        assert ("--blocks 100000000 asks for an array of 100000000 entries; "
+                "at most 10000000 are allowed") in err
+    elif argv[0] == "dissipativity":
         assert "a truncation takes at most 20000000 coordinates, not 5000000050000000" in err
     else:
         assert "a grid takes 1 to 1000000 points, not " in err

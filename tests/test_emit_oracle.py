@@ -211,6 +211,19 @@ TABLES = {
     # past _PLACE_ROWS: the place writer's float, integer and bool cells
     "long-mixed": (["b", "f", "i", "g"], [np.resize(BOOLS, 600), np.resize(FLOATS, 600),
                                           np.resize(INTS, 600), np.resize(FLOATS[::-1], 600)]),
+    # past _PLACE_ROWS, every place where the place writer folds a comma into
+    # a cell: after a float (its last byte), and before an integer or a bool
+    # that follows an integer or a bool (the cell's first byte, a sign word's
+    # where a cell of the block is negative); integers and bools lead the row,
+    # follow a float and end the row before its newline
+    "folds-int-led": (["i", "b", "f", "j", "g", "c", "k"],
+                      [np.resize(INTS, 600), np.resize(BOOLS, 600), np.resize(FLOATS, 600),
+                       np.arange(600), np.resize(FLOATS[::-1], 600), np.resize(~BOOLS, 600),
+                       np.resize(INTS[::-1], 600)]),
+    "folds-bool-led": (["b", "i", "f", "c", "g", "j", "d"],
+                       [np.resize(BOOLS, 600), np.arange(600) - 300, np.resize(FLOATS, 600),
+                        np.resize(~BOOLS, 600), np.resize(FLOATS[::-1], 600),
+                        np.resize(INTS, 600), np.resize(BOOLS[::3], 600)]),
 }
 
 
@@ -330,7 +343,24 @@ def _widths(rows):
     return np.where(m % 2, -1, 1) * (m * 7919) ** (m % 5) + np.where(m % 97 == 3, -(2 ** 63), 0)
 
 
+def _digit_counts(rows):
+    """A column for each digit count d = 1 .. 19 of its widest magnitude: the
+    ends of that count, 10^(d - 1) and 10^d - 1 (int64's maximum at 19), so
+    the word switches at 8 and 16 digits; zeros in runs; and in the odd
+    counts one negative cell, so that one row block in a table takes a sign word."""
+    columns = []
+    for d in range(1, 20):
+        top = min(10 ** d - 1, 2 ** 63 - 1)
+        cycle = np.array([top, 10 ** (d - 1), 0, d, top // 7], dtype=np.int64)
+        column = np.resize(np.repeat(cycle, 3), rows)
+        if d % 2 and rows:
+            column[rows // 2] = -top
+        columns.append(column)
+    return [f"d{d}" for d in range(1, 20)], columns
+
+
 INT_TABLES = {
+    "digit-counts": _digit_counts,
     "edges": lambda rows: (["i", "j"], [np.resize(INTS, rows), np.resize(INTS[::-1], rows)]),
     "widths": lambda rows: (["m", "w", "narrow"], [np.arange(rows), _widths(rows),
                                                    np.arange(rows, dtype=np.int32) % 3 - 1]),
@@ -343,10 +373,10 @@ INT_TABLES = {
 @pytest.mark.parametrize("fmt", ["csv", "json", "report"])
 @pytest.mark.parametrize("table", sorted(INT_TABLES))
 def test_integer_tables_are_written_as_str_int_did(table, fmt, rows, block, monkeypatch):
-    """An all-integer table takes the digit writer in blocks of 8 row blocks;
+    """An all-integer table takes the place writer in blocks of 8 row blocks;
     rows as lists (CSV, JSON) and as objects (a report)."""
     monkeypatch.setattr(cli, "_ROW_BLOCK", block)
-    monkeypatch.setattr(cli, "_block_cells", None)   # the digit writer never calls it
+    monkeypatch.setattr(cli, "_block_cells", None)   # the place writer never calls it
     columns, arrays = INT_TABLES[table](rows)
     args = synthetic_args("csv" if fmt == "csv" else "json")
     report = {"meta": cli._meta(args, "synthetic"), "per_m": cli._ROWS,
