@@ -742,9 +742,10 @@ def cmd_bv_bound(args):
 
 
 def cmd_bip_check(args):
-    length, ts = 2 * args.pairs + 2, _parse_grid(args.tgrid)
-    yield _Size(points=ts.size, arrays=((f"--pairs {args.pairs}", length),))
-    ratios = family_ratios(*_family(args), triangular_block_index(length) + 1)
+    # the pair bound reads the ratios of blocks 2 .. K, K the block of index 2 pairs
+    blocks, ts = triangular_block_index(2 * args.pairs), _parse_grid(args.tgrid)
+    yield _Size(points=ts.size, arrays=((f"--pairs {args.pairs}", blocks),))
+    ratios = family_ratios(*_family(args), blocks)
     per_t = bip_pair_ratios(ratios, ts, args.pairs)
     worst = max(0.0, *per_t.tolist())
     _emit(args, "bip-check", ["t", "worst_ratio"], [ts, per_t],
@@ -998,6 +999,11 @@ def main(argv=None) -> int:
                 raise ParameterError(f"config {args.config} must hold a JSON object of flags")
             actions = {a.dest: a for a in parser._mrlab_subparsers[args.command]._actions}
             for key, value in overrides.items():
+                if key == "command":   # an output's own config record names its subcommand
+                    if value != args.command:
+                        raise ParameterError(f"config {args.config} is for the command "
+                                             f"{value!r}, not {args.command!r}")
+                    continue
                 action = actions.get(key.replace("-", "_"))
                 if action is None or not hasattr(args, action.dest):
                     raise ParameterError(f"config key {key!r} is not a flag of this subcommand")

@@ -549,12 +549,19 @@ def bip_pair_ratios(ratios: RatioSeq, t_grid, n_pairs: int):
     0.0; the times must be finite.  Where x = t g / 2 (g the log pair gap)
     or the denominator leaves the normal float range, the ratio is read as
     |sin x / x| g / (8 c_{2m}), with sin x / x = 1 below that range.
+
+    The ratios hold one value per triangular block, so the pairs are read
+    one block at a time: c_{2m}, m = 1 .. n_pairs, takes the values of
+    blocks 2 .. K, K the block of 2 n_pairs (every block from 2 on holds an
+    even index).  Each cell is the per-pair expression on the same inputs
+    and a max is exact in any order, so the result is the per-pair one bit
+    for bit, in O(sqrt(n_pairs)) work and memory per time.
     """
     if n_pairs < 1:
         raise ParameterError("the pair bound needs at least one pair")
     if 2 * n_pairs > ratios.max_index:
         raise ParameterError("ratio sequence too short for the requested number of pairs")
-    cvals = ratios.values_upto(2 * n_pairs)[1::2]   # c_{2m}, m = 1 .. n_pairs
+    cvals = ratios.block_values[1:triangular_block_index(2 * n_pairs)]
     if np.any(cvals >= 0.125) or np.any(cvals <= 0.0):
         raise ParameterError("the pair bound requires ratio values inside (0, 1/8)")
     gaps = np.log1p(step_offsets(cvals))   # ln(gamma_{2m} / gamma_{2m-1}) > 0

@@ -158,8 +158,15 @@ def constant_ratios(value: float, n_blocks: int, bound: float = 0.125) -> RatioS
 
 
 def geometric_ratios(n_blocks: int, bound: float = 0.125) -> RatioSeq:
-    """Super-fast decay 2^{-k} per block; inside every block-q-sup space."""
+    """Super-fast decay 2^{-k} per block; inside every block-q-sup space.
+
+    The values round to 0.0 past block 1070 (1072 at bound 1/2; 2^{-k}
+    itself is 0.0 from k = 1075), so more blocks than that are refused."""
     scale = bound / 2.0
+    limit = int(np.count_nonzero(scale * np.exp2(-np.arange(1.0, 1076.0))))
+    if n_blocks > limit:
+        raise ParameterError(f"the geometric family stays positive on {limit} blocks; "
+                             f"{n_blocks} were asked for")
     vals = scale * np.exp2(-np.arange(1, n_blocks + 1, dtype=np.float64))
     return RatioSeq(family=GEOMETRIC, bound=bound, n_blocks=n_blocks,
                     block_values=vals, scale=scale)

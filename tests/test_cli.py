@@ -534,6 +534,8 @@ def test_unusable_config_entry_exits_one(entry, tmp_path, capsys):
     (b"[1, 2]", "must hold a JSON object of flags"),
     (b"null", "must hold a JSON object of flags"),
     (b'{"bogus": 1}', "config key 'bogus' is not a flag of this subcommand"),
+    (b'{"command": "pi-table", "n": 5}', "is for the command 'pi-table', not 'gen-gamma'"),
+    (b'{"command": null}', "is for the command None, not 'gen-gamma'"),
     (b'{"n": "x"}', "config key 'n' cannot take the value 'x'"),
     (b"{not json", "cannot read config"),
     (b"\xff\xfe{}", "cannot read config"),
@@ -701,7 +703,9 @@ def test_oversized_grid_is_refused_before_it_is_built(argv, capsys):
     (["gen-gamma", "--n", "100000000"], "--n 100000000", 100000000),
     (["pi-table", "--n", "100000000"], "--n 100000000", 100000001),
     (["bv-bound", "--n", "100000000"], "--n 100000000", 100000000),
-    (["bip-check", "--pairs", "100000000"], "--pairs 100000000", 200000002),
+    # bip-check forms arrays of the ratio blocks its pairs read, one a block:
+    # 2·10^14 indices lie in 2·10^7 blocks
+    (["bip-check", "--pairs", "100000000000000"], "--pairs 100000000000000", 20000000),
     (["rbound-blowup", "--blocks", "100,100000000"], "--blocks 100000000", 100000001),
     (["dissipativity", "--onset-max", "100000000"], "--onset-max 100000000", 100000001),
     (["semigroup-check", "--n", "100000000"], "--n 100000000", 200000008),
@@ -851,6 +855,12 @@ def test_sector_probe_at_extreme_exponents_runs_clean(p, capsys):
     # read 0.0 and the subnormal times gave bip-check NaN ratios
     (["semigroup-check", "--n", "10", "--tgrid", "pow2:1000:1100"], "cannot read grid"),
     (["bip-check", "--tgrid", "pow2:-1100:-1000"], "cannot read grid"),
+    # the geometric values round to 0.0 past block 1070; these used to be
+    # refused at "ratio value at position 1071", a position no flag gave
+    (["gen-gamma", "--family", "geometric", "--n", "1000000"],
+     "the geometric family stays positive on 1070 blocks; 1415 were asked for"),
+    (["diag-norm", "--family", "geometric", "--blocks", "2000"],
+     "the geometric family stays positive on 1070 blocks; 2000 were asked for"),
 ])
 def test_non_finite_parameters_are_one_line_errors(argv, message, capsys):
     # a NaN or negative tolerance used to exit 2 as a broken invariant; an
@@ -994,6 +1004,7 @@ PEAK_FACTOR = 14
     ["semigroup-check", "--n", "200000"],
     ["bv-bound", "--n", "1000000", "--alpha", "0.25", "--tgrid", "1"],
     ["bip-check", "--pairs", "1000000"],
+    ["bip-check", "--pairs", "1000000000000"],
     ["sector-probe", "--n", "200000", "--trials", "1", "--angles", "1", "--radii", "1"],
     ["sector-probe", "--n", "20000", "--radii", "1,1000"],
     ["rad-norm", "--k", "2", "--blocks", "1000", "--samples", "100"],

@@ -3,10 +3,10 @@
 ``multiplier.bv_semigroup_bound`` evaluates e^{-t y^alpha} only on the
 prefix of the sequence that can be nonzero; it replaced a full-length
 loop kept here verbatim with ``sequence_variation``, which it called.
-``multiplier.bip_pair_ratios`` reads the ratio sequence alone; it replaced
-a form that read the solved sequence's ``ln_pair_gap`` and the ratios'
-``value_at``, kept here verbatim and fed as ``cmd_bip_check`` fed it
-(``family_seq``).  Both must give the old bits at every SIMD dispatch
+``multiplier.bip_pair_ratios`` reads the ratio sequence alone, one value
+per block; it replaced a per-pair form that read the solved sequence's
+``ln_pair_gap`` and the ratios' ``value_at``, kept here verbatim and fed
+as ``cmd_bip_check`` fed it (``family_seq``).  Both must give the old bits at every SIMD dispatch
 level: numpy's exp, log1p and sin must not change a cell's bits with the
 length of the array it sits in.  The sector probe normalizes its iterates
 by a multiply with conj(1/nv + 0j) where it divided by nv; the two agree
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from mrlab import multiplier
-from mrlab.blockspace import triangular_block_index
+from mrlab.blockspace import triangular_block_index, triangular_end
 from mrlab.errors import ParameterError
 from mrlab.multiplier import _SCAN_CELLS, bip_pair_ratios, bv_closed_form, bv_semigroup_bound
 from mrlab.sequences import _LN2, family_ratios, family_seq, twisted_lacunary
@@ -147,16 +147,24 @@ FAMILIES = [("power", 0.1), ("power", 0.25), ("power", 0.45), ("powerlog", 0.1),
             ("powerlog", 0.25), ("powerlog", 0.45), ("constant", 0.01), ("constant", 0.1),
             ("geometric", None)]
 GRID = [5e-324, -1e-310, 1e308, -1e308, 0.0, -3.0, 0.01, 0.1, 1.0, 10.0, 100.0]
+# the bip-check grids of tests/test_cli.py at the ends of the float range,
+# negative times and zero times
+EDGE_GRIDS = [[1e308, 1e308], [5e-324, -1e-310, -1e308], [1e300, -1e300], [-1.0, 2.0],
+              [0.0], [-0.0, 0.0, 5e-324]]
+# 2 pairs one index before the end of a block, at it and one past it
+BOUNDARY_PAIRS = sorted({m // 2 for k in (2, 3, 4, 5, 6, 447, 448, 449)
+                         for m in range(triangular_end(k) - 1, triangular_end(k) + 2)
+                         if m % 2 == 0})
 
 
-@pytest.mark.parametrize("pairs", [1, 7, 1000, 60342])
+@pytest.mark.parametrize("pairs", sorted({1, 7, 1000, 60342, *BOUNDARY_PAIRS}))
 @pytest.mark.parametrize("family, param", FAMILIES)
 def test_bip_pair_ratios_match_the_sequence_form(family, param, pairs):
-    length = 2 * pairs + 2   # as cmd_bip_check sizes it
-    seq, ratios = family_seq(family, param, length)
-    got = bip_pair_ratios(family_ratios(family, param, triangular_block_index(length) + 1),
-                          GRID, pairs)
-    assert bits(got) == bits(bip_oracle(seq, ratios, GRID, pairs))
+    seq, ratios = family_seq(family, param, 2 * pairs + 2)   # as cmd_bip_check fed it
+    blocks = family_ratios(family, param, triangular_block_index(2 * pairs))   # as it feeds it
+    for grid in [GRID, *EDGE_GRIDS]:
+        assert bits(bip_pair_ratios(blocks, grid, pairs)) == \
+            bits(bip_oracle(seq, ratios, grid, pairs))
 
 
 @pytest.mark.parametrize("family, param, pairs, grid", [
@@ -168,7 +176,7 @@ def test_bip_refusals_match_the_sequence_form(family, param, pairs, grid):
     with pytest.raises(ParameterError) as old:
         bip_oracle(seq, ratios, grid, pairs)
     with pytest.raises(ParameterError) as new:
-        bip_pair_ratios(family_ratios(family, param, triangular_block_index(length) + 1,
+        bip_pair_ratios(family_ratios(family, param, triangular_block_index(2 * pairs),
                                       bound=0.5), grid, pairs)
     assert str(new.value) == str(old.value)
 

@@ -230,6 +230,14 @@ def test_constant_and_geometric_families():
         assert np.all(np.isfinite(block_qsup_partials(geo, q)))
 
 
+@pytest.mark.parametrize("bound, limit", [(0.125, 1070), (0.5, 1072)])
+def test_geometric_family_refuses_the_blocks_past_its_last_positive_value(bound, limit):
+    assert geometric_ratios(limit, bound).block_values[-1] > 0.0
+    with pytest.raises(ParameterError, match=f"stays positive on {limit} blocks; "
+                                             f"{limit + 1} were asked for"):
+        geometric_ratios(limit + 1, bound)
+
+
 def test_seq_from_ratio_seq_length_coverage():
     fam = ratio_family("power", 0.25, 4)  # covers indices up to 10
     seq = seq_from_ratios(fam, length=10)
