@@ -163,13 +163,18 @@ def geometric_ratios(n_blocks: int, bound: float = 0.125) -> RatioSeq:
     The values round to 0.0 past block 1070 (1072 at bound 1/2; 2^{-k}
     itself is 0.0 from k = 1075), so more blocks than that are refused."""
     scale = bound / 2.0
-    limit = int(np.count_nonzero(scale * np.exp2(-np.arange(1.0, 1076.0))))
+    limit = _geometric_limit(bound)
     if n_blocks > limit:
         raise ParameterError(f"the geometric family stays positive on {limit} blocks; "
                              f"{n_blocks} were asked for")
     vals = scale * np.exp2(-np.arange(1, n_blocks + 1, dtype=np.float64))
     return RatioSeq(family=GEOMETRIC, bound=bound, n_blocks=n_blocks,
                     block_values=vals, scale=scale)
+
+
+def _geometric_limit(bound: float) -> int:
+    """The number of blocks on which the geometric family stays above 0.0."""
+    return int(np.count_nonzero(bound / 2.0 * np.exp2(-np.arange(1.0, 1076.0))))
 
 
 def family_ratios(family: str, param, n_blocks: int, bound: float = 0.125) -> RatioSeq:
@@ -267,6 +272,11 @@ def family_seq(family: str, param, length: int, bound: float = 0.125):
     """
     if family == LACUNARY:
         return twisted_lacunary(length), None
+    if family == GEOMETRIC:   # the limit in lengths, not in the blocks taken for one
+        limit = triangular_end(_geometric_limit(bound) - 1)
+        if length > limit:
+            raise ParameterError(f"the geometric family stays positive up to length {limit}; "
+                                 f"length {length} was asked for")
     ratios = family_ratios(family, param, triangular_block_index(length) + 1, bound)
     return seq_from_ratios(ratios, length=length), ratios
 

@@ -858,7 +858,7 @@ def test_sector_probe_at_extreme_exponents_runs_clean(p, capsys):
     # the geometric values round to 0.0 past block 1070; these used to be
     # refused at "ratio value at position 1071", a position no flag gave
     (["gen-gamma", "--family", "geometric", "--n", "1000000"],
-     "the geometric family stays positive on 1070 blocks; 1415 were asked for"),
+     "the geometric family stays positive up to length 571915; length 1000000 was asked for"),
     (["diag-norm", "--family", "geometric", "--blocks", "2000"],
      "the geometric family stays positive on 1070 blocks; 2000 were asked for"),
 ])

@@ -23,7 +23,8 @@ from mrlab import multiplier
 from mrlab.blockspace import triangular_block_index, triangular_end
 from mrlab.errors import ParameterError
 from mrlab.multiplier import _SCAN_CELLS, bip_pair_ratios, bv_closed_form, bv_semigroup_bound
-from mrlab.sequences import _LN2, family_ratios, family_seq, twisted_lacunary
+from mrlab.sequences import (_LN2, RatioSeq, family_ratios, family_seq, seq_from_ratios,
+                             twisted_lacunary)
 
 # -- the old forms, verbatim ---------------------------------------------------------
 
@@ -162,9 +163,14 @@ BOUNDARY_PAIRS = sorted({m // 2 for k in (2, 3, 4, 5, 6, 447, 448, 449)
 def test_bip_pair_ratios_match_the_sequence_form(family, param, pairs):
     seq, ratios = family_seq(family, param, 2 * pairs + 2)   # as cmd_bip_check fed it
     blocks = family_ratios(family, param, triangular_block_index(2 * pairs))   # as it feeds it
+    # the public API, the acceptance check and the demos pass more blocks than
+    # the pairs read: those past block K must not enter the bound
+    longer = family_ratios(family, param, 2 * ratios.n_blocks + 40)
     for grid in [GRID, *EDGE_GRIDS]:
-        assert bits(bip_pair_ratios(blocks, grid, pairs)) == \
-            bits(bip_oracle(seq, ratios, grid, pairs))
+        want = bits(bip_oracle(seq, ratios, grid, pairs))
+        assert bits(bip_pair_ratios(blocks, grid, pairs)) == want
+        assert bits(bip_pair_ratios(ratios, grid, pairs)) == want
+        assert bits(bip_pair_ratios(longer, grid, pairs)) == want
 
 
 @pytest.mark.parametrize("family, param, pairs, grid", [
@@ -175,10 +181,23 @@ def test_bip_refusals_match_the_sequence_form(family, param, pairs, grid):
     seq, ratios = family_seq(family, param, length, bound=0.5)
     with pytest.raises(ParameterError) as old:
         bip_oracle(seq, ratios, grid, pairs)
-    with pytest.raises(ParameterError) as new:
-        bip_pair_ratios(family_ratios(family, param, triangular_block_index(2 * pairs),
-                                      bound=0.5), grid, pairs)
-    assert str(new.value) == str(old.value)
+    for n_blocks in (triangular_block_index(2 * pairs), ratios.n_blocks):
+        with pytest.raises(ParameterError) as new:
+            bip_pair_ratios(family_ratios(family, param, n_blocks, bound=0.5), grid, pairs)
+        assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3, 4, 5])
+def test_bip_blocks_past_the_pairs_are_not_read(pairs):
+    # blocks past K = the block of 2 pairs reach 1/8 and beyond: the pairs never
+    # read them, so they neither refuse the call nor enter the bound
+    k = triangular_block_index(2 * pairs)
+    vals = np.array([0.05, 0.01, 0.02, 0.03, 0.04][:k] + [0.2, 0.3, 0.1, 0.4])
+    hand = RatioSeq(family="constant", bound=0.5, n_blocks=vals.size, block_values=vals)
+    seq = seq_from_ratios(hand, length=2 * pairs + 2)
+    for grid in [GRID, *EDGE_GRIDS]:
+        assert bits(bip_pair_ratios(hand, grid, pairs)) == \
+            bits(bip_oracle(seq, hand, grid, pairs))
 
 
 # -- the probe's normalization -------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mrlab.blockspace import triangular_end
 from mrlab.errors import ParameterError, SequenceOverflowError
 from mrlab.rademacher import pair_resolvent_coeffs
 from mrlab.sequences import (
@@ -236,6 +237,13 @@ def test_geometric_family_refuses_the_blocks_past_its_last_positive_value(bound,
     with pytest.raises(ParameterError, match=f"stays positive on {limit} blocks; "
                                              f"{limit + 1} were asked for"):
         geometric_ratios(limit + 1, bound)
+    # family_seq takes one block past those holding the length, so it states
+    # the limit as the longest sequence its blocks solve
+    length = triangular_end(limit - 1)
+    assert family_seq("geometric", None, length, bound)[1].n_blocks == limit
+    with pytest.raises(ParameterError, match=f"stays positive up to length {length}; "
+                                             f"length {length + 1} was asked for"):
+        family_seq("geometric", None, length + 1, bound)
 
 
 def test_seq_from_ratio_seq_length_coverage():
