@@ -216,7 +216,7 @@ def _norms_of_sums(arr, layout, sums):
         # a vector whose squares add up to ``shadow`` holds a block 2^53 times
         # the norm of any block whose sum underflowed; those blocks stay as they are
         shadow = _NORMAL_MIN * 2.0 ** 106 * layout.n_blocks
-        total = sums.dot(np.ones(layout.n_blocks))
+        total = sums.sum(axis=-1)
         if not (total.min() >= shadow and total.max() < math.inf):
             redo = ((sums < _NORMAL_MIN) & (total < shadow)[..., None]) | (sums == math.inf)
             out[redo] = _scaled_block_norms(arr, layout, redo)

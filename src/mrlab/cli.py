@@ -809,6 +809,10 @@ def cmd_diag_norm(args):
 
 
 def cmd_interval_certify(args):
+    # required once the config is merged, so an output's own record replays
+    missing = [flag for flag in ("--left", "--right") if getattr(args, flag[2:]) is None]
+    if missing:
+        raise ParameterError(f"the following arguments are required: {', '.join(missing)}")
     try:
         left, right = float(args.left), float(args.right)
     except ValueError:
@@ -949,8 +953,8 @@ def _build_parser(env_seed):
          flag("--p", 4.0),
          flag("--blocks", 20)),
         ("interval-certify", cmd_interval_certify, "plan families realizing a regularity interval",
-         flag("--left", required=True),
-         flag("--right", None, "number or 'inf'", required=True),
+         flag("--left", None, "number; required"),
+         flag("--right", None, "number or 'inf'; required"),
          flag("--left-closed", False),
          flag("--right-closed", False),
          flag("--grid", 0.05)),
@@ -975,7 +979,9 @@ def _build_parser(env_seed):
 
 def _config_value(action, value):
     """A config entry read the way the flag's parser action reads it."""
-    if action.nargs == 0:  # store_true switches take JSON booleans
+    if action.nargs == 0:  # store_true switches take JSON booleans, or their str
+        if value in ("True", "False"):   # as _meta writes them
+            return value == "True"
         if not isinstance(value, bool):
             raise TypeError("switches take true or false")
         return value

@@ -326,7 +326,7 @@ def _entry_minima(op, ts):
     order = np.argsort(np.minimum(hi, lo), kind="stable")
     hi, lo = hi[order], lo[order]
     out = np.empty(ts.size)
-    rest = _screened_minima(hi, lo, np.maximum(st.off_hi, st.off_lo)[order], ts, out)
+    rest = _screened_minima(hi, lo, ts, out)
     out[rest] = _prefix_minima(np.sort(gamma[st.diag_src - 1]), hi, lo, ts[rest])
     return out
 
@@ -358,79 +358,66 @@ def _entry_minima(op, ts):
 _SCREEN_EXP_ERR = 2.0 ** -44
 _SCREEN_U_MAX = 600.0
 _SCREEN_SLACK = 1.0 + 2.0 ** -36
-_SCREEN_RUN = 16          # most pairs in one run
+_SCREEN_RUN = 16          # pairs in one run
 _SCREEN_BANDS = (2, 8)    # runs bounded one by one on each side of the peak's run
 
 
-def _screened_minima(hi, lo, index, ts, out):
+def _screened_minima(hi, lo, ts, out):
     """Write the smallest entry of each time of ``ts`` it settles into ``out``;
-    return the positions of the others, sorted.
+    return the positions of the others, in order.
 
-    hi and lo are the coupled pairs' values sorted by key = min(hi, lo), and
-    ``index`` their larger sequence indices.  At time t the pair whose
-    key is nearest 1/t, where v e^{-v} peaks, is read first.  If it reads
-    m < 0, the minimum is m or an entry of a run (see ``_Runs``) whose
-    bound exceeds |m|, since the diagonal and the dead entries read 0.0 or
-    more; those runs are evaluated.  Left to ``_prefix_minima`` are every
-    time of a scan of fewer than 2 _SCAN_CELLS live coupled entries in all,
-    or with no increasing pair, and each time
-    - with at most 4 _SCREEN_RUN live pairs,
-    - whose first pair reads no negative entry,
-    - whose widest band cannot rule out the runs past its edges,
-    - or whose runs to evaluate hold more than half of its live pairs.
-    Times go in blocks whose first band bounds about _SCAN_CELLS // 4 runs.
+    hi and lo are the coupled pairs' values sorted by key = min(hi, lo).  At
+    time t the pair whose key is nearest 1/t, where v e^{-v} peaks, is read
+    first.  If it reads m < 0, the minimum is m or an entry of a run (see
+    ``_Runs``) whose bound exceeds |m|, since the diagonal and the dead
+    entries read 0.0 or more; those runs are evaluated.  Left to
+    ``_prefix_minima`` are every time of a scan with no increasing pair, and
+    each time whose peak pair reads no negative entry or whose widest band
+    cannot rule out the runs past its edges.  Times go in blocks whose first
+    band bounds about _SCAN_CELLS // 4 runs.
     """
-    key = np.minimum(hi, lo)
-    with np.errstate(over="ignore"):
-        live = np.searchsorted(key, _EXP_DEAD / ts, side="right")
-    wide = live > 4 * _SCREEN_RUN
-    if live.sum() < 2 * _SCAN_CELLS or not wide.any() or not np.any(hi > lo):
+    if not np.any(hi > lo):
         return np.arange(ts.size)
-    runs = _Runs.cut(hi, lo, index)
-    rest = [np.flatnonzero(~wide)]
-    wide = np.flatnonzero(wide)
+    key = np.minimum(hi, lo)
+    runs = _Runs.cut(hi, lo)
+    rest = [np.arange(0)]
     step = max(1, _SCAN_CELLS // 4 // (2 * _SCREEN_BANDS[0] + 3))
-    for i in range(0, wide.size, step):
-        at = wide[i:i + step]
-        t = ts[at]
+    for i in range(0, ts.size, step):
+        t = ts[i:i + step]
         with np.errstate(over="ignore"):
             peak = np.minimum(np.searchsorted(key, 1.0 / t), key.size - 1)
             low = np.exp(-t * hi[peak]) - np.exp(-t * lo[peak])
-        top = np.searchsorted(runs.starts, peak, side="right") - 1
         todo = np.flatnonzero(low < 0.0)
         row_of, run_of = [np.repeat(todo, runs.always.size)], [np.tile(runs.always, todo.size)]
         for width in _SCREEN_BANDS:
             if todo.size:
-                held, row, run = runs.band(t[todo], low[todo], top[todo], width)
+                held, row, run = runs.band(t[todo], low[todo], peak[todo] // _SCREEN_RUN, width)
                 row_of.append(todo[row])
                 run_of.append(run)
                 todo = todo[~held]
         settled = low < 0.0
         settled[todo] = False
         row_of, run_of = np.concatenate(row_of), np.concatenate(run_of)
-        cells = np.bincount(row_of, weights=runs.lens[run_of], minlength=t.size)
-        settled &= 2 * cells <= live[at]
         keep = settled[row_of]
         row_of, run_of = row_of[keep], run_of[keep]
-        np.minimum.at(low, row_of, _run_minima(-t[row_of], hi, lo, runs.starts[run_of],
-                                               runs.lens[run_of]))
-        out[at[settled]] = low[settled]
-        rest.append(at[~settled])
-    return np.sort(np.concatenate(rest))
+        np.minimum.at(low, row_of, _run_minima(-t[row_of], hi, lo, run_of))
+        out[i:i + step][settled] = low[settled]
+        rest.append(i + np.flatnonzero(~settled))
+    return np.concatenate(rest)
 
 
 @dataclass(frozen=True)
 class _Runs:
-    """The coupled pairs, sorted by key, cut into runs of at most _SCREEN_RUN
-    pairs that share a triangular block, each with its bound's terms.
+    """The coupled pairs, sorted by key, cut into runs of _SCREEN_RUN pairs in
+    key order (run r holds pairs r _SCREEN_RUN to (r + 1) _SCREEN_RUN - 1;
+    only the last may be shorter), each with its bound's terms.
 
-    ``ratio`` is each run's R' (see _SCREEN_SLACK), or inf where a pair's
-    ratio is not finite (a value 0, or one value inf): such a run, listed in
-    ``always``, is evaluated at every time, and ``below`` and ``above``, the
-    largest R' of the runs up to and from each run, leave it out.
+    The bound holds for any grouping: ``ratio`` is each run's R' (see
+    _SCREEN_SLACK) over the pairs it holds, or inf where a pair's ratio is not
+    finite (a value 0, or one value inf): such a run, listed in ``always``,
+    is evaluated at every time, and ``below`` and ``above``, the largest R'
+    of the runs up to and from each run, leave it out.
     """
-    starts: np.ndarray
-    lens: np.ndarray
     first: np.ndarray      # each run's smallest key
     last: np.ndarray       # and its largest
     ratio: np.ndarray
@@ -439,15 +426,10 @@ class _Runs:
     always: np.ndarray
 
     @classmethod
-    def cut(cls, hi, lo, index):
-        """The runs of the pairs (hi, lo), sorted by key, whose larger sequence
-        indices are ``index``."""
+    def cut(cls, hi, lo):
+        """The runs of the pairs (hi, lo), sorted by key."""
         key = np.minimum(hi, lo)
-        blocks = triangular_block_index(index)
-        block_at = np.flatnonzero(np.concatenate(([True], blocks[1:] != blocks[:-1])))
-        place = np.arange(key.size) - np.repeat(block_at, np.diff(np.append(block_at, key.size)))
-        starts = np.flatnonzero(place % _SCREEN_RUN == 0)
-        lens = np.diff(np.append(starts, key.size))
+        starts = np.arange(0, key.size, _SCREEN_RUN)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.abs(hi - lo) / key
         ratio[key == np.inf] = 0.0   # both values inf: the entry reads 0.0 at every t > 0
@@ -455,7 +437,7 @@ class _Runs:
         finite = np.isfinite(ratio)
         ratio = np.where(finite, ratio * (1.0 + 2.0 ** -50) + 2.0 ** -50, np.inf)
         edge = np.where(finite, ratio, 0.0)
-        return cls(starts, lens, key[starts], key[starts + lens - 1], ratio,
+        return cls(key[starts], key[np.minimum(starts + _SCREEN_RUN, key.size) - 1], ratio,
                    np.maximum.accumulate(edge), np.maximum.accumulate(edge[::-1])[::-1],
                    np.flatnonzero(~finite))
 
@@ -472,8 +454,8 @@ class _Runs:
         only falls past it, and e^{-c} <= 1 <= e e^{-1} wherever c <= 1.
         """
         run = top + np.arange(-width - 1, width + 2)[:, None]   # the band and its two edges
-        inside = (run >= 0) & (run < self.starts.size)
-        run = np.clip(run, 0, self.starts.size - 1)
+        inside = (run >= 0) & (run < self.first.size)
+        run = np.clip(run, 0, self.first.size - 1)
         with np.errstate(over="ignore"):
             c = np.minimum(np.maximum(np.minimum(t * self.last[run], 1.0), t * self.first[run]),
                            _SCREEN_U_MAX)
@@ -488,15 +470,15 @@ class _Runs:
         return ~(need[0] | need[-1]), band % t.size, run[1:-1].ravel()[band]
 
 
-def _run_minima(neg_t, hi, lo, starts, lens):
-    """The smallest coupling entry of each run (starts, lens) at its time
-    -neg_t: runs by columns, _SCREEN_RUN rows deep, a short run repeating
-    its last pair, about _SCAN_CELLS // 4 cells at a time."""
-    low = np.empty(starts.size)
+def _run_minima(neg_t, hi, lo, runs):
+    """The smallest coupling entry of each run of ``runs`` at its time
+    -neg_t: runs by columns, _SCREEN_RUN rows deep, the last run repeating
+    the last pair, about _SCAN_CELLS // 4 cells at a time."""
+    low = np.empty(runs.size)
     step = max(1, _SCAN_CELLS // 4 // _SCREEN_RUN)
-    for i in range(0, starts.size, step):
-        first = starts[i:i + step]
-        pairs = np.minimum(first + np.arange(_SCREEN_RUN)[:, None], first + lens[i:i + step] - 1)
+    depth = np.arange(_SCREEN_RUN)[:, None]
+    for i in range(0, runs.size, step):
+        pairs = np.minimum(runs[i:i + step] * _SCREEN_RUN + depth, hi.size - 1)
         t = neg_t[i:i + step]
         with np.errstate(over="ignore"):
             low[i:i + step] = (np.exp(t * hi[pairs]) - np.exp(t * lo[pairs])).min(axis=0)

@@ -280,7 +280,7 @@ LOG2_STEPS = [0.0, 1.4e-13, -1.4e-13, 1e-3, 1e-3, 6e-3, 6e-3, 0.05, -0.05, 0.4, 
        overflow=st.sampled_from([None, 28, 34]),
        times=st.lists(st.floats(1e-300, 1e300), max_size=4),
        cells=st.sampled_from([64, 1024, 1 << 15]),
-       run=st.sampled_from([2, 16]))
+       run=st.sampled_from([2, 3, 16]))
 def test_screened_scan_matches_per_time_loop_on_block_constant_ratios(steps, start, overflow,
                                                                       times, cells, run):
     # gamma_{m+1} / gamma_m is one constant on each triangular block of m,

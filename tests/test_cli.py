@@ -509,6 +509,29 @@ def test_unreadable_interval_is_one_line_error(flags, capsys):
     assert_one_line_usage_error(code, out, err)
 
 
+@pytest.mark.parametrize("flags, config, missing", [
+    (["--right", "3"], {}, "--left"),
+    (["--left", "1.5"], {}, "--right"),
+    ([], {}, "--left, --right"),
+    ([], {"right": "3"}, "--left"),
+])
+def test_interval_endpoints_are_required_after_the_config(flags, config, missing, tmp_path,
+                                                          capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_err(["interval-certify", *flags, "--config", str(cfg)], capsys)
+    assert (code, out, err) == (1, "", f"error: the following arguments are required: {missing}\n")
+
+
+def test_config_switches_read_the_text_json_reports_echo(tmp_path, capsys):
+    # meta.config writes every value through str, so a switch reads "True"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"left": "1.5", "right": "3", "left_closed": "True",
+                               "right_closed": "False"}))
+    assert run(["interval-certify", "--config", str(cfg)], capsys) == run(
+        ["interval-certify", "--left", "1.5", "--right", "3", "--left-closed"], capsys)
+
+
 def test_config_values_are_read_with_the_flag_type(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": "8", "value": "0.1"}))

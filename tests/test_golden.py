@@ -3,8 +3,8 @@
 The cases and their exit codes live in tests/golden/cases.json; the
 stdout of each case in tests/golden/<case>.out, and the stdout of each
 demo in tests/golden/demos/<demo>.out (re-record both with
-tests/golden/record.py).  Each case but interval-certify's also replays
-from the config record its output echoes.  ``selftest`` is not covered:
+tests/golden/record.py).  Each case also replays from the config record
+its output echoes.  ``selftest`` is not covered:
 its lines carry wall times.
 """
 
@@ -31,12 +31,10 @@ def test_cli_output_matches_golden(name, capsys, monkeypatch):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(name for name, case in CASES.items()
-                                         if case["argv"][0] != "interval-certify"))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_replays_from_its_own_config(name, tmp_path, capsys, monkeypatch):
     # the # config header of a CSV table, or meta.config of a JSON report, fed
-    # back through --config gives the same bytes; interval-certify is left
-    # out, as argparse asks for --left and --right before the config is read
+    # back through --config gives the same bytes
     monkeypatch.delenv("MRLAB_SEED", raising=False)
     case = CASES[name]
     golden = (GOLDEN / f"{name}.out").read_bytes()
