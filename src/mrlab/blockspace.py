@@ -274,8 +274,19 @@ def combination_norms(weights, product, p, layout: BlockLayout) -> np.ndarray:
 
 
 def bv_norm(s):
-    """Bounded-variation norm |s_1| + sum |s_{m+1} - s_m|."""
+    """Bounded-variation norm |s_1| + sum |s_{m+1} - s_m|: a float, or one per
+    row of a stack s, whose sequences run along its last axis.
+
+    The steps s_{m+1} - s_m are formed _PATTERN_CELLS // 16 columns (64 KiB
+    of complex steps a row) at a time into one array of their moduli, which
+    each row then sums whole: no full-size complex difference is formed."""
     s = np.asarray(s)
     if s.size == 0:
         raise ParameterError("bv_norm of an empty sequence")
-    return float(np.abs(s[0]) + np.abs(np.diff(s)).sum())
+    dtype = np.abs(np.diff(s[..., :1], axis=-1)).dtype   # the steps' moduli, as np.diff forms them
+    steps = np.empty((*s.shape[:-1], s.shape[-1] - 1), dtype=dtype)
+    width = _PATTERN_CELLS // 16
+    for i in range(0, steps.shape[-1], width):
+        np.abs(np.diff(s[..., i:i + width + 1], axis=-1), out=steps[..., i:i + width])
+    out = np.abs(s[..., 0]) + steps.sum(axis=-1)
+    return float(out) if s.ndim == 1 else out

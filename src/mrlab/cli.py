@@ -43,7 +43,8 @@ from .multiplier import (
     sectoriality_probe,
 )
 from .rademacher import RadSum, blowup_series, rad_norm
-from .sequences import CONSTANT, LACUNARY, POWER, POWERLOG, family_ratios, family_seq
+from .sequences import (CONSTANT, LACUNARY, POWER, POWERLOG, family_ratios, family_seq,
+                        finite_length)
 from .twistbasis import SAMPLED_SIGNS, build_permutation, unconditional_constant
 
 _LN2 = math.log(2.0)
@@ -846,6 +847,13 @@ def cmd_dissipativity(args):
     yield _Size(dim=triangular_end(max(args.block, 0)),
                 arrays=((f"--onset-max {args.onset_max}", args.onset_max + 1),))
     ratios = family_ratios(*_family(args), max(args.block + 2, args.onset_max + 1))
+    # the witness solves the sequence through index end(block) + 2: refuse in
+    # --block terms before it does where that passes the float64 range
+    end = triangular_end(args.block)
+    if args.block >= 1 and (reach := finite_length(ratios, end + 2) - 2) < end:
+        last = triangular_block_index(reach + 1) - 1   # the last block ending by reach
+        raise ParameterError(f"--block {args.block} reads sequence values past float64, "
+                             f"which holds this family's through block {last}")
     w = dissipativity_witness(ratios, args.block)
     onset = dissipativity_norm_onset(ratios, k_max=args.onset_max)
     _emit(args, "dissipativity",

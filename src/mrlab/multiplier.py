@@ -170,20 +170,41 @@ class TwistedMultiplier:
         """(lam - A)^{-1} v for lam off the truncated spectrum."""
         return self._multiply(self._resolvent_values(complex(lam)), v)
 
-    def _resolvent_values(self, lam):
+    def _resolvent_values(self, lam, singular=None, variation=None):
+        """1 / (lam - gamma_i), i = 1 .. structure.needed, for one lam, or a row
+        of them for each lam of a column, all from one lam - gamma.
+
+        A lam within 1e-14 relative of a gamma_i below 2^600 raises
+        SingularityError, or, given ``singular`` (a boolean per row), is
+        marked there and its row is left unset.  Given ``variation``, each
+        other row's ``bv_norm`` of lam / (lam - gamma), read as 0 where it is
+        not finite, is written there.
+        """
         log2, vals = self._log2(), self._gamma
-        if abs(lam) >= 2.0 ** 500:
+        lams = np.asarray(lam, dtype=np.complex128)
+        if any(abs(x) >= 2.0 ** 500 for x in lams.ravel().tolist()):
             raise ParameterError("resolvent parameters beyond 2^500 are not supported")
         finite = log2 < _LOG2_HUGE
-        close = finite & (np.abs(lam - vals) <= 1e-14 * np.maximum(np.abs(lam), vals))
-        if np.any(close):
+        g = np.subtract(lams, vals)   # lam - gamma, then its inverse in place
+        close = (np.abs(g) <= 1e-14 * np.maximum(np.abs(lams), vals)) & finite
+        rows = close.any(axis=-1)
+        if singular is None and rows.any():
             raise SingularityError(
                 f"lambda is within 1e-14 relative of the multiplier value at "
-                f"index {int(np.flatnonzero(close)[0]) + 1}"
+                f"index {int(np.nonzero(close)[-1][0]) + 1}"
             )
-        g = np.empty(log2.size, dtype=np.complex128)
-        g[finite] = 1.0 / (lam - vals[finite])
-        g[~finite] = -np.exp2(-log2[~finite])  # (lam - x)^{-1} ~ -1/x
+        del close
+        if variation is not None:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                symbol = np.divide(lams, g)
+            np.copyto(symbol, 0.0, where=~np.isfinite(symbol))
+            variation[~rows] = bv_norm(symbol)[~rows]
+            del symbol
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            np.divide(1.0, g, out=g)   # singular rows may divide by 0: they are dropped
+        g[..., ~finite] = -np.exp2(-log2[~finite])  # (lam - x)^{-1} ~ -1/x
+        if singular is not None:
+            singular[...] = rows
         return g
 
     def semigroup(self, t, v):
@@ -301,8 +322,16 @@ def _extremal_times(log2, st):
     a, b = np.exp2(hi[keep]), np.exp2(lo[keep])
     differ = a != b
     a, b = a[differ], b[differ]
-    # math.log per pair: np.log differs from it in the last bit on some ratios
-    logs = np.array([math.log(r) for r in (b / a).tolist()], dtype=np.float64)
+    # math.log, not np.log, which differs from it in the last bit on some
+    # ratios; once per distinct ratio, found by a sort and the first of each
+    # run of equals (np.unique would import numpy.ma)
+    ratio = b / a
+    order = np.argsort(ratio)
+    ratio = ratio[order]
+    runs = np.ones(ratio.size, dtype=bool)
+    runs[1:] = ratio[1:] != ratio[:-1]
+    logs = np.empty(ratio.size)
+    logs[order] = np.array([math.log(r) for r in ratio[runs].tolist()])[runs.cumsum() - 1]
     return np.abs(logs) / np.abs(b - a)
 
 
@@ -641,16 +670,17 @@ def _j_map(z, bn, exponent, layout, out):
     the same direction scaled by peak^(1-e) (a zero row maps to zero again);
     every other row keeps the plain weights.
     """
-    safe = np.where(bn > 0.0, bn, 1.0)
+    positive = bn > 0.0
+    safe = np.where(positive, bn, 1.0)
     if exponent == math.inf:
         weights = np.where(bn == bn.max(axis=-1, keepdims=True), 1.0, 0.0)
-        scale = np.where(bn > 0.0, weights / safe, 0.0)
+        scale = np.where(positive, weights / safe, 0.0)
         return np.multiply(z, np.repeat(scale, layout.sizes, axis=-1), out=out)
     # a weight or an image past the float range raises a floating-point flag
     # here; only then are the rows read one by one
     flags = []
     with np.errstate(over="call", under="call", invalid="call", call=lambda *_: flags.append(1)):
-        scale = np.where(bn > 0.0, safe ** (exponent - 2.0), 0.0)
+        scale = np.where(positive, safe ** (exponent - 2.0), 0.0)
         np.multiply(z, np.repeat(scale, layout.sizes, axis=-1), out=out)
     if not flags:
         return out
@@ -674,17 +704,15 @@ def _j_map(z, bn, exponent, layout, out):
 def _block_norms(arr, layout, sq, tmp):
     """``block_norms`` of the complex rows of arr, their squares formed in the
     float buffers sq and tmp of arr's shape."""
-    np.multiply(arr.real, arr.real, out=sq)
-    np.multiply(arr.imag, arr.imag, out=tmp)
+    np.square(arr.real, out=sq)   # x * x bit for bit, and faster on strided views
+    np.square(arr.imag, out=tmp)
     np.add(sq, tmp, out=sq)
     return _norms_of_sums(arr, layout, np.add.reduceat(sq, layout.starts, axis=-1))
 
 
 def _start(rng, out):
     """Draw a standard complex normal start into ``out``, real parts first."""
-    re = rng.standard_normal(out.size)
-    np.multiply(1j, rng.standard_normal(out.size), out=out)
-    np.add(re, out, out=out)
+    out.real, out.imag = rng.standard_normal((2, out.size))
 
 
 def _ascend(op, rows, p):
@@ -731,9 +759,11 @@ def _ascend(op, rows, p):
         # z = v * diag, then z[put] += off * v[pick]
         np.multiply(v, diag, out=z)
         if n_off:
-            np.take(v.reshape(-1), pick, out=gathered.reshape(-1))
+            # "clip" writes straight into out; the positions are in range
+            np.take(v.reshape(-1), pick, out=gathered.reshape(-1), mode="clip")
             np.multiply(off, gathered, out=gathered)
-            z.reshape(-1)[put] += gathered.reshape(-1)
+            # the positions are distinct: the same adds as z[put] += gathered
+            np.add.at(z.reshape(-1), put, gathered.reshape(-1))
 
     for step in range(_ASCENT_STEPS + 1):
         nv = _lp_of_blocks(_block_norms(v, layout, sq, tmp), p)
@@ -744,8 +774,7 @@ def _ascend(op, rows, p):
         np.multiply(lam, z, out=z)
         bn = _block_norms(z, layout, sq, tmp)
         nz = _lp_of_blocks(bn, p)
-        up = nz > best
-        best[up] = nz[up]
+        np.fmax(best, nz, out=best)   # a NaN norm never counts
         if step == _ASCENT_STEPS:
             break
         _j_map(z, bn, p, layout, out=v)
@@ -821,26 +850,21 @@ def _ray_rows(op, angles, radii, trials, seed, singular, bv_upper):
     """The probe's (lam, diag, off, rng) rows, ``trials`` per ray, rays in
     order, each ray's rows with one (diag, off) and one generator of starts;
     marks each singular ray in ``singular`` and fills ``bv_upper`` with the
-    variation norm of each other ray's symbol as it goes."""
-    for i, theta in enumerate(angles):
-        for j, r in enumerate(radii):
-            lam = r * cmath.exp(1j * (math.pi - theta))
-            try:
-                diag, off = op.symbols(op._resolvent_values(lam))
-            except SingularityError:
-                singular[i, j] = True
-                continue
-            bv_upper[i, j] = _symbol_variation(lam, op._gamma)
-            rng = np.random.default_rng(seed + 7 * i + j)
+    variation norm of each other ray's symbol as it goes.
+
+    The symbols are formed a chunk of rays at a time, about as many rays
+    as one batch of ascents reads."""
+    lams = [r * cmath.exp(1j * (math.pi - theta)) for theta in angles for r in radii]
+    chunk = _PROBE_CELLS // op.layout.dim // trials + 1
+    flat_singular, flat_bv = singular.reshape(-1), bv_upper.reshape(-1)
+    for c in range(0, len(lams), chunk):
+        rays = slice(c, c + chunk)
+        g = op._resolvent_values(np.array(lams[rays])[:, None], flat_singular[rays],
+                                 flat_bv[rays])
+        diag, off = op.symbols(g)
+        del g
+        for k in np.flatnonzero(~flat_singular[rays]).tolist():
+            i, j = divmod(c + k, radii.size)
+            ray = lams[c + k], diag[k], off[k], np.random.default_rng(seed + 7 * i + j)
             for _ in range(trials):
-                yield lam, diag, off, rng
-
-
-def _symbol_variation(lam, gamma):
-    """``bv_norm`` of the symbol lam / (lam - gamma), read as 0 where it is not
-    finite: formed in place, and released before the ray's ascents run."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        symbol = np.subtract(lam, gamma)
-        np.divide(lam, symbol, out=symbol)
-    symbol[~np.isfinite(symbol)] = 0.0
-    return bv_norm(symbol)
+                yield ray

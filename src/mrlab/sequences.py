@@ -31,6 +31,7 @@ __all__ = [
     "constant_ratios",
     "family_ratios",
     "family_seq",
+    "finite_length",
     "seq_from_ratios",
     "step_offsets",
     "twisted_lacunary",
@@ -252,6 +253,23 @@ def seq_from_ratios(ratios, length: int | None = None) -> MultiplierSeq:
     t = step_offsets(c)
     log2 = np.concatenate(([0.0], np.cumsum(np.log1p(t)) / _LN2))
     return MultiplierSeq(origin="recurrence", log2=log2, step_offsets=t)
+
+
+def finite_length(ratios: RatioSeq, length: int) -> int:
+    """The longest prefix, at most ``length`` long, of the sequence
+    ``seq_from_ratios`` solves whose values stay within float64.
+
+    Its log2 grows by k log2(1 + t_k) over block k.  Summed a block at a
+    time, that growth stays within 2^-10 of the solver's, so nothing is
+    solved where it ends below _LOG2_MAX - 1, and otherwise only the prefix
+    up to where it passes _LOG2_MAX + 1, whose exact values decide."""
+    k = np.arange(2, triangular_block_index(length) + 1)
+    growth = np.cumsum(k * np.log1p(step_offsets(ratios.block_values[k - 1])) / _LN2)
+    if not growth.size or growth[-1] < _LOG2_MAX - 1.0:
+        return length
+    end = triangular_end(int(np.searchsorted(growth, _LOG2_MAX + 1.0)) + 2)
+    over = np.flatnonzero(seq_from_ratios(ratios, min(length, end)).log2 >= _LOG2_MAX)
+    return int(over[0]) if over.size else length
 
 
 def twisted_lacunary(n: int) -> MultiplierSeq:

@@ -441,6 +441,79 @@ def test_sector_probe_large_batch(monkeypatch):
     assert bits(rep.lower) == bits(lower)
 
 
+@pytest.mark.parametrize("p", [2.0, 6.0])
+def test_sector_probe_matches_per_trial_loop_at_the_pools_largest_size(p):
+    # n = 2,000, the largest probe of the benchmark's operator scans: batches
+    # of 8 rows, and the ray symbols formed 3 rays a chunk
+    op = gamma_op("lacunary", 2000)
+    assert multiplier._PROBE_CELLS // op.layout.dim // 3 + 1 == 3
+    lower, bv_upper, skipped = probe_oracle(op, DEFAULT_ANGLES, DEFAULT_RADII, p, 3, 0)
+    rep = sectoriality_probe(op, DEFAULT_ANGLES, DEFAULT_RADII, p=p, trials=3, seed=0)
+    assert bits(rep.lower) == bits(lower)
+    assert bits(rep.bv_upper) == bits(bv_upper)
+    assert rep.skipped == skipped == ()
+
+
+def test_sector_probe_chunks_rays_with_singular_ones_inside_and_at_the_edges(monkeypatch):
+    # chunks of 3 ray symbols; rays 1, 3 and 5 of 12 are singular: mid-chunk,
+    # first in its chunk and last in it
+    op = OPERATORS["odd-constant"]()
+    gam = op.spectrum().real
+    angles = [math.nextafter(math.pi, 0.0), 2.0]
+    radii = np.array([0.5, gam[0], 7.0, gam[3], 30.0, gam[5]])
+    expect = probe_oracle(op, angles, radii, 3.0, 3, 1)
+    monkeypatch.setattr(multiplier, "_PROBE_CELLS", 2 * 3 * op.layout.dim)
+    chunks = []
+    values = multiplier.TwistedMultiplier._resolvent_values
+
+    def counted(self, lam, *args):
+        chunks.append(np.shape(lam)[0])
+        return values(self, lam, *args)
+
+    monkeypatch.setattr(multiplier.TwistedMultiplier, "_resolvent_values", counted)
+    rep = sectoriality_probe(op, angles, radii, p=3.0, trials=3, seed=1)
+    assert chunks == [3, 3, 3, 3]
+    assert rep.skipped == expect[2] and len(rep.skipped) == 3
+    assert np.flatnonzero((rep.lower == 0.0).ravel()).tolist() == [1, 3, 5]
+    assert bits(rep.lower) == bits(expect[0])
+    assert bits(rep.bv_upper) == bits(expect[1])
+
+
+@pytest.mark.parametrize("cells", [None, 1])
+def test_sector_probe_ray_past_2_500_after_a_singular_one(cells, capsys, monkeypatch):
+    # ray 0 is singular, ray 2 past 2^500: in one chunk, and a ray a chunk;
+    # the per-ray loop ends in the same ParameterError
+    argv = ["sector-probe", "--n", "10", "--angles", "3.1415926535897927",
+            "--radii", "4,1,1e200"]
+    op = gamma_op("lacunary", 10)
+    with pytest.raises(ParameterError) as want:
+        probe_oracle(op, [3.1415926535897927], [4.0, 1.0, 1e200], 4.0, 3, 0)
+    if cells is not None:
+        monkeypatch.setattr(multiplier, "_PROBE_CELLS", cells)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {want.value}\n"
+
+
+def test_square_is_the_product_bit_for_bit_on_strided_views():
+    # _block_norms squares the strided real and imaginary views of the
+    # iterates with np.square, which must read x * x bit for bit
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, _NORMAL_MIN, 1e-162, 1.5e-154, 1.4e154,
+               1e300, math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0]
+    scaled = rng.standard_normal(4000) * 2.0 ** rng.integers(-1074, 1024, 4000)
+    parts = np.concatenate([special * 8, scaled])
+    z = np.empty((3, parts.size), dtype=np.complex128)
+    for row in z:
+        row.real, row.imag = rng.permutation(parts), rng.permutation(parts)
+    with np.errstate(over="ignore", under="ignore"):
+        for view in (z.real, z.imag, z[:, ::3].imag, z[1].real):
+            assert bits(np.square(view)) == bits(view * view)
+            sq = np.empty(view.shape)
+            np.square(view, out=sq)
+            assert bits(sq) == bits(np.multiply(view, view))
+
+
 def imaginary_power_symbol(op):
     return np.exp(1j * 2.0 * math.log(2.0) * op.seq.log2[: op.structure.needed])
 

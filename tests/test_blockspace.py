@@ -145,6 +145,25 @@ def test_bv_norm():
         bv_norm(np.array([]))
 
 
+@pytest.mark.parametrize("length", [2, 4095, 4096, 4097, 4098, 10_000])
+def test_bv_norm_by_rows_and_column_chunks_matches_the_whole_difference(length):
+    # rows of a stack, and steps formed a few thousand columns at a time, sum
+    # as the moduli of np.diff of one sequence do, bit for bit
+    rng = np.random.default_rng(length)
+    s = rng.standard_normal((3, length)) * 2.0 ** rng.integers(-60, 60, (3, length))
+    s = s + 1j * rng.standard_normal((3, length))
+    s[1, length // 2] = 0.0
+    s[2, 0] = -0.0
+    rows = bv_norm(s)
+    assert rows.shape == (3,)
+    for row, got in zip(s, rows.tolist()):
+        want = float(np.abs(row[0]) + np.abs(np.diff(row)).sum())
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.float64(bv_norm(row)).tobytes() == np.float64(want).tobytes()
+        assert np.float64(bv_norm(row.real)).tobytes() == np.float64(
+            np.abs(row.real[0]) + np.abs(np.diff(row.real)).sum()).tobytes()
+
+
 def test_bv_norm_subadditive_and_tail_repeat():
     rng = np.random.default_rng(5)
     for _ in range(50):

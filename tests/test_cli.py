@@ -824,6 +824,45 @@ def test_dissipativity_overflow_is_one_line_error(capsys):
     assert "45" in err
 
 
+@pytest.mark.parametrize("argv, last", [
+    (["--block", "129"], 128),
+    (["--block", "6000"], 128),
+    (["--family", "constant", "--value", "0.001", "--block", "6000"], 595),
+    (["--family", "powerlog", "--block", "75"], 74),
+])
+def test_dissipativity_past_the_float_range_is_refused_in_block_terms(argv, last, capsys):
+    # the witness solves the sequence through index end(block) + 2; past the
+    # float64 range it used to build --block 6000's 1.8·10^7 values (599 MiB)
+    # and then name index 8378, which no flag gave.  Now at most the prefix up
+    # to the range's end is solved: 1.8·10^5 values at constant 0.001
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, peak = traced_peak(["dissipativity", *argv])
+    out, err = capsys.readouterr()
+    assert_one_line_usage_error(code, out, err)
+    block = argv[-1]
+    assert err == (f"error: --block {block} reads sequence values past float64, "
+                   f"which holds this family's through block {last}\n")
+    assert peak < 16 * 2 ** 20
+    # the last block inside the range gets past the sequence to the witness
+    code, out, err = run_err(["dissipativity", *argv[:-1], str(last)], capsys)
+    assert "reads sequence values" not in err
+
+
+@pytest.mark.parametrize("finite, refused, last", [
+    (467, False, None), (466, True, 29), (465, True, 29), (437, True, 29), (436, True, 28)])
+def test_dissipativity_refuses_exactly_the_blocks_reading_past_the_finite_prefix(
+        finite, refused, last, monkeypatch, capsys):
+    # block 30 reads through index end(30) + 2 = 467; block 29 ends at 435
+    monkeypatch.setattr(cli, "finite_length", lambda ratios, length: min(finite, length))
+    code, out, err = run_err(["dissipativity", "--block", "30"], capsys)
+    if refused:
+        assert_one_line_usage_error(code, out, err)
+        assert err.endswith(f"through block {last}\n")
+    else:
+        assert (code, err) == (0, "")
+
+
 INT64_EDGES = [str(2 ** 63 - 1), str(2 ** 63), str(2 ** 64)]
 PAST_INT64 = [
     *[(["semigroup-check", "--n", n], "asks for an array") for n in INT64_EDGES],

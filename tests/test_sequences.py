@@ -17,6 +17,7 @@ from mrlab.sequences import (
     constant_ratios,
     family_ratios,
     family_seq,
+    finite_length,
     geometric_ratios,
     holder_conjugate,
     ratio_family,
@@ -355,3 +356,19 @@ def test_dense_block_q_norms_of_tiny_values_do_not_underflow():
     per_block = block_q_norms(RatioSeq("constant", 0.125, 6, block_values=vals), 4.0)
     assert np.all(per_block > 0.0)
     np.testing.assert_allclose(per_block, np.arange(1, 7) ** 0.25 * vals, rtol=1e-15)
+
+
+@pytest.mark.parametrize("family, param", [
+    ("power", 0.25), ("power", 0.45), ("power", 0.05), ("powerlog", 0.25), ("powerlog", 0.1),
+    ("constant", 0.1), ("constant", 0.12), ("constant", 0.001), ("constant", 1e-9),
+])
+def test_finite_length_is_the_first_overflow_of_the_solved_sequence(family, param):
+    # the block-summed growth decides only away from the float range's end;
+    # near it the solved sequence does, so the prefix is exact at every length
+    ratios = family_ratios(family, param, 700)
+    log2 = seq_from_ratios(ratios).log2
+    over = np.flatnonzero(log2 >= math.log2(np.finfo(np.float64).max))
+    first = int(over[0]) if over.size else log2.size
+    for length in sorted({2, 3, 100, first - 1, first, first + 1, first + 5000, log2.size}):
+        if 2 <= length <= log2.size:
+            assert finite_length(ratios, length) == min(first, length)
