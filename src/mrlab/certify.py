@@ -38,6 +38,7 @@ from .sequences import (
     alpha_for_right_endpoint,
     block_q_norms,
     block_target_sums,
+    finite_length,
     holder_conjugate,
     seq_from_ratios,
     threshold_exponent,
@@ -53,6 +54,7 @@ __all__ = [
     "plan_interval",
     "DissipativityWitness",
     "dissipativity_witness",
+    "dissipativity_reach",
     "dissipativity_norm_sq",
     "dissipativity_norm_onset",
     "holder_gap",
@@ -291,12 +293,46 @@ def dissipativity_witness(ratios: RatioSeq, k: int) -> DissipativityWitness:
     pairing collapses to sum (gamma_{m+1} - gamma_m)^2 / (4 gamma_m) > 0;
     for smaller blocks the overlap terms are evaluated honestly.
     """
-    lo, hi = triangular_bounds(k)
-    elig = triangular_indices_1mod4(k)
-    if not elig.size:
+    if not triangular_indices_1mod4(k).size:
         raise ParameterError(f"block {k} has no coordinates congruent 1 mod 4")
-    seq = seq_from_ratios(ratios, length=hi + 2)
-    vals = seq.values_upto(hi + 2)
+    reach, sums = dissipativity_reach(ratios, k)
+    if reach < k:
+        why = ("witness reads sequence values past float64" if _witness_sums(ratios, k) is None
+               else "pairing overflows float64")
+        raise ParameterError(f"the block-{k} {why}; the largest block that runs is {reach}")
+    pairing, closed, x_norm_sq, n_terms = sums
+    return DissipativityWitness(pairing=float(pairing), closed_form=float(closed),
+                                x_norm_sq=float(x_norm_sq), block=k, n_terms=n_terms)
+
+
+def dissipativity_reach(ratios: RatioSeq, k_max: int):
+    """The largest block k <= k_max whose witness stays within float64 (0
+    where block 1 does not), and the _witness_sums of that block.  The
+    values the witness reads and its pairing grow with k, so the blocks
+    within run from 1 to the reach: k_max is tried first, and a bisection
+    below it where it is not within."""
+    lo, hi, mid, found = 0, k_max + 1, k_max, None
+    while hi - lo > 1:
+        sums = _witness_sums(ratios, mid)
+        if sums is not None and math.isfinite(sums[0]) and math.isfinite(sums[1]):
+            lo, found = mid, sums
+        else:
+            hi = mid
+        mid = (lo + hi) // 2
+    return lo, found
+
+
+def _witness_sums(ratios: RatioSeq, k: int):
+    """The pairing, its closed form, the squared norm and the number of terms
+    of the block-k witness (see dissipativity_witness), zeros where the block
+    holds no coordinate congruent 1 mod 4; None, before the sequence is
+    solved, where the values it reads, through index end(k) + 2, pass the
+    float64 range."""
+    lo, hi = triangular_bounds(k)
+    if finite_length(ratios, hi + 2) < hi + 2:
+        return None
+    elig = triangular_indices_1mod4(k)
+    vals = seq_from_ratios(ratios, length=hi + 2).values_upto(hi + 2)
 
     partner = first_even_in_shifted_block((elig - 1) // 4)
     inside = ((lo <= partner) & (partner <= hi)).tolist()
@@ -315,12 +351,7 @@ def dissipativity_witness(ratios: RatioSeq, k: int) -> DissipativityWitness:
                 # contributes to both the pairing and the block norm
                 pairing -= g_next
                 x_norm_sq += 1.0
-    if not (math.isfinite(pairing) and math.isfinite(closed)):
-        raise ParameterError(f"the block-{k} pairing overflows float64; "
-                             f"choose a smaller block")
-    return DissipativityWitness(pairing=float(pairing), closed_form=float(closed),
-                                x_norm_sq=float(x_norm_sq), block=k,
-                                n_terms=len(elig))
+    return pairing, closed, x_norm_sq, len(elig)
 
 
 def _dissipativity_masses(ratios: RatioSeq, k_max: int) -> np.ndarray:

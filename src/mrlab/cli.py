@@ -29,6 +29,7 @@ from .certify import (
     IntervalSpec,
     diagonal_norm,
     dissipativity_norm_onset,
+    dissipativity_reach,
     dissipativity_witness,
     mr_predicate,
     plan_interval,
@@ -43,8 +44,8 @@ from .multiplier import (
     sectoriality_probe,
 )
 from .rademacher import RadSum, blowup_series, rad_norm
-from .sequences import (CONSTANT, LACUNARY, POWER, POWERLOG, family_ratios, family_seq,
-                        finite_length)
+from .sequences import (CONSTANT, GEOMETRIC, LACUNARY, POWER, POWERLOG, _geometric_limit,
+                        family_ratios, family_seq)
 from .twistbasis import SAMPLED_SIGNS, build_permutation, unconditional_constant
 
 _LN2 = math.log(2.0)
@@ -706,7 +707,8 @@ def cmd_gen_gamma(args):
 def cmd_pi_table(args):
     yield _Size(arrays=((f"--n {args.n}", args.n + 1),))
     perm = build_permutation(args.n)
-    b_line = " ".join(map(str, perm.b_list[:(args.n - 2) // 4 + 1].tolist()))
+    # each b a row " b", its space in the NUL first byte of the integer cell
+    b_line = _place_rows([perm.b_list[:(args.n - 2) // 4 + 1]], [" ", ""])[1:].decode()
     m = np.arange(1, args.n + 1)
     # pi fixes the odds; the inverse table reads 0 where no preimage is <= n
     inverse = np.where(m % 2 == 1, m, perm.inv_even[m // 2])
@@ -846,14 +848,17 @@ def cmd_interval_certify(args):
 def cmd_dissipativity(args):
     yield _Size(dim=triangular_end(max(args.block, 0)),
                 arrays=((f"--onset-max {args.onset_max}", args.onset_max + 1),))
-    ratios = family_ratios(*_family(args), max(args.block + 2, args.onset_max + 1))
-    # the witness solves the sequence through index end(block) + 2: refuse in
-    # --block terms before it does where that passes the float64 range
-    end = triangular_end(args.block)
-    if args.block >= 1 and (reach := finite_length(ratios, end + 2) - 2) < end:
-        last = triangular_block_index(reach + 1) - 1   # the last block ending by reach
-        raise ParameterError(f"--block {args.block} reads sequence values past float64, "
-                             f"which holds this family's through block {last}")
+    family, param = _family(args)
+    # the witness reads ratio blocks 1..block + 2, of which the geometric
+    # family has _geometric_limit: refuse in --block terms past them, naming
+    # the largest block that runs (dissipativity_witness names it where the
+    # values or the pairing pass the float64 range, before it solves past it)
+    top = args.block if family != GEOMETRIC else min(args.block, _geometric_limit(0.125) - 2)
+    ratios = family_ratios(family, param, max(top + 2, args.onset_max + 1))
+    if top < args.block:
+        raise ParameterError(f"--block {args.block} reads ratios past the {top + 2} blocks on "
+                             f"which the geometric family stays positive; the largest block "
+                             f"that runs is {dissipativity_reach(ratios, top)[0]}")
     w = dissipativity_witness(ratios, args.block)
     onset = dissipativity_norm_onset(ratios, k_max=args.onset_max)
     _emit(args, "dissipativity",

@@ -262,7 +262,10 @@ def finite_length(ratios: RatioSeq, length: int) -> int:
     Its log2 grows by k log2(1 + t_k) over block k.  Summed a block at a
     time, that growth stays within 2^-10 of the solver's, so nothing is
     solved where it ends below _LOG2_MAX - 1, and otherwise only the prefix
-    up to where it passes _LOG2_MAX + 1, whose exact values decide."""
+    up to where it passes _LOG2_MAX + 1, whose exact values decide.  A
+    length past the ratios' last index is refused as values_upto refuses it."""
+    if length > ratios.max_index:
+        raise ParameterError(f"index out of range 1..{ratios.max_index}")
     k = np.arange(2, triangular_block_index(length) + 1)
     growth = np.cumsum(k * np.log1p(step_offsets(ratios.block_values[k - 1])) / _LN2)
     if not growth.size or growth[-1] < _LOG2_MAX - 1.0:

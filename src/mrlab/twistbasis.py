@@ -31,9 +31,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .blockspace import (_NORMAL_MIN, BlockLayout, SignDraws, _lp_of_blocks, block_norms,
-                         combination_norms, sign_patterns, triangular_block_index,
-                         triangular_end)
+from .blockspace import (_NORMAL_MIN, BlockLayout, SignDraws, _check_p, _lp_of_blocks,
+                         block_norms, block_rows, combination_norms, sign_patterns,
+                         triangular_block_index, triangular_end)
 from .errors import ParameterError, StructuralError
 
 __all__ = [
@@ -325,17 +325,118 @@ def unconditional_constant(n: int, p, mode: str = "exact", seed: int = 0,
         raise ParameterError("mode must be 'exact' or 'sampled'")
     t, layout = basis_layout(n, variant)
     signs = signs[_sign_classes(signs, t)]
-    scaled = np.empty_like(signs)   # reused: a fresh one is page-faulted for each witness
     witnesses = _witness_family(n, np.random.default_rng(seed + 1))
-    products = partial(_synthesize, t=t, dim=layout.dim)
-    ratios = [_ratio(combination_norms(np.multiply(signs, a, out=scaled), products, p, layout))
-              for a in witnesses]
-    del scaled   # not held through the ascent, whose products set the peak
+    p = _check_p(p)
+    ratios = _ratings(witnesses, signs, t, p, layout)
     best = max(ratios)
     if mode == "sampled":
         a = witnesses[ratios.index(best)].astype(float).copy()   # the first best
+        del witnesses   # not held through the ascent, whose products set the peak
         best = _ascend(a, best, signs, t, p, layout, ascent_sweeps)
     return best
+
+
+def _ratings(witnesses, signs, t: Coupling, p, layout: BlockLayout) -> list:
+    """Each witness a's ratio, ``_ratio(combination_norms(signs * a, products,
+    p, layout))`` for the products _synthesize(., t, layout.dim), bit for bit.
+
+    Each row's block sums of squares come from the coordinates the coupling
+    writes (``_WrittenSquares``).  From those the ascent's screen rule, with
+    every block moved and nothing left alone (``_screen_keep``), picks the
+    rows that can hold the largest norm; only those and row 0 are synthesized
+    at full dim and go through ``combination_norms``, which norms each row on
+    its own, so the largest of their norms is the whole table's bit for bit.
+    Where there are few sign rows several witnesses are rated in one row
+    block of at most _PATTERN_CELLS product cells at full dim.
+    """
+    squares = _WrittenSquares(signs, t, layout)
+    screened = p == math.inf or _power_bounds(p, layout)[0] is not None
+    products = partial(_synthesize, t=t, dim=layout.dim)
+    per = max(1, block_rows(layout.dim) // signs.shape[0])   # witnesses a row block
+    ratios = []
+    for i in range(0, len(witnesses), per):
+        a = np.array(witnesses[i:i + per], dtype=float)   # witnesses x coefficients
+        if screened:
+            keep = _screen_keep(*squares(a), p, layout)
+        else:   # past _POWER_SCREEN_ERR every row is normed
+            keep = np.ones((a.shape[0], signs.shape[0]), dtype=bool)
+        which, rows = np.nonzero(keep)   # by witness, each its rows in order, row 0 first
+        norms = combination_norms(signs[rows] * a[which], products, p, layout)
+        ratios += [_ratio(x) for x in np.split(norms, np.flatnonzero(np.diff(which)) + 1)]
+    return ratios
+
+
+class _WrittenSquares:
+    """Each row's block sums of squares of the sign products
+    _synthesize(signs * a, t, dim) of witnesses a, over the coordinates the
+    coupling writes; every other coordinate is 0 in every row.
+
+    A coordinate that one coefficient writes reads +-a_j in every row: a
+    head other than a shared partner's, or a trailing partner's head, which
+    reads the coupled a_j.  The head of a shared partner b of a coupled a
+    reads +-(a_b + a_a) in the rows where the signs of a and b agree and
+    +-(a_b - a_a) where they differ, as in _sign_classes, so each square is
+    the one of the full product.  The sums add the same squares as
+    block_norms in another order."""
+
+    def __init__(self, signs, t: Coupling, layout: BlockLayout):
+        n = signs.shape[1]
+        shared = t.b <= n
+        lone = np.ones(n, dtype=bool)
+        lone[t.b[shared] - 1] = False
+        self.lone = np.concatenate([np.flatnonzero(lone), t.a[~shared] - 1])
+        self.lone_block = triangular_block_index(
+            np.concatenate([t.head[lone], t.head_b[~shared]])) - 1
+        order = np.argsort(t.head_b[shared])   # the shared partners' heads ascending
+        self.pair_a, self.pair_b = t.a[shared][order] - 1, t.b[shared][order] - 1
+        self.agree = np.ascontiguousarray((signs[:, self.pair_a] == signs[:, self.pair_b]).T)
+        block = triangular_block_index(t.head_b[shared][order]) - 1
+        first = np.flatnonzero(np.diff(block, prepend=-1))
+        # each block of shared heads: its number and its pairs [start, end)
+        self.runs = list(zip(block[first].tolist(), first.tolist(),
+                             [*first[1:].tolist(), block.size]))
+        fixed = np.zeros(layout.n_blocks, dtype=bool)
+        fixed[self.lone_block] = True
+        fixed[block] = False
+        self.fixed = np.flatnonzero(fixed)   # the blocks that read the same in every row
+        self.n_blocks = layout.n_blocks
+
+    @np.errstate(over="ignore")   # inf past the float range, which every row then reads
+    def __call__(self, a):
+        """The sums of the witnesses a (witnesses x coefficients), blocks x
+        witnesses x rows: one array for the blocks holding a shared head and
+        one, a row wide, for the blocks that read the same in every row; and
+        for each witness whether a nonzero coordinate may fall under 2^-511,
+        whose square is below the normal range."""
+        x, y = a[:, self.pair_b], a[:, self.pair_a]
+        values = np.abs(np.concatenate([a[:, self.lone], x + y, x - y], axis=1))
+        tiny = ((values > 0.0) & (values < 2.0 ** -511)).any(axis=1)
+        lone = np.zeros((self.n_blocks, a.shape[0]))
+        np.add.at(lone, self.lone_block, np.square(a[:, self.lone]).T)
+        picked = np.where(self.agree[:, None, :], np.square(x + y).T[:, :, None],
+                          np.square(x - y).T[:, :, None])   # pairs x witnesses x rows
+        varying = np.empty((len(self.runs), *picked.shape[1:]))
+        for j, (k, start, end) in enumerate(self.runs):
+            np.add(picked[start:end].sum(axis=0), lone[k, :, None], out=varying[j])
+        return (varying, lone[self.fixed, :, None]), tiny
+
+
+def _screen_keep(sums, tiny, p, layout: BlockLayout):
+    """The rows a rating norms exactly, witnesses x rows, from block sums of
+    squares, blocks x witnesses x rows (or x 1 for blocks that read the same
+    in every row): the ascent's screen of a trial that moves every block and
+    leaves none alone, so nothing is subtracted and the tolerance is 2 eta.
+    Every row of a witness is kept where a nonzero block's sum may fall
+    below the normal range (``tiny``) or where g^2, its largest sum, leaves
+    the normal range."""
+    if p == math.inf:
+        est = np.sqrt(np.maximum(*(x.max(axis=0, initial=0.0) for x in sums)))
+        est[tiny] = math.nan
+        return _contenders(est, _SCREEN_MARGIN)
+    margin, _, eta = _power_bounds(p, layout)
+    g = np.sqrt(np.maximum(*(x.max(axis=(0, 2), initial=0.0) for x in sums)))
+    scale = np.array([math.nan if low else _inverse_square(x) for x, low in zip(g, tiny)])
+    return _contenders(sum(_power_sum(x, scale[:, None], p) for x in sums), margin, 2.0 * eta)
 
 
 # At p = inf the sampled ascent norms exactly only the sign rows whose
@@ -382,8 +483,33 @@ _SCREEN_MARGIN = 1.0 - 2.0 ** -30
 # E (a sum of squares or a table entry past the float range, g zero, or g^2
 # or its inverse outside the normal range) marks its row a contender and the
 # trial is never skipped; nor is it when E_0 margin_p <= c T_0 + eta, which a
-# zero E_0 always is.
+# zero E_0 always is.  The witness ratings (_screen_keep) are the trial that
+# moves every block: T = 0, so c drops out, tol = 2 eta, and g^2 is the
+# largest sum of squares in place of the table's largest norm squared.
 _POWER_SCREEN_ERR = 2.0 ** -20
+
+
+def _power_bounds(p, layout: BlockLayout):
+    """margin_p, None where err passes _POWER_SCREEN_ERR, c and eta of the
+    p-th-power screen over the blocks of layout (see _POWER_SCREEN_ERR)."""
+    unit = 2.0 ** -53
+    err = (p + 1.0) * (int(layout.sizes.max()) + layout.n_blocks + 16) * unit
+    return (1.0 - 32.0 * err if err <= _POWER_SCREEN_ERR else None,
+            (layout.n_blocks + 8) * unit,
+            (layout.n_blocks + 4) * 2.0 ** (1.0 - 1073.0 * min(1.0, p / 2.0)))
+
+
+def _inverse_square(g) -> float:
+    """1 / g^2, which scales the sums of squares; NaN, which every row then
+    reads, where g^2 or its inverse leaves the normal range."""
+    return 1.0 / (g * g) if 2.0 ** -500 <= g <= 2.0 ** 500 else math.nan
+
+
+def _power_sum(sq, scale, p, rest=0.0):
+    """Each row's screen value: rest plus the sum over the blocks (the first
+    axis) of (s scale)^(p/2) for its sums of squares s."""
+    with np.errstate(all="ignore"):   # non-finite values are kept whatever they read
+        return rest + np.power(sq * scale, p / 2.0).sum(axis=0)
 
 
 def _block_squares(seg_t, touched: BlockLayout):
@@ -419,13 +545,14 @@ def _moved_squares(sq_rest, moved, fold: bool):
 
 
 def _contenders(est, margin, tol=0.0):
-    """Rows whose screen value ``est`` may be the largest: row 0, every row
-    whose value is at least ``margin`` times the largest finite one less
-    ``tol``, and every row whose value is NaN or inf."""
+    """Which rows (the last axis) of the screen values ``est`` may hold the
+    largest: row 0, every row whose value is at least ``margin`` times the
+    largest finite one less ``tol``, and every row whose value is NaN or inf."""
     finite = np.isfinite(est)
-    keep = ~finite | (est >= np.max(est, where=finite, initial=0.0) * margin - tol)
-    keep[0] = True
-    return np.flatnonzero(keep)
+    top = np.max(est, axis=-1, where=finite, initial=0.0, keepdims=True)
+    keep = ~finite | (est >= top * margin - tol)
+    keep[..., 0] = True
+    return keep
 
 
 class _SupScreen:
@@ -448,7 +575,8 @@ class _SupScreen:
 
     def contenders(self, rest, sq, keep):
         """The rows to norm exactly; never None, as this screen skips no trial."""
-        return _contenders(np.maximum(rest, np.sqrt(sq.max(axis=0))), _SCREEN_MARGIN)
+        return np.flatnonzero(_contenders(np.maximum(rest, np.sqrt(sq.max(axis=0))),
+                                          _SCREEN_MARGIN))
 
 
 class _PowerScreen:
@@ -458,11 +586,7 @@ class _PowerScreen:
 
     def __init__(self, bn_t, p, layout: BlockLayout):
         self.p = p
-        unit = 2.0 ** -53
-        err = (p + 1.0) * (int(layout.sizes.max()) + layout.n_blocks + 16) * unit
-        self.margin = 1.0 - 32.0 * err if err <= _POWER_SCREEN_ERR else None
-        self.c = (layout.n_blocks + 8) * unit
-        self.eta = (layout.n_blocks + 4) * 2.0 ** (1.0 - 1073.0 * min(1.0, p / 2.0))
+        self.margin, self.c, self.eta = _power_bounds(p, layout)
         self.bn_t, self.g = bn_t, math.nan   # blocks x rows, as the ascent updates it
         self.update(None)
 
@@ -474,10 +598,7 @@ class _PowerScreen:
             if g == self.g:
                 self.P[ks] = np.power(self.bn_t[ks] / g, self.p)
             else:
-                self.g = g
-                # 1 / g^2 scales the sums of squares; NaN, which every row then
-                # reads, where g^2 or its inverse leaves the normal range
-                self.scale = 1.0 / (g * g) if 2.0 ** -500 <= g <= 2.0 ** 500 else math.nan
+                self.g, self.scale = g, _inverse_square(g)
                 self.P = np.power(self.bn_t / g, self.p)
         self.T = self.P.sum(axis=0)
         top_t = np.max(self.T, where=np.isfinite(self.T), initial=0.0)
@@ -492,14 +613,58 @@ class _PowerScreen:
         exceed keep."""
         if self.margin is None:
             return np.arange(rest.size)
-        with np.errstate(all="ignore"):   # non-finite values are kept whatever they read
-            e = rest + np.power(sq * self.scale, self.p / 2.0).sum(axis=0)
+        e = _power_sum(sq, self.scale, self.p, rest)
         top = float(e.max())   # NaN or inf when any value is
         if math.isfinite(top):
             den = float(e[0]) * self.margin - (self.c * float(self.T[0]) + self.eta)
             if den > 0.0 and ((top / self.margin + self.tol) / den) ** (1.0 / self.p) <= keep:
                 return None
-        return _contenders(e, self.margin, self.tol)
+        return np.flatnonzero(_contenders(e, self.margin, self.tol))
+
+
+def _plans(t: Coupling, layout: BlockLayout) -> list:
+    """Each coefficient i's visit of the ascent over the triangular layout:
+    (cols, span, at, ks, touched, other), the coordinates of f_i (at most
+    two, ascending), the coordinates of the blocks ks holding them (one or
+    two) laid end to end, the places of cols in span, the layout of those
+    blocks, and for each of cols the other coefficient feeding it, or i
+    where none does (a_i is zero while its visit forms the others' part).
+    One BlockLayout serves each distinct pair of sizes."""
+    n = t.index.size
+    shared = t.b <= n
+    coef = np.concatenate([np.arange(n), t.a - 1])
+    coords = np.concatenate([t.head, t.head_b]) - 1
+    others = np.concatenate([np.arange(n), np.where(shared, t.b, t.a) - 1])
+    others[t.b[shared] - 1] = t.a[shared] - 1
+    order = np.lexsort((coords, coef))   # by coefficient, its coordinates in block order
+    coef, coords, others = coef[order], coords[order], others[order]
+    ends = np.cumsum(np.bincount(coef, minlength=n))
+    firsts = np.concatenate(([0], ends[:-1]))
+    k = triangular_block_index(coords + 1) - 1   # the block of each coordinate
+    ks = np.stack([k[firsts], k[ends - 1]], axis=1)
+    two = ks[:, 1] != ks[:, 0]
+    sizes = layout.sizes[ks] * np.stack([np.ones(n, dtype=np.int64), two], axis=1)
+    # a coordinate's place: past its block's start, and past the first block
+    # when it lies in the second
+    second = k != ks[coef, 0]
+    at = coords - layout.starts[k] + np.where(second, sizes[coef, 0], 0)
+    length = sizes.sum(axis=1)
+    span_ends = np.cumsum(length)
+    owner = np.repeat(np.arange(n), length)
+    step = np.arange(span_ends[-1]) - np.repeat(span_ends - length, length)
+    first = sizes[owner, 0]
+    past = step >= first   # in the second block
+    span = layout.starts[ks[owner, past.astype(np.intp)]] + step - past * first
+    pairs = list(zip(sizes[:, 0].tolist(), sizes[:, 1].tolist()))
+    touched = {}
+    for z0, z1 in set(pairs):
+        m = 1 + (z1 > 0)
+        touched[z0, z1] = BlockLayout(sizes=np.array((z0, z1)[:m]), starts=np.array((0, z0)[:m]),
+                                      dim=z0 + z1, n_blocks=m)
+    return [(coords[f:e], span[u - z0 - z1:u], at[f:e], ks[i, :1 + (z1 > 0)],
+             touched[z0, z1], others[f:e])
+            for i, (f, e, u, (z0, z1)) in enumerate(zip(firsts.tolist(), ends.tolist(),
+                                                        span_ends.tolist(), pairs))]
 
 
 def _ascend(a, best, signs, t: Coupling, p, layout: BlockLayout, sweeps: int) -> float:
@@ -533,25 +698,7 @@ def _ascend(a, best, signs, t: Coupling, p, layout: BlockLayout, sweeps: int) ->
     bn_t = np.ascontiguousarray(block_norms(prod, layout).T)   # blocks x rows
     prod_t = np.ascontiguousarray(prod.T)                       # coordinates x rows
     del prod
-    # the basis entries, each coefficient at its head and each coupled one at
-    # its partner's, with the other coefficient feeding that coordinate, or its
-    # own where none does (a_i is zero while its visit forms the others' part)
-    shared = t.b <= n
-    coef = np.concatenate([np.arange(n), t.a - 1])
-    coords = np.concatenate([t.head, t.head_b]) - 1
-    others = np.concatenate([np.arange(n), np.where(shared, t.b, t.a) - 1])
-    others[t.b[shared] - 1] = t.a[shared] - 1
-    order = np.lexsort((coords, coef))   # by coefficient, its coordinates in block order
-    plans = []
-    for entries in np.split(order, np.cumsum(np.bincount(coef))[:-1]):
-        cols = coords[entries]                                 # the coordinates of f_i
-        # the blocks holding them, cols ascending: not np.unique, which imports numpy.ma
-        ks = triangular_block_index(cols + 1) - 1
-        ks = ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
-        span = np.concatenate([np.arange(s, s + z) for s, z in
-                               zip(layout.starts[ks], layout.sizes[ks])])
-        plans.append((cols, span, np.searchsorted(span, cols), ks,
-                      BlockLayout.from_sizes(layout.sizes[ks]), others[entries]))
+    plans = _plans(t, layout)
     screen = _SupScreen(bn_t) if p == math.inf else _PowerScreen(bn_t, p, layout)
     idle = 0   # consecutive visits that kept nothing
     for _ in range(sweeps):

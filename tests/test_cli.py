@@ -824,29 +824,56 @@ def test_dissipativity_overflow_is_one_line_error(capsys):
     assert "45" in err
 
 
-@pytest.mark.parametrize("argv, last", [
-    (["--block", "129"], 128),
-    (["--block", "6000"], 128),
-    (["--family", "constant", "--value", "0.001", "--block", "6000"], 595),
-    (["--family", "powerlog", "--block", "75"], 74),
+VALUES_PAST = "the block-{} witness reads sequence values past float64"
+GEOMETRIC_PAST = ("--block {} reads ratios past the 1070 blocks on which the geometric family "
+                  "stays positive")
+
+
+@pytest.mark.parametrize("argv, why, last", [
+    (["--block", "129"], VALUES_PAST, 86),
+    (["--block", "6000"], VALUES_PAST, 86),
+    (["--family", "constant", "--value", "0.001", "--block", "6000"], VALUES_PAST, 424),
+    (["--family", "powerlog", "--block", "75"], VALUES_PAST, 53),
+    (["--family", "geometric", "--block", "6000"], GEOMETRIC_PAST, 1068),
+    (["--family", "geometric", "--block", "1069"], GEOMETRIC_PAST, 1068),
 ])
-def test_dissipativity_past_the_float_range_is_refused_in_block_terms(argv, last, capsys):
+def test_dissipativity_past_the_float_range_is_refused_in_block_terms(argv, why, last, capsys):
     # the witness solves the sequence through index end(block) + 2; past the
     # float64 range it used to build --block 6000's 1.8·10^7 values (599 MiB)
     # and then name index 8378, which no flag gave.  Now at most the prefix up
-    # to the range's end is solved: 1.8·10^5 values at constant 0.001
+    # to the range's end is solved: 1.8·10^5 values at constant 0.001.  The
+    # geometric family's ratios stay positive on 1070 blocks, of which the
+    # witness reads block + 2: its refusal named 6002, a count no flag gave.
+    # Each names the largest block that runs, which the default family's
+    # pairing sets below its float range (block 128)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, peak = traced_peak(["dissipativity", *argv])
     out, err = capsys.readouterr()
     assert_one_line_usage_error(code, out, err)
-    block = argv[-1]
-    assert err == (f"error: --block {block} reads sequence values past float64, "
-                   f"which holds this family's through block {last}\n")
-    assert peak < 16 * 2 ** 20
-    # the last block inside the range gets past the sequence to the witness
-    code, out, err = run_err(["dissipativity", *argv[:-1], str(last)], capsys)
-    assert "reads sequence values" not in err
+    assert err == f"error: {why.format(argv[-1])}; the largest block that runs is {last}\n"
+    if why == VALUES_PAST:
+        assert peak < 16 * 2 ** 20
+    # the block named runs
+    code, out, err = run_err(["dissipativity", *argv[:-1], str(last), "--onset-max", "10"],
+                             capsys)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("block", range(84, 132))
+def test_dissipativity_refusals_name_the_largest_block_that_runs(block, capsys):
+    # with the default family the pairing overflows from block 87 on and the
+    # sequence values from block 129 on; both refusals name block 86
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_err(["dissipativity", "--block", str(block), "--onset-max", "10"],
+                                 capsys)
+    if block <= 86:
+        assert (code, err) == (0, "")
+    else:
+        assert_one_line_usage_error(code, out, err)
+        why = VALUES_PAST if block >= 129 else "the block-{} pairing overflows float64"
+        assert err == f"error: {why.format(block)}; the largest block that runs is 86\n"
 
 
 @pytest.mark.parametrize("finite, refused, last", [
@@ -854,11 +881,14 @@ def test_dissipativity_past_the_float_range_is_refused_in_block_terms(argv, last
 def test_dissipativity_refuses_exactly_the_blocks_reading_past_the_finite_prefix(
         finite, refused, last, monkeypatch, capsys):
     # block 30 reads through index end(30) + 2 = 467; block 29 ends at 435
-    monkeypatch.setattr(cli, "finite_length", lambda ratios, length: min(finite, length))
+    def stub(ratios, length):
+        return min(finite, length)
+
+    monkeypatch.setattr(certify, "finite_length", stub)
     code, out, err = run_err(["dissipativity", "--block", "30"], capsys)
     if refused:
         assert_one_line_usage_error(code, out, err)
-        assert err.endswith(f"through block {last}\n")
+        assert err.endswith(f"the largest block that runs is {last}\n")
     else:
         assert (code, err) == (0, "")
 

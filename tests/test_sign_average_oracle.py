@@ -29,6 +29,7 @@ and returns once a cycle over the coefficients keeps nothing.
 import math
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -462,9 +463,15 @@ def screened(bn_t, ks, sq, p, keep=0.0):
 def test_each_sign_class_is_normed_once(n, mode, variant, most, monkeypatch):
     # n // 2 coupled pairs: 2^6 classes among the 2000 draws at n = 12, 2^7
     # among the 2^13 patterns at n = 14, one with no pair (plain); a return
-    # to norming every row would read 2000 or 8192 rows a call
-    normed, ascended = [], []
-    norms, ascend = twistbasis.combination_norms, twistbasis._ascend
+    # to norming every row would read 2000 or 8192 rows a witness.  The 9
+    # witnesses share one row block of exact norms, at most one row a class
+    # each
+    rated, normed, ascended = [], [], []
+    ratings, norms, ascend = twistbasis._ratings, twistbasis.combination_norms, twistbasis._ascend
+
+    def counting_ratings(witnesses, signs, *args):
+        rated.append(signs.shape[0])
+        return ratings(witnesses, signs, *args)
 
     def counting_norms(weights, *args):
         normed.append(weights.shape[0])
@@ -474,13 +481,14 @@ def test_each_sign_class_is_normed_once(n, mode, variant, most, monkeypatch):
         ascended.append(signs.shape[0])
         return ascend(a, best, signs, *args)
 
+    monkeypatch.setattr(twistbasis, "_ratings", counting_ratings)
     monkeypatch.setattr(twistbasis, "combination_norms", counting_norms)
     monkeypatch.setattr(twistbasis, "_ascend", counting_ascent)
     got = unconditional_constant(n, 3.0, mode=mode, seed=1, variant=variant)
-    assert normed and max(normed) <= most
+    assert rated and max(rated) <= most and len(normed) == 1 and normed[0] <= 9 * most
     assert len(ascended) == (mode == "sampled") and max(ascended, default=1) <= most
     if variant == PLAIN:
-        assert set(normed + ascended) == {1} and got == 1.0
+        assert set(rated + ascended) == {1} and normed == [9] and got == 1.0
 
 
 @pytest.mark.parametrize("p", [1.001, 3.0, math.inf])
@@ -586,6 +594,170 @@ def test_the_power_screen_skips_only_trials_that_cannot_win(p, seed):
     assert rows is not None and rows[0] == 0 and np.argmax(norms) in rows
     if p < 10.0:
         assert screen.contenders(rest, moved ** 2, r * (1.0 + 2.0 ** -20)) is None
+
+
+# the witness ratings norm exactly only row 0 and the rows the screen keeps
+# from the block sums of squares of the written coordinates; against them,
+# the whole table of every sign row through combination_norms.  Witnesses
+# with zero coefficients, and scaled by 2^-520 (squares below the normal
+# range), 2^-500 and 2^500 (the largest sum of squares at or past the ends of
+# the normal range) or 2^520 (squares past the float range), where every row
+# is normed, beside the deterministic family, a row block of several
+# witnesses where there are few sign rows
+RATING_P = [1.001, 1.5, 2.0, 3.0, 4.0, 200.0, 1000.0, 1e308, math.inf]
+RATING_SCALES = [1.0, 2.0 ** -520, 2.0 ** -500, 2.0 ** 500, 2.0 ** 520]
+
+
+def rated_signs(n, mode, seed, variant, rows=300):
+    t, layout = basis_layout(n, variant)
+    if mode == "exact":
+        signs = sign_patterns(n)
+    else:
+        signs = blockspace.SignDraws(np.random.default_rng(seed)).signs(rows, n)
+        signs[:2] = 1.0
+        signs[1, np.arange(n) % 4 == 0] = -1.0
+    return signs[twistbasis._sign_classes(signs, t)], t, layout
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(mode=hs.sampled_from(["exact", "sampled"]), data=hs.data(),
+       p=hs.sampled_from(RATING_P), seed=hs.integers(0, 2 ** 16),
+       variant=hs.sampled_from(VARIANTS))
+def test_screened_unconditional_ratings_match_the_full_table(mode, data, p, seed, variant):
+    n = data.draw(hs.integers(2, EXACT_TERM_LIMIT if mode == "exact" else 60), label="n")
+    signs, t, layout = rated_signs(n, mode, seed, variant)
+    rng = np.random.default_rng(seed + 1)
+    scale = data.draw(hs.sampled_from(RATING_SCALES), label="scale")
+    zeros = rng.standard_normal(n) * (rng.random(n) < 0.5)
+    witnesses = _witness_family(n, rng) + [zeros, scale * zeros, scale * rng.standard_normal(n)]
+    products = partial(twistbasis._synthesize, t=t, dim=layout.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [twistbasis._ratio(combination_norms(signs * a, products, p, layout))
+                for a in witnesses]
+        got = twistbasis._ratings(witnesses, signs, t, p, layout)
+    assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -520, 2.0 ** -505, 2.0 ** 501, 2.0 ** 520])
+@pytest.mark.parametrize("p", [3.0, 1000.0, math.inf])
+def test_unconditional_ratings_norm_every_row_they_cannot_estimate(scale, p):
+    # squares below the normal range at 2^-520, and at 2^-505 and 2^501 a
+    # largest sum of squares outside [2^-1000, 2^1000] (p finite) or, at
+    # 2^520, past the float range: every row is a contender
+    signs, t, layout = rated_signs(40, "sampled", 3, EVEN_TWIST)
+    a = scale * np.abs(np.random.default_rng(3).standard_normal((1, 40)))
+    with np.errstate(over="ignore"):
+        keep = twistbasis._screen_keep(*twistbasis._WrittenSquares(signs, t, layout)(a), p, layout)
+    assert keep.all() == (p != math.inf or scale in (2.0 ** -520, 2.0 ** 520))
+    assert keep[0, 0]
+
+
+@pytest.mark.parametrize("n, variant", [(2, EVEN_TWIST), (3, ODD_TWIST), (12, EVEN_TWIST),
+                                        (13, ODD_TWIST), (12, PLAIN), (41, EVEN_TWIST)])
+def test_unconditional_rating_squares_are_the_block_sums_of_the_products(n, variant):
+    # the rows' block sums of squares, read off the coupling, against those
+    # of the full products: the blocks holding a shared partner's head row by
+    # row, the others once for every row, every other block zero
+    signs, t, layout = rated_signs(n, "sampled", 5, variant)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, n)) * (rng.random((3, n)) < 0.8)
+    squares = twistbasis._WrittenSquares(signs, t, layout)
+    (varying, fixed), tiny = squares(a)
+    for w in range(a.shape[0]):
+        prod = twistbasis._synthesize(signs * a[w], t, layout.dim)
+        want = np.add.reduceat(prod * prod, layout.starts, axis=1).T   # blocks x rows
+        held = [k for k, _, _ in squares.runs]
+        assert np.allclose(varying[:, w], want[held], rtol=1e-14, atol=0.0)
+        assert np.allclose(np.broadcast_to(fixed[:, w], want[squares.fixed].shape),
+                           want[squares.fixed], rtol=1e-14, atol=0.0)
+        rest = np.setdiff1d(np.arange(layout.n_blocks), np.concatenate([held, squares.fixed]))
+        assert not want[rest].any()
+    assert not tiny.any()
+
+
+def test_unconditional_ratings_flag_products_whose_squares_underflow():
+    # a coordinate's value is +-a_i or +-(a_b +- a_a): under 2^-511 its square
+    # falls below the normal range (2^-1022), at 2^-511 it does not.  Even
+    # twist couples a = 4 to b = 3: a_4 alone is read at its own head, and
+    # a_3 +- a_4 at the head of 3
+    signs, t, layout = rated_signs(12, "sampled", 5, EVEN_TWIST)
+    squares = twistbasis._WrittenSquares(signs, t, layout)
+    a = np.ones((5, 12))
+    a[1, 3] = 2.0 ** -512
+    a[2, 3] = 2.0 ** -511
+    a[3, [2, 3]] = 2.0 ** -500, 2.0 ** -500 + 2.0 ** -552   # a_4 - a_3 = 2^-552
+    a[4, [2, 3]] = 1.0, 1.0 + 2.0 ** -52                    # a_4 - a_3 = 2^-52
+    assert squares(a)[1].tolist() == [False, True, False, True, False]
+
+
+@pytest.mark.parametrize("p, most", [(1.001, 60), (3.0, 60), (1000.0, 9000)])
+def test_unconditional_ratings_norm_few_rows_exactly(p, most, monkeypatch):
+    # the 9 witnesses over the 1,998 sign classes at n = 40: 17 985 rows if
+    # every row were normed.  Near 1 only row 0 and a row or two a witness
+    # are; at p = 1000 the rows that hold a block tied with the largest stay
+    # contenders (119 to 982 a witness), and unscaled sums would overflow
+    # the powers and keep every row
+    rows = []
+    norms = twistbasis.combination_norms
+
+    def counting(weights, *args):
+        rows.append(weights.shape[0])
+        return norms(weights, *args)
+
+    monkeypatch.setattr(twistbasis, "combination_norms", counting)
+    unconditional_constant(40, p, mode="sampled", seed=1, ascent_sweeps=0)
+    assert len(rows) == 9 and sum(rows) <= most
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_the_rating_screen_keeps_the_rows_within_its_margin(p):
+    # one block of sums of squares, g^2 = 1: row 3 holds the largest value,
+    # row 1 reads at the margin below it, row 2 just outside, row 4 far
+    # below; row 0 is the denominator.  At p = 2 a row reads its sum, at
+    # p = inf its root
+    layout = BlockLayout.triangular(4)
+    if p == 2.0:
+        margin = twistbasis._power_bounds(2.0, layout)[0]
+        sq = np.array([0.25, margin, margin * (1.0 - 2.0 ** -30), 1.0, 0.5])
+    else:
+        sq = np.array([0.25, 1.0 - 2.0 ** -31, 1.0 - 2.0 ** -29, 1.0, 0.5]) ** 2
+    sums = (sq[None, None, :], np.zeros((0, 1, 1)))
+    keep = twistbasis._screen_keep(sums, np.array([False]), p, layout)
+    assert np.flatnonzero(keep[0]).tolist() == [0, 1, 3]
+
+
+def plans_oracle(t, layout, n):
+    """The ascent's per-coefficient plans as a loop built them, verbatim."""
+    shared = t.b <= n
+    coef = np.concatenate([np.arange(n), t.a - 1])
+    coords = np.concatenate([t.head, t.head_b]) - 1
+    others = np.concatenate([np.arange(n), np.where(shared, t.b, t.a) - 1])
+    others[t.b[shared] - 1] = t.a[shared] - 1
+    order = np.lexsort((coords, coef))   # by coefficient, its coordinates in block order
+    plans = []
+    for entries in np.split(order, np.cumsum(np.bincount(coef))[:-1]):
+        cols = coords[entries]                                 # the coordinates of f_i
+        # the blocks holding them, cols ascending: not np.unique, which imports numpy.ma
+        ks = blockspace.triangular_block_index(cols + 1) - 1
+        ks = ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
+        span = np.concatenate([np.arange(s, s + z) for s, z in
+                               zip(layout.starts[ks], layout.sizes[ks])])
+        plans.append((cols, span, np.searchsorted(span, cols), ks,
+                      BlockLayout.from_sizes(layout.sizes[ks]), others[entries]))
+    return plans
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(n=hs.integers(2, 400), variant=hs.sampled_from(VARIANTS))
+def test_the_ascent_plans_match_the_per_coefficient_loop(n, variant):
+    t, layout = basis_layout(n, variant)
+    got, want = twistbasis._plans(t, layout), plans_oracle(t, layout, n)
+    assert len(got) == len(want) == n
+    for g, w in zip(got, want):
+        for i in (0, 1, 2, 3, 5):
+            assert g[i].dtype == w[i].dtype and np.array_equal(g[i], w[i])
+        assert (g[4].sizes.tolist(), g[4].starts.tolist(), g[4].dim, g[4].n_blocks) == \
+            (w[4].sizes.tolist(), w[4].starts.tolist(), w[4].dim, w[4].n_blocks)
 
 
 @pytest.mark.parametrize("n, mode", [(6, "exact"), (10, "exact"), (12, "sampled")])

@@ -257,21 +257,26 @@ def test_unconditional_constant_sampled_close_to_exact():
 
 def test_sampled_unconditional_constant_rates_each_witness_once(monkeypatch):
     # a full product multiplies every sign row; the witnesses are rated once
-    # each (9 at n 12); the ascent forms its sign products once, outside
+    # each (9 at n 12), and the 64 sign classes let all 9 share one row block
+    # of exact norms; the ascent forms its sign products once, outside
     # combination_norms, then recomputes only the columns a step moves
     from mrlab import twistbasis
 
-    full = []
-    inner = twistbasis.combination_norms
+    full, rated = [], []
+    inner, ratings = twistbasis.combination_norms, twistbasis._ratings
 
     def counting(weights, *args):
-        if weights.shape[0] > 1:
-            full.append(weights.shape[0])
+        full.append(weights.shape[0])
         return inner(weights, *args)
 
+    def counting_ratings(witnesses, *args):
+        rated.append(len(witnesses))
+        return ratings(witnesses, *args)
+
     monkeypatch.setattr(twistbasis, "combination_norms", counting)
+    monkeypatch.setattr(twistbasis, "_ratings", counting_ratings)
     unconditional_constant(12, 3.0, mode="sampled", seed=0)
-    assert len(full) == 9
+    assert rated == [9] and len(full) == 1 and full[0] >= 9
 
 
 def test_unconditional_constant_errors():
