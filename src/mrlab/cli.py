@@ -44,11 +44,10 @@ from .multiplier import (
     sectoriality_probe,
 )
 from .rademacher import RadSum, blowup_series, rad_norm
-from .sequences import (CONSTANT, GEOMETRIC, LACUNARY, POWER, POWERLOG, _geometric_limit,
+from .sequences import (_LN2, CONSTANT, GEOMETRIC, LACUNARY, POWER, POWERLOG, _geometric_limit,
                         family_ratios, family_seq)
 from .twistbasis import SAMPLED_SIGNS, build_permutation, unconditional_constant
 
-_LN2 = math.log(2.0)
 _ROW_BLOCK = 1024   # table rows converted and written at a time
 # CSV rows from which a numeric table takes _place_rows: its fixed cost, about
 # 0.15 ms, matched the % template's cost per float cell at 190 rows of two
@@ -849,16 +848,21 @@ def cmd_dissipativity(args):
     yield _Size(dim=triangular_end(max(args.block, 0)),
                 arrays=((f"--onset-max {args.onset_max}", args.onset_max + 1),))
     family, param = _family(args)
-    # the witness reads ratio blocks 1..block + 2, of which the geometric
-    # family has _geometric_limit: refuse in --block terms past them, naming
-    # the largest block that runs (dissipativity_witness names it where the
-    # values or the pairing pass the float64 range, before it solves past it)
-    top = args.block if family != GEOMETRIC else min(args.block, _geometric_limit(0.125) - 2)
+    # the witness reads ratio blocks 1..block + 2 and the onset scan blocks
+    # 1..onset-max + 1, of which the geometric family has _geometric_limit:
+    # past them, refuse in the flag's terms, naming the largest value that
+    # runs (dissipativity_witness names the largest block where the values
+    # or the pairing pass the float64 range, before it solves past it)
+    limit = _geometric_limit(0.125) if family == GEOMETRIC else math.inf
+    past = (f"{{}} reads ratios past the {limit} blocks on which the geometric family stays "
+            f"positive; the largest {{}} that runs is {{}}")
+    if args.onset_max >= limit:
+        raise ParameterError(past.format(f"--onset-max {args.onset_max}", "value", limit - 1))
+    top = min(args.block, limit - 2)
     ratios = family_ratios(family, param, max(top + 2, args.onset_max + 1))
     if top < args.block:
-        raise ParameterError(f"--block {args.block} reads ratios past the {top + 2} blocks on "
-                             f"which the geometric family stays positive; the largest block "
-                             f"that runs is {dissipativity_reach(ratios, top)[0]}")
+        raise ParameterError(past.format(f"--block {args.block}", "block",
+                                         dissipativity_reach(ratios, top)[0]))
     w = dissipativity_witness(ratios, args.block)
     onset = dissipativity_norm_onset(ratios, k_max=args.onset_max)
     _emit(args, "dissipativity",

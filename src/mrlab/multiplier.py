@@ -27,7 +27,8 @@ import numpy as np
 from .blockspace import (_NORMAL_MIN, BlockLayout, _check_p, _lp_of_blocks, _norms_of_sums,
                          bv_norm, triangular_block_index)
 from .errors import InvariantViolation, ParameterError, SingularityError
-from .sequences import MultiplierSeq, RatioSeq, family_seq, step_offsets, twisted_lacunary
+from .sequences import (_LN2, MultiplierSeq, RatioSeq, family_seq, step_offsets,
+                        twisted_lacunary)
 from .twistbasis import EVEN_TWIST, TwistPermutation, layout_coupling
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "scaled_resolvent_values",
 ]
 
-_LN2 = math.log(2.0)
 _LOG2_HUGE = 600.0  # beyond this, treat gamma as infinite relative to any sane lambda
 _EXP_DEAD = 746.0   # np.exp(-x) is exactly 0.0 for every x > 745.14
 _SCAN_CELLS = 1 << 15   # float64 cells per block of the positivity table
@@ -128,8 +128,7 @@ class TwistedMultiplier:
         """Multiply by the entries ``symbols`` returned; batches run along the last axis."""
         st = self.structure
         out = arr * diag
-        if st.off_rows.size:
-            out[..., st.off_rows] += off * arr[..., st.off_cols]
+        out[..., st.off_rows] += off * arr[..., st.off_cols]
         return out
 
     def adjoint_apply_symbols(self, diag, off, arr):
@@ -141,8 +140,7 @@ class TwistedMultiplier:
         # out=, in this order)
         conj_diag = np.conj(diag)
         out = arr * conj_diag
-        if st.off_rows.size:
-            out[..., st.off_cols] += np.conj(off) * arr[..., st.off_rows]
+        out[..., st.off_cols] += np.conj(off) * arr[..., st.off_rows]
         return out
 
     def _multiply(self, g, v):
@@ -730,19 +728,15 @@ def _ascend(op, rows, p):
     of ``apply_symbols`` and ``adjoint_apply_symbols``.  A row whose image
     or iterate reaches norm zero rides along at zero, its zero norm read as
     1, so no later image beats its best.  The entries and the adjoint's
-    conj(lam diag) and conj(lam off) are formed once per batch: the rows'
-    shared (diag, off) when they hold one, else one row of each per row.
+    conj(lam diag) and conj(lam off) are stacked once per batch, one row of
+    each per row.
     """
     layout, st = op.layout, op.structure
     n, dim, n_off = len(rows), layout.dim, st.off_rows.size
     q = 1.0 if p == math.inf else p / (p - 1.0)
     lam = np.array([row[0] for row in rows], dtype=np.complex128)[:, None]
-    lam0, diag0, off0 = rows[0][:3]
-    if all(row[1] is diag0 and row[2] is off0 and row[0] == lam0 for row in rows):
-        entries = [diag0, off0, lam0 * diag0, lam0 * off0]
-    else:
-        entries = [np.stack([row[1] for row in rows]), np.stack([row[2] for row in rows])]
-        entries += [lam * entries[0], lam * entries[1]]
+    entries = [np.stack([row[1] for row in rows]), np.stack([row[2] for row in rows])]
+    entries += [lam * entries[0], lam * entries[1]]
     for adjoint in entries[2:]:
         np.conj(adjoint, out=adjoint)
     v, z = np.empty((n, dim), dtype=np.complex128), np.empty((n, dim), dtype=np.complex128)
@@ -758,12 +752,11 @@ def _ascend(op, rows, p):
     def apply_entries(diag, off, pick, put):
         # z = v * diag, then z[put] += off * v[pick]
         np.multiply(v, diag, out=z)
-        if n_off:
-            # "clip" writes straight into out; the positions are in range
-            np.take(v.reshape(-1), pick, out=gathered.reshape(-1), mode="clip")
-            np.multiply(off, gathered, out=gathered)
-            # the positions are distinct: the same adds as z[put] += gathered
-            np.add.at(z.reshape(-1), put, gathered.reshape(-1))
+        # "clip" writes straight into out; the positions are in range
+        np.take(v.reshape(-1), pick, out=gathered.reshape(-1), mode="clip")
+        np.multiply(off, gathered, out=gathered)
+        # the positions are distinct: the same adds as z[put] += gathered
+        np.add.at(z.reshape(-1), put, gathered.reshape(-1))
 
     for step in range(_ASCENT_STEPS + 1):
         nv = _lp_of_blocks(_block_norms(v, layout, sq, tmp), p)

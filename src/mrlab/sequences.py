@@ -218,18 +218,17 @@ class MultiplierSeq:
         out = self.log2[m - 1]
         return out if out.ndim else float(out)
 
-    def recovered_ratios(self, n: int | None = None) -> np.ndarray:
-        """The ratio sequence read back off the stored steps, index 2..n.
+    def recovered_ratios(self) -> np.ndarray:
+        """The ratio sequence read back off the stored steps, index 2..length.
 
         For recurrence sequences this inverts t = 4c/(1-2c) exactly:
         c = t / (2 (2 + t)).  Otherwise it falls back to exponent
         differences, which lose accuracy once log2 values are large.
         """
-        n = self.length if n is None else n
         if self.origin == "recurrence":
-            t = self.step_offsets[: n - 1]
+            t = self.step_offsets
             return t / (2.0 * (2.0 + t))
-        rho = np.exp2(np.diff(self.log2[:n]))
+        rho = np.exp2(np.diff(self.log2))
         return 0.5 * (rho - 1.0) / (rho + 1.0)
 
 

@@ -252,12 +252,12 @@ def twisted_synthesis(coeffs, perm: TwistPermutation, variant: str,
     return _synthesize(c, t, layout.dim)[0]
 
 
-def _witness_family(n, rng, n_random=6):
+def _witness_family(n, rng):
     """Deterministic coefficient vectors, nested across n by truncation."""
     idx = np.arange(1, n + 1) % 4   # alternating signs on (4k+1, 4k+2) pairs
     pair = np.select([idx == 1, idx == 2], [-1.0, 1.0])
     fam = [np.ones(n), 1.0 / np.sqrt(np.arange(1, n + 1))] + ([pair] if np.any(pair) else [])
-    return fam + list(rng.standard_normal((n_random, n)))
+    return fam + list(rng.standard_normal((6, n)))
 
 
 def basis_layout(n: int, variant: str = EVEN_TWIST):

@@ -413,10 +413,10 @@ def test_sector_probe_splits_rays_across_batches(rows, monkeypatch):
     assert bits(rep.bv_upper) == bits(bv_upper)
 
 
-def test_sector_probe_batches_across_rays_and_skips(monkeypatch):
+def test_sector_probe_batches_across_rays_and_skips(monkeypatch, name="odd-constant"):
     # radii on the spectrum with lam almost on the positive axis are
     # singular and skipped; batches of 2 rows split rays of 3 trials
-    op = OPERATORS["odd-constant"]()
+    op = OPERATORS[name]()
     gam = op.spectrum().real
     radii = np.array([0.5, gam[0], gam[3], 7.0])
     angles = [math.nextafter(math.pi, 0.0), 2.0]
@@ -426,6 +426,13 @@ def test_sector_probe_batches_across_rays_and_skips(monkeypatch):
     assert rep.skipped and rep.skipped == expect[2]
     assert bits(rep.lower) == bits(expect[0])
     assert bits(rep.bv_upper) == bits(expect[1])
+
+
+def test_sector_probe_batches_across_rays_and_skips_without_coupling_entries(monkeypatch):
+    # the plain variant couples no pair: the ascent's gather and scatter run
+    # on empty positions, with no guard around them
+    assert OPERATORS["plain-constant"]().structure.off_rows.size == 0
+    test_sector_probe_batches_across_rays_and_skips(monkeypatch, name="plain-constant")
 
 
 def test_sector_probe_large_batch(monkeypatch):
@@ -525,8 +532,8 @@ def zeros_symbol(op):
     return np.where(np.arange(g.size) % 3 == 0, 0.0, g)
 
 
-def check_opnorm_lower(trials, cells, p, symbol, monkeypatch):
-    op = OPERATORS["even-constant"]()
+def check_opnorm_lower(trials, cells, p, symbol, monkeypatch, name="even-constant"):
+    op = OPERATORS[name]()
     if cells is not None:
         monkeypatch.setattr(multiplier, "_PROBE_CELLS", cells * op.layout.dim)
     g = symbol(op)
@@ -555,6 +562,19 @@ def test_opnorm_lower_matches_per_trial_loop(trials, cells, monkeypatch):
 def test_opnorm_lower_matches_per_trial_loop_at_edge_exponents_and_zeros(
         trials, cells, p, symbol, monkeypatch):
     check_opnorm_lower(trials, cells, p, symbol, monkeypatch)
+
+
+@pytest.mark.parametrize("p, symbol", [
+    (2.5, imaginary_power_symbol), (1.001, imaginary_power_symbol),
+    (math.inf, imaginary_power_symbol), (1.5, zeros_symbol),
+])
+@pytest.mark.parametrize("trials, cells", TRIALS_CELLS)
+def test_opnorm_lower_matches_per_trial_loop_without_coupling_entries(
+        trials, cells, p, symbol, monkeypatch):
+    # the plain variant couples no pair: the ascent's gather and scatter
+    # run on empty positions, with no guard around them
+    assert OPERATORS["plain-constant"]().structure.off_rows.size == 0
+    check_opnorm_lower(trials, cells, p, symbol, monkeypatch, name="plain-constant")
 
 
 def test_sector_probe_draws_at_most_one_batch_ahead(monkeypatch):

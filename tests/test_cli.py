@@ -876,6 +876,24 @@ def test_dissipativity_refusals_name_the_largest_block_that_runs(block, capsys):
         assert err == f"error: {why.format(block)}; the largest block that runs is 86\n"
 
 
+@pytest.mark.parametrize("onset_max", [1069, 1070, 2000])
+def test_dissipativity_geometric_onset_past_its_blocks_is_refused_in_flag_terms(onset_max, capsys):
+    # the onset scan reads ratio blocks 1..onset-max + 1, and the geometric
+    # family stays positive on 1070 blocks: the refusal named 2001 blocks
+    # "asked for", a count no flag gave
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_err(["dissipativity", "--family", "geometric",
+                                  "--onset-max", str(onset_max)], capsys)
+    if onset_max <= 1069:
+        assert (code, err) == (0, "")
+    else:
+        assert_one_line_usage_error(code, out, err)
+        assert err == (f"error: --onset-max {onset_max} reads ratios past the 1070 blocks on "
+                       "which the geometric family stays positive; the largest value that "
+                       "runs is 1069\n")
+
+
 @pytest.mark.parametrize("finite, refused, last", [
     (467, False, None), (466, True, 29), (465, True, 29), (437, True, 29), (436, True, 28)])
 def test_dissipativity_refuses_exactly_the_blocks_reading_past_the_finite_prefix(
