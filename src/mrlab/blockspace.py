@@ -99,8 +99,7 @@ class SignDraws:
     its high half: draw j is bit 31 of half word j.  The generator must hold
     no half word of its own (``state["has_uint32"]`` clear, as in a fresh
     one), and it is the sampler's from then on: the unused half of an odd
-    count's last word is kept for the next call.  The calls share one buffer
-    of draws and one of packed pattern rows.
+    count's last word is kept for the next call.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -108,18 +107,13 @@ class SignDraws:
         if not isinstance(bit_generator, np.random.PCG64) or bit_generator.state["has_uint32"]:
             raise ParameterError("sign draws need a PCG64 generator holding no half word")
         self._raw = bit_generator.random_raw
-        self._held = None               # the draw of a half word read but not yet used
-        self._bits = np.empty(0, dtype=bool)
-        self._wide = np.empty((0, 16), dtype=bool)   # pattern rows, zero past k - 1 draws
-        self._wide_k = 0
+        self._held = None   # the draw of a half word read but not yet used
 
     def _next(self, count: int) -> np.ndarray:
-        """The next ``count`` draws, True for 1, in the reused buffer."""
+        """The next ``count`` draws, True for 1."""
         held = self._held is not None
         words = (count - held + 1) // 2
-        if self._bits.size < held + 2 * words:
-            self._bits = np.empty(held + 2 * words, dtype=bool)
-        bits = self._bits[:held + 2 * words]
+        bits = np.empty(held + 2 * words, dtype=bool)
         if held:
             bits[0] = self._held
         # the sign bit of each little-endian 32-bit half, low half first
@@ -137,9 +131,7 @@ class SignDraws:
         """The next ``rows`` rows of k <= 17 draws, each as the number
         sum_{i>=1} b_i 2^(i-1) of its draws b_1 .. b_{k-1} past the first:
         those draws are laid out 16 to a row and packed two bytes a row."""
-        if self._wide.shape[0] < rows or self._wide_k != k:
-            self._wide, self._wide_k = np.zeros((rows, 16), dtype=bool), k
-        wide = self._wide[:rows]
+        wide = np.zeros((rows, 16), dtype=bool)
         wide[:, :k - 1] = self._next(rows * k).reshape(rows, k)[:, 1:]
         return np.packbits(wide, bitorder="little").view("<u2")
 
@@ -201,16 +193,13 @@ def block_norms(arr, layout: BlockLayout):
     arr = np.asarray(arr)
     if arr.shape[-1] != layout.dim:
         raise StructuralError(f"vector length {arr.shape[-1]} != layout dim {layout.dim}")
+    # np.square is x * x bit for bit, and faster on strided views
     if np.iscomplexobj(arr):
-        sq = arr.real * arr.real + arr.imag * arr.imag
+        sq = np.square(arr.real)
+        sq += np.square(arr.imag)
     else:
-        sq = arr * arr
-    return _norms_of_sums(arr, layout, np.add.reduceat(sq, layout.starts, axis=-1))
-
-
-def _norms_of_sums(arr, layout, sums):
-    """The block norms of arr from its blocks' sums of squares ``sums``, as
-    ``block_norms`` describes; the caller ignores overflow."""
+        sq = np.square(arr)
+    sums = np.add.reduceat(sq, layout.starts, axis=-1)
     out = np.sqrt(sums)
     if sums.size and not (sums.min() >= _NORMAL_MIN and sums.max() < math.inf):
         # a vector whose squares add up to ``shadow`` holds a block 2^53 times

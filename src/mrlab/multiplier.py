@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockspace import (_NORMAL_MIN, BlockLayout, _check_p, _lp_of_blocks, _norms_of_sums,
+from .blockspace import (_NORMAL_MIN, BlockLayout, _check_p, _lp_of_blocks, block_norms,
                          bv_norm, triangular_block_index)
 from .errors import InvariantViolation, ParameterError, SingularityError
 from .sequences import (_LN2, MultiplierSeq, RatioSeq, family_seq, step_offsets,
@@ -698,16 +698,6 @@ def _j_map(z, bn, exponent, layout, out):
     return out
 
 
-@np.errstate(over="ignore")   # as in block_norms
-def _block_norms(arr, layout, sq, tmp):
-    """``block_norms`` of the complex rows of arr, their squares formed in the
-    float buffers sq and tmp of arr's shape."""
-    np.square(arr.real, out=sq)   # x * x bit for bit, and faster on strided views
-    np.square(arr.imag, out=tmp)
-    np.add(sq, tmp, out=sq)
-    return _norms_of_sums(arr, layout, np.add.reduceat(sq, layout.starts, axis=-1))
-
-
 def _start(rng, out):
     """Draw a standard complex normal start into ``out``, real parts first."""
     out.real, out.imag = rng.standard_normal((2, out.size))
@@ -743,7 +733,6 @@ def _ascend(op, rows, p):
     for k, row in enumerate(rows):
         _start(row[3], v[k])
     best = np.zeros(n)
-    sq, tmp = np.empty((n, dim)), np.empty((n, dim))
     # the coupling entries of every row as flat positions in the batch
     shift = np.arange(n)[:, None] * dim
     flat_rows, flat_cols = (shift + st.off_rows).ravel(), (shift + st.off_cols).ravel()
@@ -759,20 +748,20 @@ def _ascend(op, rows, p):
         np.add.at(z.reshape(-1), put, gathered.reshape(-1))
 
     for step in range(_ASCENT_STEPS + 1):
-        nv = _lp_of_blocks(_block_norms(v, layout, sq, tmp), p)
+        nv = _lp_of_blocks(block_norms(v, layout), p)
         nv[nv == 0.0] = 1.0   # a row at zero stays at zero
         # numpy's complex / real is (re + im 0, im - re 0) / nv: this, up to signed zeros
         np.multiply(v, np.conj(1.0 / nv + 0j)[:, None], out=v)
         apply_entries(entries[0], entries[1], flat_cols, flat_rows)   # z = lam A v
         np.multiply(lam, z, out=z)
-        bn = _block_norms(z, layout, sq, tmp)
+        bn = block_norms(z, layout)
         nz = _lp_of_blocks(bn, p)
         np.fmax(best, nz, out=best)   # a NaN norm never counts
         if step == _ASCENT_STEPS:
             break
         _j_map(z, bn, p, layout, out=v)
         apply_entries(entries[2], entries[3], flat_rows, flat_cols)   # z = A* J_p(lam A v)
-        _j_map(z, _block_norms(z, layout, sq, tmp), q, layout, out=v)
+        _j_map(z, block_norms(z, layout), q, layout, out=v)
     return best
 
 

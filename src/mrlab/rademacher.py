@@ -222,8 +222,6 @@ CONSTRUCTIONS = ("lacunary", "power", "powerlog")
 
 @dataclass(frozen=True)
 class BlowupSeries:
-    p: float
-    alpha: float | None
     ks: np.ndarray
     lower: np.ndarray          # running max of the leaked block values
     slope: float               # log-log fit over the reported points
@@ -253,7 +251,7 @@ def blowup_series(construction: str, p, alpha=None,
     reading of the positive case.  Blocks below 7 are skipped: there the
     reserved even coordinate of a pair can land inside the target block.
     """
-    p, q, ks = _blowup_args(construction, p, block_counts, alpha)
+    _, q, ks = _blowup_args(construction, p, block_counts, alpha)
     kmax = int(ks.max())
     if construction == "lacunary":
         # q_m = -gamma_{4m+2} leaks exactly 1/6 on every pair
@@ -266,7 +264,7 @@ def blowup_series(construction: str, p, alpha=None,
     logs = np.log(lower[lower > 0.0])
     logk = np.log(ks[lower > 0.0].astype(float))
     slope = float(np.polyfit(logk, logs, 1)[0]) if logs.size >= 2 else float("nan")
-    return BlowupSeries(p=p, alpha=alpha, ks=ks, lower=lower, slope=slope)
+    return BlowupSeries(ks=ks, lower=lower, slope=slope)
 
 
 def blowup_witness(construction: str, k: int, p, alpha=None, bound: float = 0.125):

@@ -561,8 +561,7 @@ class _SupScreen:
     squares (see _SCREEN_MARGIN)."""
 
     def __init__(self, bn_t):
-        self.bn_t = bn_t                  # blocks x rows, as the ascent updates it
-        self.work = np.empty_like(bn_t)   # reused: a fresh one is page-faulted for each coefficient
+        self.bn_t = bn_t   # blocks x rows, as the ascent updates it
 
     def update(self, ks):
         """Nothing to redo when a kept step moves the blocks ks: the screen
@@ -570,8 +569,7 @@ class _SupScreen:
 
     def rest(self, ks):
         """Each row's largest norm over the blocks other than ks."""
-        rest = np.delete(np.arange(self.bn_t.shape[0]), ks)
-        return np.take(self.bn_t, rest, axis=0, out=self.work[:rest.size]).max(axis=0, initial=0.0)
+        return np.delete(self.bn_t, ks, axis=0).max(axis=0, initial=0.0)
 
     def contenders(self, rest, sq, keep):
         """The rows to norm exactly; never None, as this screen skips no trial."""

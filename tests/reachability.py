@@ -38,7 +38,8 @@ KEEP = {
     "blockspace._scaled_block_norms":
         "rescales the blocks whose squares under- or overflow; since the sampled ascent "
         "norms little beyond its kept steps no golden meets such a block, and "
-        "tests/test_blockspace.py and the extreme-scale ascent oracle reach it",
+        "tests/test_blockspace.py, tests/test_block_norms_oracle.py and the "
+        "extreme-scale ascent oracle reach it",
     "errors.SequenceOverflowError.__init__":
         "the overflow error a too-long sequence raises; tests reach it",
     "multiplier.TwistedMultiplier.adjoint_apply_symbols":

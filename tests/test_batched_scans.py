@@ -503,8 +503,8 @@ def test_sector_probe_ray_past_2_500_after_a_singular_one(cells, capsys, monkeyp
 
 
 def test_square_is_the_product_bit_for_bit_on_strided_views():
-    # _block_norms squares the strided real and imaginary views of the
-    # iterates with np.square, which must read x * x bit for bit
+    # block_norms squares the strided real and imaginary views of the
+    # probe's iterates with np.square, which must read x * x bit for bit
     rng = np.random.default_rng(5)
     special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, _NORMAL_MIN, 1e-162, 1.5e-154, 1.4e154,
                1e300, math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0]

@@ -51,7 +51,7 @@ def test_pattern_numbers_are_the_draws_past_the_first(seed, k):
 
 
 def test_pattern_numbers_after_a_call_with_more_draws_a_row():
-    # the packed rows are reused: columns a longer row wrote must read 0
+    # a shorter row after a longer one: its columns past k - 1 draws must read 0
     draws = SignDraws(np.random.default_rng(7))
     got = [draws.patterns(40, 14), draws.patterns(9, 3), draws.patterns(60, 14)]
     want = oracle_draws(7, 40 * 14 + 9 * 3 + 60 * 14, 1).ravel()
