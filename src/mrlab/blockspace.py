@@ -191,6 +191,8 @@ def block_norms(arr, layout: BlockLayout):
     plain sum.
     """
     arr = np.asarray(arr)
+    if arr.dtype.kind in "biu":   # integers square in float64, not in their own dtype
+        arr = arr.astype(np.float64)
     if arr.shape[-1] != layout.dim:
         raise StructuralError(f"vector length {arr.shape[-1]} != layout dim {layout.dim}")
     # np.square is x * x bit for bit, and faster on strided views

@@ -94,6 +94,9 @@ def diagonal_norm(ratios: RatioSeq, p: float, n_blocks: int) -> DiagonalNorm:
     if p <= 2.0:
         raise ParameterError("the diagonal characterization needs p > 2")
     q = holder_conjugate(p)
+    if q <= 2.0:
+        raise ParameterError(f"the diagonal characterization needs p whose conjugate "
+                             f"2p/(p - 2) exceeds 2; at p = {p!r} it rounds to 2")
     per_block = block_q_norms(ratios, q, n_blocks)
     best = int(np.argmax(per_block)) + 1
     lo, hi = triangular_bounds(best)

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .blockspace import EXACT_TERM_LIMIT, BlockLayout, triangular_block_index, triangular_end
+from .blockspace import (EXACT_TERM_LIMIT, BlockLayout, block_rows, triangular_block_index,
+                         triangular_end)
 from .certify import (
     IntervalSpec,
     diagonal_norm,
@@ -36,6 +37,7 @@ from .certify import (
 )
 from .errors import InvariantViolation, LabError, ParameterError
 from .multiplier import (
+    _PROBE_CELLS,
     TwistedMultiplier,
     bip_pair_ratios,
     bv_semigroup_bound,
@@ -395,27 +397,20 @@ def _repeats(column):
     of each row's value, or None for every row its own.  From _ROW_BLOCK rows
     on, equal bit patterns are formatted once where that halves the values:
     a run of one pattern, or, where runs do not and the first 64 rows repeat,
-    each pattern of the sorted rows.  Bits keep -0.0 from 0.0 and NaN
-    payloads apart."""
+    each distinct pattern.  Bits keep -0.0 from 0.0 and NaN payloads apart."""
     x = column.astype(np.float64, copy=False)
     if len(x) < _ROW_BLOCK:
         return x, None
-
-    def first_of_runs(bits):
-        return np.concatenate(([True], bits[1:] != bits[:-1]))
-
-    bits, order = x.view(np.int64), None
-    new = first_of_runs(bits)
-    if 2 * np.count_nonzero(new) > len(x) and 2 * len(set(bits[:64].tolist())) <= 64:
-        order = np.argsort(bits)
-        bits = bits[order]
-        new = first_of_runs(bits)
-    if 2 * np.count_nonzero(new) > len(x):
-        return x, None
-    index = np.cumsum(new) - 1
-    if order is not None:
-        index[order] = index.copy()
-    return bits[new].view(np.float64), index
+    bits = x.view(np.int64)
+    new = np.concatenate(([True], bits[1:] != bits[:-1]))
+    if 2 * np.count_nonzero(new) <= len(x):
+        return bits[new].view(np.float64), np.cumsum(new) - 1
+    if 2 * len(set(bits[:64].tolist())) <= 64:
+        # with a return flag np.unique leaves numpy.ma unimported
+        bits, index = np.unique(bits, return_inverse=True)
+        if 2 * len(bits) <= len(x):
+            return bits.view(np.float64), index
+    return x, None
 
 
 def _float_blocks(columns):
@@ -760,9 +755,11 @@ def cmd_sector_probe(args):
     angles, radii = _parse_grid(args.angles), _parse_grid(args.radii)
     size = _operator_size(args)
     trials = _at_least_one("--trials", args.trials)
-    # each ray ascends trials rows of dim coordinates, drawn a batch at a time
-    yield size._replace(points=angles.size * radii.size, samples=trials,
-                        arrays=size.arrays + ((f"--trials {trials}", trials * size.dim),))
+    rays = angles.size * radii.size
+    # a result a trial of each ray, and a batch of _PROBE_CELLS // dim rows of dim coordinates
+    yield size._replace(points=rays, samples=trials, arrays=size.arrays + (
+        (f"--trials {trials} on {rays} rays", rays * trials),
+        (f"--n {args.n}", max(1, _PROBE_CELLS // size.dim) * size.dim)))
     op = _gamma_operator(args)
     rep = sectoriality_probe(op, angles, radii, p=args.p, trials=args.trials, seed=args.seed)
     angle, radius = np.meshgrid(rep.angles, rep.radii, indexing="ij")
@@ -778,13 +775,16 @@ def cmd_sector_probe(args):
 
 def cmd_rad_norm(args):
     dim = triangular_end(max(args.blocks, 0))
-    yield _Size(dim=dim, samples=args.samples, arrays=(
-        (f"--k {args.k} with --blocks {args.blocks}", max(args.k, 1) * dim),
-        (f"--samples {args.samples} with --k {args.k}", max(args.samples, 0) * max(args.k, 0))))
+    flags = f"--k {args.k} with --blocks {args.blocks}"
+    # the terms, a square a sample, and past the exact limit a row block of signs
+    arrays = ((flags, max(args.k, 1) * dim), (f"--samples {args.samples}", max(args.samples, 0)))
+    enumerable = args.k <= EXACT_TERM_LIMIT
+    if not enumerable and dim:
+        arrays += ((flags, block_rows(dim) * args.k),)
+    yield _Size(dim=dim, samples=args.samples, arrays=arrays)
     layout = BlockLayout.triangular(args.blocks)
     terms = np.random.default_rng(args.seed).standard_normal((max(args.k, 0), layout.dim))
     s = RadSum(terms, layout, args.p)
-    enumerable = args.k <= EXACT_TERM_LIMIT
     exact = rad_norm(s, "exact") if enumerable else float("nan")
     sampled = rad_norm(s, "sampled", seed=args.seed, samples=args.samples)
     _emit(args, "rad-norm", ["k", "p", "exact", "sampled", "stderr"],

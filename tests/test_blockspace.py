@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,17 @@ def test_mixed_norm_survives_squares_out_of_range(scale, dtype):
     ones = mixed_norm(np.ones(6, dtype=dtype), 3.0, lay)
     got = mixed_norm(np.full(6, scale, dtype=dtype), 3.0, lay)
     assert got == pytest.approx(scale * ones, rel=1e-15, abs=0.0)
+
+
+def test_integer_input_is_squared_in_float64():
+    # integers used to be squared in their own dtype: int8 100 * 100 wrapped
+    # to 16, and int64 3037000500 squared overflowed
+    lay = BlockLayout.from_sizes([2])
+    assert mixed_norm(np.array([100, 100], dtype=np.int8), 2, lay) == 141.4213562373095
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = mixed_norm(np.array([3037000500, 1], dtype=np.int64), 2, lay)
+    assert got == mixed_norm(np.array([3037000500.0, 1.0]), 2, lay)
 
 
 def test_block_norms_rescale_only_the_blocks_out_of_range():

@@ -350,6 +350,22 @@ def test_sector_probe_command(capsys):
     assert "# measured_K" in out
 
 
+def test_sector_probe_reports_its_singular_rays(capsys):
+    # one ulp below pi, lam = 4 e^{i(pi - angle)} lies within rounding of the
+    # eigenvalue 4
+    code, out = run(["sector-probe", "--angles", "3.1415926535897927,1", "--radii", "4",
+                     "--n", "10"], capsys)
+    assert code == 0
+    assert "\n# skipped 1 singular parameters\n" in out
+
+
+@pytest.mark.parametrize("argv", [["rbound-blowup", "--blocks", "x"], ["selftest", "--only", "x"]])
+def test_unreadable_integer_list_is_one_line_error(argv, capsys):
+    code, out, err = run_err(argv, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err == "error: cannot read 'x' as a comma list of integers\n"
+
+
 def test_selftest_subset(capsys):
     code, out = run(["selftest", "--only", "6,9"], capsys)
     assert code == 0
@@ -629,8 +645,11 @@ import numpy
 if "numpy.ma" in sys.modules:
     sys.exit(3)
 from mrlab.cli import main
+alphas = ",".join(f"{a / 10:g}" for a in range(1, 36))
 for argv in (["semigroup-check"], ["uncond-constant", "--n", "20", "--mode", "sampled"],
-             ["gen-gamma", "--format", "json", "--n", "1500"]):
+             ["gen-gamma", "--format", "json", "--n", "1500"],
+             *(["bv-bound", "--alpha", alphas, "--tgrid", "geom:0.01:10:30", "--format", f]
+               for f in ("csv", "json"))):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     assert "numpy.ma" not in sys.modules, argv
@@ -640,8 +659,8 @@ for argv in (["semigroup-check"], ["uncond-constant", "--n", "20", "--mode", "sa
 def test_cold_scans_leave_numpy_ma_unimported():
     # np.unique without return flags calls np.ma.is_masked, whose first call
     # in a process imports numpy.ma (about 15 ms): the positivity scan's times
-    # and the sampled ascent's blocks used to; the JSON float dedup is held
-    # to the same
+    # and the sampled ascent's blocks used to; the float dedup, whose sorted
+    # path bv-bound's 1050-row t column takes, calls it with return_inverse
     proc = subprocess.run([sys.executable, "-c", COLD_SCANS], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     if proc.returncode == 3:
@@ -733,15 +752,19 @@ def test_oversized_grid_is_refused_before_it_is_built(argv, capsys):
     (["dissipativity", "--onset-max", "100000000"], "--onset-max 100000000", 100000001),
     (["semigroup-check", "--n", "100000000"], "--n 100000000", 200000008),
     (["sector-probe", "--n", "100000000"], "--n 100000000", 200000008),
-    (["sector-probe", "--n", "64", "--trials", "100000000"], "--trials 100000000",
-     6600000000),
+    # a result a trial of each of the 3 x 7 default rays
+    (["sector-probe", "--n", "64", "--trials", "100000000"], "--trials 100000000 on 21 rays",
+     2100000000),
+    (["sector-probe", "--n", "1", "--trials", "10000000"], "--trials 10000000 on 21 rays",
+     210000000),
     (["uncond-constant", "--n", "100000", "--mode", "sampled"], "--n 100000",
      2000 * 312537501),
     (["rad-norm", "--blocks", "6000"], "--k 10 with --blocks 6000", 180030000),
     (["rad-norm", "--k", "100000000", "--blocks", "2"], "--k 100000000 with --blocks 2",
      300000000),
-    (["rad-norm", "--k", "20000", "--blocks", "2"], "--samples 100000 with --k 20000",
-     2 * 10 ** 9),
+    # past the exact limit, one row block of signs: block_rows(3) x k
+    (["rad-norm", "--k", "20000", "--blocks", "2"], "--k 20000 with --blocks 2",
+     21845 * 20000),
     # the 2000 sampled sign rows times a layout of 282376 coordinates; a
     # (3000, 282376) basis matrix, no longer formed, used to fail to allocate 12.6 GiB
     (["uncond-constant", "--n", "3000", "--mode", "sampled"], "--n 3000", 2000 * 282376),
@@ -754,6 +777,21 @@ def test_oversized_array_is_refused_before_it_is_built(argv, flags, entries, cap
     assert_one_line_usage_error(code, out, err)
     assert err == (f"error: {flags} asks for an array of {entries} entries; "
                    f"at most 10000000 are allowed\n")
+
+
+@pytest.mark.parametrize("argv, arrays", [
+    # 105000 results and a batch of 8 rows of 2016 coordinates; trials x dim
+    # (10080000), an array the batched ascent never forms, used to be refused
+    (["sector-probe", "--n", "2000", "--trials", "5000"],
+     (("--n 2000", 4008), ("--trials 5000 on 21 rays", 105000), ("--n 2000", 8 * 2016))),
+    # 8 bytes a sample; samples x k (14000000) used to be refused
+    (["rad-norm", "--k", "14", "--blocks", "2", "--samples", "1000000"],
+     (("--k 14 with --blocks 2", 42), ("--samples 1000000", 1000000))),
+])
+def test_the_size_record_states_the_arrays_held(argv, arrays):
+    size = stated_size(argv)
+    assert size.arrays == arrays
+    cli._admit(size)
 
 
 @pytest.mark.parametrize("argv", [
@@ -780,6 +818,16 @@ def test_infinite_exponent_has_no_holder_splitting(argv, capsys):
         code, out, err = run_err(argv, capsys)
     assert_one_line_usage_error(code, out, err)
     assert "1/2 = 1/p + 1/q" in err
+
+
+def test_diag_norm_refuses_a_p_whose_conjugate_rounds_to_2(capsys):
+    # 2p/(p - 2) rounds to 2 at p = 1e17: the refusal used to name a q that
+    # no flag gave, "q must be finite and > 2"
+    code, out, err = run_err(["diag-norm", "--p", "1e17"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "p = 1e+17" in err
+    code, out = run(["diag-norm", "--p", "1e16"], capsys)
+    assert code == 0 and "\n10000000000000000,2.0000000000000004," in out
 
 
 def _counting_checks(monkeypatch):
@@ -1092,9 +1140,10 @@ def traced_peak(argv):
 
 
 def test_a_refused_probe_builds_nothing(capsys):
-    # the operator of 4·10^6 coordinates used to be built before its 100
-    # trials per ray were refused: a 343 MiB peak
-    code, peak = traced_peak(["sector-probe", "--n", "4000000", "--trials", "100"])
+    # the operator of 4·10^6 coordinates used to be built before its trials
+    # per ray were refused: a 343 MiB peak; 10^6 trials on 21 rays are
+    # 2.1·10^7 results
+    code, peak = traced_peak(["sector-probe", "--n", "4000000", "--trials", "1000000"])
     assert_one_line_usage_error(code, *capsys.readouterr())
     assert peak < 2 * 2 ** 20
 
@@ -1118,6 +1167,7 @@ PEAK_FACTOR = 14
     ["sector-probe", "--n", "200000", "--trials", "1", "--angles", "1", "--radii", "1"],
     ["sector-probe", "--n", "20000", "--radii", "1,1000"],
     ["rad-norm", "--k", "2", "--blocks", "1000", "--samples", "100"],
+    ["rad-norm", "--k", "14", "--blocks", "2", "--samples", "700000"],
     ["rbound-blowup", "--blocks", "100,1000000"],
     ["diag-norm", "--blocks", "4000"],
     ["interval-certify", "--left", "1.5", "--right", "3", "--grid", "1e-4"],

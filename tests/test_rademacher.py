@@ -276,6 +276,15 @@ def test_blowup_series_monotone_and_crosschecked():
         assert rad_norm(rsum, "disjoint") == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [7, 9, 20, 41])
+def test_lacunary_witness_agrees_with_its_closed_form(k):
+    # every pair leaks 1/6 onto a flat unit profile
+    rsum, log2_q, op, expected = blowup_witness("lacunary", k, 4.0)
+    out = associated_operator(op, log2_q, rsum)
+    assert rad_norm(out, "disjoint") == pytest.approx(expected, rel=1e-9)
+    assert rad_norm(rsum, "disjoint") == pytest.approx(1.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("construction", ["power", "powerlog"])
 def test_blowup_witness_builds_its_sequence_at_its_bound(construction):
     # the closed form reads the ratios at ``bound``; the operator's sequence
