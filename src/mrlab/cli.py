@@ -5,6 +5,10 @@ the seed is always echoed to the output header, numeric output is
 deterministic for a fixed configuration and seed, series go to CSV and
 nested reports to JSON (UTF-8, LF, '.' decimals).  Exit codes: 0 on
 success, 1 on usage or I/O errors, 2 when a guaranteed invariant fails.
+
+Building the parser loads no layer module: each subcommand, and each
+helper, reads the layers it runs off the package, which imports a layer
+on its first use.
 """
 
 from __future__ import annotations
@@ -22,34 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
-from .acceptance import run_all
-from .blockspace import (EXACT_TERM_LIMIT, BlockLayout, block_rows, triangular_block_index,
-                         triangular_end)
-from .certify import (
-    IntervalSpec,
-    diagonal_norm,
-    dissipativity_norm_onset,
-    dissipativity_reach,
-    dissipativity_witness,
-    mr_predicate,
-    plan_interval,
-)
+from . import __version__, _public
 from .errors import InvariantViolation, LabError, ParameterError
-from .multiplier import (
-    _PROBE_CELLS,
-    TwistedMultiplier,
-    bip_pair_ratios,
-    bv_semigroup_bound,
-    positivity_check,
-    scan_times,
-    sectoriality_probe,
-)
-from .rademacher import RadSum, blowup_series, rad_norm
-from .sequences import (_LN2, CONSTANT, GEOMETRIC, LACUNARY, POWER, POWERLOG, _geometric_limit,
-                        family_ratios, family_seq)
-from .twistbasis import SAMPLED_SIGNS, build_permutation, unconditional_constant
 
+# the package: _package.certify, say, imports the layer on its first read and
+# is one dict lookup after that; an import statement in each subcommand cost
+# about 10 µs a call on cold caches, as after the gc.collect() before a call
+_package = sys.modules[__package__]
 _ROW_BLOCK = 1024   # table rows converted and written at a time
 # CSV rows from which a numeric table takes _place_rows: its fixed cost, about
 # 0.15 ms, matched the % template's cost per float cell at 190 rows of two
@@ -63,6 +46,11 @@ _ARRAY_ENTRIES = 10 ** 7   # most entries of the largest array a flag sizes
 # argparse's own pattern takes -1 and -.5 but reads -inf, -1e5 and -5,7 as flags
 _FLOAT = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf|infinity|nan)"
 _NEGATIVE_NUMBER = re.compile(rf"^-{_FLOAT}(?:,[-+]?{_FLOAT})*$", re.IGNORECASE)
+
+
+def __getattr__(name):
+    """The package's public names, mrlab.cli.positivity_check say, from their layers."""
+    return _public(__name__, name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -652,32 +640,37 @@ def _parse_ints(text):
 
 
 def _family(args):
-    """The --family flag with its parameter: --value for constant, else --alpha."""
-    return args.family, args.value if args.family == CONSTANT else args.alpha
+    """The --family flag with its parameter: --value for constant, else --alpha;
+    each caller has loaded sequences."""
+    constant = _package.sequences.CONSTANT
+    return args.family, args.value if args.family == constant else args.alpha
 
 
 def _gamma_operator(args):
     """The operator of --gamma (lacunary | power:A | powerlog:A | constant:C) at --n;
     a constant C may take any value in (0, 1/2)."""
-    if args.gamma == LACUNARY:
-        return TwistedMultiplier.covering(args.n, LACUNARY)
+    multiplier, sequences = _package.multiplier, _package.sequences
+    if args.gamma == sequences.LACUNARY:
+        return multiplier.TwistedMultiplier.covering(args.n, sequences.LACUNARY)
     kind, _, value = args.gamma.partition(":")
     try:
         value = float(value)
     except ValueError:
         value = None
-    if value is None or kind not in (POWER, POWERLOG, CONSTANT):
+    if value is None or kind not in (sequences.POWER, sequences.POWERLOG, sequences.CONSTANT):
         raise ParameterError(f"cannot read gamma source {args.gamma!r}; expected "
                              f"lacunary, power:A, powerlog:A or constant:C")
-    return TwistedMultiplier.covering(args.n, kind, value,
-                                      bound=0.5 if kind == CONSTANT else 0.125)
+    bound = 0.5 if kind == sequences.CONSTANT else 0.125
+    return multiplier.TwistedMultiplier.covering(args.n, kind, value, bound=bound)
 
 
 def _operator_size(args):
     """The record of _gamma_operator: the smallest triangular layout holding
     --n coordinates, and its covering permutation of at most 2 n + 8 entries."""
+    blockspace = _package.blockspace
     n = _at_least_one("--n", args.n)
-    return _Size(dim=triangular_end(triangular_block_index(n)), arrays=((f"--n {n}", 2 * n + 8),))
+    dim = blockspace.triangular_end(blockspace.triangular_block_index(n))
+    return _Size(dim=dim, arrays=((f"--n {n}", 2 * n + 8),))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -687,20 +680,22 @@ def _operator_size(args):
 
 
 def cmd_gen_gamma(args):
+    sequences = _package.sequences
     n = _at_least_one("--n", args.n)
     yield _Size(arrays=((f"--n {n}", n),))
-    seq, ratios = family_seq(*_family(args), n)
+    seq, ratios = sequences.family_seq(*_family(args), n)
     cvals = np.full(n, float("nan"))
     cvals[1:] = seq.recovered_ratios() if ratios is None else ratios.values_upto(n)[1:]
     with np.errstate(over="ignore"):
         vals = np.exp2(seq.log2)
     _emit(args, "gen-gamma", ["m", "c_m", "gamma_m", "log_gamma_m"],
-          [np.arange(1, n + 1), cvals, vals, seq.log2 * _LN2])
+          [np.arange(1, n + 1), cvals, vals, seq.log2 * sequences._LN2])
 
 
 def cmd_pi_table(args):
+    twistbasis = _package.twistbasis
     yield _Size(arrays=((f"--n {args.n}", args.n + 1),))
-    perm = build_permutation(args.n)
+    perm = twistbasis.build_permutation(args.n)
     # each b a row " b", its space in the NUL first byte of the integer cell
     b_line = _place_rows([perm.b_list[:(args.n - 2) // 4 + 1]], [" ", ""])[1:].decode()
     m = np.arange(1, args.n + 1)
@@ -711,13 +706,14 @@ def cmd_pi_table(args):
 
 
 def cmd_semigroup_check(args):
+    multiplier = _package.multiplier
     grid = _parse_grid(args.tgrid)
     yield _operator_size(args)._replace(points=grid.size)
     op = _gamma_operator(args)
-    scan_times(grid)   # a bad grid is the error named before a bad --tol
+    multiplier.scan_times(grid)   # a bad grid is the error named before a bad --tol
     if not 0.0 <= args.tol < math.inf:   # --tol sets only the printed verdicts
         raise ParameterError(f"the tolerance must be finite and >= 0, not {args.tol}")
-    rep = positivity_check(op, grid)
+    rep = multiplier.positivity_check(op, grid)
     extra = [f"verdict {_fmt(rep.min_entry >= -args.tol)}",
              f"monotone_pairs {_fmt(rep.monotone_pairs)}",
              f"min_entry {_fmt(rep.min_entry)} at t {_fmt(rep.argmin_t)} column {rep.argmin_col}"]
@@ -727,9 +723,11 @@ def cmd_semigroup_check(args):
 
 
 def cmd_bv_bound(args):
+    multiplier = _package.multiplier
     alphas, ts = _parse_grid(args.alpha), _parse_grid(args.tgrid)
     yield _Size(points=alphas.size * ts.size, arrays=((f"--n {args.n}", args.n),))
-    computed, closed = (part.ravel() for part in bv_semigroup_bound(alphas[:, None], ts, args.n))
+    bound = multiplier.bv_semigroup_bound(alphas[:, None], ts, args.n)
+    computed, closed = (part.ravel() for part in bound)
     columns = [np.repeat(alphas, ts.size), np.tile(ts, alphas.size), computed, closed]
     ok = computed <= closed
     _emit(args, "bv-bound", ["alpha", "t", "computed", "bound", "ok"], [*columns, ok])
@@ -739,11 +737,13 @@ def cmd_bv_bound(args):
 
 
 def cmd_bip_check(args):
+    blockspace, multiplier = _package.blockspace, _package.multiplier
+    sequences = _package.sequences
     # the pair bound reads the ratios of blocks 2 .. K, K the block of index 2 pairs
-    blocks, ts = triangular_block_index(2 * args.pairs), _parse_grid(args.tgrid)
+    blocks, ts = blockspace.triangular_block_index(2 * args.pairs), _parse_grid(args.tgrid)
     yield _Size(points=ts.size, arrays=((f"--pairs {args.pairs}", blocks),))
-    ratios = family_ratios(*_family(args), blocks)
-    per_t = bip_pair_ratios(ratios, ts, args.pairs)
+    ratios = sequences.family_ratios(*_family(args), blocks)
+    per_t = multiplier.bip_pair_ratios(ratios, ts, args.pairs)
     worst = max(0.0, *per_t.tolist())
     _emit(args, "bip-check", ["t", "worst_ratio"], [ts, per_t],
           extra=[f"worst_ratio {_fmt(worst)}"])
@@ -752,6 +752,7 @@ def cmd_bip_check(args):
 
 
 def cmd_sector_probe(args):
+    multiplier = _package.multiplier
     angles, radii = _parse_grid(args.angles), _parse_grid(args.radii)
     size = _operator_size(args)
     trials = _at_least_one("--trials", args.trials)
@@ -759,9 +760,10 @@ def cmd_sector_probe(args):
     # a result a trial of each ray, and a batch of _PROBE_CELLS // dim rows of dim coordinates
     yield size._replace(points=rays, samples=trials, arrays=size.arrays + (
         (f"--trials {trials} on {rays} rays", rays * trials),
-        (f"--n {args.n}", max(1, _PROBE_CELLS // size.dim) * size.dim)))
+        (f"--n {args.n}", max(1, multiplier._PROBE_CELLS // size.dim) * size.dim)))
     op = _gamma_operator(args)
-    rep = sectoriality_probe(op, angles, radii, p=args.p, trials=args.trials, seed=args.seed)
+    rep = multiplier.sectoriality_probe(op, angles, radii, p=args.p, trials=args.trials,
+                                        seed=args.seed)
     angle, radius = np.meshgrid(rep.angles, rep.radii, indexing="ij")
     extra = [f"measured_K {_fmt(rep.measured_K)}"]
     for i, theta in enumerate(rep.angles):
@@ -774,43 +776,47 @@ def cmd_sector_probe(args):
 
 
 def cmd_rad_norm(args):
-    dim = triangular_end(max(args.blocks, 0))
+    blockspace, rademacher = _package.blockspace, _package.rademacher
+    dim = blockspace.triangular_end(max(args.blocks, 0))
     flags = f"--k {args.k} with --blocks {args.blocks}"
     # the terms, a square a sample, and past the exact limit a row block of signs
     arrays = ((flags, max(args.k, 1) * dim), (f"--samples {args.samples}", max(args.samples, 0)))
-    enumerable = args.k <= EXACT_TERM_LIMIT
+    enumerable = args.k <= blockspace.EXACT_TERM_LIMIT
     if not enumerable and dim:
-        arrays += ((flags, block_rows(dim) * args.k),)
+        arrays += ((flags, blockspace.block_rows(dim) * args.k),)
     yield _Size(dim=dim, samples=args.samples, arrays=arrays)
-    layout = BlockLayout.triangular(args.blocks)
+    layout = blockspace.BlockLayout.triangular(args.blocks)
     terms = np.random.default_rng(args.seed).standard_normal((max(args.k, 0), layout.dim))
-    s = RadSum(terms, layout, args.p)
-    exact = rad_norm(s, "exact") if enumerable else float("nan")
-    sampled = rad_norm(s, "sampled", seed=args.seed, samples=args.samples)
+    s = rademacher.RadSum(terms, layout, args.p)
+    exact = rademacher.rad_norm(s, "exact") if enumerable else float("nan")
+    sampled = rademacher.rad_norm(s, "sampled", seed=args.seed, samples=args.samples)
     _emit(args, "rad-norm", ["k", "p", "exact", "sampled", "stderr"],
           [args.k, args.p, exact, sampled.value, sampled.stderr])
     yield s.sampled_violation(sampled.value, exact, args.samples, 4) if enumerable else None
 
 
 def cmd_rbound_blowup(args):
+    rademacher = _package.rademacher
     blocks = _parse_ints(args.blocks)
     yield _Size(arrays=((f"--blocks {max(blocks)}", max(blocks) + 1),))
-    series = blowup_series(args.family, args.p, alpha=args.alpha, block_counts=blocks)
+    series = rademacher.blowup_series(args.family, args.p, alpha=args.alpha, block_counts=blocks)
     _emit(args, "rbound-blowup", ["k", "L_k", "fitted_slope"],
           [series.ks, series.lower, np.full(series.ks.size, series.slope)],
           extra=[f"slope {_fmt(series.slope)}"])
 
 
 def cmd_diag_norm(args):
+    certify, sequences = _package.certify, _package.sequences
     yield _Size(arrays=((f"--blocks {args.blocks}", max(args.blocks, 0)),))
-    ratios = family_ratios(*_family(args), args.blocks)
-    dn = diagonal_norm(ratios, args.p, args.blocks)
+    ratios = sequences.family_ratios(*_family(args), args.blocks)
+    dn = certify.diagonal_norm(ratios, args.p, args.blocks)
     _emit(args, "diag-norm", ["p", "q", "value", "argmax_block"],
           [dn.p, dn.q, dn.value, dn.block],
-          extra=[f"regular {_fmt(mr_predicate(ratios, args.p))}"])
+          extra=[f"regular {_fmt(certify.mr_predicate(ratios, args.p))}"])
 
 
 def cmd_interval_certify(args):
+    certify = _package.certify
     # required once the config is merged, so an output's own record replays
     missing = [flag for flag in ("--left", "--right") if getattr(args, flag[2:]) is None]
     if missing:
@@ -821,12 +827,12 @@ def cmd_interval_certify(args):
         raise ParameterError("--left and --right take numbers ('inf' on the right)") from None
     if not 0.0 < args.grid <= 1.0:
         raise ParameterError("--grid must lie in (0, 1]")
-    spec = IntervalSpec(left, right, args.left_closed, args.right_closed)
+    spec = certify.IntervalSpec(left, right, args.left_closed, args.right_closed)
     yield _Size(points=7.0 / args.grid)
     # integer numerators keep grid points at the exact rationals k/inv
     inv = round(1.0 / args.grid)
     grid = np.arange(inv + 1, 8 * inv + 1) / inv
-    plan = plan_interval(spec, grid=grid)
+    plan = certify.plan_interval(spec, grid=grid)
     report = {
         "meta": _meta(args, "interval-certify"),
         "interval": spec.describe(),
@@ -845,7 +851,8 @@ def cmd_interval_certify(args):
 
 
 def cmd_dissipativity(args):
-    yield _Size(dim=triangular_end(max(args.block, 0)),
+    blockspace, certify, sequences = _package.blockspace, _package.certify, _package.sequences
+    yield _Size(dim=blockspace.triangular_end(max(args.block, 0)),
                 arrays=((f"--onset-max {args.onset_max}", args.onset_max + 1),))
     family, param = _family(args)
     # the witness reads ratio blocks 1..block + 2 and the onset scan blocks
@@ -853,18 +860,18 @@ def cmd_dissipativity(args):
     # past them, refuse in the flag's terms, naming the largest value that
     # runs (dissipativity_witness names the largest block where the values
     # or the pairing pass the float64 range, before it solves past it)
-    limit = _geometric_limit(0.125) if family == GEOMETRIC else math.inf
+    limit = sequences._geometric_limit(0.125) if family == sequences.GEOMETRIC else math.inf
     past = (f"{{}} reads ratios past the {limit} blocks on which the geometric family stays "
             f"positive; the largest {{}} that runs is {{}}")
     if args.onset_max >= limit:
         raise ParameterError(past.format(f"--onset-max {args.onset_max}", "value", limit - 1))
     top = min(args.block, limit - 2)
-    ratios = family_ratios(family, param, max(top + 2, args.onset_max + 1))
+    ratios = sequences.family_ratios(family, param, max(top + 2, args.onset_max + 1))
     if top < args.block:
         raise ParameterError(past.format(f"--block {args.block}", "block",
-                                         dissipativity_reach(ratios, top)[0]))
-    w = dissipativity_witness(ratios, args.block)
-    onset = dissipativity_norm_onset(ratios, k_max=args.onset_max)
+                                         certify.dissipativity_reach(ratios, top)[0]))
+    w = certify.dissipativity_witness(ratios, args.block)
+    onset = certify.dissipativity_norm_onset(ratios, k_max=args.onset_max)
     _emit(args, "dissipativity",
           ["block", "pairing", "closed_form", "x_norm_sq", "n_terms"],
           [w.block, w.pairing, w.closed_form, w.x_norm_sq, w.n_terms],
@@ -873,24 +880,27 @@ def cmd_dissipativity(args):
 
 
 def cmd_uncond_constant(args):
+    blockspace, twistbasis = _package.blockspace, _package.twistbasis
     n, size = args.n, _Size()
     # exact mode enumerates at most EXACT_TERM_LIMIT terms; n < 2 is refused below
     if args.mode == "sampled" and n >= 2:
         # the sign products, sign rows x dim; the layout holds the largest
         # head pi(4k + 2) = b_k with 4k + 2 <= n, which lies in block k + 2
-        dim = triangular_end(max(triangular_block_index(n), (n - 2) // 4 + 2))
-        size = _Size(dim=dim, samples=SAMPLED_SIGNS,
-                     arrays=((f"--n {n}", SAMPLED_SIGNS * dim),))
+        dim = blockspace.triangular_end(max(blockspace.triangular_block_index(n),
+                                            (n - 2) // 4 + 2))
+        size = _Size(dim=dim, samples=twistbasis.SAMPLED_SIGNS,
+                     arrays=((f"--n {n}", twistbasis.SAMPLED_SIGNS * dim),))
     yield size
-    val = unconditional_constant(n, args.p, mode=args.mode, seed=args.seed)
+    val = twistbasis.unconditional_constant(n, args.p, mode=args.mode, seed=args.seed)
     _emit(args, "uncond-constant", ["n", "p", "mode", "estimate"],
           [n, args.p, args.mode, val])
 
 
 def cmd_selftest(args):
+    acceptance = _package.acceptance
     yield _Size()
     numbers = set(_parse_ints(args.only)) if args.only else None
-    results = run_all(numbers)
+    results = acceptance.run_all(numbers)
     with _Out(args.out) as fh:
         for res in results:
             fh.write(res.line() + "\n")
@@ -919,7 +929,7 @@ def _build_parser(env_seed):
 
     def family(default, *choices):
         """--family, --alpha and, where constant is a choice, --value."""
-        value = [flag("--value", 0.1, "constant family value")] if CONSTANT in choices else []
+        value = [flag("--value", 0.1, "constant family value")] if "constant" in choices else []
         return [flag("--family", default, choices=list(choices)), flag("--alpha", 0.25), *value]
 
     shared = [flag("--seed", env_seed,   # a string until main applies _seed

@@ -763,14 +763,14 @@ def _ascents(op, rows, p):
     _PROBE_CELLS // dim rows per batch: a batch's rows, and their starts, are
     drawn when it runs.
 
-    Returns each row's largest image norm, rows in order.
+    Returns each row's largest image norm, rows in order, as one float64 array.
     """
     rows = iter(rows)
     size = max(1, _PROBE_CELLS // op.layout.dim)
-    best = []
+    best = [np.empty(0)]
     while batch := list(itertools.islice(rows, size)):
-        best.extend(_ascend(op, batch, p).tolist())
-    return best
+        best.append(_ascend(op, batch, p))
+    return np.concatenate(best)
 
 
 def opnorm_lower(op: TwistedMultiplier, g, p, trials: int = 4, seed: int = 0) -> float:
@@ -785,7 +785,7 @@ def opnorm_lower(op: TwistedMultiplier, g, p, trials: int = 4, seed: int = 0) ->
         raise ParameterError("trials must be at least 1")
     diag, off = op.symbols(g)
     rng = np.random.default_rng(seed)
-    return max(_ascents(op, ((1.0, diag, off, rng) for _ in range(trials)), p))
+    return float(_ascents(op, ((1.0, diag, off, rng) for _ in range(trials)), p).max())
 
 
 def sectoriality_probe(op: TwistedMultiplier, angles, radii, p,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mrlab import __version__, certify, cli
+from mrlab import __version__, acceptance, certify, cli, multiplier, rademacher
 from mrlab.acceptance import run_all
 from mrlab.certify import DissipativityWitness, dissipativity_witness
 from mrlab.cli import main
@@ -222,7 +222,10 @@ def test_rad_norm_two_draws_on_one_pattern_pass(seed, capsys):
 @pytest.mark.parametrize("shift, code", [(3.0, 0), (5.0, 2)])
 def test_rad_norm_checks_the_exact_standard_error(shift, code, capsys, monkeypatch):
     # move the sampled value by `shift` standard errors of the pattern table
+    calls = []
+
     def shifted(s, mode, **kw):
+        calls.append(mode)
         got = rad_norm(s, mode, **kw)
         if mode == "exact":
             return got
@@ -230,10 +233,10 @@ def test_rad_norm_checks_the_exact_standard_error(shift, code, capsys, monkeypat
         se = np.std(s.pattern_squares) / math.sqrt(kw["samples"]) / (2.0 * exact)
         return SampledNorm(exact + shift * se, got.stderr, got.samples)
 
-    monkeypatch.setattr(cli, "rad_norm", shifted)
+    monkeypatch.setattr(rademacher, "rad_norm", shifted)
     code_run, out, err = run_err(["rad-norm", "--k", "6", "--blocks", "4", "--samples", "3000"],
                                  capsys)
-    assert code_run == code
+    assert (code_run, calls) == (code, ["exact", "sampled"])
     if code:
         exact, sampled = out.splitlines()[-1].split(",")[2:4]
         assert_one_violation(code, err, f"sampled {sampled}, exact {exact}, 4 standard errors ")
@@ -254,7 +257,7 @@ def assert_one_violation(code, err, *numbers):
 
 def test_semigroup_check_violation_states_the_minimum(monkeypatch, capsys):
     # a negative smallest entry beside pair values that decrease
-    monkeypatch.setattr(cli, "positivity_check", lambda op, grid: dataclasses.replace(
+    monkeypatch.setattr(multiplier, "positivity_check", lambda op, grid: dataclasses.replace(
         positivity_check(op, grid), min_entry=-1.0))
     code, out, err = run_err(["semigroup-check", "--n", "64", "--tgrid", "0.5,2"], capsys)
     minimum = next(l for l in out.splitlines() if l.startswith("# min_entry "))[2:]
@@ -284,7 +287,7 @@ def test_bv_bound_violation_states_the_first_failing_row(monkeypatch, capsys):
         computed, closed = bv_semigroup_bound(alpha, t, n)
         return computed, np.where((alpha == 0.5) & (t == 1.0), computed / 2, closed)
 
-    monkeypatch.setattr(cli, "bv_semigroup_bound", lowered)
+    monkeypatch.setattr(multiplier, "bv_semigroup_bound", lowered)
     code, out, err = run_err(["bv-bound", "--alpha", "0.25,0.5", "--tgrid", "0.1,1,10",
                               "--n", "200"], capsys)
     row = next(l for l in out.splitlines() if l.endswith(",false"))
@@ -294,7 +297,7 @@ def test_bv_bound_violation_states_the_first_failing_row(monkeypatch, capsys):
 
 
 def test_bip_check_violation_states_the_worst_ratio(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "bip_pair_ratios", lambda *args: np.array([0.5, 1.25]))
+    monkeypatch.setattr(multiplier, "bip_pair_ratios", lambda *args: np.array([0.5, 1.25]))
     code, out, err = run_err(["bip-check", "--pairs", "10", "--tgrid", "0.1,1"], capsys)
     assert_one_violation(code, err, "worst_ratio 1.25")
     assert "# worst_ratio 1.25\n" in out and out.endswith("\n1,1.25\n")
@@ -309,7 +312,7 @@ def test_interval_certify_violation_states_the_disagreeing_points(monkeypatch, c
 
 
 def test_dissipativity_violation_states_the_pairing_and_closed_form(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "dissipativity_witness", lambda ratios, k: dataclasses.replace(
+    monkeypatch.setattr(certify, "dissipativity_witness", lambda ratios, k: dataclasses.replace(
         dissipativity_witness(ratios, k), pairing=-1.0))
     code, out, err = run_err(["dissipativity", "--block", "30"], capsys)
     pairing, closed = next(l for l in out.splitlines() if l.startswith("30,")).split(",")[1:3]
@@ -319,7 +322,7 @@ def test_dissipativity_violation_states_the_pairing_and_closed_form(monkeypatch,
 
 def test_selftest_violation_names_the_failed_checks(monkeypatch, capsys):
     _counting_checks(monkeypatch)
-    monkeypatch.setattr(cli, "run_all", lambda numbers: [
+    monkeypatch.setattr(acceptance, "run_all", lambda numbers: [
         dataclasses.replace(r, passed=r.number == 5) for r in run_all(numbers)])
     code, out, err = run_err(["selftest", "--only", "3,5,12"], capsys)
     assert (code, err) == (2, "invariant violated: acceptance checks failed: 3,12\n")
@@ -1033,10 +1036,13 @@ def test_non_finite_parameters_are_one_line_errors(argv, message, capsys):
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_a_bad_tolerance_is_refused_before_the_positivity_scan(tol, monkeypatch, capsys):
     scans = []
-    monkeypatch.setattr(cli, "positivity_check", lambda *args: scans.append(args))
+    monkeypatch.setattr(multiplier, "positivity_check",
+                        lambda op, grid: scans.append(grid) or positivity_check(op, grid))
+    assert run_err(["semigroup-check", "--n", "10", "--tol", "0"], capsys)[0] == 0
+    assert len(scans) == 1   # the scan a good tolerance runs
     code, out, err = run_err(["semigroup-check", "--n", "10", "--tol", tol], capsys)
     assert_one_line_usage_error(code, out, err)
-    assert "tolerance must be finite and >= 0" in err and scans == []
+    assert "tolerance must be finite and >= 0" in err and len(scans) == 1
 
 
 @pytest.mark.parametrize("tgrid", ["-1,2", "nan", "1,nan"])
@@ -1180,3 +1186,14 @@ def test_peak_memory_stays_within_the_stated_size(argv, tmp_path):
     code, peak = traced_peak(argv + ["--out", str(tmp_path / "table")])
     assert code == 0
     assert peak <= PEAK_FACTOR * 8 * largest
+
+
+def test_probe_results_peak_near_eight_bytes_each(tmp_path):
+    # a float64 a (ray, trial) result, the batches' arrays joined once: 2.4
+    # times 8 B a result at 5·10^5 trials of one dim-1 ray, the one batch of
+    # 2^14 ascents held beside them; a Python float a result in a list read 5.3
+    trials = 500_000
+    code, peak = traced_peak(["sector-probe", "--n", "1", "--trials", str(trials), "--angles",
+                              "1", "--radii", "1", "--out", str(tmp_path / "table")])
+    assert code == 0
+    assert peak <= 3 * 8 * trials
