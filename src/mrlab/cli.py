@@ -81,49 +81,34 @@ _ROWS = "\x00rows"   # stands where the rows go in a JSON report's fixed part
 _BOOL_TEXT = np.array(["false", "true"], dtype=object)   # object: no new str per cell
 
 
-def _cell_values(column, fmt):
-    """A block of one column as the values its % conversion reads: bools as
-    true/false and, in JSON, strings quoted and NaN, +inf and -inf as null,
-    Infinity and -Infinity."""
+def _cells(column, fmt):
+    """The % conversion and the values of one row block of a column: bools as
+    true/false, CSV floats as %.17g, and else %s of an int's digits, a JSON
+    string quoted, or a JSON float's repr with NaN, +inf and -inf as null,
+    Infinity and -Infinity.  Where _repeats finds repeats in a JSON float
+    block, each value it leaves is formatted once."""
     kind = column.dtype.kind
     if kind == "b":
-        return _BOOL_TEXT[column.astype(np.intp)].tolist()
-    values = column.tolist()
-    if fmt == "json" and kind == "U":
-        return [json.dumps(v) for v in values]
-    if fmt == "json" and kind == "f":
-        for i in np.flatnonzero(~np.isfinite(column)).tolist():
-            values[i] = ("null" if math.isnan(values[i])
-                         else "Infinity" if values[i] > 0 else "-Infinity")
-    return values
-
-
-def _conversion(column, fmt):
-    """The % conversion of a column's cells: %.17g for CSV floats, else %s of
-    what _cell_values gives (an int's digits, a JSON float's repr)."""
-    return "%.17g" if fmt == "csv" and column.dtype.kind == "f" else "%s"
+        return "%s", _BOOL_TEXT[column.astype(np.intp)].tolist()
+    if fmt == "csv" or kind not in "fU":
+        return "%.17g" if kind == "f" else "%s", column.tolist()
+    if kind == "U":
+        return "%s", [json.dumps(v) for v in column.tolist()]
+    values, index = _repeats(column)
+    cells = values.tolist()
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        cells[i] = "null" if math.isnan(cells[i]) else "Infinity" if cells[i] > 0 else "-Infinity"
+    if index is None:
+        return "%s", cells
+    # take, not [index]: over a threshold-series run the indexed object
+    # gather left a 0.3 MB higher peak RSS
+    return "%s", np.array(list(map(str, cells)), dtype=object).take(index).tolist()
 
 
 def _fmt(x):
     """A header value, written as the one cell of a CSV column."""
-    column = np.atleast_1d(x)
-    return _conversion(column, "csv") % tuple(_cell_values(column, "csv"))
-
-
-def _block_cells(column, fmt):
-    """The % conversion and the values of one row block of a column.  A JSON
-    float block in which _repeats finds repeats comes back as %s of its
-    cells' text, each value _repeats leaves formatted once."""
-    conversion = _conversion(column, fmt)
-    if fmt == "json" and column.dtype.kind == "f":
-        values, index = _repeats(column)
-        if index is not None:
-            text = ("\n".join([conversion] * len(values))
-                    % tuple(_cell_values(values, fmt))).split("\n")
-            # take, not [index]: over a threshold-series run the indexed
-            # object gather left a 0.3 MB higher peak RSS
-            return "%s", np.array(text, dtype=object).take(index).tolist()
-    return conversion, _cell_values(column, fmt)
+    conversion, values = _cells(np.atleast_1d(x), "csv")
+    return conversion % tuple(values)
 
 
 # %.17g without dtoa.  A finite nonzero x = m 2^E (np.frexp, 1/2 <= m < 1)
@@ -504,11 +489,11 @@ def _emit(args, command, columns, arrays, extra=(), report=None):
     of _PLACE_ROWS rows or more whose columns are integer, bool or float,
     goes through _place_rows, 8 row blocks at a time (4 with a float
     column): the bytes of str(int), true/false and "%.17g" % x, exact for
-    every float64 bit pattern (see _DIGIT_ERR).  Any other table (JSON floats, written by repr; str
-    columns; shorter tables) goes through one % template per row,
-    _ROW_BLOCK rows at a time, and a full row block of a JSON float column
-    in which _repeats finds repeats is formatted once per value it leaves
-    and written as text (_block_cells).  JSON's
+    every float64 bit pattern (see _DIGIT_ERR).  Any other table (JSON
+    floats, written by repr; str columns; shorter tables) goes through one %
+    template per row, _ROW_BLOCK rows at a time, each column's conversion
+    and cells from _cells, which formats a full row block of a JSON float
+    column in which _repeats finds repeats once per value it leaves.  JSON's
     bytes are as they were.  CSV carries a # header with ``extra``
     as its last lines.  A JSON report is ``report`` dumped with _ROWS where
     the rows go, the rows as objects keyed by column; by default it is meta
@@ -557,8 +542,7 @@ def _emit(args, command, columns, arrays, extra=(), report=None):
                 del text   # not held while the next block is laid out
         else:
             for i in range(0, n, _ROW_BLOCK):
-                conversions, part = zip(*[_block_cells(a[i:i + _ROW_BLOCK], fmt)
-                                          for a in arrays])
+                conversions, part = zip(*[_cells(a[i:i + _ROW_BLOCK], fmt) for a in arrays])
                 values = tuple(itertools.chain.from_iterable(zip(*part)))   # row-major
                 fh.write((sep if i else "") + template(conversions, len(part[0])) % values)
         fh.write(tail)

@@ -25,7 +25,11 @@ table goes through one % row template, JSON floats by repr, as before:
 JSON's bytes are unchanged.  A full row block of a JSON float column that
 repeats values is formatted once per distinct bit pattern; tables past one
 row block and ``gen-gamma`` of every workload family reach that path, and a
-spy counts what it formats.
+spy counts what it formats.  One function, ``cli._cells``, now gives each
+block's % conversion and cell values; the three it replaced
+(``_cell_values``, ``_conversion`` and ``_block_cells``) are kept here
+verbatim, and ``_cells`` must give the text they gave, and one text object
+wherever they gave one, for every kind of column in both formats.
 
 ``MRPlan`` and ``IntervalSpec`` now evaluate the plan on the whole grid at
 once; the per-point scalar rules are kept here as the oracle of
@@ -152,6 +156,57 @@ def oracle_emit(args, command, columns, arrays, extra=(), report=None):
     with cli._Out(args.out) as fh:
         json.dump(report, fh, indent=2, sort_keys=False)
         fh.write("\n")
+
+
+# -- the cell rules _cells replaced, verbatim -------------------------------------
+
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)   # object: no new str per cell
+_repeats = cli._repeats
+
+
+def _cell_values(column, fmt):
+    """A block of one column as the values its % conversion reads: bools as
+    true/false and, in JSON, strings quoted and NaN, +inf and -inf as null,
+    Infinity and -Infinity."""
+    kind = column.dtype.kind
+    if kind == "b":
+        return _BOOL_TEXT[column.astype(np.intp)].tolist()
+    values = column.tolist()
+    if fmt == "json" and kind == "U":
+        return [json.dumps(v) for v in values]
+    if fmt == "json" and kind == "f":
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            values[i] = ("null" if math.isnan(values[i])
+                         else "Infinity" if values[i] > 0 else "-Infinity")
+    return values
+
+
+def _conversion(column, fmt):
+    """The % conversion of a column's cells: %.17g for CSV floats, else %s of
+    what _cell_values gives (an int's digits, a JSON float's repr)."""
+    return "%.17g" if fmt == "csv" and column.dtype.kind == "f" else "%s"
+
+
+def _header_fmt(x):
+    """A header value, written as the one cell of a CSV column."""
+    column = np.atleast_1d(x)
+    return _conversion(column, "csv") % tuple(_cell_values(column, "csv"))
+
+
+def _block_cells(column, fmt):
+    """The % conversion and the values of one row block of a column.  A JSON
+    float block in which _repeats finds repeats comes back as %s of its
+    cells' text, each value _repeats leaves formatted once."""
+    conversion = _conversion(column, fmt)
+    if fmt == "json" and column.dtype.kind == "f":
+        values, index = _repeats(column)
+        if index is not None:
+            text = ("\n".join([conversion] * len(values))
+                    % tuple(_cell_values(values, fmt))).split("\n")
+            # take, not [index]: over a threshold-series run the indexed
+            # object gather left a 0.3 MB higher peak RSS
+            return "%s", np.array(text, dtype=object).take(index).tolist()
+    return conversion, _cell_values(column, fmt)
 
 
 # -- helpers -----------------------------------------------------------------------
@@ -302,23 +357,34 @@ def test_gen_gamma_writes_the_bytes_of_stdout_to_a_file(tmp_path, monkeypatch):
 
 
 def test_each_distinct_bit_pattern_of_a_repeating_block_is_formatted_once(monkeypatch):
-    """JSON only: CSV floats of a full row block take the place writer."""
-    fmt = "json"
-    formatted = []
+    """JSON only: CSV floats of a full row block take the place writer.  The
+    values _repeats leaves are the block's distinct bit patterns, and each
+    row of one pattern gets the one text object made for it."""
+    left, blocks = [], []
 
-    def spy(column, fmt):
-        if column.dtype.kind == "f":
-            formatted.append(column.view(np.int64).copy())
-        return cell_values(column, fmt)
+    def repeats(column):
+        values, index = cli_repeats(column)
+        left.append(values.view(np.int64).tolist())
+        return values, index
 
-    cell_values = cli._cell_values
-    monkeypatch.setattr(cli, "_cell_values", spy)
+    def cells(column, fmt):
+        conversion, values = cli_cells(column, fmt)
+        blocks.append((column.view(np.int64).tolist(), values))
+        return conversion, values
+
+    cli_repeats, cli_cells = cli._repeats, cli._cells
+    monkeypatch.setattr(cli, "_repeats", repeats)
+    monkeypatch.setattr(cli, "_cells", cells)
     rows = 2 * cli._ROW_BLOCK
     column = repeated(rows)
-    written(cli._emit, synthetic_args(fmt), "synthetic", ["c"], [column])
+    written(cli._emit, synthetic_args("json"), "synthetic", ["c"], [column])
     bits = column.view(np.int64)
-    assert [f.tolist() for f in formatted] == [
-        np.unique(bits[i:i + cli._ROW_BLOCK]).tolist() for i in range(0, rows, cli._ROW_BLOCK)]
+    assert left == [np.unique(bits[i:i + cli._ROW_BLOCK]).tolist()
+                    for i in range(0, rows, cli._ROW_BLOCK)]
+    assert len(blocks) == 2
+    for block, values in blocks:
+        text = {}
+        assert all(text.setdefault(b, v) is v for b, v in zip(block, values))
 
 
 @pytest.mark.parametrize("block", [1024, 2])
@@ -376,7 +442,7 @@ def test_integer_tables_are_written_as_str_int_did(table, fmt, rows, block, monk
     """An all-integer table takes the place writer in blocks of 8 row blocks;
     rows as lists (CSV, JSON) and as objects (a report)."""
     monkeypatch.setattr(cli, "_ROW_BLOCK", block)
-    monkeypatch.setattr(cli, "_block_cells", None)   # the place writer never calls it
+    monkeypatch.setattr(cli, "_cells", None)   # the place writer never calls it
     columns, arrays = INT_TABLES[table](rows)
     args = synthetic_args("csv" if fmt == "csv" else "json")
     report = {"meta": cli._meta(args, "synthetic"), "per_m": cli._ROWS,
@@ -457,8 +523,69 @@ def test_edge_floats_are_written_as_the_old_csv_writer_did(monkeypatch):
 
 def test_header_values_are_the_one_cell_case_of_the_csv_formatter():
     values = [True, False, np.True_, np.bool_(False), 0, -3, 2 ** 62, np.int64(-(2 ** 62)),
-              *FLOATS.tolist(), *FLOATS, np.float32(0.1)]
-    assert [cli._fmt(x) for x in values] == [_fmt(x) for x in values]
+              np.int64(-(2 ** 63)), 2 ** 63 - 1, 2 ** 63, -(2 ** 63) - 1, *FLOATS.tolist(),
+              *FLOATS, np.float32(0.1), *CELL_BASES["float64"], *CELL_BASES["float32"],
+              *CELL_BASES["str"]]
+    got = [cli._fmt(x) for x in values]
+    assert got == [_fmt(x) for x in values]
+    assert got == [_header_fmt(x) for x in values]
+
+
+# per kind, cells the rules must tell apart: float bit patterns a value-keyed
+# dedup would merge (signed zeros, NaN payloads of both signs; quiet, as numpy's
+# float32 to float64 cast flags a signaling NaN), infinities and subnormals;
+# int64's ends; strings JSON escapes or % reads
+CELL_BASES = {
+    "bool": np.array([True, False, False]),
+    "int64": INTS,
+    "float64": np.concatenate([EDGES, FLOATS, [-5e-324, 2.225073858507201e-308]]),
+    "float32": np.array([0x7FC00000, 0xFFC00000, 0x7FC00001, 0xFFC00ABC, 0x7F800000,
+                         0xFF800000, 0, 0x80000000, 1, 0x807FFFFF, 0x3DCCCCCD, 0x7F7FFFFF],
+                        dtype=np.uint32).view(np.float32),
+    "str": np.concatenate([STRS, ['"', "\\", "%", "%%", "∞ ß 𝔼", "\u2028"]]),
+}
+
+
+def cell_column(kind, layout, rows):
+    """rows cells of a kind: its base values in runs, scattered (repeats that
+    only np.unique finds), or followed by distinct values."""
+    base = CELL_BASES[kind]
+    if layout == "runs":
+        return np.repeat(base, -(-rows // len(base)))[:rows]
+    if layout == "scattered":
+        return base[np.arange(rows) * 5 % len(base)]
+    m = np.arange(rows) - rows // 2
+    distinct = {"bool": m % 3 == 0, "int64": m * 7919, "str": np.array([f"é{i}%" for i in m]),
+                "float64": m / 7, "float32": (m / 7).astype(np.float32)}[kind]
+    return np.concatenate([base, distinct])[:rows]
+
+
+def as_written(conversion, values):
+    """The text % writes for each of a column's cells."""
+    return [conversion % (v,) for v in values]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024])
+@pytest.mark.parametrize("layout", ["runs", "scattered", "distinct"])
+@pytest.mark.parametrize("kind", sorted(CELL_BASES))
+def test_cells_are_written_as_the_replaced_cell_rules_wrote(kind, layout, rows):
+    """The text of every cell, in both formats; and where the old rules
+    formatted a repeating JSON float block once per value, two rows that
+    shared a text object still share one."""
+    column = cell_column(kind, layout, rows)
+    assert len(column) == rows
+    if column.dtype.kind == "f":
+        assert (cli._repeats(column)[1] is None) == (rows < 1024 or layout == "distinct")
+    for fmt in ("csv", "json"):
+        conversion, values = cli._cells(column, fmt)
+        want_conversion, want = _block_cells(column, fmt)
+        text, want_text = as_written(conversion, values), as_written(want_conversion, want)
+        wrong = [(i, t, w) for i, (t, w) in enumerate(zip(text, want_text)) if t != w]
+        assert len(text) == rows and not wrong, (fmt, len(text), wrong[:3])
+        first = {}
+        unshared = [i for i, (v, w) in enumerate(zip(values, want))
+                    if values[first.setdefault(id(w), i)] is not v]
+        assert not unshared, (fmt, unshared[:3])
 
 
 def test_json_cells_read_back_as_the_values_written():
